@@ -1,10 +1,11 @@
 //! Mesh-operation microbenchmarks: guard-cell fill and refinement — the
 //! PARAMESH overheads that frame the per-step cost around the instrumented
-//! regions.
+//! regions. The fill runs through `Domain::fill_guardcells`, the step
+//! loop's path (cached exchange plan); the tracked number is the
+//! `mesh.guardcell.fill_ms` row of the `perf_ledger` benchmark.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rflash_hugepages::Policy;
-use rflash_mesh::guardcell::fill_guardcells;
 use rflash_mesh::tree::{Mark, MeshConfig};
 use rflash_mesh::{vars, Domain};
 use std::collections::HashMap;
@@ -46,7 +47,7 @@ fn bench_guardcell_fill(c: &mut Criterion) {
         let mut d = refined_domain(levels);
         let leaves = d.tree.leaves().len();
         group.bench_function(BenchmarkId::from_parameter(format!("{leaves}_leaves")), |b| {
-            b.iter(|| fill_guardcells(black_box(&d.tree), &mut d.unk))
+            b.iter(|| black_box(&mut d).fill_guardcells(1))
         });
     }
     group.finish();

@@ -53,7 +53,7 @@ struct ScalingPoint {
     idle_fraction: f64,
     /// Tasks executed by a rank other than their owner (task graph only).
     steals: u64,
-    /// Fraction of exchange (pack/unpack/restrict) time during which some
+    /// Fraction of exchange (restrict/fill) time during which some
     /// other rank was running compute (task graph only).
     overlap_ratio: f64,
     phases: PhaseBreakdown,

@@ -11,10 +11,11 @@
 //! bytes    leaf slabs, f64 LE, one per leaf in header order
 //! ```
 //!
-//! Writes are atomic: the container is written to `<path>.tmp`, fsynced,
-//! and renamed over `path` — a crash mid-write leaves the previous
-//! checkpoint untouched and at worst an ignorable `.tmp` orphan. Reads
-//! verify the header CRC and every slab CRC and fail with *typed* errors
+//! Writes are atomic: the container is written to a per-write sibling
+//! `<path>.<pid>.<n>.tmp`, fsynced, and renamed over `path` — a crash
+//! mid-write leaves the previous checkpoint untouched and at worst an
+//! ignorable `.tmp` orphan, and concurrent writers never share a temp
+//! file. Reads verify the header CRC and every slab CRC and fail with *typed* errors
 //! (truncated / corrupt / wrong mesh), never panics, so a restart driver
 //! can walk a [`CheckpointSeries`] newest-first to the last good file.
 //! The I/O path honors the deterministic fault plan from
@@ -23,6 +24,7 @@
 
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rflash_hugepages::faults::{self, FaultSite, IoFault};
 use rflash_mesh::{BlockId, Domain, MortonKey};
@@ -221,19 +223,26 @@ fn encode_container(
     Ok(out)
 }
 
-/// The sibling temp path used for atomic writes.
+/// A sibling temp path for one atomic write: `<path>.<pid>.<n>.tmp`, with
+/// `n` from a process-wide counter. Two writers of the same `path` — other
+/// threads or other processes — therefore never share a temp file, so one
+/// cannot rename the other's half-written container into place (or away).
 fn tmp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
+    os.push(format!(".{}.{n}.tmp", std::process::id()));
     PathBuf::from(os)
 }
 
 /// Write a checkpoint of the simulation state, atomically.
 ///
-/// The container goes to `<path>.tmp`, is fsynced, and renamed over
-/// `path`; an existing checkpoint at `path` is replaced all-or-nothing. On
-/// failure the temp file is deliberately left behind (exactly what a crash
-/// would leave) — series recovery ignores `.tmp` files.
+/// The container goes to a per-write sibling `<path>.<pid>.<n>.tmp`, is
+/// fsynced, and renamed over `path`; an existing checkpoint at `path` is
+/// replaced all-or-nothing, and concurrent writers of one `path` each
+/// publish a whole file (the last rename wins). On failure the temp file
+/// is deliberately left behind (exactly what a crash would leave) — series
+/// recovery ignores `.tmp` files.
 pub fn write_checkpoint(
     path: &Path,
     domain: &Domain,
@@ -694,6 +703,21 @@ mod tests {
         std::env::temp_dir().join(format!("rflash-ckpt-{}-{name}", std::process::id()))
     }
 
+    /// Temp files of `path` left in its directory (`<name>.<pid>.<n>.tmp`).
+    fn tmp_orphans(path: &Path) -> Vec<std::path::PathBuf> {
+        let stem = format!("{}.", path.file_name().unwrap().to_str().unwrap());
+        let mut found: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| {
+                let name = p.file_name().unwrap().to_str().unwrap();
+                name.starts_with(&stem) && name.ends_with(".tmp")
+            })
+            .collect();
+        found.sort();
+        found
+    }
+
     fn toy_sim() -> Simulation {
         let cfg = MeshConfig::test_2d();
         let params = crate::RuntimeParams {
@@ -898,8 +922,9 @@ mod tests {
         sim.checkpoint(&path).unwrap();
         let second = std::fs::read(&path).unwrap();
         assert_eq!(first, second, "rewrite must be byte-identical");
-        assert!(
-            !tmp_path(&path).exists(),
+        assert_eq!(
+            tmp_orphans(&path),
+            Vec::<std::path::PathBuf>::new(),
             "successful write must not leave a temp file"
         );
         std::fs::remove_file(&path).unwrap();

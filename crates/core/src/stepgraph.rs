@@ -39,7 +39,7 @@ use rflash_hydro::{
 use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
 use rflash_mesh::flux::{Correction, Face};
-use rflash_mesh::guardcell::{pack_block_cells, restrict_parent_cells, unpack_block_cells};
+use rflash_mesh::guardcell::{fill_block_cells, restrict_parent_cells, ExchangePlan};
 use rflash_mesh::taskgraph::{GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId};
 use rflash_mesh::tree::Neighbor;
 use rflash_mesh::unk::Region;
@@ -59,22 +59,20 @@ pub mod mutation;
 pub(crate) const K_DT: u8 = 0;
 pub(crate) const K_DTREDUCE: u8 = 1;
 pub(crate) const K_RESTRICT: u8 = 2;
-pub(crate) const K_PACK: u8 = 3;
-pub(crate) const K_UNPACK: u8 = 4;
-pub(crate) const K_SWEEP: u8 = 5;
-pub(crate) const K_CORRECT: u8 = 6;
-pub(crate) const K_EOS: u8 = 7;
-pub(crate) const K_INJECT: u8 = 8;
-pub(crate) const K_VALIDATE: u8 = 9;
-const NKINDS: usize = 10;
+pub(crate) const K_FILL: u8 = 3;
+pub(crate) const K_SWEEP: u8 = 4;
+pub(crate) const K_CORRECT: u8 = 5;
+pub(crate) const K_EOS: u8 = 6;
+pub(crate) const K_INJECT: u8 = 7;
+pub(crate) const K_VALIDATE: u8 = 8;
+const NKINDS: usize = 9;
 
 /// Scheduling classes per kind, for the overlap ledger.
 const CLASSES: [TaskClass; NKINDS] = [
     TaskClass::Other,    // Dt
     TaskClass::Other,    // DtReduce
     TaskClass::Exchange, // Restrict
-    TaskClass::Exchange, // Pack
-    TaskClass::Exchange, // Unpack
+    TaskClass::Exchange, // Fill
     TaskClass::Compute,  // Sweep
     TaskClass::Compute,  // Correct
     TaskClass::Other,    // Eos
@@ -146,7 +144,7 @@ pub struct GraphRankReport {
 pub struct GraphExecReport {
     /// Graph executions (one per step attempt).
     pub executions: u64,
-    /// Busy ns in guard-cell exchange tasks (restrict + pack + unpack).
+    /// Busy ns in guard-cell exchange tasks (restrict + fill).
     pub guardcell_ns: u64,
     /// Busy ns in sweep + flux-correction tasks.
     pub sweep_ns: u64,
@@ -176,7 +174,7 @@ impl GraphExecReport {
                 0
             }
         };
-        self.guardcell_ns += kind(K_RESTRICT) + kind(K_PACK) + kind(K_UNPACK);
+        self.guardcell_ns += kind(K_RESTRICT) + kind(K_FILL);
         self.sweep_ns += kind(K_SWEEP) + kind(K_CORRECT);
         self.eos_ns += kind(K_EOS);
         self.dt_ns += kind(K_DT) + kind(K_DTREDUCE);
@@ -214,21 +212,24 @@ impl GraphExecReport {
 /// Build the step graph for `key`, declaring every task's resource
 /// accesses in the canonical serial barrier order (DESIGN.md §13).
 ///
-/// Resource layout ([`ResourceMap`], `4·max_blocks + 1` resources):
+/// Resource layout ([`ResourceMap`], `3·max_blocks + 1` resources):
 /// `interior(b) = b`, `guards(b) = max_blocks + b`,
-/// `stage buffer(b) = 2·max_blocks + b`, `flux rows(b) = 3·max_blocks + b`,
-/// and the dt cell at `4·max_blocks`.
+/// `flux rows(b) = 2·max_blocks + b`, and the dt cell at `3·max_blocks`.
 ///
 /// Every declaration goes through [`mutation::keep`] with a stable site
-/// number (`S0`–`S22`, see [`mutation::NAMES`]) so the race-audit harness
+/// number (`S0`–`S20`, see [`mutation::NAMES`]) so the race-audit harness
 /// can drop any single one and require the audit to notice.
-fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPlan {
+fn build_plan(
+    tree: &Tree,
+    exchange: &ExchangePlan,
+    parts: &[Vec<BlockId>],
+    key: PlanKey,
+) -> StepGraphPlan {
     let cfg = tree.config();
     let max_blocks = cfg.max_blocks;
     let rmap = ResourceMap { max_blocks };
     let interior = |b: BlockId| rmap.interior(b.idx());
     let guards = |b: BlockId| rmap.guards(b.idx());
-    let stage_buf = |b: BlockId| rmap.stage(b.idx());
     let fluxrow = |b: BlockId| rmap.fluxrow(b.idx());
     let dt_res = rmap.dt();
 
@@ -244,20 +245,16 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
             owner[id.idx()] = r as u32;
         }
     }
-    // Active blocks level-ascending, BlockId-ascending within a level —
-    // the serial fill's stable sort order.
-    let mut active: Vec<BlockId> = (0..max_blocks as u32)
-        .map(BlockId)
-        .filter(|&id| tree.block(id).state != BlockState::Free)
+    // The exchange plan's orders are the serial fill's: active blocks
+    // level-ascending (BlockId-ascending within a level), parents deepest
+    // level first.
+    let active: Vec<BlockId> = (0..exchange.levels())
+        .flat_map(|lvl| exchange.active(lvl).iter().copied())
         .collect();
-    active.sort_by_key(|&id| tree.block(id).key.level);
-    // Parents deepest level first (the serial restriction order).
-    let mut parents: Vec<BlockId> = active
-        .iter()
-        .copied()
-        .filter(|&id| tree.block(id).state == BlockState::Parent)
+    let parents: Vec<BlockId> = (0..exchange.levels())
+        .rev()
+        .flat_map(|lvl| exchange.parents(lvl).iter().copied())
         .collect();
-    parents.sort_by_key(|&id| std::cmp::Reverse(tree.block(id).key.level));
     for &pid in &parents {
         let meta = tree.block(pid);
         if let Some(children) = meta.children {
@@ -307,11 +304,10 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
     } else {
         (0..ndim).collect()
     };
-    let ndirs = cfg.neighbor_dirs();
     for &d in &dirs_order {
         let d8 = d as u8;
         // Restriction into parents, deepest first. Reads child interiors
-        // (pack_restrict touches no guard cells), writes the parent's.
+        // (restriction touches no guard cells), writes the parent's.
         for &pid in &parents {
             let t = add(&mut b, K_RESTRICT, pid, 0, d8);
             let m = tree.block(pid);
@@ -326,59 +322,54 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
                 b.note_write(interior(pid), t); // S3
             }
         }
-        // Guard exchange per active block, coarse levels first. Pack reads
-        // neighbor interiors (same level) or a coarser neighbor's full slab
-        // (prolongation also samples its guards); Unpack owns the stage
-        // buffer handoff, writes only the guards, and reads the interior
-        // for the physical boundary fills.
+        // Guard fill per active block, coarse levels first. A fill reads
+        // same-level neighbor interiors, a coarser neighbor's full slab
+        // (prolongation also samples its guards) and its own interior (the
+        // physical boundary mirrors), and writes only its own guards — so
+        // fills of one level never order against each other.
         for &id in &active {
-            let tp = add(&mut b, K_PACK, id, 0, d8);
-            for &nd in &ndirs {
-                match tree.neighbor(id, nd) {
+            let t = add(&mut b, K_FILL, id, 0, d8);
+            // The same table the task body walks, so declaration and
+            // access cannot drift apart.
+            for (_, nbr) in exchange.neighbors(id) {
+                match nbr {
                     Neighbor::Same(nid) => {
                         if mutation::keep(4) {
-                            b.note_read(interior(nid), tp); // S4
+                            b.note_read(interior(nid), t); // S4
                         }
                     }
                     Neighbor::Coarser(nid) => {
                         if mutation::keep(5) {
-                            b.note_read(interior(nid), tp); // S5
+                            b.note_read(interior(nid), t); // S5
                         }
                         if mutation::keep(6) {
-                            b.note_read(guards(nid), tp); // S6
+                            b.note_read(guards(nid), t); // S6
                         }
                     }
                     Neighbor::Boundary => {}
                 }
             }
             if mutation::keep(7) {
-                b.note_write(stage_buf(id), tp); // S7
+                b.note_read(interior(id), t); // S7
             }
-            let tu = add(&mut b, K_UNPACK, id, 0, d8);
             if mutation::keep(8) {
-                b.note_read(stage_buf(id), tu); // S8
-            }
-            if mutation::keep(9) {
-                b.note_read(interior(id), tu); // S9
-            }
-            if mutation::keep(10) {
-                b.note_write(guards(id), tu); // S10
+                b.note_write(guards(id), t); // S8
             }
         }
         // Sweeps per leaf, Morton order.
         for (li, &id) in leaves.iter().enumerate() {
             let t = add(&mut b, K_SWEEP, id, li as u32, d8);
+            if mutation::keep(9) {
+                b.note_read(dt_res, t); // S9
+            }
+            if mutation::keep(10) {
+                b.note_read(guards(id), t); // S10
+            }
             if mutation::keep(11) {
-                b.note_read(dt_res, t); // S11
+                b.note_write(interior(id), t); // S11
             }
             if mutation::keep(12) {
-                b.note_read(guards(id), t); // S12
-            }
-            if mutation::keep(13) {
-                b.note_write(interior(id), t); // S13
-            }
-            if mutation::keep(14) {
-                b.note_write(fluxrow(id), t); // S14
+                b.note_write(fluxrow(id), t); // S12
             }
         }
         // Flux corrections: only coarse leaves with a refined same-level
@@ -399,15 +390,15 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
                 continue;
             }
             let t = add(&mut b, K_CORRECT, id, li as u32, d8);
-            if mutation::keep(15) {
-                b.note_read(fluxrow(id), t); // S15
+            if mutation::keep(13) {
+                b.note_read(fluxrow(id), t); // S13
             }
             for nid in fine_neighbors {
                 let m = tree.block(nid);
                 if let Some(children) = m.children {
                     for &cid in children.iter().take(m.n_children as usize) {
-                        if mutation::keep(16) {
-                            b.note_read(fluxrow(cid), t); // S16
+                        if mutation::keep(14) {
+                            b.note_read(fluxrow(cid), t); // S14
                         }
                     }
                 }
@@ -415,11 +406,11 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
             // The correction rescales with the step's dt, read from the
             // reduction's slot (ordered transitively through the flux rows,
             // but the read itself must still be declared).
-            if mutation::keep(17) {
-                b.note_read(dt_res, t); // S17
+            if mutation::keep(15) {
+                b.note_read(dt_res, t); // S15
             }
-            if mutation::keep(18) {
-                b.note_write(interior(id), t); // S18
+            if mutation::keep(16) {
+                b.note_write(interior(id), t); // S16
             }
         }
         // EOS per leaf, Morton order. The row gather reads the whole
@@ -427,11 +418,11 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
         // though only interior lanes feed the solve.
         for (li, &id) in leaves.iter().enumerate() {
             let t = add(&mut b, K_EOS, id, li as u32, d8);
-            if mutation::keep(19) {
-                b.note_read(guards(id), t); // S19
+            if mutation::keep(17) {
+                b.note_read(guards(id), t); // S17
             }
-            if mutation::keep(20) {
-                b.note_write(interior(id), t); // S20
+            if mutation::keep(18) {
+                b.note_write(interior(id), t); // S18
             }
         }
     }
@@ -440,8 +431,8 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
     //    per-attempt flags (the graph is cached across attempts and steps).
     if let Some(&first) = leaves.first() {
         let t = add(&mut b, K_INJECT, first, 0, 0);
-        if mutation::keep(21) {
-            b.note_write(interior(first), t); // S21
+        if mutation::keep(19) {
+            b.note_write(interior(first), t); // S19
         }
     }
 
@@ -449,8 +440,8 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
     if key.fused {
         for (li, &id) in leaves.iter().enumerate() {
             let t = add(&mut b, K_VALIDATE, id, li as u32, 0);
-            if mutation::keep(22) {
-                b.note_read(interior(id), t); // S22
+            if mutation::keep(20) {
+                b.note_read(interior(id), t); // S20
             }
         }
     }
@@ -460,8 +451,8 @@ fn build_plan(tree: &Tree, parts: &[Vec<BlockId>], key: PlanKey) -> StepGraphPla
     graph.set_audit_context(
         move |t| {
             const KIND_NAMES: [&str; NKINDS] = [
-                "dt", "dt-reduce", "restrict", "pack", "unpack", "sweep", "correct", "eos",
-                "inject", "validate",
+                "dt", "dt-reduce", "restrict", "fill", "sweep", "correct", "eos", "inject",
+                "validate",
             ];
             let m = label_meta[t as usize];
             format!(
@@ -502,10 +493,9 @@ impl Simulation {
         }
         let t0 = Instant::now();
         let parts = self.domain.leaf_partition(key.nranks);
-        let plan = build_plan(&self.domain.tree, &parts, key);
-        let build_ns = t0.elapsed().as_nanos() as u64;
-        let (pool, _, _) = self.domain.pool_for_graph(key.nranks);
-        pool.account_idle(build_ns);
+        let (pool, tree, exchange, _) = self.domain.pool_for_graph(key.nranks);
+        let plan = build_plan(tree, exchange, &parts, key);
+        pool.account_idle(t0.elapsed().as_nanos() as u64);
         self.graph_plan = Some(plan);
     }
 
@@ -563,7 +553,6 @@ impl Simulation {
         };
         let geom = self.domain.unk.geom();
         let cfg = *self.domain.tree.config();
-        let ndirs = cfg.neighbor_dirs();
         let gcfg = self.params.guardian;
         let tolerate_bad_rows = gcfg.enabled;
         let gather_every = self.params.gather_every;
@@ -581,21 +570,18 @@ impl Simulation {
         let meta = &plan.meta;
 
         // Slot arrays mapped onto the plan's resource ids so their accesses
-        // land in the race-audit ledger: the stage buffers are per-block
-        // resources, the dt pair is the single dt cell, and the reduction /
-        // verdict inputs are ordered by explicit edges only.
+        // land in the race-audit ledger: the dt pair is the single dt cell,
+        // and the reduction / verdict inputs are ordered by explicit edges
+        // only.
         let rmap = ResourceMap {
             max_blocks: cfg.max_blocks,
         };
-        let stage: SyncSlots<Vec<(usize, f64)>> =
-            SyncSlots::new(cfg.max_blocks, SlotRes::PerIndex(rmap.stage(0)), Vec::new);
         let contribs: SyncSlots<f64> = SyncSlots::new(nleaves, SlotRes::Unmapped, || f64::INFINITY);
         let dt_slot: SyncSlots<(f64, f64)> =
             SyncSlots::new(1, SlotRes::Fixed(rmap.dt()), || (f64::NAN, f64::NAN));
         let verdicts: SyncSlots<Option<String>> = SyncSlots::new(nleaves, SlotRes::Unmapped, || None);
         let poisoned = AtomicBool::new(false);
         let probes: PerRank<(Probe, Probe)> = PerRank::new(nranks, || (Probe::new(), Probe::new()));
-        let scratch: PerRank<Vec<(usize, f64)>> = PerRank::new(nranks, Vec::new);
 
         let interior = geom.nguard..geom.nguard + geom.nxb;
         let interior_k = if geom.ndim == 3 {
@@ -609,7 +595,7 @@ impl Simulation {
         self.hydro_session.start_region();
         self.eos_session.start_region();
         self.timers.start("graph");
-        let (pool, tree, unk) = self.domain.pool_for_graph(nranks);
+        let (pool, tree, exchange, unk) = self.domain.pool_for_graph(nranks);
         let cells = unk.cells();
 
         let body = |rank: usize, t: TaskId| {
@@ -647,26 +633,15 @@ impl Simulation {
                     unsafe { *dt_slot.write_slot(0) = (raw, dt) };
                 }
                 K_RESTRICT => {
-                    // SAFETY: rank-local scratch; slab access per the edges.
-                    let buf = unsafe { scratch.slot(rank) };
                     // SAFETY: child interiors are ordered shared reads and
                     // the parent interior is exclusive, per the edges.
-                    unsafe { restrict_parent_cells(tree, &geom, &cells, m.block, buf) };
+                    unsafe { restrict_parent_cells(tree, &geom, &cells, m.block) };
                 }
-                K_PACK => {
-                    // SAFETY: the stage-buffer resource makes this the only
-                    // task touching the block's slot; neighbor slabs are
-                    // ordered shared reads.
-                    let st = unsafe { stage.write_slot(m.block.idx()) };
-                    // SAFETY: neighbor slabs are ordered shared reads.
-                    unsafe { pack_block_cells(tree, &geom, &cells, m.block, &ndirs, st) };
-                }
-                K_UNPACK => {
-                    // SAFETY: ordered after the block's pack via the
-                    // stage-buffer resource.
-                    let st = unsafe { stage.read_slot(m.block.idx()) };
-                    // SAFETY: exclusive guard access via the guards resource.
-                    unsafe { unpack_block_cells(tree, &geom, &cells, m.block, &ndirs, st) };
+                K_FILL => {
+                    // SAFETY: own guards are exclusive; the own interior,
+                    // same-level neighbor interiors and coarser neighbor
+                    // slabs are ordered shared reads, per the edges.
+                    unsafe { fill_block_cells(tree, &geom, &cells, exchange, m.block) };
                 }
                 K_SWEEP => {
                     if poisoned.load(Ordering::Acquire) {

@@ -132,9 +132,9 @@ fn record(res: usize, mode: Mode) {
 
 /// The step graph's resource-id layout, shared between the plan builder
 /// (which declares accesses against it) and the instrumented accessors
-/// (which record against it). `4·max_blocks + 1` resources: per-block
-/// interior, guard band, guard-stage buffer, and flux-register rows, plus
-/// one cell for the reduced dt.
+/// (which record against it). `3·max_blocks + 1` resources: per-block
+/// interior, guard band, and flux-register rows, plus one cell for the
+/// reduced dt.
 #[derive(Clone, Copy, Debug)]
 pub struct ResourceMap {
     pub max_blocks: usize,
@@ -153,28 +153,22 @@ impl ResourceMap {
         self.max_blocks + blk
     }
 
-    /// Block `blk`'s staged guard-exchange buffer.
-    #[inline]
-    pub fn stage(&self, blk: usize) -> usize {
-        2 * self.max_blocks + blk
-    }
-
     /// Block `blk`'s flux-register rows.
     #[inline]
     pub fn fluxrow(&self, blk: usize) -> usize {
-        3 * self.max_blocks + blk
+        2 * self.max_blocks + blk
     }
 
     /// The reduced-dt cell.
     #[inline]
     pub fn dt(&self) -> usize {
-        4 * self.max_blocks
+        3 * self.max_blocks
     }
 
     /// Total number of resources.
     #[inline]
     pub fn count(&self) -> usize {
-        4 * self.max_blocks + 1
+        3 * self.max_blocks + 1
     }
 
     /// Human-readable name of resource `res`, for audit failure messages.
@@ -185,8 +179,7 @@ impl ResourceMap {
         let (family, blk) = match res / self.max_blocks {
             0 => ("interior", res),
             1 => ("guards", res - self.max_blocks),
-            2 => ("stage", res - 2 * self.max_blocks),
-            _ => ("fluxrow", res - 3 * self.max_blocks),
+            _ => ("fluxrow", res - 2 * self.max_blocks),
         };
         format!("{family}(block {blk})")
     }
@@ -248,14 +241,12 @@ mod tests {
         let m = ResourceMap { max_blocks: 10 };
         assert_eq!(m.interior(3), 3);
         assert_eq!(m.guards(3), 13);
-        assert_eq!(m.stage(3), 23);
-        assert_eq!(m.fluxrow(3), 33);
-        assert_eq!(m.dt(), 40);
-        assert_eq!(m.count(), 41);
+        assert_eq!(m.fluxrow(3), 23);
+        assert_eq!(m.dt(), 30);
+        assert_eq!(m.count(), 31);
         assert_eq!(m.describe(3), "interior(block 3)");
         assert_eq!(m.describe(13), "guards(block 3)");
-        assert_eq!(m.describe(23), "stage(block 3)");
-        assert_eq!(m.describe(33), "fluxrow(block 3)");
-        assert_eq!(m.describe(40), "dt");
+        assert_eq!(m.describe(23), "fluxrow(block 3)");
+        assert_eq!(m.describe(30), "dt");
     }
 }

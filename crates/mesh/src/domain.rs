@@ -10,25 +10,21 @@
 //! data is a contiguous slab of `unk`, and each slab is handed to exactly
 //! one rank.
 //!
-//! The partition is cached on the tree's topology [`Tree::epoch`] and only
-//! rebuilt after a regrid, so the steady-state per-call cost of a parallel
-//! section is one channel message per rank — no thread spawns, no handout
-//! vector allocation.
+//! The partition and the guard-exchange plan (per-level block lists and
+//! every block's neighbors) are cached on the tree's topology
+//! [`Tree::epoch`] and only rebuilt after a regrid, so the steady-state
+//! per-call cost of a parallel section is one channel message per rank —
+//! no thread spawns, no handout vector allocation, no neighbor lookups.
 
 use rflash_perfmon::{Probe, RankLoad};
 
-use crate::block::{BlockId, BlockState};
+use crate::block::BlockId;
 use crate::executor::{PerRank, RankPool};
-use crate::guardcell;
-use crate::tree::{MeshConfig, Neighbor, Tree};
+use crate::guardcell::{self, ExchangePlan};
+use crate::tree::{MeshConfig, Tree};
 use crate::unk::UnkStorage;
 
 use rflash_hugepages::Policy;
-
-/// One staged guard-exchange write: destination block, flat offset within
-/// its slab, value. The destination is always a block the packing rank
-/// owns, so the unpack phase writes rank-disjoint slabs.
-type Staged = (u32, u32, f64);
 
 /// A cached work distribution for one (tree epoch, nranks) pair.
 struct RankPlan {
@@ -42,34 +38,38 @@ struct RankPlan {
     /// Always `nranks` entries; trailing ones are empty when there are
     /// fewer leaves than ranks.
     parts: Vec<Vec<BlockId>>,
-    /// `level_active[l][r]` — active (leaf + parent) blocks at tree level
-    /// `l` whose guard fill rank `r` performs.
-    level_active: Vec<Vec<Vec<BlockId>>>,
-    /// `level_parents[l][r]` — parent blocks at level `l` whose child
-    /// restriction rank `r` performs.
-    level_parents: Vec<Vec<Vec<BlockId>>>,
 }
 
 /// Executor state carried by the [`Domain`]: the persistent rank pool, the
-/// cached work distribution, and reusable staging buffers for the
-/// two-phase guard exchange.
+/// cached work distribution, and the cached guard-exchange plan.
 #[derive(Default)]
 struct Exec {
     pool: Option<RankPool>,
     plan: Option<RankPlan>,
-    stage: Vec<Vec<Staged>>,
+    /// Per-level block lists and neighbor table, keyed on the tree epoch
+    /// alone (it does not depend on the rank count).
+    exchange: Option<ExchangePlan>,
+    /// How many times `exchange` has been (re)built — once per tree epoch.
+    exchange_builds: u64,
 }
 
 impl Exec {
-    /// Make pool, plan, and staging buffers current for (`tree`, `nranks`).
+    /// Make pool and plans current for (`tree`, `nranks`).
     fn ensure(&mut self, tree: &Tree, nranks: usize) {
         let plan_stale = match &self.plan {
             Some(p) => p.epoch != tree.epoch() || p.nranks != nranks,
             None => true,
         };
-        if plan_stale {
+        let exchange_stale = !matches!(&self.exchange, Some(x) if x.epoch() == tree.epoch());
+        if plan_stale || exchange_stale {
             let t0 = std::time::Instant::now();
-            self.plan = Some(build_plan(tree, nranks));
+            if plan_stale {
+                self.plan = Some(build_plan(tree, nranks));
+            }
+            if exchange_stale {
+                self.exchange = Some(ExchangePlan::build(tree));
+                self.exchange_builds += 1;
+            }
             // The partition epoch refresh runs on the dispatching thread
             // while every worker waits: charge it to the idle ledger so it
             // doesn't vanish from the busy+idle ≈ wall invariant.
@@ -85,9 +85,6 @@ impl Exec {
         };
         if nranks > 1 && pool_stale {
             self.pool = Some(RankPool::new(nranks));
-        }
-        if self.stage.len() != nranks {
-            self.stage.resize_with(nranks, Vec::new);
         }
     }
 }
@@ -118,50 +115,24 @@ fn partition_by_cost(tree: &Tree, nranks: usize) -> Vec<Vec<BlockId>> {
     parts
 }
 
-/// Split `list` into `nranks` contiguous count-balanced chunks, using at
-/// most `min(nranks, len)` of them.
-fn split_contiguous(list: &[BlockId], nranks: usize) -> Vec<Vec<BlockId>> {
-    let mut out = vec![Vec::new(); nranks];
-    if list.is_empty() {
-        return out;
-    }
+/// Rank `rank`'s share of `list` split into contiguous count-balanced
+/// chunks over at most `min(nranks, len)` ranks.
+fn rank_chunk(list: &[BlockId], nranks: usize, rank: usize) -> &[BlockId] {
     let eff = nranks.min(list.len());
-    for (i, &id) in list.iter().enumerate() {
-        out[(i * eff / list.len()).min(eff - 1)].push(id);
+    if rank >= eff {
+        return &[];
     }
-    out
+    let cut = |r: usize| (r * list.len()).div_ceil(eff);
+    &list[cut(rank)..cut(rank + 1)]
 }
 
 fn build_plan(tree: &Tree, nranks: usize) -> RankPlan {
     let parts = partition_by_cost(tree, nranks);
     let eff_ranks = parts.iter().filter(|p| !p.is_empty()).count();
-
-    // Per-level block lists for the guard exchange, BlockId-ascending within
-    // each level (the same order the serial fill's stable sort produces).
-    let mut act: Vec<Vec<BlockId>> = Vec::new();
-    let mut par: Vec<Vec<BlockId>> = Vec::new();
-    for raw in 0..tree.config().max_blocks as u32 {
-        let id = BlockId(raw);
-        let meta = tree.block(id);
-        if meta.state == BlockState::Free {
-            continue;
-        }
-        let lvl = meta.key.level as usize;
-        if lvl >= act.len() {
-            act.resize_with(lvl + 1, Vec::new);
-            par.resize_with(lvl + 1, Vec::new);
-        }
-        act[lvl].push(id);
-        if meta.state == BlockState::Parent {
-            par[lvl].push(id);
-        }
-    }
     RankPlan {
         epoch: tree.epoch(),
         nranks,
         eff_ranks,
-        level_active: act.iter().map(|l| split_contiguous(l, nranks)).collect(),
-        level_parents: par.iter().map(|l| split_contiguous(l, nranks)).collect(),
         parts,
     }
 }
@@ -236,15 +207,20 @@ impl Domain {
         exec.plan.as_ref().expect("plan ensured").parts.clone()
     }
 
-    /// Borrow the persistent rank pool together with the tree and storage,
-    /// for executing an externally-built task graph in one dispatch.
-    /// Requires `nranks > 1` (a one-rank "graph" is just the serial path).
-    pub fn pool_for_graph(&mut self, nranks: usize) -> (&mut RankPool, &Tree, &mut UnkStorage) {
+    /// Borrow the persistent rank pool together with the tree, the cached
+    /// guard-exchange plan and the storage, for executing an
+    /// externally-built task graph in one dispatch. Requires `nranks > 1`
+    /// (a one-rank "graph" is just the serial path).
+    pub fn pool_for_graph(
+        &mut self,
+        nranks: usize,
+    ) -> (&mut RankPool, &Tree, &ExchangePlan, &mut UnkStorage) {
         assert!(nranks > 1, "task-graph execution needs a real pool");
         let Domain { tree, unk, exec } = self;
         exec.ensure(tree, nranks);
         let pool = exec.pool.as_mut().expect("pool ensured for nranks > 1");
-        (pool, tree, unk)
+        let exchange = exec.exchange.as_ref().expect("exchange plan ensured");
+        (pool, tree, exchange, unk)
     }
 
     /// Update every leaf in parallel over `nranks` simulated ranks.
@@ -357,145 +333,68 @@ impl Domain {
         out.into_inner().into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// Parallel guard-cell exchange over the persistent rank pool.
+    /// Guard-cell exchange over the persistent rank pool, from the cached
+    /// [`ExchangePlan`] (no neighbor lookups in steady state).
     ///
-    /// Every refinement level is processed with two pool dispatches. In
-    /// phase 1 ("pack") each rank reads the shared `unk` immutably and
-    /// stages `(block, offset, value)` writes for the blocks it owns —
-    /// parent restrictions on the downward pass, then same-level copies and
-    /// fine–coarse prolongations on the upward pass. The dispatch return is
-    /// the barrier. In phase 2 ("unpack") each rank applies its staged
-    /// values to its own blocks' slabs and then runs the physical boundary
-    /// conditions for those blocks. All phase-2 writes land in rank-owned
-    /// slabs, and no kernel reads another same-level block's guard cells,
-    /// so the result is bit-identical to the serial
-    /// [`guardcell::fill_guardcells`] — the parity tests assert exactness.
+    /// One pool dispatch per refinement level and pass: on the downward
+    /// pass each rank restricts the children of its share of the level's
+    /// parents (deepest level first); on the upward pass each rank fills
+    /// the guards of its share of the level's blocks, coarse → fine. Within
+    /// one dispatch every read is a same-level *interior* or a slab a
+    /// previous dispatch finished, and every write is a block only this
+    /// rank visits — its interior when restricting, its guards when
+    /// filling — so ranks never conflict and the result is bit-identical
+    /// to the serial [`guardcell::fill_guardcells`], which runs the same
+    /// two block drivers. The parity tests assert exactness.
     pub fn fill_guardcells(&mut self, nranks: usize) {
         assert!(nranks > 0);
         let Domain { tree, unk, exec } = self;
         exec.ensure(tree, nranks);
-        let Exec { pool, plan, stage } = exec;
-        let plan = plan.as_ref().expect("plan ensured");
+        let plan = exec.plan.as_ref().expect("plan ensured");
+        let exchange = exec.exchange.as_ref().expect("exchange plan ensured");
 
         if nranks == 1 || plan.eff_ranks <= 1 {
-            guardcell::fill_guardcells(tree, unk);
+            guardcell::fill_guardcells_planned(tree, exchange, unk);
             return;
         }
-        let pool = pool.as_mut().expect("pool ensured for nranks > 1");
-
-        // Reusable per-rank staging buffers, handed out as rank slots for
-        // the duration of the exchange (capacity persists across calls).
-        let stage_cells = PerRank::from_vec(std::mem::take(stage));
+        let pool = exec.pool.as_mut().expect("pool ensured for nranks > 1");
         let geom = unk.geom();
-        let dirs = tree.config().neighbor_dirs();
+        let cells = unk.cells();
+        let tree: &Tree = tree;
 
-        // Downward pass: restrict child interiors into parents, deepest
-        // parent level first, two dispatches per level.
-        for lvl in (0..plan.level_parents.len()).rev() {
-            let per_rank = &plan.level_parents[lvl];
-            if per_rank.iter().all(|v| v.is_empty()) {
+        for lvl in (0..exchange.levels()).rev() {
+            let parents = exchange.parents(lvl);
+            if parents.is_empty() {
                 continue;
             }
-            {
-                let unk_ref: &UnkStorage = unk;
-                pool.run(&|rank| {
-                    // SAFETY: rank-private staging slot; `unk` is only read.
-                    let buf = unsafe { stage_cells.slot(rank) };
-                    for &pid in &per_rank[rank] {
-                        let meta = tree.block(pid);
-                        let children = meta.children.expect("parent has children");
-                        for (c, &cid) in
-                            children.iter().enumerate().take(meta.n_children as usize)
-                        {
-                            guardcell::pack_restrict(
-                                &geom,
-                                unk_ref.block_slab(cid.idx()),
-                                c,
-                                &mut |off, v| {
-                                    buf.push((pid.0, off as u32, v));
-                                },
-                            );
-                        }
-                    }
-                });
-            }
-            {
-                let slabs = RawSlabs::of(unk);
-                pool.run(&|rank| {
-                    // SAFETY: every staged destination is a parent this rank
-                    // packed for — blocks no other rank touches this level.
-                    let buf = unsafe { stage_cells.slot(rank) };
-                    for &(blk, off, v) in buf.iter() {
-                        // SAFETY: `blk` is a parent only this rank staged.
-                        let slab = unsafe { slabs.slab(blk as usize) };
-                        slab[off as usize] = v;
-                    }
-                    buf.clear();
-                });
-            }
+            pool.run(&|rank| {
+                for &pid in rank_chunk(parents, nranks, rank) {
+                    // SAFETY: `pid` is in this rank's chunk only, and its
+                    // children — one level down, restricted by an earlier
+                    // dispatch if they are parents — are not written by
+                    // anyone during this one.
+                    unsafe { guardcell::restrict_parent_cells(tree, &geom, &cells, pid) };
+                }
+            });
         }
-
-        // Upward pass: fill guards coarse level → fine level so
-        // prolongation sources are always current.
-        for lvl in 0..plan.level_active.len() {
-            let per_rank = &plan.level_active[lvl];
-            if per_rank.iter().all(|v| v.is_empty()) {
-                continue;
-            }
-            {
-                let unk_ref: &UnkStorage = unk;
-                pool.run(&|rank| {
-                    // SAFETY: rank-private staging slot; `unk` is only read.
-                    let buf = unsafe { stage_cells.slot(rank) };
-                    for &id in &per_rank[rank] {
-                        for &d in &dirs {
-                            match tree.neighbor(id, d) {
-                                Neighbor::Same(nid) => guardcell::pack_copy_same(
-                                    &geom,
-                                    unk_ref.block_slab(nid.idx()),
-                                    d,
-                                    &mut |off, v| buf.push((id.0, off as u32, v)),
-                                ),
-                                Neighbor::Coarser(nid) => guardcell::pack_prolong(
-                                    &geom,
-                                    tree.block(id).key,
-                                    unk_ref.block_slab(nid.idx()),
-                                    d,
-                                    &mut |off, v| buf.push((id.0, off as u32, v)),
-                                ),
-                                Neighbor::Boundary => {}
-                            }
-                        }
-                    }
-                });
-            }
-            {
-                let slabs = RawSlabs::of(unk);
-                pool.run(&|rank| {
-                    // SAFETY: staged destinations and boundary fills touch
-                    // only this rank's blocks at this level.
-                    let buf = unsafe { stage_cells.slot(rank) };
-                    for &(blk, off, v) in buf.iter() {
-                        // SAFETY: `blk` is a block only this rank staged.
-                        let slab = unsafe { slabs.slab(blk as usize) };
-                        slab[off as usize] = v;
-                    }
-                    buf.clear();
-                    for &id in &per_rank[rank] {
-                        for &d in &dirs {
-                            if tree.neighbor(id, d) == Neighbor::Boundary {
-                                // SAFETY: `id` is owned by this rank at this
-                                // level; boundary fill writes only its slab.
-                                let slab = unsafe { slabs.slab(id.idx()) };
-                                guardcell::fill_boundary_slab(tree, &geom, id, d, slab);
-                            }
-                        }
-                    }
-                });
-            }
+        for lvl in 0..exchange.levels() {
+            let active = exchange.active(lvl);
+            pool.run(&|rank| {
+                for &id in rank_chunk(active, nranks, rank) {
+                    // SAFETY: `id` is in this rank's chunk only, so its
+                    // guards are exclusive; the interiors it reads are not
+                    // written during the exchange and its coarser
+                    // neighbors were finished by the previous dispatch.
+                    unsafe { guardcell::fill_block_cells(tree, &geom, &cells, exchange, id) };
+                }
+            });
         }
+    }
 
-        *stage = stage_cells.into_inner();
+    /// How many times the guard-exchange plan has been built: once per
+    /// tree epoch in which a pooled section ran.
+    pub fn exchange_plan_builds(&self) -> u64 {
+        self.exec.exchange_builds
     }
 
     /// Cumulative per-rank load counters from the persistent pool. Empty
@@ -554,6 +453,19 @@ mod tests {
         // Concatenation preserves Morton order.
         let cat: Vec<BlockId> = parts.into_iter().flatten().collect();
         assert_eq!(cat, d.tree.leaves());
+    }
+
+    #[test]
+    fn rank_chunks_partition_a_level_contiguously_and_evenly() {
+        let list: Vec<BlockId> = (0..10).map(BlockId).collect();
+        for nranks in [1usize, 3, 4, 10, 16] {
+            let chunks: Vec<&[BlockId]> = (0..nranks).map(|r| rank_chunk(&list, nranks, r)).collect();
+            assert_eq!(chunks.concat(), list, "nranks={nranks}");
+            let used: Vec<usize> = chunks.iter().map(|c| c.len()).filter(|&n| n > 0).collect();
+            assert_eq!(used.len(), nranks.min(list.len()));
+            assert!(used.iter().max().unwrap() - used.iter().min().unwrap() <= 1, "{used:?}");
+        }
+        assert!(rank_chunk(&[], 4, 0).is_empty());
     }
 
     #[test]

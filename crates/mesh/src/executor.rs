@@ -281,11 +281,6 @@ impl<T> PerRank<T> {
         PerRank((0..n).map(|_| UnsafeCell::new(init())).collect())
     }
 
-    /// Wrap existing values (e.g. reusable staging buffers) as rank slots.
-    pub fn from_vec(values: Vec<T>) -> PerRank<T> {
-        PerRank(values.into_iter().map(UnsafeCell::new).collect())
-    }
-
     /// Number of slots.
     pub fn len(&self) -> usize {
         self.0.len()

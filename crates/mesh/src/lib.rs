@@ -13,8 +13,9 @@
 //!   alternative layouts for the ablation benches;
 //! * [`Tree`] — the block tree: Morton-keyed blocks, refinement and
 //!   derefinement with 2:1 balance, neighbor lookup;
-//! * [`guardcell`] — guard-cell fill: same-level copies, restriction,
-//!   monotone prolongation, and physical boundary conditions;
+//! * [`guardcell`] — guard-cell fill: same-level run copies, restriction,
+//!   monotone prolongation, and physical boundary conditions, written
+//!   straight into the destination slab from a per-epoch exchange plan;
 //! * [`refine`] — the Löhner second-derivative error estimator;
 //! * [`flux`] — flux registers for conservation at fine–coarse boundaries;
 //! * [`executor`] — the persistent rank pool: one long-lived thread per
@@ -22,7 +23,7 @@
 //!   parallel section (sweeps, EOS passes, guard exchange, reductions);
 //! * [`domain`] — the rank decomposition: cost-weighted Morton-curve
 //!   splitting cached on the tree epoch, parallel block updates, and the
-//!   two-phase parallel guard-cell exchange.
+//!   per-level parallel guard-cell exchange.
 
 pub mod audit;
 pub mod block;

@@ -14,8 +14,8 @@
 //! Determinism is preserved by construction, not by scheduling: tasks may
 //! run in any order consistent with the edges, so the graph *builder* must
 //! encode every ordering that matters. [`GraphBuilder`] does this with
-//! resource versioning — each shared resource (a block slab, a staging
-//! buffer, a flux row) tracks its last writer and the readers since; a new
+//! resource versioning — each shared resource (a block's interior, its
+//! guards, a flux row) tracks its last writer and the readers since; a new
 //! reader depends on the last writer, and a new writer depends on the last
 //! writer *and* every reader since (the classic RAW/WAR/WAW rule). Declaring
 //! task accesses in the serial barrier-path order therefore reproduces the
@@ -53,7 +53,7 @@ use crate::executor::{PerRank, RankPool};
 pub type TaskId = u32;
 
 /// Scheduling class of a task kind, for the overlap ledger: `Exchange`
-/// covers guard-cell pack/unpack and restriction (the "communication"
+/// covers guard-cell fill and restriction (the "communication"
 /// phases), `Compute` covers the sweeps. The overlap ratio — compute time
 /// spent while at least one exchange task was in flight — is the direct
 /// measure of what the barrier loop structurally could not do.
@@ -717,15 +717,12 @@ impl TaskGraph {
 
 /// Maps a [`SyncSlots`] index to the graph resource it materializes, so
 /// slot accesses land in the audit ledger: `Fixed` slots all alias one
-/// resource (e.g. the dt cell), `PerIndex(base)` slots map index `i` to
-/// resource `base + i` (e.g. per-block stage buffers), and `Unmapped` slots
-/// are ordered by explicit edges only (per-leaf reduction inputs) and
-/// record nothing.
+/// resource (e.g. the dt cell), and `Unmapped` slots are ordered by
+/// explicit edges only (per-leaf reduction inputs) and record nothing.
 #[derive(Clone, Copy, Debug)]
 pub enum SlotRes {
     Unmapped,
     Fixed(usize),
-    PerIndex(usize),
 }
 
 /// Fixed-size slot array written by graph tasks. Soundness is delegated to
@@ -753,11 +750,10 @@ impl<T> SyncSlots<T> {
     }
 
     #[inline]
-    fn record(&self, i: usize, write: bool) {
+    fn record(&self, write: bool) {
         let r = match self.res {
             SlotRes::Unmapped => return,
             SlotRes::Fixed(r) => r,
-            SlotRes::PerIndex(base) => base + i,
         };
         if write {
             audit::rec_write(r);
@@ -774,7 +770,7 @@ impl<T> SyncSlots<T> {
     /// before the next one.
     #[inline]
     pub unsafe fn read_slot(&self, i: usize) -> &T {
-        self.record(i, false);
+        self.record(false);
         &*self.slots[i].get()
     }
 
@@ -786,7 +782,7 @@ impl<T> SyncSlots<T> {
     #[allow(clippy::mut_from_ref)]
     #[inline]
     pub unsafe fn write_slot(&self, i: usize) -> &mut T {
-        self.record(i, true);
+        self.record(true);
         &mut *self.slots[i].get()
     }
 
@@ -1139,22 +1135,19 @@ mod tests {
         }
         let _g = audit::test_guard();
         let fixed: SyncSlots<f64> = SyncSlots::new(2, SlotRes::Fixed(7), || 0.0);
-        let per: SyncSlots<u32> = SyncSlots::new(3, SlotRes::PerIndex(10), || 0);
         let unmapped: SyncSlots<u8> = SyncSlots::new(1, SlotRes::Unmapped, || 0);
         audit::task_begin();
         // SAFETY: single-threaded test, no concurrent slot access.
         unsafe {
             *fixed.write_slot(1) = 2.5;
-            let _ = *per.read_slot(2);
+            let _ = *fixed.read_slot(0);
             *unmapped.write_slot(0) = 1;
         }
         let accs = audit::task_end();
         assert_eq!(
             accs,
-            vec![
-                Access { res: 7, mode: Mode::Write },
-                Access { res: 12, mode: Mode::Read },
-            ]
+            vec![Access { res: 7, mode: Mode::Write }],
+            "both fixed slots alias one resource; the unmapped slot records nothing"
         );
         assert_eq!(fixed.into_inner(), vec![0.0, 2.5]);
     }

@@ -376,13 +376,13 @@ impl Tree {
         assert_eq!(meta.state, BlockState::Parent);
         let children = meta.children.expect("parent has children");
         let nchild = meta.n_children as usize;
-        for (c, &cid) in children.iter().enumerate().take(nchild) {
+        for &cid in children.iter().take(nchild) {
             assert!(
                 self.block(cid).is_leaf(),
                 "derefine requires leaf children"
             );
-            crate::guardcell::restrict_interior(self, unk, cid, parent, c);
         }
+        crate::guardcell::restrict_into_parent(self, unk, parent);
         for &cid in children.iter().take(nchild) {
             self.release(cid);
         }

@@ -257,8 +257,8 @@ impl UnkStorage {
 
     /// Pack one block's interior zones (guards excluded) into `out`, in
     /// the fixed `(var, k, j, i)` walk every consumer of the wire format
-    /// uses. This is the cross-process half of the two-phase guardcell
-    /// exchange: interiors travel, guards are refilled locally from the
+    /// uses. This is the cross-process half of the guardcell exchange:
+    /// interiors travel, guards are refilled locally from the
     /// received authoritative interiors.
     pub fn pack_interior_into(&self, blk: usize, out: &mut Vec<f64>) {
         let slab = self.block_slab(blk);
@@ -424,6 +424,51 @@ impl UnkGeom {
     #[inline]
     pub fn addr(&self, var: usize, i: usize, j: usize, k: usize, blk: usize) -> usize {
         self.base_addr + 8 * (blk * self.per_block + self.slab_idx(var, i, j, k))
+    }
+
+    /// Zone number of padded `(i, j, k)` within a block.
+    #[inline]
+    pub fn cell(&self, i: usize, j: usize, k: usize) -> usize {
+        debug_assert!(
+            i < self.ni && j < self.nj && k < self.nk,
+            "zone ({i},{j},{k}) out of padded range"
+        );
+        i + self.ni * (j + self.nj * k)
+    }
+
+    /// Slab element strides `(per_var, per_zone)`: the element of `var` in
+    /// zone number `cell` is `var * per_var + cell * per_zone`. Kernels
+    /// that walk zones outermost and variables innermost use this once per
+    /// call so both layouts share one loop.
+    #[inline]
+    pub fn strides(&self) -> (usize, usize) {
+        match self.layout {
+            Layout::VarFirst => (1, self.nvar),
+            Layout::VarLast => (self.ni * self.nj * self.nk, 1),
+        }
+    }
+
+    /// The contiguous element runs that hold *every* variable of the `n`
+    /// zones `(i0..i0 + n, j, k)`: one run of `n × nvar` doubles under
+    /// [`Layout::VarFirst`], `nvar` runs of `n` under [`Layout::VarLast`].
+    /// Two rows of equal length yield runs of equal length in the same
+    /// variable order, so a row-to-row copy is a zip of `copy_from_slice`s.
+    #[inline]
+    pub fn row_runs(
+        &self,
+        i0: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        debug_assert!(i0 + n <= self.ni, "row {i0}+{n} out of padded range (ni {})", self.ni);
+        let (per_var, per_zone) = self.strides();
+        let first = self.cell(i0, j, k) * per_zone;
+        let (runs, len) = match self.layout {
+            Layout::VarFirst => (1, n * self.nvar),
+            Layout::VarLast => (self.nvar, n),
+        };
+        (0..runs).map(move |r| first + r * per_var..first + r * per_var + len)
     }
 
     /// Element byte stride along direction `dir` for one variable.

@@ -1,0 +1,267 @@
+//! The direct run-copy guard exchange against the per-cell oracle.
+//!
+//! Random refined trees — 2-d and 3-d, every boundary flavor including
+//! mixed periodic×wall faces and singly-rooted periodic axes (a block that
+//! is its own neighbor), refinement jumps, both storage layouts — get
+//! random slab contents, guards and parent interiors included. The
+//! production fill (serial plan path and the pooled per-level exchange)
+//! must then reproduce the oracle's staged per-cell fill **bit for bit over
+//! every slab**, not just the leaf interiors.
+
+mod oracle;
+
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+use rflash_hugepages::Policy;
+use rflash_mesh::tree::{Mark, MeshConfig};
+use rflash_mesh::{BoundaryCondition, Domain, Layout};
+
+use BoundaryCondition::{Outflow, Periodic, Reflecting};
+
+/// xorshift64 — the tests' only randomness, so a case is its seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    /// A value in (-8, 8) with a full 52-bit mantissa, so limiter branches
+    /// and round-off both get exercised.
+    fn value(&mut self) -> f64 {
+        ((self.next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 16.0
+    }
+}
+
+/// Boundary flavors: a default plus per-axis wall overrides.
+fn boundary(flavor: usize, cfg: &mut MeshConfig) {
+    let walls = |bc| [Some(bc), Some(bc)];
+    match flavor {
+        0 => cfg.bc = Outflow,
+        1 => cfg.bc = Reflecting,
+        2 => cfg.bc = Periodic,
+        // Periodic x, walls on y (the Rayleigh–Taylor channel).
+        3 => {
+            cfg.bc = Periodic;
+            cfg.bc_faces[1] = walls(Reflecting);
+        }
+        // Walls on x, periodic y — and in 3-d an open z.
+        4 => {
+            cfg.bc = Periodic;
+            cfg.bc_faces[0] = walls(Outflow);
+            cfg.bc_faces[2] = walls(Outflow);
+        }
+        // One-sided mix: reflecting low faces, outflow high faces.
+        _ => {
+            cfg.bc = Outflow;
+            for axis in 0..3 {
+                cfg.bc_faces[axis][0] = Some(Reflecting);
+            }
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Case {
+    seed: u64,
+    three_d: bool,
+    flavor: usize,
+    var_last: bool,
+    wide_root: bool,
+    small_block: bool,
+}
+
+fn config(case: Case) -> MeshConfig {
+    let mut cfg = MeshConfig::test_2d();
+    if case.three_d {
+        cfg.ndim = 3;
+        cfg.max_refine = 2;
+        cfg.max_blocks = 160;
+    } else {
+        cfg.max_refine = 3;
+        cfg.max_blocks = 192;
+    }
+    if case.small_block || case.three_d {
+        cfg.nxb = 4;
+        cfg.nguard = 2;
+    }
+    if case.wide_root {
+        cfg.nroot = [2, 1, 1];
+    }
+    if case.var_last {
+        cfg.layout = Layout::VarLast;
+    }
+    boundary(case.flavor, &mut cfg);
+    cfg
+}
+
+/// Build the case's domain: one uniform refinement, then random adapt
+/// rounds (the tree enforces 2:1 balance, so jumps appear wherever the
+/// marks allow), then random data in every slab slot. (`adapt` walks a
+/// `HashMap`, so block numbering differs between two builds of one case —
+/// comparisons run on one domain, via [`snapshot`]/[`restore`].)
+fn build(case: Case) -> Domain {
+    let mut d = Domain::new(config(case), Policy::None);
+    let mut rng = Rng(case.seed | 1);
+    for round in 0..3 {
+        let marks: HashMap<_, _> = d
+            .tree
+            .leaves()
+            .into_iter()
+            .map(|id| {
+                let mark = match rng.next() % 4 {
+                    _ if round == 0 => Mark::Refine,
+                    0 | 1 => Mark::Refine,
+                    2 => Mark::Derefine,
+                    _ => Mark::Keep,
+                };
+                (id, mark)
+            })
+            .collect();
+        d.tree.adapt(&mut d.unk, &marks);
+    }
+    for slab in d.unk.slabs_mut() {
+        for v in slab {
+            *v = rng.value();
+        }
+    }
+    d
+}
+
+/// Every slab of the container, free slots included.
+fn snapshot(d: &mut Domain) -> Vec<f64> {
+    d.unk
+        .slabs_mut()
+        .flat_map(|slab| slab.iter().copied())
+        .collect()
+}
+
+fn restore(d: &mut Domain, state: &[f64]) {
+    let per = d.unk.per_block();
+    for (slab, saved) in d.unk.slabs_mut().zip(state.chunks(per)) {
+        slab.copy_from_slice(saved);
+    }
+}
+
+/// Run the oracle on `d`'s current state and return (initial state, the
+/// oracle's result); `d` is left holding the result.
+fn oracle_result(d: &mut Domain) -> (Vec<f64>, Vec<f64>) {
+    let initial = snapshot(d);
+    oracle::fill_guardcells(&d.tree, &mut d.unk);
+    (initial, snapshot(d))
+}
+
+fn first_difference(d: &mut Domain, want: &[f64]) -> Option<String> {
+    let per = d.unk.per_block();
+    let got = snapshot(d);
+    (0..want.len())
+        .find(|&o| want[o].to_bits() != got[o].to_bits())
+        .map(|o| {
+            format!(
+                "block {} offset {}: oracle {} vs fill {}",
+                o / per,
+                o % per,
+                want[o],
+                got[o]
+            )
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn fill_is_bit_identical_to_the_per_cell_oracle(
+        seed in any::<u64>(),
+        three_d in any::<bool>(),
+        flavor in 0usize..6,
+        var_last in any::<bool>(),
+        wide_root in any::<bool>(),
+        small_block in any::<bool>(),
+    ) {
+        let case = Case { seed, three_d, flavor, var_last, wide_root, small_block };
+        let mut d = build(case);
+        let (initial, want) = oracle_result(&mut d);
+
+        for nranks in [1usize, 2, 4] {
+            restore(&mut d, &initial);
+            d.fill_guardcells(nranks);
+            let diff = first_difference(&mut d, &want);
+            prop_assert!(diff.is_none(), "{case:?} nranks={nranks}: {}", diff.unwrap_or_default());
+        }
+    }
+}
+
+/// The serial free function builds its own plan; it must agree too.
+#[test]
+fn serial_free_function_matches_the_oracle_with_jumps_in_3d() {
+    let case = Case {
+        seed: 0x5EED,
+        three_d: true,
+        flavor: 3,
+        var_last: false,
+        wide_root: true,
+        small_block: true,
+    };
+    let mut d = build(case);
+    assert!(d.tree.leaves().len() > 8, "the case must refine");
+    let (initial, want) = oracle_result(&mut d);
+    restore(&mut d, &initial);
+    rflash_mesh::guardcell::fill_guardcells(&d.tree, &mut d.unk);
+    assert_eq!(first_difference(&mut d, &want), None);
+}
+
+/// The exchange plan (level lists + neighbor table) is built once per tree
+/// epoch — not per fill, not per rank count — and rebuilt after a regrid.
+#[test]
+fn exchange_plan_is_built_once_per_tree_epoch() {
+    let case = Case {
+        seed: 7,
+        three_d: false,
+        flavor: 2,
+        var_last: false,
+        wide_root: false,
+        small_block: false,
+    };
+    let mut d = build(case);
+    assert_eq!(d.exchange_plan_builds(), 0);
+    for nranks in [2usize, 2, 1, 4, 2] {
+        d.fill_guardcells(nranks);
+    }
+    assert_eq!(
+        d.exchange_plan_builds(),
+        1,
+        "same epoch, any rank count: one build"
+    );
+
+    let epoch = d.tree.epoch();
+    let marks: HashMap<_, _> = d
+        .tree
+        .leaves()
+        .into_iter()
+        .map(|id| (id, Mark::Refine))
+        .collect();
+    d.tree.adapt(&mut d.unk, &marks);
+    assert!(
+        d.tree.epoch() > epoch,
+        "a regrid that changes the tree bumps the epoch"
+    );
+    d.fill_guardcells(2);
+    d.fill_guardcells(2);
+    assert_eq!(
+        d.exchange_plan_builds(),
+        2,
+        "rebuilt exactly once after tree.adapt"
+    );
+
+    // The rebuilt plan covers the new blocks: the fill still matches.
+    let (initial, want) = oracle_result(&mut d);
+    restore(&mut d, &initial);
+    d.fill_guardcells(4);
+    assert_eq!(first_difference(&mut d, &want), None);
+    assert_eq!(d.exchange_plan_builds(), 2);
+}

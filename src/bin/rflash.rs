@@ -15,7 +15,10 @@
 //! `run-setup` defaults to smoke scale — the exact configuration the golden
 //! corpus fingerprints — and prints the state digest so a run can be checked
 //! against `golden/<name>.ron` by eye. `--full` launches the paper-scale
-//! problem instead.
+//! problem instead. `unk` is backed under `RFLASH_HPAGE_TYPE`
+//! (`none|thp|hugetlbfs[:SIZE]`, `thp` when unset); the summary line reports
+//! the policy and the kernel-verified huge fraction. The digest does not
+//! depend on the backing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,6 +27,7 @@ use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
 use rflash::core::{
     run_fleet, worker_main, CheckpointSeries, FleetConfig, StepScheduler, WorkerArgs,
 };
+use rflash::hugepages::{Policy, POLICY_ENV_VAR};
 use rflash::hydro::SweepEngine;
 
 const USAGE: &str = "usage:
@@ -39,6 +43,8 @@ const USAGE: &str = "usage:
                           [--heartbeat-ms N] [--heartbeat-timeout-ms N]
                           [--max-respawns N] [--coalesce-ms N] [--events]
 
+run-setup backs unk under RFLASH_HPAGE_TYPE (none|thp|hugetlbfs[:SIZE];
+thp when unset) and reports the policy and the huge-backed fraction.
 run-fleet drives N supervised worker processes over Morton shards of the
 smoke-scale scenario; RFLASH_WORKERS / RFLASH_HEARTBEAT_MS /
 RFLASH_HEARTBEAT_TIMEOUT_MS / RFLASH_PROBE_RETRIES set the defaults.";
@@ -196,19 +202,29 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let spec = if full { paper } else { paper.at_smoke_scale() };
     let steps = steps.unwrap_or(spec.smoke.steps);
 
+    let policy = Policy::from_env().map_err(|e| format!("{POLICY_ENV_VAR}: {e}"))?;
     let mut params = registry::smoke_params(&spec, nranks, engine, scheduler);
+    params.policy = policy;
     params.checkpoint_every = checkpoint_every;
 
     println!(
-        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {engine:?}/{scheduler:?})",
+        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {engine:?}/{scheduler:?}, hpage={policy})",
         spec.name,
         spec.title,
         if full { "paper" } else { "smoke" },
     );
     let mut sim = spec.build(params).map_err(|e| e.to_string())?;
+    let backing = sim.domain.unk.backing_report();
     println!(
-        "  built: {} leaf blocks at t=0",
-        sim.domain.tree.leaves().len()
+        "  built: {} leaf blocks at t=0, unk {:.1} MiB under {} ({:.0}% huge-backed{})",
+        sim.domain.tree.leaves().len(),
+        sim.domain.unk.bytes() as f64 / (1 << 20) as f64,
+        backing.policy,
+        backing.huge_fraction * 100.0,
+        match &backing.fell_back {
+            Some(why) => format!(", fell back: {why}"),
+            None => String::new(),
+        },
     );
 
     match checkpoint_dir {

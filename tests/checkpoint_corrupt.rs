@@ -6,6 +6,7 @@
 //! the current container format.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rflash::core::checkpoint::{
     read_checkpoint, verify_checkpoint, CheckpointError, CHECKPOINT_FORMAT,
@@ -14,8 +15,16 @@ use rflash::core::RuntimeParams;
 use rflash::hugepages::Policy;
 use rflash::mesh::{Domain, MeshConfig};
 
+/// A scratch path no other call returns: tests run on parallel threads of
+/// one process and several of them ask for the same `name` (every test
+/// regenerates the `golden` file), so the pid alone does not separate them.
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("rflash-ckpt-corpus-{}-{name}", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "rflash-ckpt-corpus-{}-{n}-{name}",
+        std::process::id()
+    ))
 }
 
 /// A small good checkpoint to corrupt, plus its raw bytes and header span.
@@ -314,4 +323,66 @@ fn seeded_random_mutations_never_panic() {
         // Typed error or a restore that passed every CRC — both fine.
         let _ = read_bytes(&format!("fuzz-{round}"), &bytes);
     }
+}
+
+/// Regression for the `<path>.tmp` collision: eight threads checkpoint to
+/// the *same* path at once. With one shared temp file a writer could
+/// rename another's half-written container into place, or find its own
+/// temp renamed away (`ENOENT`). Every write must succeed, the published
+/// file must be one writer's whole container, and no temp file may remain.
+#[test]
+fn concurrent_writers_of_one_path_each_publish_a_whole_file() {
+    const WRITERS: usize = 8;
+    let dir = scratch("concurrent");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("shared.ckpt");
+    let cfg = MeshConfig::test_2d();
+    let params = RuntimeParams {
+        use_hw: false,
+        ..RuntimeParams::with_mesh(cfg)
+    };
+    let start = std::sync::Barrier::new(WRITERS);
+
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (path, params, start) = (&path, &params, &start);
+            scope.spawn(move || {
+                // Each writer's state is recognisable by its step number
+                // and constant slab fill.
+                let mut domain = Domain::new(cfg, Policy::None);
+                let root = domain.tree.leaves()[0];
+                domain.tree.refine_block(root, &mut domain.unk);
+                for id in domain.tree.leaves() {
+                    domain.unk.block_slab_mut(id.idx()).fill(w as f64 + 0.5);
+                }
+                start.wait();
+                for round in 0..4 {
+                    rflash::core::checkpoint::write_checkpoint(
+                        path, &domain, params, 1.0, w as u64, 0.0,
+                    )
+                    .unwrap_or_else(|e| panic!("writer {w} round {round}: {e}"));
+                    // Whatever is published right now is a whole container.
+                    verify_checkpoint(path)
+                        .unwrap_or_else(|e| panic!("writer {w} round {round} read back: {e}"));
+                }
+            });
+        }
+    });
+
+    let restored = read_checkpoint(&path).expect("the surviving file restores");
+    let winner = restored.step as usize;
+    assert!(winner < WRITERS, "step {winner} is no writer's");
+    for id in restored.domain.tree.leaves() {
+        let slab = restored.domain.unk.block_slab(id.idx());
+        assert!(
+            slab.iter().all(|&v| v == winner as f64 + 0.5),
+            "the surviving file mixes writers"
+        );
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(left, vec![std::ffi::OsString::from("shared.ckpt")], "temp files left behind");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

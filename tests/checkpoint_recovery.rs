@@ -21,6 +21,22 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-ckpt-it-{}-{name}", std::process::id()))
 }
 
+/// The one temp file a failed write of `path` left beside it
+/// (`<name>.<pid>.<n>.tmp` — the counter makes the exact name unknowable).
+fn tmp_orphan(path: &std::path::Path) -> PathBuf {
+    let stem = format!("{}.", path.file_name().unwrap().to_str().unwrap());
+    let mut found: Vec<PathBuf> = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with(&stem) && name.ends_with(".tmp")
+        })
+        .collect();
+    assert_eq!(found.len(), 1, "expected exactly one temp orphan of {path:?}: {found:?}");
+    found.remove(0)
+}
+
 /// SplitMix64: tiny, seedable, and plenty random for case generation.
 struct Rng(u64);
 
@@ -205,12 +221,7 @@ fn kill_mid_checkpoint_leaves_the_previous_checkpoint_restorable() {
     assert_eq!(restored.step, good_step);
 
     // The torn temp file is what a real crash leaves; recovery ignores it.
-    let tmp: PathBuf = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        os.into()
-    };
-    assert!(tmp.exists(), "the injected kill leaves a torn temp file");
+    let tmp = tmp_orphan(&path);
     assert_eq!(std::fs::read(&tmp).unwrap().len(), 200);
     std::fs::remove_file(&tmp).unwrap();
     std::fs::remove_file(&path).unwrap();
@@ -236,14 +247,9 @@ fn failed_rename_keeps_the_old_checkpoint_current() {
         }
     }
     assert_eq!(std::fs::read(&path).unwrap(), good_bytes);
-    let tmp: PathBuf = {
-        let mut os = path.as_os_str().to_os_string();
-        os.push(".tmp");
-        os.into()
-    };
     // The fully-written temp survives (real rename failures keep it too);
     // it is complete but unpublished.
-    assert!(tmp.exists());
+    let tmp = tmp_orphan(&path);
     std::fs::remove_file(&tmp).unwrap();
     std::fs::remove_file(&path).unwrap();
 }
