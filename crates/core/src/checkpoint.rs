@@ -18,6 +18,15 @@
 //! file. Reads verify the header CRC and every slab CRC and fail with *typed* errors
 //! (truncated / corrupt / wrong mesh), never panics, so a restart driver
 //! can walk a [`CheckpointSeries`] newest-first to the last good file.
+//!
+//! Neither direction stages the payload: the writer checksums the live
+//! leaf slabs where they sit in `unk` and streams header + slab bytes
+//! straight to the file; the reader `read_exact`s each slab into its
+//! destination slab of a fresh *sparse* pool (`unk` backs pages on first
+//! write, so only the leaves it loads become resident) and verifies the
+//! CRC there. The `Domain` under construction is local to
+//! [`read_checkpoint`] until every slab has verified, so a corrupt file
+//! still never hands a caller bad data.
 //! The I/O path honors the deterministic fault plan from
 //! [`rflash_hugepages::faults`] (`ckpt-write`, `ckpt-rename` sites), which
 //! is how the crash-mid-checkpoint tests stay reproducible.
@@ -27,10 +36,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rflash_hugepages::faults::{self, FaultSite, IoFault};
+use rflash_hugepages::{fill_from_le, with_le_bytes};
 use rflash_mesh::{BlockId, Domain, MortonKey};
 use serde::{Deserialize, Serialize};
 
-use crate::crc32::{crc32, Crc32};
+use crate::crc32::crc32;
 use crate::eos_choice::{Composition, EosChoice};
 use crate::params::RuntimeParams;
 
@@ -183,26 +193,18 @@ impl<W: Write> Write for FaultWriter<W> {
     }
 }
 
-/// Serialize the full container (header + CRCs + slabs) into memory.
-fn encode_container(
+/// The container's framed header — `u64` length, header JSON, `u32` CRC —
+/// for `domain`'s live leaves (returned alongside, in slab order). The one
+/// CRC pass of a write happens here, over each leaf slab where it sits in
+/// `unk`.
+fn encode_header(
     domain: &Domain,
     params: &RuntimeParams,
     time: f64,
     step: u64,
     energy_released: f64,
-) -> Result<Vec<u8>, CheckpointError> {
+) -> Result<(Vec<u8>, Vec<BlockId>), CheckpointError> {
     let leaves = domain.tree.leaves();
-    let per_block = domain.unk.per_block();
-    // Slabs first, so the header can carry their CRCs.
-    let mut body = Vec::with_capacity(leaves.len() * per_block * 8);
-    let mut slab_crcs = Vec::with_capacity(leaves.len());
-    for id in &leaves {
-        let start = body.len();
-        for &v in domain.unk.block_slab(id.idx()) {
-            body.extend_from_slice(&v.to_le_bytes());
-        }
-        slab_crcs.push(crc32(&body[start..]));
-    }
     let header = CheckpointHeader {
         format: CHECKPOINT_FORMAT.into(),
         params: *params,
@@ -210,17 +212,19 @@ fn encode_container(
         step,
         energy_released,
         leaves: leaves.iter().map(|id| domain.tree.block(*id).key).collect(),
-        per_block,
-        slab_crcs,
+        per_block: domain.unk.per_block(),
+        slab_crcs: leaves
+            .iter()
+            .map(|id| with_le_bytes(domain.unk.block_slab(id.idx()), crc32))
+            .collect(),
     };
     let header_json =
         serde_json::to_string(&header).map_err(|e| CheckpointError::Format(e.to_string()))?;
-    let mut out = Vec::with_capacity(8 + header_json.len() + 4 + body.len());
-    out.extend_from_slice(&(header_json.len() as u64).to_le_bytes());
-    out.extend_from_slice(header_json.as_bytes());
-    out.extend_from_slice(&crc32(header_json.as_bytes()).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+    let mut framed = Vec::with_capacity(8 + header_json.len() + 4);
+    framed.extend_from_slice(&(header_json.len() as u64).to_le_bytes());
+    framed.extend_from_slice(header_json.as_bytes());
+    framed.extend_from_slice(&crc32(header_json.as_bytes()).to_le_bytes());
+    Ok((framed, leaves))
 }
 
 /// A sibling temp path for one atomic write: `<path>.<pid>.<n>.tmp`, with
@@ -251,11 +255,14 @@ pub fn write_checkpoint(
     step: u64,
     energy_released: f64,
 ) -> Result<(), CheckpointError> {
-    let container = encode_container(domain, params, time, step, energy_released)?;
+    let (framed_header, leaves) = encode_header(domain, params, time, step, energy_released)?;
     let tmp = tmp_path(path);
     let file = std::fs::File::create(&tmp)?;
     let mut w = FaultWriter::new(file);
-    w.write_all(&container)?;
+    w.write_all(&framed_header)?;
+    for id in &leaves {
+        with_le_bytes(domain.unk.block_slab(id.idx()), |bytes| w.write_all(bytes))?;
+    }
     w.flush()?;
     // Data must be durable before the rename publishes it.
     w.inner.sync_all()?;
@@ -308,6 +315,20 @@ fn read_exact_or_truncated(
             CheckpointError::Io(e)
         }
     })
+}
+
+/// Slab `index`'s on-disk bytes against the CRC its header stored.
+fn check_slab_crc(index: usize, stored: u32, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let computed = crc32(bytes);
+    if stored == computed {
+        Ok(())
+    } else {
+        Err(CheckpointError::SlabCrc {
+            index,
+            stored,
+            computed,
+        })
+    }
 }
 
 /// Read + validate the container header: length bound, CRC, format magic,
@@ -378,22 +399,16 @@ pub fn verify_checkpoint(path: &Path) -> Result<CheckpointHeader, CheckpointErro
     let mut slab = vec![0u8; header.per_block * 8];
     for (index, key) in header.leaves.iter().enumerate() {
         read_exact_or_truncated(&mut r, &mut slab, || format!("slab {index} ({key:?})"))?;
-        let computed = crc32(&slab);
-        let stored = header.slab_crcs[index];
-        if stored != computed {
-            return Err(CheckpointError::SlabCrc {
-                index,
-                stored,
-                computed,
-            });
-        }
+        check_slab_crc(index, header.slab_crcs[index], &slab)?;
     }
     Ok(header)
 }
 
 /// Restore a checkpoint: verify the container CRCs, rebuild the tree
 /// topology (re-refining from the roots to match the stored leaf set), and
-/// load every leaf slab.
+/// load every leaf slab. Parent slabs are left as the fresh pool's zeros —
+/// their interiors are restricted from the leaves before anything reads
+/// them.
 pub fn read_checkpoint(path: &Path) -> Result<RestoredState, CheckpointError> {
     let file = std::fs::File::open(path)?;
     let file_size = file.metadata()?.len();
@@ -409,30 +424,18 @@ pub fn read_checkpoint(path: &Path) -> Result<RestoredState, CheckpointError> {
     }
     rebuild_topology(&mut domain, &header.leaves)?;
 
-    // Map keys to the rebuilt block ids and stream the slabs in, verifying
-    // each slab's CRC before it touches the mesh.
-    let mut slab = vec![0u8; header.per_block * 8];
+    // Map keys to the rebuilt block ids and read each slab straight into
+    // its destination, verifying the CRC in place. `domain` is still local:
+    // a slab that fails takes the whole half-loaded mesh down with it.
     for (index, key) in header.leaves.iter().enumerate() {
         let id = domain
             .tree
             .find(*key)
             .ok_or_else(|| CheckpointError::Format(format!("missing block {key:?}")))?;
-        read_exact_or_truncated(&mut r, &mut slab, || format!("slab {index} ({key:?})"))?;
-        let mut c = Crc32::new();
-        c.update(&slab);
-        let computed = c.finish();
-        let stored = header.slab_crcs[index];
-        if stored != computed {
-            return Err(CheckpointError::SlabCrc {
-                index,
-                stored,
-                computed,
-            });
-        }
-        let dst = domain.unk.block_slab_mut(id.idx());
-        for (i, chunk) in slab.chunks_exact(8).enumerate() {
-            dst[i] = f64::from_le_bytes(chunk.try_into().unwrap());
-        }
+        fill_from_le(domain.unk.block_slab_mut(id.idx()), |bytes| {
+            read_exact_or_truncated(&mut r, bytes, || format!("slab {index} ({key:?})"))?;
+            check_slab_crc(index, header.slab_crcs[index], bytes)
+        })?;
     }
 
     Ok(RestoredState {
@@ -446,7 +449,9 @@ pub fn read_checkpoint(path: &Path) -> Result<RestoredState, CheckpointError> {
 
 /// Refine the fresh root tree until exactly the stored leaf set exists:
 /// every stored leaf's ancestors get refined, deepest-first via repeated
-/// passes.
+/// passes. Topology only — no slab is prolonged into (every leaf is about
+/// to be overwritten from the file), so parents stay untouched and
+/// unbacked.
 fn rebuild_topology(domain: &mut Domain, leaves: &[MortonKey]) -> Result<(), CheckpointError> {
     let max_level = leaves.iter().map(|k| k.level).max().unwrap_or(0);
     for _pass in 0..=max_level {
@@ -471,7 +476,7 @@ fn rebuild_topology(domain: &mut Domain, leaves: &[MortonKey]) -> Result<(), Che
                 )));
             };
             if anc_key.level < target_level && domain.tree.block(id).is_leaf() {
-                domain.tree.refine_block(id, &mut domain.unk);
+                domain.tree.refine_topology(id);
                 refined_any = true;
             }
         }
@@ -718,6 +723,68 @@ mod tests {
         found
     }
 
+    /// The whole-container in-memory encoder the streamed writer replaced
+    /// (two staging copies, one `to_le_bytes` per value), kept as the
+    /// byte-for-byte oracle of the on-disk format.
+    fn encode_container(sim: &Simulation) -> Vec<u8> {
+        let domain = &sim.domain;
+        let leaves = domain.tree.leaves();
+        let per_block = domain.unk.per_block();
+        let mut body = Vec::with_capacity(leaves.len() * per_block * 8);
+        let mut slab_crcs = Vec::with_capacity(leaves.len());
+        for id in &leaves {
+            let start = body.len();
+            for &v in domain.unk.block_slab(id.idx()) {
+                body.extend_from_slice(&v.to_le_bytes());
+            }
+            slab_crcs.push(crc32(&body[start..]));
+        }
+        let header = CheckpointHeader {
+            format: CHECKPOINT_FORMAT.into(),
+            params: sim.params,
+            time: sim.time,
+            step: sim.step,
+            energy_released: sim.energy_released,
+            leaves: leaves.iter().map(|id| domain.tree.block(*id).key).collect(),
+            per_block,
+            slab_crcs,
+        };
+        let header_json = serde_json::to_string(&header).unwrap();
+        let mut out = Vec::with_capacity(8 + header_json.len() + 4 + body.len());
+        out.extend_from_slice(&(header_json.len() as u64).to_le_bytes());
+        out.extend_from_slice(header_json.as_bytes());
+        out.extend_from_slice(&crc32(header_json.as_bytes()).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    /// A refined Sedov blast in `ndim` dimensions, `steps` steps in (the
+    /// 3-d one is the paper's Table II problem at test size).
+    fn evolved_sedov(ndim: usize, steps: u64) -> Simulation {
+        use crate::setups::sedov::SedovSetup;
+        let setup = SedovSetup {
+            ndim,
+            nxb: 8,
+            max_refine: 2,
+            max_blocks: 512,
+            ..SedovSetup::default()
+        };
+        let params = crate::RuntimeParams {
+            policy: Policy::None,
+            use_hw: false,
+            pattern_every: 0,
+            gather_every: 0,
+            ..crate::RuntimeParams::with_mesh(setup.mesh_config())
+        };
+        let mut sim = setup.build(params);
+        sim.evolve(steps);
+        assert!(
+            sim.domain.tree.active_blocks() > sim.domain.tree.leaves().len(),
+            "the mesh must be refined for this test to mean anything"
+        );
+        sim
+    }
+
     fn toy_sim() -> Simulation {
         let cfg = MeshConfig::test_2d();
         let params = crate::RuntimeParams {
@@ -790,34 +857,92 @@ mod tests {
     }
 
     #[test]
+    fn streamed_file_is_byte_identical_to_the_staged_encoder() {
+        use rflash_hugepages::{FaultKind, FaultPlan};
+        for ndim in [2, 3] {
+            let sim = evolved_sedov(ndim, 3);
+            let want = encode_container(&sim);
+            let path = scratch(&format!("stream-{ndim}d"));
+            sim.checkpoint(&path).unwrap();
+            assert!(
+                std::fs::read(&path).unwrap() == want,
+                "{ndim}-d container bytes differ"
+            );
+            std::fs::remove_file(&path).unwrap();
+
+            // A short-write budget cuts the stream at the same byte offset
+            // the single whole-container write did: inside the length
+            // prefix, the header JSON, its CRC, mid-slab, on a slab edge.
+            let header_end = 8 + u64::from_le_bytes(want[..8].try_into().unwrap()) as usize + 4;
+            let slab = sim.domain.unk.per_block() * 8;
+            for budget in [
+                3,
+                200,
+                header_end - 2,
+                header_end + slab / 2,
+                header_end + 2 * slab,
+            ] {
+                let _g = FaultPlan::new(0)
+                    .with(
+                        FaultSite::CkptWrite,
+                        FaultKind::ShortWrite { bytes: budget },
+                    )
+                    .activate();
+                assert!(
+                    sim.checkpoint(&path).is_err(),
+                    "budget {budget} must fail the write"
+                );
+                assert!(!path.exists(), "a torn write must not be published");
+                let orphans = tmp_orphans(&path);
+                assert_eq!(orphans.len(), 1, "{orphans:?}");
+                assert!(
+                    std::fs::read(&orphans[0]).unwrap() == want[..budget],
+                    "{ndim}-d torn file differs from the first {budget} container bytes"
+                );
+                std::fs::remove_file(&orphans[0]).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn restore_of_a_refined_3d_state_touches_only_its_leaves() {
+        let sim = evolved_sedov(3, 3);
+        let live = crate::registry::StateDigest::of(&sim);
+        let (leaves, slab_bytes) = (
+            sim.domain.tree.leaves().len() as u64,
+            (sim.domain.unk.per_block() * 8) as u64,
+        );
+        let path = scratch("sparse-restore");
+        sim.checkpoint(&path).unwrap();
+        let restored = read_checkpoint(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        // Parents are rebuilt as topology only: resident = the leaf slabs
+        // read in, not the pool, and not leaves + prolonged-into parents.
+        let report = restored.domain.unk.backing_report();
+        assert!(report.rss_bytes >= leaves * slab_bytes, "{report}");
+        assert!(
+            report.rss_bytes <= (leaves + 2) * slab_bytes + (2 << 20),
+            "{report} for {leaves} leaves of {slab_bytes} B"
+        );
+        let back =
+            restored.into_simulation(EosChoice::Gamma(GammaLaw::new(1.4)), Composition::ideal());
+        assert_eq!(crate::registry::StateDigest::of(&back), live);
+    }
+
+    #[test]
     fn restart_continues_a_real_run_identically() {
         // Evolve, checkpoint, evolve more; restore and evolve the same
         // number of steps: states must agree bit-for-bit (deterministic
         // driver, same policy).
-        use crate::setups::sedov::SedovSetup;
-        let setup = SedovSetup {
-            ndim: 2,
-            nxb: 8,
-            max_refine: 2,
-            max_blocks: 256,
-            ..SedovSetup::default()
-        };
-        let params = crate::RuntimeParams {
-            policy: Policy::None,
-            use_hw: false,
-            pattern_every: 0,
-            gather_every: 0,
-            ..crate::RuntimeParams::with_mesh(setup.mesh_config())
-        };
-        let mut sim = setup.build(params);
-        sim.evolve(5);
+        let mut sim = evolved_sedov(2, 5);
         let path = scratch("restart");
         sim.checkpoint(&path).unwrap();
         sim.evolve(5);
 
         let restored = read_checkpoint(&path).unwrap();
         let mut sim2 = restored.into_simulation(
-            EosChoice::Gamma(GammaLaw::new(setup.gamma)),
+            EosChoice::Gamma(GammaLaw::new(1.4)),
             Composition::ideal(),
         );
         sim2.evolve(5);

@@ -17,7 +17,7 @@
 //! [`setups::sedov::SedovSetup`] and [`setups::supernova::SupernovaSetup`].
 
 pub mod checkpoint;
-pub mod crc32;
+pub use rflash_hugepages::crc32;
 pub mod dist;
 pub mod eos_choice;
 pub mod guardian;

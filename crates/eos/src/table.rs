@@ -12,7 +12,8 @@
 //! log E, log S), so one interpolation gathers 48 doubles scattered over
 //! 12 planes — the access signature the TLB model replays.
 
-use rflash_hugepages::{PageBuffer, Policy};
+use rflash_hugepages::crc32::crc32;
+use rflash_hugepages::{fill_from_le, with_le_bytes, PageBuffer, Policy};
 use rflash_simd::{Lane, Resolved, WithLanes};
 use serde::{Deserialize, Serialize};
 
@@ -90,8 +91,21 @@ pub struct HelmTable {
 }
 
 impl HelmTable {
-    /// Build the table by solving the exact electron gas at every node.
+    /// Build the table by solving the exact electron gas at every node,
+    /// temperature rows spread over the host's cores.
     pub fn build(config: TableConfig, policy: Policy) -> Result<HelmTable, EosError> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::build_on(config, policy, threads)
+    }
+
+    /// [`HelmTable::build`] on `threads` threads (capped at `n_temp`). The
+    /// result does not depend on the thread count: every row is the same
+    /// left-to-right warm-started sweep written to its own plane rows.
+    fn build_on(
+        config: TableConfig,
+        policy: Policy,
+        threads: usize,
+    ) -> Result<HelmTable, EosError> {
         assert!(config.n_rho >= 4 && config.n_temp >= 4, "table too small");
         let (x0, x1) = config.log_rho_ye;
         let (y0, y1) = config.log_temp;
@@ -107,19 +121,54 @@ impl HelmTable {
             })?;
 
         // Pass 1: values (log10 of p, e, s) at every node, warm-starting the
-        // η solve along each density sweep.
-        for it in 0..config.n_temp {
+        // η solve along each density sweep. The warm start never crosses
+        // rows, so rows are independent: deal them round-robin to the
+        // threads, each row a disjoint `n_rho` run of the three value planes.
+        let solve_row = |it: usize, [p, e, s]: [&mut [f64]; N_QUANT]| -> Result<(), EosError> {
             let temp = 10f64.powf(y0 + it as f64 * dy);
             let mut eta_guess = None;
             for ir in 0..config.n_rho {
                 let rho_ye = 10f64.powf(x0 + ir as f64 * dx);
                 let st = electron_state_with_guess(rho_ye, temp, eta_guess)?;
                 eta_guess = Some(st.eta);
-                let node = it * config.n_rho + ir;
-                data[Self::index_of(config, 0, 0, node)] = st.pres.log10();
-                data[Self::index_of(config, 1, 0, node)] = st.ener.log10();
-                data[Self::index_of(config, 2, 0, node)] = st.entr.max(1e-300).log10();
+                p[ir] = st.pres.log10();
+                e[ir] = st.ener.log10();
+                s[ir] = st.entr.max(1e-300).log10();
             }
+            Ok(())
+        };
+        let threads = threads.clamp(1, config.n_temp);
+        let mut shares: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
+        let (p_planes, rest) = data.as_mut_slice().split_at_mut(N_DERIV * plane);
+        let (e_planes, s_planes) = rest.split_at_mut(N_DERIV * plane);
+        let rows = (p_planes[..plane].chunks_mut(config.n_rho))
+            .zip(e_planes[..plane].chunks_mut(config.n_rho))
+            .zip(s_planes[..plane].chunks_mut(config.n_rho));
+        for (it, ((p, e), s)) in rows.enumerate() {
+            shares[it % threads].push((it, [p, e, s]));
+        }
+        // The serial loop stopped at the first failing row; report that one.
+        let first_error = std::thread::scope(|scope| {
+            let workers: Vec<_> = shares
+                .into_iter()
+                .map(|share| {
+                    scope.spawn(|| {
+                        share
+                            .into_iter()
+                            .find_map(|(it, row)| solve_row(it, row).err().map(|e| (it, e)))
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .filter_map(|w| {
+                    w.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .min_by_key(|(it, _)| *it)
+        });
+        if let Some((_, err)) = first_error {
+            return Err(err);
         }
 
         // Pass 2: finite-difference derivative planes from the value planes.
@@ -754,71 +803,101 @@ mod tests {
 
 // ---- disk persistence (FLASH's `helm_table.dat` analog) -----------------
 
+/// Format magic of the cache file. v1 had no checksum and was written in
+/// place; its files fail the magic check and are rebuilt.
+const TABLE_FORMAT: &str = "rflash-helm-table-v2";
+
+#[derive(Serialize, Deserialize)]
+struct TableFileHeader {
+    format: String,
+    config: TableConfig,
+}
+
 impl HelmTable {
-    /// Write the table to disk: a length-prefixed JSON header (config +
-    /// spacings) followed by the raw little-endian f64 planes. FLASH ships
-    /// its Helmholtz table as a data file (`helm_table.dat`) for exactly
-    /// this reason — rebuilding from the Fermi–Dirac integrals at every
-    /// startup is wasteful.
+    /// Write the table to disk: a length-prefixed JSON header (format +
+    /// config), the raw little-endian f64 planes, and a CRC-32 of the
+    /// planes. FLASH ships its Helmholtz table as a data file
+    /// (`helm_table.dat`) for exactly this reason — rebuilding from the
+    /// Fermi–Dirac integrals at every startup is wasteful.
+    ///
+    /// The file is written to a per-writer sibling temp and renamed into
+    /// place, so concurrent writers of one cache path (fleet workers,
+    /// parallel tests) each publish a whole file and a reader never sees a
+    /// half-written one.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
         use std::io::Write;
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        #[derive(serde::Serialize)]
-        struct Header<'a> {
-            format: &'a str,
-            config: TableConfig,
-        }
-        let header = serde_json::to_string(&Header {
-            format: "rflash-helm-table-v1",
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(format!(".{}.{n}.tmp", std::process::id()));
+        let tmp = std::path::PathBuf::from(tmp);
+
+        let header = serde_json::to_string(&TableFileHeader {
+            format: TABLE_FORMAT.into(),
             config: self.config,
         })
         .map_err(std::io::Error::other)?;
-        w.write_all(&(header.len() as u64).to_le_bytes())?;
-        w.write_all(header.as_bytes())?;
-        let mut buf = Vec::with_capacity(self.data.len() * 8);
-        for &v in self.data.iter() {
-            buf.extend_from_slice(&v.to_le_bytes());
+        let written = (|| {
+            let mut file = std::fs::File::create(&tmp)?;
+            file.write_all(&(header.len() as u64).to_le_bytes())?;
+            file.write_all(header.as_bytes())?;
+            let crc = with_le_bytes(&self.data, |planes| {
+                file.write_all(planes).map(|()| crc32(planes))
+            })?;
+            file.write_all(&crc.to_le_bytes())?;
+            std::fs::rename(&tmp, path)
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        w.write_all(&buf)?;
-        w.flush()
+        written
     }
 
-    /// Load a table previously written by [`HelmTable::save`], placing the
-    /// planes in a buffer backed by `policy`.
+    /// Load a table previously written by [`HelmTable::save`], reading the
+    /// planes straight into a buffer backed by `policy`. Any file that is
+    /// not a whole, checksum-clean table of the current format is an error.
     pub fn load(path: &std::path::Path, policy: Policy) -> std::io::Result<HelmTable> {
         use std::io::Read;
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
+        let mut file = std::fs::File::open(path)?;
         let mut len_bytes = [0u8; 8];
-        r.read_exact(&mut len_bytes)?;
+        file.read_exact(&mut len_bytes)?;
         let header_len = u64::from_le_bytes(len_bytes) as usize;
         if header_len > 1 << 20 {
             return Err(std::io::Error::other("unreasonable header length"));
         }
         let mut header_json = vec![0u8; header_len];
-        r.read_exact(&mut header_json)?;
-        #[derive(serde::Deserialize)]
-        struct Header {
-            format: String,
-            config: TableConfig,
-        }
-        let header: Header =
+        file.read_exact(&mut header_json)?;
+        let header: TableFileHeader =
             serde_json::from_slice(&header_json).map_err(std::io::Error::other)?;
-        if header.format != "rflash-helm-table-v1" {
+        if header.format != TABLE_FORMAT {
             return Err(std::io::Error::other(format!(
                 "unknown table format {:?}",
                 header.format
             )));
         }
         let config = header.config;
-        let n = config.n_rho * config.n_temp * N_QUANT * N_DERIV;
+        // The config is outside input: hold it to `build`'s own minimum
+        // and to what the file can actually hold before reserving for it.
+        let file_doubles = file.metadata()?.len() / 8;
+        let n = config
+            .n_rho
+            .checked_mul(config.n_temp)
+            .and_then(|plane| plane.checked_mul(N_QUANT * N_DERIV))
+            .filter(|&n| config.n_rho >= 4 && config.n_temp >= 4 && n as u64 <= file_doubles)
+            .ok_or_else(|| std::io::Error::other("table geometry does not fit the file"))?;
         let mut data =
             PageBuffer::<f64>::zeroed(n, policy).map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut bytes = vec![0u8; n * 8];
-        r.read_exact(&mut bytes)?;
-        for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-            // analyze::allow(panic): chunks_exact(8) yields exactly 8-byte
-            // chunks, so the array conversion cannot fail.
-            data[i] = f64::from_le_bytes(chunk.try_into().unwrap());
+        let mut computed = 0;
+        fill_from_le(&mut data, |planes| {
+            file.read_exact(planes).map(|()| computed = crc32(planes))
+        })?;
+        let mut crc_bytes = [0u8; 4];
+        file.read_exact(&mut crc_bytes)?;
+        let stored = u32::from_le_bytes(crc_bytes);
+        if stored != computed {
+            return Err(std::io::Error::other(format!(
+                "table CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            )));
         }
         let (x0, x1) = config.log_rho_ye;
         let (y0, y1) = config.log_temp;
@@ -831,7 +910,8 @@ impl HelmTable {
     }
 
     /// Load a matching cached table from `path`, or build one and cache it.
-    /// A stale cache (different geometry/domain) is rebuilt and overwritten.
+    /// A stale (different geometry/domain), old-format, truncated or
+    /// corrupt cache is rebuilt and overwritten.
     pub fn build_or_load(
         config: TableConfig,
         policy: Policy,
@@ -856,6 +936,7 @@ impl HelmTable {
 #[cfg(test)]
 mod persistence_tests {
     use super::*;
+    use rflash_hugepages::as_bytes;
 
     fn scratch(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("rflash-helm-{}-{name}.dat", std::process::id()))
@@ -905,6 +986,119 @@ mod persistence_tests {
         };
         let t3 = HelmTable::build_or_load(other, Policy::None, &path).unwrap();
         assert_eq!(t3.config.n_rho, 14);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn parallel_build_is_bit_identical_to_single_threaded() {
+        let cfg = TableConfig::coarse();
+        let serial = HelmTable::build_on(cfg, Policy::None, 1).unwrap();
+        // More threads than this host has cores, and more than rows / 8.
+        for threads in [2, 5, cfg.n_temp + 3] {
+            let parallel = HelmTable::build_on(cfg, Policy::None, threads).unwrap();
+            assert!(
+                as_bytes(serial.data.as_slice()) == as_bytes(parallel.data.as_slice()),
+                "{threads} threads"
+            );
+        }
+        let default = HelmTable::build(cfg, Policy::None).unwrap();
+        assert!(as_bytes(serial.data.as_slice()) == as_bytes(default.data.as_slice()));
+    }
+
+    #[test]
+    fn damaged_or_old_caches_are_rebuilt_and_overwritten() {
+        let cfg = TableConfig {
+            n_rho: 11,
+            n_temp: 7,
+            ..TableConfig::coarse()
+        };
+        let path = scratch("damaged");
+        let fresh = HelmTable::build(cfg, Policy::None).unwrap();
+        fresh.save(&path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let header_len = u64::from_le_bytes(good[..8].try_into().unwrap()) as usize;
+
+        let truncated = good[..good.len() - 9].to_vec();
+        let mut flipped = good.clone();
+        flipped[8 + header_len + 100] ^= 0x10;
+        let mut bad_crc = good.clone();
+        *bad_crc.last_mut().unwrap() ^= 0xFF;
+        // A v1 file: same layout, old magic, no trailing CRC.
+        let v1_header = String::from_utf8(good[8..8 + header_len].to_vec())
+            .unwrap()
+            .replace(TABLE_FORMAT, "rflash-helm-table-v1");
+        let mut v1 = (v1_header.len() as u64).to_le_bytes().to_vec();
+        v1.extend_from_slice(v1_header.as_bytes());
+        v1.extend_from_slice(&good[8 + header_len..good.len() - 4]);
+        // A header promising far more planes than the file holds.
+        let huge_header = String::from_utf8(good[8..8 + header_len].to_vec())
+            .unwrap()
+            .replace("\"n_rho\":11", "\"n_rho\":1100000000");
+        let mut huge = (huge_header.len() as u64).to_le_bytes().to_vec();
+        huge.extend_from_slice(huge_header.as_bytes());
+        huge.extend_from_slice(&good[8 + header_len..]);
+
+        for (what, bytes) in [
+            ("truncated", truncated),
+            ("bit-flipped", flipped),
+            ("bad CRC", bad_crc),
+            ("v1", v1),
+            ("oversized geometry", huge),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                HelmTable::load(&path, Policy::None).is_err(),
+                "{what} must not load"
+            );
+            let rebuilt = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
+            assert_eq!(rebuilt.data.as_slice(), fresh.data.as_slice(), "{what}");
+            assert!(
+                std::fs::read(&path).unwrap() == good,
+                "{what} cache must be overwritten"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_and_readers_only_ever_see_whole_files() {
+        let cfg = TableConfig {
+            n_rho: 16,
+            n_temp: 12,
+            ..TableConfig::coarse()
+        };
+        let path = scratch("race");
+        let _ = std::fs::remove_file(&path);
+        let table = HelmTable::build(cfg, Policy::None).unwrap();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for who in 0..8 {
+                let (table, path, start) = (&table, &path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..25 {
+                        if who % 2 == 0 {
+                            table.save(path).unwrap();
+                            continue;
+                        }
+                        match HelmTable::load(path, Policy::None) {
+                            Ok(seen) => assert_eq!(seen.data.as_slice(), table.data.as_slice()),
+                            // Not there yet is fine; half-written is not.
+                            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
+                        }
+                    }
+                });
+            }
+        });
+        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| {
+                name.starts_with(path.file_name().unwrap().to_str().unwrap())
+                    && name.ends_with(".tmp")
+            })
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -13,11 +13,12 @@ use crate::policy::Policy;
 use crate::region::{DegradationStep, EffectiveBacking, MmapRegion};
 
 /// Plain-old-data marker: types that are valid for any bit pattern and can
-/// therefore live in zero-filled mapped memory.
+/// therefore live in zero-filled mapped memory and be viewed as raw bytes
+/// ([`as_bytes`], [`as_bytes_mut`]).
 ///
 /// # Safety
-/// Implementors must be `Copy`, have no padding-sensitive invariants, and
-/// treat the all-zeroes bit pattern as a valid value.
+/// Implementors must be `Copy`, have no padding bytes, and accept every bit
+/// pattern (all-zeroes included) as a valid value.
 pub unsafe trait Pod: Copy + 'static {}
 
 // SAFETY: every listed primitive is valid for all bit patterns incl. zero.
@@ -36,8 +37,55 @@ unsafe impl Pod for f64 {}
 // SAFETY: arrays of Pod are Pod.
 unsafe impl<T: Pod, const N: usize> Pod for [T; N] {}
 
+/// The in-memory bytes of a `Pod` slice — what lets checkpoint and table
+/// I/O checksum and stream `unk` slabs in place instead of converting one
+/// value at a time into a staging buffer.
+#[inline]
+pub fn as_bytes<T: Pod>(vals: &[T]) -> &[u8] {
+    // SAFETY: `Pod` types have no padding, so all `size_of_val(vals)` bytes
+    // are initialized; `u8` has alignment 1 and the borrow carries over.
+    unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), std::mem::size_of_val(vals)) }
+}
+
+/// Mutable twin of [`as_bytes`].
+#[inline]
+pub fn as_bytes_mut<T: Pod>(vals: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `as_bytes`; additionally every bit pattern is a valid
+    // `Pod` value, so arbitrary byte writes cannot break `T`, and `&mut`
+    // gives exclusivity for the view's lifetime.
+    unsafe { std::slice::from_raw_parts_mut(vals.as_mut_ptr().cast(), std::mem::size_of_val(vals)) }
+}
+
+/// Run `f` on the little-endian byte image of `vals` (the on-disk order of
+/// every rflash container): the slice's own memory on little-endian hosts,
+/// a per-value converted copy on big-endian ones.
+pub fn with_le_bytes<R>(vals: &[f64], f: impl FnOnce(&[u8]) -> R) -> R {
+    if cfg!(target_endian = "little") {
+        f(as_bytes(vals))
+    } else {
+        let swapped: Vec<u64> = vals.iter().map(|v| v.to_bits().to_le()).collect();
+        f(as_bytes(&swapped))
+    }
+}
+
+/// Let `fill` write a little-endian byte image straight into `vals`' memory
+/// (e.g. `read_exact` + checksum), then fix the value order up in place on
+/// big-endian hosts. On `Err` the contents of `vals` are unspecified.
+pub fn fill_from_le<E>(
+    vals: &mut [f64],
+    fill: impl FnOnce(&mut [u8]) -> std::result::Result<(), E>,
+) -> std::result::Result<(), E> {
+    fill(as_bytes_mut(vals))?;
+    if cfg!(target_endian = "big") {
+        for v in vals {
+            *v = f64::from_bits(u64::from_le(v.to_bits()));
+        }
+    }
+    Ok(())
+}
+
 /// A `len`-element zero-initialized `T` buffer whose pages are backed
-/// according to a [`Policy`].
+/// according to a [`Policy`], lazily: resident where written.
 ///
 /// Dereferences to `[T]`. The backing can be audited at runtime with
 /// [`PageBuffer::backing_report`], which goes through `/proc/self/smaps` —
@@ -50,7 +98,16 @@ pub struct PageBuffer<T: Pod> {
 }
 
 impl<T: Pod> PageBuffer<T> {
-    /// Allocate `len` zeroed elements under `policy`.
+    /// Reserve `len` zeroed elements under `policy`.
+    ///
+    /// Allocation is reservation, touch is backing: a fresh anonymous
+    /// mapping reads as zero by contract under every policy, so nothing is
+    /// pre-faulted here and the kernel backs each page on its first write.
+    /// A pool sized for `maxblocks` therefore costs resident memory (and
+    /// first-touch time) only for the slabs blocks actually occupy. A
+    /// reserved `hugetlbfs` mapping cannot `SIGBUS` on a later touch: the
+    /// mapping is made without `MAP_NORESERVE`, so the kernel sets its huge
+    /// pages aside at `mmap` time (or refuses then, and the chain degrades).
     pub fn zeroed(len: usize, policy: Policy) -> Result<Self> {
         if len == 0 {
             return Err(Error::ZeroLength);
@@ -58,8 +115,7 @@ impl<T: Pod> PageBuffer<T> {
         let bytes = len
             .checked_mul(std::mem::size_of::<T>())
             .ok_or(Error::CapacityOverflow)?;
-        let mut region = MmapRegion::new(bytes, policy)?;
-        region.fault_in();
+        let region = MmapRegion::new(bytes, policy)?;
         debug_assert_eq!(region.as_ptr() as usize % std::mem::align_of::<T>(), 0);
         Ok(PageBuffer {
             region,
@@ -297,12 +353,45 @@ mod tests {
 
     #[test]
     fn thp_buffer_is_usable_and_reportable() {
-        let buf = PageBuffer::<f64>::zeroed(1 << 20, Policy::Thp).unwrap();
+        let mut buf = PageBuffer::<f64>::zeroed(1 << 20, Policy::Thp).unwrap();
+        // Nothing is resident until written: zeroed() only reserves.
+        assert_eq!(buf.backing_report().rss_bytes, 0);
+        buf.as_mut_slice().fill(1.0);
         let report = buf.backing_report();
         // Backing depends on host THP config, but the report itself must be
-        // coherent: RSS is populated because zeroed() faults pages in.
-        assert!(report.rss_bytes > 0);
+        // coherent: every written page is resident.
+        assert!(report.rss_bytes >= 8 << 20, "{report}");
         let _ = format!("{report}");
+    }
+
+    #[test]
+    fn untouched_pages_stay_unbacked_and_read_zero() {
+        let page = crate::page::base_page_bytes();
+        let mut buf = PageBuffer::<u8>::zeroed(64 * page, Policy::None).unwrap();
+        buf[5 * page] = 7;
+        buf[40 * page] = 9;
+        assert_eq!(buf.backing_report().rss_bytes, 2 * page as u64);
+        assert!(buf.iter().enumerate().all(|(i, &b)| match i {
+            i if i == 5 * page => b == 7,
+            i if i == 40 * page => b == 9,
+            _ => b == 0,
+        }));
+    }
+
+    #[test]
+    fn byte_views_round_trip_in_le_order() {
+        let vals = [1.5f64, -0.0, f64::NAN, 6.02e23];
+        let le: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(as_bytes(&vals).len(), 32);
+        with_le_bytes(&vals, |b| assert_eq!(b, &le[..]));
+        let mut back = [0.0f64; 4];
+        fill_from_le(&mut back, |b| -> std::result::Result<(), ()> {
+            b.copy_from_slice(&le);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(back.map(f64::to_bits), vals.map(f64::to_bits));
+        assert!(fill_from_le(&mut back, |_| Err(())).is_err());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   and graceful, *reported* fallback when the kernel refuses.
 //! * [`PageBuffer`] — a typed, zero-initialized buffer on top of a region;
 //!   this is what the mesh `unk` container and the EOS table live in.
+//!   Allocation is reservation: pages are backed where they are written.
 //! * [`HugeArena`] — a bump allocator carving sub-buffers out of one region.
 //! * [`meminfo`] / [`smaps`] — parsers for the `/proc` files the paper
 //!   monitors to *verify* that huge pages are actually in use (§III).
@@ -36,6 +37,7 @@
 
 pub mod arena;
 pub mod buffer;
+pub mod crc32;
 pub mod error;
 pub mod faults;
 pub mod meminfo;
@@ -50,7 +52,9 @@ pub mod watcher;
 mod sys;
 
 pub use arena::HugeArena;
-pub use buffer::{BackingReport, PageBuffer, Pod};
+pub use buffer::{
+    as_bytes, as_bytes_mut, fill_from_le, with_le_bytes, BackingReport, PageBuffer, Pod,
+};
 pub use error::{Error, Result};
 pub use faults::{FaultGuard, FaultKind, FaultPlan, FaultRule, FaultSite, IoFault, FAULTS_ENV_VAR};
 pub use meminfo::MemInfo;

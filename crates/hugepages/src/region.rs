@@ -97,6 +97,12 @@ fn transient_errno(errno: i32) -> bool {
 pub struct MmapRegion {
     ptr: *mut u8,
     len: usize,
+    /// Never-touched tail mapped past `len` (zero for `MAP_HUGETLB`). It
+    /// keeps the kernel's default THP advice while the body carries the
+    /// policy's, so the body stays a VMA of its own — adjacent regions
+    /// under one policy would otherwise merge and [`MmapRegion::smaps`]
+    /// would audit the sum of them.
+    guard: usize,
     policy: Policy,
     effective: EffectiveBacking,
     steps: Vec<DegradationStep>,
@@ -171,6 +177,7 @@ impl MmapRegion {
                     return Ok(MmapRegion {
                         ptr,
                         len: rounded,
+                        guard: 0,
                         policy: Policy::None,
                         effective: EffectiveBacking::HugeTlb(size),
                         steps: Vec::new(),
@@ -207,13 +214,17 @@ impl MmapRegion {
     /// failed mmap degrades to rung 3 (base pages).
     fn try_thp_then_base(len: usize, steps: &mut Vec<DegradationStep>) -> Result<Self> {
         let rounded = align_up(len, PageSize::Huge2M.bytes());
-        match sys::mmap_anon(rounded, None) {
+        // A whole huge page of guard: the kernel only aligns anonymous
+        // mappings to 2 MiB when their length is a multiple of it.
+        let guard = PageSize::Huge2M.bytes();
+        match sys::mmap_anon(rounded + guard, None) {
             Ok(ptr) => {
                 // SAFETY: we own [ptr, ptr+rounded), freshly mapped above.
                 match unsafe { sys::madvise(ptr, rounded, sys::Advice::Huge) } {
                     Ok(()) => Ok(MmapRegion {
                         ptr,
                         len: rounded,
+                        guard,
                         policy: Policy::None,
                         effective: EffectiveBacking::ThpAdvised,
                         steps: Vec::new(),
@@ -233,6 +244,7 @@ impl MmapRegion {
                         Ok(MmapRegion {
                             ptr,
                             len: rounded,
+                            guard,
                             policy: Policy::None,
                             effective: EffectiveBacking::BasePages,
                             steps: Vec::new(),
@@ -258,7 +270,8 @@ impl MmapRegion {
     /// unless the host runs THP=always, and the step makes that auditable.
     fn try_base(len: usize, steps: &mut Vec<DegradationStep>) -> Result<Self> {
         let rounded = align_up(len, PageSize::Base.bytes());
-        let ptr = sys::mmap_anon(rounded, None)?;
+        let guard = PageSize::Base.bytes();
+        let ptr = sys::mmap_anon(rounded + guard, None)?;
         // SAFETY: we own [ptr, ptr+rounded), freshly mapped above.
         if let Err(err) = unsafe { sys::madvise(ptr, rounded, sys::Advice::NoHuge) } {
             metrics::count_madvise_denial();
@@ -272,13 +285,14 @@ impl MmapRegion {
         Ok(MmapRegion {
             ptr,
             len: rounded,
+            guard,
             policy: Policy::None,
             effective: EffectiveBacking::BasePages,
             steps: Vec::new(),
         })
     }
 
-    /// Mapped length in bytes (≥ the requested length).
+    /// Usable length in bytes (≥ the requested length).
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -345,8 +359,9 @@ impl MmapRegion {
     }
 
     /// Touch every base page so the kernel populates frames now (fault-in),
-    /// independent of policy — measurement runs must not differ in fault
-    /// counts between policies. Uses volatile writes: a plain `x = x` store
+    /// independent of policy — for callers that must not take first-touch
+    /// faults later (the pencil scratch arena, allocation benches); nothing
+    /// is pre-faulted otherwise. Uses volatile writes: a plain `x = x` store
     /// is removed by the optimizer and faults nothing.
     pub fn fault_in(&mut self) -> usize {
         let step = crate::page::base_page_bytes().min(self.len);
@@ -373,8 +388,9 @@ impl MmapRegion {
 
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        // SAFETY: ptr/len are exactly the live mapping created in `new`.
-        unsafe { sys::munmap(self.ptr, self.len) };
+        // SAFETY: ptr and len + guard are exactly the live mapping created
+        // in `new`.
+        unsafe { sys::munmap(self.ptr, self.len + self.guard) };
     }
 }
 
@@ -542,6 +558,32 @@ mod tests {
         // The region is now fully resident.
         let s = r.smaps().unwrap();
         assert!(s.rss >= 8 << 20, "rss = {}", s.rss);
+    }
+
+    #[test]
+    fn adjacent_regions_are_audited_separately() {
+        // Back-to-back mappings under one policy land next to each other;
+        // without the guard they merge into one VMA and each smaps audit
+        // reports the sum.
+        for policy in [Policy::None, Policy::Thp] {
+            let mut regions: Vec<MmapRegion> = (0..4)
+                .map(|_| MmapRegion::new(4 << 20, policy).unwrap())
+                .collect();
+            regions[1].fault_in();
+            for (n, r) in regions.iter().enumerate() {
+                let s = r.smaps().unwrap();
+                assert_eq!(
+                    (s.start, s.len()),
+                    (r.as_ptr() as usize, r.len()),
+                    "{policy}"
+                );
+                assert_eq!(
+                    s.rss,
+                    if n == 1 { 4 << 20 } else { 0 },
+                    "{policy} region {n}"
+                );
+            }
+        }
     }
 
     #[test]

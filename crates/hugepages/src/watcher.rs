@@ -18,7 +18,8 @@ use crate::meminfo::MemInfo;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WatchSummary {
     pub samples: u64,
-    /// Peak anonymous-THP bytes observed.
+    /// Lowest and peak anonymous-THP bytes observed.
+    pub min_anon_huge: u64,
     pub max_anon_huge: u64,
     /// Peak hugetlb pages in use (total − free).
     pub max_hugetlb_in_use: u64,
@@ -38,8 +39,10 @@ impl std::fmt::Display for WatchSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "meminfo watch: {} samples, peak AnonHugePages {} MiB, peak hugetlb pages in use {}",
+            "meminfo watch: {} samples, AnonHugePages min {} MiB / max {} MiB, \
+             peak hugetlb pages in use {}",
             self.samples,
+            self.min_anon_huge >> 20,
             self.max_anon_huge >> 20,
             self.max_hugetlb_in_use,
         )
@@ -63,9 +66,11 @@ impl MemInfoWatch {
                 if let Ok(info) = MemInfo::read() {
                     if summary.samples == 0 {
                         summary.first = info;
+                        summary.min_anon_huge = info.anon_huge_pages;
                     }
                     summary.last = info;
                     summary.samples += 1;
+                    summary.min_anon_huge = summary.min_anon_huge.min(info.anon_huge_pages);
                     summary.max_anon_huge = summary.max_anon_huge.max(info.anon_huge_pages);
                     summary.max_hugetlb_in_use = summary
                         .max_hugetlb_in_use
@@ -93,7 +98,7 @@ impl MemInfoWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PageBuffer, PageSize, Policy};
+    use crate::{EffectiveBacking, PageBuffer, PageSize, Policy};
 
     #[test]
     fn watcher_samples_and_stops() {
@@ -107,9 +112,15 @@ mod tests {
     #[test]
     fn watcher_sees_hugetlb_allocations_when_granted() {
         let watch = MemInfoWatch::start(Duration::from_millis(2));
-        let buf =
+        let mut buf =
             PageBuffer::<u8>::zeroed(16 << 20, Policy::HugeTlbFs(PageSize::Huge2M)).unwrap();
-        let granted = buf.backing_report().verified_huge();
+        // Reserved pages only count as in use once touched.
+        buf.as_mut_slice()
+            .iter_mut()
+            .step_by(2 << 20)
+            .for_each(|b| *b = 1);
+        // A THP fallback is huge-backed too, but not from the hugetlb pool.
+        let granted = matches!(buf.effective_backing(), EffectiveBacking::HugeTlb(_));
         std::thread::sleep(Duration::from_millis(20));
         let summary = watch.stop();
         if granted {

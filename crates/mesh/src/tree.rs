@@ -119,6 +119,12 @@ pub struct Tree {
     config: MeshConfig,
     metas: Vec<BlockMeta>,
     lookup: HashMap<MortonKey, BlockId>,
+    /// Free slots, popped from the back: initially ascending ids, then
+    /// most-recently-released first. `unk` is backed only where a block has
+    /// been written, so this LIFO order is what keeps its resident set at
+    /// the high-water block count — a regrid reuses warm slabs before it
+    /// touches a never-used one. A recycled slab holds its previous
+    /// tenant's data; nothing may assume a fresh block reads as zero.
     free: Vec<BlockId>,
     n_active: usize,
     /// Bumped on every block allocation/release; cached work distributions
@@ -347,6 +353,19 @@ impl Tree {
     /// Refine one leaf: allocate 2^ndim children and prolongate the parent's
     /// interior into them (conservative, minmod-limited linear).
     pub fn refine_block(&mut self, id: BlockId, unk: &mut UnkStorage) -> [BlockId; 8] {
+        let children = self.refine_topology(id);
+        for (c, &cid) in children.iter().enumerate().take(self.config.n_children()) {
+            crate::guardcell::prolong_interior(self, unk, id, cid, c);
+        }
+        children
+    }
+
+    /// The tree half of [`Tree::refine_block`]: allocate the children and
+    /// mark `id` a parent without writing any `unk` slab. For callers that
+    /// fill the children from elsewhere (checkpoint restore): the child
+    /// slots may be recycled ones holding stale data, and the parent's slab
+    /// stays exactly as it was — untouched, hence unbacked, on a fresh pool.
+    pub fn refine_topology(&mut self, id: BlockId) -> [BlockId; 8] {
         assert!(self.block(id).is_leaf(), "only leaves refine");
         let key = self.block(id).key;
         assert!(
@@ -363,10 +382,6 @@ impl Tree {
         meta.state = BlockState::Parent;
         meta.children = Some(children);
         meta.n_children = nchild as u8;
-
-        for (c, &cid) in children.iter().enumerate().take(nchild) {
-            crate::guardcell::prolong_interior(self, unk, id, cid, c);
-        }
         children
     }
 

@@ -12,6 +12,13 @@
 //! and exposes the same index order as [`Layout::VarFirst`] (the FLASH
 //! layout), plus [`Layout::VarLast`] (structure-of-arrays within a block)
 //! for the layout-ablation experiment E6.
+//!
+//! Like FLASH's `ALLOCATE(unk(..., maxblocks))`, the allocation is a sparse
+//! *reservation*: the kernel backs a slab when a block first writes it, so
+//! residency follows the tree's free list (slots are handed out lowest
+//! first and recycled LIFO — see [`crate::Tree`]) and stays at the
+//! high-water block count, not `max_blocks`. [`UnkStorage::bytes`] is the
+//! reserved size; [`UnkStorage::backing_report`] says what is resident.
 
 use crate::audit::{self, ResourceMap};
 use rflash_hugepages::{BackingReport, PageBuffer, Policy};
@@ -158,7 +165,8 @@ impl UnkStorage {
     pub fn layout(&self) -> Layout {
         self.layout
     }
-    /// Total container size in bytes — FLASH's "unk is big" number.
+    /// Total container size in bytes — FLASH's "unk is big" number. This
+    /// is what is *reserved*; only slabs blocks have written are resident.
     pub fn bytes(&self) -> usize {
         self.buf.len() * 8
     }
@@ -166,7 +174,8 @@ impl UnkStorage {
     pub fn base_addr(&self) -> usize {
         self.buf.base_addr()
     }
-    /// Kernel-verified backing of the container.
+    /// Kernel-verified backing of the container: resident and huge-backed
+    /// bytes from smaps.
     pub fn backing_report(&self) -> BackingReport {
         self.buf.backing_report()
     }

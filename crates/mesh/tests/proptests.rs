@@ -263,4 +263,80 @@ mod three_d {
         }
         d.tree.check_balance().unwrap();
     }
+
+    /// `unk` is a sparse reservation: through refine → derefine → refine
+    /// cycles its resident set stays at the high-water block count (the
+    /// free list recycles warm slots first), and a recycled slot's stale
+    /// contents never leak into a result — poisoning every freed slab with
+    /// NaN changes nothing.
+    #[test]
+    fn three_d_unk_residency_follows_the_free_list() {
+        let run = |poison: bool| -> (Domain, usize) {
+            let mut d = domain_3d();
+            let root = d.tree.leaves()[0];
+            for k in d.unk.interior_k() {
+                for j in d.unk.interior() {
+                    for i in d.unk.interior() {
+                        let x = d.tree.cell_center(root, i, j, k);
+                        for v in 0..vars::NVAR {
+                            let val = 1.0 + v as f64 + x[0] + 2.0 * x[1] * x[1] + 3.0 * x[2];
+                            d.unk.set(v, i, j, k, root.idx(), val);
+                        }
+                    }
+                }
+            }
+            let octants = d.tree.refine_block(root, &mut d.unk);
+            let mut high_water = d.tree.active_blocks();
+            for round in 0..4 {
+                let picked = [octants[round], octants[(round + 3) % 8]];
+                let mut freed = Vec::new();
+                for &p in &picked {
+                    freed.extend(d.tree.refine_block(p, &mut d.unk));
+                }
+                high_water = high_water.max(d.tree.active_blocks());
+                for &p in &picked {
+                    d.tree.derefine_block(p, &mut d.unk);
+                }
+                if poison {
+                    for id in freed {
+                        d.unk.block_slab_mut(id.idx()).fill(f64::NAN);
+                    }
+                }
+            }
+            for &p in &[octants[1], octants[6]] {
+                d.tree.refine_block(p, &mut d.unk);
+            }
+            high_water = high_water.max(d.tree.active_blocks());
+            fill_guardcells(&d.tree, &mut d.unk);
+            (d, high_water)
+        };
+        let (clean, high_water) = run(false);
+        let (poisoned, _) = run(true);
+        assert_eq!(clean.tree.leaves(), poisoned.tree.leaves());
+        for id in clean.tree.leaves() {
+            let (a, b) = (
+                clean.unk.block_slab(id.idx()),
+                poisoned.unk.block_slab(id.idx()),
+            );
+            assert!(
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "stale data leaked into {:?}",
+                clean.tree.block(id).key
+            );
+        }
+        for d in [&clean, &poisoned] {
+            let slab_bytes = (d.unk.per_block() * 8) as u64;
+            let rss = d.unk.backing_report().rss_bytes;
+            assert!(
+                rss >= slab_bytes,
+                "smaps must see the written slabs, got {rss}"
+            );
+            assert!(
+                rss <= (high_water as u64 + 2) * slab_bytes + (2 << 20),
+                "{rss} B resident for a high-water of {high_water} blocks of {slab_bytes} B \
+                 ({} B reserved)",
+                d.unk.bytes()
+            );
+        }
+    }
 }

@@ -16,18 +16,21 @@
 //! corpus fingerprints — and prints the state digest so a run can be checked
 //! against `golden/<name>.ron` by eye. `--full` launches the paper-scale
 //! problem instead. `unk` is backed under `RFLASH_HPAGE_TYPE`
-//! (`none|thp|hugetlbfs[:SIZE]`, `thp` when unset); the summary line reports
-//! the policy and the kernel-verified huge fraction. The digest does not
-//! depend on the backing.
+//! (`none|thp|hugetlbfs[:SIZE]`, `thp` when unset); the `built:` and `exit:`
+//! lines report what `unk` reserves against what the kernel has actually
+//! backed (smaps `Rss`, huge-backed bytes), and under a huge-page policy a
+//! `/proc/meminfo` watch runs beside the step loop the way the paper's §III
+//! protocol does. The digest does not depend on the backing.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
 use rflash::core::{
-    run_fleet, worker_main, CheckpointSeries, FleetConfig, StepScheduler, WorkerArgs,
+    run_fleet, worker_main, CheckpointSeries, FleetConfig, Simulation, StepScheduler, WorkerArgs,
 };
-use rflash::hugepages::{Policy, POLICY_ENV_VAR};
+use rflash::hugepages::{MemInfoWatch, Policy, POLICY_ENV_VAR};
 use rflash::hydro::SweepEngine;
 
 const USAGE: &str = "usage:
@@ -44,7 +47,7 @@ const USAGE: &str = "usage:
                           [--max-respawns N] [--coalesce-ms N] [--events]
 
 run-setup backs unk under RFLASH_HPAGE_TYPE (none|thp|hugetlbfs[:SIZE];
-thp when unset) and reports the policy and the huge-backed fraction.
+thp when unset) and reports reserved vs. resident vs. huge-backed MiB.
 run-fleet drives N supervised worker processes over Morton shards of the
 smoke-scale scenario; RFLASH_WORKERS / RFLASH_HEARTBEAT_MS /
 RFLASH_HEARTBEAT_TIMEOUT_MS / RFLASH_PROBE_RETRIES set the defaults.";
@@ -213,19 +216,11 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
         spec.title,
         if full { "paper" } else { "smoke" },
     );
+    // The paper's §III protocol: watch /proc/meminfo while the code runs
+    // to see huge pages in use when (and only when) expected.
+    let watch = (policy != Policy::None).then(|| MemInfoWatch::start(Duration::from_millis(10)));
     let mut sim = spec.build(params).map_err(|e| e.to_string())?;
-    let backing = sim.domain.unk.backing_report();
-    println!(
-        "  built: {} leaf blocks at t=0, unk {:.1} MiB under {} ({:.0}% huge-backed{})",
-        sim.domain.tree.leaves().len(),
-        sim.domain.unk.bytes() as f64 / (1 << 20) as f64,
-        backing.policy,
-        backing.huge_fraction * 100.0,
-        match &backing.fell_back {
-            Some(why) => format!(", fell back: {why}"),
-            None => String::new(),
-        },
-    );
+    println!("  built: {} at t=0", backing_summary(&sim));
 
     match checkpoint_dir {
         Some(dir) if checkpoint_every > 0 => {
@@ -242,12 +237,37 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     }
 
     let digest = StateDigest::of(&sim);
+    println!("  exit:  {}", backing_summary(&sim));
+    if let Some(watch) = watch {
+        println!("  {}", watch.stop());
+    }
     println!("  t = {:e} after {} steps", sim.time, sim.step);
     println!("  digest {digest}");
     if !full {
         println!("  compare: golden/{name}.ron");
     }
     Ok(())
+}
+
+/// Leaf count plus what `unk` reserves against what the kernel backs right
+/// now: the pool is a sparse reservation, resident only where blocks live.
+fn backing_summary(sim: &Simulation) -> String {
+    const MIB: f64 = (1 << 20) as f64;
+    let backing = sim.domain.unk.backing_report();
+    format!(
+        "{} leaf blocks, unk {:.1} MiB reserved / {:.1} MiB resident / {:.1} MiB huge \
+         under {} ({:.0}% huge-backed{})",
+        sim.domain.tree.leaves().len(),
+        sim.domain.unk.bytes() as f64 / MIB,
+        backing.rss_bytes as f64 / MIB,
+        backing.huge_bytes as f64 / MIB,
+        backing.policy,
+        backing.huge_fraction * 100.0,
+        match &backing.fell_back {
+            Some(why) => format!(", fell back: {why}"),
+            None => String::new(),
+        },
+    )
 }
 
 fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {

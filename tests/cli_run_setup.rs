@@ -3,9 +3,11 @@
 //! The CLI used to hard-wire `Policy::None`, so the paper's with/without-HP
 //! pair could not be run from the command line. These tests drive the real
 //! binary under each policy and check that the summary reports the resolved
-//! policy and the kernel-verified huge fraction, that the state digest is
-//! the committed golden one whatever backs `unk`, and that a bad value is a
-//! typed CLI error naming the variable.
+//! policy and the kernel-verified huge fraction, that `unk` is resident only
+//! where blocks live (reserved vs. resident vs. huge-backed, the paper's
+//! §III audit), that the state digest is the committed golden one whatever
+//! backs `unk`, and that a bad value is a typed CLI error naming the
+//! variable.
 
 use std::process::{Command, Output};
 
@@ -27,17 +29,32 @@ fn golden_digest_line() -> String {
     format!("digest {}", golden.digest)
 }
 
-/// The percentage printed before "% huge-backed" on the `built:` line.
-fn huge_percent(stdout: &str) -> f64 {
-    let line = stdout
-        .lines()
-        .find(|l| l.contains("huge-backed"))
-        .unwrap_or_else(|| panic!("no backing summary in:\n{stdout}"));
-    let head = line.split("% huge-backed").next().unwrap();
-    let number = head.rsplit('(').next().unwrap();
+/// The number that ends just before `unit` on `line`.
+fn number_before(line: &str, unit: &str) -> f64 {
+    let head = line
+        .split(unit)
+        .next()
+        .filter(|head| head.len() < line.len())
+        .unwrap_or_else(|| panic!("no `{unit}` in `{line}`"));
+    let number = head.rsplit([' ', '(']).next().unwrap();
     number
         .parse()
-        .unwrap_or_else(|e| panic!("bad percentage `{number}` in `{line}`: {e}"))
+        .unwrap_or_else(|e| panic!("bad number `{number}` before `{unit}` in `{line}`: {e}"))
+}
+
+/// (reserved, resident, huge) MiB and the huge-backed percentage of the
+/// `built:` / `exit:` line starting with `tag`.
+fn backing(stdout: &str, tag: &str) -> (f64, f64, f64, f64) {
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with(tag))
+        .unwrap_or_else(|| panic!("no `{tag}` line in:\n{stdout}"));
+    (
+        number_before(line, " MiB reserved"),
+        number_before(line, " MiB resident"),
+        number_before(line, " MiB huge "),
+        number_before(line, "% huge-backed"),
+    )
 }
 
 #[test]
@@ -69,10 +86,32 @@ fn policy_comes_from_the_environment_and_never_moves_the_digest() {
             stdout.contains(&want),
             "{env:?}: wanted `{want}` in:\n{stdout}"
         );
-        let pct = huge_percent(&stdout);
-        assert!((0.0..=100.0).contains(&pct), "{env:?}: {pct}");
+        for tag in ["built:", "exit:"] {
+            let (reserved, resident, huge, pct) = backing(&stdout, tag);
+            assert!((0.0..=100.0).contains(&pct), "{env:?}: {pct}");
+            assert!(huge <= resident && resident > 0.0, "{env:?}:\n{stdout}");
+            // The pool is a sparse reservation: smoke sedov's 64 leaves + 9
+            // parents occupy a small corner of its 512 slots.
+            assert!(
+                resident < reserved / 4.0,
+                "{env:?} {tag} {resident} MiB resident of {reserved} MiB reserved:\n{stdout}"
+            );
+            if resolved == "none" {
+                assert_eq!((huge, pct), (0.0, 0.0), "base pages only:\n{stdout}");
+            }
+        }
+        // The §III /proc/meminfo watch runs under a huge-page policy only.
+        let watch = stdout.lines().find(|l| l.contains("AnonHugePages"));
         if resolved == "none" {
-            assert_eq!(pct, 0.0, "base pages only:\n{stdout}");
+            assert!(watch.is_none(), "{env:?}:\n{stdout}");
+        } else {
+            let line = watch.unwrap_or_else(|| panic!("{env:?}: no meminfo watch in:\n{stdout}"));
+            assert!(number_before(line, " samples") >= 1.0, "{line}");
+            let (min, max) = (
+                number_before(line, " MiB / max"),
+                number_before(line, " MiB, peak"),
+            );
+            assert!(min <= max, "{line}");
         }
     }
 }
