@@ -1,13 +1,15 @@
 //! Mesh-operation microbenchmarks: guard-cell fill and refinement — the
 //! PARAMESH overheads that frame the per-step cost around the instrumented
-//! regions. The fill runs through `Domain::fill_guardcells`, the step
-//! loop's path (cached exchange plan); the tracked number is the
-//! `mesh.guardcell.fill_ms` row of the `perf_ledger` benchmark.
+//! regions. The fill runs through `Domain::fill_guardcells_for`, the step
+//! loop's path (cached exchange plan), once per need: `axis` is what a
+//! sweep asks for, `faces` what the flame and the regrid estimator ask for,
+//! `all` every guard zone of every block (the `mesh.guardcell.fill_ms` row
+//! of the `perf_ledger` benchmark times that one from outside).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rflash_hugepages::Policy;
 use rflash_mesh::tree::{Mark, MeshConfig};
-use rflash_mesh::{vars, Domain};
+use rflash_mesh::{vars, Domain, GuardNeed};
 use std::collections::HashMap;
 
 fn refined_domain(levels: u8) -> Domain {
@@ -46,9 +48,15 @@ fn bench_guardcell_fill(c: &mut Criterion) {
     for levels in [2u8, 3] {
         let mut d = refined_domain(levels);
         let leaves = d.tree.leaves().len();
-        group.bench_function(BenchmarkId::from_parameter(format!("{leaves}_leaves")), |b| {
-            b.iter(|| black_box(&mut d).fill_guardcells(1))
-        });
+        for (row, need) in [
+            ("axis", GuardNeed::Axis(0)),
+            ("faces", GuardNeed::Faces),
+            ("all", GuardNeed::All),
+        ] {
+            group.bench_function(BenchmarkId::new(row, format!("{leaves}_leaves")), |b| {
+                b.iter(|| black_box(&mut d).fill_guardcells_for(1, need))
+            });
+        }
     }
     group.finish();
 }

@@ -71,28 +71,7 @@ fn batch_report(sim: &mut rflash_core::Simulation) {
 }
 
 fn breakdown(name: &str, sim: &rflash_core::Simulation) {
-    let g = &sim.graph_report;
-    let rows: Vec<(&str, f64)> = if g.executions > 0 {
-        // The task graph interleaves the phases freely, so the unit
-        // timers never tick — the per-task ledger is the breakdown
-        // (summed across ranks; flame/gravity still run on the driver
-        // thread and keep their timers).
-        vec![
-            ("guardcell", g.guardcell_ns as f64 / 1e9),
-            ("hydro", g.sweep_ns as f64 / 1e9),
-            ("eos", g.eos_ns as f64 / 1e9),
-            ("dt", g.dt_ns as f64 / 1e9),
-            ("guardian", g.guardian_ns as f64 / 1e9),
-            ("flame", sim.timers.seconds("flame")),
-            ("gravity", sim.timers.seconds("gravity")),
-            ("regrid", sim.timers.seconds("regrid")),
-        ]
-    } else {
-        ["guardcell", "hydro", "eos", "flame", "gravity", "regrid", "dt"]
-            .iter()
-            .map(|l| (*l, sim.timers.seconds(l)))
-            .collect()
-    };
+    let rows = sim.phase_seconds();
     let total: f64 = rows.iter().map(|(_, s)| s).sum();
     println!("\n{name}: unit share of step time (total {total:.2} s)");
     for (l, s) in rows {
@@ -102,6 +81,17 @@ fn breakdown(name: &str, sim: &rflash_core::Simulation) {
         let pct = s / total * 100.0;
         println!("  {l:<9} {s:>8.2} s  {pct:>5.1}%  |{}", "#".repeat(pct.round() as usize / 2));
     }
+    let fills = sim.domain.guard_fill_stats();
+    println!(
+        "  guard fills: {} fills, {} blocks filled, {} parents restricted, \
+         {} zones = {:.1} MiB written ({:.2} MiB/step)",
+        fills.fills,
+        fills.blocks_filled,
+        fills.parents_restricted,
+        fills.guard_zones,
+        fills.guard_bytes as f64 / (1 << 20) as f64,
+        fills.guard_bytes as f64 / (1 << 20) as f64 / sim.step.max(1) as f64,
+    );
 }
 
 /// Task-graph scheduler counters: what each rank executed, how much it
@@ -159,14 +149,9 @@ fn main() {
     });
     sim.evolve(steps);
     breakdown("2-d supernova (the paper's EOS-dominated case)", &sim);
-    let (eos_s, hydro_s) = if sim.graph_report.executions > 0 {
-        (
-            sim.graph_report.eos_ns as f64 / 1e9,
-            sim.graph_report.sweep_ns as f64 / 1e9,
-        )
-    } else {
-        (sim.timers.seconds("eos"), sim.timers.seconds("hydro"))
-    };
+    let rows = sim.phase_seconds();
+    let phase = |label: &str| rows.iter().find(|(l, _)| *l == label).map_or(0.0, |(_, s)| *s);
+    let (eos_s, hydro_s) = (phase("eos"), phase("hydro"));
     let eos_share = eos_s / (eos_s + hydro_s).max(1e-12);
     println!("  -> EOS fraction of (hydro+eos): {:.0}%", eos_share * 100.0);
     batch_report(&mut sim);

@@ -41,7 +41,7 @@ use rflash_hydro::{
 use rflash_mesh::flux::{Correction, Face};
 use rflash_mesh::refine::lohner_marks;
 use rflash_mesh::tree::Neighbor;
-use rflash_mesh::{BlockId, BlockState, Tree};
+use rflash_mesh::{BlockId, BlockState, GuardNeed, Tree};
 use rflash_perfmon::Probe;
 
 use super::wire::{self, WireMsg};
@@ -390,7 +390,8 @@ fn run_epoch(ctx: &mut Ctx<'_>, args: &WorkerArgs, a: &Assignment) -> Result<(),
         };
         for dir in dirs {
             exchange(ctx, a, &mut sim, &mut seq)?;
-            sim.domain.fill_guardcells(sim.params.nranks);
+            sim.domain
+                .fill_guardcells_for(sim.params.nranks, GuardNeed::Axis(dir));
             sweep_shard(&mut sim, a, dir, dt);
             eos_shard(&mut sim, a);
         }
@@ -398,7 +399,8 @@ fn run_epoch(ctx: &mut Ctx<'_>, args: &WorkerArgs, a: &Assignment) -> Result<(),
         // ---- flame ----
         if sim.flame.is_some() {
             exchange(ctx, a, &mut sim, &mut seq)?;
-            sim.domain.fill_guardcells(sim.params.nranks);
+            sim.domain
+                .fill_guardcells_for(sim.params.nranks, GuardNeed::Faces);
             if let Some(flame) = &sim.flame {
                 // Full-domain advance on replica-identical inputs; only
                 // owned blocks' results are authoritative, and the next
@@ -430,7 +432,8 @@ fn run_epoch(ctx: &mut Ctx<'_>, args: &WorkerArgs, a: &Assignment) -> Result<(),
         sim.step += 1;
         sim.time += dt;
         if sim.params.regrid_every > 0 && sim.step.is_multiple_of(sim.params.regrid_every) {
-            sim.domain.fill_guardcells(sim.params.nranks);
+            sim.domain
+                .fill_guardcells_for(sim.params.nranks, GuardNeed::Faces);
             let marks = lohner_marks(
                 &sim.domain.tree,
                 &sim.domain.unk,

@@ -11,7 +11,7 @@
 use rflash_eos::{EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_flame::{AdrFlame, FlameParams};
 use rflash_mesh::refine::lohner_marks;
-use rflash_mesh::{guardcell, vars, Domain};
+use rflash_mesh::{vars, Domain, GuardNeed};
 
 use crate::eos_choice::EosChoice;
 use crate::params::RuntimeParams;
@@ -423,7 +423,8 @@ impl SetupSpec {
         let mut domain = Domain::new(params.mesh, params.policy);
         for _pass in 0..self.mesh.max_refine {
             init_blocks(self, &resolved, &mut domain, &eos);
-            guardcell::fill_guardcells(&domain.tree, &mut domain.unk);
+            // The Löhner estimator reads ±1 along each axis.
+            domain.fill_guardcells_for(1, GuardNeed::Faces);
             let marks = lohner_marks(
                 &domain.tree,
                 &domain.unk,

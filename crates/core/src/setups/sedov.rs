@@ -7,7 +7,9 @@
 
 use rflash_eos::{EosMode, EosState, GammaLaw};
 use rflash_mesh::refine::lohner_marks;
-use rflash_mesh::{guardcell, vars, BoundaryCondition, Domain, Geometry, Layout, MeshConfig};
+use rflash_mesh::{
+    vars, BoundaryCondition, Domain, Geometry, GuardNeed, Layout, MeshConfig,
+};
 
 use crate::eos_choice::{Composition, EosChoice};
 use crate::params::RuntimeParams;
@@ -210,7 +212,8 @@ impl SedovSetup {
         // Iterated initial refinement on the deposit region.
         for _pass in 0..self.max_refine {
             self.init_blocks(&mut domain, &gamma);
-            guardcell::fill_guardcells(&domain.tree, &mut domain.unk);
+            // The Löhner estimator reads ±1 along each axis.
+            domain.fill_guardcells_for(1, GuardNeed::Faces);
             let marks = lohner_marks(
                 &domain.tree,
                 &domain.unk,

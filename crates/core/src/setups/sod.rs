@@ -7,7 +7,9 @@
 use rflash_eos::{Eos, EosMode, EosState, GammaLaw};
 use rflash_hydro::{ExactRiemann, GasState};
 use rflash_mesh::refine::lohner_marks;
-use rflash_mesh::{guardcell, vars, BoundaryCondition, Domain, Geometry, Layout, MeshConfig};
+use rflash_mesh::{
+    vars, BoundaryCondition, Domain, Geometry, GuardNeed, Layout, MeshConfig,
+};
 
 use crate::eos_choice::{Composition, EosChoice};
 use crate::params::RuntimeParams;
@@ -120,7 +122,8 @@ impl SodSetup {
         let mut domain = Domain::new(params.mesh, params.policy);
         for _ in 0..self.max_refine {
             self.init_blocks(&mut domain, &gamma);
-            guardcell::fill_guardcells(&domain.tree, &mut domain.unk);
+            // The Löhner estimator reads ±1 along each axis.
+            domain.fill_guardcells_for(1, GuardNeed::Faces);
             let marks = lohner_marks(
                 &domain.tree,
                 &domain.unk,

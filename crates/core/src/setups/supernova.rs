@@ -15,7 +15,9 @@ use rflash_eos::{EosMode, EosState, Helmholtz, TableConfig};
 use rflash_flame::{AdrFlame, FlameParams};
 
 use rflash_mesh::refine::lohner_marks;
-use rflash_mesh::{guardcell, vars, BoundaryCondition, Domain, Geometry, Layout, MeshConfig};
+use rflash_mesh::{
+    vars, BoundaryCondition, Domain, Geometry, GuardNeed, Layout, MeshConfig,
+};
 
 use crate::eos_choice::{Composition, EosChoice};
 use crate::params::RuntimeParams;
@@ -191,7 +193,8 @@ impl SupernovaSetup {
         let mut domain = Domain::new(params.mesh, params.policy);
         for _pass in 0..self.max_refine {
             self.init_blocks(&mut domain, &eos, &wd);
-            guardcell::fill_guardcells(&domain.tree, &mut domain.unk);
+            // The Löhner estimator reads ±1 along each axis.
+            domain.fill_guardcells_for(1, GuardNeed::Faces);
             let marks = lohner_marks(
                 &domain.tree,
                 &domain.unk,

@@ -10,7 +10,7 @@ use rflash_hydro::{
 };
 use rflash_mesh::flux::FluxRegister;
 use rflash_mesh::refine::{lohner_marks, LohnerConfig};
-use rflash_mesh::{vars, Domain, ShadowSnapshot};
+use rflash_mesh::{vars, Domain, GuardNeed, ShadowSnapshot};
 use rflash_perfmon::{
     GuardianEvent, GuardianStats, Measures, PerfSession, RankLoad, SessionConfig, Timers,
 };
@@ -207,7 +207,8 @@ impl Simulation {
             // The guard exchange gets its own timer so the per-phase
             // breakdown exposes what the task-graph scheduler overlaps.
             self.timers.start("guardcell");
-            self.domain.fill_guardcells(self.params.nranks);
+            self.domain
+                .fill_guardcells_for(self.params.nranks, GuardNeed::Axis(dir));
             self.timers.stop("guardcell");
 
             self.timers.start("hydro");
@@ -263,7 +264,9 @@ impl Simulation {
     pub(crate) fn post_sweep_tail(&mut self, dt: f64) {
         if let Some(flame) = &self.flame {
             self.timers.start("flame");
-            self.domain.fill_guardcells(self.params.nranks);
+            // The ADR step's stencil is ±1 per axis.
+            self.domain
+                .fill_guardcells_for(self.params.nranks, GuardNeed::Faces);
             let (probes, released) = flame.advance(&mut self.domain, dt);
             for probe in probes {
                 self.hydro_session.absorb(probe);
@@ -296,7 +299,9 @@ impl Simulation {
 
         if self.params.regrid_every > 0 && self.step.is_multiple_of(self.params.regrid_every) {
             self.timers.start("regrid");
-            self.domain.fill_guardcells(self.params.nranks);
+            // So is the Löhner estimator's.
+            self.domain
+                .fill_guardcells_for(self.params.nranks, GuardNeed::Faces);
             let marks = lohner_marks(
                 &self.domain.tree,
                 &self.domain.unk,
@@ -509,6 +514,29 @@ impl Simulation {
     /// Paper-style measures for the Hydro region (Table II column).
     pub fn hydro_measures(&self) -> Measures {
         self.hydro_session.measures(self.flash_timer())
+    }
+
+    /// Where the step loop's time went, by unit, in seconds — FLASH's
+    /// per-unit timer rows. On the barrier path these are the unit timers.
+    /// The task graph interleaves guard fills, sweeps, EOS, dt scans and
+    /// fused validation freely, so those timers never tick there; their
+    /// rows come from the per-task busy ledger instead, as the mean over
+    /// ranks, so every row stays comparable to the wall time inside
+    /// [`try_step`](Self::try_step), `timers.seconds("step")`. Flame,
+    /// gravity and regrid run on the driver thread either way.
+    pub fn phase_seconds(&self) -> Vec<(&'static str, f64)> {
+        let g = &self.graph_report;
+        let per_rank = |ns: u64| ns as f64 / 1e9 / self.params.nranks as f64;
+        let mut rows: Vec<(&'static str, f64)> =
+            ["guardcell", "hydro", "eos", "dt", "guardian", "flame", "gravity", "regrid"]
+                .into_iter()
+                .map(|label| (label, self.timers.seconds(label)))
+                .collect();
+        let ledger = [g.guardcell_ns, g.sweep_ns, g.eos_ns, g.dt_ns, g.guardian_ns];
+        for (row, ns) in rows.iter_mut().zip(ledger) {
+            row.1 += per_rank(ns);
+        }
+        rows
     }
 
     /// Cumulative per-rank executor load (busy/idle seconds, dispatches).

@@ -43,7 +43,7 @@ use rflash_mesh::guardcell::{fill_block_cells, restrict_parent_cells, ExchangePl
 use rflash_mesh::taskgraph::{GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId};
 use rflash_mesh::tree::Neighbor;
 use rflash_mesh::unk::Region;
-use rflash_mesh::{vars, BlockId, BlockState, Tree};
+use rflash_mesh::{vars, BlockId, BlockState, GuardNeed, Tree};
 use rflash_perfmon::{GuardianEvent, Probe};
 use serde::Serialize;
 
@@ -101,6 +101,10 @@ struct TaskMeta {
     leaf_idx: u32,
     /// Sweep axis for the per-direction kinds.
     dir: u8,
+    /// What a fill task's body asks the exchange for. Always the need its
+    /// declarations were generated from, `Axis(dir)`, except under the
+    /// race-audit harness's [`mutation::widen_body_need`].
+    need: GuardNeed,
 }
 
 /// A frozen step graph for one [`PlanKey`].
@@ -236,8 +240,7 @@ fn build_plan(
     let leaves = tree.leaves();
 
     // Block ownership: leaves from the cost-weighted Morton partition;
-    // parents follow their first child (processed deepest level first so
-    // the child's owner is already known). Ownership is a scheduling hint
+    // parents follow their first child. Ownership is a scheduling hint
     // only — stealing rebalances, and correctness never depends on it.
     let mut owner = vec![0u32; max_blocks];
     for (r, part) in parts.iter().enumerate() {
@@ -245,22 +248,15 @@ fn build_plan(
             owner[id.idx()] = r as u32;
         }
     }
-    // The exchange plan's orders are the serial fill's: active blocks
-    // level-ascending (BlockId-ascending within a level), parents deepest
-    // level first.
-    let active: Vec<BlockId> = (0..exchange.levels())
-        .flat_map(|lvl| exchange.active(lvl).iter().copied())
-        .collect();
-    let parents: Vec<BlockId> = (0..exchange.levels())
-        .rev()
-        .flat_map(|lvl| exchange.parents(lvl).iter().copied())
-        .collect();
-    for &pid in &parents {
-        let meta = tree.block(pid);
-        if let Some(children) = meta.children {
-            if meta.n_children > 0 {
-                owner[pid.idx()] = owner[children[0].idx()];
+    for &id in &leaves {
+        // Walk up while the block is its parent's first child.
+        let mut b = id;
+        while let Some(pid) = tree.block(b).parent {
+            if tree.block(pid).children.map(|c| c[0]) != Some(b) {
+                break;
             }
+            owner[pid.idx()] = owner[id.idx()];
+            b = pid;
         }
     }
 
@@ -273,6 +269,7 @@ fn build_plan(
             block,
             leaf_idx,
             dir,
+            need: mutation::body_need(GuardNeed::Axis(dir as usize)),
         });
         t
     };
@@ -306,54 +303,65 @@ fn build_plan(
     };
     for &d in &dirs_order {
         let d8 = d as u8;
-        // Restriction into parents, deepest first. Reads child interiors
+        // The exchange ahead of a sweep along `d` fills what that sweep
+        // reads. The plan's orders are the serial fill's: live parents
+        // deepest level first, then blocks level-ascending
+        // (BlockId-ascending within a level). A block the need leaves
+        // alone gets no task: no fill for a parent, no restriction for a
+        // parent nobody copies from.
+        let need = GuardNeed::Axis(d);
+        // Restriction into live parents. Reads child interiors
         // (restriction touches no guard cells), writes the parent's.
-        for &pid in &parents {
-            let t = add(&mut b, K_RESTRICT, pid, 0, d8);
-            let m = tree.block(pid);
-            if let Some(children) = m.children {
-                for &cid in children.iter().take(m.n_children as usize) {
-                    if mutation::keep(2) {
-                        b.note_read(interior(cid), t); // S2
+        for lvl in (0..exchange.levels()).rev() {
+            for &pid in exchange.live_parents(need, lvl) {
+                let t = add(&mut b, K_RESTRICT, pid, 0, d8);
+                let m = tree.block(pid);
+                if let Some(children) = m.children {
+                    for &cid in children.iter().take(m.n_children as usize) {
+                        if mutation::keep(2) {
+                            b.note_read(interior(cid), t); // S2
+                        }
                     }
                 }
-            }
-            if mutation::keep(3) {
-                b.note_write(interior(pid), t); // S3
+                if mutation::keep(3) {
+                    b.note_write(interior(pid), t); // S3
+                }
             }
         }
-        // Guard fill per active block, coarse levels first. A fill reads
-        // same-level neighbor interiors, a coarser neighbor's full slab
-        // (prolongation also samples its guards) and its own interior (the
-        // physical boundary mirrors), and writes only its own guards — so
-        // fills of one level never order against each other.
-        for &id in &active {
-            let t = add(&mut b, K_FILL, id, 0, d8);
-            // The same table the task body walks, so declaration and
-            // access cannot drift apart.
-            for (_, nbr) in exchange.neighbors(id) {
-                match nbr {
-                    Neighbor::Same(nid) => {
-                        if mutation::keep(4) {
-                            b.note_read(interior(nid), t); // S4
+        // Guard fill per block with a masked region, coarse levels first.
+        // A fill reads same-level neighbor interiors, a coarser neighbor's
+        // full slab (prolongation also samples its guards) and its own
+        // interior (the physical boundary mirrors), and writes only its own
+        // guards — so fills of one level never order against each other.
+        for lvl in 0..exchange.levels() {
+            for &id in exchange.fill_blocks(need, lvl) {
+                let t = add(&mut b, K_FILL, id, 0, d8);
+                // The same masked table the task body walks, so declaration
+                // and access cannot drift apart.
+                for (_, nbr) in exchange.reads(need, id) {
+                    match nbr {
+                        Neighbor::Same(nid) => {
+                            if mutation::keep(4) {
+                                b.note_read(interior(nid), t); // S4
+                            }
                         }
+                        Neighbor::Coarser(nid) => {
+                            if mutation::keep(5) {
+                                b.note_read(interior(nid), t); // S5
+                            }
+                            if mutation::keep(6) {
+                                b.note_read(guards(nid), t); // S6
+                            }
+                        }
+                        Neighbor::Boundary => {}
                     }
-                    Neighbor::Coarser(nid) => {
-                        if mutation::keep(5) {
-                            b.note_read(interior(nid), t); // S5
-                        }
-                        if mutation::keep(6) {
-                            b.note_read(guards(nid), t); // S6
-                        }
-                    }
-                    Neighbor::Boundary => {}
                 }
-            }
-            if mutation::keep(7) {
-                b.note_read(interior(id), t); // S7
-            }
-            if mutation::keep(8) {
-                b.note_write(guards(id), t); // S8
+                if mutation::keep(7) {
+                    b.note_read(interior(id), t); // S7
+                }
+                if mutation::keep(8) {
+                    b.note_write(guards(id), t); // S8
+                }
             }
         }
         // Sweeps per leaf, Morton order.
@@ -641,7 +649,7 @@ impl Simulation {
                     // SAFETY: own guards are exclusive; the own interior,
                     // same-level neighbor interiors and coarser neighbor
                     // slabs are ordered shared reads, per the edges.
-                    unsafe { fill_block_cells(tree, &geom, &cells, exchange, m.block) };
+                    unsafe { fill_block_cells(tree, &geom, &cells, exchange, m.need, m.block) };
                 }
                 K_SWEEP => {
                     if poisoned.load(Ordering::Acquire) {
@@ -776,6 +784,9 @@ impl Simulation {
             None => plan.graph.execute(pool, &CLASSES, &body),
         };
         self.timers.stop("graph");
+        for d in 0..cfg.ndim {
+            self.domain.record_guard_fill(GuardNeed::Axis(d));
+        }
 
         let (raw, dt) = dt_slot.into_inner()[0];
         let was_poisoned = poisoned.load(Ordering::Acquire);

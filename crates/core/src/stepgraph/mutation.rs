@@ -7,11 +7,18 @@
 //! without the audit noticing, the audit would also miss a real missing
 //! declaration introduced by a future refactor.
 //!
+//! A second mutation goes the other way ([`widen_body_need`]): the
+//! declarations stay as built for `GuardNeed::Axis(dir)` while the fill
+//! task *bodies* are handed `GuardNeed::Faces`, so they read neighbors the
+//! plan never declared — the coverage half of the audit must name the read.
+//!
 //! Thread-local so concurrent tests don't interfere; effectively a no-op
 //! in builds without the audit (the builder's `note_*` calls are no-ops
 //! there anyway, so dropping one changes nothing).
 
 use std::cell::Cell;
+
+use rflash_mesh::GuardNeed;
 
 /// Number of declaration sites in `build_plan`. The mutation matrix in
 /// `tests/race_audit.rs` exercises all of them and fails if any site never
@@ -45,6 +52,7 @@ pub const NAMES: [&str; NSITES as usize] = [
 
 thread_local! {
     static DROPPED: Cell<Option<u32>> = const { Cell::new(None) };
+    static WIDENED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Should declaration site `site` be emitted? True except for the one site
@@ -64,12 +72,33 @@ pub fn drop_site(site: u32) -> MutationGuard {
     MutationGuard
 }
 
-/// Restores the full declaration set on drop.
+/// The need a fill task's body is handed, given the need its declarations
+/// were generated from: the same one, except while the current thread is
+/// under [`widen_body_need`]. Consulted when the plan is built.
+#[inline]
+pub fn body_need(declared: GuardNeed) -> GuardNeed {
+    if WIDENED.with(|w| w.get()) {
+        GuardNeed::Faces
+    } else {
+        declared
+    }
+}
+
+/// Until the guard drops, plans built on this thread hand their fill task
+/// bodies `GuardNeed::Faces` while declaring only what `Axis(dir)` reads.
+#[must_use = "the mutation is undone when the guard drops"]
+pub fn widen_body_need() -> MutationGuard {
+    WIDENED.with(|w| w.set(true));
+    MutationGuard
+}
+
+/// Restores the unmutated plan builder on drop.
 pub struct MutationGuard;
 
 impl Drop for MutationGuard {
     fn drop(&mut self) {
         DROPPED.with(|d| d.set(None));
+        WIDENED.with(|w| w.set(false));
     }
 }
 
@@ -86,6 +115,16 @@ mod tests {
             assert!(keep(4) && keep(6));
         }
         assert!(keep(5));
+    }
+
+    #[test]
+    fn widen_body_need_lasts_until_the_guard_drops() {
+        assert_eq!(body_need(GuardNeed::Axis(1)), GuardNeed::Axis(1));
+        {
+            let _g = widen_body_need();
+            assert_eq!(body_need(GuardNeed::Axis(1)), GuardNeed::Faces);
+        }
+        assert_eq!(body_need(GuardNeed::Axis(1)), GuardNeed::Axis(1));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rflash_eos::{Eos, EosBatch, EosError, EosMode, EosState};
 use rflash_hugepages::Policy;
 use rflash_mesh::flux::{Correction, Face, FluxRegister};
 use rflash_mesh::unk::UnkGeom;
-use rflash_mesh::{vars, BlockId, Domain, Tree};
+use rflash_mesh::{vars, BlockId, Domain, GuardNeed, Tree};
 use rflash_perfmon::Probe;
 use serde::{Deserialize, Serialize};
 
@@ -468,8 +468,10 @@ pub fn sweep_leaf_block(
     }
 }
 
-/// One directional sweep over the whole domain. Returns the rank probes for
-/// the driver to absorb.
+/// One directional sweep over the whole domain, after filling the guard
+/// cells it reads: the two face regions along `dir`
+/// ([`GuardNeed::Axis`]`(dir)`) and nothing else. Returns the rank probes
+/// for the driver to absorb.
 pub fn sweep_direction(
     domain: &mut Domain,
     eos: &SweepEos<'_>,
@@ -478,13 +480,15 @@ pub fn sweep_direction(
     reg: &mut FluxRegister,
     cfg: &SweepConfig,
 ) -> Vec<Probe> {
-    domain.fill_guardcells(cfg.nranks);
+    let ndim = domain.tree.config().ndim;
+    assert!(dir < ndim, "sweep direction outside dimensionality");
+    domain.fill_guardcells_for(cfg.nranks, GuardNeed::Axis(dir));
     sweep_direction_prefilled(domain, eos, dir, dt, reg, cfg)
 }
 
 /// [`sweep_direction`] minus the guard-cell fill — for drivers that fill (and
 /// time) the exchange themselves, e.g. the barrier stepper's per-phase
-/// wall-time breakdown. Guard cells must be current for this step.
+/// wall-time breakdown. The face guards along `dir` must be current.
 pub fn sweep_direction_prefilled(
     domain: &mut Domain,
     eos: &SweepEos<'_>,

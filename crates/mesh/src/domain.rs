@@ -10,17 +10,18 @@
 //! data is a contiguous slab of `unk`, and each slab is handed to exactly
 //! one rank.
 //!
-//! The partition and the guard-exchange plan (per-level block lists and
-//! every block's neighbors) are cached on the tree's topology
-//! [`Tree::epoch`] and only rebuilt after a regrid, so the steady-state
-//! per-call cost of a parallel section is one channel message per rank —
-//! no thread spawns, no handout vector allocation, no neighbor lookups.
+//! The partition and the guard-exchange plan (every block's neighbors and,
+//! per need, its region mask and the per-level fill lists) are cached on
+//! the tree's topology [`Tree::epoch`] and only rebuilt after a regrid, so
+//! the steady-state per-call cost of a parallel section is one channel
+//! message per rank — no thread spawns, no handout vector allocation, no
+//! neighbor lookups.
 
 use rflash_perfmon::{Probe, RankLoad};
 
 use crate::block::BlockId;
 use crate::executor::{PerRank, RankPool};
-use crate::guardcell::{self, ExchangePlan};
+use crate::guardcell::{self, ExchangePlan, GuardFillStats, GuardNeed};
 use crate::tree::{MeshConfig, Tree};
 use crate::unk::UnkStorage;
 
@@ -46,11 +47,13 @@ struct RankPlan {
 struct Exec {
     pool: Option<RankPool>,
     plan: Option<RankPlan>,
-    /// Per-level block lists and neighbor table, keyed on the tree epoch
+    /// Neighbor table and per-need masks and lists, keyed on the tree epoch
     /// alone (it does not depend on the rank count).
     exchange: Option<ExchangePlan>,
     /// How many times `exchange` has been (re)built — once per tree epoch.
     exchange_builds: u64,
+    /// What every guard fill so far wrote.
+    fill_stats: GuardFillStats,
 }
 
 impl Exec {
@@ -333,28 +336,30 @@ impl Domain {
         out.into_inner().into_iter().fold(f64::INFINITY, f64::min)
     }
 
-    /// Guard-cell exchange over the persistent rank pool, from the cached
-    /// [`ExchangePlan`] (no neighbor lookups in steady state).
+    /// Guard-cell exchange of what `need` asks for over the persistent rank
+    /// pool, from the cached [`ExchangePlan`] (no neighbor lookups in steady
+    /// state).
     ///
-    /// One pool dispatch per refinement level and pass: on the downward
-    /// pass each rank restricts the children of its share of the level's
-    /// parents (deepest level first); on the upward pass each rank fills
-    /// the guards of its share of the level's blocks, coarse → fine. Within
-    /// one dispatch every read is a same-level *interior* or a slab a
-    /// previous dispatch finished, and every write is a block only this
-    /// rank visits — its interior when restricting, its guards when
-    /// filling — so ranks never conflict and the result is bit-identical
-    /// to the serial [`guardcell::fill_guardcells`], which runs the same
+    /// One pool dispatch per refinement level and pass, levels with no work
+    /// skipped: on the downward pass each rank restricts the children of
+    /// its share of the level's live parents (deepest level first); on the
+    /// upward pass each rank fills the masked guard regions of its share of
+    /// the level's blocks, coarse → fine. Within one dispatch every read is
+    /// a same-level *interior* or a slab a previous dispatch finished, and
+    /// every write is a block only this rank visits — its interior when
+    /// restricting, its guards when filling — so ranks never conflict and
+    /// the result is bit-identical to the serial fill, which runs the same
     /// two block drivers. The parity tests assert exactness.
-    pub fn fill_guardcells(&mut self, nranks: usize) {
+    pub fn fill_guardcells_for(&mut self, nranks: usize, need: GuardNeed) {
         assert!(nranks > 0);
         let Domain { tree, unk, exec } = self;
         exec.ensure(tree, nranks);
         let plan = exec.plan.as_ref().expect("plan ensured");
         let exchange = exec.exchange.as_ref().expect("exchange plan ensured");
+        exec.fill_stats.absorb(exchange.fill_totals(need));
 
         if nranks == 1 || plan.eff_ranks <= 1 {
-            guardcell::fill_guardcells_planned(tree, exchange, unk);
+            guardcell::fill_guardcells_planned(tree, exchange, need, unk);
             return;
         }
         let pool = exec.pool.as_mut().expect("pool ensured for nranks > 1");
@@ -363,7 +368,7 @@ impl Domain {
         let tree: &Tree = tree;
 
         for lvl in (0..exchange.levels()).rev() {
-            let parents = exchange.parents(lvl);
+            let parents = exchange.live_parents(need, lvl);
             if parents.is_empty() {
                 continue;
             }
@@ -378,17 +383,48 @@ impl Domain {
             });
         }
         for lvl in 0..exchange.levels() {
-            let active = exchange.active(lvl);
+            let blocks = exchange.fill_blocks(need, lvl);
+            if blocks.is_empty() {
+                continue;
+            }
             pool.run(&|rank| {
-                for &id in rank_chunk(active, nranks, rank) {
+                for &id in rank_chunk(blocks, nranks, rank) {
                     // SAFETY: `id` is in this rank's chunk only, so its
                     // guards are exclusive; the interiors it reads are not
                     // written during the exchange and its coarser
                     // neighbors were finished by the previous dispatch.
-                    unsafe { guardcell::fill_block_cells(tree, &geom, &cells, exchange, id) };
+                    unsafe {
+                        guardcell::fill_block_cells(tree, &geom, &cells, exchange, need, id)
+                    };
                 }
             });
         }
+    }
+
+    /// [`fill_guardcells_for`](Self::fill_guardcells_for) with
+    /// [`GuardNeed::All`]: every guard zone of every active block. What the
+    /// per-cell oracle and outside-in probes mean by "a fill"; the step
+    /// loop asks for less.
+    pub fn fill_guardcells(&mut self, nranks: usize) {
+        self.fill_guardcells_for(nranks, GuardNeed::All);
+    }
+
+    /// Count a `need` fill that ran outside
+    /// [`fill_guardcells_for`](Self::fill_guardcells_for) — the step
+    /// graph's per-block fill tasks — into
+    /// [`guard_fill_stats`](Self::guard_fill_stats). The plan must be
+    /// current (the graph borrowed it through
+    /// [`pool_for_graph`](Self::pool_for_graph)).
+    pub fn record_guard_fill(&mut self, need: GuardNeed) {
+        let exchange = self.exec.exchange.as_ref().expect("exchange plan ensured");
+        debug_assert_eq!(exchange.epoch(), self.tree.epoch(), "stale exchange plan");
+        self.exec.fill_stats.absorb(exchange.fill_totals(need));
+    }
+
+    /// Exact counts of what every guard fill so far did: fills, blocks
+    /// filled, parents restricted, guard zones and bytes written.
+    pub fn guard_fill_stats(&self) -> GuardFillStats {
+        self.exec.fill_stats
     }
 
     /// How many times the guard-exchange plan has been built: once per

@@ -27,14 +27,17 @@
 //! §I.C singles out). Two block-level drivers sit on top —
 //! [`restrict_parent_cells`] and [`fill_block_cells`] — and every fill
 //! path runs exactly those two: the serial [`fill_guardcells`], the pooled
-//! `Domain::fill_guardcells` (one dispatch per tree level) and the step
+//! `Domain::fill_guardcells_for` (one dispatch per tree level) and the step
 //! graph's per-block restrict/fill tasks. Within a level every read is a
 //! same-level *interior* or a finished coarser slab and every write is the
 //! block's own *guards*, so blocks of one level can be filled in any
 //! order, concurrently, with bit-identical results.
 //!
-//! The neighbor of each (block, direction) is looked up once per tree
-//! epoch and kept in an [`ExchangePlan`].
+//! A fill is *need-driven*: the caller names what its consumer will read
+//! ([`GuardNeed`]) and the drivers skip every region outside it. The
+//! neighbor of each (block, direction), and per need the region mask of
+//! every block and the parents that must be restricted, are derived once
+//! per tree epoch and kept in an [`ExchangePlan`].
 
 use crate::block::{BlockId, BlockState, MortonKey};
 use crate::tree::{BoundaryCondition, MeshConfig, Neighbor, Tree};
@@ -421,58 +424,279 @@ fn fill_boundary_region(
 
 // ---- exchange plan ---------------------------------------------------------
 
+/// Which guard zones the consumer of a fill is about to read. The exchange
+/// fills exactly those (plus what filling them reads) and leaves every other
+/// guard zone untouched.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GuardNeed {
+    /// The two face regions along one axis of every leaf: what a split
+    /// sweep along that axis reads.
+    Axis(usize),
+    /// All `2·ndim` face regions of every leaf: per-axis ±1 stencils (the
+    /// Löhner estimator, the flame's advection–diffusion step).
+    Faces,
+    /// Every face, edge and corner region of every active block, parents
+    /// included, with every parent restricted — the per-cell oracle's
+    /// contract. No step consumer needs it.
+    All,
+}
+
+/// Exact counts of what guard fills did: cumulative on a `Domain`, or one
+/// fill's worth from [`ExchangePlan::fill_totals`]. They depend only on the
+/// tree and the needs requested, so repeats of a run agree to the last
+/// digit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GuardFillStats {
+    /// Fills run (one per need requested).
+    pub fills: u64,
+    /// Blocks that had at least one guard region written.
+    pub blocks_filled: u64,
+    /// Parents whose interior was restricted from their children.
+    pub parents_restricted: u64,
+    /// Guard zones written.
+    pub guard_zones: u64,
+    /// Bytes those zones hold (`zones × nvar × 8`).
+    pub guard_bytes: u64,
+}
+
+impl GuardFillStats {
+    /// The part of this tally that came after `earlier` was taken.
+    pub fn since(self, earlier: GuardFillStats) -> GuardFillStats {
+        GuardFillStats {
+            fills: self.fills - earlier.fills,
+            blocks_filled: self.blocks_filled - earlier.blocks_filled,
+            parents_restricted: self.parents_restricted - earlier.parents_restricted,
+            guard_zones: self.guard_zones - earlier.guard_zones,
+            guard_bytes: self.guard_bytes - earlier.guard_bytes,
+        }
+    }
+
+    /// Fold another tally in.
+    pub fn absorb(&mut self, other: GuardFillStats) {
+        self.fills += other.fills;
+        self.blocks_filled += other.blocks_filled;
+        self.parents_restricted += other.parents_restricted;
+        self.guard_zones += other.guard_zones;
+        self.guard_bytes += other.guard_bytes;
+    }
+}
+
+/// What one [`GuardNeed`] makes of the tree: which regions of which blocks
+/// get filled and which parents must hold restricted data first.
+struct NeedTable {
+    /// `masks[row]` — bit `n` set when the block's guard region in
+    /// direction `dirs[n]` is filled.
+    masks: Vec<u32>,
+    /// `fill[l]` — level-`l` blocks with a non-empty mask, BlockId-ascending.
+    fill: Vec<Vec<BlockId>>,
+    /// `restrict[l]` — the live parents at level `l`: those a masked
+    /// same-level copy reads, plus their parent children.
+    restrict: Vec<Vec<BlockId>>,
+    /// One fill's counts.
+    totals: GuardFillStats,
+}
+
+const NO_ROW: u32 = u32::MAX;
+
 /// Everything about a guard exchange that depends only on the tree
-/// topology: the per-level block lists in fill order and the neighbor of
-/// every (active block, direction). Built once per [`Tree::epoch`] —
-/// `Domain` caches it — so a fill does no neighbor lookups.
+/// topology: the neighbor of every (active block, direction) and, per
+/// [`GuardNeed`], the region mask of every block, the per-level fill lists
+/// and the live-parent lists. Built once per [`Tree::epoch`] — `Domain`
+/// caches it — so a fill does no neighbor lookups.
+///
+/// Masks follow from who reads what. A leaf gets the face directions the
+/// need names. A block that is the [`Neighbor::Coarser`] source of a masked
+/// region gets all its faces: [`prolong_region`]'s slope stencil reaches one
+/// zone past the coarse zones it covers, per axis, which lands in the first
+/// guard layer of the source's *face* regions (never an edge or corner).
+/// That rule is applied fine → coarse, so a source's own coarser sources
+/// are covered too. Parents get nothing — a `Neighbor::Same(parent)` copy
+/// reads the parent's interior, and nothing reads a parent's guards. A face
+/// region itself is filled from interiors, from a coarser block's faces, or
+/// from the block's own interior at a physical boundary, so face fills
+/// never depend on edge or corner regions.
 pub struct ExchangePlan {
     epoch: u64,
+    ndim: usize,
     dirs: Vec<[i32; 3]>,
-    /// `neighbors[blk * dirs.len() + n]` is `tree.neighbor(blk, dirs[n])`
-    /// for every active block (`Boundary` filler for free slots).
+    /// Pool slot → row of `neighbors` and of every mask table; [`NO_ROW`]
+    /// for slots that hold no active block. As long as the highest live
+    /// slot, not `max_blocks`.
+    row_of: Vec<u32>,
+    /// `neighbors[row * dirs.len() + n]` is `tree.neighbor(blk, dirs[n])`.
     neighbors: Vec<Neighbor>,
-    /// `active[l]` — active (leaf + parent) blocks at tree level `l`,
-    /// BlockId-ascending.
-    active: Vec<Vec<BlockId>>,
-    /// `parents[l]` — the parent blocks among `active[l]`.
-    parents: Vec<Vec<BlockId>>,
+    /// Indexed by [`ExchangePlan::table`]: `Axis(0..ndim)`, `Faces`, `All`.
+    tables: Vec<NeedTable>,
 }
 
 impl ExchangePlan {
-    /// Look up every active block's neighbors and bin the blocks by level.
+    /// Look up every active block's neighbors and derive the table of every
+    /// need.
     pub(crate) fn build(tree: &Tree) -> ExchangePlan {
         let cfg = tree.config();
         let dirs = cfg.neighbor_dirs();
-        let mut neighbors = vec![Neighbor::Boundary; cfg.max_blocks * dirs.len()];
-        let mut active: Vec<Vec<BlockId>> = Vec::new();
-        let mut parents: Vec<Vec<BlockId>> = Vec::new();
-        for raw in 0..cfg.max_blocks as u32 {
-            let id = BlockId(raw);
-            let meta = tree.block(id);
-            if meta.state == BlockState::Free {
-                continue;
+        let ids = tree.active_ids();
+        let mut row_of = vec![NO_ROW; ids.last().map_or(0, |id| id.idx() + 1)];
+        let mut neighbors = Vec::with_capacity(ids.len() * dirs.len());
+        // `levels[l]` — active (leaf + parent) blocks at tree level `l`,
+        // BlockId-ascending.
+        let mut levels: Vec<Vec<BlockId>> = Vec::new();
+        for (row, &id) in ids.iter().enumerate() {
+            row_of[id.idx()] = row as u32;
+            neighbors.extend(dirs.iter().map(|&d| tree.neighbor(id, d)));
+            let lvl = tree.block(id).key.level as usize;
+            if lvl >= levels.len() {
+                levels.resize_with(lvl + 1, Vec::new);
             }
-            let lvl = meta.key.level as usize;
-            if lvl >= active.len() {
-                active.resize_with(lvl + 1, Vec::new);
-                parents.resize_with(lvl + 1, Vec::new);
-            }
-            active[lvl].push(id);
-            if meta.state == BlockState::Parent {
-                parents[lvl].push(id);
-            }
-            let row = &mut neighbors[id.idx() * dirs.len()..][..dirs.len()];
-            for (slot, &d) in row.iter_mut().zip(&dirs) {
-                *slot = tree.neighbor(id, d);
-            }
+            levels[lvl].push(id);
         }
-        ExchangePlan {
+        let mut plan = ExchangePlan {
             epoch: tree.epoch(),
+            ndim: cfg.ndim,
             dirs,
+            row_of,
             neighbors,
-            active,
-            parents,
+            tables: Vec::new(),
+        };
+        plan.tables = (0..cfg.ndim)
+            .map(GuardNeed::Axis)
+            .chain([GuardNeed::Faces, GuardNeed::All])
+            .map(|need| plan.derive(tree, &levels, need))
+            .collect();
+        plan
+    }
+
+    /// Masks, fill lists and live parents of one need (see the type docs).
+    fn derive(&self, tree: &Tree, levels: &[Vec<BlockId>], need: GuardNeed) -> NeedTable {
+        let cfg = tree.config();
+        let bits = |keep: &dyn Fn([i32; 3]) -> bool| -> u32 {
+            self.dirs
+                .iter()
+                .enumerate()
+                .filter(|(_, &d)| keep(d))
+                .fold(0, |m, (n, _)| m | 1 << n)
+        };
+        let is_face = |d: [i32; 3]| d.iter().filter(|&&c| c != 0).count() == 1;
+        let faces = bits(&is_face);
+        let wanted = match need {
+            GuardNeed::Axis(a) => bits(&|d| is_face(d) && d[a] != 0),
+            GuardNeed::Faces => faces,
+            GuardNeed::All => bits(&|_| true),
+        };
+        let is_parent = |id: BlockId| tree.block(id).state == BlockState::Parent;
+
+        let mut masks = vec![0u32; self.neighbors.len() / self.dirs.len()];
+        for blocks in levels {
+            for &id in blocks {
+                if need == GuardNeed::All || !is_parent(id) {
+                    masks[self.row(id)] = wanted;
+                }
+            }
         }
+        // Prolongation sources, finest level first: a level's masks are
+        // final before they are read, because only finer blocks add to them.
+        for blocks in levels.iter().rev() {
+            for &id in blocks {
+                let row = self.row(id);
+                for (_, nbr) in self.masked(row, masks[row]) {
+                    if let Neighbor::Coarser(src) = nbr {
+                        masks[self.row(src)] |= faces;
+                    }
+                }
+            }
+        }
+
+        // Live parents, coarsest level first so a live parent's parent
+        // children are marked before their level is listed.
+        let mut live = vec![need == GuardNeed::All; masks.len()];
+        for (row, &mask) in masks.iter().enumerate() {
+            for (_, nbr) in self.masked(row, mask) {
+                if let Neighbor::Same(nid) = nbr {
+                    live[self.row(nid)] = true;
+                }
+            }
+        }
+        let mut restrict = vec![Vec::new(); levels.len()];
+        for (lvl, blocks) in levels.iter().enumerate() {
+            for &id in blocks {
+                let meta = tree.block(id);
+                let Some(children) = meta.children else {
+                    continue;
+                };
+                if !live[self.row(id)] {
+                    continue;
+                }
+                restrict[lvl].push(id);
+                for &cid in children.iter().take(meta.n_children as usize) {
+                    live[self.row(cid)] = true;
+                }
+            }
+        }
+
+        let region_zones = |d: [i32; 3]| -> u64 {
+            (0..cfg.ndim)
+                .map(|a| if d[a] == 0 { cfg.nxb } else { cfg.nguard } as u64)
+                .product()
+        };
+        let guard_zones: u64 = masks
+            .iter()
+            .enumerate()
+            .flat_map(|(row, &mask)| self.masked(row, mask))
+            .map(|(d, _)| region_zones(d))
+            .sum();
+        let fill: Vec<Vec<BlockId>> = levels
+            .iter()
+            .map(|blocks| {
+                blocks
+                    .iter()
+                    .copied()
+                    .filter(|&id| masks[self.row(id)] != 0)
+                    .collect()
+            })
+            .collect();
+        let totals = GuardFillStats {
+            fills: 1,
+            blocks_filled: fill.iter().map(|l| l.len() as u64).sum(),
+            parents_restricted: restrict.iter().map(|l| l.len() as u64).sum(),
+            guard_zones,
+            guard_bytes: guard_zones * cfg.nvar as u64 * 8,
+        };
+        NeedTable {
+            masks,
+            fill,
+            restrict,
+            totals,
+        }
+    }
+
+    fn row(&self, id: BlockId) -> usize {
+        let row = self.row_of[id.idx()];
+        debug_assert_ne!(row, NO_ROW, "{id:?} is not an active block of this plan");
+        row as usize
+    }
+
+    fn table(&self, need: GuardNeed) -> &NeedTable {
+        let ndim = self.ndim;
+        &self.tables[match need {
+            GuardNeed::Axis(a) => {
+                assert!(a < ndim, "GuardNeed::Axis({a}) on a {ndim}-d mesh");
+                a
+            }
+            GuardNeed::Faces => ndim,
+            GuardNeed::All => ndim + 1,
+        }]
+    }
+
+    /// The `(direction, neighbor)` pairs of row `row` whose bit is set in
+    /// `mask`, in [`MeshConfig::neighbor_dirs`] order.
+    fn masked(&self, row: usize, mask: u32) -> impl Iterator<Item = ([i32; 3], Neighbor)> + '_ {
+        let nbrs = &self.neighbors[row * self.dirs.len()..][..self.dirs.len()];
+        self.dirs
+            .iter()
+            .zip(nbrs)
+            .enumerate()
+            .filter(move |(n, _)| mask & (1 << n) != 0)
+            .map(|(_, (&d, &nbr))| (d, nbr))
     }
 
     /// The tree topology revision this plan was built at.
@@ -482,24 +706,34 @@ impl ExchangePlan {
 
     /// Number of tree levels holding active blocks.
     pub fn levels(&self) -> usize {
-        self.active.len()
+        self.tables[0].fill.len()
     }
 
-    /// Active blocks at level `lvl`, in fill order.
-    pub fn active(&self, lvl: usize) -> &[BlockId] {
-        &self.active[lvl]
+    /// Level-`lvl` blocks a `need` fill writes guards of, in fill order.
+    pub fn fill_blocks(&self, need: GuardNeed, lvl: usize) -> &[BlockId] {
+        &self.table(need).fill[lvl]
     }
 
-    /// Parent blocks at level `lvl`, in restriction order.
-    pub fn parents(&self, lvl: usize) -> &[BlockId] {
-        &self.parents[lvl]
+    /// Level-`lvl` parents a `need` fill restricts, in restriction order.
+    pub fn live_parents(&self, need: GuardNeed, lvl: usize) -> &[BlockId] {
+        &self.table(need).restrict[lvl]
     }
 
-    /// Block `id`'s `(direction, neighbor)` pairs in
-    /// [`MeshConfig::neighbor_dirs`] order.
-    pub fn neighbors(&self, id: BlockId) -> impl Iterator<Item = ([i32; 3], Neighbor)> + '_ {
-        let row = &self.neighbors[id.idx() * self.dirs.len()..][..self.dirs.len()];
-        self.dirs.iter().copied().zip(row.iter().copied())
+    /// The guard regions of block `id` a `need` fill writes, as
+    /// `(direction, neighbor)` pairs in [`MeshConfig::neighbor_dirs`] order
+    /// — the table [`fill_block_cells`] walks, and so exactly what it reads.
+    pub fn reads(
+        &self,
+        need: GuardNeed,
+        id: BlockId,
+    ) -> impl Iterator<Item = ([i32; 3], Neighbor)> + '_ {
+        let row = self.row(id);
+        self.masked(row, self.table(need).masks[row])
+    }
+
+    /// What one `need` fill does on this tree.
+    pub fn fill_totals(&self, need: GuardNeed) -> GuardFillStats {
+        self.table(need).totals
     }
 }
 
@@ -531,23 +765,26 @@ pub unsafe fn restrict_parent_cells(tree: &Tree, geom: &UnkGeom, cells: &UnkCell
     }
 }
 
-/// Fill every guard region of block `id`: same-level copies and
-/// prolongations first, in `plan` direction order, then the physical
-/// boundary regions (which may read guards the copies produced, e.g.
-/// corners at a wall).
+/// Fill the guard regions of block `id` that `need` asks for
+/// ([`ExchangePlan::reads`]): same-level copies and prolongations first, in
+/// `plan` direction order, then the physical boundary regions (which may
+/// read guards the copies produced, e.g. corners at a wall). Regions
+/// outside the need are neither read nor written.
 ///
 /// # Safety
 /// The caller must have exclusive access to `id`'s guards and shared
-/// access to `id`'s interior, every same-level neighbor's interior and
-/// every coarser neighbor's full slab for the duration of the call. No
-/// other thread may write those regions meanwhile; concurrent fills of
-/// other blocks of the same level only write *their* guards, so they
-/// qualify. `plan` must have been built for `tree`'s current epoch.
+/// access to `id`'s interior and, for every region `plan.reads(need, id)`
+/// lists, the same-level neighbor's interior or the coarser neighbor's full
+/// slab, for the duration of the call. No other thread may write those
+/// regions meanwhile; concurrent fills of other blocks of the same level
+/// only write *their* guards, so they qualify. `plan` must have been built
+/// for `tree`'s current epoch.
 pub unsafe fn fill_block_cells(
     tree: &Tree,
     geom: &UnkGeom,
     cells: &UnkCells,
     plan: &ExchangePlan,
+    need: GuardNeed,
     id: BlockId,
 ) {
     debug_assert_eq!(plan.epoch(), tree.epoch(), "stale exchange plan");
@@ -556,7 +793,7 @@ pub unsafe fn fill_block_cells(
     // kernels below write only guards and read the own interior for the
     // self-neighbor copy and the boundary mirrors.
     let own = unsafe { cells.write_slab(id.idx(), Region::Guards, Some(Region::Interior)) };
-    for (d, nbr) in plan.neighbors(id) {
+    for (d, nbr) in plan.reads(need, id) {
         match nbr {
             // A singly-rooted periodic axis wraps onto the block itself:
             // `own` already covers it, a second view would alias.
@@ -582,7 +819,7 @@ pub unsafe fn fill_block_cells(
             Neighbor::Boundary => {}
         }
     }
-    for (d, nbr) in plan.neighbors(id) {
+    for (d, nbr) in plan.reads(need, id) {
         if nbr == Neighbor::Boundary {
             fill_boundary_region(tree.config(), geom, key, d, own);
         }
@@ -599,23 +836,30 @@ pub(crate) fn restrict_into_parent(tree: &Tree, unk: &mut UnkStorage, pid: Block
     unsafe { restrict_parent_cells(tree, &geom, &cells, pid) };
 }
 
-/// Fill every active block's guard cells. Restriction of leaf data into
-/// parent nodes happens first (deepest parents first) so same-level copies
-/// from "virtual" coarse data work; then blocks are filled coarse → fine.
+/// Fill every guard cell of every active block ([`GuardNeed::All`]).
+/// Restriction of leaf data into parent nodes happens first (deepest
+/// parents first) so same-level copies from "virtual" coarse data work;
+/// then blocks are filled coarse → fine.
 ///
-/// This is the serial reference path; `Domain::fill_guardcells` runs the
-/// same two block drivers from a cached plan, so the results are
+/// This is the serial reference path; `Domain::fill_guardcells_for` runs
+/// the same two block drivers from a cached plan, so the results are
 /// bit-identical.
 pub fn fill_guardcells(tree: &Tree, unk: &mut UnkStorage) {
-    fill_guardcells_planned(tree, &ExchangePlan::build(tree), unk);
+    fill_guardcells_planned(tree, &ExchangePlan::build(tree), GuardNeed::All, unk);
 }
 
-/// [`fill_guardcells`] with a prebuilt plan for `tree`'s current epoch.
-pub(crate) fn fill_guardcells_planned(tree: &Tree, plan: &ExchangePlan, unk: &mut UnkStorage) {
+/// The serial fill of what `need` asks for, from a prebuilt plan for
+/// `tree`'s current epoch.
+pub(crate) fn fill_guardcells_planned(
+    tree: &Tree,
+    plan: &ExchangePlan,
+    need: GuardNeed,
+    unk: &mut UnkStorage,
+) {
     let geom = unk.geom();
     let cells = unk.cells();
     for lvl in (0..plan.levels()).rev() {
-        for &pid in plan.parents(lvl) {
+        for &pid in plan.live_parents(need, lvl) {
             // SAFETY: `unk` is exclusively borrowed for the whole call and
             // blocks are visited one at a time, so each call's region
             // contract holds trivially.
@@ -623,9 +867,9 @@ pub(crate) fn fill_guardcells_planned(tree: &Tree, plan: &ExchangePlan, unk: &mu
         }
     }
     for lvl in 0..plan.levels() {
-        for &id in plan.active(lvl) {
+        for &id in plan.fill_blocks(need, lvl) {
             // SAFETY: as above.
-            unsafe { fill_block_cells(tree, &geom, &cells, plan, id) };
+            unsafe { fill_block_cells(tree, &geom, &cells, plan, need, id) };
         }
     }
 }
@@ -903,6 +1147,216 @@ mod tests {
     fn periodic_single_root_is_its_own_neighbor_3d() {
         self_neighbor_wraps(3, crate::unk::Layout::VarFirst);
         self_neighbor_wraps(3, crate::unk::Layout::VarLast);
+    }
+
+    /// The `sedov3d` tree: one root, its 8 children all refined, and the
+    /// central 8 of the 64 level-2 blocks refined again — 64 level-3 and 56
+    /// level-2 leaves under 1 + 8 + 8 = 17 parents. Topology only.
+    fn sedov3d_shape(nxb: usize, nguard: usize) -> Tree {
+        let mut cfg = MeshConfig::test_2d();
+        cfg.ndim = 3;
+        cfg.nxb = nxb;
+        cfg.nguard = nguard;
+        cfg.max_blocks = 160;
+        let mut tree = Tree::new(cfg);
+        let root = tree.leaves()[0];
+        let level2: Vec<BlockId> = tree.refine_topology(root)[..8]
+            .to_vec()
+            .into_iter()
+            .flat_map(|id| tree.refine_topology(id))
+            .collect();
+        for id in level2 {
+            let key = tree.block(id).key;
+            if [key.ix, key.iy, key.iz].iter().all(|c| (1..=2).contains(c)) {
+                tree.refine_topology(id);
+            }
+        }
+        assert_eq!(tree.leaves().len(), 120);
+        assert_eq!(tree.active_blocks(), 137);
+        tree
+    }
+
+    #[test]
+    fn need_closure_on_the_sedov3d_shape() {
+        let tree = sedov3d_shape(8, 4);
+        let plan = ExchangePlan::build(&tree);
+        let bytes = |zones: u64| zones * tree.config().nvar as u64 * 8;
+
+        // A sweep fill: two 4×8×8 faces on each of the 120 leaves; the
+        // 2×2 level-2 leaves behind each of the fine cube's two faces on
+        // that axis are prolongation sources and get their other four
+        // faces too; only the 8 level-2 parents are read (by their
+        // level-2 leaf neighbors), the 8 level-1 parents and the root by
+        // nobody.
+        for axis in 0..3 {
+            let need = GuardNeed::Axis(axis);
+            assert_eq!(
+                plan.fill_totals(need),
+                GuardFillStats {
+                    fills: 1,
+                    blocks_filled: 120,
+                    parents_restricted: 8,
+                    guard_zones: 120 * 512 + 8 * 1024,
+                    guard_bytes: bytes(120 * 512 + 8 * 1024),
+                }
+            );
+            let regions = |id| plan.reads(need, id).count();
+            let leaves = tree.leaves();
+            assert_eq!(leaves.iter().filter(|&&id| regions(id) == 2).count(), 112);
+            assert_eq!(leaves.iter().filter(|&&id| regions(id) == 6).count(), 8);
+            for lvl in 0..plan.levels() {
+                let parents = plan.live_parents(need, lvl);
+                assert_eq!(parents.len(), if lvl == 2 { 8 } else { 0 }, "level {lvl}");
+                assert!(plan
+                    .fill_blocks(need, lvl)
+                    .iter()
+                    .all(|&id| tree.block(id).is_leaf()));
+            }
+        }
+
+        // All six faces of every leaf; sources need nothing extra.
+        assert_eq!(
+            plan.fill_totals(GuardNeed::Faces),
+            GuardFillStats {
+                fills: 1,
+                blocks_filled: 120,
+                parents_restricted: 8,
+                guard_zones: 120 * 1536,
+                guard_bytes: bytes(120 * 1536),
+            }
+        );
+        // Everything: 16³ − 8³ guard zones on all 137 blocks, 17 parents.
+        assert_eq!(
+            plan.fill_totals(GuardNeed::All),
+            GuardFillStats {
+                fills: 1,
+                blocks_filled: 137,
+                parents_restricted: 17,
+                guard_zones: 137 * 3584,
+                guard_bytes: bytes(137 * 3584),
+            }
+        );
+    }
+
+    /// A live parent's parent children are live too: restricting it reads
+    /// their interiors, which only a restriction of their own makes current.
+    #[test]
+    fn live_parents_include_their_parent_children() {
+        // 2-d, two roots side by side. Refine the right root, then its
+        // child farthest from the left root: the left root (a leaf) copies
+        // from the right root (a parent), whose far child is a parent.
+        let mut cfg = MeshConfig::test_2d();
+        cfg.nroot = [2, 1, 1];
+        let mut tree = Tree::new(cfg);
+        let right = tree.leaves()[1];
+        let far_child = tree.refine_topology(right)[1];
+        tree.refine_topology(far_child);
+        let plan = ExchangePlan::build(&tree);
+        assert_eq!(plan.live_parents(GuardNeed::Axis(0), 0), [right]);
+        assert_eq!(plan.live_parents(GuardNeed::Axis(0), 1), [far_child]);
+        // Across y only the far child is copied from (by the sibling above
+        // it); the roots have no y neighbors, so `right` stays dead.
+        assert_eq!(plan.live_parents(GuardNeed::Axis(1), 0), []);
+        assert_eq!(plan.live_parents(GuardNeed::Axis(1), 1), [far_child]);
+    }
+
+    /// Poison every guard zone, run a need fill, and require: every masked
+    /// region bit-identical to the `All` fill of the same state, every
+    /// other guard zone still poison.
+    fn check_need_against_all(
+        tree: &Tree,
+        plan: &ExchangePlan,
+        need: GuardNeed,
+        unk: &mut UnkStorage,
+    ) -> Result<(), String> {
+        let cfg = *tree.config();
+        let (ng, nxb) = (cfg.nguard, cfg.nxb);
+        let blocks = tree.active_ids();
+        let zones_of = |d: [i32; 3]| {
+            let (ri, rj) = (guard_range(ng, nxb, d[0], false), guard_range(ng, nxb, d[1], false));
+            let rk = guard_range(ng, nxb, d[2], cfg.ndim == 2);
+            rk.flat_map(move |k| {
+                let ri = ri.clone();
+                rj.clone().flat_map(move |j| ri.clone().map(move |i| (i, j, k)))
+            })
+        };
+        let guards_of = |unk: &UnkStorage, id: BlockId, d: [i32; 3]| -> Vec<u64> {
+            zones_of(d)
+                .flat_map(|(i, j, k)| (0..cfg.nvar).map(move |v| (v, i, j, k)))
+                .map(|(v, i, j, k)| unk.get(v, i, j, k, id.idx()).to_bits())
+                .collect()
+        };
+        let poison = f64::from_bits(0x7ff8_dead_beef_0001);
+        let poison_guards = |unk: &mut UnkStorage| {
+            for &id in &blocks {
+                for d in cfg.neighbor_dirs() {
+                    for (i, j, k) in zones_of(d) {
+                        for v in 0..cfg.nvar {
+                            unk.set(v, i, j, k, id.idx(), poison);
+                        }
+                    }
+                }
+            }
+        };
+
+        poison_guards(unk);
+        fill_guardcells_planned(tree, plan, GuardNeed::All, unk);
+        let want: Vec<Vec<Vec<u64>>> = blocks
+            .iter()
+            .map(|&id| cfg.neighbor_dirs().iter().map(|&d| guards_of(unk, id, d)).collect())
+            .collect();
+        poison_guards(unk);
+        fill_guardcells_planned(tree, plan, need, unk);
+        for (b, &id) in blocks.iter().enumerate() {
+            let masked: Vec<[i32; 3]> = plan.reads(need, id).map(|(d, _)| d).collect();
+            for (n, d) in cfg.neighbor_dirs().into_iter().enumerate() {
+                let got = guards_of(unk, id, d);
+                if masked.contains(&d) {
+                    if got != want[b][n] {
+                        return Err(format!("{need:?}: {id:?} region {d:?} differs from the All fill"));
+                    }
+                } else if got.iter().any(|&bits| bits != poison.to_bits()) {
+                    return Err(format!("{need:?}: {id:?} region {d:?} was written"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The closure rule earns its keep: with it every need reproduces the
+    /// `All` fill on its declared zones; with the coarse sources' extra
+    /// faces struck from the masks, a fine face prolongs from a poisoned
+    /// slope stencil and the same check fails.
+    #[test]
+    fn dropping_the_coarse_source_rule_breaks_the_need_property() {
+        let tree = sedov3d_shape(4, 2);
+        let mut unk = tree.make_unk(Policy::None);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for slab in unk.slabs_mut() {
+            for v in slab {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            }
+        }
+        let mut plan = ExchangePlan::build(&tree);
+        for need in [GuardNeed::Axis(0), GuardNeed::Axis(1), GuardNeed::Axis(2), GuardNeed::Faces] {
+            check_need_against_all(&tree, &plan, need, &mut unk).expect("closed masks");
+        }
+
+        let sweep_faces = plan.tables[0].masks[plan.row(tree.leaves()[0])];
+        let mut struck = 0;
+        for mask in &mut plan.tables[0].masks {
+            if *mask != 0 && *mask != sweep_faces {
+                *mask = sweep_faces;
+                struck += 1;
+            }
+        }
+        assert_eq!(struck, 8, "the eight sources of the x-faces of the fine cube");
+        let err = check_need_against_all(&tree, &plan, GuardNeed::Axis(0), &mut unk)
+            .expect_err("an unclosed mask must not reproduce the All fill");
+        assert!(err.contains("differs from the All fill"), "{err}");
     }
 
     #[test]

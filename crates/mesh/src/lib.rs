@@ -43,6 +43,7 @@ pub mod vars;
 pub use block::{BlockId, BlockMeta, BlockState, MortonKey};
 pub use domain::Domain;
 pub use geometry::Geometry;
+pub use guardcell::{GuardFillStats, GuardNeed};
 pub use shadow::ShadowSnapshot;
 pub use stats::MeshStats;
 pub use taskgraph::{

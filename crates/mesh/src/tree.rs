@@ -225,6 +225,15 @@ impl Tree {
         ids
     }
 
+    /// All live (leaf + parent) block ids, ascending. Walks the key index,
+    /// not the pool, so the cost follows the live count rather than
+    /// `max_blocks`.
+    pub fn active_ids(&self) -> Vec<BlockId> {
+        let mut ids: Vec<BlockId> = self.lookup.values().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// Find the block with an exact key.
     pub fn find(&self, key: MortonKey) -> Option<BlockId> {
         self.lookup.get(&key).copied()

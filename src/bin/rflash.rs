@@ -32,6 +32,7 @@ use rflash::core::{
 };
 use rflash::hugepages::{MemInfoWatch, Policy, POLICY_ENV_VAR};
 use rflash::hydro::SweepEngine;
+use rflash::mesh::GuardFillStats;
 
 const USAGE: &str = "usage:
   rflash list-setups
@@ -221,6 +222,7 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let watch = (policy != Policy::None).then(|| MemInfoWatch::start(Duration::from_millis(10)));
     let mut sim = spec.build(params).map_err(|e| e.to_string())?;
     println!("  built: {} at t=0", backing_summary(&sim));
+    let setup_fills = sim.domain.guard_fill_stats();
 
     match checkpoint_dir {
         Some(dir) if checkpoint_every > 0 => {
@@ -242,11 +244,37 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
         println!("  {}", watch.stop());
     }
     println!("  t = {:e} after {} steps", sim.time, sim.step);
+    println!("  {}", phases_line(&sim, setup_fills));
     println!("  digest {digest}");
     if !full {
         println!("  compare: golden/{name}.ron");
     }
     Ok(())
+}
+
+/// Where the step loop's time went (seconds and share of the loop per
+/// unit) and what its guard fills wrote since `setup_fills` was taken —
+/// exact counts, so two runs of one setup print the same fill numbers.
+fn phases_line(sim: &Simulation, setup_fills: GuardFillStats) -> String {
+    const MIB: f64 = (1 << 20) as f64;
+    let loop_s = sim.timers.seconds("step");
+    let units: Vec<String> = sim
+        .phase_seconds()
+        .into_iter()
+        .filter(|(_, s)| *s > 0.0)
+        .map(|(label, s)| format!("{label} {s:.3} s ({:.0}%)", 100.0 * s / loop_s.max(1e-12)))
+        .collect();
+    let fills = sim.domain.guard_fill_stats().since(setup_fills);
+    format!(
+        "phases: {} of a {loop_s:.3} s step loop; guard fills wrote {:.2} MiB/step \
+         ({} fills, {} blocks, {} parents restricted, {} zones)",
+        units.join(", "),
+        fills.guard_bytes as f64 / MIB / sim.step.max(1) as f64,
+        fills.fills,
+        fills.blocks_filled,
+        fills.parents_restricted,
+        fills.guard_zones,
+    )
 }
 
 /// Leaf count plus what `unk` reserves against what the kernel backs right

@@ -1,7 +1,7 @@
 //! Race-audit battery: declared-vs-actual access auditing under adversarial
 //! schedules, plus the declaration-mutation gate.
 //!
-//! Three claims, each a test:
+//! Four claims, each a test:
 //!
 //! 1. **Clean plans pass.** A refined Sedov run — guardian fused, fault
 //!    injection armed, rollbacks exercised — completes under both the
@@ -15,6 +15,12 @@
 //!    site and stepping must panic with a `race-audit:` diagnosis. This is
 //!    the 100%-detection gate: if a new access pattern sneaks in without a
 //!    declaration, the audit — not a downstream symptom — names it.
+//!
+//! 4. **A fill that reads more than it declared is named.** The exchange is
+//!    need-driven: the `Fill` declarations cover only the regions
+//!    `GuardNeed::Axis(dir)` masks in. Handing the task bodies
+//!    `GuardNeed::Faces` while keeping those declarations must fail the
+//!    coverage half of the audit with the under-declared neighbor read.
 //!
 //! The whole battery is compiled-in only under `debug_assertions` or the
 //! `race-audit` feature; in a plain release build it reduces to no-ops.
@@ -169,4 +175,25 @@ fn every_dropped_declaration_is_detected() {
         missed.is_empty() && wrong.is_empty(),
         "mutation gate failed.\nundetected sites: {missed:#?}\nwrong diagnosis: {wrong:#?}"
     );
+}
+
+/// The declarations shrank with the need masks; the bodies must not read
+/// past them. Built for `Axis(dir)`, run with `Faces`: every leaf's fill
+/// task also copies from its neighbors across the other axis, which no
+/// declaration covers.
+#[test]
+fn a_fill_body_wider_than_its_declarations_is_named() {
+    if !audit::COMPILED {
+        return;
+    }
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let _wide = mutation::widen_body_need();
+        let _quiet = FaultPlan::new(0).activate();
+        let mut sim = sedov(3, Some(0x51DE));
+        let _ = sim.try_step();
+    }));
+    let msg = panic_text(&*result.expect_err("the coverage gate must fire"));
+    assert!(msg.contains("race-audit"), "{msg}");
+    assert!(msg.contains("undeclared Read of interior(block"), "{msg}");
+    assert!(msg.contains("by fill(block"), "{msg}");
 }
