@@ -3,7 +3,7 @@
 //!
 //! The fault plan comes from `RFLASH_FAULTS` (see `rflash-hugepages`), so a
 //! fresh process per (site, retry-budget) cell keeps the per-site call
-//! counters deterministic. Three modes:
+//! counters deterministic. Two modes:
 //!
 //! * `--require-recovery` — the run must complete, with ≥ 1 recorded
 //!   rollback or retry whenever a fault plan is active, and the final state
@@ -12,54 +12,25 @@
 //!   exact, not merely plausible).
 //! * `--require-abort` — the run must fail with a typed `StepError`, after
 //!   writing an emergency checkpoint that verifies via `read_checkpoint`.
-//! * `--overhead` — no faults: time the clean path with the guardian on
-//!   vs. off and append the ratio to `BENCH_guardian.json` (EXPERIMENTS.md
-//!   E14 tracks the <2% target on the 3-d Sedov workload).
 //!
 //! Exit codes: 0 = contract held, 1 = contract violated, 2 = usage error.
 //! This binary never panics on a guardian failure — panicking on the exact
 //! path whose job is not to panic would be self-defeating.
 
-use std::time::Instant;
-
 use rflash_core::checkpoint::read_checkpoint;
-use rflash_core::setups::sedov::SedovSetup;
-use rflash_core::{CheckpointSeries, GuardianConfig, RuntimeParams, Simulation};
+use rflash_core::{registry, CheckpointSeries, Simulation, StepScheduler};
 use rflash_hugepages::faults::FaultPlan;
-use rflash_hugepages::Policy;
-use serde::{Deserialize, Serialize};
+use rflash_hydro::SweepEngine;
 
-#[derive(Serialize, Deserialize)]
-struct GuardianRecord {
-    git_rev: String,
-    host: String,
-    steps: u64,
-    s_guarded: f64,
-    s_unguarded: f64,
-    /// (guarded − unguarded) / unguarded; the E14 target is < 0.02.
-    overhead: f64,
-}
-
+/// The 3-d Sedov problem at `max_refine` 2 on a 256-block pool, two ranks.
 fn sedov_sim(retries: u32) -> Simulation {
-    let setup = SedovSetup {
-        ndim: 3,
-        nxb: 8,
-        max_refine: 2,
-        max_blocks: 256,
-        ..SedovSetup::default()
-    };
-    setup.build(RuntimeParams {
-        policy: Policy::None,
-        pattern_every: 0,
-        gather_every: 0,
-        use_hw: false,
-        nranks: 2,
-        guardian: GuardianConfig {
-            max_retries: retries,
-            ..GuardianConfig::default()
-        },
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    })
+    let mut spec = registry::load("sedov").expect("built-in scenario");
+    spec.mesh.max_refine = 2;
+    spec.mesh.max_blocks = 256;
+    let mut params =
+        registry::smoke_params(&spec, 2, SweepEngine::default(), StepScheduler::default());
+    params.guardian.max_retries = retries;
+    spec.build(params).expect("committed spec builds")
 }
 
 /// Bit pattern of every interior zone of every variable — the "identical
@@ -209,82 +180,6 @@ fn require_abort(retries: u32, steps: u64) -> i32 {
     }
 }
 
-fn overhead(steps: u64) -> i32 {
-    // Shadow any env fault plan: overhead is a clean-path number.
-    let _quiet = FaultPlan::new(0).activate();
-
-    // Warm-up run so allocators and the rank pool are paid for outside
-    // the timed region.
-    let mut warm = sedov_sim(2);
-    warm.evolve(3);
-
-    let mut on = sedov_sim(2);
-    let t = Instant::now();
-    on.evolve(steps);
-    let s_guarded = t.elapsed().as_secs_f64();
-
-    let mut off = sedov_sim(2);
-    off.params.guardian.enabled = false;
-    let t = Instant::now();
-    off.evolve(steps);
-    let s_unguarded = t.elapsed().as_secs_f64();
-
-    if state_bits(&on) != state_bits(&off) {
-        eprintln!("FAIL: guardian on/off runs diverged on the clean path");
-        return 1;
-    }
-
-    let overhead = (s_guarded - s_unguarded) / s_unguarded;
-    println!(
-        "guardian on: {s_guarded:.3} s, off: {s_unguarded:.3} s over {steps} steps -> overhead {:.2}%",
-        overhead * 100.0
-    );
-    println!(
-        "  guardian timer: {:.3} s (shadow capture + validation scans)",
-        on.timers.seconds("guardian")
-    );
-
-    let rec = GuardianRecord {
-        git_rev: std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .output()
-            .ok()
-            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-            .unwrap_or_default(),
-        host: std::env::var("HOSTNAME").unwrap_or_default(),
-        steps,
-        s_guarded,
-        s_unguarded,
-        overhead,
-    };
-    let path = "BENCH_guardian.json";
-    let mut records: Vec<serde_json::Value> = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok())
-        .unwrap_or_default();
-    match serde_json::to_value(&rec) {
-        Ok(v) => records.push(v),
-        Err(e) => {
-            eprintln!("FAIL: cannot serialize record: {e}");
-            return 1;
-        }
-    }
-    match serde_json::to_string_pretty(&records) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("FAIL: cannot write {path}: {e}");
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("FAIL: cannot serialize records: {e}");
-            return 1;
-        }
-    }
-    println!("appended to {path}");
-    0
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut retries: u32 = 2;
@@ -313,11 +208,10 @@ fn main() {
             }
             "--require-recovery" => mode = Some("recovery"),
             "--require-abort" => mode = Some("abort"),
-            "--overhead" => mode = Some("overhead"),
             other => {
                 eprintln!(
                     "unknown argument {other}; expected --retries N, --steps N, \
-                     --require-recovery, --require-abort, or --overhead"
+                     --require-recovery, or --require-abort"
                 );
                 std::process::exit(2);
             }
@@ -326,9 +220,8 @@ fn main() {
     let code = match mode {
         Some("recovery") => require_recovery(retries, steps),
         Some("abort") => require_abort(retries, steps),
-        Some("overhead") => overhead(steps.max(20)),
         _ => {
-            eprintln!("pick a mode: --require-recovery, --require-abort, or --overhead");
+            eprintln!("pick a mode: --require-recovery or --require-abort");
             2
         }
     };

@@ -4,10 +4,29 @@
 //! same for the Sedov workload (where hydro dominates instead).
 
 use rflash_bench::RunScale;
-use rflash_core::setups::sedov::SedovSetup;
-use rflash_core::setups::supernova::SupernovaSetup;
+use rflash_core::registry::{self, EosSpec};
 use rflash_core::RuntimeParams;
 use rflash_hugepages::Policy;
+
+/// Build a registered problem at `scale` on two ranks, uninstrumented.
+fn build(name: &str, scale: RunScale) -> rflash_core::Simulation {
+    let mut spec = registry::load(name).expect("built-in scenario");
+    spec.mesh.max_refine = scale.max_refine;
+    spec.mesh.max_blocks = scale.max_blocks;
+    if let EosSpec::Helmholtz { .. } = spec.eos {
+        spec.eos = EosSpec::Helmholtz {
+            coarse_table: scale.coarse_table,
+        };
+    }
+    spec.build(RuntimeParams {
+        policy: Policy::None,
+        pattern_every: 0,
+        gather_every: 0,
+        nranks: 2,
+        ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
+    })
+    .expect("committed spec builds")
+}
 
 fn rank_report(loads: &[rflash_perfmon::RankLoad]) {
     if loads.is_empty() {
@@ -134,19 +153,7 @@ fn main() {
         rflash_simd::dispatch_report(rflash_simd::Backend::default())
     );
 
-    let setup = SupernovaSetup {
-        max_refine: scale.max_refine,
-        max_blocks: scale.max_blocks,
-        coarse_table: scale.coarse_table,
-        ..SupernovaSetup::default()
-    };
-    let mut sim = setup.build(RuntimeParams {
-        policy: Policy::None,
-        pattern_every: 0,
-        gather_every: 0,
-        nranks: 2,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    });
+    let mut sim = build("supernova", scale);
     sim.evolve(steps);
     breakdown("2-d supernova (the paper's EOS-dominated case)", &sim);
     let rows = sim.phase_seconds();
@@ -158,20 +165,7 @@ fn main() {
     rank_report(&sim.rank_loads());
     graph_report(&sim);
 
-    let setup = SedovSetup {
-        ndim: 3,
-        nxb: 8,
-        max_refine: scale.max_refine,
-        max_blocks: scale.max_blocks,
-        ..SedovSetup::default()
-    };
-    let mut sim = setup.build(RuntimeParams {
-        policy: Policy::None,
-        pattern_every: 0,
-        gather_every: 0,
-        nranks: 2,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    });
+    let mut sim = build("sedov", scale);
     // Drive the Sedov run step by step under a retention-bounded
     // checkpoint series, so the report also shows what the `keep_last`
     // policy actually did to the on-disk footprint.

@@ -1,6 +1,5 @@
 //! Run every registered scenario across the full determinism matrix and
-//! reconcile the digests against the committed golden corpus →
-//! `BENCH_scenarios.json`.
+//! reconcile the digests against the committed golden corpus.
 //!
 //! Each scenario runs at smoke scale in all eight cells of
 //! `SweepEngine::{Scalar, Pencil}` × `StepScheduler::{Barrier, TaskGraph}`
@@ -23,35 +22,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use serde::Serialize;
-
 use rflash_core::registry::{self, load_golden, store_golden, GoldenRecord, StateDigest};
 use rflash_core::StepScheduler;
 use rflash_hydro::SweepEngine;
-
-/// One matrix cell's outcome, serialized into `BENCH_scenarios.json`.
-#[derive(Serialize)]
-struct CellRecord {
-    scenario: String,
-    engine: String,
-    scheduler: String,
-    nranks: usize,
-    steps: u64,
-    crc: String,
-    leaves: u64,
-    cells: u64,
-    wall_ms: f64,
-}
-
-/// Per-scenario verdict after the whole matrix ran.
-#[derive(Serialize)]
-struct ScenarioRecord {
-    scenario: String,
-    consistent: bool,
-    golden_status: String,
-    crc: String,
-    cells: Vec<CellRecord>,
-}
 
 fn main() {
     let mut bless = false;
@@ -73,13 +46,11 @@ fn main() {
         }
     }
 
-    let mut records = Vec::new();
     let mut ok = true;
 
     for spec in registry::builtin() {
         let name = spec.name.clone();
         println!("== {name}: {}", spec.title);
-        let mut cells = Vec::new();
         let mut reference: Option<StateDigest> = None;
         let mut consistent = true;
 
@@ -105,28 +76,13 @@ fn main() {
                         }
                         Some(_) => {}
                     }
-                    cells.push(CellRecord {
-                        scenario: name.clone(),
-                        engine: format!("{engine:?}").to_lowercase(),
-                        scheduler: match scheduler {
-                            StepScheduler::Barrier => "barrier".into(),
-                            StepScheduler::TaskGraph => "task_graph".into(),
-                        },
-                        nranks,
-                        steps: spec.smoke.steps,
-                        crc: format!("crc32:{:08x}", digest.crc),
-                        leaves: digest.leaves,
-                        cells: digest.cells,
-                        wall_ms,
-                    });
                 }
             }
         }
 
         let digest = reference.expect("at least one cell ran");
-        let golden_status = if !consistent {
+        if !consistent {
             ok = false;
-            "inconsistent-matrix".to_string()
         } else if bless {
             let record = GoldenRecord {
                 scenario: name.clone(),
@@ -136,12 +92,10 @@ fn main() {
             let path = store_golden(&golden_dir, &record)
                 .unwrap_or_else(|e| panic!("{name}: bless failed: {e}"));
             println!("   blessed -> {}", path.display());
-            "blessed".to_string()
         } else {
             match load_golden(&golden_dir, &name) {
                 Ok(golden) if golden.digest == digest && golden.steps == spec.smoke.steps => {
                     println!("   golden: match");
-                    "match".to_string()
                 }
                 Ok(golden) => {
                     ok = false;
@@ -149,28 +103,14 @@ fn main() {
                         "   !! golden mismatch: got {digest}, committed {}",
                         golden.digest
                     );
-                    "mismatch".to_string()
                 }
                 Err(e) => {
                     ok = false;
                     eprintln!("   !! no golden: {e}");
-                    "missing".to_string()
                 }
             }
-        };
-
-        records.push(ScenarioRecord {
-            scenario: name,
-            consistent,
-            golden_status,
-            crc: format!("crc32:{:08x}", digest.crc),
-            cells,
-        });
+        }
     }
-
-    let json = serde_json::to_string_pretty(&records).expect("serialize scenario records");
-    std::fs::write("BENCH_scenarios.json", json).expect("write BENCH_scenarios.json");
-    println!("-> BENCH_scenarios.json");
 
     if !ok {
         eprintln!("scenario matrix FAILED: see the cells above");

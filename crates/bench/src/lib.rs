@@ -15,8 +15,7 @@
 //! DTLB phenomenon is preserved. `--paper` raises resolution and step
 //! counts toward the paper's 50-step supernova / 200-step Sedov runs.
 
-use rflash_core::setups::sedov::SedovSetup;
-use rflash_core::setups::supernova::SupernovaSetup;
+use rflash_core::registry::{self, EosSpec, SetupSpec};
 use rflash_core::{RuntimeParams, Simulation};
 use rflash_hugepages::Policy;
 use rflash_perfmon::{Measures, RatioReport};
@@ -130,15 +129,32 @@ impl Experiment {
     }
 }
 
-fn runtime_params(policy: Policy, mesh: rflash_mesh::MeshConfig) -> RuntimeParams {
-    RuntimeParams {
+/// A registered paper problem at the experiment's refinement, pool size
+/// and (Helmholtz problems only) table resolution.
+fn scaled_spec(name: &str, scale: RunScale) -> SetupSpec {
+    let mut spec = registry::load(name).expect("built-in scenario");
+    spec.mesh.max_refine = scale.max_refine;
+    spec.mesh.max_blocks = scale.max_blocks;
+    if let EosSpec::Helmholtz { .. } = spec.eos {
+        spec.eos = EosSpec::Helmholtz {
+            coarse_table: scale.coarse_table,
+        };
+    }
+    spec
+}
+
+/// Build `spec` under `policy` with the experiments' sampled
+/// instrumentation.
+fn build(spec: &SetupSpec, policy: Policy) -> Simulation {
+    let params = RuntimeParams {
         policy,
         // Sampled instrumentation keeps overhead similar across policies.
         pattern_every: 4,
         gather_every: 4,
         tlb_sample_every: 2,
-        ..RuntimeParams::with_mesh(mesh)
-    }
+        ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
+    };
+    spec.build(params).expect("committed spec builds")
 }
 
 fn policy_run(
@@ -187,16 +203,10 @@ pub fn prepare_hugetlb_pool(bytes: usize) -> String {
 /// instrumented (50 steps at paper scale).
 pub fn run_eos_experiment(policies: &[Policy], scale: RunScale) -> Experiment {
     let steps = if scale.steps == 0 { 50 } else { scale.steps };
+    let spec = scaled_spec("supernova", scale);
     let mut runs = Vec::new();
     for &policy in policies {
-        let setup = SupernovaSetup {
-            max_refine: scale.max_refine,
-            max_blocks: scale.max_blocks,
-            coarse_table: scale.coarse_table,
-            ..SupernovaSetup::default()
-        };
-        let params = runtime_params(policy, setup.mesh_config());
-        let mut sim = setup.build(params);
+        let mut sim = build(&spec, policy);
         // §III protocol: watch /proc/meminfo while the instrumented code runs.
         let watch = rflash_hugepages::MemInfoWatch::start(std::time::Duration::from_millis(100));
         sim.evolve(steps);
@@ -215,17 +225,10 @@ pub fn run_eos_experiment(policies: &[Policy], scale: RunScale) -> Experiment {
 /// instrumented (200 steps at paper scale).
 pub fn run_hydro_experiment(policies: &[Policy], scale: RunScale) -> Experiment {
     let steps = if scale.steps == 0 { 200 } else { scale.steps };
+    let spec = scaled_spec("sedov", scale);
     let mut runs = Vec::new();
     for &policy in policies {
-        let setup = SedovSetup {
-            ndim: 3,
-            nxb: 8,
-            max_refine: scale.max_refine,
-            max_blocks: scale.max_blocks,
-            ..SedovSetup::default()
-        };
-        let params = runtime_params(policy, setup.mesh_config());
-        let mut sim = setup.build(params);
+        let mut sim = build(&spec, policy);
         // §III protocol: watch /proc/meminfo while the instrumented code runs.
         let watch = rflash_hugepages::MemInfoWatch::start(std::time::Duration::from_millis(100));
         sim.evolve(steps);

@@ -761,22 +761,17 @@ mod tests {
     /// A refined Sedov blast in `ndim` dimensions, `steps` steps in (the
     /// 3-d one is the paper's Table II problem at test size).
     fn evolved_sedov(ndim: usize, steps: u64) -> Simulation {
-        use crate::setups::sedov::SedovSetup;
-        let setup = SedovSetup {
-            ndim,
-            nxb: 8,
-            max_refine: 2,
-            max_blocks: 512,
-            ..SedovSetup::default()
-        };
-        let params = crate::RuntimeParams {
-            policy: Policy::None,
-            use_hw: false,
-            pattern_every: 0,
-            gather_every: 0,
-            ..crate::RuntimeParams::with_mesh(setup.mesh_config())
-        };
-        let mut sim = setup.build(params);
+        let mut spec = crate::registry::load("sedov").unwrap();
+        spec.mesh.ndim = ndim;
+        spec.mesh.max_refine = 2;
+        spec.mesh.max_blocks = 512;
+        let params = crate::registry::smoke_params(
+            &spec,
+            1,
+            rflash_hydro::SweepEngine::default(),
+            crate::StepScheduler::default(),
+        );
+        let mut sim = spec.build(params).unwrap();
         sim.evolve(steps);
         assert!(
             sim.domain.tree.active_blocks() > sim.domain.tree.leaves().len(),

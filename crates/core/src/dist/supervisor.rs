@@ -239,7 +239,8 @@ pub struct FleetReport {
     pub rollbacks: u64,
     /// The full ordered event trail.
     pub events: Vec<FleetEvent>,
-    /// Monotonic counters for `fleet_bench` / `profile_report`.
+    /// Monotonic counters (printed by `rflash run-fleet`, asserted by the
+    /// fleet drills).
     pub counters: FleetCounters,
     /// Newest recovery point recorded during the run.
     pub newest_checkpoint: Option<PathBuf>,

@@ -13,8 +13,10 @@
 //! * the **"Hydro" region** — the directional PPM sweeps (Table II
 //!   instruments these during a 3-d Sedov run).
 //!
-//! The two paper problems are provided as setups:
-//! [`setups::sedov::SedovSetup`] and [`setups::supernova::SupernovaSetup`].
+//! Every problem — the paper's two, the Sod verification tube and four
+//! more — is a committed spec file under `crates/core/specs/`, built by
+//! the one scenario registry: [`registry::load`] a [`SetupSpec`], edit its
+//! public fields, then [`SetupSpec::build`] it.
 
 pub mod checkpoint;
 pub use rflash_hugepages::crc32;
@@ -25,7 +27,6 @@ pub mod instrument;
 pub mod output;
 pub mod params;
 pub mod registry;
-pub mod setups;
 pub mod sim;
 pub mod stepgraph;
 pub mod wd;

@@ -1,4 +1,4 @@
-//! Run output: radial profiles and JSON plot records.
+//! Run output: radial and midline profiles and JSON plot records.
 
 use rflash_mesh::{vars, Domain};
 use serde::{Deserialize, Serialize};
@@ -88,6 +88,25 @@ impl RadialProfile {
         }
         best.map(|(b, _)| self.r[b])
     }
+}
+
+/// The x-profile of a planar (shock-tube) problem: the first interior row
+/// of every leaf, sorted by x. Returns `(x, dens, velx, pres)`.
+pub fn midline_profile(domain: &Domain) -> Vec<(f64, f64, f64, f64)> {
+    let j = domain.unk.interior().start; // the problem is uniform in y
+    let mut samples = Vec::new();
+    for id in domain.tree.leaves() {
+        for i in domain.unk.interior() {
+            samples.push((
+                domain.tree.cell_center(id, i, j, 0)[0],
+                domain.unk.get(vars::DENS, i, j, 0, id.idx()),
+                domain.unk.get(vars::VELX, i, j, 0, id.idx()),
+                domain.unk.get(vars::PRES, i, j, 0, id.idx()),
+            ));
+        }
+    }
+    samples.sort_by(|a, b| a.0.total_cmp(&b.0));
+    samples
 }
 
 #[cfg(test)]

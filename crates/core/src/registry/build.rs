@@ -1,12 +1,9 @@
-//! The generic setup builder: turns a validated [`SetupSpec`] into a
-//! fully-initialized [`Simulation`].
-//!
-//! This replicates the legacy hard-coded setup modules *exactly* — the same
-//! per-cell arithmetic in the same order, the same iterated initial
-//! refinement, the same EOS init modes and floors — so a spec file that
-//! transliterates `SedovSetup` / `SodSetup` / `SupernovaSetup` produces a
-//! bit-identical simulation (checkpoint-digest equality is enforced by
-//! `tests/golden_corpus.rs`).
+//! The setup builder: turns a validated [`SetupSpec`] into a
+//! fully-initialized [`Simulation`] — the only way the tree builds a
+//! scenario. Per cell it evaluates the IC primitives in spec order and
+//! closes the state with one EOS call; it then refines iteratively on the
+//! initial condition (re-initializing after each adapt, as FLASH does).
+//! The committed `golden/` digests pin the bits it produces.
 
 use rflash_eos::{EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_flame::{AdrFlame, FlameParams};
@@ -67,18 +64,15 @@ impl CellState {
     }
 }
 
-/// The finest zone width along x — the unit of `deposit` radii. Matches
-/// the legacy `SedovSetup::dx_min` arithmetic exactly for a unit domain
-/// with one root block.
+/// The finest zone width along x — the unit of `deposit` radii.
 fn dx_min(spec: &SetupSpec) -> f64 {
     let m = &spec.mesh;
     (m.domain_hi[0] - m.domain_lo[0])
         / ((m.nroot[0] * m.nxb) as f64 * (1u64 << m.max_refine) as f64)
 }
 
-/// Volume of a deposit sphere of radius `r`, with the same geometry match
-/// as the legacy Sedov module: the r–z deposit is a genuine 3-d sphere on
-/// the axis; 2-d Cartesian is a unit-z cylinder.
+/// Volume of a deposit sphere of radius `r`: the r–z deposit is a genuine
+/// 3-d sphere on the axis; 2-d Cartesian is a unit-z cylinder.
 fn deposit_volume(spec: &SetupSpec, r: f64) -> f64 {
     if spec.mesh.geometry == super::spec::GeometrySpec::CylindricalRZ {
         4.0 / 3.0 * std::f64::consts::PI * r.powi(3)
@@ -118,8 +112,8 @@ fn cell_state(
         velz: 0.0,
         flam: 0.0,
     };
-    // The radius about the origin, with the legacy 2-d arithmetic shape
-    // (x² + y², sqrt) so the supernova transliteration stays bit-exact.
+    // The radius about the origin; the z term is added only in 3-d, so the
+    // 2-d arithmetic is exactly sqrt(x² + y²).
     let mut r2 = x[0] * x[0] + x[1] * x[1];
     if mesh.ndim == 3 {
         r2 += x[2] * x[2];
@@ -156,8 +150,7 @@ fn cell_state(
                 let p_dep = (deposit_gamma(spec) - 1.0) * energy / volume;
                 // Subzone sampling (FLASH's nsubzones): the energy deposit
                 // must integrate to `energy` regardless of how the shell
-                // cuts cell boundaries. Loop shape matches the legacy
-                // Sedov module exactly.
+                // cuts cell boundaries.
                 let nsub = *nsub;
                 let mut inside = 0usize;
                 let mut total = 0usize;
@@ -263,8 +256,8 @@ fn cell_state(
 }
 
 /// Write the initial condition into every leaf (`Simulation_initBlock`):
-/// primitives → one EOS call → the eleven unk variables, with the same
-/// write set and `ENER = eint + ½v²` closure as the legacy modules.
+/// primitives → one EOS call → the eleven unk variables, closing
+/// `ENER = eint + ½v²`.
 fn init_blocks(spec: &SetupSpec, resolved: &Resolved, domain: &mut Domain, eos: &EosChoice) {
     let comp = spec.composition.to_composition();
     let mode = match spec.init_mode {
@@ -352,9 +345,8 @@ impl SetupSpec {
                     TableConfig::default()
                 };
                 // FLASH reads its Helmholtz table from a data file; cache
-                // ours the same way (and under the same names as the
-                // legacy supernova module) so repeated harness runs skip
-                // the Fermi–Dirac solves.
+                // ours the same way so repeated harness runs skip the
+                // Fermi–Dirac solves.
                 let cache = std::env::temp_dir().join(if coarse_table {
                     "rflash-helm-coarse.dat"
                 } else {
@@ -372,6 +364,15 @@ impl SetupSpec {
     /// needed), initial condition, iterated initial refinement
     /// (re-initializing after each adapt, as FLASH does), physics toggles,
     /// and an initial EOS pass.
+    ///
+    /// The spec owns the problem, so `build` overwrites `params.mesh`,
+    /// `params.cfl`, `params.regrid_every` and `params.gravity_every` with
+    /// the spec's, and raises `params.dens_floor` / `params.eint_floor` to
+    /// at least the spec's floors. To change any of them, edit
+    /// `self.mesh` or `self.budgets` before building: a `cfl` or
+    /// `regrid_every` set on the params is silently replaced. Everything
+    /// else in `params` (policy, ranks, engine, scheduler, instrumentation,
+    /// guardian, checkpoint cadence) is the caller's.
     pub fn build(&self, mut params: RuntimeParams) -> Result<Simulation, SpecError> {
         self.validate()?;
         self.validate_for_build()?;
@@ -397,9 +398,8 @@ impl SetupSpec {
         let eos = self.make_eos(params.policy);
         let wd = match (star, eos.helmholtz()) {
             (Some((rho_c, temp, rho_fluff)), Some(helm)) => Some(
-                // Legacy dr: half the domain width / 2000 — written as
-                // domain_hi[0]/2000 because the legacy domains put the
-                // star at the origin with hi[0] = half_width.
+                // Radial step: the star sits at the origin and
+                // domain_hi[0] is its half-width; 2000 shells span it.
                 build_wd(
                     helm,
                     comp,
@@ -413,8 +413,7 @@ impl SetupSpec {
             _ => None,
         };
         if let Some((_, _, rho_fluff)) = star {
-            // Density floor well above the EOS table's lower edge — the
-            // exact legacy supernova floor arithmetic.
+            // Density floor well above the EOS table's lower edge.
             params.dens_floor = params.dens_floor.max(rho_fluff * 0.1);
             params.eint_floor = params.eint_floor.max(1e12);
         }
@@ -451,9 +450,8 @@ impl SetupSpec {
             }
             GravitySpec::StarMonopole { shells } => {
                 let wd = resolved.wd.as_ref().expect("validated star");
-                // The field stays fixed over the run, as in the legacy
-                // supernova module (documented substitution for FLASH's
-                // per-regrid multipole solve).
+                // The field stays fixed over the run (documented
+                // substitution for FLASH's per-regrid multipole solve).
                 sim.gravity = GravityConfig {
                     field: rflash_gravity::GravityField::Monopole(
                         rflash_gravity::MonopoleField::from_profile(

@@ -3,16 +3,18 @@
 //! A FLASH setup module is, conceptually, *data*: an initial condition
 //! built from a handful of primitives, an EOS choice, refinement criteria,
 //! boundary conditions, physics toggles, and step budgets. This module
-//! makes that literal — [`SetupSpec`] captures everything the hard-coded
-//! setup modules encode, parseable from a dependency-free RON-like text
-//! format ([`parse`]), buildable into a [`Simulation`] ([`SetupSpec::build`])
-//! with per-cell arithmetic that reproduces the legacy modules
-//! bit-identically, and fingerprint-able into a committed golden corpus
-//! ([`digest`]).
+//! makes that literal — [`SetupSpec`] captures all of it, parseable from a
+//! dependency-free RON-like text format ([`parse`]), buildable into a
+//! [`Simulation`] ([`SetupSpec::build`]), and fingerprint-able into a
+//! committed golden corpus ([`digest`]). It is the one way the tree builds
+//! a scenario.
 //!
 //! The built-in scenarios live as committed spec files under
 //! `crates/core/specs/`; [`builtin`] parses them, [`load`] fetches one by
-//! name. DESIGN.md §15 documents the grammar and the golden-corpus policy.
+//! name. A caller that needs a variant (another dimension, refinement
+//! depth, pool size, geometry, budget) edits the loaded spec's public
+//! fields before building it. DESIGN.md §15 documents the grammar and the
+//! golden-corpus policy.
 
 pub mod build;
 pub mod digest;

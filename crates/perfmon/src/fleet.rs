@@ -3,8 +3,8 @@
 //! The supervisor (see `rflash-core`'s `dist` module and DESIGN.md §17)
 //! accumulates one of these per run: process lifecycle (spawns, respawns,
 //! migrations), failure handling (heartbeat misses, probes, rollbacks), and
-//! wire traffic. They ride along in the `FleetReport` and are what
-//! `fleet_bench` serializes into `BENCH_fleet.json`.
+//! wire traffic. They ride along in the `FleetReport`; `rflash run-fleet`
+//! prints them and the fleet drills assert on them.
 
 use serde::{Deserialize, Serialize};
 

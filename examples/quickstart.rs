@@ -5,8 +5,7 @@
 //! cargo run --release --example quickstart [none|thp|hugetlbfs]
 //! ```
 
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
+use rflash::core::{registry, RuntimeParams};
 use rflash::hugepages::{Policy, POLICY_ENV_VAR};
 
 fn main() {
@@ -19,18 +18,14 @@ fn main() {
 
     println!("huge-page policy: {policy}");
 
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 3,
-        max_blocks: 1024,
-        ..SedovSetup::default()
-    };
+    let mut spec = registry::load("sedov").expect("built-in scenario");
+    spec.mesh.ndim = 2;
+    spec.mesh.max_blocks = 1024;
     let params = RuntimeParams {
         policy,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
+        ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
     };
-    let mut sim = setup.build(params);
+    let mut sim = spec.build(params).expect("sedov spec builds");
     println!(
         "unk container: {:.1} MiB, {} leaf blocks",
         sim.domain.unk.bytes() as f64 / (1 << 20) as f64,

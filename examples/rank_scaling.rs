@@ -10,8 +10,7 @@
 
 use std::time::Instant;
 
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
+use rflash::core::{registry, RuntimeParams};
 use rflash::hugepages::Policy;
 
 fn main() {
@@ -23,23 +22,19 @@ fn main() {
     println!("host CPUs: {}", std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     println!("{:>6} {:>10} {:>12} {:>10}", "ranks", "leaves", "time [s]", "speedup");
 
+    let mut spec = registry::load("sedov").expect("built-in scenario");
+    spec.mesh.ndim = 2;
+    spec.mesh.max_blocks = 2048;
     let mut t1 = None;
     for nranks in [1usize, 2, 4, 8] {
-        let setup = SedovSetup {
-            ndim: 2,
-            nxb: 8,
-            max_refine: 3,
-            max_blocks: 2048,
-            ..SedovSetup::default()
-        };
         let params = RuntimeParams {
             policy: Policy::Thp,
             nranks,
             pattern_every: 0,
             gather_every: 0,
-            ..RuntimeParams::with_mesh(setup.mesh_config())
+            ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
         };
-        let mut sim = setup.build(params);
+        let mut sim = spec.build(params).expect("sedov spec builds");
         let t0 = Instant::now();
         sim.evolve(steps);
         let dt = t0.elapsed().as_secs_f64();

@@ -6,10 +6,15 @@
 //! ```
 
 use rflash::core::output::RadialProfile;
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
+use rflash::core::{registry, RuntimeParams};
 use rflash::hugepages::Policy;
 use rflash::hydro::SedovSolution;
+
+// The stock `sedov.ron` problem: γ = 1.4, E₀ = 1 into ρ₀ = 1, p₀ = 1e-5.
+const GAMMA: f64 = 1.4;
+const E0: f64 = 1.0;
+const RHO0: f64 = 1.0;
+const P_AMBIENT: f64 = 1e-5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -19,25 +24,23 @@ fn main() {
         .find_map(|a| a.parse().ok())
         .unwrap_or(if three_d { 60 } else { 150 });
 
-    let setup = SedovSetup {
-        ndim: if three_d { 3 } else { 2 },
-        nxb: 8,
-        max_refine: if three_d { 3 } else { 4 },
-        max_blocks: 4096,
-        ..SedovSetup::default()
-    };
+    let ndim = if three_d { 3 } else { 2 };
+    let mut spec = registry::load("sedov").expect("built-in scenario");
+    spec.mesh.ndim = ndim;
+    if !three_d {
+        spec.mesh.max_refine = 4;
+    }
     let params = RuntimeParams {
         policy: Policy::Thp,
         pattern_every: 0, // pure physics run: no instrumentation overhead
         gather_every: 0,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
+        ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
     };
-    let mut sim = setup.build(params);
+    let mut sim = spec.build(params).expect("sedov spec builds");
     println!(
-        "Sedov {}-d: {} initial leaves, dx_min = {:.4}",
-        setup.ndim,
+        "Sedov {ndim}-d: {} initial leaves, dx_min = {:.4}",
         sim.domain.tree.leaves().len(),
-        setup.dx_min()
+        1.0 / (spec.mesh.nxb as f64 * (1u64 << spec.mesh.max_refine) as f64)
     );
     sim.evolve(steps);
     println!(
@@ -46,11 +49,12 @@ fn main() {
         sim.domain.tree.leaves().len()
     );
 
-    let analytic = SedovSolution::new(setup.gamma, setup.ndim, setup.e0, setup.rho0, setup.p_ambient);
+    let analytic = SedovSolution::new(GAMMA, ndim, E0, RHO0, P_AMBIENT);
     let r_shock = analytic.shock_radius(sim.time);
     println!("analytic shock radius: {r_shock:.4} (xi0 = {:.4})", analytic.xi0());
 
-    let profile = RadialProfile::extract(&sim.domain, setup.center(), 0.5, 48);
+    let center = if three_d { [0.5; 3] } else { [0.5, 0.5, 0.0] };
+    let profile = RadialProfile::extract(&sim.domain, center, 0.5, 48);
     if let Some(r_num) = profile.shock_radius() {
         println!(
             "numerical shock radius: {r_num:.4}  (rel. error {:+.2}%)",

@@ -9,8 +9,8 @@
 //! the default is the Cartesian variant.
 
 use rflash::core::output::RadialProfile;
-use rflash::core::setups::supernova::SupernovaSetup;
-use rflash::core::RuntimeParams;
+use rflash::core::registry::spec::{BcSpec, GeometrySpec};
+use rflash::core::{registry, RuntimeParams};
 use rflash::eos::consts::M_SUN;
 use rflash::hugepages::Policy;
 use rflash::mesh::vars;
@@ -20,26 +20,25 @@ fn main() {
     let steps: u64 = args.iter().find_map(|a| a.parse().ok()).unwrap_or(50);
     let rz = args.iter().any(|a| a == "--rz");
 
-    let setup = SupernovaSetup {
-        nxb: 16,
-        max_refine: 3,
-        max_blocks: 2048,
-        geometry: if rz {
-            rflash::mesh::Geometry::CylindricalRZ
-        } else {
-            rflash::mesh::Geometry::Cartesian
-        },
-        ..SupernovaSetup::default()
-    };
+    let mut spec = registry::load("supernova").expect("built-in scenario");
+    spec.mesh.max_blocks = 2048;
+    let half_width = spec.mesh.domain_hi[0];
+    if rz {
+        // r ∈ [0, L], z ∈ [−L, L]: the star at the origin on the axis.
+        spec.mesh.geometry = GeometrySpec::CylindricalRZ;
+        spec.mesh.nroot = [1, 2, 1];
+        spec.mesh.domain_lo = [0.0, -half_width, 0.0];
+        spec.mesh.bc_faces[0][0] = Some(BcSpec::Reflecting);
+    }
     let params = RuntimeParams {
         policy: Policy::Thp,
         pattern_every: 0,
         gather_every: 0,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
+        ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
     };
 
     println!("building the white dwarf and the Helmholtz table…");
-    let mut sim = setup.build(params);
+    let mut sim = spec.build(params).expect("supernova spec builds");
     if rz {
         println!(
             "progenitor on the grid: {:.3} Msun (true 3-d mass in r–z)",
@@ -90,7 +89,7 @@ fn main() {
         last_t = sim.time;
     }
 
-    let profile = RadialProfile::extract(&sim.domain, [0.0; 3], setup.half_width, 32);
+    let profile = RadialProfile::extract(&sim.domain, [0.0; 3], half_width, 32);
     println!("\nfinal radial structure (t = {last_t:.3e} s):");
     println!("{:>12} {:>12} {:>12} {:>10}", "r [cm]", "dens", "T-proxy pres", "velr");
     for b in (0..profile.r.len()).step_by(4) {

@@ -22,21 +22,23 @@
 //! | [`hydro`] | `rflash-hydro` | split PPM + HLLC, Sedov analytic solution |
 //! | [`flame`] | `rflash-flame` | ADR model flame, laminar speed tables |
 //! | [`gravity`] | `rflash-gravity` | monopole/point/constant gravity |
-//! | [`core`] | `rflash-core` | driver, runtime parameters, the two paper setups |
+//! | [`core`] | `rflash-core` | driver, runtime parameters, scenario registry (paper problems as spec files) |
 //!
 //! ## Quickstart
 //!
 //! ```no_run
-//! use rflash::core::setups::sedov::SedovSetup;
-//! use rflash::core::RuntimeParams;
+//! use rflash::core::{registry, RuntimeParams};
 //! use rflash::hugepages::Policy;
 //!
-//! let setup = SedovSetup { ndim: 2, max_refine: 2, ..SedovSetup::default() };
+//! // The paper's Sedov problem (`crates/core/specs/sedov.ron`), shrunk to 2-d.
+//! let mut spec = registry::load("sedov").unwrap();
+//! spec.mesh.ndim = 2;
+//! spec.mesh.max_refine = 2;
 //! let params = RuntimeParams {
 //!     policy: Policy::Thp, // back unk with transparent huge pages
-//!     ..RuntimeParams::with_mesh(setup.mesh_config())
+//!     ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
 //! };
-//! let mut sim = setup.build(params);
+//! let mut sim = spec.build(params).unwrap();
 //! sim.evolve(50);
 //! println!("{}", sim.domain.unk.backing_report()); // what the kernel granted
 //! println!("{:?}", sim.hydro_measures());          // paper-style measures

@@ -11,10 +11,10 @@ use std::path::PathBuf;
 use rflash::core::checkpoint::{
     read_checkpoint, write_checkpoint, CheckpointError, CheckpointSeries,
 };
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::{Composition, EosChoice, RuntimeParams, Simulation};
-use rflash::eos::GammaLaw;
+use rflash::core::registry::{self, SetupSpec};
+use rflash::core::{RuntimeParams, Simulation, StepScheduler};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
+use rflash::hydro::SweepEngine;
 use rflash::mesh::{vars, Domain, Layout, MeshConfig};
 
 fn scratch(name: &str) -> PathBuf {
@@ -132,23 +132,31 @@ fn round_trip_is_bit_exact_across_generated_cases() {
     }
 }
 
-fn sedov_sim(checkpoint_every: u64) -> (Simulation, f64) {
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 2,
-        max_blocks: 256,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        checkpoint_every,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    (setup.build(params), setup.gamma)
+fn sedov_spec() -> SetupSpec {
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.ndim = 2;
+    spec.mesh.max_refine = 2;
+    spec.mesh.max_blocks = 256;
+    spec
+}
+
+fn sedov_sim(checkpoint_every: u64) -> Simulation {
+    let spec = sedov_spec();
+    let mut params =
+        registry::smoke_params(&spec, 1, SweepEngine::default(), StepScheduler::default());
+    params.checkpoint_every = checkpoint_every;
+    spec.build(params).unwrap()
+}
+
+/// Recover the Sedov run from `series` with the EOS its spec names.
+fn recover(series: &CheckpointSeries) -> (Simulation, Vec<(PathBuf, CheckpointError)>) {
+    let spec = sedov_spec();
+    Simulation::recover(
+        series,
+        spec.make_eos(Policy::None),
+        spec.composition.to_composition(),
+    )
+    .unwrap()
 }
 
 #[test]
@@ -157,19 +165,14 @@ fn restart_from_series_matches_the_uninterrupted_run() {
     let _ = std::fs::remove_dir_all(&dir);
     let series = CheckpointSeries::new(&dir, "chk");
 
-    let (mut sim, gamma) = sedov_sim(2);
+    let mut sim = sedov_sim(2);
     let written = sim.evolve_checkpointed(6, &series).unwrap();
     assert_eq!(written.len(), 3, "checkpoints at steps 2, 4, 6");
     sim.evolve(4); // uninterrupted to step 10
 
     // "Crash" and recover from the newest checkpoint (step 6), then run
     // the same remaining steps.
-    let (mut sim2, skipped) = Simulation::recover(
-        &series,
-        EosChoice::Gamma(GammaLaw::new(gamma)),
-        Composition::ideal(),
-    )
-    .unwrap();
+    let (mut sim2, skipped) = recover(&series);
     assert!(skipped.is_empty());
     assert_eq!(sim2.step, 6);
     sim2.evolve(4);
@@ -192,7 +195,7 @@ fn restart_from_series_matches_the_uninterrupted_run() {
 #[test]
 fn kill_mid_checkpoint_leaves_the_previous_checkpoint_restorable() {
     let path = scratch("kill-mid-write");
-    let (mut sim, _) = sedov_sim(0);
+    let mut sim = sedov_sim(0);
     sim.evolve(2);
     sim.checkpoint(&path).unwrap();
     let good_bytes = std::fs::read(&path).unwrap();
@@ -230,7 +233,7 @@ fn kill_mid_checkpoint_leaves_the_previous_checkpoint_restorable() {
 #[test]
 fn failed_rename_keeps_the_old_checkpoint_current() {
     let path = scratch("rename-fail");
-    let (mut sim, _) = sedov_sim(0);
+    let mut sim = sedov_sim(0);
     sim.evolve(1);
     sim.checkpoint(&path).unwrap();
     let good_bytes = std::fs::read(&path).unwrap();
@@ -259,7 +262,7 @@ fn series_recovery_survives_a_crashed_latest_checkpoint() {
     let dir = scratch("series-crash");
     let _ = std::fs::remove_dir_all(&dir);
     let series = CheckpointSeries::new(&dir, "chk");
-    let (mut sim, gamma) = sedov_sim(0);
+    let mut sim = sedov_sim(0);
     sim.evolve(2);
     series.write(&sim).unwrap();
     let good_step = sim.step;
@@ -273,12 +276,7 @@ fn series_recovery_survives_a_crashed_latest_checkpoint() {
         assert!(series.write(&sim).is_err());
     }
 
-    let (recovered, skipped) = Simulation::recover(
-        &series,
-        EosChoice::Gamma(GammaLaw::new(gamma)),
-        Composition::ideal(),
-    )
-    .unwrap();
+    let (recovered, skipped) = recover(&series);
     assert_eq!(recovered.step, good_step);
     // The torn file never got published (it died as a .tmp), so nothing
     // was skipped: the series only ever contains whole files.

@@ -28,28 +28,38 @@ fn golden_crc(scenario: &str) -> u32 {
         .crc
 }
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("rflash-fleet-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A drill's checkpoint-series directory, removed when the guard drops —
+/// on a panicking drill too, so no run leaves its series behind.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("rflash-fleet-it-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// A smoke-scale fleet config with drill-friendly failure detection:
 /// tight heartbeats, a wide coalescing window, checkpoints every step.
-fn drill_config(scenario: &str, workers: usize, tag: &str) -> FleetConfig {
-    let mut cfg = FleetConfig::new(
-        env!("CARGO_BIN_EXE_rflash"),
-        scenario,
-        3,
-        scratch(tag),
-    );
+/// Keep the returned guard alive until the fleet has finished.
+fn drill_config(scenario: &str, workers: usize, tag: &str) -> (FleetConfig, Scratch) {
+    let dir = Scratch::new(tag);
+    let mut cfg = FleetConfig::new(env!("CARGO_BIN_EXE_rflash"), scenario, 3, &dir.0);
     cfg.workers = workers;
     cfg.checkpoint_every = 1;
     cfg.heartbeat_ms = 20;
     cfg.heartbeat_timeout_ms = 400;
     cfg.coalesce_ms = 400;
     cfg.max_wall_ms = 300_000;
-    cfg
+    (cfg, dir)
 }
 
 fn run(cfg: FleetConfig) -> FleetReport {
@@ -76,7 +86,8 @@ fn count<F: Fn(&FleetEvent) -> bool>(report: &FleetReport, f: F) -> usize {
 #[test]
 fn clean_fleet_reproduces_the_golden_digest() {
     for (scenario, workers) in [("sedov", 2), ("sedov", 3), ("supernova", 2)] {
-        let report = run(drill_config(scenario, workers, &format!("clean-{scenario}-{workers}")));
+        let (cfg, _dir) = drill_config(scenario, workers, &format!("clean-{scenario}-{workers}"));
+        let report = run(cfg);
         assert_eq!(
             report.digest.crc,
             golden_crc(scenario),
@@ -97,7 +108,7 @@ fn clean_fleet_reproduces_the_golden_digest() {
 #[test]
 fn worker_kill_recovers_bit_identically() {
     for scenario in ["sedov", "supernova"] {
-        let mut cfg = drill_config(scenario, 2, &format!("kill-{scenario}"));
+        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("kill-{scenario}"));
         cfg.worker_faults = vec![(1, "worker-kill=nth:2".into())];
         let report = run(cfg);
         assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
@@ -111,7 +122,7 @@ fn worker_kill_recovers_bit_identically() {
 #[test]
 fn heartbeat_drop_is_detected_by_the_probe_ladder_and_recovers() {
     for scenario in ["sedov", "supernova"] {
-        let mut cfg = drill_config(scenario, 2, &format!("hb-{scenario}"));
+        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("hb-{scenario}"));
         cfg.worker_faults = vec![(1, "heartbeat-drop=nth:2".into())];
         let report = run(cfg);
         assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
@@ -128,7 +139,7 @@ fn heartbeat_drop_is_detected_by_the_probe_ladder_and_recovers() {
 #[test]
 fn msg_truncate_leaves_a_torn_frame_and_recovers() {
     for scenario in ["sedov", "supernova"] {
-        let mut cfg = drill_config(scenario, 2, &format!("trunc-{scenario}"));
+        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("trunc-{scenario}"));
         cfg.worker_faults = vec![(0, "msg-truncate=nth:2".into())];
         let report = run(cfg);
         assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
@@ -159,7 +170,7 @@ fn late_kill_replays_from_a_recorded_checkpoint() {
     // *valid* entry at recovery time may be step 1 or 2. Either way the
     // digest must land on golden; the rollback target must name a real
     // checkpoint when one exists).
-    let mut cfg = drill_config("sedov", 2, "latekill");
+    let (mut cfg, _dir) = drill_config("sedov", 2, "latekill");
     cfg.worker_faults = vec![(1, "worker-kill=nth:3".into())];
     let report = run(cfg);
     assert_eq!(report.digest.crc, golden_crc("sedov"));
@@ -184,7 +195,7 @@ fn late_kill_replays_from_a_recorded_checkpoint() {
 
 #[test]
 fn concurrent_kills_resolve_in_ascending_rank_order_in_one_round() {
-    let mut cfg = drill_config("sedov", 3, "dualkill");
+    let (mut cfg, _dir) = drill_config("sedov", 3, "dualkill");
     cfg.worker_faults = vec![
         (1, "worker-kill=nth:2".into()),
         (2, "worker-kill=nth:2".into()),
@@ -208,7 +219,7 @@ fn concurrent_kills_resolve_in_ascending_rank_order_in_one_round() {
 
 #[test]
 fn spawn_fail_migrates_the_shard_to_survivors() {
-    let mut cfg = drill_config("sedov", 2, "migrate");
+    let (mut cfg, _dir) = drill_config("sedov", 2, "migrate");
     cfg.worker_faults = vec![(1, "worker-kill=nth:2".into())];
     // Spawn attempts: rank 0 (1st), rank 1 (2nd), rank 1's respawn (3rd).
     cfg.supervisor_faults = Some("spawn-fail=nth:3".into());
@@ -240,7 +251,8 @@ fn spawn_fail_migrates_the_shard_to_survivors() {
 #[test]
 fn more_workers_than_leaves_still_reproduces_golden() {
     // Supernova smoke has 4 leaves; 6 workers leave two shards empty.
-    let report = run(drill_config("supernova", 6, "overshard"));
+    let (cfg, _dir) = drill_config("supernova", 6, "overshard");
+    let report = run(cfg);
     assert_eq!(report.digest.crc, golden_crc("supernova"));
     assert_eq!(report.workers_final, 6);
 }
@@ -249,7 +261,7 @@ fn more_workers_than_leaves_still_reproduces_golden() {
 
 #[test]
 fn losing_every_worker_is_a_typed_abort_naming_the_emergency_checkpoint() {
-    let mut cfg = drill_config("sedov", 2, "alllost");
+    let (mut cfg, _dir) = drill_config("sedov", 2, "alllost");
     cfg.worker_faults = vec![
         (0, "worker-kill=nth:2".into()),
         (1, "worker-kill=nth:2".into()),

@@ -11,19 +11,14 @@
 //! cargo run --release -p rflash-bench --bin scenario_matrix -- --bless
 //! ```
 //!
-//! The suite also pins the tentpole's transliteration claim: the three
-//! legacy hard-coded setups and their committed spec files build
-//! bit-identical simulations; and the PR 3/PR 5 recovery story: a
-//! spec-launched run that crashes and recovers from its checkpoint series
-//! resumes to the same golden digest as an uninterrupted run.
+//! The suite also pins the recovery story: a spec-launched run that
+//! crashes and recovers from its checkpoint series resumes to the same
+//! golden digest as an uninterrupted run.
 
 use std::path::PathBuf;
 
 use rflash::core::registry::{self, load_golden, GoldenRecord, SetupSpec, StateDigest};
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::setups::sod::SodSetup;
-use rflash::core::setups::supernova::SupernovaSetup;
-use rflash::core::{CheckpointSeries, RuntimeParams, Simulation, StepScheduler};
+use rflash::core::{CheckpointSeries, Simulation, StepScheduler};
 use rflash::hugepages::Policy;
 use rflash::hydro::SweepEngine;
 
@@ -159,125 +154,6 @@ fn golden_backend_axis_supernova() {
     // Helmholtz scenario: additionally exercises the batched bicubic table
     // evaluation and the masked-re-iteration Newton inversion.
     assert_backend_axis_matches_golden("supernova");
-}
-
-// ---------------------------------------------------------------------------
-// Spec-vs-legacy transliteration: bit identity
-// ---------------------------------------------------------------------------
-
-/// Deterministic params mirroring `registry::smoke_params` for a legacy
-/// hard-coded setup.
-fn legacy_params(mesh: rflash::mesh::MeshConfig) -> RuntimeParams {
-    RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        ..RuntimeParams::with_mesh(mesh)
-    }
-}
-
-/// Both sims must agree bit-for-bit: at init AND after the smoke steps.
-fn assert_bit_identical(name: &str, spec_sim: &mut Simulation, legacy_sim: &mut Simulation, steps: u64) {
-    assert_eq!(
-        StateDigest::of(spec_sim),
-        StateDigest::of(legacy_sim),
-        "`{name}`: spec-built initial state differs from the hard-coded module"
-    );
-    spec_sim.evolve(steps);
-    legacy_sim.evolve(steps);
-    assert_eq!(
-        StateDigest::of(spec_sim),
-        StateDigest::of(legacy_sim),
-        "`{name}`: spec-built run diverged from the hard-coded module after {steps} steps"
-    );
-}
-
-#[test]
-fn spec_sedov_is_bit_identical_to_the_hardcoded_module() {
-    let spec = registry::load("sedov").unwrap().at_smoke_scale();
-    let steps = spec.smoke.steps;
-    let mut from_spec = spec
-        .build(registry::smoke_params(
-            &spec,
-            1,
-            SweepEngine::Pencil,
-            StepScheduler::TaskGraph,
-        ))
-        .unwrap();
-
-    let legacy = SedovSetup {
-        max_refine: spec.mesh.max_refine,
-        max_blocks: spec.mesh.max_blocks,
-        ..SedovSetup::default()
-    };
-    let mut from_code = legacy.build(legacy_params(legacy.mesh_config()));
-    assert_bit_identical("sedov", &mut from_spec, &mut from_code, steps);
-}
-
-#[test]
-fn spec_sod_is_bit_identical_to_the_hardcoded_module() {
-    let spec = registry::load("sod").unwrap().at_smoke_scale();
-    let steps = spec.smoke.steps;
-    let mut from_spec = spec
-        .build(registry::smoke_params(
-            &spec,
-            1,
-            SweepEngine::Pencil,
-            StepScheduler::TaskGraph,
-        ))
-        .unwrap();
-
-    let legacy = SodSetup {
-        max_refine: spec.mesh.max_refine,
-        max_blocks: spec.mesh.max_blocks,
-        ..SodSetup::default()
-    };
-    let mut from_code = legacy.build(legacy_params(legacy.mesh_config()));
-    assert_bit_identical("sod", &mut from_spec, &mut from_code, steps);
-}
-
-#[test]
-fn spec_supernova_is_bit_identical_to_the_hardcoded_module() {
-    let spec = registry::load("supernova").unwrap().at_smoke_scale();
-    let steps = spec.smoke.steps;
-    let mut from_spec = spec
-        .build(registry::smoke_params(
-            &spec,
-            1,
-            SweepEngine::Pencil,
-            StepScheduler::TaskGraph,
-        ))
-        .unwrap();
-
-    let legacy = SupernovaSetup {
-        max_refine: spec.mesh.max_refine,
-        max_blocks: spec.mesh.max_blocks,
-        coarse_table: true,
-        ..SupernovaSetup::default()
-    };
-    let mut from_code = legacy.build(legacy_params(legacy.mesh_config()));
-    assert_bit_identical("supernova", &mut from_spec, &mut from_code, steps);
-}
-
-/// The default-scale (paper-scale) mesh of every spec'd legacy problem
-/// must equal the hard-coded module's — the cheap structural half of the
-/// transliteration claim (the full-evolution half runs at smoke scale
-/// above).
-#[test]
-fn spec_default_meshes_match_the_hardcoded_modules() {
-    let sedov = registry::load("sedov").unwrap();
-    assert_eq!(
-        sedov.mesh.to_mesh_config(),
-        SedovSetup::default().mesh_config()
-    );
-    let sod = registry::load("sod").unwrap();
-    assert_eq!(sod.mesh.to_mesh_config(), SodSetup::default().mesh_config());
-    let sn = registry::load("supernova").unwrap();
-    assert_eq!(
-        sn.mesh.to_mesh_config(),
-        SupernovaSetup::default().mesh_config()
-    );
 }
 
 // ---------------------------------------------------------------------------

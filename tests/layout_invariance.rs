@@ -8,11 +8,11 @@
 //! scalar per-zone engine, so full runs under each must also agree
 //! bit-for-bit.
 
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
-use rflash::hugepages::Policy;
+use rflash::core::registry::spec::LayoutSpec;
+use rflash::core::registry::{self, SetupSpec};
+use rflash::core::StepScheduler;
 use rflash::hydro::SweepEngine;
-use rflash::mesh::{vars, Layout};
+use rflash::mesh::vars;
 
 /// Bitwise comparison of two evolved simulations: same AMR topology, same
 /// interior state in every compared variable.
@@ -46,31 +46,28 @@ fn assert_runs_identical(a: &rflash::core::Simulation, b: &rflash::core::Simulat
     }
 }
 
-fn run(layout: Layout) -> rflash::core::Simulation {
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 2,
-        max_blocks: 256,
-        layout,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    let mut sim = setup.build(params);
-    sim.evolve(20);
+/// The stock Sedov spec at `max_refine` 2 on a 256-block pool.
+fn sedov(ndim: usize) -> SetupSpec {
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.ndim = ndim;
+    spec.mesh.max_refine = 2;
+    spec.mesh.max_blocks = 256;
+    spec
+}
+
+fn run(spec: &SetupSpec, engine: SweepEngine, steps: u64) -> rflash::core::Simulation {
+    let params = registry::smoke_params(spec, 1, engine, StepScheduler::default());
+    let mut sim = spec.build(params).unwrap();
+    sim.evolve(steps);
     sim
 }
 
 #[test]
 fn physics_is_bit_identical_across_unk_layouts() {
-    let a = run(Layout::VarFirst);
-    let b = run(Layout::VarLast);
+    let mut spec = sedov(2);
+    let a = run(&spec, SweepEngine::default(), 20);
+    spec.mesh.layout = LayoutSpec::VarLast;
+    let b = run(&spec, SweepEngine::default(), 20);
     assert_runs_identical(&a, &b, "layout");
 }
 
@@ -80,27 +77,8 @@ fn physics_is_bit_identical_across_unk_layouts() {
 /// bit-for-bit between the two.
 #[test]
 fn pencil_engine_is_bit_identical_to_scalar_on_sedov_3d() {
-    let run_engine = |engine: SweepEngine| {
-        let setup = SedovSetup {
-            ndim: 3,
-            nxb: 8,
-            max_refine: 2,
-            max_blocks: 256,
-            ..SedovSetup::default()
-        };
-        let params = RuntimeParams {
-            policy: Policy::None,
-            use_hw: false,
-            pattern_every: 0,
-            gather_every: 0,
-            sweep_engine: engine,
-            ..RuntimeParams::with_mesh(setup.mesh_config())
-        };
-        let mut sim = setup.build(params);
-        sim.evolve(8);
-        sim
-    };
-    let scalar = run_engine(SweepEngine::Scalar);
-    let pencil = run_engine(SweepEngine::Pencil);
+    let spec = sedov(3);
+    let scalar = run(&spec, SweepEngine::Scalar, 8);
+    let pencil = run(&spec, SweepEngine::Pencil, 8);
     assert_runs_identical(&scalar, &pencil, "sweep engine");
 }

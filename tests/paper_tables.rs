@@ -4,9 +4,7 @@
 use rflash_bench::{
     default_policies, figure1_text, run_eos_experiment, run_hydro_experiment, RunScale,
 };
-use rflash_core::setups::supernova::SupernovaSetup;
-use rflash_core::RuntimeParams;
-use rflash_hugepages::Policy;
+use rflash_core::{registry, StepScheduler};
 use rflash_hydro::SweepEngine;
 use rflash_mesh::vars;
 
@@ -80,20 +78,10 @@ fn dtlb_ratio_shrinks_when_huge_pages_verify() {
 #[test]
 fn pencil_engine_is_bit_identical_to_scalar_on_supernova_2d() {
     let run_engine = |engine: SweepEngine| {
-        let setup = SupernovaSetup {
-            max_refine: 1,
-            max_blocks: 256,
-            coarse_table: true,
-            ..SupernovaSetup::default()
-        };
-        let mut sim = setup.build(RuntimeParams {
-            policy: Policy::None,
-            use_hw: false,
-            pattern_every: 0,
-            gather_every: 0,
-            sweep_engine: engine,
-            ..RuntimeParams::with_mesh(setup.mesh_config())
-        });
+        // The spec's smoke scale: max_refine 1, 256 blocks, coarse table.
+        let spec = registry::load("supernova").unwrap().at_smoke_scale();
+        let params = registry::smoke_params(&spec, 1, engine, StepScheduler::default());
+        let mut sim = spec.build(params).unwrap();
         sim.evolve(4);
         sim
     };

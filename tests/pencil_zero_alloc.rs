@@ -9,8 +9,7 @@
 //! are process-wide, and unrelated tests allocating regions in parallel
 //! threads would make the delta meaningless.
 
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
+use rflash::core::{registry, StepScheduler};
 use rflash::hugepages::{PageSize, Policy};
 use rflash::hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX};
 use rflash::mesh::flux::FluxRegister;
@@ -18,25 +17,15 @@ use rflash::perfmon::AllocSummary;
 
 #[test]
 fn steady_state_sweeps_allocate_nothing_after_first_epoch() {
-    let setup = SedovSetup {
-        ndim: 3,
-        nxb: 8,
-        max_refine: 1,
-        max_blocks: 256,
-        ..SedovSetup::default()
-    };
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.max_refine = 1;
+    spec.mesh.max_blocks = 256;
     // Request hugetlbfs scratch: every arena (re)build walks the
     // degradation chain and bumps at least `hugetlb_attempts`, so a
     // rebuild in the steady state cannot hide from the delta below —
     // whatever backing the host actually grants.
-    let mut sim = setup.build(RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        sweep_engine: SweepEngine::Pencil,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    });
+    let params = registry::smoke_params(&spec, 1, SweepEngine::Pencil, StepScheduler::default());
+    let mut sim = spec.build(params).unwrap();
     let ndim = sim.domain.tree.config().ndim;
     let cfg = SweepConfig {
         engine: SweepEngine::Pencil,

@@ -27,10 +27,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use rflash::core::setups::sedov::SedovSetup;
+use rflash::core::registry;
 use rflash::core::stepgraph::mutation;
-use rflash::core::{RuntimeParams, Simulation, StepScheduler};
-use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
+use rflash::core::{Simulation, StepScheduler};
+use rflash::hugepages::{FaultKind, FaultPlan, FaultSite};
+use rflash::hydro::SweepEngine;
 use rflash::mesh::audit;
 
 /// Bit pattern of every interior zone of every variable, leaves in Morton
@@ -57,24 +58,13 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 /// every declaration site in `build_plan` is live. Guardian stays at its
 /// (enabled) default — the plan is fused, so validation tasks exist too.
 fn sedov(nranks: usize, adversary_seed: Option<u64>) -> Simulation {
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 3,
-        max_blocks: 256,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        nranks,
-        step_scheduler: StepScheduler::TaskGraph,
-        adversary_seed,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    setup.build(params)
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.ndim = 2;
+    spec.mesh.max_blocks = 256;
+    let mut params =
+        registry::smoke_params(&spec, nranks, SweepEngine::default(), StepScheduler::TaskGraph);
+    params.adversary_seed = adversary_seed;
+    spec.build(params).unwrap()
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {

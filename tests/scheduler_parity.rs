@@ -12,12 +12,8 @@
 use std::path::PathBuf;
 
 use rflash::core::checkpoint::read_checkpoint;
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::setups::supernova::SupernovaSetup;
-use rflash::core::{
-    CheckpointSeries, GuardianConfig, RuntimeParams, Simulation, StepScheduler,
-};
-use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
+use rflash::core::{registry, CheckpointSeries, GuardianConfig, Simulation, StepScheduler};
+use rflash::hugepages::{FaultKind, FaultPlan, FaultSite};
 use rflash::hydro::SweepEngine;
 
 fn scratch(name: &str) -> PathBuf {
@@ -43,44 +39,21 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
     bits
 }
 
+/// A registered scenario at its smoke scale — for `sedov`, 3-d at
+/// `max_refine` 2 on a 512-block pool; for `supernova`, 2-d at
+/// `max_refine` 1 on 256 blocks with the coarse Helmholtz table.
+fn smoke(name: &str, scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
+    let spec = registry::load(name).unwrap().at_smoke_scale();
+    let params = registry::smoke_params(&spec, nranks, engine, scheduler);
+    spec.build(params).unwrap()
+}
+
 fn sedov3d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
-    let setup = SedovSetup {
-        ndim: 3,
-        nxb: 8,
-        max_refine: 2,
-        max_blocks: 512,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        nranks,
-        sweep_engine: engine,
-        step_scheduler: scheduler,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    setup.build(params)
+    smoke("sedov", scheduler, nranks, engine)
 }
 
 fn supernova2d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
-    let setup = SupernovaSetup {
-        max_refine: 1,
-        max_blocks: 256,
-        coarse_table: true,
-        ..SupernovaSetup::default()
-    };
-    setup.build(RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        nranks,
-        sweep_engine: engine,
-        step_scheduler: scheduler,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    })
+    smoke("supernova", scheduler, nranks, engine)
 }
 
 /// 3-d Sedov: task-graph vs barrier, every rank count and both sweep

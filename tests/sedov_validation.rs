@@ -2,49 +2,46 @@
 //! correction) against the analytic Sedov–Taylor solution.
 
 use rflash::core::output::RadialProfile;
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::RuntimeParams;
-use rflash::hugepages::Policy;
-use rflash::hydro::SedovSolution;
+use rflash::core::registry::spec::{BcSpec, GeometrySpec};
+use rflash::core::registry::{self, IcPrimitive, SetupSpec};
+use rflash::core::{Simulation, StepScheduler};
+use rflash::hydro::{SedovSolution, SweepEngine};
 use rflash::mesh::vars;
 
-fn run_sedov(steps: u64) -> (rflash::core::Simulation, SedovSetup) {
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 3,
-        max_blocks: 1024,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    let mut sim = setup.build(params);
+// The stock `sedov.ron` problem: γ = 1.4, E₀ = 1 into ρ₀ = 1, p₀ = 1e-5.
+const GAMMA: f64 = 1.4;
+const E0: f64 = 1.0;
+const RHO0: f64 = 1.0;
+const P_AMBIENT: f64 = 1e-5;
+const MAX_REFINE: u8 = 3;
+
+/// The stock Sedov spec in 2-d at test size (8-zone blocks, 3 levels).
+fn sedov_2d() -> SetupSpec {
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.ndim = 2;
+    spec.mesh.max_refine = MAX_REFINE;
+    spec.mesh.max_blocks = 1024;
+    spec
+}
+
+fn evolve(spec: &SetupSpec, steps: u64) -> Simulation {
+    let params = registry::smoke_params(spec, 1, SweepEngine::default(), StepScheduler::default());
+    let mut sim = spec.build(params).unwrap();
     sim.evolve(steps);
-    (sim, setup)
+    sim
 }
 
 #[test]
 fn shock_radius_tracks_the_analytic_solution() {
-    let (sim, setup) = run_sedov(120);
+    let sim = evolve(&sedov_2d(), 120);
     assert!(sim.time > 0.0);
-    let analytic = SedovSolution::new(
-        setup.gamma,
-        setup.ndim,
-        setup.e0,
-        setup.rho0,
-        setup.p_ambient,
-    );
+    let analytic = SedovSolution::new(GAMMA, 2, E0, RHO0, P_AMBIENT);
     let r_exact = analytic.shock_radius(sim.time);
     assert!(
         r_exact > 0.05 && r_exact < 0.5,
         "shock should be well inside the box: {r_exact}"
     );
-    let profile = RadialProfile::extract(&sim.domain, setup.center(), 0.5, 64);
+    let profile = RadialProfile::extract(&sim.domain, [0.5, 0.5, 0.0], 0.5, 64);
     let r_num = profile.shock_radius().expect("profile has data");
     let rel = (r_num - r_exact) / r_exact;
     assert!(
@@ -56,7 +53,7 @@ fn shock_radius_tracks_the_analytic_solution() {
 
 #[test]
 fn post_shock_compression_approaches_strong_shock_limit() {
-    let (sim, setup) = run_sedov(120);
+    let sim = evolve(&sedov_2d(), 120);
     // Maximum density on the grid approaches (γ+1)/(γ−1)·ρ0 = 6 from
     // below; at this deliberately small test resolution (8-zone blocks,
     // 3 levels) the thin shell is diffused to roughly half the analytic
@@ -70,7 +67,7 @@ fn post_shock_compression_approaches_strong_shock_limit() {
             }
         }
     }
-    let limit = (setup.gamma + 1.0) / (setup.gamma - 1.0);
+    let limit = (GAMMA + 1.0) / (GAMMA - 1.0);
     assert!(
         rho_max > 0.42 * limit && rho_max < 1.15 * limit,
         "peak compression {rho_max} vs strong-shock limit {limit}"
@@ -79,17 +76,11 @@ fn post_shock_compression_approaches_strong_shock_limit() {
 
 #[test]
 fn amr_follows_the_shock_front() {
-    let (sim, setup) = run_sedov(120);
-    let analytic = SedovSolution::new(
-        setup.gamma,
-        setup.ndim,
-        setup.e0,
-        setup.rho0,
-        setup.p_ambient,
-    );
+    let sim = evolve(&sedov_2d(), 120);
+    let analytic = SedovSolution::new(GAMMA, 2, E0, RHO0, P_AMBIENT);
     let r_shock = analytic.shock_radius(sim.time);
     // The finest leaves should cluster at the front.
-    let max_level = setup.max_refine;
+    let max_level = MAX_REFINE;
     let mut fine_near = 0;
     let mut fine_far = 0;
     for id in sim.domain.tree.leaves() {
@@ -116,7 +107,7 @@ fn amr_follows_the_shock_front() {
 
 #[test]
 fn total_energy_is_approximately_conserved() {
-    let (sim, setup) = run_sedov(80);
+    let sim = evolve(&sedov_2d(), 80);
     let mut e_total = 0.0;
     for id in sim.domain.tree.leaves() {
         let dx = sim.domain.tree.cell_size(id);
@@ -131,9 +122,8 @@ fn total_energy_is_approximately_conserved() {
     // Outflow boundaries have not been reached; energy should hold to a few
     // per mill (AMR prolongation/restriction and floors cause tiny drift).
     assert!(
-        (e_total - setup.e0).abs() / setup.e0 < 0.02,
-        "energy drifted: {e_total} vs {}",
-        setup.e0
+        (e_total - E0).abs() / E0 < 0.02,
+        "energy drifted: {e_total} vs {E0}"
     );
 }
 
@@ -142,30 +132,22 @@ fn cylindrical_rz_blast_matches_spherical_solution() {
     // The r–z Sedov blast on the axis is a genuine ν = 3 spherical blast
     // computed in two dimensions — the strongest validation of the
     // cylindrical geometry terms (area/volume factors + p/r source).
-    use rflash::mesh::Geometry;
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 3,
-        max_blocks: 1024,
-        geometry: Geometry::CylindricalRZ,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    let mut sim = setup.build(params);
-    sim.evolve(120);
+    let mut spec = sedov_2d();
+    spec.mesh.geometry = GeometrySpec::CylindricalRZ;
+    // The r = 0 face is the symmetry axis, and the deposit sits on it.
+    spec.mesh.bc_faces[0][0] = Some(BcSpec::Reflecting);
+    for p in &mut spec.initial {
+        if let IcPrimitive::Deposit { center, .. } = p {
+            *center = [0.0, 0.5, 0.0];
+        }
+    }
+    let sim = evolve(&spec, 120);
 
-    let analytic = SedovSolution::new(setup.gamma, 3, setup.e0, setup.rho0, setup.p_ambient);
+    let analytic = SedovSolution::new(GAMMA, 3, E0, RHO0, P_AMBIENT);
     let r_exact = analytic.shock_radius(sim.time);
     assert!(r_exact > 0.05 && r_exact < 0.45, "r_shock = {r_exact}");
 
-    let profile = RadialProfile::extract(&sim.domain, setup.center(), 0.5, 64);
+    let profile = RadialProfile::extract(&sim.domain, [0.0, 0.5, 0.0], 0.5, 64);
     let r_num = profile.shock_radius().expect("profile has data");
     let rel = (r_num - r_exact) / r_exact;
     assert!(

@@ -11,38 +11,30 @@
 use std::path::PathBuf;
 
 use rflash::core::checkpoint::read_checkpoint;
-use rflash::core::setups::sedov::SedovSetup;
-use rflash::core::{
-    CheckpointSeries, Composition, EosChoice, GuardianConfig, RuntimeParams, Simulation, StepError,
-};
-use rflash::eos::GammaLaw;
+use rflash::core::registry::{self, SetupSpec};
+use rflash::core::{CheckpointSeries, Simulation, StepError, StepScheduler};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
+use rflash::hydro::SweepEngine;
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-guardian-it-{}-{name}", std::process::id()))
 }
 
-fn sedov_sim(retries: u32, checkpoint_every: u64) -> (Simulation, f64) {
-    let setup = SedovSetup {
-        ndim: 2,
-        nxb: 8,
-        max_refine: 2,
-        max_blocks: 256,
-        ..SedovSetup::default()
-    };
-    let params = RuntimeParams {
-        policy: Policy::None,
-        use_hw: false,
-        pattern_every: 0,
-        gather_every: 0,
-        checkpoint_every,
-        guardian: GuardianConfig {
-            max_retries: retries,
-            ..GuardianConfig::default()
-        },
-        ..RuntimeParams::with_mesh(setup.mesh_config())
-    };
-    (setup.build(params), setup.gamma)
+fn sedov_spec() -> SetupSpec {
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.ndim = 2;
+    spec.mesh.max_refine = 2;
+    spec.mesh.max_blocks = 256;
+    spec
+}
+
+fn sedov_sim(retries: u32, checkpoint_every: u64) -> Simulation {
+    let spec = sedov_spec();
+    let mut params =
+        registry::smoke_params(&spec, 1, SweepEngine::default(), StepScheduler::default());
+    params.checkpoint_every = checkpoint_every;
+    params.guardian.max_retries = retries;
+    spec.build(params).unwrap()
 }
 
 /// Bit pattern of every interior zone of every variable, leaves in Morton
@@ -66,13 +58,13 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 #[test]
 fn clean_path_is_bit_identical_with_guardian_on() {
     let _quiet = FaultPlan::new(0).activate();
-    let (mut on, _) = sedov_sim(2, 0);
+    let mut on = sedov_sim(2, 0);
     on.evolve(6);
     assert_eq!(on.guardian_stats.validations, 6, "one scan per step");
     assert_eq!(on.guardian_stats.rollbacks, 0);
     assert!(on.guardian_stats.clean(), "no interventions on a clean run");
 
-    let (mut off, _) = sedov_sim(2, 0);
+    let mut off = sedov_sim(2, 0);
     off.params.guardian.enabled = false;
     off.evolve(6);
     assert_eq!(off.guardian_stats.validations, 0);
@@ -86,7 +78,7 @@ fn clean_path_is_bit_identical_with_guardian_on() {
 
 #[test]
 fn bad_dt_is_a_typed_error_even_without_the_guardian() {
-    let (mut sim, _) = sedov_sim(0, 0);
+    let mut sim = sedov_sim(0, 0);
     sim.params.guardian.enabled = false;
     let _g = FaultPlan::new(0)
         .with(FaultSite::DtZero, FaultKind::Always { errno: 22 })
@@ -109,7 +101,7 @@ fn transient_flux_corruption_recovers_bit_exactly_and_deterministically() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::FluxCorrupt, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let (mut sim, _) = sedov_sim(2, 0);
+        let mut sim = sedov_sim(2, 0);
         for n in 0..5 {
             sim.try_step()
                 .unwrap_or_else(|e| panic!("step {n} must recover: {e}"));
@@ -132,7 +124,7 @@ fn transient_flux_corruption_recovers_bit_exactly_and_deterministically() {
 
     // And identical to a run that never saw the fault.
     let _quiet = FaultPlan::new(0).activate();
-    let (mut clean, _) = sedov_sim(2, 0);
+    let mut clean = sedov_sim(2, 0);
     clean.evolve(5);
     assert_eq!(
         state_bits(&a),
@@ -143,7 +135,7 @@ fn transient_flux_corruption_recovers_bit_exactly_and_deterministically() {
 
 #[test]
 fn step_nan_recovery_matches_the_fault_free_run() {
-    let (mut sim, _) = sedov_sim(2, 0);
+    let mut sim = sedov_sim(2, 0);
     {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 1, errno: 22 })
@@ -155,14 +147,14 @@ fn step_nan_recovery_matches_the_fault_free_run() {
     assert!(sim.guardian_stats.rollbacks >= 1);
 
     let _quiet = FaultPlan::new(0).activate();
-    let (mut clean, _) = sedov_sim(2, 0);
+    let mut clean = sedov_sim(2, 0);
     clean.evolve(4);
     assert_eq!(state_bits(&sim), state_bits(&clean));
 }
 
 #[test]
 fn transient_zero_dt_retries_without_a_rollback() {
-    let (mut sim, _) = sedov_sim(2, 0);
+    let mut sim = sedov_sim(2, 0);
     {
         let _g = FaultPlan::new(0)
             .with(FaultSite::DtZero, FaultKind::FirstN { n: 1, errno: 22 })
@@ -179,7 +171,7 @@ fn transient_zero_dt_retries_without_a_rollback() {
     );
 
     let _quiet = FaultPlan::new(0).activate();
-    let (mut clean, _) = sedov_sim(2, 0);
+    let mut clean = sedov_sim(2, 0);
     clean.evolve(3);
     assert_eq!(state_bits(&sim), state_bits(&clean));
 }
@@ -188,7 +180,7 @@ fn transient_zero_dt_retries_without_a_rollback() {
 fn budget_zero_abort_checkpoints_the_rolled_back_state() {
     let dir = scratch("abort");
     let _ = std::fs::remove_dir_all(&dir);
-    let (mut sim, _) = sedov_sim(0, 0);
+    let mut sim = sedov_sim(0, 0);
     sim.emergency_series = Some(CheckpointSeries::new(&dir, "emergency"));
 
     let _g = FaultPlan::new(0)
@@ -237,7 +229,7 @@ fn emergency_checkpoint_interleaves_with_scheduled_and_wins_recovery() {
     let dir = scratch("interleave");
     let _ = std::fs::remove_dir_all(&dir);
     let series = CheckpointSeries::new(&dir, "chk");
-    let (mut sim, _) = sedov_sim(0, 2);
+    let mut sim = sedov_sim(0, 2);
 
     // Steps 1–3 commit (scheduled checkpoint at step 2); the 4th
     // advance is corrupted and the budget is 0, so the guardian rolls
@@ -272,7 +264,7 @@ fn resume_after_guardian_abort_matches_the_in_place_recovery() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::Nth { n: 4, errno: 22 })
             .activate();
-        let (mut sim, _) = sedov_sim(2, 0);
+        let mut sim = sedov_sim(2, 0);
         for _ in 0..6 {
             sim.try_step().expect("budget 2 must recover");
         }
@@ -285,23 +277,23 @@ fn resume_after_guardian_abort_matches_the_in_place_recovery() {
     let dir = scratch("resume");
     let _ = std::fs::remove_dir_all(&dir);
     let series = CheckpointSeries::new(&dir, "chk");
-    let gamma = {
+    {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::Nth { n: 4, errno: 22 })
             .activate();
-        let (mut sim, gamma) = sedov_sim(0, 2);
+        let mut sim = sedov_sim(0, 2);
         sim.evolve_checkpointed(6, &series)
             .expect_err("budget 0 must abort");
-        gamma
-    };
+    }
 
     // Recover from the series (the transient fault is gone after the
     // "operator restart") and finish the run.
     let _quiet = FaultPlan::new(0).activate();
+    let spec = sedov_spec();
     let (mut resumed, skipped) = Simulation::recover(
         &series,
-        EosChoice::Gamma(GammaLaw::new(gamma)),
-        Composition::ideal(),
+        spec.make_eos(Policy::None),
+        spec.composition.to_composition(),
     )
     .unwrap();
     assert!(skipped.is_empty());
