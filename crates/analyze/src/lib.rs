@@ -20,7 +20,8 @@
 //!    SoA inner-loop modules (`hydro/src/pencil.rs`, `eos/src/batch.rs`)
 //!    never touch unk cells one at a time: no `get`/`set`/`addr`/
 //!    `slab_idx` identifiers outside test code; cell traffic flows through
-//!    the gather/scatter helpers.
+//!    the `UnkGeom` gather/scatter helpers (`gather_slab`/`scatter_slab`,
+//!    `gather_pencil`/`scatter_pencil`).
 //! 6. **graph confinement** (`graph_confinement`) — step-graph task bodies
 //!    (`core/src/stepgraph.rs`) reach slabs and slots only through the
 //!    race-audit claiming accessors, so every access lands in the

@@ -488,7 +488,8 @@ fn rule_pencil_confinement(sf: &SourceFile, out: &mut Vec<Violation>) {
                 rule: "pencil_confinement",
                 msg: format!(
                     "per-cell accessor `{word}` in a pencil-confined module — cell \
-                     traffic must flow through gather_pencil/scatter_pencil"
+                     traffic must flow through the UnkGeom slab/pencil helpers \
+                     (gather_slab/scatter_slab, gather_pencil/scatter_pencil)"
                 ),
             });
         }

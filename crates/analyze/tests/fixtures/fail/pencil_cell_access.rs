@@ -1,6 +1,6 @@
 //@ path: crates/hydro/src/pencil.rs
 // Fixture: per-cell unk accessors inside a pencil-confined module. The SoA
-// engine must move cells through gather_pencil/scatter_pencil; a stray
+// engine must move cells through the UnkGeom slab/pencil helpers; a stray
 // `get`/`set`/`addr`/`slab_idx` reintroduces the per-cell index arithmetic.
 // Expected: pencil_confinement (four sites).
 

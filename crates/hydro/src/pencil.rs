@@ -1,36 +1,45 @@
-//! Pencil-batched SoA sweep engine, vectorized through `rflash-simd`.
+//! Slab-batched SoA sweep engine, vectorized through `rflash-simd`.
 //!
 //! The scalar engine in [`crate::sweep`] walks zones through
 //! `UnkGeom::slab_idx` per cell: every read is a strided index computation
 //! plus a bounds check, and every kernel sees AoS-shaped `[f64; 8]` rows.
-//! This module is the batched alternative: each pencil is gathered **once**
-//! into contiguous f64 lanes (one lane per variable, guard cells included),
-//! the PPM/flattening/HLLC/update kernels run as explicit-SIMD lane loops
-//! over those lanes, and the results scatter back to `unk` in one pass.
-//! Real FLASH works the same way — `hy_ppm_sweep` copies blocks into 1-d
-//! sweep arrays before touching physics.
+//! This module is the batched alternative. It sweeps a block one *slab* at
+//! a time: the `nxb` adjacent interior pencils at one transverse index
+//! `t2`, gathered **once** into contiguous f64 lanes (one lane per
+//! variable, guard cells included) laid out position-major and
+//! pencil-minor — `lane[p * B + b]` is pencil `b` at position `p`, with
+//! `B = nxb`. A ±1 stencil step along the pencil is ±`B` in the lane, so
+//! each PPM/flattening/HLLC/update kernel runs as one explicit-SIMD loop
+//! over the flat range `lo·B..hi·B` (80–128 lanes on an 8³ block instead
+//! of 10–16, and no scalar tail when the lane width divides `nxb`). The
+//! slab's zones are whole contiguous `unk` rows in every direction, so the
+//! gather reads each zone's variables in one touch and the scatter writes
+//! them back the same way. Real FLASH works the same way — `hy_ppm_sweep`
+//! copies blocks into sweep arrays before touching physics.
 //!
 //! The kernels are generic over [`rflash_simd::Lane`] and the whole block
 //! body is entered through [`rflash_simd::dispatch`] exactly once per
 //! block — the backend (`SweepConfig::simd`) is a single branch out here,
 //! not a branch per loop iteration, and the AVX2 instantiation inlines
 //! into the `#[target_feature]` wrapper. Lane arithmetic keeps exactly the
-//! scalar engine's operation order (branches become bitwise masked
-//! selects; see the per-kernel notes in `ppm.rs`/`riemann.rs`/`state.rs`),
-//! so every backend produces bit-identical `unk` contents and the scalar
-//! path remains the parity reference and the fallback when scratch cannot
-//! be mapped.
+//! scalar engine's operation order per zone (branches become bitwise
+//! masked selects; see the per-kernel notes in
+//! `ppm.rs`/`riemann.rs`/`state.rs`) and lanes never mix, so every backend
+//! produces bit-identical `unk` contents and the scalar path remains the
+//! parity reference and the fallback when scratch cannot be mapped.
 //!
 //! Scratch comes from a per-rank [`HugeArena`] created on first use (the
 //! rank pool's threads persist across epochs, so a `thread_local` is
-//! per-rank persistent storage), sized for the largest pencil seen, and
+//! per-rank persistent storage), sized for the largest slab seen, and
 //! `recycle()`d per block — steady state performs no allocations and the
 //! lanes sit in one huge-page-backed VMA under the same policy/degradation
-//! chain as `unk` itself.
+//! chain as `unk` itself. Only the lanes the [`SweepEos`] mode uses are
+//! carved (see [`lane_count`]).
 //!
 //! This module is under the `pencil_confinement` static-analysis rule: no
 //! per-cell `unk` access (`slab_idx`/`get`/`set`) may appear here — all
-//! `unk` traffic must flow through the gather/scatter helpers.
+//! `unk` traffic must flow through the `UnkGeom` slab helpers
+//! (`gather_slab`/`scatter_slab`).
 
 use std::cell::RefCell;
 
@@ -48,7 +57,7 @@ use crate::sweep::{write_zone, BlockFluxes, SweepConfig, SweepEos, READ_VARS, WR
 use crate::NFLUX;
 
 /// Everything about the block being swept that the engine needs and that is
-/// constant across the block's pencils.
+/// constant across the block's slabs.
 pub(crate) struct BlockCtx<'a> {
     pub geom: &'a UnkGeom,
     pub eos: &'a SweepEos<'a>,
@@ -83,6 +92,20 @@ fn carve<'s>(rest: &mut &'s mut [f64], len: usize) -> &'s mut [f64] {
     let (head, tail) = whole.split_at_mut(len);
     *rest = tail;
     head
+}
+
+/// Lanes every mode carves: 8 gathered, flat/snap, 5×2 faces, 5 interface.
+const CORE_LANES: usize = 25;
+
+/// Lanes the slab body carves under `eos`: the core set, plus 6 update
+/// outputs unless `PerZone` writes zones directly, plus 3 EOS outputs,
+/// temp and abar/zbar under `Batch`.
+fn lane_count(eos: &SweepEos<'_>) -> usize {
+    match eos {
+        SweepEos::Defer => CORE_LANES + 6,
+        SweepEos::Batch { .. } => CORE_LANES + 12,
+        SweepEos::PerZone(_) => CORE_LANES,
+    }
 }
 
 /// Floor `lane` in place: `x = max(x, floor)` with the same bits as the
@@ -202,10 +225,12 @@ fn muscl_at<L: Lane>(
     }
 }
 
-/// HLLC interface fluxes for `W` faces starting at `f` into the interface
-/// lanes (face `f` sees zone `f-1`'s plus side and zone `f`'s minus side).
+/// HLLC interface fluxes for `W` faces starting at lane `f` into the
+/// interface lanes (face `f` sees the plus side of the zone one position
+/// down, lane `f - s`, and the minus side of zone `f`).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
+#[allow(clippy::too_many_arguments)] // flat lane-slice plumbing, no natural struct
 fn hllc_at<L: Lane>(
     fm: &[&mut [f64]; 5],
     fp: &[&mut [f64]; 5],
@@ -213,13 +238,14 @@ fn hllc_at<L: Lane>(
     w_gamc: &[f64],
     ifl: &mut [&mut [f64]; NFLUX],
     f: usize,
+    s: usize,
     dens_floor: f64,
 ) {
     let l = face_prim_lanes::<L>(
         fp,
-        f - 1,
-        L::load(&w_game[f - 1..]),
-        L::load(&w_gamc[f - 1..]),
+        f - s,
+        L::load(&w_game[f - s..]),
+        L::load(&w_gamc[f - s..]),
         dens_floor,
     );
     let r = face_prim_lanes::<L>(
@@ -235,19 +261,20 @@ fn hllc_at<L: Lane>(
     }
 }
 
-/// Conservative update + eint floor on `W` zones starting at `p`, writing
-/// the out lanes (twin of the scalar engine's update + `write_zone`
-/// conversion; the energy is re-derived from the floored eint only on
-/// floored lanes, exactly like the scalar branch).
+/// Conservative update + eint floor on `W` zones starting at lane `p`,
+/// writing the out lanes (twin of the scalar engine's update +
+/// `write_zone` conversion; the energy is re-derived from the floored eint
+/// only on floored lanes, exactly like the scalar branch). A zone's high
+/// face is one position up, lane `p + s`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
-#[allow(clippy::too_many_arguments)] // flat lane-slice plumbing, no natural struct
 fn update_at<L: Lane>(
     ctx: &BlockCtx<'_>,
-    lanes: &PencilLanes<'_>,
+    lanes: &SlabLanes<'_>,
     ifl: &[&mut [f64]; NFLUX],
     out: &mut OutLanes<'_>,
     p: usize,
+    s: usize,
     dtdx: f64,
 ) {
     let prim = PrimL {
@@ -263,13 +290,14 @@ fn update_at<L: Lane>(
     };
     let mut u5 = prim.to_cons();
     if ctx.cylindrical_r {
+        // Lane `p + k` is zone position `(p + k) / s`.
         let ng = ctx.ng;
-        let r_m = L::from_fn(|k| ctx.r_lo + (p - ng + k) as f64 * ctx.dx);
+        let r_m = L::from_fn(|k| ctx.r_lo + ((p + k) / s - ng) as f64 * ctx.dx);
         let r_p = r_m.add(L::splat(ctx.dx));
         let r_c = r_m.add(L::splat(0.5 * ctx.dx));
         for (ch, lane) in ifl.iter().enumerate() {
             let lo = L::load(&lane[p..]);
-            let hi = L::load(&lane[p + 1..]);
+            let hi = L::load(&lane[p + s..]);
             u5[ch] = u5[ch].sub(
                 L::splat(ctx.dt)
                     .div(r_c.mul(L::splat(ctx.dx)))
@@ -280,7 +308,7 @@ fn update_at<L: Lane>(
     } else {
         for (ch, lane) in ifl.iter().enumerate() {
             let lo = L::load(&lane[p..]);
-            let hi = L::load(&lane[p + 1..]);
+            let hi = L::load(&lane[p + s..]);
             u5[ch] = u5[ch].sub(L::splat(dtdx).mul(hi.sub(lo)));
         }
     }
@@ -304,8 +332,8 @@ fn update_at<L: Lane>(
     eint_o.store(&mut out.eint[p..]);
 }
 
-/// The gathered (read-side) pencil lanes.
-struct PencilLanes<'a> {
+/// The gathered (read-side) slab lanes.
+struct SlabLanes<'a> {
     w_dens: &'a [f64],
     w_u: &'a [f64],
     w_v: &'a [f64],
@@ -315,7 +343,7 @@ struct PencilLanes<'a> {
     w_gamc: &'a [f64],
 }
 
-/// The update-output pencil lanes.
+/// The update-output slab lanes.
 struct OutLanes<'a> {
     dens: &'a mut [f64],
     u: &'a mut [f64],
@@ -325,9 +353,20 @@ struct OutLanes<'a> {
     eint: &'a mut [f64],
 }
 
+/// Variables the `Defer` scatter writes back (the other modes write all of
+/// [`WRITE_VARS`]).
+const DEFER_WRITE_VARS: [usize; 6] = [
+    vars::DENS,
+    vars::VELX,
+    vars::VELY,
+    vars::VELZ,
+    vars::ENER,
+    vars::EINT,
+];
+
 /// The whole per-block sweep body, monomorphized per lane backend and
 /// entered once through [`rflash_simd::dispatch`].
-struct PencilBody<'a, 'b> {
+struct SlabBody<'a, 'b> {
     ctx: &'a BlockCtx<'a>,
     slab: &'a mut [f64],
     fluxes_out: &'a mut BlockFluxes,
@@ -335,19 +374,21 @@ struct PencilBody<'a, 'b> {
     all: &'b mut [f64],
 }
 
-impl WithLanes for PencilBody<'_, '_> {
+impl WithLanes for SlabBody<'_, '_> {
     type Output = ();
     #[cfg_attr(debug_assertions, inline)]
     #[cfg_attr(not(debug_assertions), inline(always))]
     fn with_lanes<L: Lane>(self) {
-        run_pencils::<L>(self.ctx, self.slab, self.fluxes_out, self.probe, self.all)
+        run_slab::<L>(self.ctx, self.slab, self.fluxes_out, self.probe, self.all)
     }
 }
 
+/// Sweep every slab of one block: gather, flatten and reconstruct,
+/// predict, solve, update, batch the EOS (under `Batch`), scatter, and
+/// store the boundary fluxes.
 #[cfg_attr(debug_assertions, inline)]
-
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn run_pencils<L: Lane>(
+fn run_slab<L: Lane>(
     ctx: &BlockCtx<'_>,
     slab: &mut [f64],
     fluxes_out: &mut BlockFluxes,
@@ -356,124 +397,137 @@ fn run_pencils<L: Lane>(
 ) {
     let (geom, dir, ng, nxb) = (ctx.geom, ctx.dir, ctx.ng, ctx.nxb);
     let n = geom.pencil_len(dir);
+    // The slab's pencil count is the lane stride.
+    let s = nxb;
+    let len = n * s;
     let dtdx = ctx.dt / ctx.dx;
     let dens_floor = ctx.cfg.dens_floor;
+    let per_zone = matches!(ctx.eos, SweepEos::PerZone(_));
+    let out_len = if per_zone { 0 } else { len };
+    let eos_len = if matches!(ctx.eos, SweepEos::Batch { .. }) { len } else { 0 };
 
     let mut rest = all;
-    let w_dens = carve(&mut rest, n);
-    let w_u = carve(&mut rest, n);
-    let w_v = carve(&mut rest, n);
-    let w_w = carve(&mut rest, n);
-    let w_pres = carve(&mut rest, n);
-    let w_game = carve(&mut rest, n);
-    let w_gamc = carve(&mut rest, n);
-    let w_ener = carve(&mut rest, n);
-    let flat = carve(&mut rest, n);
-    let snap = carve(&mut rest, n);
-    let mut fm: [&mut [f64]; 5] = [
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-    ];
-    let mut fp: [&mut [f64]; 5] = [
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-        carve(&mut rest, n),
-    ];
-    let mut ifl: [&mut [f64]; NFLUX] = [
-        carve(&mut rest, n + 1),
-        carve(&mut rest, n + 1),
-        carve(&mut rest, n + 1),
-        carve(&mut rest, n + 1),
-        carve(&mut rest, n + 1),
-    ];
-    let out_dens = carve(&mut rest, n);
-    let out_u = carve(&mut rest, n);
-    let out_v = carve(&mut rest, n);
-    let out_w = carve(&mut rest, n);
-    let out_ener = carve(&mut rest, n);
-    let out_eint = carve(&mut rest, n);
-    let eos_pres = carve(&mut rest, n);
-    let eos_gamc = carve(&mut rest, n);
-    let eos_game = carve(&mut rest, n);
-    let temp_lane = carve(&mut rest, n);
-    let abar_lane = carve(&mut rest, n);
-    let zbar_lane = carve(&mut rest, n);
+    let w_dens = carve(&mut rest, len);
+    let w_u = carve(&mut rest, len);
+    let w_v = carve(&mut rest, len);
+    let w_w = carve(&mut rest, len);
+    let w_pres = carve(&mut rest, len);
+    let w_game = carve(&mut rest, len);
+    let w_gamc = carve(&mut rest, len);
+    let w_ener = carve(&mut rest, len);
+    let flat = carve(&mut rest, len);
+    let snap = carve(&mut rest, len);
+    let mut fm: [&mut [f64]; 5] = std::array::from_fn(|_| carve(&mut rest, len));
+    let mut fp: [&mut [f64]; 5] = std::array::from_fn(|_| carve(&mut rest, len));
+    let mut ifl: [&mut [f64]; NFLUX] = std::array::from_fn(|_| carve(&mut rest, len));
+    let out_dens = carve(&mut rest, out_len);
+    let out_u = carve(&mut rest, out_len);
+    let out_v = carve(&mut rest, out_len);
+    let out_w = carve(&mut rest, out_len);
+    let out_ener = carve(&mut rest, out_len);
+    let out_eint = carve(&mut rest, out_len);
+    let eos_pres = carve(&mut rest, eos_len);
+    let eos_gamc = carve(&mut rest, eos_len);
+    let eos_game = carve(&mut rest, eos_len);
+    let temp_lane = carve(&mut rest, eos_len);
+    let abar_lane = carve(&mut rest, eos_len);
+    let zbar_lane = carve(&mut rest, eos_len);
 
-    let t1_range = ng..ng + nxb;
+    // Kernel spans in lanes: zones ng-1..ng+nxb+1 are reconstructed and
+    // predicted, faces ng..=ng+nxb solved, zones ng..ng+nxb updated.
+    let (wide_lo, wide_hi) = ((ng - 1) * s, (ng + nxb + 1) * s);
+    let (face_lo, face_hi) = (ng * s, (ng + nxb + 1) * s);
+    let (zone_lo, zone_hi) = (ng * s, (ng + nxb) * s);
+    let interior = ng..ng + nxb;
+
     let t2_range = if ctx.ndim == 3 { ng..ng + nxb } else { 0..1 };
-    let mut pencil_counter = 0usize;
+    let mut pattern_counter = 0usize;
 
     for t2 in t2_range {
-        for t1 in t1_range.clone() {
-            // Gather all read variables into SoA lanes, one strided walk
-            // per variable, then apply the same floors the scalar
-            // engine's `load_prim` applies.
-            geom.gather_pencil(slab, vars::DENS, dir, t1, t2, w_dens);
-            geom.gather_pencil(slab, ctx.vm[0], dir, t1, t2, w_u);
-            geom.gather_pencil(slab, ctx.vm[1], dir, t1, t2, w_v);
-            geom.gather_pencil(slab, ctx.vm[2], dir, t1, t2, w_w);
-            geom.gather_pencil(slab, vars::PRES, dir, t1, t2, w_pres);
-            geom.gather_pencil(slab, vars::GAME, dir, t1, t2, w_game);
-            geom.gather_pencil(slab, vars::GAMC, dir, t1, t2, w_gamc);
-            geom.gather_pencil(slab, vars::ENER, dir, t1, t2, w_ener);
-            probe.stats.gather_cells += (8 * n) as u64;
-            floor_lane::<L>(w_dens, dens_floor);
-            floor_lane::<L>(w_pres, f64::MIN_POSITIVE);
-            floor_lane::<L>(w_gamc, 1.01);
-            floor_lane::<L>(w_game, 1.01);
+        // Gather all read variables into SoA lanes in one row walk, then
+        // apply the same floors the scalar engine's `load_prim` applies.
+        geom.gather_slab(
+            slab,
+            [
+                vars::DENS,
+                ctx.vm[0],
+                ctx.vm[1],
+                ctx.vm[2],
+                vars::PRES,
+                vars::GAME,
+                vars::GAMC,
+                vars::ENER,
+            ],
+            dir,
+            t2,
+            0..n,
+            [
+                &mut *w_dens,
+                &mut *w_u,
+                &mut *w_v,
+                &mut *w_w,
+                &mut *w_pres,
+                &mut *w_game,
+                &mut *w_gamc,
+                &mut *w_ener,
+            ],
+        );
+        probe.stats.gather_cells += (8 * len) as u64;
+        floor_lane::<L>(w_dens, dens_floor);
+        floor_lane::<L>(w_pres, f64::MIN_POSITIVE);
+        floor_lane::<L>(w_gamc, 1.01);
+        floor_lane::<L>(w_game, 1.01);
 
-            // Flattening and reconstruction directly on the lanes.
-            flattening_lanes::<L>(w_pres, w_u, ng - 1, ng + nxb + 1, flat, snap);
-            reconstruct_lanes::<L>(w_dens, ng - 1, ng + nxb + 1, flat, fm[0], fp[0]);
-            reconstruct_lanes::<L>(w_u, ng - 1, ng + nxb + 1, flat, fm[1], fp[1]);
-            reconstruct_lanes::<L>(w_v, ng - 1, ng + nxb + 1, flat, fm[2], fp[2]);
-            reconstruct_lanes::<L>(w_w, ng - 1, ng + nxb + 1, flat, fm[3], fp[3]);
-            reconstruct_lanes::<L>(w_pres, ng - 1, ng + nxb + 1, flat, fm[4], fp[4]);
+        // Flattening and reconstruction directly on the lanes; the
+        // flattening's snapshot lane is the reconstruction's interface
+        // scratch.
+        let (lo, hi) = (ng - 1, ng + nxb + 1);
+        flattening_lanes::<L>(w_pres, w_u, lo, hi, s, flat, snap);
+        for (v, lane) in [&*w_dens, &*w_u, &*w_v, &*w_w, &*w_pres].into_iter().enumerate() {
+            reconstruct_lanes::<L>(lane, lo, hi, s, flat, snap, fm[v], fp[v]);
+        }
 
-            // MUSCL–Hancock predictor, identical math to the scalar
-            // engine (see `sweep.rs` for the scheme commentary).
-            let half_dtdx = 0.5 * dtdx;
-            let mut z = ng - 1;
-            while z + L::W <= ng + nxb + 1 {
-                muscl_at::<L>(&mut fm, &mut fp, w_game, w_gamc, z, half_dtdx, dens_floor);
-                z += L::W;
-            }
-            while z < ng + nxb + 1 {
-                muscl_at::<ScalarLane>(&mut fm, &mut fp, w_game, w_gamc, z, half_dtdx, dens_floor);
-                z += 1;
-            }
-            probe.stats.add_vec(60 * (nxb + 2) as u64);
+        // MUSCL–Hancock predictor, identical math to the scalar engine
+        // (see `sweep.rs` for the scheme commentary).
+        let half_dtdx = 0.5 * dtdx;
+        let mut z = wide_lo;
+        while z + L::W <= wide_hi {
+            muscl_at::<L>(&mut fm, &mut fp, w_game, w_gamc, z, half_dtdx, dens_floor);
+            z += L::W;
+        }
+        while z < wide_hi {
+            muscl_at::<ScalarLane>(&mut fm, &mut fp, w_game, w_gamc, z, half_dtdx, dens_floor);
+            z += 1;
+        }
+        probe.stats.add_vec(60 * (wide_hi - wide_lo) as u64);
 
-            // Interface fluxes into the SoA interface lanes.
-            let mut f = ng;
-            while f + L::W <= ng + nxb + 1 {
-                hllc_at::<L>(&fm, &fp, w_game, w_gamc, &mut ifl, f, dens_floor);
-                f += L::W;
-            }
-            while f < ng + nxb + 1 {
-                hllc_at::<ScalarLane>(&fm, &fp, w_game, w_gamc, &mut ifl, f, dens_floor);
-                f += 1;
-            }
-            probe.stats.add_vec(240 * (nxb + 1) as u64);
+        // Interface fluxes into the SoA interface lanes.
+        let mut f = face_lo;
+        while f + L::W <= face_hi {
+            hllc_at::<L>(&fm, &fp, w_game, w_gamc, &mut ifl, f, s, dens_floor);
+            f += L::W;
+        }
+        while f < face_hi {
+            hllc_at::<ScalarLane>(&fm, &fp, w_game, w_gamc, &mut ifl, f, s, dens_floor);
+            f += 1;
+        }
+        probe.stats.add_vec(240 * (face_hi - face_lo) as u64);
 
-            // Conservative update on interior zones.
-            if let SweepEos::PerZone(_) = ctx.eos {
-                // Per-zone callbacks are inherently cell-at-a-time; route
-                // through the shared write-back helper so the callback
-                // semantics (and probe accounting) match the scalar engine
-                // exactly.
-                for p in ng..ng + nxb {
+        // Conservative update on interior zones.
+        if per_zone {
+            // Per-zone callbacks are inherently cell-at-a-time; route
+            // through the shared write-back helper, pencil by pencil in the
+            // scalar engine's zone order, so the callback semantics (and
+            // probe accounting) match it exactly.
+            for b in 0..s {
+                for p in interior.clone() {
+                    let z = p * s + b;
                     let mut u5 = Prim {
-                        dens: w_dens[p],
-                        vel: [w_u[p], w_v[p], w_w[p]],
-                        pres: w_pres[p],
-                        ener: w_ener[p],
-                        gamc: w_gamc[p],
+                        dens: w_dens[z],
+                        vel: [w_u[z], w_v[z], w_w[z]],
+                        pres: w_pres[z],
+                        ener: w_ener[z],
+                        gamc: w_gamc[z],
                     }
                     .to_cons();
                     if ctx.cylindrical_r {
@@ -481,169 +535,188 @@ fn run_pencils<L: Lane>(
                         let r_p = r_m + ctx.dx;
                         let r_c = r_m + 0.5 * ctx.dx;
                         for (ch, lane) in ifl.iter().enumerate() {
-                            u5[ch] -= ctx.dt / (r_c * ctx.dx) * (r_p * lane[p + 1] - r_m * lane[p]);
+                            u5[ch] -= ctx.dt / (r_c * ctx.dx) * (r_p * lane[z + s] - r_m * lane[z]);
                         }
-                        u5[1] += ctx.dt * w_pres[p] / r_c;
+                        u5[1] += ctx.dt * w_pres[z] / r_c;
                     } else {
                         for (ch, lane) in ifl.iter().enumerate() {
-                            u5[ch] -= dtdx * (lane[p + 1] - lane[p]);
+                            u5[ch] -= dtdx * (lane[z + s] - lane[z]);
                         }
                     }
                     write_zone(
-                        slab, geom, dir, p, t1, t2, ctx.vm, &u5, ctx.cfg, ctx.eos, probe,
+                        slab, geom, dir, p, ng + b, t2, ctx.vm, &u5, ctx.cfg, ctx.eos, probe,
                     );
                     probe.stats.zones += 1;
                     probe.stats.add_fp(40);
                 }
-            } else {
-                let lanes = PencilLanes {
-                    w_dens: &*w_dens,
-                    w_u: &*w_u,
-                    w_v: &*w_v,
-                    w_w: &*w_w,
-                    w_pres: &*w_pres,
-                    w_ener: &*w_ener,
-                    w_gamc: &*w_gamc,
-                };
-                let mut out = OutLanes {
-                    dens: &mut *out_dens,
-                    u: &mut *out_u,
-                    v: &mut *out_v,
-                    w: &mut *out_w,
-                    ener: &mut *out_ener,
-                    eint: &mut *out_eint,
-                };
-                let mut p = ng;
-                while p + L::W <= ng + nxb {
-                    update_at::<L>(ctx, &lanes, &ifl, &mut out, p, dtdx);
-                    p += L::W;
-                }
-                while p < ng + nxb {
-                    update_at::<ScalarLane>(ctx, &lanes, &ifl, &mut out, p, dtdx);
-                    p += 1;
-                }
-                probe.stats.zones += nxb as u64;
-                probe.stats.add_fp(40 * nxb as u64);
             }
-
-            // SIMD occupancy accounting over the lane-kernel spans of this
-            // pencil: flattening + 5 reconstructions + MUSCL (nxb+2 zones
-            // each), HLLC (nxb+1 faces), update (nxb zones, lane path only).
-            let (c_wide, t_wide) = chunk_split(nxb + 2, L::W);
-            let (c_face, t_face) = chunk_split(nxb + 1, L::W);
-            let mut chunk = 7 * c_wide + c_face;
-            let mut tail = 7 * t_wide + t_face;
-            if !matches!(ctx.eos, SweepEos::PerZone(_)) {
-                let (c_upd, t_upd) = chunk_split(nxb, L::W);
-                chunk += c_upd;
-                tail += t_upd;
+        } else {
+            let lanes = SlabLanes {
+                w_dens: &*w_dens,
+                w_u: &*w_u,
+                w_v: &*w_v,
+                w_w: &*w_w,
+                w_pres: &*w_pres,
+                w_ener: &*w_ener,
+                w_gamc: &*w_gamc,
+            };
+            let mut out = OutLanes {
+                dens: &mut *out_dens,
+                u: &mut *out_u,
+                v: &mut *out_v,
+                w: &mut *out_w,
+                ener: &mut *out_ener,
+                eint: &mut *out_eint,
+            };
+            let mut p = zone_lo;
+            while p + L::W <= zone_hi {
+                update_at::<L>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
+                p += L::W;
             }
-            probe.stats.simd_chunk_lanes += chunk as u64;
-            probe.stats.simd_tail_lanes += tail as u64;
-
-            // Batched EOS over the whole interior span of the pencil.
-            if let SweepEos::Batch { eos, abar, zbar } = ctx.eos {
-                geom.gather_pencil(slab, vars::TEMP, dir, t1, t2, temp_lane);
-                probe.stats.gather_cells += n as u64;
-                abar_lane[ng..ng + nxb].fill(*abar);
-                zbar_lane[ng..ng + nxb].fill(*zbar);
-                let mut batch = EosBatch {
-                    dens: &out_dens[ng..ng + nxb],
-                    eint: &mut out_eint[ng..ng + nxb],
-                    temp: &mut temp_lane[ng..ng + nxb],
-                    abar: &abar_lane[ng..ng + nxb],
-                    zbar: &zbar_lane[ng..ng + nxb],
-                    pres: &mut eos_pres[ng..ng + nxb],
-                    gamc: &mut eos_gamc[ng..ng + nxb],
-                    game: &mut eos_game[ng..ng + nxb],
-                };
-                let report = match eos.eos_batch(EosMode::DensEi, &mut batch) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        // analyze::allow(panic): an EOS failure leaves the
-                        // pencil half-updated with no recovery path; the
-                        // rank pool converts the unwind into a clean
-                        // whole-simulation abort (same contract as the
-                        // scalar engine's per-zone arm).
-                        panic!("EOS failure in pencil dir={dir} t1={t1} t2={t2}: {e}")
-                    }
-                };
-                probe.stats.batch_lanes += report.lanes;
-                probe.stats.batch_vector_lanes += report.vector_lanes;
-                probe.stats.batch_plateau_lanes += report.plateau_lanes;
-                for (bin, count) in report.iter_hist.iter().enumerate() {
-                    probe.stats.newton_iter_hist[bin] += count;
-                }
-                probe.stats.eos_calls += nxb as u64;
+            while p < zone_hi {
+                update_at::<ScalarLane>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
+                p += 1;
             }
+            probe.stats.zones += (zone_hi - zone_lo) as u64;
+            probe.stats.add_fp(40 * (zone_hi - zone_lo) as u64);
+        }
 
-            // Scatter the write set back in one pass.
-            match ctx.eos {
-                SweepEos::PerZone(_) => {} // write_zone already stored the zones
-                SweepEos::Defer => {
-                    for (var, lane) in [
-                        (vars::DENS, &*out_dens),
-                        (ctx.vm[0], &*out_u),
-                        (ctx.vm[1], &*out_v),
-                        (ctx.vm[2], &*out_w),
-                        (vars::ENER, &*out_ener),
-                        (vars::EINT, &*out_eint),
-                    ] {
-                        geom.scatter_pencil(slab, var, dir, t1, t2, ng..ng + nxb, lane);
-                    }
-                    probe.stats.scatter_cells += (6 * nxb) as u64;
+        // SIMD occupancy accounting over the lane-kernel spans of this
+        // slab: flattening + 5 reconstructions + MUSCL over the wide span,
+        // HLLC over the faces, the update (lane path only) over the zones.
+        let (c_wide, t_wide) = chunk_split(wide_hi - wide_lo, L::W);
+        let (c_face, t_face) = chunk_split(face_hi - face_lo, L::W);
+        let mut chunk = 7 * c_wide + c_face;
+        let mut tail = 7 * t_wide + t_face;
+        if !per_zone {
+            let (c_upd, t_upd) = chunk_split(zone_hi - zone_lo, L::W);
+            chunk += c_upd;
+            tail += t_upd;
+        }
+        probe.stats.simd_chunk_lanes += chunk as u64;
+        probe.stats.simd_tail_lanes += tail as u64;
+
+        // One batched EOS over the slab's nxb × nxb interior lanes.
+        if let SweepEos::Batch { eos, abar, zbar } = ctx.eos {
+            geom.gather_slab(slab, [vars::TEMP], dir, t2, interior.clone(), [&mut *temp_lane]);
+            probe.stats.gather_cells += (zone_hi - zone_lo) as u64;
+            abar_lane[zone_lo..zone_hi].fill(*abar);
+            zbar_lane[zone_lo..zone_hi].fill(*zbar);
+            let mut batch = EosBatch {
+                dens: &out_dens[zone_lo..zone_hi],
+                eint: &mut out_eint[zone_lo..zone_hi],
+                temp: &mut temp_lane[zone_lo..zone_hi],
+                abar: &abar_lane[zone_lo..zone_hi],
+                zbar: &zbar_lane[zone_lo..zone_hi],
+                pres: &mut eos_pres[zone_lo..zone_hi],
+                gamc: &mut eos_gamc[zone_lo..zone_hi],
+                game: &mut eos_game[zone_lo..zone_hi],
+            };
+            let report = match eos.eos_batch(EosMode::DensEi, &mut batch) {
+                Ok(r) => r,
+                Err(e) => {
+                    // analyze::allow(panic): an EOS failure leaves the
+                    // slab half-updated with no recovery path; the rank
+                    // pool converts the unwind into a clean
+                    // whole-simulation abort (same contract as the scalar
+                    // engine's per-zone arm).
+                    panic!("EOS failure in slab dir={dir} t2={t2}: {e}")
                 }
-                SweepEos::Batch { .. } => {
-                    for (var, lane) in [
-                        (vars::DENS, &*out_dens),
-                        (ctx.vm[0], &*out_u),
-                        (ctx.vm[1], &*out_v),
-                        (ctx.vm[2], &*out_w),
-                        (vars::ENER, &*out_ener),
-                        (vars::EINT, &*out_eint),
-                        (vars::PRES, &*eos_pres),
-                        (vars::TEMP, &*temp_lane),
-                        (vars::GAMC, &*eos_gamc),
-                        (vars::GAME, &*eos_game),
-                    ] {
-                        geom.scatter_pencil(slab, var, dir, t1, t2, ng..ng + nxb, lane);
-                    }
-                    probe.stats.scatter_cells += (10 * nxb) as u64;
-                }
+            };
+            probe.stats.batch_lanes += report.lanes;
+            probe.stats.batch_vector_lanes += report.vector_lanes;
+            probe.stats.batch_plateau_lanes += report.plateau_lanes;
+            for (bin, count) in report.iter_hist.iter().enumerate() {
+                probe.stats.newton_iter_hist[bin] += count;
             }
+            probe.stats.eos_calls += (zone_hi - zone_lo) as u64;
+        }
 
-            // Boundary fluxes for the conservation fix-up.
-            let c1 = t1 - ng;
-            let c2 = if ctx.ndim == 3 { t2 - ng } else { 0 };
-            let lo_face = [ifl[0][ng], ifl[1][ng], ifl[2][ng], ifl[3][ng], ifl[4][ng]];
-            let hi_face = [
-                ifl[0][ng + nxb],
-                ifl[1][ng + nxb],
-                ifl[2][ng + nxb],
-                ifl[3][ng + nxb],
-                ifl[4][ng + nxb],
-            ];
-            fluxes_out.store(0, c1, c2, &lo_face);
-            fluxes_out.store(1, c1, c2, &hi_face);
+        // Scatter the write set back in one row walk.
+        let zones = (zone_hi - zone_lo) as u64;
+        match ctx.eos {
+            SweepEos::PerZone(_) => {} // write_zone already stored the zones
+            SweepEos::Defer => {
+                geom.scatter_slab(
+                    slab,
+                    [vars::DENS, ctx.vm[0], ctx.vm[1], ctx.vm[2], vars::ENER, vars::EINT],
+                    dir,
+                    t2,
+                    interior.clone(),
+                    [&*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint],
+                );
+                probe.stats.scatter_cells += 6 * zones;
+            }
+            SweepEos::Batch { .. } => {
+                geom.scatter_slab(
+                    slab,
+                    [
+                        vars::DENS,
+                        ctx.vm[0],
+                        ctx.vm[1],
+                        ctx.vm[2],
+                        vars::ENER,
+                        vars::EINT,
+                        vars::PRES,
+                        vars::TEMP,
+                        vars::GAMC,
+                        vars::GAME,
+                    ],
+                    dir,
+                    t2,
+                    interior.clone(),
+                    [
+                        &*out_dens,
+                        &*out_u,
+                        &*out_v,
+                        &*out_w,
+                        &*out_ener,
+                        &*out_eint,
+                        &*eos_pres,
+                        &*temp_lane,
+                        &*eos_gamc,
+                        &*eos_game,
+                    ],
+                );
+                probe.stats.scatter_cells += 10 * zones;
+            }
+        }
 
-            // Access-pattern recording (sampled), identical to the
-            // scalar engine's gating.
-            if ctx.cfg.pattern_every > 0 {
-                if pencil_counter.is_multiple_of(ctx.cfg.pattern_every) {
-                    for &v in &READ_VARS {
-                        probe.record(geom.pencil_pattern(v, dir, t1, t2, ctx.block_idx));
-                    }
-                    for &v in &WRITE_VARS {
-                        probe.record_write(geom.pencil_pattern(v, dir, t1, t2, ctx.block_idx));
-                    }
+        // Boundary fluxes for the conservation fix-up: pencil `b`'s low
+        // face is lane `face_lo + b`, its high face `zone_hi + b`.
+        let c2 = if ctx.ndim == 3 { t2 - ng } else { 0 };
+        for b in 0..s {
+            let lo_face: [f64; NFLUX] = std::array::from_fn(|ch| ifl[ch][face_lo + b]);
+            let hi_face: [f64; NFLUX] = std::array::from_fn(|ch| ifl[ch][zone_hi + b]);
+            fluxes_out.store(0, b, c2, &lo_face);
+            fluxes_out.store(1, b, c2, &hi_face);
+        }
+
+        // Access-pattern recording (sampled): the rows the gather reads
+        // and the scatter writes, one dense run each.
+        if ctx.cfg.pattern_every > 0 {
+            let every = ctx.cfg.pattern_every;
+            let written: &[usize] = match ctx.eos {
+                SweepEos::Defer => &DEFER_WRITE_VARS,
+                _ => &WRITE_VARS,
+            };
+            for pat in geom.slab_patterns(&READ_VARS, dir, t2, 0..n, ctx.block_idx) {
+                if pattern_counter.is_multiple_of(every) {
+                    probe.record(pat);
                 }
-                pencil_counter += 1;
+                pattern_counter += 1;
+            }
+            for pat in geom.slab_patterns(written, dir, t2, interior.clone(), ctx.block_idx) {
+                if pattern_counter.is_multiple_of(every) {
+                    probe.record_write(pat);
+                }
+                pattern_counter += 1;
             }
         }
     }
 }
 
-/// Sweep one block with the pencil engine. Returns `false` when scratch
+/// Sweep one block with the slab engine. Returns `false` when scratch
 /// could not be mapped (the caller then runs the scalar path — no hot-path
 /// panic on allocation failure). The lane backend (`SweepConfig::simd`) is
 /// dispatched exactly once here, covering the whole block body.
@@ -653,11 +726,8 @@ pub(crate) fn sweep_block(
     fluxes_out: &mut BlockFluxes,
     probe: &mut Probe,
 ) -> bool {
-    let n = ctx.geom.pencil_len(ctx.dir);
-    // Lane budget: 8 prim + flat/snap + 5×2 faces + 6 update outputs +
-    // 3 EOS outputs + temp + abar/zbar, each `n` long, plus 5 interface
-    // lanes of `n + 1`.
-    let total = 32 * n + NFLUX * (n + 1);
+    // Every carved lane holds one slab: `pencil_len × nxb` doubles.
+    let total = lane_count(ctx.eos) * ctx.geom.pencil_len(ctx.dir) * ctx.nxb;
 
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();
@@ -687,7 +757,7 @@ pub(crate) fn sweep_block(
 
         rflash_simd::dispatch(
             ctx.cfg.simd,
-            PencilBody {
+            SlabBody {
                 ctx,
                 slab,
                 fluxes_out,

@@ -165,7 +165,12 @@ pub fn flattening_into(
 // Lane-generic twins (pencil engine hot path)
 // ---------------------------------------------------------------------------
 
-/// [`limited_slope`] on `W` consecutive zones starting at `j0`.
+// The twins take a lane stride `s`: zone `p` of pencil `b` lives at lane
+// index `p * s + b`, so a ±1 step along the pencil is ±`s` in the lane and
+// one flat loop over `lo * s..hi * s` covers `s` interleaved pencils
+// (`s = 1` is a single pencil). `lo`/`hi` are pencil positions.
+
+/// [`limited_slope`] on `W` consecutive lanes starting at `j0`.
 ///
 /// Bit-identity vs the scalar reference: on gated lanes (`dl*dr > 0`) the
 /// slope `d = 0.5*(dl+dr)` is nonzero and non-NaN, so
@@ -174,10 +179,10 @@ pub fn flattening_into(
 /// `min` agrees with `f64::min`. Ungated lanes select the literal `0.0`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn slope_at<L: Lane>(a: &[f64], j0: usize) -> L {
-    let am1 = L::load(&a[j0 - 1..]);
+fn slope_at<L: Lane>(a: &[f64], j0: usize, s: usize) -> L {
+    let am1 = L::load(&a[j0 - s..]);
     let a0 = L::load(&a[j0..]);
-    let ap1 = L::load(&a[j0 + 1..]);
+    let ap1 = L::load(&a[j0 + s..]);
     let d = L::splat(0.5).mul(ap1.sub(am1));
     let dl = a0.sub(am1);
     let dr = ap1.sub(a0);
@@ -187,8 +192,24 @@ fn slope_at<L: Lane>(a: &[f64], j0: usize) -> L {
     L::select(gate, slope, L::splat(0.0))
 }
 
-/// [`reconstruct_zone`] on `W` consecutive zones starting at `i`,
-/// writing `minus[i..i+W]`/`plus[i..i+W]`.
+/// [`interface_value`] between positions `j` and `j + 1` on `W`
+/// consecutive lanes starting at `j`, from the precomputed slope lane:
+/// `0.5*(a[j] + a[j+1]) - (slope[j+1] - slope[j]) / 6`, the scalar
+/// expression in the scalar order.
+#[cfg_attr(debug_assertions, inline)]
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn interface_at<L: Lane>(a: &[f64], slope: &[f64], iface: &mut [f64], j: usize, s: usize) {
+    let sum = L::load(&a[j..]).add(L::load(&a[j + s..]));
+    let dslope = L::load(&slope[j + s..]).sub(L::load(&slope[j..]));
+    L::splat(0.5)
+        .mul(sum)
+        .sub(dslope.div(L::splat(6.0)))
+        .store(&mut iface[j..]);
+}
+
+/// [`reconstruct_zone`] on `W` consecutive lanes starting at `i`, from the
+/// precomputed interface values (`iface[i - s]` is the zone's low face,
+/// `iface[i]` its high face), writing `minus[i..i+W]`/`plus[i..i+W]`.
 ///
 /// The scalar if/else-if monotonization becomes a select cascade over
 /// values computed from the *original* face pair — legal because the
@@ -197,18 +218,20 @@ fn slope_at<L: Lane>(a: &[f64], j0: usize) -> L {
 /// (`<=`/`>` compares are false on NaN, as are the lane masks).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn reconstruct_at<L: Lane>(a: &[f64], flat: &[f64], minus: &mut [f64], plus: &mut [f64], i: usize) {
-    let s_m = slope_at::<L>(a, i - 1);
-    let s_0 = slope_at::<L>(a, i);
-    let s_p = slope_at::<L>(a, i + 1);
-    let am1 = L::load(&a[i - 1..]);
+fn reconstruct_at<L: Lane>(
+    a: &[f64],
+    flat: &[f64],
+    iface: &[f64],
+    minus: &mut [f64],
+    plus: &mut [f64],
+    i: usize,
+    s: usize,
+) {
     let a0 = L::load(&a[i..]);
-    let ap1 = L::load(&a[i + 1..]);
     let half = L::splat(0.5);
     let sixth = L::splat(6.0);
-    // interface_value(a, i-1) and interface_value(a, i).
-    let mut am = half.mul(am1.add(a0)).sub(s_0.sub(s_m).div(sixth));
-    let mut ap = half.mul(a0.add(ap1)).sub(s_p.sub(s_0).div(sixth));
+    let mut am = L::load(&iface[i - s..]);
+    let mut ap = L::load(&iface[i..]);
 
     // Blend toward the cell average where the flattening detector fired.
     let f = L::load(&flat[i..]);
@@ -230,33 +253,64 @@ fn reconstruct_at<L: Lane>(a: &[f64], flat: &[f64], minus: &mut [f64], plus: &mu
     out_p.store(&mut plus[i..]);
 }
 
-/// Lane-generic twin of [`reconstruct_into`]: `W`-wide chunks through
-/// [`reconstruct_at`], scalar-lane tail through the *same* kernel at
-/// `W = 1`, so the tail is bit-identical by construction.
+/// Lane-generic twin of [`reconstruct_into`] over positions `lo..hi` of
+/// `s` interleaved pencils. The scalar reference recomputes each limited
+/// slope three times and each interface value twice; here each is computed
+/// once per position, from the same operands in the same order, so the
+/// values are the same bits:
+///
+/// 1. slopes at positions `lo - 1..=hi`, parked in `minus`;
+/// 2. interface values between positions `j` and `j + 1`, `j` in
+///    `lo - 1..hi`, into `iface` (caller scratch, `a.len()` long);
+/// 3. each zone's blended, monotonized face pair into `minus`/`plus`.
+///
+/// Every pass runs `W`-wide chunks and a scalar-lane tail through the
+/// *same* kernel at `W = 1`, so the tail is bit-identical by construction.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
+#[allow(clippy::too_many_arguments)] // flat lane-slice plumbing, no natural struct
 pub fn reconstruct_lanes<L: Lane>(
     a: &[f64],
     lo: usize,
     hi: usize,
+    s: usize,
     flat: &[f64],
+    iface: &mut [f64],
     minus: &mut [f64],
     plus: &mut [f64],
 ) {
-    assert!(lo >= 2 && hi + 2 <= a.len());
-    assert!(minus.len() == a.len() && plus.len() == a.len());
-    let mut i = lo;
-    while i + L::W <= hi {
-        reconstruct_at::<L>(a, flat, minus, plus, i);
+    assert!(s > 0 && lo >= 2 && hi + 2 <= a.len() / s);
+    assert!(minus.len() == a.len() && plus.len() == a.len() && iface.len() == a.len());
+    let (mut i, end) = ((lo - 1) * s, (hi + 1) * s);
+    while i + L::W <= end {
+        slope_at::<L>(a, i, s).store(&mut minus[i..]);
         i += L::W;
     }
-    while i < hi {
-        reconstruct_at::<ScalarLane>(a, flat, minus, plus, i);
+    while i < end {
+        slope_at::<ScalarLane>(a, i, s).store(&mut minus[i..]);
+        i += 1;
+    }
+    let (mut i, end) = ((lo - 1) * s, hi * s);
+    while i + L::W <= end {
+        interface_at::<L>(a, minus, iface, i, s);
+        i += L::W;
+    }
+    while i < end {
+        interface_at::<ScalarLane>(a, minus, iface, i, s);
+        i += 1;
+    }
+    let (mut i, end) = (lo * s, hi * s);
+    while i + L::W <= end {
+        reconstruct_at::<L>(a, flat, iface, minus, plus, i, s);
+        i += L::W;
+    }
+    while i < end {
+        reconstruct_at::<ScalarLane>(a, flat, iface, minus, plus, i, s);
         i += 1;
     }
 }
 
-/// Pass 1 of the flattening detector on `W` zones starting at `i`
+/// Pass 1 of the flattening detector on `W` lanes starting at `i`
 /// (callers restrict `i` to the guard-safe subrange).
 ///
 /// Bit-identity notes: the pencil engine floors pressure lanes to
@@ -270,15 +324,15 @@ pub fn reconstruct_lanes<L: Lane>(
 /// `f64::min`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn flatten_pass1_at<L: Lane>(pres: &[f64], velx: &[f64], out: &mut [f64], i: usize) {
+fn flatten_pass1_at<L: Lane>(pres: &[f64], velx: &[f64], out: &mut [f64], i: usize, s: usize) {
     const OMEGA1: f64 = 0.75;
     const OMEGA2: f64 = 10.0;
     const EPSILON: f64 = 0.33;
-    let dp = L::load(&pres[i + 1..]).sub(L::load(&pres[i - 1..]));
-    let dp2 = L::load(&pres[i + 2..]).sub(L::load(&pres[i - 2..]));
-    let compressive = L::load(&velx[i - 1..]).gt(L::load(&velx[i + 1..]));
-    let denom = L::load(&pres[i + 1..])
-        .min(L::load(&pres[i - 1..]))
+    let dp = L::load(&pres[i + s..]).sub(L::load(&pres[i - s..]));
+    let dp2 = L::load(&pres[i + 2 * s..]).sub(L::load(&pres[i - 2 * s..]));
+    let compressive = L::load(&velx[i - s..]).gt(L::load(&velx[i + s..]));
+    let denom = L::load(&pres[i + s..])
+        .min(L::load(&pres[i - s..]))
         .max(L::splat(f64::MIN_POSITIVE));
     let strong = dp.abs().div(denom).gt(L::splat(EPSILON));
     let gate = compressive.and(strong);
@@ -294,20 +348,21 @@ fn flatten_pass1_at<L: Lane>(pres: &[f64], velx: &[f64], out: &mut [f64], i: usi
     L::select(gate, chi.min(cur), cur).store(&mut out[i..]);
 }
 
-/// Pass 2 (neighbor-min spread) on `W` zones starting at `i`.
+/// Pass 2 (neighbor-min spread) on `W` lanes starting at `i`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
-fn flatten_pass2_at<L: Lane>(snap: &[f64], out: &mut [f64], i: usize) {
-    L::load(&snap[i - 1..])
+fn flatten_pass2_at<L: Lane>(snap: &[f64], out: &mut [f64], i: usize, s: usize) {
+    L::load(&snap[i - s..])
         .min(L::load(&snap[i..]))
-        .min(L::load(&snap[i + 1..]))
+        .min(L::load(&snap[i + s..]))
         .store(&mut out[i..]);
 }
 
-/// Lane-generic twin of [`flattening_into`]. The scalar loop's per-zone
-/// guards (`i < 2 || i + 2 >= len` ⇒ untouched, `i >= 1 && i + 1 < len`)
-/// become subrange clamps — zones outside keep the pass's incoming value
-/// exactly as the scalar `continue` leaves them.
+/// Lane-generic twin of [`flattening_into`] over positions `lo..hi` of `s`
+/// interleaved pencils. The scalar loop's per-zone guards
+/// (`i < 2 || i + 2 >= len` ⇒ untouched, `i >= 1 && i + 1 < len`, in
+/// positions) become subrange clamps — zones outside keep the pass's
+/// incoming value exactly as the scalar `continue` leaves them.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 pub fn flattening_lanes<L: Lane>(
@@ -315,33 +370,32 @@ pub fn flattening_lanes<L: Lane>(
     velx: &[f64],
     lo: usize,
     hi: usize,
+    s: usize,
     out: &mut [f64],
     snap: &mut [f64],
 ) {
+    assert!(s > 0);
     assert_eq!(out.len(), pres.len());
     assert_eq!(snap.len(), pres.len());
+    let n = pres.len() / s;
     out.fill(1.0);
-    let s_lo = lo.max(2);
-    let s_hi = hi.min(pres.len().saturating_sub(2));
-    let mut i = s_lo;
-    while i + L::W <= s_hi {
-        flatten_pass1_at::<L>(pres, velx, out, i);
+    let (mut i, end) = (lo.max(2) * s, hi.min(n.saturating_sub(2)) * s);
+    while i + L::W <= end {
+        flatten_pass1_at::<L>(pres, velx, out, i, s);
         i += L::W;
     }
-    while i < s_hi {
-        flatten_pass1_at::<ScalarLane>(pres, velx, out, i);
+    while i < end {
+        flatten_pass1_at::<ScalarLane>(pres, velx, out, i, s);
         i += 1;
     }
     snap.copy_from_slice(out);
-    let t_lo = lo.max(1);
-    let t_hi = hi.min(pres.len().saturating_sub(1));
-    let mut i = t_lo;
-    while i + L::W <= t_hi {
-        flatten_pass2_at::<L>(snap, out, i);
+    let (mut i, end) = (lo.max(1) * s, hi.min(n.saturating_sub(1)) * s);
+    while i + L::W <= end {
+        flatten_pass2_at::<L>(snap, out, i, s);
         i += L::W;
     }
-    while i < t_hi {
-        flatten_pass2_at::<ScalarLane>(snap, out, i);
+    while i < end {
+        flatten_pass2_at::<ScalarLane>(snap, out, i, s);
         i += 1;
     }
 }
@@ -444,6 +498,7 @@ mod tests {
         velx: &'a [f64],
         lo: usize,
         hi: usize,
+        s: usize,
         flat: &'a mut [f64],
         snap: &'a mut [f64],
         minus: &'a mut [f64],
@@ -455,8 +510,63 @@ mod tests {
         #[cfg_attr(debug_assertions, inline)]
         #[cfg_attr(not(debug_assertions), inline(always))]
         fn with_lanes<L: Lane>(self) {
-            flattening_lanes::<L>(self.a, self.velx, self.lo, self.hi, self.flat, self.snap);
-            reconstruct_lanes::<L>(self.a, self.lo, self.hi, self.flat, self.minus, self.plus);
+            let (lo, hi, s) = (self.lo, self.hi, self.s);
+            flattening_lanes::<L>(self.a, self.velx, lo, hi, s, self.flat, self.snap);
+            reconstruct_lanes::<L>(self.a, lo, hi, s, self.flat, self.snap, self.minus, self.plus);
+        }
+    }
+
+    #[test]
+    fn strided_twins_match_each_pencil_alone_on_every_backend() {
+        // Three shock-bearing pencils interleaved at stride 3: every W-chunk
+        // of width 2 or 4 straddles pencils and positions.
+        let (n, s) = (17, 3);
+        let pencil = |b: usize| -> (Vec<f64>, Vec<f64>) {
+            let jump = |i: usize| if i > 6 + b { 30.0 } else { 0.0 };
+            let a = (0..n)
+                .map(|i| ((i as f64 * 0.7 + b as f64).sin() * 2.0).exp() + jump(i))
+                .collect();
+            let velx = (0..n).map(|i| (8.0 - i as f64 - b as f64) * 0.4).collect();
+            (a, velx)
+        };
+        let mut a = vec![0.0; n * s];
+        let mut velx = vec![0.0; n * s];
+        let mut want = vec![[0.0; 3]; n * s];
+        for b in 0..s {
+            let (pa, pv) = pencil(b);
+            let (mut flat, mut snap) = (vec![0.0; n], vec![0.0; n]);
+            flattening_into(&pa, &pv, 2, n - 2, &mut flat, &mut snap);
+            let (mut minus, mut plus) = (vec![0.0; n], vec![0.0; n]);
+            reconstruct_into(&pa, 2, n - 2, &flat, &mut minus, &mut plus);
+            for p in 0..n {
+                a[p * s + b] = pa[p];
+                velx[p * s + b] = pv[p];
+                want[p * s + b] = [flat[p], minus[p], plus[p]];
+            }
+        }
+        for &backend in rflash_simd::Resolved::all() {
+            let (mut flat, mut snap) = (vec![0.0; n * s], vec![0.0; n * s]);
+            let (mut minus, mut plus) = (vec![0.0; n * s], vec![0.0; n * s]);
+            rflash_simd::dispatch(
+                backend,
+                PpmLanes {
+                    a: &a,
+                    velx: &velx,
+                    lo: 2,
+                    hi: n - 2,
+                    s,
+                    flat: &mut flat,
+                    snap: &mut snap,
+                    minus: &mut minus,
+                    plus: &mut plus,
+                },
+            );
+            for i in 2 * s..(n - 2) * s {
+                let got = [flat[i], minus[i], plus[i]];
+                for (g, w) in got.iter().zip(want[i]) {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{backend} lane {i}");
+                }
+            }
         }
     }
 
@@ -489,6 +599,7 @@ mod tests {
                     velx: &velx,
                     lo: 2,
                     hi: n - 2,
+                    s: 1,
                     flat: &mut flat,
                     snap: &mut snap,
                     minus: &mut minus,
@@ -497,6 +608,8 @@ mod tests {
             );
             for i in 0..n {
                 assert_eq!(flat[i].to_bits(), flat_ref[i].to_bits(), "{backend} flat {i}");
+            }
+            for i in 2..n - 2 {
                 assert_eq!(minus[i].to_bits(), minus_ref[i].to_bits(), "{backend} minus {i}");
                 assert_eq!(plus[i].to_bits(), plus_ref[i].to_bits(), "{backend} plus {i}");
             }

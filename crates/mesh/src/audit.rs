@@ -14,12 +14,9 @@
 //!
 //! The layer is compiled in under `debug_assertions` or the `race-audit`
 //! feature and compiles to nothing otherwise ([`COMPILED`] is `false`, every
-//! entry point is an empty inline function). A process-wide runtime switch
-//! ([`set_runtime_enabled`]) lets a compiled-in binary measure the ledger's
-//! overhead without rebuilding.
+//! entry point is an empty inline function).
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// `true` when the audit layer is compiled in (debug builds, or any build
 /// with the `race-audit` feature).
@@ -30,20 +27,11 @@ pub const COMPILED: bool = true;
 #[cfg(not(any(debug_assertions, feature = "race-audit")))]
 pub const COMPILED: bool = false;
 
-static RUNTIME_ON: AtomicBool = AtomicBool::new(true);
-
-/// Turn the compiled-in ledger on or off at runtime (process-wide). The
-/// audit-overhead bench uses this to time the clean path with and without
-/// recording in a single binary; it has no effect when [`COMPILED`] is
-/// `false`.
-pub fn set_runtime_enabled(on: bool) {
-    RUNTIME_ON.store(on, Ordering::Relaxed);
-}
-
-/// Whether accesses are being recorded right now.
+/// Whether accesses are being recorded: exactly when the layer is compiled
+/// in.
 #[inline]
 pub fn enabled() -> bool {
-    COMPILED && RUNTIME_ON.load(Ordering::Relaxed)
+    COMPILED
 }
 
 /// Access mode of one recorded or declared access.
@@ -100,8 +88,8 @@ pub fn rec_write(res: usize) {
     record(res, Mode::Write);
 }
 
-/// Serializes tests that record accesses or toggle the runtime switch —
-/// both are process-wide, so concurrent test threads would interfere.
+/// Serializes tests that record accesses, so concurrent test threads do not
+/// interfere.
 #[doc(hidden)]
 pub fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -215,25 +203,6 @@ mod tests {
         rec_write(9);
         task_begin();
         assert_eq!(task_end(), Vec::new());
-    }
-
-    #[test]
-    fn runtime_switch_gates_recording() {
-        if !COMPILED {
-            return;
-        }
-        let _g = test_guard();
-        set_runtime_enabled(false);
-        assert!(!enabled());
-        task_begin();
-        rec_read(1);
-        set_runtime_enabled(true);
-        assert!(enabled());
-        // Recording resumes only with a fresh task window.
-        task_begin();
-        rec_read(2);
-        let accs = task_end();
-        assert_eq!(accs, vec![Access { res: 2, mode: Mode::Read }]);
     }
 
     #[test]

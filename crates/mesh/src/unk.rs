@@ -566,6 +566,159 @@ impl UnkGeom {
         }
     }
 
+    /// The zone rows of the slab at `t2` along `dir` that hold pencil
+    /// positions `positions`, in traversal order.
+    ///
+    /// A *slab* is the `nxb` adjacent interior pencils `t1 = nguard + b`
+    /// (`b < nxb`) along `dir` at one transverse `t2` (0 in 2-d). Its lanes
+    /// are position-major and pencil-minor: `lane[p * nxb + b]` is pencil
+    /// `b` at position `p`. Along `dir = 0` the pencils themselves are the
+    /// unit-stride rows; along 1 and 2 each position is one row across all
+    /// `nxb` pencils. Either way every row is a [`row_runs`](Self::row_runs)
+    /// run, so a slab is read and written in whole rows.
+    #[inline]
+    fn slab_rows(
+        &self,
+        dir: usize,
+        t2: usize,
+        positions: core::ops::Range<usize>,
+    ) -> impl Iterator<Item = SlabRow> {
+        let (ng, nb) = (self.nguard, self.nxb);
+        let (p0, np) = (positions.start, positions.len());
+        let rows = if dir == 0 { 0..nb } else { positions };
+        rows.map(move |r| match dir {
+            0 => SlabRow {
+                ijk: (p0, ng + r, t2),
+                len: np,
+                lane: p0 * nb + r,
+                step: nb,
+            },
+            1 => SlabRow {
+                ijk: (ng, r, t2),
+                len: nb,
+                lane: r * nb,
+                step: 1,
+            },
+            2 => SlabRow {
+                ijk: (ng, t2, r),
+                len: nb,
+                lane: r * nb,
+                step: 1,
+            },
+            _ => panic!("dir < 3"),
+        })
+    }
+
+    /// Copy variables `vars` of the slab at `t2` along `dir` (positions
+    /// `positions` of all `nxb` pencils) into slab lanes,
+    /// `lanes[v][p * nxb + b]` — the copy-in of the slab sweep. It walks
+    /// whole rows: under [`Layout::VarFirst`] a row is one contiguous run
+    /// holding every variable of its zones, read zone by zone with each
+    /// zone's variables transposed into the SoA lanes in one touch; under
+    /// [`Layout::VarLast`] each variable's part of the row is its own run.
+    /// Lanes are at least `pencil_len(dir) × nxb` long; lane entries
+    /// outside `positions` are left alone.
+    #[inline]
+    pub fn gather_slab<const N: usize>(
+        &self,
+        slab: &[f64],
+        vars: [usize; N],
+        dir: usize,
+        t2: usize,
+        positions: core::ops::Range<usize>,
+        mut lanes: [&mut [f64]; N],
+    ) {
+        let (per_var, per_zone) = self.strides();
+        for row in self.slab_rows(dir, t2, positions) {
+            let (i, j, k) = row.ijk;
+            let first = self.cell(i, j, k) * per_zone;
+            match self.layout {
+                Layout::VarFirst => {
+                    let run = &slab[first..first + row.len * self.nvar];
+                    for (q, zone) in run.chunks_exact(self.nvar).enumerate() {
+                        let at = row.lane + q * row.step;
+                        for (lane, var) in lanes.iter_mut().zip(vars) {
+                            lane[at] = zone[var];
+                        }
+                    }
+                }
+                Layout::VarLast => {
+                    for (lane, var) in lanes.iter_mut().zip(vars) {
+                        let run = &slab[first + var * per_var..][..row.len];
+                        for (q, &x) in run.iter().enumerate() {
+                            lane[row.lane + q * row.step] = x;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Write slab lanes back to variables `vars` at pencil positions
+    /// `positions` — the inverse of [`gather_slab`](Self::gather_slab) and
+    /// the one-pass copy-out of the slab sweep (callers pass the interior
+    /// positions; guard zones are owned by the exchange).
+    #[inline]
+    pub fn scatter_slab<const N: usize>(
+        &self,
+        slab: &mut [f64],
+        vars: [usize; N],
+        dir: usize,
+        t2: usize,
+        positions: core::ops::Range<usize>,
+        lanes: [&[f64]; N],
+    ) {
+        let (per_var, per_zone) = self.strides();
+        for row in self.slab_rows(dir, t2, positions) {
+            let (i, j, k) = row.ijk;
+            let first = self.cell(i, j, k) * per_zone;
+            match self.layout {
+                Layout::VarFirst => {
+                    let run = &mut slab[first..first + row.len * self.nvar];
+                    for (q, zone) in run.chunks_exact_mut(self.nvar).enumerate() {
+                        let at = row.lane + q * row.step;
+                        for (lane, var) in lanes.iter().zip(vars) {
+                            zone[var] = lane[at];
+                        }
+                    }
+                }
+                Layout::VarLast => {
+                    for (lane, var) in lanes.iter().zip(vars) {
+                        let run = &mut slab[first + var * per_var..][..row.len];
+                        for (q, x) in run.iter_mut().enumerate() {
+                            *x = lane[row.lane + q * row.step];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The access patterns of [`gather_slab`](Self::gather_slab) /
+    /// [`scatter_slab`](Self::scatter_slab) touching `vars` at `positions`
+    /// of the slab at `t2` along `dir` in block `blk`: one dense range per
+    /// row under [`Layout::VarFirst`] (a zone's variables share its cache
+    /// lines), one per row and variable under [`Layout::VarLast`].
+    pub fn slab_patterns<'a>(
+        &'a self,
+        vars: &'a [usize],
+        dir: usize,
+        t2: usize,
+        positions: core::ops::Range<usize>,
+        blk: usize,
+    ) -> impl Iterator<Item = AccessPattern> + 'a {
+        self.slab_rows(dir, t2, positions).flat_map(move |row| {
+            let (i, j, k) = row.ijk;
+            self.row_runs(i, j, k, row.len)
+                .enumerate()
+                .filter(move |(var, _)| self.layout == Layout::VarFirst || vars.contains(var))
+                .map(move |(_, run)| AccessPattern::Range {
+                    base: self.base_addr + 8 * (blk * self.per_block + run.start),
+                    len: 8 * run.len(),
+                })
+        })
+    }
+
     /// The access pattern of sweeping one variable along a full padded
     /// pencil in direction `dir` at transverse coordinates (t1, t2):
     /// dir 0 → (i varies; j=t1, k=t2), dir 1 → (j varies; i=t1, k=t2),
@@ -591,6 +744,16 @@ impl UnkGeom {
             elem: 8,
         }
     }
+}
+
+/// One row of a slab traversal: `len` zones along i from padded `ijk`,
+/// landing at lane indices `lane + q * step`.
+#[derive(Clone, Copy, Debug)]
+struct SlabRow {
+    ijk: (usize, usize, usize),
+    len: usize,
+    lane: usize,
+    step: usize,
 }
 
 /// Raw, copyable view of every block slab, for kernels executed as graph
@@ -808,6 +971,131 @@ mod tests {
                 g.scatter_pencil(u.block_slab_mut(1), 2, dir, t1, t2, 0..n, &lane);
             }
         }
+    }
+
+    /// `(p, t1, t2)` of padded zone `(i, j, k)` in the sweep frame of `dir`.
+    fn sweep_frame(dir: usize, i: usize, j: usize, k: usize) -> (usize, usize, usize) {
+        match dir {
+            0 => (i, j, k),
+            1 => (j, i, k),
+            _ => (k, i, j),
+        }
+    }
+
+    #[test]
+    fn slab_gather_equals_nxb_pencil_gathers() {
+        for ndim in [2, 3] {
+            for layout in [Layout::VarFirst, Layout::VarLast] {
+                let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, layout, Policy::None);
+                for (n, x) in u.block_slab_mut(1).iter_mut().enumerate() {
+                    *x = n as f64 + 0.5;
+                }
+                let g = u.geom();
+                let (ng, nb) = (g.nguard, g.nxb);
+                let vars = [3, 0, 4];
+                for dir in 0..ndim {
+                    let n = g.pencil_len(dir);
+                    let t2s = if ndim == 3 { ng..ng + nb } else { 0..1 };
+                    for t2 in t2s {
+                        let mut lanes = vec![vec![f64::NAN; n * nb]; vars.len()];
+                        let [l0, l1, l2] = &mut lanes[..] else { unreachable!() };
+                        g.gather_slab(u.block_slab(1), vars, dir, t2, 0..n, [l0, l1, l2]);
+                        let at = format!("{ndim}-d {layout:?} dir {dir} t2 {t2}");
+                        let mut pencil = vec![0.0; n];
+                        for (&var, lane) in vars.iter().zip(&lanes) {
+                            for b in 0..nb {
+                                g.gather_pencil(u.block_slab(1), var, dir, ng + b, t2, &mut pencil);
+                                for (p, want) in pencil.iter().enumerate() {
+                                    assert_eq!(
+                                        lane[p * nb + b].to_bits(),
+                                        want.to_bits(),
+                                        "{at} var {var} b {b} p {p}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_scatter_writes_exactly_the_slab_interior_of_its_vars() {
+        for ndim in [2, 3] {
+            for layout in [Layout::VarFirst, Layout::VarLast] {
+                let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, layout, Policy::None);
+                let g = u.geom();
+                let (ng, nb) = (g.nguard, g.nxb);
+                let interior = ng..ng + nb;
+                let t2 = if ndim == 3 { ng + 1 } else { 0 };
+                let vars = [4, 1];
+                for dir in 0..ndim {
+                    u.block_slab_mut(1).fill(f64::NAN);
+                    let n = g.pencil_len(dir);
+                    let lanes: Vec<Vec<f64>> = (0..vars.len())
+                        .map(|v| (0..n * nb).map(|x| (1000 * v + x) as f64).collect())
+                        .collect();
+                    g.scatter_slab(
+                        u.block_slab_mut(1),
+                        vars,
+                        dir,
+                        t2,
+                        interior.clone(),
+                        [&lanes[0], &lanes[1]],
+                    );
+                    let (ni, nj, nk) = u.padded();
+                    for var in 0..5 {
+                        for k in 0..nk {
+                            for j in 0..nj {
+                                for i in 0..ni {
+                                    let (p, t1, tt2) = sweep_frame(dir, i, j, k);
+                                    let got = u.get(var, i, j, k, 1);
+                                    let slot = vars.iter().position(|&v| v == var);
+                                    match slot {
+                                        Some(v)
+                                            if tt2 == t2
+                                                && interior.contains(&p)
+                                                && interior.contains(&t1) =>
+                                        {
+                                            let want = lanes[v][p * nb + t1 - ng];
+                                            assert_eq!(got, want, "{ndim}-d {layout:?} dir {dir}");
+                                        }
+                                        _ => assert!(
+                                            got.is_nan(),
+                                            "{ndim}-d {layout:?} dir {dir}: var {var} at \
+                                             ({i},{j},{k}) outside the slab was written"
+                                        ),
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_patterns_are_the_rows_the_gather_walks() {
+        let u = UnkStorage::new(3, 4, 2, 5, 2, Layout::VarFirst, Policy::None);
+        let g = u.geom();
+        let (ng, nb) = (g.nguard, g.nxb);
+        // z-sweep: one dense run of nxb whole zones per pencil position.
+        let pats: Vec<_> = g.slab_patterns(&[0, 3], 2, ng, 0..g.nk, 1).collect();
+        assert_eq!(pats.len(), g.nk);
+        for (p, pat) in pats.iter().enumerate() {
+            let want = AccessPattern::Range {
+                base: u.addr(0, ng, ng, p, 1),
+                len: 8 * nb * 5,
+            };
+            assert_eq!(*pat, want, "position {p}");
+        }
+        // x-sweep: one run per pencil, over the requested positions only.
+        assert_eq!(g.slab_patterns(&[0], 0, ng, ng..ng + nb, 1).count(), nb);
+        // Under VarLast each requested variable is its own run.
+        let v = UnkStorage::new(3, 4, 2, 5, 2, Layout::VarLast, Policy::None).geom();
+        assert_eq!(v.slab_patterns(&[0, 3], 1, ng, 0..v.nj, 0).count(), 2 * v.nj);
     }
 
     #[test]
