@@ -34,7 +34,7 @@
 //! `recycle()`d per block — steady state performs no allocations and the
 //! lanes sit in one huge-page-backed VMA under the same policy/degradation
 //! chain as `unk` itself. Only the lanes the [`SweepEos`] mode uses are
-//! carved (see [`lane_count`]).
+//! carved (see [`mode_lane_lens`]).
 //!
 //! This module is under the `pencil_confinement` static-analysis rule: no
 //! per-cell `unk` access (`slab_idx`/`get`/`set`) may appear here — all
@@ -53,7 +53,7 @@ use rflash_simd::{chunk_split, Lane, LaneMask, ScalarLane, WithLanes};
 use crate::ppm::{flattening_lanes, reconstruct_lanes};
 use crate::riemann::hllc_lanes;
 use crate::state::{cons_to_vel_ener_lanes, Prim, PrimL};
-use crate::sweep::{write_zone, BlockFluxes, SweepConfig, SweepEos, READ_VARS, WRITE_VARS};
+use crate::sweep::{write_zone, BlockFluxes, SweepConfig, SweepEos};
 use crate::NFLUX;
 
 /// Everything about the block being swept that the engine needs and that is
@@ -96,16 +96,27 @@ fn carve<'s>(rest: &mut &'s mut [f64], len: usize) -> &'s mut [f64] {
 
 /// Lanes every mode carves: 8 gathered, flat/snap, 5×2 faces, 5 interface.
 const CORE_LANES: usize = 25;
+/// Update-output lanes: dens, the 3 velocities, ener, eint.
+const OUT_LANES: usize = 6;
+/// Batched-EOS lanes: pres/gamc/game outputs, temp, abar, zbar.
+const EOS_LANES: usize = 6;
 
-/// Lanes the slab body carves under `eos`: the core set, plus 6 update
-/// outputs unless `PerZone` writes zones directly, plus 3 EOS outputs,
-/// temp and abar/zbar under `Batch`.
-fn lane_count(eos: &SweepEos<'_>) -> usize {
+/// Per-lane lengths `(out_len, eos_len)` of the update-output and EOS lane
+/// groups for slab lanes `len` long under `eos`: `PerZone` writes zones
+/// directly and needs neither, only `Batch` needs the EOS group. A group a
+/// mode does not use is carved zero-length.
+fn mode_lane_lens(eos: &SweepEos<'_>, len: usize) -> (usize, usize) {
     match eos {
-        SweepEos::Defer => CORE_LANES + 6,
-        SweepEos::Batch { .. } => CORE_LANES + 12,
-        SweepEos::PerZone(_) => CORE_LANES,
+        SweepEos::Defer => (len, 0),
+        SweepEos::Batch { .. } => (len, len),
+        SweepEos::PerZone(_) => (0, 0),
     }
+}
+
+/// Doubles the slab body carves for slab lanes `len` long under `eos`.
+fn scratch_len(eos: &SweepEos<'_>, len: usize) -> usize {
+    let (out_len, eos_len) = mode_lane_lens(eos, len);
+    CORE_LANES * len + OUT_LANES * out_len + EOS_LANES * eos_len
 }
 
 /// Floor `lane` in place: `x = max(x, floor)` with the same bits as the
@@ -353,17 +364,6 @@ struct OutLanes<'a> {
     eint: &'a mut [f64],
 }
 
-/// Variables the `Defer` scatter writes back (the other modes write all of
-/// [`WRITE_VARS`]).
-const DEFER_WRITE_VARS: [usize; 6] = [
-    vars::DENS,
-    vars::VELX,
-    vars::VELY,
-    vars::VELZ,
-    vars::ENER,
-    vars::EINT,
-];
-
 /// The whole per-block sweep body, monomorphized per lane backend and
 /// entered once through [`rflash_simd::dispatch`].
 struct SlabBody<'a, 'b> {
@@ -403,8 +403,7 @@ fn run_slab<L: Lane>(
     let dtdx = ctx.dt / ctx.dx;
     let dens_floor = ctx.cfg.dens_floor;
     let per_zone = matches!(ctx.eos, SweepEos::PerZone(_));
-    let out_len = if per_zone { 0 } else { len };
-    let eos_len = if matches!(ctx.eos, SweepEos::Batch { .. }) { len } else { 0 };
+    let (out_len, eos_len) = mode_lane_lens(ctx.eos, len);
 
     let mut rest = all;
     let w_dens = carve(&mut rest, len);
@@ -420,18 +419,43 @@ fn run_slab<L: Lane>(
     let mut fm: [&mut [f64]; 5] = std::array::from_fn(|_| carve(&mut rest, len));
     let mut fp: [&mut [f64]; 5] = std::array::from_fn(|_| carve(&mut rest, len));
     let mut ifl: [&mut [f64]; NFLUX] = std::array::from_fn(|_| carve(&mut rest, len));
-    let out_dens = carve(&mut rest, out_len);
-    let out_u = carve(&mut rest, out_len);
-    let out_v = carve(&mut rest, out_len);
-    let out_w = carve(&mut rest, out_len);
-    let out_ener = carve(&mut rest, out_len);
-    let out_eint = carve(&mut rest, out_len);
-    let eos_pres = carve(&mut rest, eos_len);
-    let eos_gamc = carve(&mut rest, eos_len);
-    let eos_game = carve(&mut rest, eos_len);
-    let temp_lane = carve(&mut rest, eos_len);
-    let abar_lane = carve(&mut rest, eos_len);
-    let zbar_lane = carve(&mut rest, eos_len);
+    let [out_dens, out_u, out_v, out_w, out_ener, out_eint]: [&mut [f64]; OUT_LANES] =
+        std::array::from_fn(|_| carve(&mut rest, out_len));
+    let [eos_pres, eos_gamc, eos_game, temp_lane, abar_lane, zbar_lane]: [&mut [f64]; EOS_LANES] =
+        std::array::from_fn(|_| carve(&mut rest, eos_len));
+    debug_assert!(rest.is_empty(), "scratch_len and the carve disagree");
+
+    // Each variable set is spelled once: the gather, the scatters and the
+    // access-pattern recording all read these.
+    let read_vars = [
+        vars::DENS,
+        ctx.vm[0],
+        ctx.vm[1],
+        ctx.vm[2],
+        vars::PRES,
+        vars::GAME,
+        vars::GAMC,
+        vars::ENER,
+    ];
+    // The update's six, then the EOS outputs `Batch` and `PerZone` also
+    // write; `Defer` writes the first `OUT_LANES`.
+    let write_vars = [
+        vars::DENS,
+        ctx.vm[0],
+        ctx.vm[1],
+        ctx.vm[2],
+        vars::ENER,
+        vars::EINT,
+        vars::PRES,
+        vars::TEMP,
+        vars::GAMC,
+        vars::GAME,
+    ];
+    let defer_vars: [usize; OUT_LANES] = std::array::from_fn(|v| write_vars[v]);
+    let written: &[usize] = match ctx.eos {
+        SweepEos::Defer => &defer_vars,
+        _ => &write_vars,
+    };
 
     // Kernel spans in lanes: zones ng-1..ng+nxb+1 are reconstructed and
     // predicted, faces ng..=ng+nxb solved, zones ng..ng+nxb updated.
@@ -448,16 +472,7 @@ fn run_slab<L: Lane>(
         // apply the same floors the scalar engine's `load_prim` applies.
         geom.gather_slab(
             slab,
-            [
-                vars::DENS,
-                ctx.vm[0],
-                ctx.vm[1],
-                ctx.vm[2],
-                vars::PRES,
-                vars::GAME,
-                vars::GAMC,
-                vars::ENER,
-            ],
+            read_vars,
             dir,
             t2,
             0..n,
@@ -639,29 +654,18 @@ fn run_slab<L: Lane>(
             SweepEos::Defer => {
                 geom.scatter_slab(
                     slab,
-                    [vars::DENS, ctx.vm[0], ctx.vm[1], ctx.vm[2], vars::ENER, vars::EINT],
+                    defer_vars,
                     dir,
                     t2,
                     interior.clone(),
                     [&*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint],
                 );
-                probe.stats.scatter_cells += 6 * zones;
+                probe.stats.scatter_cells += written.len() as u64 * zones;
             }
             SweepEos::Batch { .. } => {
                 geom.scatter_slab(
                     slab,
-                    [
-                        vars::DENS,
-                        ctx.vm[0],
-                        ctx.vm[1],
-                        ctx.vm[2],
-                        vars::ENER,
-                        vars::EINT,
-                        vars::PRES,
-                        vars::TEMP,
-                        vars::GAMC,
-                        vars::GAME,
-                    ],
+                    write_vars,
                     dir,
                     t2,
                     interior.clone(),
@@ -678,7 +682,7 @@ fn run_slab<L: Lane>(
                         &*eos_game,
                     ],
                 );
-                probe.stats.scatter_cells += 10 * zones;
+                probe.stats.scatter_cells += written.len() as u64 * zones;
             }
         }
 
@@ -696,11 +700,7 @@ fn run_slab<L: Lane>(
         // and the scatter writes, one dense run each.
         if ctx.cfg.pattern_every > 0 {
             let every = ctx.cfg.pattern_every;
-            let written: &[usize] = match ctx.eos {
-                SweepEos::Defer => &DEFER_WRITE_VARS,
-                _ => &WRITE_VARS,
-            };
-            for pat in geom.slab_patterns(&READ_VARS, dir, t2, 0..n, ctx.block_idx) {
+            for pat in geom.slab_patterns(&read_vars, dir, t2, 0..n, ctx.block_idx) {
                 if pattern_counter.is_multiple_of(every) {
                     probe.record(pat);
                 }
@@ -727,7 +727,7 @@ pub(crate) fn sweep_block(
     probe: &mut Probe,
 ) -> bool {
     // Every carved lane holds one slab: `pencil_len × nxb` doubles.
-    let total = lane_count(ctx.eos) * ctx.geom.pencil_len(ctx.dir) * ctx.nxb;
+    let total = scratch_len(ctx.eos, ctx.geom.pencil_len(ctx.dir) * ctx.nxb);
 
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();

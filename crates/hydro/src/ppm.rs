@@ -264,6 +264,10 @@ fn reconstruct_at<L: Lane>(
 ///    `lo - 1..hi`, into `iface` (caller scratch, `a.len()` long);
 /// 3. each zone's blended, monotonized face pair into `minus`/`plus`.
 ///
+/// On return `minus` at positions `lo - 1` and `hi` still holds those two
+/// slopes (scratch); lanes outside positions `lo - 1..=hi` of `minus` and
+/// outside `lo..hi` of `plus` are left untouched.
+///
 /// Every pass runs `W`-wide chunks and a scalar-lane tail through the
 /// *same* kernel at `W = 1`, so the tail is bit-identical by construction.
 #[cfg_attr(debug_assertions, inline)]
@@ -538,6 +542,10 @@ mod tests {
             flattening_into(&pa, &pv, 2, n - 2, &mut flat, &mut snap);
             let (mut minus, mut plus) = (vec![0.0; n], vec![0.0; n]);
             reconstruct_into(&pa, 2, n - 2, &flat, &mut minus, &mut plus);
+            // The twin leaves the limited slopes of positions lo-1 and hi
+            // in `minus`.
+            minus[1] = limited_slope(&pa, 1);
+            minus[n - 2] = limited_slope(&pa, n - 2);
             for p in 0..n {
                 a[p * s + b] = pa[p];
                 velx[p * s + b] = pv[p];
@@ -561,7 +569,7 @@ mod tests {
                     plus: &mut plus,
                 },
             );
-            for i in 2 * s..(n - 2) * s {
+            for i in 0..n * s {
                 let got = [flat[i], minus[i], plus[i]];
                 for (g, w) in got.iter().zip(want[i]) {
                     assert_eq!(g.to_bits(), w.to_bits(), "{backend} lane {i}");
@@ -606,12 +614,19 @@ mod tests {
                     plus: &mut plus,
                 },
             );
+            // `reconstruct_lanes` parks the limited slopes of positions
+            // `lo - 1` and `hi` in `minus`; every other lane matches the
+            // scalar reference, including the ones it leaves alone.
+            let (lo, hi) = (2, n - 2);
             for i in 0..n {
                 assert_eq!(flat[i].to_bits(), flat_ref[i].to_bits(), "{backend} flat {i}");
-            }
-            for i in 2..n - 2 {
-                assert_eq!(minus[i].to_bits(), minus_ref[i].to_bits(), "{backend} minus {i}");
                 assert_eq!(plus[i].to_bits(), plus_ref[i].to_bits(), "{backend} plus {i}");
+                let want = if i == lo - 1 || i == hi {
+                    limited_slope(&a, i)
+                } else {
+                    minus_ref[i]
+                };
+                assert_eq!(minus[i].to_bits(), want.to_bits(), "{backend} minus {i}");
             }
         }
     }
