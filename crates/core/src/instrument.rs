@@ -113,7 +113,7 @@ pub(crate) fn eos_block(
         let n = geom.ni; // full x-row (pencil) length, guards included
         let kr = if geom.ndim == 3 { ng..ng + nxb } else { 0..1 };
         let mut zone_counter = 0usize;
-        let mut gather_buf: Vec<usize> = Vec::with_capacity(48);
+        let mut gather_buf: Vec<usize> = Vec::with_capacity(32);
         let mut row_counter = 0usize;
         // Row lanes (SoA), reused across rows: the whole row goes through
         // one batched EOS call instead of per-zone `Eos::call`s.
@@ -186,16 +186,15 @@ pub(crate) fn eos_block(
                 // arithmetic (plus Newton iterations) per zone.
                 probe.stats.add_vec(300 * nxb as u64);
 
-                // Table gather patterns, sampled (post-solve temperatures —
-                // the same pages the scalar Newton touched last).
+                // Table gather patterns, sampled: the planes the batched
+                // solve reads at each zone's accepted temperature.
                 if gather_every > 0 {
                     if let Some(h) = eos.helmholtz() {
                         for i in 0..nxb {
                             if zone_counter.is_multiple_of(gather_every) {
                                 gather_buf.clear();
                                 let rho_ye = dens_l[ng + i] * comp.zbar / comp.abar;
-                                if h.table()
-                                    .gather_indices(rho_ye, temp_l[ng + i], &mut gather_buf)
+                                if h.gather_indices(rho_ye, temp_l[ng + i], &mut gather_buf)
                                     .is_ok()
                                 {
                                     probe.record(AccessPattern::Gather {

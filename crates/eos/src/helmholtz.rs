@@ -2,7 +2,7 @@
 //! + radiation, with the FLASH call modes.
 
 use crate::consts::{A_RAD, H_PLANCK, K_B, N_A};
-use crate::table::{ElecPoint, HelmTable, TableConfig};
+use crate::table::{ElecPoint, HelmTable, Quantities, RhoCell, TableConfig};
 use crate::{BatchReport, Eos, EosBatch, EosError, EosMode, EosState};
 
 use crate::batch::NEWTON_HIST_BINS;
@@ -33,16 +33,21 @@ pub struct Helmholtz {
     pub include_coulomb: bool,
 }
 
-/// Intermediate full evaluation at (ρ, T).
+/// Intermediate evaluation at (ρ, T).
 #[derive(Clone, Copy, Debug, Default)]
 struct Eval {
     pres: f64,
     eint: f64, // specific, erg/g
-    entr: f64, // specific, erg/(g K)
+    entr: f64, // specific, erg/(g K); only the scalar `evaluate` fills it
     cv: f64,   // specific
     dpdt: f64,
     dpdr: f64,
 }
+
+/// The table quantities every batched output row reads at its accepted
+/// temperature: P with both slopes (pres, Γ₁) and E with its T-slope (eint,
+/// c_v). `EosBatch` has no entropy output.
+const BATCH_OUTPUT: Quantities = Quantities::PRES.with(Quantities::ENER);
 
 impl Helmholtz {
     /// Build with a freshly computed table under the given huge-page policy.
@@ -82,20 +87,39 @@ impl Helmholtz {
         self.simd = simd;
     }
 
+    /// Append the table elements the batched EOS reads at one zone's
+    /// accepted temperature — the pressure and energy planes, 32 loads; the
+    /// TLB model replays them for a sampled zone.
+    pub fn gather_indices(
+        &self,
+        rho_ye: f64,
+        temp: f64,
+        out: &mut Vec<usize>,
+    ) -> Result<(), EosError> {
+        self.table.gather_indices(rho_ye, temp, BATCH_OUTPUT, out)
+    }
+
+    /// Full evaluation at (ρ, T), entropy included: the scalar path.
     fn evaluate(&self, dens: f64, temp: f64, abar: f64, zbar: f64) -> Result<Eval, EosError> {
         let rho_ye = dens * zbar / abar;
         let ele: ElecPoint = self.table.interp(rho_ye, temp)?;
-        Ok(self.assemble(ele, dens, temp, abar, zbar))
+        let mut ev = self.assemble(ele, dens, temp, abar, zbar);
+        ev.entr = self.entropy(&ele, dens, temp, abar);
+        Ok(ev)
     }
 
-    /// Combine an interpolated electron point with radiation/ions/Coulomb.
-    /// Shared by the scalar and batched paths so both produce bit-identical
-    /// `Eval`s for the same (ρ, T) point.
+    /// Combine an interpolated electron point with radiation/ions/Coulomb,
+    /// entropy aside. Shared by the scalar and batched paths so both produce
+    /// bit-identical `Eval`s for the same (ρ, T) point. Each field reads
+    /// only some of `ele`'s: `pres`, `dpdt`, `dpdr` the pressure fields,
+    /// `eint` and `cv` the energy fields — and, under Coulomb corrections,
+    /// whose taper scales with the pressure, `ele.pres` as well. A
+    /// partially filled point gives those fields exactly.
     fn assemble(&self, ele: ElecPoint, dens: f64, temp: f64, abar: f64, zbar: f64) -> Eval {
         let mut ev = Eval {
             pres: ele.pres,
             eint: ele.ener / dens,
-            entr: ele.entr / dens,
+            entr: 0.0,
             cv: ele.ener / dens / temp * ele.dlne_dlnt,
             dpdt: ele.pres / temp * ele.dlnp_dlnt,
             // ρYₑ ∝ ρ at fixed composition, so ∂lnP/∂lnρ = dlnp_dlnr.
@@ -105,7 +129,6 @@ impl Helmholtz {
             let prad = A_RAD * temp.powi(4) / 3.0;
             ev.pres += prad;
             ev.eint += 3.0 * prad / dens;
-            ev.entr += 4.0 * prad / (dens * temp); // s_rad = 4aT³/(3ρ) = 4P_rad/(ρT)
             ev.cv += 12.0 * prad / (dens * temp); // d(3aT⁴/ρ)/dT = 12aT³/ρ
             ev.dpdt += 4.0 * prad / temp;
         }
@@ -116,12 +139,25 @@ impl Helmholtz {
             ev.cv += 1.5 * N_A * K_B / abar;
             ev.dpdt += nkt / temp;
             ev.dpdr += nkt / dens;
-            ev.entr += sackur_tetrode(dens, temp, abar);
             if self.include_coulomb {
                 add_coulomb(&mut ev, dens, temp, abar, zbar);
             }
         }
         ev
+    }
+
+    /// Specific entropy at a fully interpolated point (only `call` reports
+    /// it).
+    fn entropy(&self, ele: &ElecPoint, dens: f64, temp: f64, abar: f64) -> f64 {
+        let mut entr = ele.entr / dens;
+        if self.include_radiation {
+            let prad = A_RAD * temp.powi(4) / 3.0;
+            entr += 4.0 * prad / (dens * temp); // s_rad = 4aT³/(3ρ) = 4P_rad/(ρT)
+        }
+        if self.include_ions {
+            entr += sackur_tetrode(dens, temp, abar);
+        }
+        entr
     }
 
     fn apply(&self, s: &mut EosState, ev: Eval) {
@@ -223,18 +259,26 @@ impl Helmholtz {
     /// over the still-active lanes each round via
     /// [`HelmTable::interp_lanes`], so non-converged lanes stay in the
     /// compacted active set as a masked re-iteration instead of dropping to
-    /// a scalar re-solve. A lane that hits the clean `|resid| < 1e-10` exit
-    /// lands on the bit-identical (T, Eval) the scalar solve would return
-    /// ([`LANE_VECTOR`]); a lane that leaves any other way (bracket
-    /// collapse, 160 iterations) is resolved by the scalar path's
+    /// a scalar re-solve.
+    ///
+    /// An iteration interpolates only the `iterated` quantities — what
+    /// `f`'s (value, slope) pair reads through [`Self::assemble`] — at the
+    /// densities `sc.rho` located once per batch, so `f` sees the scalar
+    /// solve's bits. A lane that hits the clean `|resid| < 1e-10` exit
+    /// keeps that T ([`LANE_VECTOR`]); a lane that leaves any other way
+    /// (bracket collapse, 160 iterations) is resolved by the scalar path's
     /// residual-plateau criterion on its bit-identical best point
-    /// ([`LANE_PLATEAU`] or the same `NoConvergence` error). Returns the
-    /// active-lane histogram per iteration (occupancy decay).
+    /// ([`LANE_PLATEAU`] or the same `NoConvergence` error). Each lane's
+    /// accepted T then gets the rest of [`BATCH_OUTPUT`] interpolated once,
+    /// so `sc.ele_sol` holds the point the scalar solve returns, entropy
+    /// aside. Returns the active-lane histogram per iteration (occupancy
+    /// decay).
     #[allow(clippy::too_many_arguments)] // one borrowed SoA lane per input
     fn invert_lanes<F>(
         &self,
         sc: &mut BatchScratch,
         mode: &'static str,
+        iterated: Quantities,
         dens: &[f64],
         abar: &[f64],
         zbar: &[f64],
@@ -252,10 +296,10 @@ impl Helmholtz {
         sc.prev.resize(n, 0.0);
         sc.status.resize(n, LANE_ACTIVE);
         sc.t_sol.resize(n, 0.0);
-        sc.ev_sol.resize(n, Eval::default());
+        sc.ele_sol.resize(n, ElecPoint::default());
         sc.best_r.resize(n, 0.0);
         sc.best_t.resize(n, 0.0);
-        sc.best_ev.resize(n, Eval::default());
+        sc.best_ele.resize(n, ElecPoint::default());
         sc.best_set.resize(n, false);
         for (l, &guess) in temp_guess.iter().enumerate() {
             let mut t = guess.clamp(tmin * 1.0001, tmax * 0.9999);
@@ -281,36 +325,21 @@ impl Helmholtz {
             hist[iter.min(NEWTON_HIST_BINS - 1)] += n_active as u64;
             // Compact the active lanes so the interpolation runs over
             // contiguous inputs.
-            sc.c_dens.clear();
-            sc.c_temp.clear();
-            sc.c_abar.clear();
-            sc.c_zbar.clear();
-            for &l in &sc.active {
-                sc.c_dens.push(dens[l]);
-                sc.c_temp.push(sc.t[l]);
-                sc.c_abar.push(abar[l]);
-                sc.c_zbar.push(zbar[l]);
-            }
             sc.c_rho.clear();
-            sc.c_rho.resize(n_active, 0.0);
-            for i in 0..n_active {
-                sc.c_rho[i] = sc.c_dens[i] * sc.c_zbar[i] / sc.c_abar[i];
+            sc.c_temp.clear();
+            for &l in &sc.active {
+                sc.c_rho.push(sc.rho[l]);
+                sc.c_temp.push(sc.t[l]);
             }
             sc.c_ele.clear();
             sc.c_ele.resize(n_active, ElecPoint::default());
             self.table
-                .interp_lanes(self.simd, &sc.c_rho, &sc.c_temp, &mut sc.c_ele)?;
+                .interp_lanes(self.simd, iterated, &sc.c_rho, &sc.c_temp, &mut sc.c_ele)?;
 
             let mut w = 0;
             for i in 0..n_active {
                 let l = sc.active[i];
-                let ev = self.assemble(
-                    sc.c_ele[i],
-                    sc.c_dens[i],
-                    sc.c_temp[i],
-                    sc.c_abar[i],
-                    sc.c_zbar[i],
-                );
+                let ev = self.assemble(sc.c_ele[i], dens[l], sc.t[l], abar[l], zbar[l]);
                 let (value, dvdt) = f(&ev);
                 let goal = sc.goal[l];
                 let resid = (value - goal) / goal.abs().max(f64::MIN_POSITIVE);
@@ -321,12 +350,12 @@ impl Helmholtz {
                     sc.best_set[l] = true;
                     sc.best_r[l] = resid.abs();
                     sc.best_t[l] = sc.t[l];
-                    sc.best_ev[l] = ev;
+                    sc.best_ele[l] = sc.c_ele[i];
                 }
                 if resid.abs() < 1e-10 {
                     sc.status[l] = LANE_VECTOR;
                     sc.t_sol[l] = sc.t[l];
-                    sc.ev_sol[l] = ev;
+                    sc.ele_sol[l] = sc.c_ele[i];
                     continue;
                 }
                 if value > goal {
@@ -358,8 +387,8 @@ impl Helmholtz {
 
         // Post-loop plateau resolution, in lane order so the first failing
         // lane yields the same error the scalar path's per-zone abort
-        // would. The criterion and the accepted (T, Eval) are bit-identical
-        // to `invert`'s tail because the tracked best point is.
+        // would. The criterion and the accepted T are bit-identical to
+        // `invert`'s tail because the tracked best point is.
         for l in 0..n {
             if sc.status[l] == LANE_VECTOR {
                 continue;
@@ -374,13 +403,21 @@ impl Helmholtz {
             if sc.best_r[l] < 1e-2 || (edge_pinned && sc.best_r[l] < 0.5) {
                 sc.status[l] = LANE_PLATEAU;
                 sc.t_sol[l] = sc.best_t[l];
-                sc.ev_sol[l] = sc.best_ev[l];
+                sc.ele_sol[l] = sc.best_ele[l];
             } else {
                 return Err(EosError::NoConvergence {
                     mode,
                     residual: sc.best_r[l],
                 });
             }
+        }
+
+        // Once per lane, at the accepted T (already located cleanly there),
+        // interpolate what the iterations did not.
+        let rest = BATCH_OUTPUT.without(iterated);
+        if !rest.is_empty() {
+            self.table
+                .interp_lanes(self.simd, rest, &sc.rho, &sc.t_sol, &mut sc.ele_sol)?;
         }
         Ok(hist)
     }
@@ -398,6 +435,10 @@ const LANE_PLATEAU: u8 = 2;
 /// widest batch seen on this thread, then reused allocation-free.
 #[derive(Default)]
 struct BatchScratch {
+    /// Per lane: located ρYₑ, Newton goal, iterate, bracket, previous
+    /// residual, exit state, and the accepted (T, point) and best (|resid|,
+    /// T, point) so far.
+    rho: Vec<RhoCell>,
     goal: Vec<f64>,
     t: Vec<f64>,
     lo: Vec<f64>,
@@ -405,17 +446,16 @@ struct BatchScratch {
     prev: Vec<f64>,
     status: Vec<u8>,
     t_sol: Vec<f64>,
-    ev_sol: Vec<Eval>,
+    ele_sol: Vec<ElecPoint>,
     best_r: Vec<f64>,
     best_t: Vec<f64>,
-    best_ev: Vec<Eval>,
+    best_ele: Vec<ElecPoint>,
     best_set: Vec<bool>,
+    /// The still-active lanes and their compacted interpolation inputs and
+    /// outputs.
     active: Vec<usize>,
-    c_dens: Vec<f64>,
+    c_rho: Vec<RhoCell>,
     c_temp: Vec<f64>,
-    c_abar: Vec<f64>,
-    c_zbar: Vec<f64>,
-    c_rho: Vec<f64>,
     c_ele: Vec<ElecPoint>,
 }
 
@@ -553,9 +593,11 @@ impl Eos for Helmholtz {
     /// explicit lane loops over the whole batch; `DensEi`/`DensPres` lanes
     /// that do not hit the clean convergence exit stay in the compacted
     /// masked re-iteration and are resolved by the scalar path's
-    /// residual-plateau criterion. Outputs are bit-identical to per-zone
-    /// [`Eos::call`] on every lane (see [`crate::batch`] for the contract,
-    /// `invert_lanes` for why).
+    /// residual-plateau criterion. A Newton iteration interpolates only the
+    /// goal quantity (plus P for Coulomb `DensEi`); the rest is evaluated
+    /// once at the accepted T, and entropy never. Outputs are bit-identical
+    /// to per-zone [`Eos::call`] on every lane (see [`crate::batch`] for the
+    /// contract, `invert_lanes` for why).
     fn eos_batch(&self, mode: EosMode, b: &mut EosBatch<'_>) -> Result<BatchReport, EosError> {
         let lanes = b.lanes();
         if lanes == 0 {
@@ -599,18 +641,23 @@ impl Eos for Helmholtz {
 
         SCRATCH.with(|cell| {
             let sc = &mut *cell.borrow_mut();
+            // ρYₑ is fixed per lane: one `log10` and cell lookup per batch.
+            sc.rho.clear();
+            sc.rho.extend(
+                (0..lanes).map(|l| self.table.locate_rho(b.dens[l] * b.zbar[l] / b.abar[l])),
+            );
             if let EosMode::DensTemp = mode {
                 // Direct evaluation: batch the interpolation, then the
                 // additive components, exactly as `call` + `apply` would.
-                sc.c_rho.clear();
-                sc.c_rho.resize(lanes, 0.0);
-                for l in 0..lanes {
-                    sc.c_rho[l] = b.dens[l] * b.zbar[l] / b.abar[l];
-                }
                 sc.c_ele.clear();
                 sc.c_ele.resize(lanes, ElecPoint::default());
-                self.table
-                    .interp_lanes(self.simd, &sc.c_rho, &*b.temp, &mut sc.c_ele)?;
+                self.table.interp_lanes(
+                    self.simd,
+                    BATCH_OUTPUT,
+                    &sc.rho,
+                    &*b.temp,
+                    &mut sc.c_ele,
+                )?;
                 for l in 0..lanes {
                     let ev = self.assemble(sc.c_ele[l], b.dens[l], b.temp[l], b.abar[l], b.zbar[l]);
                     b.pres[l] = ev.pres;
@@ -640,12 +687,24 @@ impl Eos for Helmholtz {
                 // while reading the batch's input lanes.
                 let (dens, abar, zbar, temp) = (&*b.dens, &*b.abar, &*b.zbar, &*b.temp);
                 match mode {
-                    EosMode::DensEi => self.invert_lanes(sc, "DensEi", dens, abar, zbar, temp, |ev| {
-                        (ev.eint, ev.cv)
-                    })?,
-                    _ => self.invert_lanes(sc, "DensPres", dens, abar, zbar, temp, |ev| {
-                        (ev.pres, ev.dpdt)
-                    })?,
+                    EosMode::DensEi => {
+                        // e(T) alone, unless the Coulomb taper (which scales
+                        // with P) makes e read P too.
+                        let iterated = if self.include_ions && self.include_coulomb {
+                            BATCH_OUTPUT
+                        } else {
+                            Quantities::ENER
+                        };
+                        self.invert_lanes(sc, "DensEi", iterated, dens, abar, zbar, temp, |ev| {
+                            (ev.eint, ev.cv)
+                        })?
+                    }
+                    _ => {
+                        let iterated = Quantities::PRES;
+                        self.invert_lanes(sc, "DensPres", iterated, dens, abar, zbar, temp, |ev| {
+                            (ev.pres, ev.dpdt)
+                        })?
+                    }
                 }
             };
 
@@ -661,8 +720,8 @@ impl Eos for Helmholtz {
                 } else {
                     plateau_lanes += 1;
                 }
-                let ev = sc.ev_sol[l];
                 let t = sc.t_sol[l];
+                let ev = self.assemble(sc.ele_sol[l], b.dens[l], t, b.abar[l], b.zbar[l]);
                 // Replicates `call`'s tail: temp = t, apply(), goal
                 // restored, finish_derived() — same expressions in the
                 // same order, so each output is bit-identical.
@@ -841,157 +900,267 @@ mod tests {
         assert_eq!(eos().name(), "helmholtz");
     }
 
-    /// Drive `eos_batch` and per-zone `call` over the same seeded lanes and
-    /// demand bit-exact agreement on every output, every lane, every mode.
-    #[test]
-    fn batched_lanes_are_bit_exact_vs_scalar() {
-        let h = eos();
-        // Seeded (dens, temp) grid spanning degenerate, ideal, radiation-
-        // and pair-dominated corners; abar/zbar alternate between CO and
-        // helium-like compositions.
-        let mut dens = Vec::new();
-        let mut temp0 = Vec::new();
-        let mut abar = Vec::new();
-        let mut zbar = Vec::new();
-        let mut eint = Vec::new();
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for i in 0..48 {
-            let d = 10f64.powf(-3.0 + 12.0 * next());
-            let t = 10f64.powf(4.0 + 5.5 * next());
-            let (a, z) = if i % 3 == 0 { (4.0, 2.0) } else { (13.714285714285715, 6.857142857142857) };
-            let mut s = EosState { abar: a, zbar: z, ..EosState::co_wd(d, t) };
-            if h.call(EosMode::DensTemp, &mut s).is_err() {
-                continue;
-            }
-            dens.push(d);
-            temp0.push(t);
-            abar.push(a);
-            zbar.push(z);
-            // Perturbed goals: convergent lanes, plus non-converging lanes
-            // (goal far below the table's representable floor -> the scalar
-            // path only plateaus edge-pinned, i.e. the batch must resolve
-            // them through its masked plateau acceptance).
-            let scale = match i % 4 {
-                0 => 1.0 + 0.3 * next(),
-                1 => 0.7,
-                2 => 1e-8, // below the table floor: edge-pinned plateau lane
-                _ => 3.0,
-            };
-            eint.push(s.eint * scale);
-        }
-        let n = dens.len();
-        assert!(n > 30, "grid should mostly be in-domain, got {n}");
+    /// Seeded lanes for the batch oracle: inputs plus the Newton goal of
+    /// one mode (unused by `DensTemp`).
+    struct Lanes {
+        dens: Vec<f64>,
+        temp: Vec<f64>,
+        abar: Vec<f64>,
+        zbar: Vec<f64>,
+        goal: Vec<f64>,
+    }
 
-        // Scalar reference, lane by lane (guess intentionally off).
-        let mut scalar = Vec::new();
-        for l in 0..n {
-            let mut s = EosState {
-                abar: abar[l],
-                zbar: zbar[l],
-                ..EosState::co_wd(dens[l], 3e7)
-            };
-            s.eint = eint[l];
-            let r = h.call(EosMode::DensEi, &mut s);
-            scalar.push(r.map(|_| s));
-        }
-
-        // Batched, all lanes at once (same guess).
-        let mut b_eint = eint.clone();
-        let mut b_temp = vec![3e7; n];
-        let mut b_pres = vec![0.0; n];
-        let mut b_gamc = vec![0.0; n];
-        let mut b_game = vec![0.0; n];
-        let mut b = EosBatch {
-            dens: &dens,
-            eint: &mut b_eint,
-            temp: &mut b_temp,
-            abar: &abar,
-            zbar: &zbar,
-            pres: &mut b_pres,
-            gamc: &mut b_gamc,
-            game: &mut b_game,
-        };
-        match h.eos_batch(EosMode::DensEi, &mut b) {
-            Ok(report) => {
-                assert_eq!(report.lanes, n as u64);
-                // The seeded grid must exercise BOTH exits: mostly clean
-                // Newton lanes and plateau-accepted lanes.
-                assert!(report.vector_lanes > 0, "no lane took the vector path");
-                assert!(
-                    report.plateau_lanes > 0,
-                    "no lane exercised the plateau acceptance"
-                );
-                assert_eq!(
-                    report.vector_lanes + report.plateau_lanes,
-                    n as u64,
-                    "every lane is clean-converged or plateau-accepted"
-                );
-                // Occupancy decay: everyone enters iteration 0; some lanes
-                // survive into later iterations.
-                assert_eq!(report.iter_hist[0], n as u64);
-                assert!(report.iter_hist[1] > 0, "no lane iterated twice");
-                assert!(
-                    report.iter_hist[1] <= report.iter_hist[0],
-                    "active-lane count must decay"
-                );
-                for l in 0..n {
-                    let s = scalar[l].as_ref().unwrap_or_else(|e| {
-                        panic!("scalar lane {l} failed ({e}) but batch succeeded")
-                    });
-                    assert_eq!(b_temp[l], s.temp, "lane {l} temp");
-                    assert_eq!(b_pres[l], s.pres, "lane {l} pres");
-                    assert_eq!(b_eint[l], s.eint, "lane {l} eint");
-                    assert_eq!(b_gamc[l], s.gamc, "lane {l} gamc");
-                    assert_eq!(b_game[l], s.game, "lane {l} game");
-                }
-            }
-            Err(e) => {
-                // Contract: the batch errors iff some lane's scalar solve
-                // errors (first such lane wins).
-                assert!(
-                    scalar.iter().any(|r| r.is_err()),
-                    "batch failed ({e}) but every scalar lane succeeded"
-                );
-            }
+    /// The quantity `mode` inverts for, read off a solved state.
+    fn goal_of(mode: EosMode, s: &EosState) -> f64 {
+        match mode {
+            EosMode::DensEi => s.eint,
+            EosMode::DensPres => s.pres,
+            EosMode::DensTemp => 0.0,
         }
     }
 
-    #[test]
-    fn batched_dens_temp_is_bit_exact_vs_scalar() {
-        let h = eos();
-        let dens = [1e-3, 1e2, 1e5, 2e9, 1e7];
-        let mut temp = [1e6, 1e7, 3e9, 5e7, 1e8];
-        let n = dens.len();
-        let abar = [13.714285714285715; 5];
-        let zbar = [6.857142857142857; 5];
-        let mut eint = [0.0; 5];
-        let mut pres = [0.0; 5];
-        let mut gamc = [0.0; 5];
-        let mut game = [0.0; 5];
-        let temp_in = temp;
-        let mut b = EosBatch {
-            dens: &dens,
-            eint: &mut eint,
-            temp: &mut temp,
-            abar: &abar,
-            zbar: &zbar,
-            pres: &mut pres,
-            gamc: &mut gamc,
-            game: &mut game,
+    /// A seeded (dens, temp) grid spanning degenerate, ideal, radiation- and
+    /// pair-dominated corners, abar/zbar alternating between CO and
+    /// helium-like compositions, with goals of five kinds: perturbed (clean
+    /// Newton exits), 0.7× and 3× the true value (long walks), and just past
+    /// the value at the table's lowest and highest temperature (edge-pinned
+    /// plateau acceptance). Temperatures start at a common bad guess except
+    /// for `DensTemp`, where they are the inputs. With `solvable`, lanes
+    /// the scalar solve rejects are left out.
+    fn seeded_lanes(h: &Helmholtz, mode: EosMode, solvable: bool) -> Lanes {
+        let (lo, hi) = h.table().config().log_temp;
+        let (t_floor, t_ceil) = (10f64.powf(lo) * 1.0001, 10f64.powf(hi) * 0.9999);
+        let mut lanes = Lanes {
+            dens: Vec::new(),
+            temp: Vec::new(),
+            abar: Vec::new(),
+            zbar: Vec::new(),
+            goal: Vec::new(),
         };
-        let report = h.eos_batch(EosMode::DensTemp, &mut b).unwrap();
-        assert_eq!(report.vector_lanes, n as u64, "DensTemp is all-vector");
-        for l in 0..n {
-            let mut s = EosState::co_wd(dens[l], temp_in[l]);
-            h.call(EosMode::DensTemp, &mut s).unwrap();
-            assert_eq!(pres[l], s.pres, "lane {l} pres");
-            assert_eq!(eint[l], s.eint, "lane {l} eint");
-            assert_eq!(gamc[l], s.gamc, "lane {l} gamc");
-            assert_eq!(game[l], s.game, "lane {l} game");
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let state = |d: f64, t: f64, a: f64, z: f64| {
+            let mut s = EosState {
+                abar: a,
+                zbar: z,
+                ..EosState::co_wd(d, t)
+            };
+            h.call(EosMode::DensTemp, &mut s).map(|()| s)
+        };
+        for i in 0..60 {
+            let d = 10f64.powf(-3.0 + 12.0 * next());
+            let t = 10f64.powf(4.0 + 5.5 * next());
+            let (a, z) = if i % 3 == 0 {
+                (4.0, 2.0)
+            } else {
+                (13.714285714285715, 6.857142857142857)
+            };
+            let Ok(s) = state(d, t, a, z) else { continue };
+            let goal = match i % 5 {
+                0 => goal_of(mode, &s) * (1.0 + 0.3 * next()),
+                1 => goal_of(mode, &s) * 0.7,
+                2 => goal_of(mode, &state(d, t_floor, a, z).unwrap()) * 0.8,
+                3 => goal_of(mode, &s) * 3.0,
+                _ => goal_of(mode, &state(d, t_ceil, a, z).unwrap()) * 1.25,
+            };
+            let t = if mode == EosMode::DensTemp { t } else { 3e7 };
+            if solvable && scalar_lane(h, mode, d, t, a, z, goal).is_err() {
+                continue;
+            }
+            lanes.dens.push(d);
+            lanes.temp.push(t);
+            lanes.abar.push(a);
+            lanes.zbar.push(z);
+            lanes.goal.push(goal);
+        }
+        lanes
+    }
+
+    /// One lane through the scalar oracle, `call`.
+    fn scalar_lane(
+        h: &Helmholtz,
+        mode: EosMode,
+        dens: f64,
+        temp: f64,
+        abar: f64,
+        zbar: f64,
+        goal: f64,
+    ) -> Result<EosState, EosError> {
+        let mut s = EosState {
+            abar,
+            zbar,
+            ..EosState::co_wd(dens, temp)
+        };
+        match mode {
+            EosMode::DensEi => s.eint = goal,
+            EosMode::DensPres => s.pres = goal,
+            EosMode::DensTemp => {}
+        }
+        h.call(mode, &mut s).map(|()| s)
+    }
+
+    /// Run `lanes` through `eos_batch` and each lane through per-zone
+    /// `call`. On success every output lane must equal the scalar one bit
+    /// for bit; on failure the batch error must be the first failing lane's.
+    fn batch_vs_scalar(
+        h: &Helmholtz,
+        mode: EosMode,
+        lanes: &Lanes,
+    ) -> Result<BatchReport, EosError> {
+        let n = lanes.dens.len();
+        let scalar: Vec<Result<EosState, EosError>> = (0..n)
+            .map(|l| {
+                let (d, t, a, z) = (lanes.dens[l], lanes.temp[l], lanes.abar[l], lanes.zbar[l]);
+                scalar_lane(h, mode, d, t, a, z, lanes.goal[l])
+            })
+            .collect();
+        let mut temp = lanes.temp.clone();
+        let mut eint = vec![0.0; n];
+        let mut pres = vec![0.0; n];
+        match mode {
+            EosMode::DensEi => eint.copy_from_slice(&lanes.goal),
+            EosMode::DensPres => pres.copy_from_slice(&lanes.goal),
+            EosMode::DensTemp => {}
+        }
+        let mut gamc = vec![0.0; n];
+        let mut game = vec![0.0; n];
+        let got = h.eos_batch(
+            mode,
+            &mut EosBatch {
+                dens: &lanes.dens,
+                eint: &mut eint,
+                temp: &mut temp,
+                abar: &lanes.abar,
+                zbar: &lanes.zbar,
+                pres: &mut pres,
+                gamc: &mut gamc,
+                game: &mut game,
+            },
+        );
+        match &got {
+            Ok(_) => {
+                for (l, s) in scalar.iter().enumerate() {
+                    let s = s.as_ref().unwrap_or_else(|e| {
+                        panic!("scalar lane {l} failed ({e}) but the batch succeeded")
+                    });
+                    for (name, b, s) in [
+                        ("temp", temp[l], s.temp),
+                        ("pres", pres[l], s.pres),
+                        ("eint", eint[l], s.eint),
+                        ("gamc", gamc[l], s.gamc),
+                        ("game", game[l], s.game),
+                    ] {
+                        assert_eq!(b.to_bits(), s.to_bits(), "lane {l} {name}: {b:e} vs {s:e}");
+                    }
+                }
+            }
+            Err(e) => {
+                let first = scalar.iter().find_map(|r| r.as_ref().err());
+                assert_eq!(
+                    Some(e),
+                    first,
+                    "batch error vs the first failing scalar lane"
+                );
+            }
+        }
+        got
+    }
+
+    /// The physics switches each change what one lane-iteration reads
+    /// (Coulomb adds P to a `DensEi` iteration): (name, radiation, ions,
+    /// Coulomb).
+    const PHYSICS: [(&str, bool, bool, bool); 4] = [
+        ("default", true, true, false),
+        ("coulomb", true, true, true),
+        ("no radiation", false, true, false),
+        ("no ions", true, false, false),
+    ];
+
+    /// The batched solve against the scalar oracle: every physics
+    /// configuration × mode × SIMD backend, bit for bit on every output of
+    /// every lane, with identical Newton histograms across backends; and
+    /// batches that fail report the first failing lane's error.
+    #[test]
+    fn batched_lanes_are_bit_exact_vs_scalar() {
+        let mut h = Helmholtz::build(TableConfig::coarse(), Policy::None).unwrap();
+        for (physics, radiation, ions, coulomb) in PHYSICS {
+            h.include_radiation = radiation;
+            h.include_ions = ions;
+            h.include_coulomb = coulomb;
+            for mode in [EosMode::DensTemp, EosMode::DensEi, EosMode::DensPres] {
+                let lanes = seeded_lanes(&h, mode, true);
+                let n = lanes.dens.len() as u64;
+                assert!(
+                    n > 40,
+                    "{physics} {mode:?}: grid should mostly be solvable, got {n}"
+                );
+                let mut hist = None;
+                for &backend in Resolved::all() {
+                    h.set_simd(backend);
+                    let what = format!("{physics} {mode:?} {backend}");
+                    // The whole grid, unsolvable lanes included: the batch
+                    // succeeds or fails exactly as the lanes do one by one.
+                    let _ = batch_vs_scalar(&h, mode, &seeded_lanes(&h, mode, false));
+                    let report = batch_vs_scalar(&h, mode, &lanes)
+                        .unwrap_or_else(|e| panic!("{what}: the seeded batch failed: {e}"));
+                    assert_eq!(report.lanes, n, "{what}");
+                    assert_eq!(report.vector_lanes + report.plateau_lanes, n, "{what}");
+                    if mode == EosMode::DensTemp {
+                        assert_eq!(report.vector_lanes, n, "{what}: DensTemp is all-vector");
+                    } else {
+                        // Both exits, and occupancy decaying from a full
+                        // first iteration.
+                        assert!(report.vector_lanes > 0, "{what}: no clean Newton exit");
+                        assert!(report.plateau_lanes > 0, "{what}: no plateau acceptance");
+                        assert_eq!(report.iter_hist[0], n, "{what}");
+                        assert!(report.iter_hist[1] > 0, "{what}: no lane iterated twice");
+                        assert!(report.iter_hist[1] <= report.iter_hist[0], "{what}");
+                    }
+                    let first = *hist.get_or_insert(report.iter_hist);
+                    assert_eq!(report.iter_hist, first, "{what}: Newton histogram diverged");
+                }
+
+                // A later lane out of range in ρYₑ must not pre-empt an
+                // earlier lane's error: the hoisted log10(ρYₑ) checks its
+                // domain lane by lane, ρYₑ before T. Only `DensTemp` can put
+                // T out of range (the inversions clamp and bracket T inside
+                // the table), so there the first bad lane is a bad T.
+                let (d_bad, t_bad) = (1e20, 1.0);
+                let (dens, temp) = match mode {
+                    EosMode::DensTemp => {
+                        (vec![1e6, 1e6, d_bad, d_bad], vec![1e7, t_bad, 1e7, t_bad])
+                    }
+                    _ => (vec![1e6, d_bad, 1e25], vec![1e7; 3]),
+                };
+                let mut good = EosState::co_wd(1e6, 1e7);
+                h.call(EosMode::DensTemp, &mut good).unwrap();
+                let m = dens.len();
+                let bad = Lanes {
+                    dens,
+                    temp,
+                    abar: vec![good.abar; m],
+                    zbar: vec![good.zbar; m],
+                    goal: vec![goal_of(mode, &good); m],
+                };
+                for &backend in Resolved::all() {
+                    h.set_simd(backend);
+                    let err = batch_vs_scalar(&h, mode, &bad).expect_err("out-of-range lanes");
+                    let want = if mode == EosMode::DensTemp {
+                        "log10(T)"
+                    } else {
+                        "log10(rho*Ye)"
+                    };
+                    assert!(
+                        matches!(err, EosError::OutOfRange { what, .. } if what == want),
+                        "{physics} {mode:?} {backend}: {err}"
+                    );
+                }
+            }
         }
     }
 

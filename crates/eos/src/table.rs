@@ -9,8 +9,10 @@
 //!
 //! Layout mirrors FLASH's `helm_table.dat` structure: separate planes per
 //! quantity and derivative (value, ∂/∂x, ∂/∂y, ∂²/∂x∂y for each of log P,
-//! log E, log S), so one interpolation gathers 48 doubles scattered over
-//! 12 planes — the access signature the TLB model replays.
+//! log E, log S), so one full interpolation gathers 48 doubles scattered
+//! over 12 planes. The batched EOS asks for fewer (`Quantities`): 16 per
+//! quantity it actually reads. Those loads are the access signature the
+//! TLB model replays.
 
 use rflash_hugepages::crc32::crc32;
 use rflash_hugepages::{fill_from_le, with_le_bytes, PageBuffer, Policy};
@@ -21,7 +23,11 @@ use crate::electron::electron_state_with_guess;
 use crate::EosError;
 
 /// Quantities stored in the table (log10 of each).
-const N_QUANT: usize = 3; // p, e, s
+const N_QUANT: usize = 3;
+/// Plane-block index of each quantity.
+const PRES: usize = 0;
+const ENER: usize = 1;
+const ENTR: usize = 2;
 /// Derivative planes per quantity: value, d/dx, d/dy, d²/dxdy.
 const N_DERIV: usize = 4;
 
@@ -76,8 +82,49 @@ pub struct ElecPoint {
     pub entr: f64,
     pub dlnp_dlnr: f64,
     pub dlnp_dlnt: f64,
-    pub dlne_dlnr: f64,
     pub dlne_dlnt: f64,
+}
+
+/// A set of tabulated quantities one interpolation evaluates. Each comes
+/// with exactly the slopes some caller reads: pressure with both, energy
+/// with its temperature slope, entropy with none. Every quantity costs its
+/// own 16 coefficient loads and one `10^x`; the others' fields of the
+/// [`ElecPoint`] are left as they were.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Quantities(u8);
+
+impl Quantities {
+    pub(crate) const PRES: Quantities = Quantities(1 << PRES);
+    pub(crate) const ENER: Quantities = Quantities(1 << ENER);
+    pub(crate) const ALL: Quantities = Quantities(1 << PRES | 1 << ENER | 1 << ENTR);
+
+    pub(crate) const fn with(self, other: Quantities) -> Quantities {
+        Quantities(self.0 | other.0)
+    }
+
+    pub(crate) const fn without(self, other: Quantities) -> Quantities {
+        Quantities(self.0 & !other.0)
+    }
+
+    pub(crate) const fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    const fn has(self, q: usize) -> bool {
+        self.0 & (1 << q) != 0
+    }
+}
+
+/// One point's density coordinate, located once and reused at every
+/// temperature a Newton solve tries: log10(ρYₑ) and its cell column and
+/// fraction. It carries no verdict on the domain — every interpolation
+/// through it checks log10(ρYₑ) first and log10(T) second, as
+/// [`HelmTable::interp`] does, so errors keep their order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RhoCell {
+    x: f64,
+    ir: usize,
+    tx: f64,
 }
 
 /// The tabulated electron/positron EOS.
@@ -277,21 +324,35 @@ impl HelmTable {
         self.data.backing_report()
     }
 
-    /// Domain check + cell/fraction location for a (ρYₑ, T) pair.
+    /// Locate a density coordinate: one `log10` and the cell column, reused
+    /// by every interpolation at that ρYₑ.
     #[inline]
-    fn locate(&self, rho_ye: f64, temp: f64) -> Result<(usize, usize, f64, f64), EosError> {
+    pub(crate) fn locate_rho(&self, rho_ye: f64) -> RhoCell {
         let x = rho_ye.log10();
-        let y = temp.log10();
+        let fx = (x - self.config.log_rho_ye.0) / self.dx;
+        let ir = (fx as usize).min(self.config.n_rho - 2);
+        RhoCell {
+            x,
+            ir,
+            tx: fx - ir as f64,
+        }
+    }
+
+    /// Domain check (ρYₑ first, then T) + cell/fraction location for a
+    /// located density and a temperature.
+    #[inline]
+    fn locate(&self, rho: &RhoCell, temp: f64) -> Result<(usize, usize, f64, f64), EosError> {
         let (x0, x1) = self.config.log_rho_ye;
-        let (y0, y1) = self.config.log_temp;
-        if !(x >= x0 && x <= x1) {
+        if !(rho.x >= x0 && rho.x <= x1) {
             return Err(EosError::OutOfRange {
                 what: "log10(rho*Ye)",
-                value: x,
+                value: rho.x,
                 lo: x0,
                 hi: x1,
             });
         }
+        let y = temp.log10();
+        let (y0, y1) = self.config.log_temp;
         if !(y >= y0 && y <= y1) {
             return Err(EosError::OutOfRange {
                 what: "log10(T)",
@@ -300,50 +361,63 @@ impl HelmTable {
                 hi: y1,
             });
         }
-        let fx = (x - x0) / self.dx;
         let fy = (y - y0) / self.dy;
-        let ir = (fx as usize).min(self.config.n_rho - 2);
         let it = (fy as usize).min(self.config.n_temp - 2);
-        Ok((ir, it, fx - ir as f64, fy - it as f64))
+        Ok((rho.ir, it, rho.tx, fy - it as f64))
     }
 
     /// Interpolate the electron gas at (ρYₑ [g/cm³], T \[K\]).
     pub fn interp(&self, rho_ye: f64, temp: f64) -> Result<ElecPoint, EosError> {
-        let (ir, it, tx, ty) = self.locate(rho_ye, temp)?;
-        Ok(self.interp_located(ir, it, tx, ty))
+        let (ir, it, tx, ty) = self.locate(&self.locate_rho(rho_ye), temp)?;
+        let mut out = ElecPoint::default();
+        self.interp_located(Quantities::ALL, ir, it, tx, ty, &mut out);
+        Ok(out)
     }
 
-    /// Interpolate a whole batch of (ρYₑ, T) lanes under the given SIMD
-    /// backend: cells are located per lane (scalar, data-dependent), then the
-    /// Hermite basis and the 48-gather bicubic accumulation run as explicit
-    /// `W`-wide lane ops — the batched table path of the vectorized Helmholtz
-    /// EOS. Every backend is bit-identical to [`Self::interp`] (same op
-    /// order, no contractions; the final `10^x` runs per lane through the
-    /// identical scalar `powf`). The first out-of-domain lane aborts the
-    /// batch.
-    pub fn interp_lanes(
+    /// Interpolate the quantities `sel` over a batch of (ρYₑ, T) lanes under
+    /// the given SIMD backend, writing only their fields of `out`: cells are
+    /// located per lane (scalar, data-dependent, in lane order), then the
+    /// Hermite basis and 16 coefficient gathers per quantity run as explicit
+    /// `W`-wide lane ops — the table path of the batched Helmholtz EOS.
+    /// Every backend is bit-identical to [`Self::interp`] on the fields it
+    /// writes (same op order, no contractions; each `10^x` runs per lane
+    /// through the identical scalar `powf`). The first out-of-domain lane
+    /// aborts the batch. Entropy is not a lane quantity.
+    pub(crate) fn interp_lanes(
         &self,
         simd: Resolved,
-        rho_ye: &[f64],
+        sel: Quantities,
+        rho: &[RhoCell],
         temp: &[f64],
         out: &mut [ElecPoint],
     ) -> Result<(), EosError> {
-        debug_assert!(rho_ye.len() == temp.len() && rho_ye.len() == out.len());
+        debug_assert!(rho.len() == temp.len() && rho.len() == out.len());
+        debug_assert!(!sel.has(ENTR), "the batched EOS never reads entropy");
         rflash_simd::dispatch(
             simd,
             InterpLanes {
                 table: self,
-                rho_ye,
+                sel,
+                rho,
                 temp,
                 out,
             },
         )
     }
 
-    /// The bicubic Hermite kernel at an already-located cell; shared by the
-    /// scalar and batched interpolation paths so both are bit-identical.
+    /// The bicubic Hermite kernel at an already-located cell, for the
+    /// quantities `sel`; shared by the scalar and batched interpolation paths
+    /// so both are bit-identical.
     #[inline]
-    fn interp_located(&self, ir: usize, it: usize, tx: f64, ty: f64) -> ElecPoint {
+    fn interp_located(
+        &self,
+        sel: Quantities,
+        ir: usize,
+        it: usize,
+        tx: f64,
+        ty: f64,
+        out: &mut ElecPoint,
+    ) {
         let nr = self.config.n_rho;
         let corners = [
             it * nr + ir,
@@ -351,73 +425,85 @@ impl HelmTable {
             (it + 1) * nr + ir,
             (it + 1) * nr + ir + 1,
         ];
-
-        // Hermite basis in each direction.
-        let hx = hermite_basis(tx);
-        let hy = hermite_basis(ty);
-
-        let mut out = [0.0f64; N_QUANT]; // interpolated log10 values
-        let mut out_dx = [0.0f64; N_QUANT]; // d(log10 v)/d(log10 rho)
-        let mut out_dy = [0.0f64; N_QUANT];
-        let dhx = hermite_basis_deriv(tx);
-        let dhy = hermite_basis_deriv(ty);
-
-        for q in 0..N_QUANT {
-            // Gather the 16 Hermite coefficients: v, vx, vy, vxy at 4 corners.
-            let mut acc = 0.0;
-            let mut acc_dx = 0.0;
-            let mut acc_dy = 0.0;
-            for (c, &node) in corners.iter().enumerate() {
-                let cx = c % 2; // 0: left corner in x, 1: right
-                let cy = c / 2;
-                let v = self.data[Self::index_of(self.config, q, 0, node)];
-                let vx = self.data[Self::index_of(self.config, q, 1, node)] * self.dx;
-                let vy = self.data[Self::index_of(self.config, q, 2, node)] * self.dy;
-                let vxy = self.data[Self::index_of(self.config, q, 3, node)] * self.dx * self.dy;
-                let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
-                let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
-                let (dbx_v, dbx_d) = (dhx[cx * 2], dhx[cx * 2 + 1]);
-                let (dby_v, dby_d) = (dhy[cy * 2], dhy[cy * 2 + 1]);
-                acc += v * bx_v * by_v + vx * bx_d * by_v + vy * bx_v * by_d + vxy * bx_d * by_d;
-                acc_dx += v * dbx_v * by_v
-                    + vx * dbx_d * by_v
-                    + vy * dbx_v * by_d
-                    + vxy * dbx_d * by_d;
-                acc_dy += v * bx_v * dby_v
-                    + vx * bx_d * dby_v
-                    + vy * bx_v * dby_d
-                    + vxy * bx_d * dby_d;
-            }
-            out[q] = acc;
-            out_dx[q] = acc_dx / self.dx; // back to per-log10(rho_ye)
-            out_dy[q] = acc_dy / self.dy;
+        // Hermite basis in each direction, and its derivative.
+        let basis = [
+            hermite_basis(tx),
+            hermite_basis(ty),
+            hermite_basis_deriv(tx),
+            hermite_basis_deriv(ty),
+        ];
+        // Slopes come back per log10(ρYₑ) and log10(T): d(log10 P)/d(log10 r)
+        // equals dlnP/dlnr.
+        if sel.has(PRES) {
+            let [v, sx, sy] = self.cell_sums(PRES, &corners, &basis, true, true);
+            out.pres = 10f64.powf(v);
+            out.dlnp_dlnr = sx / self.dx;
+            out.dlnp_dlnt = sy / self.dy;
         }
-
-        ElecPoint {
-            pres: 10f64.powf(out[0]),
-            ener: 10f64.powf(out[1]),
-            entr: 10f64.powf(out[2]),
-            // d(log10 P)/d(log10 r) equals dlnP/dlnr.
-            dlnp_dlnr: out_dx[0],
-            dlnp_dlnt: out_dy[0],
-            dlne_dlnr: out_dx[1],
-            dlne_dlnt: out_dy[1],
+        if sel.has(ENER) {
+            let [v, _, sy] = self.cell_sums(ENER, &corners, &basis, false, true);
+            out.ener = 10f64.powf(v);
+            out.dlne_dlnt = sy / self.dy;
+        }
+        if sel.has(ENTR) {
+            let [v, _, _] = self.cell_sums(ENTR, &corners, &basis, false, false);
+            out.entr = 10f64.powf(v);
         }
     }
 
+    /// One quantity's bicubic sums over a cell from its 16 Hermite
+    /// coefficients (v, vx, vy, vxy at 4 corners): the log10 value and, when
+    /// asked, the x- and y-slope sums (0 when not).
+    #[inline(always)]
+    fn cell_sums(
+        &self,
+        q: usize,
+        corners: &[usize; 4],
+        [hx, hy, dhx, dhy]: &[[f64; 4]; 4],
+        with_dx: bool,
+        with_dy: bool,
+    ) -> [f64; 3] {
+        let mut acc = 0.0;
+        let mut acc_dx = 0.0;
+        let mut acc_dy = 0.0;
+        for (c, &node) in corners.iter().enumerate() {
+            let cx = c % 2; // 0: left corner in x, 1: right
+            let cy = c / 2;
+            let v = self.data[Self::index_of(self.config, q, 0, node)];
+            let vx = self.data[Self::index_of(self.config, q, 1, node)] * self.dx;
+            let vy = self.data[Self::index_of(self.config, q, 2, node)] * self.dy;
+            let vxy = self.data[Self::index_of(self.config, q, 3, node)] * self.dx * self.dy;
+            let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
+            let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
+            acc += v * bx_v * by_v + vx * bx_d * by_v + vy * bx_v * by_d + vxy * bx_d * by_d;
+            if with_dx {
+                let (dbx_v, dbx_d) = (dhx[cx * 2], dhx[cx * 2 + 1]);
+                acc_dx +=
+                    v * dbx_v * by_v + vx * dbx_d * by_v + vy * dbx_v * by_d + vxy * dbx_d * by_d;
+            }
+            if with_dy {
+                let (dby_v, dby_d) = (dhy[cy * 2], dhy[cy * 2 + 1]);
+                acc_dy +=
+                    v * bx_v * dby_v + vx * bx_d * dby_v + vy * bx_v * dby_d + vxy * bx_d * dby_d;
+            }
+        }
+        [acc, acc_dx, acc_dy]
+    }
+
     /// Append the element indices (into the underlying buffer) that one
-    /// interpolation at (ρYₑ, T) gathers — 48 scattered loads across the 12
-    /// planes. Used by the harness to drive the TLB model with the real
+    /// interpolation of `sel` at (ρYₑ, T) gathers — 16 scattered loads over
+    /// each selected quantity's 4 planes. Drives the TLB model with the real
     /// access signature.
-    pub fn gather_indices(
+    pub(crate) fn gather_indices(
         &self,
         rho_ye: f64,
         temp: f64,
+        sel: Quantities,
         out: &mut Vec<usize>,
     ) -> Result<(), EosError> {
-        let (ir, it, _, _) = self.locate(rho_ye, temp)?;
+        let (ir, it, _, _) = self.locate(&self.locate_rho(rho_ye), temp)?;
         let nr = self.config.n_rho;
-        for q in 0..N_QUANT {
+        for q in (0..N_QUANT).filter(|&q| sel.has(q)) {
             for d in 0..N_DERIV {
                 for (di, dj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
                     out.push(Self::index_of(
@@ -440,7 +526,8 @@ const MAX_W: usize = 8;
 /// The lane-dispatch visitor behind [`HelmTable::interp_lanes`].
 struct InterpLanes<'a> {
     table: &'a HelmTable,
-    rho_ye: &'a [f64],
+    sel: Quantities,
+    rho: &'a [RhoCell],
     temp: &'a [f64],
     out: &'a mut [ElecPoint],
 }
@@ -453,7 +540,8 @@ impl WithLanes for InterpLanes<'_> {
         debug_assert!(L::W <= MAX_W);
         let t = self.table;
         let data = t.data.as_slice();
-        let n = self.rho_ye.len();
+        let n = self.rho.len();
+        let (dx, dy) = (L::splat(t.dx), L::splat(t.dy));
         let mut i = 0;
         while i + L::W <= n {
             // Locate each lane (scalar: data-dependent index math and the
@@ -463,7 +551,7 @@ impl WithLanes for InterpLanes<'_> {
             let mut corner = [[0usize; MAX_W]; 4];
             let nr = t.config.n_rho;
             for k in 0..L::W {
-                let (ir, it, tx, ty) = t.locate(self.rho_ye[i + k], self.temp[i + k])?;
+                let (ir, it, tx, ty) = t.locate(&self.rho[i + k], self.temp[i + k])?;
                 txs[k] = tx;
                 tys[k] = ty;
                 corner[0][k] = it * nr + ir;
@@ -471,77 +559,82 @@ impl WithLanes for InterpLanes<'_> {
                 corner[2][k] = (it + 1) * nr + ir;
                 corner[3][k] = (it + 1) * nr + ir + 1;
             }
-            let (val, val_dx, val_dy) =
-                interp_cell::<L>(t, data, L::load(&txs), L::load(&tys), &corner);
-            for k in 0..L::W {
-                self.out[i + k] = ElecPoint {
-                    pres: 10f64.powf(val[0].extract(k)),
-                    ener: 10f64.powf(val[1].extract(k)),
-                    entr: 10f64.powf(val[2].extract(k)),
-                    dlnp_dlnr: val_dx[0].extract(k),
-                    dlnp_dlnt: val_dy[0].extract(k),
-                    dlne_dlnr: val_dx[1].extract(k),
-                    dlne_dlnt: val_dy[1].extract(k),
-                };
+            let (tx, ty) = (L::load(&txs), L::load(&tys));
+            let basis = [
+                hermite_basis_lanes::<L>(tx),
+                hermite_basis_lanes::<L>(ty),
+                hermite_basis_deriv_lanes::<L>(tx),
+                hermite_basis_deriv_lanes::<L>(ty),
+            ];
+            let out = &mut self.out[i..i + L::W];
+            if self.sel.has(PRES) {
+                let [v, sx, sy] = cell_sums::<L>(t, data, PRES, &corner, &basis, true, true);
+                let (sx, sy) = (sx.div(dx), sy.div(dy));
+                for (k, o) in out.iter_mut().enumerate() {
+                    o.pres = 10f64.powf(v.extract(k));
+                    o.dlnp_dlnr = sx.extract(k);
+                    o.dlnp_dlnt = sy.extract(k);
+                }
+            }
+            if self.sel.has(ENER) {
+                let [v, _, sy] = cell_sums::<L>(t, data, ENER, &corner, &basis, false, true);
+                let sy = sy.div(dy);
+                for (k, o) in out.iter_mut().enumerate() {
+                    o.ener = 10f64.powf(v.extract(k));
+                    o.dlne_dlnt = sy.extract(k);
+                }
             }
             i += L::W;
         }
         // Tail through the scalar reference kernel (bit-identical to the
         // lane kernel by the crate's contract, enforced by the tests here).
         while i < n {
-            let (ir, it, tx, ty) = t.locate(self.rho_ye[i], self.temp[i])?;
-            self.out[i] = t.interp_located(ir, it, tx, ty);
+            let (ir, it, tx, ty) = t.locate(&self.rho[i], self.temp[i])?;
+            t.interp_located(self.sel, ir, it, tx, ty, &mut self.out[i]);
             i += 1;
         }
         Ok(())
     }
 }
 
-/// The bicubic Hermite cell kernel, `W` points at once: a lane-for-lane
-/// replica of [`HelmTable::interp_located`]'s arithmetic (same order, no
-/// contractions) with the 48 scattered coefficient loads expressed as
-/// per-plane gathers. Returns (value, d/dx, d/dy) lanes per quantity, still
-/// in log10 space.
+/// One quantity's bicubic cell sums, `W` points at once: a lane-for-lane
+/// replica of [`HelmTable::cell_sums`]'s arithmetic (same order, no
+/// contractions) with the 16 scattered coefficient loads expressed as
+/// per-plane gathers. Returns the (value, x-slope, y-slope) sums, still in
+/// log10 space; a slope not asked for is 0.
 #[inline(always)]
-fn interp_cell<L: Lane>(
+fn cell_sums<L: Lane>(
     t: &HelmTable,
     data: &[f64],
-    tx: L,
-    ty: L,
+    q: usize,
     corner: &[[usize; MAX_W]; 4],
-) -> ([L; N_QUANT], [L; N_QUANT], [L; N_QUANT]) {
-    let hx = hermite_basis_lanes::<L>(tx);
-    let hy = hermite_basis_lanes::<L>(ty);
-    let dhx = hermite_basis_deriv_lanes::<L>(tx);
-    let dhy = hermite_basis_deriv_lanes::<L>(ty);
+    [hx, hy, dhx, dhy]: &[[L; 4]; 4],
+    with_dx: bool,
+    with_dy: bool,
+) -> [L; 3] {
     let dx = L::splat(t.dx);
     let dy = L::splat(t.dy);
-
-    let mut val = [L::splat(0.0); N_QUANT];
-    let mut val_dx = [L::splat(0.0); N_QUANT];
-    let mut val_dy = [L::splat(0.0); N_QUANT];
-    for q in 0..N_QUANT {
-        let mut acc = L::splat(0.0);
-        let mut acc_dx = L::splat(0.0);
-        let mut acc_dy = L::splat(0.0);
-        for (c, nodes) in corner.iter().enumerate() {
-            let cx = c % 2;
-            let cy = c / 2;
-            let v = gather_plane::<L>(t, data, q, 0, nodes);
-            let vx = gather_plane::<L>(t, data, q, 1, nodes).mul(dx);
-            let vy = gather_plane::<L>(t, data, q, 2, nodes).mul(dy);
-            let vxy = gather_plane::<L>(t, data, q, 3, nodes).mul(dx).mul(dy);
-            let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
-            let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
+    let mut acc = L::splat(0.0);
+    let mut acc_dx = L::splat(0.0);
+    let mut acc_dy = L::splat(0.0);
+    for (c, nodes) in corner.iter().enumerate() {
+        let cx = c % 2;
+        let cy = c / 2;
+        let v = gather_plane::<L>(t, data, q, 0, nodes);
+        let vx = gather_plane::<L>(t, data, q, 1, nodes).mul(dx);
+        let vy = gather_plane::<L>(t, data, q, 2, nodes).mul(dy);
+        let vxy = gather_plane::<L>(t, data, q, 3, nodes).mul(dx).mul(dy);
+        let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
+        let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
+        acc = acc.add(
+            v.mul(bx_v)
+                .mul(by_v)
+                .add(vx.mul(bx_d).mul(by_v))
+                .add(vy.mul(bx_v).mul(by_d))
+                .add(vxy.mul(bx_d).mul(by_d)),
+        );
+        if with_dx {
             let (dbx_v, dbx_d) = (dhx[cx * 2], dhx[cx * 2 + 1]);
-            let (dby_v, dby_d) = (dhy[cy * 2], dhy[cy * 2 + 1]);
-            acc = acc.add(
-                v.mul(bx_v)
-                    .mul(by_v)
-                    .add(vx.mul(bx_d).mul(by_v))
-                    .add(vy.mul(bx_v).mul(by_d))
-                    .add(vxy.mul(bx_d).mul(by_d)),
-            );
             acc_dx = acc_dx.add(
                 v.mul(dbx_v)
                     .mul(by_v)
@@ -549,6 +642,9 @@ fn interp_cell<L: Lane>(
                     .add(vy.mul(dbx_v).mul(by_d))
                     .add(vxy.mul(dbx_d).mul(by_d)),
             );
+        }
+        if with_dy {
+            let (dby_v, dby_d) = (dhy[cy * 2], dhy[cy * 2 + 1]);
             acc_dy = acc_dy.add(
                 v.mul(bx_v)
                     .mul(dby_v)
@@ -557,11 +653,8 @@ fn interp_cell<L: Lane>(
                     .add(vxy.mul(bx_d).mul(dby_d)),
             );
         }
-        val[q] = acc;
-        val_dx[q] = acc_dx.div(dx);
-        val_dy[q] = acc_dy.div(dy);
     }
-    (val, val_dx, val_dy)
+    [acc, acc_dx, acc_dy]
 }
 
 /// Gather one coefficient plane's value at each lane's corner node.
@@ -713,17 +806,24 @@ mod tests {
     #[test]
     fn gather_indices_shape() {
         let table = test_table();
-        let mut idx = Vec::new();
-        table.gather_indices(1e5, 1e8, &mut idx).unwrap();
-        assert_eq!(idx.len(), 48);
-        // All in-bounds and distinct-ish (4 corners × 12 planes).
-        let max = table.data.len();
-        assert!(idx.iter().all(|&i| i < max));
-        let planes = N_QUANT * N_DERIV;
         let plane_size = table.config.n_rho * table.config.n_temp;
-        let distinct_planes: std::collections::HashSet<usize> =
-            idx.iter().map(|&i| i / plane_size).collect();
-        assert_eq!(distinct_planes.len(), planes);
+        // 4 corners × 4 planes per selected quantity.
+        for (sel, planes) in [
+            (Quantities::ALL, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]),
+            (
+                Quantities::PRES.with(Quantities::ENER),
+                vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ),
+            (Quantities::ENER, vec![4, 5, 6, 7]),
+        ] {
+            let mut idx = Vec::new();
+            table.gather_indices(1e5, 1e8, sel, &mut idx).unwrap();
+            assert_eq!(idx.len(), 4 * planes.len(), "{sel:?}");
+            assert!(idx.iter().all(|&i| i < table.data.len()));
+            let mut seen: Vec<usize> = idx.iter().map(|&i| i / plane_size).collect();
+            seen.dedup();
+            assert_eq!(seen, planes, "{sel:?}");
+        }
     }
 
     #[test]
@@ -752,37 +852,45 @@ mod tests {
         let temp: Vec<f64> = (0..n)
             .map(|i| 10f64.powf(y0 + (y1 - y0) * (((i * 17) % n) as f64 / (n - 1) as f64)))
             .collect();
-        let mut lanes = vec![ElecPoint::default(); n];
-        for &backend in Resolved::all() {
-            table
-                .interp_lanes(backend, &rho_ye, &temp, &mut lanes)
-                .unwrap();
-            for i in 0..n {
-                let scalar = table.interp(rho_ye[i], temp[i]).unwrap();
-                assert_eq!(lanes[i].pres, scalar.pres, "{backend} lane {i} pres");
-                assert_eq!(lanes[i].ener, scalar.ener, "{backend} lane {i} ener");
-                assert_eq!(lanes[i].entr, scalar.entr, "{backend} lane {i} entr");
-                assert_eq!(
-                    lanes[i].dlnp_dlnr, scalar.dlnp_dlnr,
-                    "{backend} lane {i} dlnp_dlnr"
-                );
-                assert_eq!(
-                    lanes[i].dlnp_dlnt, scalar.dlnp_dlnt,
-                    "{backend} lane {i} dlnp_dlnt"
-                );
-                assert_eq!(
-                    lanes[i].dlne_dlnr, scalar.dlne_dlnr,
-                    "{backend} lane {i} dlne_dlnr"
-                );
-                assert_eq!(
-                    lanes[i].dlne_dlnt, scalar.dlne_dlnt,
-                    "{backend} lane {i} dlne_dlnt"
-                );
+        let rho: Vec<RhoCell> = rho_ye.iter().map(|&r| table.locate_rho(r)).collect();
+        // Every selection the batched solve asks for: energy alone (DensEi
+        // iterations), pressure alone (DensPres iterations, the DensEi
+        // tail), both (DensTemp, Coulomb DensEi iterations).
+        let (p, e) = (Quantities::PRES, Quantities::ENER);
+        for sel in [e, p, p.with(e)] {
+            for &backend in Resolved::all() {
+                let mut lanes = vec![ElecPoint::default(); n];
+                table
+                    .interp_lanes(backend, sel, &rho, &temp, &mut lanes)
+                    .unwrap();
+                for (i, got) in lanes.iter().enumerate() {
+                    let want = table.interp(rho_ye[i], temp[i]).unwrap();
+                    let fields = [
+                        ("pres", p, got.pres, want.pres),
+                        ("dlnp_dlnr", p, got.dlnp_dlnr, want.dlnp_dlnr),
+                        ("dlnp_dlnt", p, got.dlnp_dlnt, want.dlnp_dlnt),
+                        ("ener", e, got.ener, want.ener),
+                        ("dlne_dlnt", e, got.dlne_dlnt, want.dlne_dlnt),
+                    ];
+                    let what = format!("{sel:?} {backend} lane {i}");
+                    for (name, owner, got, want) in fields {
+                        // Unselected fields are left untouched (0 here).
+                        let want = if sel.with(owner) == sel { want } else { 0.0 };
+                        assert_eq!(got.to_bits(), want.to_bits(), "{what} {name}");
+                    }
+                    assert_eq!(got.entr, 0.0, "{what}: entropy is never a lane quantity");
+                }
+                // Out-of-domain lane aborts the batch.
+                assert!(table
+                    .interp_lanes(
+                        backend,
+                        sel,
+                        &[table.locate_rho(1e20)],
+                        &[1e7],
+                        &mut lanes[..1]
+                    )
+                    .is_err());
             }
-            // Out-of-domain lane aborts the batch.
-            assert!(table
-                .interp_lanes(backend, &[1e20], &[1e7], &mut lanes[..1])
-                .is_err());
         }
     }
 
