@@ -290,8 +290,10 @@ pub struct RestoredState {
 }
 
 impl RestoredState {
-    /// Reassemble a running [`crate::Simulation`] at the checkpointed
-    /// time/step — the restart path FLASH drivers call after a crash.
+    /// Reassemble a [`crate::Simulation`] at the checkpointed time/step.
+    /// This restores mesh and state only: refinement variables, gravity
+    /// and flame stay at [`crate::Simulation::assemble`]'s defaults. To
+    /// continue a scenario's run, use [`crate::SetupSpec::resume`].
     pub fn into_simulation(self, eos: EosChoice, comp: Composition) -> crate::Simulation {
         let mut sim = crate::Simulation::assemble(self.domain, eos, comp, self.params);
         sim.time = self.time;
@@ -681,16 +683,19 @@ impl crate::Simulation {
         Ok(written)
     }
 
-    /// Restore the newest good checkpoint of `series` into a running
-    /// simulation. Skipped (corrupt/truncated) files come back too.
+    /// Resume `spec`'s run from the newest good checkpoint of `series`
+    /// (see [`crate::SetupSpec::resume`]). Skipped (corrupt/truncated)
+    /// files come back too.
     #[allow(clippy::type_complexity)]
     pub fn recover(
         series: &CheckpointSeries,
-        eos: EosChoice,
-        comp: Composition,
+        spec: &crate::SetupSpec,
     ) -> Result<(Self, Vec<(PathBuf, CheckpointError)>), CheckpointError> {
         let (state, skipped) = series.recover_latest()?;
-        Ok((state.into_simulation(eos, comp), skipped))
+        let sim = spec
+            .resume(state)
+            .map_err(|e| CheckpointError::Format(format!("resume `{}`: {e}", spec.name)))?;
+        Ok((sim, skipped))
     }
 }
 

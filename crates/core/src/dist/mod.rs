@@ -1,32 +1,23 @@
-//! `rflash-dist`: supervised multi-process execution.
+//! `rflash-dist`: supervised runs — one worker process restarted from
+//! verified checkpoints (DESIGN.md §17).
 //!
-//! FLASH's real deployment is MPI ranks spread across nodes where
-//! individual processes die, hang, and get preempted. This module is the
-//! process-level layer that takes the repo from "one address space" to
-//! "fleet" (ROADMAP item 3, DESIGN.md §17):
+//! * **The worker** ([`worker`]) runs the product step loop
+//!   ([`crate::Simulation::try_step`], under the step guardian) on the
+//!   smoke-scale scenario, writes a series checkpoint every N steps, and
+//!   reports progress over the CRC-framed pipe protocol in [`wire`].
+//! * **The supervisor** ([`supervisor`]) never models physics. It detects
+//!   a lost worker via pipe EOF, a torn frame, or a missed heartbeat
+//!   followed by a liveness-probe ladder with exponential backoff; it
+//!   kills and reaps the process and respawns it from the newest series
+//!   checkpoint that passes `verify_checkpoint`. When the respawn budget
+//!   is spent the run ends with a typed error naming that checkpoint.
+//!   Every transition is a typed [`FleetEvent`].
 //!
-//! * **Workers** ([`worker`]) each own a contiguous Morton shard of leaf
-//!   blocks. Every worker holds a full deterministic replica of the
-//!   simulation; only its owned blocks' computed values are authoritative.
-//!   Before every guard-cell fill, a slab exchange rebroadcasts all owned
-//!   interiors — the cross-process half of the existing two-phase
-//!   pack/unpack path — serialized through the CRC-framed pipe protocol in
-//!   [`wire`].
-//! * **The supervisor** ([`supervisor`]) drives the step loop as a pure
-//!   message router: it reduces per-shard wavetimes to the global dt,
-//!   gathers and rebroadcasts slab sections, and never models physics.
-//!   It detects failure via heartbeat timeouts plus a liveness-probe
-//!   ladder with exponential backoff, recovers by respawning and replaying
-//!   from the newest *valid* `CheckpointSeries` entry, and — on repeated
-//!   failure — migrates the dead worker's shard to the survivors using
-//!   checkpoint slabs as the migration format. Every transition is a typed
-//!   [`FleetEvent`]; there is no silent shrink.
-//!
-//! Bit-identity is the contract: a fleet run that loses and recovers a
-//! worker at any step boundary reproduces the golden digest of an
-//! uninterrupted run (`tests/fleet_drill.rs` drills the ladder with the
-//! `worker-kill` / `heartbeat-drop` / `msg-truncate` / `spawn-fail` fault
-//! sites).
+//! Bit-identity is the contract: a run that loses and restarts its worker
+//! at any step boundary reproduces the golden digest of an uninterrupted
+//! run (`tests/fleet_drill.rs` drills the ladder with the `worker-kill` /
+//! `heartbeat-drop` / `msg-truncate` / `spawn-fail` fault sites and the
+//! checkpoint and state-corruption sites).
 
 pub mod supervisor;
 pub mod wire;
@@ -34,48 +25,3 @@ pub mod worker;
 
 pub use supervisor::{run_fleet, FleetConfig, FleetError, FleetEvent, FleetReport, LossCause};
 pub use worker::{worker_main, WorkerArgs};
-
-/// The contiguous Morton shard `shard` of `nshards` over `nleaves` leaves:
-/// leaves are split into runs of `⌈L/n⌉` or `⌊L/n⌋`, the first `L mod n`
-/// shards taking the longer run. Contiguity in Morton order is what lets
-/// the supervisor rebuild the global leaf order by concatenating shard
-/// payloads in shard order.
-pub fn shard_range(nleaves: usize, nshards: usize, shard: usize) -> std::ops::Range<usize> {
-    debug_assert!(shard < nshards, "shard {shard} out of {nshards}");
-    let base = nleaves / nshards;
-    let rem = nleaves % nshards;
-    let start = shard * base + shard.min(rem);
-    let len = base + usize::from(shard < rem);
-    start..start + len
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn shards_partition_the_leaves_contiguously() {
-        for nleaves in [0usize, 1, 4, 7, 64, 65] {
-            for nshards in [1usize, 2, 3, 5] {
-                let mut next = 0;
-                for s in 0..nshards {
-                    let r = shard_range(nleaves, nshards, s);
-                    assert_eq!(r.start, next, "gap at shard {s} ({nleaves}/{nshards})");
-                    next = r.end;
-                    // Balanced to within one leaf.
-                    let base = nleaves / nshards;
-                    assert!(r.len() == base || r.len() == base + 1);
-                }
-                assert_eq!(next, nleaves);
-            }
-        }
-    }
-
-    #[test]
-    fn small_fleets_over_tiny_meshes_leave_trailing_shards_empty() {
-        // Supernova smoke has 4 leaves; a 6-worker fleet must still
-        // partition cleanly (two empty shards).
-        let lens: Vec<usize> = (0..6).map(|s| shard_range(4, 6, s).len()).collect();
-        assert_eq!(lens, vec![1, 1, 1, 1, 0, 0]);
-    }
-}

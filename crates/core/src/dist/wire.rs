@@ -1,26 +1,24 @@
 //! The fleet wire protocol: length-prefixed, CRC-framed messages.
 //!
-//! Every message between the supervisor and a worker travels as one frame
-//! over a pipe:
+//! Every message between the supervisor and its worker travels as one
+//! frame over a pipe:
 //!
 //! ```text
 //! u32 LE   magic ("RFLF")
 //! u32 LE   payload length
 //! u32 LE   CRC-32 of the payload
-//! bytes    payload:  u32 LE header length | header JSON | slab bytes
+//! bytes    payload: the message as JSON
 //! ```
 //!
-//! The slab bytes reuse the v2 checkpoint slab convention — f64 LE, one
-//! run per block, with a per-slab CRC-32 carried in the JSON header
-//! ([`WireMsg::Slabs`] / [`WireMsg::SlabsAll`]) — so the guardcell
-//! exchange, checkpoint files, and shard migration all speak the same
-//! format. A frame is written atomically (one buffer, one `write_all`
-//! under the sender's writer lock), which is what makes the injected
-//! `msg-truncate` fault meaningful: cutting a frame short is exactly what
-//! a crashed peer leaves on the pipe, and [`read_frame`] reports it as a
-//! typed [`FrameError::Truncated`], never a panic.
+//! No simulation state travels on the wire: the worker's recovery points
+//! are checkpoint files, and a frame only names them. A frame is written
+//! atomically (one buffer, one `write_all` under the sender's writer
+//! lock), which is what makes the injected `msg-truncate` fault
+//! meaningful: cutting a frame short is exactly what a crashed peer leaves
+//! on the pipe, and [`read_frame`] reports it as a typed
+//! [`FrameError::Truncated`], never a panic.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,63 +27,26 @@ use crate::crc32::crc32;
 /// Frame magic: "RFLF" little-endian.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"RFLF");
 
-/// Upper bound on a frame payload (256 MiB) — a corrupt length prefix must
+/// Upper bound on a frame payload (1 MiB) — a corrupt length prefix must
 /// not drive a giant allocation.
-pub const MAX_PAYLOAD: u32 = 1 << 28;
+pub const MAX_PAYLOAD: u32 = 1 << 20;
 
-/// One protocol message. Worker→supervisor messages carry the worker's
-/// `epoch` — bumped on every fleet rollback — so frames that were in
-/// flight when a failure hit are recognizably stale and dropped instead of
-/// colliding with their replayed counterparts.
+/// One protocol message.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum WireMsg {
     // ---- supervisor → worker ----
-    /// (Re)assign a worker its shard: sent at startup and after every
-    /// rollback. `ckpt` names the checkpoint to replay from (`None`:
-    /// rebuild from the spec at step 0). Paths travel as UTF-8 strings —
-    /// the supervisor creates them, so they are never foreign bytes.
-    Assign {
-        epoch: u64,
-        nshards: usize,
-        shard_index: usize,
-        ckpt: Option<String>,
-    },
-    /// The fleet-wide minimum wavetime for `step` (bits of an f64).
-    DtGlobal { epoch: u64, step: u64, min_bits: u64 },
-    /// All shards' interiors for exchange `seq`, concatenated in shard
-    /// order (= global Morton order); payload follows.
-    SlabsAll {
-        epoch: u64,
-        seq: u64,
-        per_slab: usize,
-        crcs: Vec<u32>,
-    },
     /// Liveness probe; the worker's reader thread answers inline.
     Ping { nonce: u64 },
-    /// Orderly stop.
-    Shutdown,
 
     // ---- worker → supervisor ----
-    /// First message after exec: the worker is listening for its Assign.
-    Ready { rank: usize },
-    /// This shard's minimum wavetime for `step` (bits of an f64).
-    DtLocal { epoch: u64, step: u64, min_bits: u64 },
-    /// This shard's packed interiors for exchange `seq`; payload follows.
-    /// `start` is the shard's first leaf ordinal in global Morton order.
-    Slabs {
-        epoch: u64,
-        seq: u64,
-        start: usize,
-        per_slab: usize,
-        crcs: Vec<u32>,
-    },
-    /// The worker finished (and committed) a step.
-    StepDone { epoch: u64, step: u64, time_bits: u64 },
-    /// Shard 0 wrote a series checkpoint the fleet can roll back to.
-    CheckpointDone { epoch: u64, step: u64, path: String },
+    /// The worker committed a step.
+    StepDone { step: u64, time_bits: u64 },
+    /// The worker wrote a series checkpoint it can be restarted from.
+    /// Paths travel as UTF-8 strings — the supervisor chose the series
+    /// directory, so they are never foreign bytes.
+    CheckpointDone { step: u64, path: String },
     /// Final state digest (mirrors `StateDigest`, field for field).
     Digest {
-        epoch: u64,
         crc: u32,
         step: u64,
         time_bits: u64,
@@ -93,11 +54,11 @@ pub enum WireMsg {
         cells: u64,
     },
     /// Periodic liveness signal from the worker's heartbeat thread.
-    Heartbeat { epoch: u64 },
+    Heartbeat,
     /// Probe answer.
     Pong { nonce: u64 },
     /// Orderly goodbye; EOF after this is a clean exit, not a loss.
-    Bye { epoch: u64 },
+    Bye,
 }
 
 /// Typed framing errors. `Eof` is a clean end-of-stream (zero bytes where
@@ -108,11 +69,20 @@ pub enum FrameError {
     /// Clean EOF at a frame boundary.
     Eof,
     /// The stream ended inside a frame — the `msg-truncate` shape.
-    Truncated { what: &'static str },
-    BadMagic { found: u32 },
-    TooLarge { len: u32 },
-    Crc { stored: u32, computed: u32 },
-    /// Header JSON malformed.
+    Truncated {
+        what: &'static str,
+    },
+    BadMagic {
+        found: u32,
+    },
+    TooLarge {
+        len: u32,
+    },
+    Crc {
+        stored: u32,
+        computed: u32,
+    },
+    /// Message JSON malformed.
     Header(String),
 }
 
@@ -137,34 +107,21 @@ impl std::error::Error for FrameError {}
 
 /// Serialize one frame (prelude + payload) into a single buffer, ready for
 /// an atomic `write_all`.
-pub fn encode_frame(msg: &WireMsg, slabs: &[u8]) -> Result<Vec<u8>, FrameError> {
-    let header = serde_json::to_string(msg)
+pub fn encode_frame(msg: &WireMsg) -> Result<Vec<u8>, FrameError> {
+    let payload = serde_json::to_string(msg)
         .map_err(|e| FrameError::Header(e.to_string()))?
         .into_bytes();
-    let payload_len = 4 + header.len() + slabs.len();
-    if payload_len > MAX_PAYLOAD as usize {
+    if payload.len() > MAX_PAYLOAD as usize {
         return Err(FrameError::TooLarge {
-            len: payload_len as u32,
+            len: payload.len() as u32,
         });
     }
-    let mut payload = Vec::with_capacity(payload_len);
-    payload.extend_from_slice(&(header.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&header);
-    payload.extend_from_slice(slabs);
     let mut frame = Vec::with_capacity(12 + payload.len());
     frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(&payload).to_le_bytes());
     frame.extend_from_slice(&payload);
     Ok(frame)
-}
-
-/// Write one frame atomically (single buffer, single `write_all`) and
-/// flush.
-pub fn write_frame(w: &mut impl Write, msg: &WireMsg, slabs: &[u8]) -> Result<(), FrameError> {
-    let frame = encode_frame(msg, slabs)?;
-    w.write_all(&frame).map_err(FrameError::Io)?;
-    w.flush().map_err(FrameError::Io)
 }
 
 /// Fill `buf`, distinguishing a clean EOF before the first byte
@@ -193,9 +150,9 @@ fn read_exact_frame(
     Ok(())
 }
 
-/// Read one frame: verify magic, length bound, and payload CRC, then split
-/// the payload into its message and slab bytes.
-pub fn read_frame(r: &mut impl Read) -> Result<(WireMsg, Vec<u8>), FrameError> {
+/// Read one frame: verify magic, length bound, and payload CRC, then
+/// decode the message. Returns the message and the frame's size in bytes.
+pub fn read_frame(r: &mut impl Read) -> Result<(WireMsg, usize), FrameError> {
     let mut prelude = [0u8; 12];
     read_exact_frame(r, &mut prelude, true, "frame prelude")?;
     let magic = u32::from_le_bytes(prelude[0..4].try_into().unwrap());
@@ -213,38 +170,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<(WireMsg, Vec<u8>), FrameError> {
     if stored != computed {
         return Err(FrameError::Crc { stored, computed });
     }
-    if payload.len() < 4 {
-        return Err(FrameError::Header("payload shorter than header length".into()));
-    }
-    let header_len = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-    if 4 + header_len > payload.len() {
-        return Err(FrameError::Header(format!(
-            "header length {header_len} exceeds payload"
-        )));
-    }
-    let msg: WireMsg = serde_json::from_slice(&payload[4..4 + header_len])
-        .map_err(|e| FrameError::Header(e.to_string()))?;
-    let slabs = payload[4 + header_len..].to_vec();
-    Ok((msg, slabs))
-}
-
-/// Encode a run of f64s as the wire/checkpoint slab byte format (LE).
-pub fn doubles_to_bytes(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Per-slab CRC-32s over `count` equal chunks of `per_slab` doubles —
-/// the same per-slab integrity convention the v2 checkpoint container
-/// uses.
-pub fn slab_crcs(bytes: &[u8], per_slab: usize, count: usize) -> Vec<u32> {
-    debug_assert_eq!(bytes.len(), count * per_slab * 8);
-    (0..count)
-        .map(|i| crc32(&bytes[i * per_slab * 8..(i + 1) * per_slab * 8]))
-        .collect()
+    let msg = serde_json::from_slice(&payload).map_err(|e| FrameError::Header(e.to_string()))?;
+    Ok((msg, prelude.len() + payload.len()))
 }
 
 #[cfg(test)]
@@ -252,20 +179,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_round_trips_with_slab_payload() {
-        let msg = WireMsg::Slabs {
-            epoch: 3,
-            seq: 41,
-            start: 7,
-            per_slab: 2,
-            crcs: vec![1, 2],
+    fn frame_round_trips() {
+        let msg = WireMsg::CheckpointDone {
+            step: 41,
+            path: "series/fleet_000041.ckpt".into(),
         };
-        let slabs = doubles_to_bytes(&[1.5, -2.25, 3.0, f64::MIN_POSITIVE]);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg, &slabs).unwrap();
-        let (back, payload) = read_frame(&mut buf.as_slice()).unwrap();
+        let buf = encode_frame(&msg).unwrap();
+        let (back, len) = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(back, msg);
-        assert_eq!(payload, slabs);
+        assert_eq!(len, buf.len());
         // A second read at the boundary is a clean EOF.
         let mut rest = &buf[buf.len()..];
         assert!(matches!(read_frame(&mut rest), Err(FrameError::Eof)));
@@ -273,8 +195,7 @@ mod tests {
 
     #[test]
     fn torn_frame_is_typed_truncation_not_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &WireMsg::Shutdown, &[]).unwrap();
+        let buf = encode_frame(&WireMsg::Ping { nonce: 7 }).unwrap();
         for cut in [1, 6, buf.len() - 1] {
             let mut r = &buf[..cut];
             match read_frame(&mut r) {
@@ -286,8 +207,7 @@ mod tests {
 
     #[test]
     fn corrupt_payload_is_a_crc_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &WireMsg::Heartbeat { epoch: 9 }, &[]).unwrap();
+        let mut buf = encode_frame(&WireMsg::Heartbeat).unwrap();
         let n = buf.len();
         buf[n - 1] ^= 0x10;
         assert!(matches!(
@@ -298,20 +218,11 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &WireMsg::Shutdown, &[]).unwrap();
+        let mut buf = encode_frame(&WireMsg::Bye).unwrap();
         buf[0] ^= 0xFF;
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
             Err(FrameError::BadMagic { .. })
         ));
-    }
-
-    #[test]
-    fn slab_crcs_match_checkpoint_convention() {
-        let bytes = doubles_to_bytes(&[1.0, 2.0, 3.0, 4.0]);
-        let crcs = slab_crcs(&bytes, 2, 2);
-        assert_eq!(crcs[0], crate::crc32::crc32(&bytes[..16]));
-        assert_eq!(crcs[1], crate::crc32::crc32(&bytes[16..]));
     }
 }

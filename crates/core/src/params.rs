@@ -59,8 +59,8 @@ pub struct RuntimeParams {
     pub sweep_engine: SweepEngine,
     /// SIMD backend request for the explicit lane kernels (pencil sweep,
     /// batched Helmholtz). `native` (the default) picks the widest
-    /// instruction set the CPU supports at startup; `scalar`/`v2`/`v4`
-    /// force a portable width. The `RFLASH_SIMD` environment variable
+    /// instruction set the CPU supports at startup; `scalar` forces the
+    /// reference lane. The `RFLASH_SIMD` environment variable
     /// overrides this for testing. Every backend is bit-identical.
     #[serde(default)]
     pub simd_backend: rflash_simd::Backend,

@@ -10,7 +10,8 @@ use rflash_flame::{AdrFlame, FlameParams};
 use rflash_mesh::refine::lohner_marks;
 use rflash_mesh::{vars, Domain, GuardNeed};
 
-use crate::eos_choice::EosChoice;
+use crate::checkpoint::RestoredState;
+use crate::eos_choice::{Composition, EosChoice};
 use crate::params::RuntimeParams;
 use crate::sim::{GravityConfig, Simulation};
 use crate::wd::{build_wd, WdProfile};
@@ -332,9 +333,8 @@ impl SetupSpec {
         Ok(())
     }
 
-    /// Construct the EOS this spec runs — also what a recovery path needs
-    /// to re-arm a spec-launched checkpoint series
-    /// ([`crate::Simulation::recover`] takes the EOS by value).
+    /// Construct the EOS this spec runs — also what a caller of
+    /// [`RestoredState::into_simulation`] passes in.
     pub fn make_eos(&self, policy: rflash_hugepages::Policy) -> EosChoice {
         match self.eos {
             EosSpec::Gamma { gamma } => EosChoice::Gamma(GammaLaw::new(gamma)),
@@ -384,40 +384,14 @@ impl SetupSpec {
         params.dens_floor = params.dens_floor.max(self.budgets.dens_floor);
         params.eint_floor = params.eint_floor.max(self.budgets.eint_floor);
 
-        // The star spec, when present (validation guarantees Helmholtz).
-        let star = self.initial.iter().find_map(|p| match p {
-            IcPrimitive::HydrostaticStar {
-                rho_c,
-                temp,
-                rho_fluff,
-            } => Some((*rho_c, *temp, *rho_fluff)),
-            _ => None,
-        });
-
         let comp = self.composition.to_composition();
         let eos = self.make_eos(params.policy);
-        let wd = match (star, eos.helmholtz()) {
-            (Some((rho_c, temp, rho_fluff)), Some(helm)) => Some(
-                // Radial step: the star sits at the origin and
-                // domain_hi[0] is its half-width; 2000 shells span it.
-                build_wd(
-                    helm,
-                    comp,
-                    rho_c,
-                    temp,
-                    rho_fluff,
-                    self.mesh.domain_hi[0] / 2000.0,
-                )
-                .expect("white-dwarf structure"),
-            ),
-            _ => None,
-        };
-        if let Some((_, _, rho_fluff)) = star {
+        let resolved = self.resolve(&eos, comp);
+        if let Some((_, _, rho_fluff)) = self.star() {
             // Density floor well above the EOS table's lower edge.
             params.dens_floor = params.dens_floor.max(rho_fluff * 0.1);
             params.eint_floor = params.eint_floor.max(1e12);
         }
-        let resolved = Resolved { wd };
 
         let mut domain = Domain::new(params.mesh, params.policy);
         for _pass in 0..self.mesh.max_refine {
@@ -438,8 +412,71 @@ impl SetupSpec {
         init_blocks(self, &resolved, &mut domain, &eos);
 
         let mut sim = Simulation::assemble(domain, eos, comp, params);
-        sim.refine_vars = self.refine.runtime_vars.clone();
+        self.arm_physics(&mut sim, &resolved);
+        sim.eos_everywhere();
+        Ok(sim)
+    }
 
+    /// Continue a run of this spec from a restored checkpoint. The mesh,
+    /// state and runtime parameters come from `state`; the EOS and the
+    /// physics [`build`](Self::build) would arm (refinement variables,
+    /// gravity, flame) come from the spec. Nothing is re-initialized or
+    /// re-refined, so the resumed run continues bit-identically.
+    pub fn resume(&self, state: RestoredState) -> Result<Simulation, SpecError> {
+        self.validate()?;
+        self.validate_for_build()?;
+        if state.params.mesh != self.mesh.to_mesh_config() {
+            return Err(SpecError::Conflict {
+                detail: format!("the checkpoint's mesh is not the mesh of `{}`", self.name),
+            });
+        }
+        let comp = self.composition.to_composition();
+        let eos = self.make_eos(state.params.policy);
+        let resolved = self.resolve(&eos, comp);
+        let mut sim = state.into_simulation(eos, comp);
+        self.arm_physics(&mut sim, &resolved);
+        Ok(sim)
+    }
+
+    /// The hydrostatic star's `(rho_c, temp, rho_fluff)`, when the spec
+    /// has one (validation guarantees a Helmholtz EOS then).
+    fn star(&self) -> Option<(f64, f64, f64)> {
+        self.initial.iter().find_map(|p| match p {
+            IcPrimitive::HydrostaticStar {
+                rho_c,
+                temp,
+                rho_fluff,
+            } => Some((*rho_c, *temp, *rho_fluff)),
+            _ => None,
+        })
+    }
+
+    /// Solve the white-dwarf structure on `eos` when the spec has a star.
+    fn resolve(&self, eos: &EosChoice, comp: Composition) -> Resolved {
+        let wd = match (self.star(), eos.helmholtz()) {
+            (Some((rho_c, temp, rho_fluff)), Some(helm)) => Some(
+                // Radial step: the star sits at the origin and
+                // domain_hi[0] is its half-width; 2000 shells span it.
+                build_wd(
+                    helm,
+                    comp,
+                    rho_c,
+                    temp,
+                    rho_fluff,
+                    self.mesh.domain_hi[0] / 2000.0,
+                )
+                .expect("white-dwarf structure"),
+            ),
+            _ => None,
+        };
+        Resolved { wd }
+    }
+
+    /// Arm the spec's physics on an assembled simulation: refinement
+    /// variables, gravity (the white-dwarf monopole included) and flame —
+    /// everything [`Simulation::assemble`] leaves at its default.
+    fn arm_physics(&self, sim: &mut Simulation, resolved: &Resolved) {
+        sim.refine_vars = self.refine.runtime_vars.clone();
         match self.physics.gravity {
             GravitySpec::None => {}
             GravitySpec::Constant(g) => {
@@ -474,7 +511,5 @@ impl SetupSpec {
                 ..FlameParams::default()
             }));
         }
-        sim.eos_everywhere();
-        Ok(sim)
     }
 }

@@ -170,11 +170,8 @@ impl Simulation {
         dt
     }
 
-    /// The sweep configuration this run's parameters resolve to — shared
-    /// by [`advance_physics`](Self::advance_physics) and the fleet
-    /// worker's distributed step loop, which must sweep with bit-identical
-    /// settings.
-    pub(crate) fn sweep_config(&self) -> SweepConfig {
+    /// The sweep configuration this run's parameters resolve to.
+    fn sweep_config(&self) -> SweepConfig {
         SweepConfig {
             nranks: self.params.nranks,
             dens_floor: self.params.dens_floor,

@@ -62,7 +62,7 @@
 //! makes the worker's next protocol frame arrive cut short (a crash
 //! mid-send; `short:BYTES` bounds the bytes that get out). `spawn-fail` is
 //! consulted by the *supervisor* each time it spawns or respawns a worker,
-//! so the respawn → backoff → migrate degradation ladder is drillable
+//! so the respawn budget and the abort past it are drillable
 //! without exhausting real PIDs.
 //!
 //! Example: `RFLASH_FAULTS="hugetlb-mmap=always:ENOMEM;madvise=first:2"`.

@@ -253,63 +253,6 @@ impl UnkStorage {
         &mut self.buf.as_mut_slice()[blk * self.per_block..(blk + 1) * self.per_block]
     }
 
-    /// Doubles in one block's *interior* (`nvar × nxb^ndim`) — the payload
-    /// size of a packed interior slab on the fleet wire (DESIGN.md §17).
-    pub fn interior_len(&self) -> usize {
-        let per_dim = if self.ndim == 3 {
-            self.nxb * self.nxb * self.nxb
-        } else {
-            self.nxb * self.nxb
-        };
-        self.nvar * per_dim
-    }
-
-    /// Pack one block's interior zones (guards excluded) into `out`, in
-    /// the fixed `(var, k, j, i)` walk every consumer of the wire format
-    /// uses. This is the cross-process half of the guardcell exchange:
-    /// interiors travel, guards are refilled locally from the
-    /// received authoritative interiors.
-    pub fn pack_interior_into(&self, blk: usize, out: &mut Vec<f64>) {
-        let slab = self.block_slab(blk);
-        for v in 0..self.nvar {
-            for k in self.interior_k() {
-                for j in self.interior() {
-                    for i in self.interior() {
-                        out.push(slab[self.slab_idx(v, i, j, k)]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`pack_interior_into`]: overwrite one block's interior
-    /// zones from a packed run of [`interior_len`](Self::interior_len)
-    /// doubles. Guard zones are untouched — the next local guardcell fill
-    /// recomputes them from the now-authoritative interiors.
-    ///
-    /// Returns `false` (leaving the slab untouched) when `data` has the
-    /// wrong length — a framing bug must not scribble a partial interior.
-    pub fn unpack_interior(&mut self, blk: usize, data: &[f64]) -> bool {
-        if data.len() != self.interior_len() {
-            return false;
-        }
-        let (nvar, ir, kr) = (self.nvar, self.interior(), self.interior_k());
-        let geom = self.geom();
-        let slab = self.block_slab_mut(blk);
-        let mut n = 0;
-        for v in 0..nvar {
-            for k in kr.clone() {
-                for j in ir.clone() {
-                    for i in ir.clone() {
-                        slab[geom.slab_idx(v, i, j, k)] = data[n];
-                        n += 1;
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Disjoint mutable slabs for every block slot — the safe foundation
     /// for thread-parallel block updates.
     pub fn slabs_mut(&mut self) -> std::slice::ChunksMut<'_, f64> {
@@ -1219,39 +1162,6 @@ mod tests {
     #[should_panic]
     fn ndim_1_unsupported() {
         let _ = UnkStorage::new(1, 8, 2, 4, 1, Layout::VarFirst, Policy::None);
-    }
-
-    #[test]
-    fn interior_pack_unpack_round_trips() {
-        for layout in [Layout::VarFirst, Layout::VarLast] {
-            let mut u = mk(layout);
-            // Stamp unique values everywhere (guards included) in block 1.
-            for (n, x) in u.block_slab_mut(1).iter_mut().enumerate() {
-                *x = n as f64 + 0.25;
-            }
-            let mut packed = Vec::new();
-            u.pack_interior_into(1, &mut packed);
-            assert_eq!(packed.len(), u.interior_len());
-
-            // A foreign interior overwrites block 2's interior bit-for-bit
-            // while leaving its guard zones alone.
-            for x in u.block_slab_mut(2).iter_mut() {
-                *x = -1.0;
-            }
-            assert!(u.unpack_interior(2, &packed));
-            let mut back = Vec::new();
-            u.pack_interior_into(2, &mut back);
-            assert_eq!(packed, back);
-            let g = u.geom();
-            let guard = u.block_slab(2)[g.slab_idx(0, 0, 0, 0)];
-            assert_eq!(guard.to_bits(), (-1.0f64).to_bits());
-
-            // Wrong-length payloads are rejected without touching the slab.
-            assert!(!u.unpack_interior(2, &packed[1..]));
-            let mut still = Vec::new();
-            u.pack_interior_into(2, &mut still);
-            assert_eq!(packed, still);
-        }
     }
 
     // Debug-build invariant checks: out-of-range indices must trip the

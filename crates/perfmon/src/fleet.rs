@@ -1,9 +1,9 @@
 //! Fleet-level counters for the supervised multi-process runtime.
 //!
 //! The supervisor (see `rflash-core`'s `dist` module and DESIGN.md §17)
-//! accumulates one of these per run: process lifecycle (spawns, respawns,
-//! migrations), failure handling (heartbeat misses, probes, rollbacks), and
-//! wire traffic. They ride along in the `FleetReport`; `rflash run-fleet`
+//! accumulates one of these per run: process lifecycle (spawns, respawns),
+//! failure handling (heartbeat misses, probes, rollbacks), and wire
+//! traffic. They ride along in the `FleetReport`; `rflash run-fleet`
 //! prints them and the fleet drills assert on them.
 
 use serde::{Deserialize, Serialize};
@@ -11,15 +11,13 @@ use serde::{Deserialize, Serialize};
 /// Monotonic counters covering one fleet run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FleetCounters {
-    /// Worker processes launched, including the initial fleet.
+    /// Worker processes launched, including the first.
     pub spawns: u64,
     /// Launches that replaced a lost worker.
     pub respawns: u64,
     /// Launch attempts that failed (including injected `spawn-fail`).
     pub spawn_failures: u64,
-    /// Shards permanently migrated to survivors (fleet shrank by one).
-    pub migrations: u64,
-    /// Fleet-wide rollbacks to a checkpoint (or to step 0).
+    /// Restarts from a checkpoint (or from step 0).
     pub rollbacks: u64,
     /// Heartbeat frames received.
     pub heartbeats: u64,
@@ -29,15 +27,15 @@ pub struct FleetCounters {
     pub probes: u64,
     /// Workers declared lost (any cause).
     pub worker_losses: u64,
-    /// Protocol frames received from workers.
+    /// Frames received from the worker (heartbeats included).
     pub frames_rx: u64,
-    /// Payload bytes received from workers.
+    /// Frame bytes received from the worker.
     pub bytes_rx: u64,
-    /// Protocol frames sent to workers.
+    /// Frames sent to the worker (liveness probes).
     pub frames_tx: u64,
-    /// Payload bytes sent to workers.
+    /// Frame bytes sent to the worker.
     pub bytes_tx: u64,
-    /// Checkpoints the fleet recorded as recovery points.
+    /// Checkpoints the worker recorded as recovery points.
     pub checkpoints: u64,
 }
 

@@ -6,10 +6,10 @@
 //! This crate is the explicit alternative every ported kernel is written
 //! against: a [`Lane`] trait over packed `f64` lanes (splat, load/store,
 //! mul/add, select-based min/max, compare-to-mask, masked select, gather)
-//! with portable scalar / 2-wide / 4-wide backends plus `x86_64` SSE2 and
-//! AVX2 intrinsic implementations selected **once** at startup by runtime
-//! CPU detection ([`resolve`]), overridable for testing via
-//! `RFLASH_SIMD=scalar|v2|v4|native` or `RuntimeParams::simd_backend`.
+//! with a portable scalar reference lane plus `x86_64` SSE2 and AVX2
+//! intrinsic implementations selected **once** at startup by runtime CPU
+//! detection ([`resolve`]), overridable for testing via
+//! `RFLASH_SIMD=scalar|native` or `RuntimeParams::simd_backend`.
 //!
 //! # Bit-identity contract
 //!
@@ -22,8 +22,8 @@
 //!   `mul`/`add` are offered.
 //! * **min/max use the x86 select semantics**: `min(a,b) = a < b ? a : b`
 //!   and `max(a,b) = a > b ? a : b` — exactly `_mm_min_pd`/`_mm_max_pd`
-//!   (NaN in `a` and ±0 ties both yield `b`). The portable backends
-//!   implement the same branch so all five backends agree bitwise. Ported
+//!   (NaN in `a` and ±0 ties both yield `b`). The portable lane
+//!   implements the same branch so every backend agrees bitwise. Ported
 //!   kernels may substitute these for `f64::min`/`f64::max` only where the
 //!   operand analysis rules the divergent cases (NaN in `b`, ±0 ties with
 //!   differing signs) out.
@@ -117,7 +117,7 @@ pub trait Lane: Copy + Sized + 'static {
 }
 
 // ---------------------------------------------------------------------------
-// Portable backends: plain arrays, autovectorizable, zero unsafe.
+// Portable lanes: plain arrays, zero unsafe.
 // ---------------------------------------------------------------------------
 
 /// Portable boolean mask.
@@ -163,10 +163,6 @@ pub struct Portable<const W: usize>([f64; W]);
 
 /// The scalar (W = 1) reference lane.
 pub type ScalarLane = Portable<1>;
-/// Portable 2-wide lane.
-pub type V2Lane = Portable<2>;
-/// Portable 4-wide lane.
-pub type V4Lane = Portable<4>;
 
 macro_rules! portable_map {
     ($self:ident, $o:ident, |$a:ident, $b:ident| $e:expr) => {{
@@ -628,12 +624,8 @@ pub(crate) mod x86 {
 pub enum Backend {
     /// Force the W=1 reference lane everywhere.
     Scalar,
-    /// Portable 2-wide lanes.
-    V2,
-    /// Portable 4-wide lanes.
-    V4,
     /// Pick the widest intrinsic backend the CPU supports (the default):
-    /// AVX2 if detected, else SSE2 on `x86_64`, else portable 4-wide.
+    /// AVX2 if detected, else SSE2 on `x86_64`, else the scalar lane.
     #[default]
     Native,
 }
@@ -642,8 +634,6 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::V2 => "v2",
-            Backend::V4 => "v4",
             Backend::Native => "native",
         }
     }
@@ -654,8 +644,6 @@ impl Backend {
 #[serde(rename_all = "snake_case")]
 pub enum Resolved {
     Scalar,
-    V2,
-    V4,
     Sse2,
     Avx2,
 }
@@ -665,15 +653,13 @@ impl Resolved {
     pub fn width(self) -> usize {
         match self {
             Resolved::Scalar => 1,
-            Resolved::V2 | Resolved::Sse2 => 2,
-            Resolved::V4 | Resolved::Avx2 => 4,
+            Resolved::Sse2 => 2,
+            Resolved::Avx2 => 4,
         }
     }
     pub fn name(self) -> &'static str {
         match self {
             Resolved::Scalar => "scalar",
-            Resolved::V2 => "v2",
-            Resolved::V4 => "v4",
             Resolved::Sse2 => "sse2",
             Resolved::Avx2 => "avx2",
         }
@@ -682,17 +668,11 @@ impl Resolved {
     pub fn all() -> &'static [Resolved] {
         #[cfg(target_arch = "x86_64")]
         {
-            &[
-                Resolved::Scalar,
-                Resolved::V2,
-                Resolved::V4,
-                Resolved::Sse2,
-                Resolved::Avx2,
-            ]
+            &[Resolved::Scalar, Resolved::Sse2, Resolved::Avx2]
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            &[Resolved::Scalar, Resolved::V2, Resolved::V4]
+            &[Resolved::Scalar]
         }
     }
 }
@@ -707,8 +687,6 @@ impl std::fmt::Display for Resolved {
 pub fn parse_backend(s: &str) -> Option<Backend> {
     match s.trim() {
         "scalar" => Some(Backend::Scalar),
-        "v2" => Some(Backend::V2),
-        "v4" => Some(Backend::V4),
         "native" => Some(Backend::Native),
         _ => None,
     }
@@ -724,9 +702,7 @@ fn env_backend() -> Option<Backend> {
         Ok(s) => {
             let parsed = parse_backend(&s);
             if parsed.is_none() {
-                eprintln!(
-                    "RFLASH_SIMD={s:?} not recognized (expected scalar|v2|v4|native); ignoring"
-                );
+                eprintln!("RFLASH_SIMD={s:?} not recognized (expected scalar|native); ignoring");
             }
             parsed
         }
@@ -750,7 +726,7 @@ fn native_backend() -> Resolved {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        Resolved::V4
+        Resolved::Scalar
     }
 }
 
@@ -760,8 +736,6 @@ fn native_backend() -> Resolved {
 pub fn resolve(requested: Backend) -> Resolved {
     match env_backend().unwrap_or(requested) {
         Backend::Scalar => Resolved::Scalar,
-        Backend::V2 => Resolved::V2,
-        Backend::V4 => Resolved::V4,
         Backend::Native => native_backend(),
     }
 }
@@ -845,8 +819,6 @@ unsafe fn with_avx2<V: WithLanes>(v: V) -> V::Output {
 pub fn dispatch<V: WithLanes>(backend: Resolved, v: V) -> V::Output {
     match backend {
         Resolved::Scalar => v.with_lanes::<Portable<1>>(),
-        Resolved::V2 => v.with_lanes::<Portable<2>>(),
-        Resolved::V4 => v.with_lanes::<Portable<4>>(),
         Resolved::Sse2 => {
             #[cfg(target_arch = "x86_64")]
             {
@@ -855,7 +827,7 @@ pub fn dispatch<V: WithLanes>(backend: Resolved, v: V) -> V::Output {
             }
             #[cfg(not(target_arch = "x86_64"))]
             {
-                v.with_lanes::<Portable<2>>()
+                v.with_lanes::<Portable<1>>()
             }
         }
         Resolved::Avx2 => {
@@ -870,7 +842,7 @@ pub fn dispatch<V: WithLanes>(backend: Resolved, v: V) -> V::Output {
             }
             #[cfg(not(target_arch = "x86_64"))]
             {
-                v.with_lanes::<Portable<4>>()
+                v.with_lanes::<Portable<1>>()
             }
         }
     }
@@ -1084,10 +1056,9 @@ mod tests {
 
     #[test]
     fn backend_parsing_and_names() {
-        assert_eq!(parse_backend("scalar"), Some(Backend::Scalar));
-        assert_eq!(parse_backend(" v2 "), Some(Backend::V2));
-        assert_eq!(parse_backend("v4"), Some(Backend::V4));
+        assert_eq!(parse_backend(" scalar "), Some(Backend::Scalar));
         assert_eq!(parse_backend("native"), Some(Backend::Native));
+        assert_eq!(parse_backend("v2"), None);
         assert_eq!(parse_backend("avx512"), None);
         assert_eq!(Backend::default(), Backend::Native);
         for &r in Resolved::all() {
@@ -1106,8 +1077,6 @@ mod tests {
             return; // an outer harness set RFLASH_SIMD; precedence differs
         }
         assert_eq!(resolve(Backend::Scalar), Resolved::Scalar);
-        assert_eq!(resolve(Backend::V2), Resolved::V2);
-        assert_eq!(resolve(Backend::V4), Resolved::V4);
         let native = resolve(Backend::Native);
         #[cfg(target_arch = "x86_64")]
         assert!(matches!(native, Resolved::Sse2 | Resolved::Avx2));

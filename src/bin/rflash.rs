@@ -41,17 +41,20 @@ const USAGE: &str = "usage:
                           [--engine scalar|pencil]
                           [--scheduler barrier|task_graph]
                           [--checkpoint-dir DIR] [--checkpoint-every N]
-  rflash run-fleet <name> [--workers N] [--steps N] [--series-dir DIR]
+  rflash run-fleet <name> [--steps N] [--series-dir DIR]
                           [--checkpoint-every N] [--keep-last N]
-                          [--fault RANK:SPEC]... [--supervisor-fault SPEC]
+                          [--fault SPEC] [--supervisor-fault SPEC]
                           [--heartbeat-ms N] [--heartbeat-timeout-ms N]
-                          [--max-respawns N] [--coalesce-ms N] [--events]
+                          [--max-respawns N] [--events]
 
 run-setup backs unk under RFLASH_HPAGE_TYPE (none|thp|hugetlbfs[:SIZE];
 thp when unset) and reports reserved vs. resident vs. huge-backed MiB.
-run-fleet drives N supervised worker processes over Morton shards of the
-smoke-scale scenario; RFLASH_WORKERS / RFLASH_HEARTBEAT_MS /
-RFLASH_HEARTBEAT_TIMEOUT_MS / RFLASH_PROBE_RETRIES set the defaults.";
+run-fleet runs the smoke-scale scenario in one supervised worker process
+and restarts it from its newest verified checkpoint when it is lost;
+--fault injects RFLASH_FAULTS into the first worker only. Without
+--series-dir the series goes to a temporary directory, removed after a
+successful run. RFLASH_HEARTBEAT_MS / RFLASH_HEARTBEAT_TIMEOUT_MS /
+RFLASH_PROBE_RETRIES set the failure-detector defaults.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,7 +63,7 @@ fn main() -> ExitCode {
         Some("describe") => describe(&args[1..]),
         Some("run-setup") => run_setup(&args[1..]),
         Some("run-fleet") => run_fleet_cmd(&args[1..]),
-        // Hidden: the entry point run-fleet execs for each worker process.
+        // Hidden: the entry point run-fleet execs for its worker process.
         Some("fleet-worker") => fleet_worker(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             println!("{USAGE}");
@@ -300,17 +303,15 @@ fn backing_summary(sim: &Simulation) -> String {
 
 fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
     let mut name: Option<String> = None;
-    let mut workers: Option<usize> = None;
     let mut steps: Option<u64> = None;
     let mut series_dir: Option<PathBuf> = None;
     let mut checkpoint_every: Option<u64> = None;
     let mut keep_last: Option<usize> = None;
-    let mut worker_faults: Vec<(usize, String)> = Vec::new();
+    let mut worker_fault: Option<String> = None;
     let mut supervisor_fault: Option<String> = None;
     let mut heartbeat_ms: Option<u64> = None;
     let mut heartbeat_timeout_ms: Option<u64> = None;
     let mut max_respawns: Option<u32> = None;
-    let mut coalesce_ms: Option<u64> = None;
     let mut show_events = false;
 
     let mut it = rest.iter();
@@ -321,13 +322,6 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
         };
         match arg.as_str() {
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
-            }
             "--steps" => {
                 steps = Some(
                     value("--steps")?
@@ -350,16 +344,7 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("--keep-last: {e}"))?,
                 )
             }
-            "--fault" => {
-                let v = value("--fault")?;
-                let (rank, spec) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--fault: expected RANK:SPEC, got `{v}`"))?;
-                let rank: usize = rank
-                    .parse()
-                    .map_err(|e| format!("--fault rank `{rank}`: {e}"))?;
-                worker_faults.push((rank, spec.to_string()));
-            }
+            "--fault" => worker_fault = Some(value("--fault")?),
             "--supervisor-fault" => supervisor_fault = Some(value("--supervisor-fault")?),
             "--heartbeat-ms" => {
                 heartbeat_ms = Some(
@@ -382,13 +367,6 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
                         .map_err(|e| format!("--max-respawns: {e}"))?,
                 )
             }
-            "--coalesce-ms" => {
-                coalesce_ms = Some(
-                    value("--coalesce-ms")?
-                        .parse()
-                        .map_err(|e| format!("--coalesce-ms: {e}"))?,
-                )
-            }
             "--events" => show_events = true,
             other if name.is_none() && !other.starts_with('-') => name = Some(other.to_string()),
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
@@ -400,14 +378,13 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
 
     let worker_bin =
         std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let series_dir = match series_dir {
-        Some(d) => d,
-        None => std::env::temp_dir().join(format!("rflash-fleet-{}-{}", name, std::process::id())),
-    };
+    // A series directory the user did not name is scratch: removed after a
+    // successful run, kept (for its emergency checkpoint) after a failed one.
+    let scratch_dir = series_dir.is_none();
+    let series_dir = series_dir.unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("rflash-fleet-{}-{}", name, std::process::id()))
+    });
     let mut cfg = FleetConfig::new(worker_bin, &name, steps, &series_dir);
-    if let Some(w) = workers {
-        cfg.workers = w;
-    }
     if let Some(n) = checkpoint_every {
         cfg.checkpoint_every = n;
     }
@@ -423,26 +400,31 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
     if let Some(n) = max_respawns {
         cfg.max_respawns = n;
     }
-    if let Some(n) = coalesce_ms {
-        cfg.coalesce_ms = n;
-    }
-    cfg.worker_faults = worker_faults;
+    cfg.worker_faults = worker_fault;
     cfg.supervisor_faults = supervisor_fault;
 
     println!(
-        "{name}: fleet of {} workers, {steps} steps, series under {}",
-        cfg.workers,
+        "{name}: supervised run, {steps} steps, series under {}",
         series_dir.display()
     );
-    let report = run_fleet(cfg).map_err(|e| e.to_string())?;
+    let report = match run_fleet(cfg) {
+        Ok(report) => report,
+        Err(e) => {
+            return Err(format!("{e} (series kept under {})", series_dir.display()));
+        }
+    };
+    let c = &report.counters;
     println!(
-        "  digest {:08x} at step {} ({} workers at finish, {} rollbacks, {} respawns, {} migrations)",
+        "  digest {:08x} at step {} ({} rollbacks, {} respawns; {} frames / {} bytes in, \
+         {} frames / {} bytes out)",
         report.digest.crc,
         report.digest.step,
-        report.workers_final,
         report.rollbacks,
-        report.counters.respawns,
-        report.counters.migrations,
+        c.respawns,
+        c.frames_rx,
+        c.bytes_rx,
+        c.frames_tx,
+        c.bytes_tx,
     );
     if show_events {
         for ev in &report.events {
@@ -450,11 +432,14 @@ fn run_fleet_cmd(rest: &[String]) -> Result<(), String> {
         }
     }
     println!("  compare: golden/{name}.ron");
+    if scratch_dir {
+        std::fs::remove_dir_all(&series_dir)
+            .map_err(|e| format!("remove {}: {e}", series_dir.display()))?;
+    }
     Ok(())
 }
 
 fn fleet_worker(rest: &[String]) -> Result<(), String> {
-    let mut rank: Option<usize> = None;
     let mut setup: Option<String> = None;
     let mut steps: Option<u64> = None;
     let mut checkpoint_every = 0u64;
@@ -462,6 +447,7 @@ fn fleet_worker(rest: &[String]) -> Result<(), String> {
     let mut series_dir: Option<PathBuf> = None;
     let mut series_prefix = "fleet".to_string();
     let mut heartbeat_ms = 25u64;
+    let mut resume: Option<PathBuf> = None;
 
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
@@ -471,7 +457,6 @@ fn fleet_worker(rest: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
-            "--rank" => rank = Some(value("--rank")?.parse().map_err(|e| format!("--rank: {e}"))?),
             "--setup" => setup = Some(value("--setup")?),
             "--steps" => {
                 steps = Some(
@@ -497,11 +482,11 @@ fn fleet_worker(rest: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--heartbeat-ms: {e}"))?
             }
+            "--resume" => resume = Some(PathBuf::from(value("--resume")?)),
             other => return Err(format!("fleet-worker: unexpected argument `{other}`")),
         }
     }
     let args = WorkerArgs {
-        rank: rank.ok_or("fleet-worker needs --rank")?,
         setup: setup.ok_or("fleet-worker needs --setup")?,
         steps: steps.ok_or("fleet-worker needs --steps")?,
         checkpoint_every,
@@ -509,6 +494,7 @@ fn fleet_worker(rest: &[String]) -> Result<(), String> {
         series_dir: series_dir.ok_or("fleet-worker needs --series-dir")?,
         series_prefix,
         heartbeat_ms,
+        resume,
     };
     worker_main(args).map_err(|e| format!("worker {}: {e}", rest.join(" ")))
 }

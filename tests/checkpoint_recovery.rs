@@ -150,13 +150,7 @@ fn sedov_sim(checkpoint_every: u64) -> Simulation {
 
 /// Recover the Sedov run from `series` with the EOS its spec names.
 fn recover(series: &CheckpointSeries) -> (Simulation, Vec<(PathBuf, CheckpointError)>) {
-    let spec = sedov_spec();
-    Simulation::recover(
-        series,
-        spec.make_eos(Policy::None),
-        spec.composition.to_composition(),
-    )
-    .unwrap()
+    Simulation::recover(series, &sedov_spec()).unwrap()
 }
 
 #[test]

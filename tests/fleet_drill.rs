@@ -1,21 +1,22 @@
-//! Fleet fault drills (ISSUE 10, DESIGN.md §17).
+//! Fleet fault drills (DESIGN.md §17).
 //!
-//! The contract under drill: a supervised multi-process fleet that loses —
-//! and recovers — workers at step boundaries reproduces the committed
-//! golden digest of an uninterrupted single-process run, bit for bit, and
-//! every transition shows up as a typed `FleetEvent`. The drills inject
-//! the `worker-kill` / `heartbeat-drop` / `msg-truncate` sites into chosen
-//! ranks and the `spawn-fail` site into the supervisor, covering the whole
-//! ladder: detect → respawn → replay → migrate.
+//! The contract under drill: a supervised run that loses — and restarts —
+//! its worker at a step boundary reproduces the committed golden digest of
+//! an uninterrupted single-process run, bit for bit, and every transition
+//! shows up as a typed `FleetEvent`. The drills inject the `worker-kill` /
+//! `heartbeat-drop` / `msg-truncate` sites, the `step-nan` and
+//! `ckpt-write` sites into the worker, and the `spawn-fail` site into the
+//! supervisor, covering the whole ladder: detect → kill and reap →
+//! respawn from the newest verified checkpoint → typed abort.
 //!
-//! Workers are real child processes of the `rflash` binary (Cargo points
+//! The worker is a real child process of the `rflash` binary (Cargo points
 //! us at it via `CARGO_BIN_EXE_rflash`); the supervisor runs in-process so
 //! the event trail and counters can be asserted directly.
 
 use std::path::PathBuf;
 
 use rflash::core::registry::load_golden;
-use rflash::core::{run_fleet, FleetConfig, FleetEvent, FleetReport, LossCause};
+use rflash::core::{run_fleet, FleetConfig, FleetError, FleetEvent, FleetReport, LossCause};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
@@ -48,17 +49,22 @@ impl Drop for Scratch {
 }
 
 /// A smoke-scale fleet config with drill-friendly failure detection:
-/// tight heartbeats, a wide coalescing window, checkpoints every step.
-/// Keep the returned guard alive until the fleet has finished.
-fn drill_config(scenario: &str, workers: usize, tag: &str) -> (FleetConfig, Scratch) {
+/// tight heartbeats and a checkpoint every step. Keep the returned guard
+/// alive until the fleet has finished.
+fn drill_config(scenario: &str, tag: &str) -> (FleetConfig, Scratch) {
     let dir = Scratch::new(tag);
     let mut cfg = FleetConfig::new(env!("CARGO_BIN_EXE_rflash"), scenario, 3, &dir.0);
-    cfg.workers = workers;
     cfg.checkpoint_every = 1;
     cfg.heartbeat_ms = 20;
     cfg.heartbeat_timeout_ms = 400;
-    cfg.coalesce_ms = 400;
     cfg.max_wall_ms = 300_000;
+    (cfg, dir)
+}
+
+/// A drill config whose first worker runs under `fault`.
+fn faulted(scenario: &str, tag: &str, fault: &str) -> (FleetConfig, Scratch) {
+    let (mut cfg, dir) = drill_config(scenario, tag);
+    cfg.worker_faults = Some(fault.into());
     (cfg, dir)
 }
 
@@ -66,209 +72,217 @@ fn run(cfg: FleetConfig) -> FleetReport {
     run_fleet(cfg).expect("fleet run must complete")
 }
 
-fn lost_ranks(report: &FleetReport) -> Vec<(usize, LossCause)> {
-    report
-        .events
+fn losses(events: &[FleetEvent]) -> Vec<LossCause> {
+    events
         .iter()
         .filter_map(|e| match e {
-            FleetEvent::WorkerLost { rank, cause, .. } => Some((*rank, *cause)),
+            FleetEvent::WorkerLost { cause, .. } => Some(*cause),
             _ => None,
         })
         .collect()
 }
 
-fn count<F: Fn(&FleetEvent) -> bool>(report: &FleetReport, f: F) -> usize {
-    report.events.iter().filter(|e| f(e)).count()
+/// The `(to_step, checkpoint)` of every restart, in order.
+fn rollbacks(report: &FleetReport) -> Vec<(u64, Option<PathBuf>)> {
+    report
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            FleetEvent::RolledBack {
+                to_step,
+                checkpoint,
+            } => Some((*to_step, checkpoint.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+fn count<F: Fn(&FleetEvent) -> bool>(events: &[FleetEvent], f: F) -> usize {
+    events.iter().filter(|e| f(e)).count()
+}
+
+/// One loss, one clean respawn, and the golden digest at the end.
+fn assert_one_clean_restart(report: &FleetReport, scenario: &str) {
+    assert_eq!(
+        report.digest.crc,
+        golden_crc(scenario),
+        "{scenario} diverged"
+    );
+    assert_eq!(losses(&report.events).len(), 1, "{scenario}: one loss");
+    assert_eq!(report.counters.respawns, 1, "{scenario}: one respawn");
+    assert_eq!(report.rollbacks, 1, "{scenario}: one restart");
 }
 
 // ---- clean runs -------------------------------------------------------
 
 #[test]
 fn clean_fleet_reproduces_the_golden_digest() {
-    for (scenario, workers) in [("sedov", 2), ("sedov", 3), ("supernova", 2)] {
-        let (cfg, _dir) = drill_config(scenario, workers, &format!("clean-{scenario}-{workers}"));
+    for scenario in ["sedov", "supernova"] {
+        let (cfg, _dir) = drill_config(scenario, &format!("clean-{scenario}"));
         let report = run(cfg);
         assert_eq!(
             report.digest.crc,
             golden_crc(scenario),
-            "{scenario} with {workers} workers diverged from golden"
+            "{scenario} diverged from golden"
         );
-        assert_eq!(report.workers_final, workers);
         assert_eq!(report.rollbacks, 0);
-        assert!(lost_ranks(&report).is_empty());
+        assert!(losses(&report.events).is_empty());
+        assert_eq!(report.counters.checkpoints, 3, "one checkpoint per step");
         assert!(report
             .events
             .iter()
-            .any(|e| matches!(e, FleetEvent::DigestAgreed { .. })));
+            .any(|e| matches!(e, FleetEvent::DigestReported { .. })));
     }
 }
 
-// ---- single-fault drills: every site, both paper scenarios ------------
+// ---- single-fault drills: every process site, both paper scenarios ----
 
 #[test]
 fn worker_kill_recovers_bit_identically() {
     for scenario in ["sedov", "supernova"] {
-        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("kill-{scenario}"));
-        cfg.worker_faults = vec![(1, "worker-kill=nth:2".into())];
+        let (cfg, _dir) = faulted(scenario, &format!("kill-{scenario}"), "worker-kill=nth:2");
         let report = run(cfg);
-        assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
-        assert_eq!(lost_ranks(&report), vec![(1, LossCause::Eof)]);
-        assert_eq!(report.counters.respawns, 1);
-        assert_eq!(report.rollbacks, 1);
-        assert_eq!(report.counters.migrations, 0);
+        assert_one_clean_restart(&report, scenario);
+        assert_eq!(losses(&report.events), vec![LossCause::Eof]);
     }
 }
 
 #[test]
 fn heartbeat_drop_is_detected_by_the_probe_ladder_and_recovers() {
     for scenario in ["sedov", "supernova"] {
-        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("hb-{scenario}"));
-        cfg.worker_faults = vec![(1, "heartbeat-drop=nth:2".into())];
+        let (cfg, _dir) = faulted(scenario, &format!("hb-{scenario}"), "heartbeat-drop=nth:2");
         let report = run(cfg);
-        assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
-        assert_eq!(lost_ranks(&report), vec![(1, LossCause::HeartbeatTimeout)]);
+        assert_one_clean_restart(&report, scenario);
+        assert_eq!(losses(&report.events), vec![LossCause::HeartbeatTimeout]);
         assert!(
-            count(&report, |e| matches!(e, FleetEvent::HeartbeatMissed { rank: 1 })) >= 1,
+            count(&report.events, |e| matches!(
+                e,
+                FleetEvent::HeartbeatMissed { generation: 1 }
+            )) >= 1,
             "silence must enter the probe ladder via HeartbeatMissed"
         );
         assert!(report.counters.probes >= 1);
-        assert_eq!(report.rollbacks, 1);
     }
 }
 
 #[test]
 fn msg_truncate_leaves_a_torn_frame_and_recovers() {
     for scenario in ["sedov", "supernova"] {
-        let (mut cfg, _dir) = drill_config(scenario, 2, &format!("trunc-{scenario}"));
-        cfg.worker_faults = vec![(0, "msg-truncate=nth:2".into())];
+        let (cfg, _dir) = faulted(scenario, &format!("trunc-{scenario}"), "msg-truncate=nth:2");
         let report = run(cfg);
-        assert_eq!(report.digest.crc, golden_crc(scenario), "{scenario} diverged");
-        let lost = lost_ranks(&report);
-        assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].0, 0);
+        assert_one_clean_restart(&report, scenario);
         // The cut frame lands either as a mid-frame tear or (when cut at
         // the prelude boundary with exit close behind) a short write the
-        // reader sees as a torn stream; both are loss causes the typed
-        // event must carry.
+        // reader sees as a clean end of stream; both are loss causes the
+        // typed event must carry.
+        let cause = losses(&report.events)[0];
         assert!(
-            matches!(lost[0].1, LossCause::TornFrame | LossCause::Eof),
-            "unexpected cause {:?}",
-            lost[0].1
+            matches!(cause, LossCause::TornFrame | LossCause::Eof),
+            "unexpected cause {cause:?}"
         );
-        assert_eq!(report.rollbacks, 1);
     }
 }
 
-// ---- recovery replays from the newest *valid* checkpoint --------------
+// ---- restart from the newest *valid* checkpoint -----------------------
 
 #[test]
 fn late_kill_replays_from_a_recorded_checkpoint() {
-    // Kill at the third step boundary: checkpoints for steps 1 and 2 are
-    // already on disk (rank 1 passes the boundary only after shard 0's
-    // CheckpointDone has round-tripped through the supervisor... it has
-    // not — workers do not barrier on the checkpoint, so the newest
-    // *valid* entry at recovery time may be step 1 or 2. Either way the
-    // digest must land on golden; the rollback target must name a real
-    // checkpoint when one exists).
-    let (mut cfg, _dir) = drill_config("sedov", 2, "latekill");
-    cfg.worker_faults = vec![(1, "worker-kill=nth:3".into())];
+    // Killed at the third step boundary, after the step-1 and step-2
+    // checkpoints were written: the restart resumes from step 2.
+    let (cfg, _dir) = faulted("sedov", "latekill", "worker-kill=nth:3");
     let report = run(cfg);
-    assert_eq!(report.digest.crc, golden_crc("sedov"));
-    assert_eq!(report.rollbacks, 1);
-    let rolled: Vec<_> = report
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            FleetEvent::RolledBack { to_step, checkpoint, .. } => {
-                Some((*to_step, checkpoint.clone()))
-            }
-            _ => None,
-        })
-        .collect();
+    assert_one_clean_restart(&report, "sedov");
+    let rolled = rollbacks(&report);
     assert_eq!(rolled.len(), 1);
     let (to_step, ckpt) = &rolled[0];
-    assert!(*to_step >= 1, "two committed steps must leave a recovery point");
+    assert_eq!(*to_step, 2, "the newest checkpoint is step 2's");
     assert!(ckpt.is_some(), "rollback target must be named");
 }
 
-// ---- satellite: concurrent deaths resolve in rank order ---------------
+#[test]
+fn step_nan_guardian_abort_restarts_from_its_emergency_checkpoint() {
+    // Every attempt of the first step is poisoned: the guardian exhausts
+    // its retries, writes the rolled-back step-0 state into the fleet
+    // series, and the worker exits. The clean respawn resumes from it.
+    let (cfg, _dir) = faulted("sedov", "stepnan", "step-nan=always");
+    let report = run(cfg);
+    assert_one_clean_restart(&report, "sedov");
+    assert_eq!(losses(&report.events), vec![LossCause::Eof]);
+    let rolled = rollbacks(&report);
+    assert_eq!(rolled.len(), 1);
+    let (to_step, ckpt) = &rolled[0];
+    assert_eq!(*to_step, 0);
+    assert!(
+        ckpt.is_some(),
+        "the guardian's emergency checkpoint must be the restart point"
+    );
+}
 
 #[test]
-fn concurrent_kills_resolve_in_ascending_rank_order_in_one_round() {
-    let (mut cfg, _dir) = drill_config("sedov", 3, "dualkill");
-    cfg.worker_faults = vec![
-        (1, "worker-kill=nth:2".into()),
-        (2, "worker-kill=nth:2".into()),
-    ];
+fn failed_series_write_restarts_from_the_previous_checkpoint() {
+    // The second series write (step 2) fails mid-file: the worker is lost
+    // and the restart resumes from step 1, skipping the torn temp file.
+    let (cfg, _dir) = faulted("sedov", "ckptwrite", "ckpt-write=nth:2");
+    let report = run(cfg);
+    assert_one_clean_restart(&report, "sedov");
+    assert_eq!(losses(&report.events), vec![LossCause::Eof]);
+    let rolled = rollbacks(&report);
+    assert_eq!(rolled.len(), 1);
+    assert_eq!(rolled[0].0, 1, "step 1 is the newest verified checkpoint");
+}
+
+// ---- the respawn budget -----------------------------------------------
+
+#[test]
+fn spawn_fail_spends_one_respawn_and_the_next_launch_recovers() {
+    // Launch attempts: the first worker (1st), its respawn (2nd, denied),
+    // the next respawn (3rd).
+    let (mut cfg, _dir) = faulted("sedov", "spawnfail", "worker-kill=nth:2");
+    cfg.supervisor_faults = Some("spawn-fail=nth:2".into());
     let report = run(cfg);
     assert_eq!(report.digest.crc, golden_crc("sedov"));
-    // Both deaths land in the same step window; the coalescing sweep must
-    // resolve them as ONE deterministic round: losses reported in
-    // ascending Morton-rank order, one fleet-wide rollback.
-    assert_eq!(
-        lost_ranks(&report),
-        vec![(1, LossCause::Eof), (2, LossCause::Eof)],
-        "concurrent losses must be reported in ascending rank order"
-    );
-    assert_eq!(report.rollbacks, 1, "one coalesced round, one rollback");
-    assert_eq!(report.counters.respawns, 2);
-    assert_eq!(report.workers_final, 3);
-}
-
-// ---- migration: respawn denied, shard absorbed by survivors -----------
-
-#[test]
-fn spawn_fail_migrates_the_shard_to_survivors() {
-    let (mut cfg, _dir) = drill_config("sedov", 2, "migrate");
-    cfg.worker_faults = vec![(1, "worker-kill=nth:2".into())];
-    // Spawn attempts: rank 0 (1st), rank 1 (2nd), rank 1's respawn (3rd).
-    cfg.supervisor_faults = Some("spawn-fail=nth:3".into());
-    let report = run(cfg);
-    assert_eq!(report.digest.crc, golden_crc("sedov"), "N->N-1 must stay golden");
-    assert_eq!(report.workers_final, 1, "fleet must degrade to the survivor");
-    assert_eq!(report.counters.migrations, 1);
     assert_eq!(report.counters.spawn_failures, 1);
-    let migrated: Vec<_> = report
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            FleetEvent::ShardMigrated {
-                rank,
-                shards_before,
-                shards_after,
-            } => Some((*rank, *shards_before, *shards_after)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(migrated, vec![(1, 2, 1)], "no silent shrink: migration is typed");
-    assert!(
-        count(&report, |e| matches!(e, FleetEvent::SpawnFailed { rank: 1, .. })) == 1
+    assert_eq!(report.counters.respawns, 1);
+    assert_eq!(
+        count(&report.events, |e| matches!(
+            e,
+            FleetEvent::SpawnFailed { .. }
+        )),
+        1
     );
+    assert_eq!(losses(&report.events), vec![LossCause::Eof]);
 }
-
-// ---- the fleet shards empty-shard edge cases cleanly ------------------
 
 #[test]
-fn more_workers_than_leaves_still_reproduces_golden() {
-    // Supernova smoke has 4 leaves; 6 workers leave two shards empty.
-    let (cfg, _dir) = drill_config("supernova", 6, "overshard");
-    let report = run(cfg);
-    assert_eq!(report.digest.crc, golden_crc("supernova"));
-    assert_eq!(report.workers_final, 6);
+fn spawn_fail_with_no_budget_left_is_a_typed_abort() {
+    // One respawn allowed, and the injected spawn-fail spends it.
+    let (mut cfg, _dir) = faulted("sedov", "spawnfail-abort", "worker-kill=nth:2");
+    cfg.supervisor_faults = Some("spawn-fail=nth:2".into());
+    cfg.max_respawns = 1;
+    match run_fleet(cfg) {
+        Err(FleetError::AllWorkersLost {
+            emergency_checkpoint,
+            events,
+        }) => {
+            assert!(
+                emergency_checkpoint.is_some_and(|p| p.exists()),
+                "the step-1 checkpoint must be named"
+            );
+            assert_eq!(
+                count(&events, |e| matches!(e, FleetEvent::SpawnFailed { .. })),
+                1
+            );
+        }
+        other => panic!("expected AllWorkersLost, got {other:?}"),
+    }
 }
-
-// ---- exhausting the ladder is a typed abort, not a hang ---------------
 
 #[test]
 fn losing_every_worker_is_a_typed_abort_naming_the_emergency_checkpoint() {
-    let (mut cfg, _dir) = drill_config("sedov", 2, "alllost");
-    cfg.worker_faults = vec![
-        (0, "worker-kill=nth:2".into()),
-        (1, "worker-kill=nth:2".into()),
-    ];
-    cfg.max_respawns = 0; // no budget: first loss retires each rank
+    let (mut cfg, _dir) = faulted("sedov", "alllost", "worker-kill=nth:2");
+    cfg.max_respawns = 0; // no budget: the first loss ends the run
     match run_fleet(cfg) {
-        Err(rflash::core::FleetError::AllWorkersLost {
+        Err(FleetError::AllWorkersLost {
             emergency_checkpoint,
             events,
         }) => {
@@ -278,11 +292,10 @@ fn losing_every_worker_is_a_typed_abort_naming_the_emergency_checkpoint() {
                 emergency_checkpoint.is_some(),
                 "emergency checkpoint must be named when one exists"
             );
-            assert!(
-                events
-                    .iter()
-                    .any(|e| matches!(e, FleetEvent::WorkerLost { .. })),
-                "the abort must carry the loss trail"
+            assert_eq!(
+                losses(&events),
+                vec![LossCause::Eof],
+                "the loss trail rides along"
             );
         }
         other => panic!("expected AllWorkersLost, got {other:?}"),

@@ -19,7 +19,6 @@ use std::path::PathBuf;
 
 use rflash::core::registry::{self, load_golden, GoldenRecord, SetupSpec, StateDigest};
 use rflash::core::{CheckpointSeries, Simulation, StepScheduler};
-use rflash::hugepages::Policy;
 use rflash::hydro::SweepEngine;
 
 /// The committed corpus lives at the repo root.
@@ -110,8 +109,8 @@ fn golden_matrix_wd_relax() {
     assert_matrix_matches_golden("wd_relax");
 }
 
-/// The SIMD backend axis: pinning `simd_backend` to every explicit lane
-/// width must reproduce the committed golden digest bit-for-bit. This is
+/// The SIMD backend axis: pinning `simd_backend` to the scalar oracle and
+/// to the native intrinsic lanes must each reproduce the committed golden digest bit-for-bit. This is
 /// the end-to-end form of the bit-identity contract (DESIGN.md §16) — the
 /// kernel-level parity tests in `crates/hydro` and `crates/simd` prove the
 /// lanes agree, this proves nothing upstream (dispatch, pencil carving,
@@ -122,8 +121,6 @@ fn assert_backend_axis_matches_golden(name: &str) {
     let smoke = spec.at_smoke_scale();
     for backend in [
         rflash::simd::Backend::Scalar,
-        rflash::simd::Backend::V2,
-        rflash::simd::Backend::V4,
         rflash::simd::Backend::Native,
     ] {
         let mut params =
@@ -160,12 +157,12 @@ fn golden_backend_axis_supernova() {
 // Checkpoint-series recovery of a spec-launched run
 // ---------------------------------------------------------------------------
 
-/// A spec-launched run that "crashes" mid-way and recovers from its
-/// checkpoint series must resume to exactly the committed golden digest —
-/// the registry riding the PR 3/PR 5 recovery machinery without drift.
-#[test]
-fn spec_launched_recovery_resumes_to_the_golden_digest() {
-    let name = "kelvin_helmholtz";
+/// A spec-launched run of `name` that "crashes" mid-way and recovers from
+/// its checkpoint series must resume to exactly the committed golden
+/// digest — the registry riding the recovery machinery without drift.
+/// The resumed run gets its physics (flame, gravity, refinement variables)
+/// from the spec, not from the checkpoint.
+fn assert_spec_recovery_resumes_to_golden(name: &str) {
     let spec = registry::load(name).unwrap();
     let golden: GoldenRecord = load_golden(&golden_dir(), name).expect("committed golden");
     let smoke: SetupSpec = spec.at_smoke_scale();
@@ -173,7 +170,7 @@ fn spec_launched_recovery_resumes_to_the_golden_digest() {
     assert!(steps >= 2, "need room for a mid-run checkpoint");
     let mid = steps / 2;
 
-    let dir = scratch("spec-recovery");
+    let dir = scratch(&format!("spec-recovery-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     let series = CheckpointSeries::new(&dir, "chk");
 
@@ -190,21 +187,28 @@ fn spec_launched_recovery_resumes_to_the_golden_digest() {
     assert_eq!(written.len(), mid as usize);
     drop(first);
 
-    // Recover — the EOS comes back from the spec, the state from disk.
-    let (mut resumed, skipped) = Simulation::recover(
-        &series,
-        smoke.make_eos(Policy::None),
-        smoke.composition.to_composition(),
-    )
-    .unwrap();
+    // Recover — the EOS and physics come back from the spec, the state
+    // from disk.
+    let (mut resumed, skipped) = Simulation::recover(&series, &smoke).unwrap();
     assert!(skipped.is_empty(), "no corrupt checkpoints expected");
     assert_eq!(resumed.step, mid);
+    // The series does not fit another scenario's mesh.
+    let sod = registry::load("sod").unwrap().at_smoke_scale();
+    assert!(Simulation::recover(&series, &sod).is_err());
     resumed.evolve(steps - mid);
 
     assert_eq!(
         StateDigest::of(&resumed),
         golden.digest,
-        "recovered run diverged from the committed golden"
+        "recovered {name} run diverged from the committed golden"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn spec_launched_recovery_resumes_to_the_golden_digest() {
+    // Kelvin–Helmholtz regrids; supernova burns and has gravity.
+    for name in ["kelvin_helmholtz", "supernova"] {
+        assert_spec_recovery_resumes_to_golden(name);
+    }
 }

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use rflash::core::checkpoint::read_checkpoint;
 use rflash::core::registry::{self, SetupSpec};
 use rflash::core::{CheckpointSeries, Simulation, StepError, StepScheduler};
-use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
+use rflash::hugepages::{FaultKind, FaultPlan, FaultSite};
 use rflash::hydro::SweepEngine;
 
 fn scratch(name: &str) -> PathBuf {
@@ -290,12 +290,7 @@ fn resume_after_guardian_abort_matches_the_in_place_recovery() {
     // "operator restart") and finish the run.
     let _quiet = FaultPlan::new(0).activate();
     let spec = sedov_spec();
-    let (mut resumed, skipped) = Simulation::recover(
-        &series,
-        spec.make_eos(Policy::None),
-        spec.composition.to_composition(),
-    )
-    .unwrap();
+    let (mut resumed, skipped) = Simulation::recover(&series, &spec).unwrap();
     assert!(skipped.is_empty());
     assert_eq!(resumed.step, 3, "recovery starts at the emergency checkpoint");
     for _ in 0..3 {
