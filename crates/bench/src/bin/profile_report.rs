@@ -123,8 +123,9 @@ fn graph_report(sim: &rflash_core::Simulation) {
         return;
     }
     println!(
-        "  task graph: {} executions, {} steals, overlap ratio {:.2}",
+        "  task graph: {} executions from {} plan builds, {} steals, overlap ratio {:.2}",
         g.executions,
+        g.plan_builds,
         g.total_steals(),
         g.overlap_ratio()
     );

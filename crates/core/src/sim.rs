@@ -66,9 +66,11 @@ pub struct Simulation {
     pub emergency_series: Option<CheckpointSeries>,
     /// Pre-step leaf-state snapshot for guardian rollback.
     pub(crate) shadow: ShadowSnapshot,
-    /// Cached step graph (task-graph scheduler), keyed on tree epoch,
-    /// rank count, sweep parity, and validation fusion.
-    pub(crate) graph_plan: Option<crate::stepgraph::StepGraphPlan>,
+    /// Cached step graphs (task-graph scheduler), one per sweep parity
+    /// (index 1 = reversed), each keyed on tree epoch, rank count and
+    /// validation fusion: alternating steps reuse their own plan, so a
+    /// graph is built twice per tree epoch, not once per step.
+    pub(crate) graph_plans: [Option<crate::stepgraph::StepGraphPlan>; 2],
     /// Cumulative task-graph statistics (empty under the barrier path).
     pub graph_report: crate::stepgraph::GraphExecReport,
 }
@@ -122,7 +124,7 @@ impl Simulation {
             lohner: LohnerConfig::default(),
             guardian_stats: GuardianStats::default(),
             emergency_series: None,
-            graph_plan: None,
+            graph_plans: [None, None],
             graph_report: crate::stepgraph::GraphExecReport::default(),
         }
     }

@@ -80,13 +80,15 @@ const CLASSES: [TaskClass; NKINDS] = [
     TaskClass::Other,    // Validate
 ];
 
-/// What a cached plan was built for; any mismatch forces a rebuild.
+/// What a cached plan was built for; any mismatch forces a rebuild. The
+/// cache holds one plan per `reversed` parity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct PlanKey {
     /// Tree topology revision.
     pub epoch: u64,
     pub nranks: usize,
-    /// Odd steps sweep the directions in reverse (Strang alternation).
+    /// Odd steps sweep the directions in reverse (Strang alternation);
+    /// selects the cache slot.
     pub reversed: bool,
     /// Guardian validation folded into the graph tail (no flame/gravity).
     pub fused: bool,
@@ -148,6 +150,9 @@ pub struct GraphRankReport {
 pub struct GraphExecReport {
     /// Graph executions (one per step attempt).
     pub executions: u64,
+    /// Step graphs built. The cache holds one plan per sweep parity, so
+    /// a run builds two per tree epoch, however many steps it takes.
+    pub plan_builds: u64,
     /// Busy ns in guard-cell exchange tasks (restrict + fill).
     pub guardcell_ns: u64,
     /// Busy ns in sweep + flux-correction tasks.
@@ -491,20 +496,25 @@ impl Simulation {
             && !self.domain.tree.leaves().is_empty()
     }
 
-    /// Make the cached plan current for `key`, charging build time to the
-    /// pool's idle ledger (workers wait while the dispatcher builds).
-    fn ensure_graph_plan(&mut self, key: PlanKey) {
-        if let Some(plan) = &self.graph_plan {
-            if plan.key == key {
-                return;
-            }
+    /// Make the cached plan of `key`'s parity current for `key`, charging
+    /// build time to the pool's idle ledger (workers wait while the
+    /// dispatcher builds). Returns the slot.
+    fn ensure_graph_plan(&mut self, key: PlanKey) -> usize {
+        let slot = usize::from(key.reversed);
+        if self.graph_plans[slot]
+            .as_ref()
+            .is_some_and(|plan| plan.key == key)
+        {
+            return slot;
         }
         let t0 = Instant::now();
         let parts = self.domain.leaf_partition(key.nranks);
         let (pool, tree, exchange, _) = self.domain.pool_for_graph(key.nranks);
         let plan = build_plan(tree, exchange, &parts, key);
         pool.account_idle(t0.elapsed().as_nanos() as u64);
-        self.graph_plan = Some(plan);
+        self.graph_plans[slot] = Some(plan);
+        self.graph_report.plan_builds += 1;
+        slot
     }
 
     /// One step attempt through the task graph: dt scan + reduction, the
@@ -543,7 +553,7 @@ impl Simulation {
             reversed: !self.step.is_multiple_of(2),
             fused,
         };
-        self.ensure_graph_plan(key);
+        let slot = self.ensure_graph_plan(key);
 
         let engine = if degrade {
             SweepEngine::Scalar
@@ -572,7 +582,7 @@ impl Simulation {
         let fcells = self.reg.cells();
 
         // analyze::allow(panic): `ensure_graph_plan` ran just above.
-        let plan = self.graph_plan.as_ref().expect("plan ensured");
+        let plan = self.graph_plans[slot].as_ref().expect("plan ensured");
         let nleaves = plan.leaves.len();
         let first_leaf = plan.leaves.first().copied();
         let meta = &plan.meta;

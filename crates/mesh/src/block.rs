@@ -78,19 +78,37 @@ impl MortonKey {
     pub fn morton_code(self, max_level: u8) -> u128 {
         debug_assert!(self.level <= max_level);
         let shift = (max_level - self.level) as u32;
-        let (x, y, z) = (
-            (self.ix << shift) as u128,
-            (self.iy << shift) as u128,
-            (self.iz << shift) as u128,
-        );
-        let mut code: u128 = 0;
-        for bit in 0..32 {
-            code |= ((x >> bit) & 1) << (3 * bit)
-                | ((y >> bit) & 1) << (3 * bit + 1)
-                | ((z >> bit) & 1) << (3 * bit + 2);
-        }
-        code
+        spread3(self.ix << shift) | spread3(self.iy << shift) << 1 | spread3(self.iz << shift) << 2
     }
+}
+
+/// Spread the 32 bits of `v` to every third bit of a `u128` (bit `i` lands
+/// on bit `3i`) in five shift-and-mask steps. Step `k` (16, 8, 4, 2, 1)
+/// moves every bit whose index has bit `k` set up by `2k`; its mask keeps
+/// exactly the positions bits occupy after that step.
+#[inline]
+fn spread3(v: u32) -> u128 {
+    const fn mask(k: u32) -> u128 {
+        let mut m = 0u128;
+        let mut i = 0;
+        while i < 32 {
+            m |= 1 << (i + 2 * (i & !(k - 1)));
+            i += 1;
+        }
+        m
+    }
+    const STEPS: [(u32, u128); 5] = [
+        (32, mask(16)),
+        (16, mask(8)),
+        (8, mask(4)),
+        (4, mask(2)),
+        (2, mask(1)),
+    ];
+    let mut x = v as u128;
+    for (shift, m) in STEPS {
+        x = (x | x << shift) & m;
+    }
+    x
 }
 
 /// Lifecycle state of a block slot.
@@ -201,6 +219,69 @@ mod tests {
             .map(|k| k.morton_code(2))
             .collect();
         assert!(first.iter().all(|c| codes[..4].contains(c)));
+    }
+
+    /// The bit-at-a-time interleave `morton_code` used before the mask
+    /// spread: the reference the spread must match.
+    fn morton_code_by_loop(k: MortonKey, max_level: u8) -> u128 {
+        let shift = (max_level - k.level) as u32;
+        let (x, y, z) = (
+            (k.ix << shift) as u128,
+            (k.iy << shift) as u128,
+            (k.iz << shift) as u128,
+        );
+        let mut code: u128 = 0;
+        for bit in 0..32 {
+            code |= ((x >> bit) & 1) << (3 * bit)
+                | ((y >> bit) & 1) << (3 * bit + 1)
+                | ((z >> bit) & 1) << (3 * bit + 2);
+        }
+        code
+    }
+
+    #[test]
+    fn spread_places_every_bit() {
+        for i in 0..32 {
+            assert_eq!(spread3(1 << i), 1u128 << (3 * i), "bit {i}");
+        }
+        assert_eq!(spread3(u32::MAX).count_ones(), 32);
+    }
+
+    #[test]
+    fn morton_code_matches_the_bitwise_loop() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for ndim in [2usize, 3] {
+            for max_refine in [4u8, 9, 17, 31] {
+                for level in 0..=max_refine {
+                    // Coordinates span the level's extent (several roots
+                    // wide, so the top bits are exercised too).
+                    let extent = 4u64 << level;
+                    for _ in 0..64 {
+                        let k = MortonKey {
+                            level,
+                            ix: (next() % extent) as u32,
+                            iy: (next() % extent) as u32,
+                            iz: if ndim == 3 {
+                                (next() % extent) as u32
+                            } else {
+                                0
+                            },
+                        };
+                        assert_eq!(
+                            k.morton_code(max_refine),
+                            morton_code_by_loop(k, max_refine),
+                            "{k:?} at max_refine {max_refine}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -127,6 +127,14 @@ pub struct Tree {
     /// tenant's data; nothing may assume a fresh block reads as zero.
     free: Vec<BlockId>,
     n_active: usize,
+    /// Per-slot Morton code at `max_refine`, computed once when the block
+    /// is allocated (stale on free slots).
+    codes: Vec<u128>,
+    /// The leaves in Morton order, updated on every change to the leaf set
+    /// (a leaf allocated or released, a Leaf↔Parent flip). Leaves never
+    /// overlap, so their codes are distinct and a binary search on the
+    /// code finds a leaf's position. It changes only together with `epoch`.
+    leaf_order: Vec<BlockId>,
     /// Bumped on every block allocation/release; cached work distributions
     /// (rank partitions, guard-exchange schedules) key on this to detect
     /// that a regrid made them stale.
@@ -155,6 +163,8 @@ impl Tree {
             lookup: HashMap::new(),
             free: (0..config.max_blocks as u32).rev().map(BlockId).collect(),
             n_active: 0,
+            codes: vec![0; config.max_blocks],
+            leaf_order: Vec::new(),
             epoch: 0,
             config,
         };
@@ -211,18 +221,10 @@ impl Tree {
     }
 
     /// All leaf block ids, sorted along the Morton curve (PARAMESH's
-    /// work-distribution order).
+    /// work-distribution order). A copy of the maintained order: the cost
+    /// follows the leaf count, not `max_blocks`, and nothing is sorted.
     pub fn leaves(&self) -> Vec<BlockId> {
-        let mut ids: Vec<BlockId> = self
-            .metas
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.is_leaf())
-            .map(|(i, _)| BlockId(i as u32))
-            .collect();
-        let max_level = self.config.max_refine;
-        ids.sort_by_key(|id| self.block(*id).key.morton_code(max_level));
-        ids
+        self.leaf_order.clone()
     }
 
     /// All live (leaf + parent) block ids, ascending. Walks the key index,
@@ -250,6 +252,8 @@ impl Tree {
         meta.parent = parent;
         meta.children = None;
         meta.n_children = 0;
+        self.codes[id.idx()] = key.morton_code(self.config.max_refine);
+        self.insert_leaf(id);
         self.lookup.insert(key, id);
         self.n_active += 1;
         self.epoch += 1;
@@ -257,12 +261,34 @@ impl Tree {
     }
 
     fn release(&mut self, id: BlockId) {
-        let key = self.metas[id.idx()].key;
+        let meta = &self.metas[id.idx()];
+        let key = meta.key;
+        if meta.is_leaf() {
+            self.remove_leaf(id);
+        }
         self.lookup.remove(&key);
         self.metas[id.idx()] = BlockMeta::free();
         self.free.push(id);
         self.n_active -= 1;
         self.epoch += 1;
+    }
+
+    /// Put a block that just became a leaf at its Morton position.
+    fn insert_leaf(&mut self, id: BlockId) {
+        let codes = &self.codes;
+        let code = codes[id.idx()];
+        let at = self.leaf_order.partition_point(|l| codes[l.idx()] < code);
+        self.leaf_order.insert(at, id);
+    }
+
+    /// Take a block that stops being a leaf out of the Morton order.
+    fn remove_leaf(&mut self, id: BlockId) {
+        let codes = &self.codes;
+        let at = self
+            .leaf_order
+            .binary_search_by_key(&codes[id.idx()], |l| codes[l.idx()])
+            .unwrap_or_else(|_| panic!("leaf {id:?} missing from the Morton order"));
+        self.leaf_order.remove(at);
     }
 
     // ---- geometry --------------------------------------------------------
@@ -382,6 +408,9 @@ impl Tree {
             "refinement beyond lrefine_max"
         );
         let nchild = self.config.n_children();
+        // Out of the order before the children go in: the first child
+        // shares this block's code.
+        self.remove_leaf(id);
         let mut children = [BlockId(u32::MAX); 8];
         for (c, slot) in children.iter_mut().enumerate().take(nchild) {
             let ckey = key.child(c, self.config.ndim);
@@ -414,6 +443,7 @@ impl Tree {
         meta.state = BlockState::Leaf;
         meta.children = None;
         meta.n_children = 0;
+        self.insert_leaf(parent);
     }
 
     /// One adaptation pass: take per-leaf marks, enforce level limits and

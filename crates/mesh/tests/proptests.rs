@@ -1,13 +1,121 @@
 //! Property-based tests of mesh invariants: guard-fill idempotence,
 //! conservation of restriction∘prolongation, 2:1 balance under arbitrary
-//! mark sets, Morton ordering.
+//! mark sets, Morton ordering, and the maintained leaf order against a
+//! scan-and-sort oracle.
 
 use proptest::prelude::*;
 use rflash_hugepages::Policy;
 use rflash_mesh::guardcell::fill_guardcells;
-use rflash_mesh::tree::{Mark, MeshConfig};
-use rflash_mesh::{vars, Domain};
+use rflash_mesh::tree::{Mark, MeshConfig, Neighbor, Tree};
+use rflash_mesh::{vars, BlockId, BlockState, Domain};
 use std::collections::HashMap;
+
+/// The leaf order as `Tree::leaves` used to compute it on every call:
+/// scan every pool slot for leaves, then stable-sort by Morton code.
+fn leaves_by_scan(tree: &Tree) -> Vec<BlockId> {
+    let cfg = tree.config();
+    let mut ids: Vec<BlockId> = (0..cfg.max_blocks as u32)
+        .map(BlockId)
+        .filter(|&id| tree.block(id).is_leaf())
+        .collect();
+    ids.sort_by_key(|id| tree.block(*id).key.morton_code(cfg.max_refine));
+    ids
+}
+
+/// A leaf may refine on its own without breaking 2:1 balance when it is
+/// below `max_refine` and no neighbor is coarser.
+fn can_refine(tree: &Tree, id: BlockId) -> bool {
+    tree.block(id).key.level < tree.config().max_refine
+        && tree
+            .config()
+            .neighbor_dirs()
+            .into_iter()
+            .all(|d| !matches!(tree.neighbor(id, d), Neighbor::Coarser(_)))
+}
+
+/// A parent may derefine on its own when its children are leaves and none
+/// of them has a finer neighbor (the veto `adapt` applies).
+fn can_derefine(tree: &Tree, pid: BlockId) -> bool {
+    let meta = tree.block(pid);
+    let Some(children) = meta.children else {
+        return false;
+    };
+    children[..meta.n_children as usize].iter().all(|&c| {
+        tree.block(c).is_leaf()
+            && tree
+                .config()
+                .neighbor_dirs()
+                .into_iter()
+                .all(|d| match tree.neighbor(c, d) {
+                    Neighbor::Same(n) => tree.block(n).state != BlockState::Parent,
+                    Neighbor::Coarser(_) | Neighbor::Boundary => true,
+                })
+    })
+}
+
+/// Drive `d` through `ops` pseudo-random refine / derefine / `adapt`
+/// operations drawn from `seed`, checking after each one that the
+/// maintained leaf order equals the scan-and-sort oracle.
+fn leaf_order_follows_every_change(
+    d: &mut Domain,
+    seed: u64,
+    ops: usize,
+) -> Result<(), TestCaseError> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    prop_assert_eq!(d.tree.leaves(), leaves_by_scan(&d.tree));
+    for op in 0..ops {
+        let (epoch, leaves) = (d.tree.epoch(), d.tree.leaves());
+        match next() % 3 {
+            0 => {
+                let candidates: Vec<BlockId> = d
+                    .tree
+                    .leaves()
+                    .into_iter()
+                    .filter(|&id| can_refine(&d.tree, id))
+                    .collect();
+                if let Some(&id) = candidates.get(next() as usize % candidates.len().max(1)) {
+                    d.tree.refine_block(id, &mut d.unk);
+                }
+            }
+            1 => {
+                let candidates: Vec<BlockId> = d
+                    .tree
+                    .active_ids()
+                    .into_iter()
+                    .filter(|&id| can_derefine(&d.tree, id))
+                    .collect();
+                if let Some(&id) = candidates.get(next() as usize % candidates.len().max(1)) {
+                    d.tree.derefine_block(id, &mut d.unk);
+                }
+            }
+            _ => {
+                let mut marks = HashMap::new();
+                for id in d.tree.leaves() {
+                    let mark = match next() % 3 {
+                        0 => Mark::Refine,
+                        1 => Mark::Derefine,
+                        _ => Mark::Keep,
+                    };
+                    marks.insert(id, mark);
+                }
+                d.tree.adapt(&mut d.unk, &marks);
+            }
+        }
+        prop_assert_eq!(d.tree.leaves(), leaves_by_scan(&d.tree), "after op {}", op);
+        // The order only moves together with the epoch.
+        if d.tree.epoch() == epoch {
+            prop_assert_eq!(d.tree.leaves(), leaves);
+        }
+    }
+    d.tree.check_balance().map_err(TestCaseError::fail)?;
+    Ok(())
+}
 
 fn domain() -> Domain {
     let mut cfg = MeshConfig::test_2d();
@@ -140,6 +248,30 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), codes.len(), "duplicate morton codes");
+    }
+
+    /// The maintained 2-d leaf order equals the scan-and-sort oracle after
+    /// every refine, derefine and `adapt`, on a multi-root grid.
+    #[test]
+    fn leaf_order_matches_the_scan_oracle_2d(seed in any::<u64>(), ops in 1usize..16) {
+        let mut cfg = MeshConfig::test_2d();
+        cfg.nroot = [2, 3, 1];
+        cfg.max_blocks = 1024;
+        cfg.max_refine = 3;
+        let mut d = Domain::new(cfg, Policy::None);
+        leaf_order_follows_every_change(&mut d, seed, ops)?;
+    }
+
+    /// The same in 3-d.
+    #[test]
+    fn leaf_order_matches_the_scan_oracle_3d(seed in any::<u64>(), ops in 1usize..10) {
+        let mut cfg = MeshConfig::test_2d();
+        cfg.ndim = 3;
+        cfg.nroot = [2, 1, 1];
+        cfg.max_blocks = 256;
+        cfg.max_refine = 2;
+        let mut d = Domain::new(cfg, Policy::None);
+        leaf_order_follows_every_change(&mut d, seed, ops)?;
     }
 }
 

@@ -15,7 +15,7 @@ use rflash::core::registry::{self, SetupSpec};
 use rflash::core::{RuntimeParams, Simulation, StepScheduler};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
 use rflash::hydro::SweepEngine;
-use rflash::mesh::{vars, Domain, Layout, MeshConfig};
+use rflash::mesh::{vars, BlockId, Domain, Layout, MeshConfig};
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-ckpt-it-{}-{name}", std::process::id()))
@@ -89,6 +89,18 @@ fn random_domain(rng: &mut Rng) -> (Domain, MeshConfig) {
     (domain, cfg)
 }
 
+/// The leaves of `domain` by scanning every pool slot and sorting along
+/// the Morton curve — the reference for the order the tree maintains.
+fn leaves_by_scan(domain: &Domain) -> Vec<BlockId> {
+    let cfg = domain.tree.config();
+    let mut ids: Vec<BlockId> = (0..cfg.max_blocks as u32)
+        .map(BlockId)
+        .filter(|&id| domain.tree.block(id).is_leaf())
+        .collect();
+    ids.sort_by_key(|id| domain.tree.block(*id).key.morton_code(cfg.max_refine));
+    ids
+}
+
 #[test]
 fn round_trip_is_bit_exact_across_generated_cases() {
     let mut rng = Rng(0xF1A5_0001);
@@ -110,6 +122,13 @@ fn round_trip_is_bit_exact_across_generated_cases() {
         let leaves = domain.tree.leaves();
         let restored_leaves = restored.domain.tree.leaves();
         assert_eq!(leaves.len(), restored_leaves.len(), "case {case}");
+        // The rebuilt tree keeps its leaf order as it refines: the same
+        // order a scan of every slot and a Morton sort give.
+        assert_eq!(
+            restored_leaves,
+            leaves_by_scan(&restored.domain),
+            "case {case}"
+        );
         for id in leaves {
             let key = domain.tree.block(id).key;
             let rid = restored

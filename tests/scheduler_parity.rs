@@ -9,12 +9,15 @@
 //! edge order and the Morton-ordered reductions, and these tests are the
 //! witness.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use rflash::core::checkpoint::read_checkpoint;
 use rflash::core::{registry, CheckpointSeries, GuardianConfig, Simulation, StepScheduler};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite};
 use rflash::hydro::SweepEngine;
+use rflash::mesh::tree::Mark;
+use rflash::mesh::BlockId;
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-schedpar-it-{}-{name}", std::process::id()))
@@ -89,6 +92,83 @@ fn sedov_3d_taskgraph_matches_barrier_all_ranks_and_engines() {
             }
         }
     }
+}
+
+/// The 2-d Kelvin–Helmholtz shear layer at its committed scale (64 leaves
+/// at level 2) on 2 ranks, without the periodic regrid: the tests below
+/// change the tree themselves.
+fn kh2d(scheduler: StepScheduler) -> Simulation {
+    let mut spec = registry::load("kelvin_helmholtz").unwrap();
+    spec.budgets.regrid_every = 0;
+    let params = registry::smoke_params(&spec, 2, SweepEngine::Pencil, scheduler);
+    spec.build(params).unwrap()
+}
+
+/// Five steps, then a regrid with `mark` on every leaf (for a refinement,
+/// only on the first leaf below `max_refine`, which leaves refinement
+/// jumps), three times over — one epoch per stretch, each with steps of
+/// both sweep parities.
+fn kh2d_with_regrids(scheduler: StepScheduler) -> (Simulation, Vec<(u64, u64, u64)>) {
+    let mut sim = kh2d(scheduler);
+    let mut per_epoch = Vec::new(); // (epoch, steps, plan builds)
+    for mark in [Some(Mark::Derefine), Some(Mark::Refine), None] {
+        let (epoch, builds) = (sim.domain.tree.epoch(), sim.graph_report.plan_builds);
+        sim.evolve(5);
+        assert_eq!(sim.domain.tree.epoch(), epoch);
+        per_epoch.push((epoch, 5, sim.graph_report.plan_builds - builds));
+        let Some(mark) = mark else { break };
+        let tree = &sim.domain.tree;
+        let mut marked = tree.leaves();
+        if mark == Mark::Refine {
+            let max = tree.config().max_refine;
+            marked.retain(|&id| tree.block(id).key.level < max);
+            marked.truncate(1);
+        }
+        let marks: HashMap<BlockId, Mark> = marked.into_iter().map(|id| (id, mark)).collect();
+        sim.domain.tree.adapt(&mut sim.domain.unk, &marks);
+        assert_ne!(
+            sim.domain.tree.epoch(),
+            epoch,
+            "{mark:?} must change the tree"
+        );
+    }
+    (sim, per_epoch)
+}
+
+/// The step graph depends only on the tree and the sweep parity, so it is
+/// built once per parity per tree epoch: twice in a run with no regrid,
+/// and at most twice more for each regrid that changes the epoch. The
+/// cached plans must not change a bit against the barrier loop.
+#[test]
+fn step_graph_is_built_once_per_parity_per_tree_epoch() {
+    let _quiet = FaultPlan::new(0).activate();
+
+    let mut graph = kh2d(StepScheduler::TaskGraph);
+    let epoch = graph.domain.tree.epoch();
+    graph.evolve(12);
+    assert_eq!(
+        graph.domain.tree.epoch(),
+        epoch,
+        "no regrid, no topology change"
+    );
+    assert_eq!(graph.graph_report.executions, 12);
+    assert_eq!(
+        graph.graph_report.plan_builds, 2,
+        "one plan per sweep parity"
+    );
+    let mut barrier = kh2d(StepScheduler::Barrier);
+    barrier.evolve(12);
+    assert_eq!(state_bits(&barrier), state_bits(&graph));
+
+    let (graph, per_epoch) = kh2d_with_regrids(StepScheduler::TaskGraph);
+    for &(epoch, steps, builds) in &per_epoch {
+        assert_eq!(
+            builds, 2,
+            "epoch {epoch}: {steps} steps built {builds} plans"
+        );
+    }
+    let (barrier, _) = kh2d_with_regrids(StepScheduler::Barrier);
+    assert_eq!(state_bits(&barrier), state_bits(&graph));
 }
 
 /// 2-d Helmholtz supernova (flame + gravity live, so the graph runs its
