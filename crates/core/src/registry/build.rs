@@ -1,14 +1,16 @@
 //! The setup builder: turns a validated [`SetupSpec`] into a
 //! fully-initialized [`Simulation`] — the only way the tree builds a
-//! scenario. Per cell it evaluates the IC primitives in spec order and
+//! scenario. Per zone it evaluates the IC primitives in spec order and
 //! closes the state with one EOS call; it then refines iteratively on the
-//! initial condition (re-initializing after each adapt, as FLASH does).
-//! The committed `golden/` digests pin the bits it produces.
+//! initial condition, as FLASH does, filling only the leaves each pass
+//! creates. The committed `golden/` digests pin the bits it produces.
 
 use rflash_eos::{EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_flame::{AdrFlame, FlameParams};
 use rflash_mesh::refine::lohner_marks;
-use rflash_mesh::{vars, Domain, GuardNeed};
+use rflash_mesh::unk::UnkGeom;
+use rflash_mesh::{vars, Domain, GuardNeed, MortonKey};
+use rflash_perfmon::Timers;
 
 use crate::checkpoint::RestoredState;
 use crate::eos_choice::{Composition, EosChoice};
@@ -96,6 +98,105 @@ fn deposit_gamma(spec: &SetupSpec) -> f64 {
     }
 }
 
+/// The deposit's weight in one zone: the fraction of its `nsub^ndim`
+/// subzone samples (FLASH's nsubzones) with `r_in ≤ |p − center| < r_out`,
+/// so the deposit integrates to its energy however the shell cuts zone
+/// boundaries. Only zones a shell surface may cut are sampled: for the rest
+/// [`shell_cover`] gives, from the zone's box, the 0 or 1 the count would.
+fn shell_fraction(
+    ndim: usize,
+    x: [f64; 3],
+    dx: [f64; 3],
+    center: [f64; 3],
+    r_in: f64,
+    r_out: f64,
+    nsub: usize,
+) -> f64 {
+    shell_cover(ndim, x, dx, center, r_in, r_out)
+        .unwrap_or_else(|| sampled_shell_fraction(ndim, x, dx, center, r_in, r_out, nsub))
+}
+
+/// The shell fraction of the zone at `x` (widths `dx`) when its box lies
+/// wholly inside `r_in`, wholly outside `r_out` or wholly within the shell;
+/// `None` when a shell surface may cross it. The box is widened far beyond
+/// the rounding of the sample positions `x + off − center`, and the radii
+/// are compared with a relative slack far beyond the rounding of a squared
+/// distance, so every sample falls on the side the box does.
+fn shell_cover(
+    ndim: usize,
+    x: [f64; 3],
+    dx: [f64; 3],
+    center: [f64; 3],
+    r_in: f64,
+    r_out: f64,
+) -> Option<f64> {
+    const SLACK: f64 = 1e-9;
+    // Squared distance from the center to the nearest and the farthest
+    // point of the widened box. A 2-d zone's samples sit at z = 0.
+    let (mut near, mut far) = (0.0, 0.0);
+    for a in 0..ndim {
+        let pad = 1e-6 * dx[a] + 1e-12 * (x[a].abs() + center[a].abs());
+        let lo = x[a] - center[a] - 0.5 * dx[a] - pad;
+        let hi = x[a] - center[a] + 0.5 * dx[a] + pad;
+        let gap = if lo > 0.0 {
+            lo
+        } else if hi < 0.0 {
+            -hi
+        } else {
+            0.0
+        };
+        let reach = lo.abs().max(hi.abs());
+        near += gap * gap;
+        far += reach * reach;
+    }
+    let (in2, out2) = (r_in * r_in, r_out * r_out);
+    if far < in2 * (1.0 - SLACK) || near > out2 * (1.0 + SLACK) {
+        Some(0.0)
+    } else if (in2 == 0.0 || near > in2 * (1.0 + SLACK)) && far < out2 * (1.0 - SLACK) {
+        Some(1.0)
+    } else {
+        None
+    }
+}
+
+/// The shell fraction by counting: `nsub` samples per axis (one along z in
+/// 2-d) at the subzone centers.
+fn sampled_shell_fraction(
+    ndim: usize,
+    x: [f64; 3],
+    dx: [f64; 3],
+    center: [f64; 3],
+    r_in: f64,
+    r_out: f64,
+    nsub: usize,
+) -> f64 {
+    let mut inside = 0usize;
+    let mut total = 0usize;
+    let ksub = if ndim == 3 { nsub } else { 1 };
+    for sk in 0..ksub {
+        for sj in 0..nsub {
+            for si in 0..nsub {
+                let off = |s: usize, n: usize, d: f64| (s as f64 + 0.5) / n as f64 * d - 0.5 * d;
+                let p = [
+                    x[0] + off(si, nsub, dx[0]) - center[0],
+                    x[1] + off(sj, nsub, dx[1]) - center[1],
+                    if ndim == 3 {
+                        x[2] + off(sk, ksub, dx[2]) - center[2]
+                    } else {
+                        0.0
+                    },
+                ];
+                let r2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2];
+                if r2 < r_out * r_out && r2 >= r_in * r_in {
+                    inside += 1;
+                }
+                total += 1;
+            }
+        }
+    }
+    inside as f64 / total as f64
+}
+
 /// Evaluate every IC primitive at one cell center, in spec order.
 fn cell_state(
     spec: &SetupSpec,
@@ -149,37 +250,7 @@ fn cell_state(
                 let r_out = r_outer_cells * dxm;
                 let volume = deposit_volume(spec, r_out) - deposit_volume(spec, r_in);
                 let p_dep = (deposit_gamma(spec) - 1.0) * energy / volume;
-                // Subzone sampling (FLASH's nsubzones): the energy deposit
-                // must integrate to `energy` regardless of how the shell
-                // cuts cell boundaries.
-                let nsub = *nsub;
-                let mut inside = 0usize;
-                let mut total = 0usize;
-                let ksub = if mesh.ndim == 3 { nsub } else { 1 };
-                for sk in 0..ksub {
-                    for sj in 0..nsub {
-                        for si in 0..nsub {
-                            let off = |s: usize, n: usize, d: f64| {
-                                (s as f64 + 0.5) / n as f64 * d - 0.5 * d
-                            };
-                            let p = [
-                                x[0] + off(si, nsub, dx[0]) - center[0],
-                                x[1] + off(sj, nsub, dx[1]) - center[1],
-                                if mesh.ndim == 3 {
-                                    x[2] + off(sk, ksub, dx[2]) - center[2]
-                                } else {
-                                    0.0
-                                },
-                            ];
-                            let r2 = p[0] * p[0] + p[1] * p[1] + p[2] * p[2];
-                            if r2 < r_out * r_out && r2 >= r_in * r_in {
-                                inside += 1;
-                            }
-                            total += 1;
-                        }
-                    }
-                }
-                let f_in = inside as f64 / total as f64;
+                let f_in = shell_fraction(mesh.ndim, x, dx, *center, r_in, r_out, *nsub);
                 cell.pres = f_in * p_dep + (1.0 - f_in) * cell.pres;
             }
             IcPrimitive::PlanarDiscontinuity {
@@ -256,24 +327,67 @@ fn cell_state(
     cell
 }
 
-/// Write the initial condition into every leaf (`Simulation_initBlock`):
-/// primitives → one EOS call → the eleven unk variables, closing
-/// `ENER = eint + ½v²`.
-fn init_blocks(spec: &SetupSpec, resolved: &Resolved, domain: &mut Domain, eos: &EosChoice) {
+/// The set-up stages `build` times into `Simulation::timers`, in order:
+/// the EOS (Helmholtz table) and star solve, the initial-condition fills,
+/// the initial refinement (guard fills, Löhner marks and adapts), and the
+/// first EOS pass.
+pub const SETUP_STAGES: [&str; 4] =
+    ["setup.eos", "setup.ic_fill", "setup.refine", "setup.eos_pass"];
+
+/// Is padded zone (i, j, k) in a face guard region — outside the interior
+/// along exactly one axis, what a [`GuardNeed::Faces`] fill writes?
+fn in_face_region(geom: &UnkGeom, i: usize, j: usize, k: usize) -> bool {
+    let interior = geom.nguard..geom.nguard + geom.nxb;
+    [i, j, k][..geom.ndim]
+        .iter()
+        .filter(|c| !interior.contains(c))
+        .count()
+        == 1
+}
+
+/// Write the initial condition (`Simulation_initBlock`: primitives → one
+/// EOS call → the eleven unk variables, closing `ENER = eint + ½v²`) into
+/// the zones of each leaf that do not hold it, on the rank pool.
+///
+/// `held[slot]` is the key of the leaf that slot held at the previous fill.
+/// A leaf whose slot held another key — or none: a new child, a recycled
+/// slot, a parent turned back into a leaf — gets every zone. The others
+/// already hold the IC, except in the face guard regions the Löhner passes'
+/// guard fills wrote since; `restore_faces` rewrites those, for the final
+/// state. The IC is a pure function of the zone center, so the zones come
+/// out bit-identical to a fill of every zone of every leaf.
+fn init_leaves(
+    spec: &SetupSpec,
+    resolved: &Resolved,
+    eos: &EosChoice,
+    domain: &mut Domain,
+    nranks: usize,
+    held: &mut [Option<MortonKey>],
+    restore_faces: bool,
+) {
     let comp = spec.composition.to_composition();
     let mode = match spec.init_mode {
         InitMode::DensPres => EosMode::DensPres,
         InitMode::DensTemp => EosMode::DensTemp,
     };
+    let geom = domain.unk.geom();
     let (pi, pj, pk) = domain.unk.padded();
     let kk = if spec.mesh.ndim == 3 { pk } else { 1 };
-    for id in domain.tree.leaves() {
+    let prior: &[Option<MortonKey>] = held;
+    domain.par_leaf_update(nranks, |tree, id, slab, _probe| {
+        let fresh = prior[id.idx()] != Some(tree.block(id).key);
+        if !fresh && !restore_faces {
+            return;
+        }
+        let grid = tree.zone_grid(id);
         for k in 0..kk {
             for j in 0..pj {
                 for i in 0..pi {
-                    let x = domain.tree.cell_center(id, i, j, k);
-                    let dx = domain.tree.cell_size(id);
-                    let cell = cell_state(spec, resolved, x, dx);
+                    if !fresh && !in_face_region(&geom, i, j, k) {
+                        continue;
+                    }
+                    let x = grid.center(i, j, k);
+                    let cell = cell_state(spec, resolved, x, grid.dx);
                     let mut s = EosState {
                         dens: cell.dens,
                         temp: cell.temp,
@@ -297,21 +411,28 @@ fn init_blocks(spec: &SetupSpec, resolved: &Resolved, domain: &mut Domain, eos: 
                         * (cell.velx * cell.velx
                             + cell.vely * cell.vely
                             + cell.velz * cell.velz);
-                    let b = id.idx();
-                    domain.unk.set(vars::DENS, i, j, k, b, s.dens);
-                    domain.unk.set(vars::VELX, i, j, k, b, cell.velx);
-                    domain.unk.set(vars::VELY, i, j, k, b, cell.vely);
-                    domain.unk.set(vars::VELZ, i, j, k, b, cell.velz);
-                    domain.unk.set(vars::PRES, i, j, k, b, s.pres);
-                    domain.unk.set(vars::ENER, i, j, k, b, s.eint + ekin);
-                    domain.unk.set(vars::TEMP, i, j, k, b, s.temp);
-                    domain.unk.set(vars::EINT, i, j, k, b, s.eint);
-                    domain.unk.set(vars::GAMC, i, j, k, b, s.gamc);
-                    domain.unk.set(vars::GAME, i, j, k, b, s.game);
-                    domain.unk.set(vars::FLAM, i, j, k, b, cell.flam);
+                    for (var, v) in [
+                        (vars::DENS, s.dens),
+                        (vars::VELX, cell.velx),
+                        (vars::VELY, cell.vely),
+                        (vars::VELZ, cell.velz),
+                        (vars::PRES, s.pres),
+                        (vars::ENER, s.eint + ekin),
+                        (vars::TEMP, s.temp),
+                        (vars::EINT, s.eint),
+                        (vars::GAMC, s.gamc),
+                        (vars::GAME, s.game),
+                        (vars::FLAM, cell.flam),
+                    ] {
+                        slab[geom.slab_idx(var, i, j, k)] = v;
+                    }
                 }
             }
         }
+    });
+    held.fill(None);
+    for id in domain.tree.leaves() {
+        held[id.idx()] = Some(domain.tree.block(id).key);
     }
 }
 
@@ -361,9 +482,9 @@ impl SetupSpec {
     }
 
     /// Build the fully initialized simulation: EOS (+ star profile when
-    /// needed), initial condition, iterated initial refinement
-    /// (re-initializing after each adapt, as FLASH does), physics toggles,
-    /// and an initial EOS pass.
+    /// needed), initial condition, iterated initial refinement, physics
+    /// toggles, and an initial EOS pass. Each stage's seconds go to
+    /// `timers` under its [`SETUP_STAGES`] label.
     ///
     /// The spec owns the problem, so `build` overwrites `params.mesh`,
     /// `params.cfl`, `params.regrid_every` and `params.gravity_every` with
@@ -384,37 +505,83 @@ impl SetupSpec {
         params.dens_floor = params.dens_floor.max(self.budgets.dens_floor);
         params.eint_floor = params.eint_floor.max(self.budgets.eint_floor);
 
+        let [t_eos, _, _, t_eos_pass] = SETUP_STAGES;
+        let mut timers = Timers::new();
         let comp = self.composition.to_composition();
+        timers.start(t_eos);
         let eos = self.make_eos(params.policy);
         let resolved = self.resolve(&eos, comp);
+        timers.stop(t_eos);
         if let Some((_, _, rho_fluff)) = self.star() {
             // Density floor well above the EOS table's lower edge.
             params.dens_floor = params.dens_floor.max(rho_fluff * 0.1);
             params.eint_floor = params.eint_floor.max(1e12);
         }
 
+        let domain = self.initial_domain(&params, &resolved, &eos, &mut timers);
+        let mut sim = Simulation::assemble(domain, eos, comp, params);
+        self.arm_physics(&mut sim, &resolved);
+        sim.timers = timers;
+        sim.timers.start(t_eos_pass);
+        sim.eos_everywhere();
+        sim.timers.stop(t_eos_pass);
+        Ok(sim)
+    }
+
+    /// The initial mesh: the IC on the root blocks, refined on the IC
+    /// until a pass refines nothing or `max_refine` passes ran (FLASH
+    /// re-initializes after each adapt), with every zone of every leaf
+    /// holding the IC.
+    ///
+    /// The passes decide exactly as the step's regrid does
+    /// ([`Tree::plan_adapt`](rflash_mesh::Tree::plan_adapt) on Löhner marks
+    /// from a face guard fill), but children are allocated by topology
+    /// alone, with nothing prolongated into them, and each fill writes only
+    /// the leaves new since the last. The bits match re-initializing every
+    /// leaf after every adapt: the IC is a pure function of the zone
+    /// center, the face guard fill writes every guard zone that it or the
+    /// estimator reads before reading it (so stale face guards of older
+    /// leaves never reach a mark), and the last fill restores the face
+    /// guards those fills wrote.
+    fn initial_domain(
+        &self,
+        params: &RuntimeParams,
+        resolved: &Resolved,
+        eos: &EosChoice,
+        timers: &mut Timers,
+    ) -> Domain {
+        let [_, t_fill, t_refine, _] = SETUP_STAGES;
         let mut domain = Domain::new(params.mesh, params.policy);
+        let mut held = vec![None; params.mesh.max_blocks];
         for _pass in 0..self.mesh.max_refine {
-            init_blocks(self, &resolved, &mut domain, &eos);
+            timers.time(t_fill, || {
+                init_leaves(self, resolved, eos, &mut domain, params.nranks, &mut held, false)
+            });
+            timers.start(t_refine);
             // The Löhner estimator reads ±1 along each axis.
-            domain.fill_guardcells_for(1, GuardNeed::Faces);
+            domain.fill_guardcells_for(params.nranks, GuardNeed::Faces);
             let marks = lohner_marks(
                 &domain.tree,
                 &domain.unk,
                 &self.refine.init_vars,
                 &Default::default(),
             );
-            let (refined, _) = domain.tree.adapt(&mut domain.unk, &marks);
-            if refined == 0 {
+            let plan = domain.tree.plan_adapt(&marks);
+            for &pid in &plan.derefine {
+                domain.tree.derefine_block(pid, &mut domain.unk);
+            }
+            for &id in &plan.refine {
+                domain.tree.refine_topology(id);
+            }
+            timers.stop(t_refine);
+            if plan.refine.is_empty() {
                 break;
             }
         }
-        init_blocks(self, &resolved, &mut domain, &eos);
-
-        let mut sim = Simulation::assemble(domain, eos, comp, params);
-        self.arm_physics(&mut sim, &resolved);
-        sim.eos_everywhere();
-        Ok(sim)
+        timers.time(t_fill, || {
+            init_leaves(self, resolved, eos, &mut domain, params.nranks, &mut held, true)
+        });
+        domain
     }
 
     /// Continue a run of this spec from a restored checkpoint. The mesh,
@@ -510,6 +677,214 @@ impl SetupSpec {
                 nranks: sim.params.nranks,
                 ..FlameParams::default()
             }));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::{load, smoke_params};
+    use crate::params::StepScheduler;
+    use proptest::test_runner::TestRng;
+    use rflash_hydro::SweepEngine;
+
+    /// A pick from `choices`.
+    fn pick(rng: &mut TestRng, choices: &[f64]) -> f64 {
+        choices[rng.below(choices.len() as u64) as usize]
+    }
+
+    /// Random zones against random shells, one geometry: the whole-zone
+    /// classification must give the sample count's fraction bit for bit.
+    /// Returns how many zones the classification decided.
+    fn shell_cases(ndim: usize, rz: bool, cases: usize, rng: &mut TestRng) -> usize {
+        let mut decided = 0;
+        for case in 0..cases {
+            // The finest zone width sets the radii, as `dx_min` does.
+            let h = pick(rng, &[1.0 / 64.0, 1e-3, 0.1, 2.5e6]);
+            let r_out = h * (0.25 + 6.0 * rng.unit_f64());
+            let r_in = if rng.below(2) == 0 {
+                0.0
+            } else {
+                r_out * rng.unit_f64()
+            };
+            let nsub = 1 + rng.below(5) as usize;
+            // Zones of the finest level up to guard zones of blocks four
+            // levels coarser, which can swallow the whole shell.
+            let w = h * pick(rng, &[0.5, 1.0, 2.0, 4.0, 16.0]);
+            let mut dx = [w, w, if ndim == 3 { w } else { 0.0 }];
+            let mut center = [0.0; 3];
+            let mut x = [0.0; 3];
+            for a in 0..ndim {
+                // An r–z deposit sits on the axis; its zones have r > 0
+                // except the axis guards.
+                center[a] = if rz && a == 0 {
+                    0.0
+                } else {
+                    h * (64.0 * rng.unit_f64() - 32.0)
+                };
+                x[a] = center[a] + (r_out + 2.0 * w) * (2.0 * rng.unit_f64() - 1.0);
+            }
+            if rng.below(3) == 0 {
+                // Tangent: a zone face exactly on a shell radius along one
+                // axis, the zone centered on the shell's center in the others.
+                let a = rng.below(ndim as u64) as usize;
+                let r = if r_in > 0.0 && rng.below(2) == 0 { r_in } else { r_out };
+                x = center;
+                let side = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                x[a] = center[a] + side * (r + 0.5 * dx[a]);
+                if rng.below(2) == 0 {
+                    // …or the far face, the zone covering the center.
+                    x[a] = center[a] + side * (r - 0.5 * dx[a]);
+                }
+            }
+            if rng.below(4) == 0 && ndim == 2 {
+                // Non-square zones (a 2-d block's z width is 0 anyway).
+                dx[1] *= 2.0;
+            }
+            let counted = sampled_shell_fraction(ndim, x, dx, center, r_in, r_out, nsub);
+            let got = shell_fraction(ndim, x, dx, center, r_in, r_out, nsub);
+            assert_eq!(
+                got.to_bits(),
+                counted.to_bits(),
+                "case {case}: ndim={ndim} rz={rz} x={x:?} dx={dx:?} c={center:?} \
+                 r_in={r_in} r_out={r_out} nsub={nsub}: {got} vs counted {counted}"
+            );
+            if shell_cover(ndim, x, dx, center, r_in, r_out).is_some() {
+                decided += 1;
+            }
+        }
+        decided
+    }
+
+    #[test]
+    fn shell_classification_matches_the_sample_count() {
+        let mut rng = TestRng::deterministic("shell_classification_matches_the_sample_count");
+        let cases = 20_000;
+        for (ndim, rz) in [(2, false), (3, false), (2, true)] {
+            let decided = shell_cases(ndim, rz, cases, &mut rng);
+            // Both paths must be exercised, the fast one often.
+            assert!(
+                decided > cases / 4 && decided < cases,
+                "ndim={ndim} rz={rz}: {decided} of {cases} decided without sampling"
+            );
+        }
+    }
+
+    /// A 2-d spec whose set-up derefines and refines in one pass: a
+    /// velocity spike that only the coarsest zone centers sample (their
+    /// children read exact zeros, so they coarsen again) beside a density
+    /// step that refines on every pass — the refinement takes the slots the
+    /// derefinement freed. A smooth `velx` the estimator ignores makes a
+    /// guard fill's values (prolonged, restricted, boundary copies) differ
+    /// from the IC, so face guards left unrestored show.
+    const RECYCLING: &str = r#"Setup(
+        name: "recycling",
+        mesh: (
+            ndim: 2, nxb: 8, max_blocks: 256, nroot: [2, 2, 1],
+            domain_lo: [0, 0, 0], domain_hi: [1, 1, 1], max_refine: 3,
+        ),
+        eos: gamma(gamma: 1.4),
+        initial: [
+            uniform(dens: 1, pres: 1),
+            slab(axis: y, to: 0.2, set: (dens: 2)),
+            velocity_perturbation(component: vely, amplitude: 1, mode: [0, 0, 0],
+                envelope: (axis: y, center: 0.71875, sigma: 1e-4)),
+            velocity_perturbation(component: velx, amplitude: 1, mode: [1, 0, 0]),
+        ],
+        refine: (vars: ["dens", "vely"]),
+    )"#;
+
+    /// Build `spec`'s initial mesh and check every padded zone of every
+    /// leaf against a direct IC + EOS evaluation at its center.
+    fn assert_initial_mesh_is_the_ic(spec: &SetupSpec, nranks: usize) -> Domain {
+        let params = smoke_params(spec, nranks, SweepEngine::Pencil, StepScheduler::Barrier);
+        let comp = spec.composition.to_composition();
+        let eos = spec.make_eos(params.policy);
+        let resolved = spec.resolve(&eos, comp);
+        let domain = spec.initial_domain(&params, &resolved, &eos, &mut Timers::new());
+        let mode = match spec.init_mode {
+            InitMode::DensPres => EosMode::DensPres,
+            InitMode::DensTemp => EosMode::DensTemp,
+        };
+        let (pi, pj, pk) = domain.unk.padded();
+        for id in domain.tree.leaves() {
+            let dx = domain.tree.cell_size(id);
+            for k in 0..pk {
+                for j in 0..pj {
+                    for i in 0..pi {
+                        let x = domain.tree.cell_center(id, i, j, k);
+                        let cell = cell_state(spec, &resolved, x, dx);
+                        let mut s = EosState {
+                            dens: cell.dens,
+                            temp: cell.temp,
+                            abar: comp.abar,
+                            zbar: comp.zbar,
+                            pres: cell.pres,
+                            eint: 0.0,
+                            entr: 0.0,
+                            gamc: 0.0,
+                            game: 0.0,
+                            cs: 0.0,
+                            cv: 0.0,
+                        };
+                        eos.call(mode, comp, &mut s).unwrap();
+                        let ekin = 0.5
+                            * (cell.velx * cell.velx
+                                + cell.vely * cell.vely
+                                + cell.velz * cell.velz);
+                        let want = [
+                            (vars::DENS, s.dens),
+                            (vars::VELX, cell.velx),
+                            (vars::VELY, cell.vely),
+                            (vars::VELZ, cell.velz),
+                            (vars::PRES, s.pres),
+                            (vars::ENER, s.eint + ekin),
+                            (vars::TEMP, s.temp),
+                            (vars::EINT, s.eint),
+                            (vars::GAMC, s.gamc),
+                            (vars::GAME, s.game),
+                            (vars::FLAM, cell.flam),
+                        ];
+                        for (var, v) in want {
+                            let got = domain.unk.get(var, i, j, k, id.idx());
+                            assert_eq!(
+                                got.to_bits(),
+                                v.to_bits(),
+                                "`{}` nranks={nranks}: {} of leaf {id:?} ({:?}) zone \
+                                 ({i},{j},{k}) at {x:?} is {got:e}, the IC is {v:e}",
+                                spec.name,
+                                vars::VAR_NAMES[var],
+                                domain.tree.block(id).key,
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        domain
+    }
+
+    #[test]
+    fn every_zone_of_every_leaf_holds_the_ic_after_setup() {
+        for name in ["sedov", "supernova", "kelvin_helmholtz"] {
+            let spec = load(name).unwrap().at_smoke_scale();
+            for nranks in [1, 2] {
+                assert_initial_mesh_is_the_ic(&spec, nranks);
+            }
+        }
+        // Full-scale Sedov: three passes, leaves at three levels.
+        assert_initial_mesh_is_the_ic(&load("sedov").unwrap(), 1);
+        // A pass that derefines hands the freed slots to its refinements:
+        // a recycled slot holds another block's IC and must be filled; the
+        // leaves older than the last pass must get their face guards back.
+        let spec = SetupSpec::from_source(RECYCLING).unwrap();
+        for nranks in [1, 2] {
+            let domain = assert_initial_mesh_is_the_ic(&spec, nranks);
+            // Every allocation and every release bumps the epoch, so
+            // blocks were released iff it exceeds the live count.
+            let tree = &domain.tree;
+            assert!(tree.epoch() > tree.active_blocks() as u64, "nothing derefined");
         }
     }
 }

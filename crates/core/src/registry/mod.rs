@@ -21,6 +21,7 @@ pub mod digest;
 pub mod parse;
 pub mod spec;
 
+pub use build::SETUP_STAGES;
 pub use digest::{golden_path, load_golden, store_golden, GoldenRecord, StateDigest};
 pub use parse::{ParseError, Value};
 pub use spec::{

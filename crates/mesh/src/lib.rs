@@ -49,6 +49,6 @@ pub use stats::MeshStats;
 pub use taskgraph::{
     GraphBuilder, GraphRankStats, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId,
 };
-pub use tree::{BoundaryCondition, MeshConfig, Tree};
+pub use tree::{AdaptPlan, BoundaryCondition, MeshConfig, Tree, ZoneGrid};
 pub use unk::{Layout, Region, UnkCells, UnkStorage};
 pub use vars::*;

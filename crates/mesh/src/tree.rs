@@ -102,6 +102,37 @@ impl MeshConfig {
     }
 }
 
+/// One block's zone geometry ([`Tree::zone_grid`]): its low corner and
+/// zone widths. Every zone center on the mesh comes from
+/// [`ZoneGrid::center`], so a center computed from a grid taken once per
+/// block is bit-identical to [`Tree::cell_center`].
+#[derive(Clone, Copy, Debug)]
+pub struct ZoneGrid {
+    /// Zone widths (0 along the unused axis of a 2-d mesh).
+    pub dx: [f64; 3],
+    lo: [f64; 3],
+    nguard: f64,
+    three_d: bool,
+}
+
+impl ZoneGrid {
+    /// Center of padded zone (i, j, k); z is 0 on a 2-d mesh.
+    #[inline]
+    pub fn center(&self, i: usize, j: usize, k: usize) -> [f64; 3] {
+        let g = self.nguard;
+        let kk = if self.three_d { k as f64 - g } else { 0.0 };
+        [
+            self.lo[0] + (i as f64 - g + 0.5) * self.dx[0],
+            self.lo[1] + (j as f64 - g + 0.5) * self.dx[1],
+            if self.three_d {
+                self.lo[2] + (kk + 0.5) * self.dx[2]
+            } else {
+                0.0
+            },
+        ]
+    }
+}
+
 /// Where a same-level neighbor lookup landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Neighbor {
@@ -147,6 +178,17 @@ pub enum Mark {
     Derefine,
     Keep,
     Refine,
+}
+
+/// What one adaptation pass does, as decided by [`Tree::plan_adapt`]:
+/// derefinements first, then refinements. Refining never touches a block a
+/// derefinement frees, so the plan stays valid while it executes.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AdaptPlan {
+    /// Parents whose children all coarsen, in Morton order of the children.
+    pub derefine: Vec<BlockId>,
+    /// Leaves to refine, coarse to fine, in Morton order within a level.
+    pub refine: Vec<BlockId>,
 }
 
 impl Tree {
@@ -315,29 +357,29 @@ impl Tree {
 
     /// Zone widths of a block.
     pub fn cell_size(&self, id: BlockId) -> [f64; 3] {
-        let (lo, hi) = self.bounds(id);
-        let mut d = [0.0; 3];
-        for a in 0..self.config.ndim {
-            d[a] = (hi[a] - lo[a]) / self.config.nxb as f64;
-        }
-        d
+        self.zone_grid(id).dx
     }
 
     /// Center coordinates of interior zone (i, j, k) — padded indices.
     pub fn cell_center(&self, id: BlockId, i: usize, j: usize, k: usize) -> [f64; 3] {
-        let (lo, _) = self.bounds(id);
-        let dx = self.cell_size(id);
-        let g = self.config.nguard as f64;
-        let kk = if self.config.ndim == 3 { k as f64 - g } else { 0.0 };
-        [
-            lo[0] + (i as f64 - g + 0.5) * dx[0],
-            lo[1] + (j as f64 - g + 0.5) * dx[1],
-            if self.config.ndim == 3 {
-                lo[2] + (kk + 0.5) * dx[2]
-            } else {
-                0.0
-            },
-        ]
+        self.zone_grid(id).center(i, j, k)
+    }
+
+    /// A block's zone geometry, computed once: what [`Tree::cell_center`]
+    /// and [`Tree::cell_size`] evaluate per call, for loops over all of a
+    /// block's zones.
+    pub fn zone_grid(&self, id: BlockId) -> ZoneGrid {
+        let (lo, hi) = self.bounds(id);
+        let mut dx = [0.0; 3];
+        for a in 0..self.config.ndim {
+            dx[a] = (hi[a] - lo[a]) / self.config.nxb as f64;
+        }
+        ZoneGrid {
+            lo,
+            dx,
+            nguard: self.config.nguard as f64,
+            three_d: self.config.ndim == 3,
+        }
     }
 
     // ---- neighbors --------------------------------------------------------
@@ -446,14 +488,31 @@ impl Tree {
         self.insert_leaf(parent);
     }
 
-    /// One adaptation pass: take per-leaf marks, enforce level limits and
-    /// 2:1 balance, then execute derefinements and refinements.
-    /// Returns (refined, derefined) counts.
+    /// One adaptation pass: take per-leaf marks, decide with
+    /// [`Tree::plan_adapt`], then derefine (restricting children into their
+    /// parents) and refine (prolongating into the children) in the plan's
+    /// order. Returns (refined, derefined) counts.
     pub fn adapt(
         &mut self,
         unk: &mut UnkStorage,
         marks: &HashMap<BlockId, Mark>,
     ) -> (usize, usize) {
+        let plan = self.plan_adapt(marks);
+        for &pid in &plan.derefine {
+            self.derefine_block(pid, unk);
+        }
+        for &id in &plan.refine {
+            self.refine_block(id, unk);
+        }
+        (plan.refine.len(), plan.derefine.len())
+    }
+
+    /// The decision half of [`Tree::adapt`]: apply the level limits to the
+    /// per-leaf marks, close the refinements under 2:1 balance and veto
+    /// derefinements that would break it. Changes nothing; a caller that
+    /// fills new leaves itself (the set-up builder) refines with
+    /// [`Tree::refine_topology`] instead of [`Tree::refine_block`].
+    pub fn plan_adapt(&self, marks: &HashMap<BlockId, Mark>) -> AdaptPlan {
         let mut want: HashMap<BlockId, Mark> = HashMap::new();
         for id in self.leaves() {
             let level = self.block(id).key.level;
@@ -496,7 +555,7 @@ impl Tree {
 
         // Derefinement vetoes: all siblings must agree, and no neighbor of
         // any sibling may be finer or refining.
-        let mut derefine_parents: Vec<BlockId> = Vec::new();
+        let mut derefine: Vec<BlockId> = Vec::new();
         let leaf_ids = self.leaves();
         'parents: for &id in &leaf_ids {
             if want.get(&id) != Some(&Mark::Derefine) {
@@ -532,31 +591,20 @@ impl Tree {
                     }
                 }
             }
-            derefine_parents.push(pid);
+            derefine.push(pid);
         }
 
-        let mut derefined = 0;
-        for pid in derefine_parents {
-            self.derefine_block(pid, unk);
-            derefined += 1;
-        }
-
-        let mut refined = 0;
-        // Execute refines coarse-to-fine so forced coarse refinements land
-        // before their finer instigators (prolongation sources stay valid).
-        let mut to_refine: Vec<BlockId> = want
+        // Refines run coarse-to-fine so forced coarse refinements land
+        // before their finer instigators (prolongation sources stay valid),
+        // and along the Morton curve within a level, so the slots the
+        // children get do not depend on hash order.
+        let mut refine: Vec<BlockId> = want
             .iter()
-            .filter(|(id, m)| **m == Mark::Refine && self.block(**id).is_leaf())
+            .filter(|(_, m)| **m == Mark::Refine)
             .map(|(id, _)| *id)
             .collect();
-        to_refine.sort_by_key(|id| self.block(*id).key.level);
-        for id in to_refine {
-            if self.block(id).is_leaf() {
-                self.refine_block(id, unk);
-                refined += 1;
-            }
-        }
-        (refined, derefined)
+        refine.sort_unstable_by_key(|id| (self.block(*id).key.level, self.codes[id.idx()]));
+        AdaptPlan { derefine, refine }
     }
 
     /// Verify the 2:1 balance invariant over all leaves (test support).

@@ -24,7 +24,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
 use rflash::core::{
@@ -223,8 +223,11 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     // The paper's §III protocol: watch /proc/meminfo while the code runs
     // to see huge pages in use when (and only when) expected.
     let watch = (policy != Policy::None).then(|| MemInfoWatch::start(Duration::from_millis(10)));
+    let t_build = Instant::now();
     let mut sim = spec.build(params).map_err(|e| e.to_string())?;
+    let build_s = t_build.elapsed().as_secs_f64();
     println!("  built: {} at t=0", backing_summary(&sim));
+    println!("  {}", setup_line(&sim, build_s));
     let setup_fills = sim.domain.guard_fill_stats();
 
     match checkpoint_dir {
@@ -253,6 +256,19 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
         println!("  compare: golden/{name}.ron");
     }
     Ok(())
+}
+
+/// Where the `build_s` seconds of `SetupSpec::build` went, by the set-up
+/// stages it timed.
+fn setup_line(sim: &Simulation, build_s: f64) -> String {
+    let stages: Vec<String> = registry::SETUP_STAGES
+        .iter()
+        .map(|label| {
+            let name = label.trim_start_matches("setup.");
+            format!("{name} {:.3} s", sim.timers.seconds(label))
+        })
+        .collect();
+    format!("setup: {} of a {build_s:.3} s build", stages.join(", "))
 }
 
 /// Where the step loop's time went (seconds and share of the loop per

@@ -124,3 +124,32 @@ fn bad_policy_value_is_a_cli_error_naming_the_variable() {
     assert!(stderr.contains(POLICY_ENV_VAR), "{stderr}");
     assert!(stderr.contains("sometimes"), "{stderr}");
 }
+
+#[test]
+fn setup_line_splits_the_build_by_stage() {
+    let out = run_setup(Some("none"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let line = stdout
+        .lines()
+        .map(str::trim_start)
+        .find(|l| l.starts_with("setup:"))
+        .unwrap_or_else(|| panic!("no `setup:` line in:\n{stdout}"));
+    let stages: Vec<f64> = ["eos ", "ic_fill ", "refine ", "eos_pass "]
+        .iter()
+        .map(|stage| {
+            let tail = line
+                .split_once(stage)
+                .unwrap_or_else(|| panic!("no `{stage}` stage in `{line}`"))
+                .1;
+            number_before(tail.split(',').next().unwrap(), " s")
+        })
+        .collect();
+    let build = number_before(line, " s build");
+    assert!(stages.iter().all(|&s| s >= 0.0), "{line}");
+    // The IC fill has work on every run; the stages print to the
+    // millisecond, so their sum may round past the build by 2 ms.
+    assert!(stages[1] > 0.0, "{line}");
+    let sum: f64 = stages.iter().sum();
+    assert!(sum <= build + 0.002, "stages sum to {sum} s of a {build} s build: {line}");
+}

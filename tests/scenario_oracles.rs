@@ -202,6 +202,23 @@ fn sedov_initial_refinement_reaches_max_refine() {
     );
 }
 
+/// Every active block as (slot, key), slot-ascending.
+fn slots(sim: &Simulation) -> Vec<(u32, rflash::mesh::MortonKey)> {
+    let tree = &sim.domain.tree;
+    tree.active_ids().into_iter().map(|id| (id.0, tree.block(id).key)).collect()
+}
+
+#[test]
+fn building_a_spec_twice_assigns_the_same_slots() {
+    // Slots decide page residency and the address stream the TLB model
+    // sees, so they must not follow hash order from one build to the next.
+    for spec in [sedov_2d(), registry::load("kelvin_helmholtz").unwrap()] {
+        let first = slots(&build(&spec));
+        assert!(first.len() > 16, "`{}` hardly refined", spec.name);
+        assert_eq!(first, slots(&build(&spec)), "`{}`", spec.name);
+    }
+}
+
 #[test]
 fn sedov_ten_steps_launch_outflow() {
     let mut sim = build(&sedov_2d());
