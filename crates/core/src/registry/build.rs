@@ -328,9 +328,10 @@ fn cell_state(
 }
 
 /// The set-up stages `build` times into `Simulation::timers`, in order:
-/// the EOS (Helmholtz table) and star solve, the initial-condition fills,
-/// the initial refinement (guard fills, Löhner marks and adapts), and the
-/// first EOS pass.
+/// the EOS and star solve, the initial-condition fills, the initial
+/// refinement (guard fills, Löhner marks and adapts), and the first EOS
+/// pass. A Helmholtz table row is computed inside whichever stage first
+/// reads it; the rows `build` solves last count under the EOS.
 pub const SETUP_STAGES: [&str; 4] =
     ["setup.eos", "setup.ic_fill", "setup.refine", "setup.eos_pass"];
 
@@ -465,9 +466,11 @@ impl SetupSpec {
                 } else {
                     TableConfig::default()
                 };
-                // FLASH reads its Helmholtz table from a data file; cache
-                // ours the same way so repeated harness runs skip the
-                // Fermi–Dirac solves.
+                // FLASH reads its Helmholtz table from a data file. Ours
+                // loads a cache written by an earlier run when there is
+                // one; otherwise it is computed where it is read (rows on
+                // first use, the rest on a background thread) and cached
+                // once complete.
                 let cache = std::env::temp_dir().join(if coarse_table {
                     "rflash-helm-coarse.dat"
                 } else {
@@ -483,8 +486,9 @@ impl SetupSpec {
 
     /// Build the fully initialized simulation: EOS (+ star profile when
     /// needed), initial condition, iterated initial refinement, physics
-    /// toggles, and an initial EOS pass. Each stage's seconds go to
-    /// `timers` under its [`SETUP_STAGES`] label.
+    /// toggles, an initial EOS pass, and the Helmholtz table rows between
+    /// the temperatures those stages read. Each stage's seconds go to
+    /// `timers` under its [`SETUP_STAGES`] label (the table rows to `eos`).
     ///
     /// The spec owns the problem, so `build` overwrites `params.mesh`,
     /// `params.cfl`, `params.regrid_every` and `params.gravity_every` with
@@ -525,6 +529,11 @@ impl SetupSpec {
         sim.timers.start(t_eos_pass);
         sim.eos_everywhere();
         sim.timers.stop(t_eos_pass);
+        // The step loop first reads the temperatures between those the
+        // set-up reached: solve them now, beside the table's own thread.
+        if let Some(helm) = sim.eos.helmholtz() {
+            sim.timers.time(t_eos, || helm.table().solve_demanded_span());
+        }
         Ok(sim)
     }
 

@@ -76,10 +76,34 @@ fn fermi_factor(t: f64) -> f64 {
 }
 
 /// d/dη of the Fermi factor at t = x − η: exp(t)/(exp(t)+1)² = σ(t)·σ(−t).
-#[inline]
+#[cfg(test)]
 fn fermi_factor_deriv(t: f64) -> f64 {
     let f = fermi_factor(t);
     f * (1.0 - f)
+}
+
+/// Below this t, e^t < 2⁻⁵³ and `1 + e^t` rounds to 1: the occupancy is
+/// exactly 1 and its derivative exactly 0.
+const FERMI_FULL: f64 = -37.0;
+/// Above this t, e^−t underflows to +0: the occupancy and its derivative
+/// are exactly 0.
+const FERMI_EMPTY: f64 = 746.0;
+
+/// The Fermi factor and its η-derivative at t = x − η from one
+/// [`fermi_factor`], with the saturated tails (common in a table build: a
+/// degenerate electron gas fills its low nodes, and its positrons' nodes
+/// are all empty) short-cut to the values the formula rounds to — bit for
+/// bit, without the `exp`.
+#[inline]
+fn fermi_pair(t: f64) -> (f64, f64) {
+    if t < FERMI_FULL {
+        (1.0, 0.0)
+    } else if t > FERMI_EMPTY {
+        (0.0, 0.0)
+    } else {
+        let f = fermi_factor(t);
+        (f, f * (1.0 - f))
+    }
 }
 
 /// Quadrature breakpoints in u-space (u = √x), adapted to the location of
@@ -89,7 +113,14 @@ fn breakpoints(eta: f64) -> Vec<f64> {
     if eta <= 30.0 {
         // Transition (if any) is near the origin; geometric panels suffice.
         let top = eta.max(0.0);
-        for x in [0.0, top + 4.0, top + 12.0, top + 30.0, top + 70.0, top + 160.0] {
+        for x in [
+            0.0,
+            top + 4.0,
+            top + 12.0,
+            top + 30.0,
+            top + 70.0,
+            top + 160.0,
+        ] {
             bp.push(x.sqrt());
         }
     } else {
@@ -156,9 +187,7 @@ pub fn fd_set(eta: f64, beta: f64) -> FdSet {
             let w = wi * half;
             let x = u * u;
             let rel = (1.0 + 0.5 * beta * x).sqrt();
-            let t = x - eta;
-            let occ = fermi_factor(t);
-            let docc = fermi_factor_deriv(t);
+            let (occ, docc) = fermi_pair(x - eta);
             let base = 2.0 * w * u * u * rel; // 2 u^{2k+1} with k=1/2 ⇒ u²
             let x1 = base;
             let x3 = base * x;
@@ -209,8 +238,10 @@ pub fn fd_diff_set(eta_a: f64, eta_b: f64, beta: f64) -> FdSet {
             let w = wi * half;
             let x = u * u;
             let rel = (1.0 + 0.5 * beta * x).sqrt();
-            let occ = fermi_factor(x - eta_a) - fermi_factor(x - eta_b);
-            let docc = fermi_factor_deriv(x - eta_a) + fermi_factor_deriv(x - eta_b);
+            let (occ_a, docc_a) = fermi_pair(x - eta_a);
+            let (occ_b, docc_b) = fermi_pair(x - eta_b);
+            let occ = occ_a - occ_b;
+            let docc = docc_a + docc_b;
             let base = 2.0 * w * u * u * rel;
             let x1 = base;
             let x3 = base * x;
@@ -436,6 +467,58 @@ mod tests {
             let v = fd(1, eta, 0.1);
             assert!(v > prev, "F_1/2 must increase with eta");
             prev = v;
+        }
+    }
+
+    #[test]
+    fn fermi_pair_is_the_factor_and_its_derivative_bit_for_bit() {
+        let check = |t: f64| {
+            let (f, d) = fermi_pair(t);
+            assert_eq!(
+                f.to_bits(),
+                fermi_factor(t).to_bits(),
+                "factor at t = {t:e}"
+            );
+            assert_eq!(
+                d.to_bits(),
+                fermi_factor_deriv(t).to_bits(),
+                "derivative at t = {t:e}"
+            );
+        };
+        // Densely across both cut-offs: every double within 2¹² ulps of
+        // each, then a 1e-3 grid over ±2 around it.
+        for edge in [FERMI_FULL, FERMI_EMPTY] {
+            let bits = edge.to_bits();
+            for k in 0..=1u64 << 12 {
+                check(f64::from_bits(bits + k));
+                check(f64::from_bits(bits - k));
+            }
+            for k in -2000..=2000 {
+                check(edge + k as f64 * 1e-3);
+            }
+        }
+        for t in [
+            f64::MIN,
+            -1e300,
+            -745.2,
+            -0.0,
+            0.0,
+            1e-300,
+            709.8,
+            1e300,
+            f64::MAX,
+        ] {
+            check(t);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(20_000))]
+        #[test]
+        fn fermi_pair_matches_on_random_t(t in -800.0f64..800.0) {
+            let (f, d) = fermi_pair(t);
+            proptest::prop_assert_eq!(f.to_bits(), fermi_factor(t).to_bits());
+            proptest::prop_assert_eq!(d.to_bits(), fermi_factor_deriv(t).to_bits());
         }
     }
 

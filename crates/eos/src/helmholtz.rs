@@ -62,7 +62,9 @@ impl Helmholtz {
     }
 
     /// Build with a disk-cached table (FLASH's `helm_table.dat` pattern):
-    /// loads `cache` when its geometry matches, else computes and caches.
+    /// loads `cache` when its geometry matches; else the table is computed
+    /// where it is read ([`HelmTable::lazy`]) and written to `cache` once
+    /// complete ([`HelmTable::build_or_load`]).
     pub fn build_cached(
         config: TableConfig,
         policy: Policy,

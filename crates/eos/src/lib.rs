@@ -38,7 +38,7 @@ pub mod table;
 pub use batch::{BatchReport, EosBatch};
 pub use gamma::GammaLaw;
 pub use helmholtz::Helmholtz;
-pub use table::{HelmTable, TableConfig};
+pub use table::{HelmTable, RowsBuilt, TableConfig};
 
 use serde::{Deserialize, Serialize};
 

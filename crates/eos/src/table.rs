@@ -3,8 +3,8 @@
 //! FLASH's Helmholtz EOS interpolates a pre-computed table instead of
 //! solving the Fermi–Dirac system per zone — that table (a few MB, accessed
 //! by data-dependent indices from every zone of every block) is the main
-//! DTLB-pressure source of the paper's "EOS" experiment. We build the table
-//! from the exact [`crate::electron`] physics at startup and store it in a
+//! DTLB-pressure source of the paper's "EOS" experiment. We compute the
+//! table from the exact [`crate::electron`] physics and store it in a
 //! [`PageBuffer`] so its memory backing follows the huge-page policy.
 //!
 //! Layout mirrors FLASH's `helm_table.dat` structure: separate planes per
@@ -13,6 +13,18 @@
 //! over 12 planes. The batched EOS asks for fewer (`Quantities`): 16 per
 //! quantity it actually reads. Those loads are the access signature the
 //! TLB model replays.
+//!
+//! A run reads a fraction of the temperature rows, so the table is computed
+//! where it is read: a lookup that lands on a row nobody has computed yet
+//! computes it, and one background thread started with the table computes
+//! the rest ([`HelmTable::lazy`]). Every value a lookup returns is the same
+//! bits as from a table computed up front ([`HelmTable::build`]).
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use rflash_hugepages::crc32::crc32;
 use rflash_hugepages::{fill_from_le, with_le_bytes, PageBuffer, Policy};
@@ -30,6 +42,12 @@ const ENER: usize = 1;
 const ENTR: usize = 2;
 /// Derivative planes per quantity: value, d/dx, d/dy, d²/dxdy.
 const N_DERIV: usize = 4;
+
+/// Publication states of a row, value and coefficient rows alike: nobody
+/// has claimed it, its claimant is writing it, its elements are final.
+const EMPTY: u8 = 0;
+const BUILDING: u8 = 1;
+const READY: u8 = 2;
 
 /// Table geometry and domain.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -66,6 +84,14 @@ impl TableConfig {
             ..TableConfig::default()
         }
     }
+
+    /// Same geometry and domain, so one table can stand in for the other.
+    fn same_table(&self, other: &TableConfig) -> bool {
+        self.n_rho == other.n_rho
+            && self.n_temp == other.n_temp
+            && self.log_rho_ye == other.log_rho_ye
+            && self.log_temp == other.log_temp
+    }
 }
 
 /// Interpolated electron-gas quantities at one (ρYₑ, T) point.
@@ -91,14 +117,14 @@ pub struct ElecPoint {
 /// own 16 coefficient loads and one `10^x`; the others' fields of the
 /// [`ElecPoint`] are left as they were.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Quantities(u8);
+pub struct Quantities(u8);
 
 impl Quantities {
-    pub(crate) const PRES: Quantities = Quantities(1 << PRES);
-    pub(crate) const ENER: Quantities = Quantities(1 << ENER);
-    pub(crate) const ALL: Quantities = Quantities(1 << PRES | 1 << ENER | 1 << ENTR);
+    pub const PRES: Quantities = Quantities(1 << PRES);
+    pub const ENER: Quantities = Quantities(1 << ENER);
+    pub const ALL: Quantities = Quantities(1 << PRES | 1 << ENER | 1 << ENTR);
 
-    pub(crate) const fn with(self, other: Quantities) -> Quantities {
+    pub const fn with(self, other: Quantities) -> Quantities {
         Quantities(self.0 | other.0)
     }
 
@@ -121,213 +147,483 @@ impl Quantities {
 /// through it checks log10(ρYₑ) first and log10(T) second, as
 /// [`HelmTable::interp`] does, so errors keep their order.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct RhoCell {
+pub struct RhoCell {
     x: f64,
     ir: usize,
     tx: f64,
 }
 
-/// The tabulated electron/positron EOS.
-pub struct HelmTable {
-    config: TableConfig,
-    /// 12 planes of n_temp × n_rho doubles, plane-major:
-    /// `data[((q*N_DERIV + d) * n_temp + it) * n_rho + ir]`.
-    data: PageBuffer<f64>,
-    dx: f64, // log10 rho_ye spacing
-    dy: f64, // log10 T spacing
+/// How a table's temperature rows came to be: what a run paid for at
+/// set-up, in its step loop, and off its critical path.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RowsBuilt {
+    /// Rows read whole from a cache file.
+    pub loaded: usize,
+    /// Rows solved by the thread whose lookup needed them (every row of a
+    /// table from [`HelmTable::build`] counts here).
+    pub on_demand: usize,
+    /// Rows solved by the background thread.
+    pub background: usize,
 }
 
-impl HelmTable {
-    /// Build the table by solving the exact electron gas at every node,
-    /// temperature rows spread over the host's cores.
-    pub fn build(config: TableConfig, policy: Policy) -> Result<HelmTable, EosError> {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Self::build_on(config, policy, threads)
+/// Who solves a value row, for [`RowsBuilt`].
+#[derive(Clone, Copy)]
+enum Builder {
+    Demand,
+    Background,
+}
+
+/// The tabulated electron/positron EOS.
+pub struct HelmTable {
+    planes: Arc<Planes>,
+    /// The thread computing the rows nobody has asked for yet; stopped
+    /// and joined on drop.
+    background: Option<JoinHandle<()>>,
+}
+
+/// The table's storage and the publication state of its rows, shared by
+/// the lookups and the background thread.
+///
+/// Temperature row `it` is published in two layers. Its *value row* is the
+/// three value planes and the three d/dx planes at `it`: one left-to-right
+/// warm-started η sweep that never crosses rows, plus a difference along
+/// it. Its *coefficient row* is the d/dy and d²/dxdy planes at `it`,
+/// derived from value rows `it-1..=it+1`. A lookup in the cell above row
+/// `it` reads all twelve planes at rows `it` and `it+1`, so it needs those
+/// two coefficient rows; everything a coefficient row reads was published
+/// before it.
+struct Planes {
+    config: TableConfig,
+    dx: f64, // log10 rho_ye spacing
+    dy: f64, // log10 T spacing
+    /// Element 0 of `data`: every read and write of the planes goes through
+    /// it, under the row-publication protocol of the `Sync` impl below.
+    base: *mut f64,
+    /// 12 planes of n_temp × n_rho doubles, plane-major:
+    /// `data[((q*N_DERIV + d) * n_temp + it) * n_rho + ir]`. Owns the
+    /// mapping `base` points into; never viewed as a slice.
+    data: PageBuffer<f64>,
+    /// State of each value row.
+    value: Box<[AtomicU8]>,
+    /// Each value row's solve outcome, set by its claimant before READY.
+    solved: Box<[OnceLock<Result<(), EosError>>]>,
+    /// State of each coefficient row.
+    coeff: Box<[AtomicU8]>,
+    /// Coefficient rows published so far, counted before each READY
+    /// store; `n_temp` means every element of the table is final.
+    coeff_ready: AtomicUsize,
+    /// Held to check a row's state before waiting, and to publish.
+    lock: Mutex<()>,
+    /// Notified whenever a row leaves BUILDING.
+    published: Condvar,
+    /// Lowest and highest value row a lookup has needed (lo > hi: none yet).
+    demand_lo: AtomicUsize,
+    demand_hi: AtomicUsize,
+    /// Set by [`HelmTable`]'s drop: the background thread stops after its
+    /// current row.
+    stop: AtomicBool,
+    /// Where to write the table once it is complete; taken by the thread
+    /// that publishes the last row.
+    cache: Mutex<Option<PathBuf>>,
+    loaded: usize,
+    on_demand: AtomicUsize,
+    background: AtomicUsize,
+}
+
+// SAFETY: row publication. An element of the planes belongs to one row
+// (value row for d = 0, 1; coefficient row for d = 2, 3). It is written
+// only by the thread that moved that row EMPTY → BUILDING by
+// compare-exchange (so by one thread at a time; a claimant that panics
+// hands the row back unpublished), and only before that thread's
+// `Release` store of READY. It is read only by a thread that saw
+// the row READY with an `Acquire` load (directly, or through a coefficient
+// row that needed it), or by the claimant itself. So no read overlaps a
+// write and every read happens after the write it sees. No reference to
+// the planes spans a row that is not READY: lookups read single elements
+// through `base`, and `Planes::complete_slice` exists only once every row
+// is READY. `base` points into the mapping `data` owns, so moving the owner
+// between threads moves neither the mapping nor this protocol.
+unsafe impl Sync for Planes {}
+unsafe impl Send for Planes {}
+
+/// A won EMPTY → BUILDING claim on one row. Dropped unpublished — its
+/// claimant panicked — it hands the row back, so waiters retry instead of
+/// hanging.
+struct Claim<'a> {
+    planes: &'a Planes,
+    state: &'a AtomicU8,
+}
+
+impl<'a> Claim<'a> {
+    fn take(planes: &'a Planes, state: &'a AtomicU8) -> Option<Claim<'a>> {
+        state
+            .compare_exchange(EMPTY, BUILDING, Acquire, Relaxed)
+            .ok()
+            .map(|_| Claim { planes, state })
     }
 
-    /// [`HelmTable::build`] on `threads` threads (capped at `n_temp`). The
-    /// result does not depend on the thread count: every row is the same
-    /// left-to-right warm-started sweep written to its own plane rows.
-    fn build_on(
+    fn publish(self) {
+        self.planes.set_state(self.state, READY);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.planes.set_state(self.state, EMPTY);
+    }
+}
+
+/// A node slope from its two neighbouring secants: their mean, one-sided
+/// at an edge, then Fritsch–Carlson limited. log P, log E, log S are
+/// physically non-decreasing in both log ρYₑ and log T, and a cubic Hermite
+/// stays monotone when each node slope is within [0, 3·min(adjacent
+/// secants)]. Unlimited central differences overshoot at the sharp
+/// pair-creation/degeneracy transitions, producing non-monotone
+/// interpolants that break the Newton inversions.
+fn limited_slope(sec_lo: Option<f64>, sec_hi: Option<f64>) -> f64 {
+    let d = match (sec_lo, sec_hi) {
+        (Some(a), Some(b)) => 0.5 * (a + b),
+        (Some(a), None) => a,
+        (None, Some(b)) => b,
+        (None, None) => 0.0,
+    };
+    let cap = 3.0
+        * sec_lo
+            .unwrap_or(f64::INFINITY)
+            .min(sec_hi.unwrap_or(f64::INFINITY))
+            .max(0.0);
+    d.clamp(0.0, cap)
+}
+
+impl Planes {
+    /// Table state over `data`: every row complete (a loaded file) or every
+    /// row EMPTY (`data` freshly zeroed).
+    fn new(
+        config: TableConfig,
+        mut data: PageBuffer<f64>,
+        complete: bool,
+        cache: Option<PathBuf>,
+    ) -> Planes {
+        let (x0, x1) = config.log_rho_ye;
+        let (y0, y1) = config.log_temp;
+        let nt = config.n_temp;
+        let state = if complete { READY } else { EMPTY };
+        let rows = || (0..nt).map(|_| AtomicU8::new(state)).collect();
+        Planes {
+            config,
+            dx: (x1 - x0) / (config.n_rho - 1) as f64,
+            dy: (y1 - y0) / (nt - 1) as f64,
+            base: data.as_mut_slice().as_mut_ptr(),
+            data,
+            value: rows(),
+            solved: (0..nt)
+                .map(|_| {
+                    if complete {
+                        OnceLock::from(Ok(()))
+                    } else {
+                        OnceLock::new()
+                    }
+                })
+                .collect(),
+            coeff: rows(),
+            coeff_ready: AtomicUsize::new(if complete { nt } else { 0 }),
+            lock: Mutex::new(()),
+            published: Condvar::new(),
+            demand_lo: AtomicUsize::new(usize::MAX),
+            demand_hi: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            cache: Mutex::new(cache),
+            loaded: if complete { nt } else { 0 },
+            on_demand: AtomicUsize::new(0),
+            background: AtomicUsize::new(0),
+        }
+    }
+
+    /// An all-EMPTY table of `config` on a fresh `policy` buffer.
+    fn empty(
         config: TableConfig,
         policy: Policy,
-        threads: usize,
-    ) -> Result<HelmTable, EosError> {
+        cache: Option<PathBuf>,
+    ) -> Result<Planes, EosError> {
         assert!(config.n_rho >= 4 && config.n_temp >= 4, "table too small");
         let (x0, x1) = config.log_rho_ye;
         let (y0, y1) = config.log_temp;
         assert!(x1 > x0 && y1 > y0, "degenerate table domain");
-        let dx = (x1 - x0) / (config.n_rho - 1) as f64;
-        let dy = (y1 - y0) / (config.n_temp - 1) as f64;
+        let data =
+            PageBuffer::<f64>::zeroed(config.n_rho * config.n_temp * N_QUANT * N_DERIV, policy)
+                .map_err(|e| EosError::Allocation {
+                    what: "helm table",
+                    detail: e.to_string(),
+                })?;
+        Ok(Planes::new(config, data, false, cache))
+    }
 
-        let plane = config.n_rho * config.n_temp;
-        let mut data = PageBuffer::<f64>::zeroed(plane * N_QUANT * N_DERIV, policy)
-            .map_err(|e| EosError::Allocation {
-                what: "helm table",
-                detail: e.to_string(),
-            })?;
+    /// Buffer index of plane (q, d) at table node `node` (= it·n_rho + ir).
+    #[inline(always)]
+    fn index(&self, q: usize, d: usize, node: usize) -> usize {
+        ((q * N_DERIV + d) * self.config.n_temp * self.config.n_rho) + node
+    }
 
-        // Pass 1: values (log10 of p, e, s) at every node, warm-starting the
-        // η solve along each density sweep. The warm start never crosses
-        // rows, so rows are independent: deal them round-robin to the
-        // threads, each row a disjoint `n_rho` run of the three value planes.
-        let solve_row = |it: usize, [p, e, s]: [&mut [f64]; N_QUANT]| -> Result<(), EosError> {
-            let temp = 10f64.powf(y0 + it as f64 * dy);
-            let mut eta_guess = None;
-            for ir in 0..config.n_rho {
-                let rho_ye = 10f64.powf(x0 + ir as f64 * dx);
-                let st = electron_state_with_guess(rho_ye, temp, eta_guess)?;
-                eta_guess = Some(st.eta);
-                p[ir] = st.pres.log10();
-                e[ir] = st.ener.log10();
-                s[ir] = st.entr.max(1e-300).log10();
-            }
-            Ok(())
-        };
-        let threads = threads.clamp(1, config.n_temp);
-        let mut shares: Vec<Vec<_>> = (0..threads).map(|_| Vec::new()).collect();
-        let (p_planes, rest) = data.as_mut_slice().split_at_mut(N_DERIV * plane);
-        let (e_planes, s_planes) = rest.split_at_mut(N_DERIV * plane);
-        let rows = (p_planes[..plane].chunks_mut(config.n_rho))
-            .zip(e_planes[..plane].chunks_mut(config.n_rho))
-            .zip(s_planes[..plane].chunks_mut(config.n_rho));
-        for (it, ((p, e), s)) in rows.enumerate() {
-            shares[it % threads].push((it, [p, e, s]));
-        }
-        // The serial loop stopped at the first failing row; report that one.
-        let first_error = std::thread::scope(|scope| {
-            let workers: Vec<_> = shares
-                .into_iter()
-                .map(|share| {
-                    scope.spawn(|| {
-                        share
-                            .into_iter()
-                            .find_map(|(it, row)| solve_row(it, row).err().map(|e| (it, e)))
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .filter_map(|w| {
-                    w.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .min_by_key(|(it, _)| *it)
-        });
-        if let Some((_, err)) = first_error {
-            return Err(err);
-        }
+    /// Read element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` is in bounds and belongs to a row this thread has seen READY,
+    /// or has claimed and already written.
+    #[inline(always)]
+    unsafe fn load(&self, i: usize) -> f64 {
+        debug_assert!(i < self.data.len());
+        self.base.add(i).read()
+    }
 
-        // Pass 2: finite-difference derivative planes from the value planes.
-        for q in 0..N_QUANT {
-            Self::fill_derivatives(config, &mut data, q, dx, dy);
-        }
+    /// Write element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` is in bounds and belongs to a row this thread holds a [`Claim`]
+    /// on.
+    #[inline(always)]
+    unsafe fn store(&self, i: usize, v: f64) {
+        debug_assert!(i < self.data.len());
+        self.base.add(i).write(v)
+    }
 
-        Ok(HelmTable {
-            config,
-            data,
-            dx,
-            dy,
+    /// The planes as one slice, once every row is READY.
+    fn complete_slice(&self) -> Option<&[f64]> {
+        (self.coeff_ready.load(Acquire) == self.config.n_temp).then(|| {
+            // SAFETY: every coefficient row has been counted, and each
+            // counted after its elements and the value rows it read were
+            // final; the `Acquire` load synchronizes with every `AcqRel`
+            // count. A READY row is never written again, so nothing writes
+            // under this shared view while it lives.
+            unsafe { std::slice::from_raw_parts(self.base, self.data.len()) }
         })
     }
 
-    #[inline]
-    fn index_of(config: TableConfig, q: usize, d: usize, node: usize) -> usize {
-        ((q * N_DERIV + d) * config.n_temp * config.n_rho) + node
-    }
-
-    fn fill_derivatives(config: TableConfig, data: &mut PageBuffer<f64>, q: usize, dx: f64, dy: f64) {
-        let nr = config.n_rho;
-        let nt = config.n_temp;
-        let val = |data: &PageBuffer<f64>, it: usize, ir: usize| {
-            data[Self::index_of(config, q, 0, it * nr + ir)]
-        };
-        // Fritsch–Carlson limiting: log P, log E, log S are physically
-        // non-decreasing in both log ρYₑ and log T, and a cubic Hermite
-        // stays monotone when each node slope is within [0, 3·min(adjacent
-        // secants)]. Unlimited central differences overshoot at the sharp
-        // pair-creation/degeneracy transitions, producing non-monotone
-        // interpolants that break the Newton inversions.
-        let limit = |d: f64, sec_lo: Option<f64>, sec_hi: Option<f64>| -> f64 {
-            let cap = 3.0
-                * sec_lo
-                    .unwrap_or(f64::INFINITY)
-                    .min(sec_hi.unwrap_or(f64::INFINITY))
-                    .max(0.0);
-            d.clamp(0.0, cap)
-        };
-        // d/dx (density direction), one-sided at edges.
-        for it in 0..nt {
-            for ir in 0..nr {
-                let sec_lo = (ir > 0).then(|| (val(data, it, ir) - val(data, it, ir - 1)) / dx);
-                let sec_hi =
-                    (ir + 1 < nr).then(|| (val(data, it, ir + 1) - val(data, it, ir)) / dx);
-                let d = match (sec_lo, sec_hi) {
-                    (Some(a), Some(b)) => 0.5 * (a + b),
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => 0.0,
-                };
-                data[Self::index_of(config, q, 1, it * nr + ir)] = limit(d, sec_lo, sec_hi);
-            }
-        }
-        // d/dy (temperature direction).
-        for it in 0..nt {
-            for ir in 0..nr {
-                let sec_lo = (it > 0).then(|| (val(data, it, ir) - val(data, it - 1, ir)) / dy);
-                let sec_hi =
-                    (it + 1 < nt).then(|| (val(data, it + 1, ir) - val(data, it, ir)) / dy);
-                let d = match (sec_lo, sec_hi) {
-                    (Some(a), Some(b)) => 0.5 * (a + b),
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => 0.0,
-                };
-                data[Self::index_of(config, q, 2, it * nr + ir)] = limit(d, sec_lo, sec_hi);
-            }
-        }
-        // d²/dxdy from the d/dx plane differentiated in y.
-        let dvx = |data: &PageBuffer<f64>, it: usize, ir: usize| {
-            data[Self::index_of(config, q, 1, it * nr + ir)]
-        };
-        for it in 0..nt {
-            for ir in 0..nr {
-                let d = if it == 0 {
-                    (dvx(data, 1, ir) - dvx(data, 0, ir)) / dy
-                } else if it == nt - 1 {
-                    (dvx(data, nt - 1, ir) - dvx(data, nt - 2, ir)) / dy
-                } else {
-                    (dvx(data, it + 1, ir) - dvx(data, it - 1, ir)) / (2.0 * dy)
-                };
-                data[Self::index_of(config, q, 3, it * nr + ir)] = d;
-            }
+    fn rows_built(&self) -> RowsBuilt {
+        RowsBuilt {
+            loaded: self.loaded,
+            on_demand: self.on_demand.load(Relaxed),
+            background: self.background.load(Relaxed),
         }
     }
 
-    /// Table configuration.
-    pub fn config(&self) -> &TableConfig {
-        &self.config
+    /// Move a claimed row to `to` and wake every waiter.
+    fn set_state(&self, state: &AtomicU8, to: u8) {
+        state.store(to, Release);
+        // Taking the lock orders this store against a waiter that checked
+        // the state under it and is about to wait.
+        drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+        self.published.notify_all();
     }
 
-    /// Base address of the underlying buffer (for TLB-model registration).
-    pub fn base_addr(&self) -> usize {
-        self.data.base_addr()
+    /// Block while another thread builds the row behind `state`.
+    fn wait_while_building(&self, state: &AtomicU8) {
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        while state.load(Acquire) == BUILDING {
+            guard = self
+                .published
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
-    /// Size of the underlying buffer in bytes.
-    pub fn bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+    /// Solve value row `it` if nobody has claimed it: log10 of p, e, s at
+    /// every density node, warm-starting the η solve along the row, and
+    /// their limited d/dx. Returns whether this call solved it.
+    fn build_value(&self, it: usize, who: Builder) -> bool {
+        let Some(claim) = Claim::take(self, &self.value[it]) else {
+            return false;
+        };
+        let outcome = self.solve_value_row(it);
+        if outcome.is_ok() {
+            match who {
+                Builder::Demand => &self.on_demand,
+                Builder::Background => &self.background,
+            }
+            .fetch_add(1, Relaxed);
+        }
+        let _ = self.solved[it].set(outcome);
+        claim.publish();
+        true
     }
 
-    /// How the kernel actually backs the table.
-    pub fn backing_report(&self) -> rflash_hugepages::BackingReport {
-        self.data.backing_report()
+    fn solve_value_row(&self, it: usize) -> Result<(), EosError> {
+        let c = self.config;
+        let nr = c.n_rho;
+        let temp = 10f64.powf(c.log_temp.0 + it as f64 * self.dy);
+        let mut vals = vec![0.0; N_QUANT * nr];
+        let mut eta_guess = None;
+        for ir in 0..nr {
+            let rho_ye = 10f64.powf(c.log_rho_ye.0 + ir as f64 * self.dx);
+            let st = electron_state_with_guess(rho_ye, temp, eta_guess)?;
+            eta_guess = Some(st.eta);
+            vals[PRES * nr + ir] = st.pres.log10();
+            vals[ENER * nr + ir] = st.ener.log10();
+            vals[ENTR * nr + ir] = st.entr.max(1e-300).log10();
+        }
+        for (q, v) in vals.chunks_exact(nr).enumerate() {
+            for ir in 0..nr {
+                let sec_lo = (ir > 0).then(|| (v[ir] - v[ir - 1]) / self.dx);
+                let sec_hi = (ir + 1 < nr).then(|| (v[ir + 1] - v[ir]) / self.dx);
+                let node = it * nr + ir;
+                // SAFETY: planes d = 0, 1 at row `it` are value row `it`,
+                // which the caller has claimed.
+                unsafe {
+                    self.store(self.index(q, 0, node), v[ir]);
+                    self.store(self.index(q, 1, node), limited_slope(sec_lo, sec_hi));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Wait until value row `it` is solved (solving it here if nobody has
+    /// claimed it) and return its outcome.
+    fn ensure_value(&self, it: usize, who: Builder) -> Result<(), EosError> {
+        loop {
+            if let Some(outcome) = self.solved[it].get() {
+                return outcome.clone();
+            }
+            if !self.build_value(it, who) {
+                self.wait_while_building(&self.value[it]);
+            }
+        }
+    }
+
+    /// Publish coefficient row `it` — the limited d/dy and the d²/dxdy of
+    /// every quantity — after its value rows `it-1..=it+1`. Fails with the
+    /// error of the lowest of those rows whose solve failed.
+    fn ensure_coeff(&self, it: usize, who: Builder) -> Result<(), EosError> {
+        let (nr, nt) = (self.config.n_rho, self.config.n_temp);
+        loop {
+            match self.coeff[it].load(Acquire) {
+                READY => return Ok(()),
+                BUILDING => self.wait_while_building(&self.coeff[it]),
+                _ => {
+                    for r in it.saturating_sub(1)..=(it + 1).min(nt - 1) {
+                        self.ensure_value(r, who)?;
+                    }
+                    let Some(claim) = Claim::take(self, &self.coeff[it]) else {
+                        continue;
+                    };
+                    let dy = self.dy;
+                    for q in 0..N_QUANT {
+                        for ir in 0..nr {
+                            // SAFETY: value rows it-1..=it+1 (planes d = 0,
+                            // 1) were seen solved above; planes d = 2, 3 at
+                            // row `it` are this claim's.
+                            unsafe {
+                                let val = |row: usize| self.load(self.index(q, 0, row * nr + ir));
+                                let sec_lo = (it > 0).then(|| (val(it) - val(it - 1)) / dy);
+                                let sec_hi = (it + 1 < nt).then(|| (val(it + 1) - val(it)) / dy);
+                                self.store(
+                                    self.index(q, 2, it * nr + ir),
+                                    limited_slope(sec_lo, sec_hi),
+                                );
+                                // d²/dxdy: the d/dx plane differentiated in y.
+                                let dvx = |row: usize| self.load(self.index(q, 1, row * nr + ir));
+                                let d = if it == 0 {
+                                    (dvx(1) - dvx(0)) / dy
+                                } else if it == nt - 1 {
+                                    (dvx(nt - 1) - dvx(nt - 2)) / dy
+                                } else {
+                                    (dvx(it + 1) - dvx(it - 1)) / (2.0 * dy)
+                                };
+                                self.store(self.index(q, 3, it * nr + ir), d);
+                            }
+                        }
+                    }
+                    let last = self.coeff_ready.fetch_add(1, AcqRel) + 1 == nt;
+                    claim.publish();
+                    if last {
+                        self.write_cache();
+                    }
+                    return Ok(());
+                }
+            }
+        }
+    }
+
+    /// A lookup's slow path: coefficient rows `it` and `it+1` are not both
+    /// READY yet. Records the value rows the cell needs for the background
+    /// order, then publishes both rows (solving what is missing here).
+    #[cold]
+    #[inline(never)]
+    fn demand(&self, it: usize) -> Result<(), EosError> {
+        let nt = self.config.n_temp;
+        self.demand_lo.fetch_min(it.saturating_sub(1), Relaxed);
+        self.demand_hi.fetch_max((it + 2).min(nt - 1), Relaxed);
+        self.ensure_coeff(it, Builder::Demand)?;
+        self.ensure_coeff(it + 1, Builder::Demand)
+    }
+
+    /// The unclaimed value row the background thread solves next: the
+    /// lowest one inside the span of rows lookups have needed so far, then
+    /// the nearest one outside it (the middle row before any lookup).
+    fn next_unclaimed(&self) -> Option<usize> {
+        let nt = self.config.n_temp;
+        let (lo, hi) = (self.demand_lo.load(Relaxed), self.demand_hi.load(Relaxed));
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (nt / 2, nt / 2) };
+        (0..nt)
+            .filter(|&r| self.value[r].load(Relaxed) == EMPTY)
+            .min_by_key(|&r| (lo.saturating_sub(r) + r.saturating_sub(hi), r))
+    }
+
+    /// The background thread: every value row nobody has claimed, in
+    /// [`Self::next_unclaimed`] order, then every coefficient row no lookup
+    /// has published. Stops between rows once `stop` is set.
+    fn fill_in_background(&self) {
+        while !self.stop.load(Relaxed) {
+            let Some(it) = self.next_unclaimed() else {
+                break;
+            };
+            self.build_value(it, Builder::Background);
+        }
+        for it in 0..self.config.n_temp {
+            if self.stop.load(Relaxed) {
+                return;
+            }
+            // A failed row's error belongs to the lookups that need it.
+            let _ = self.ensure_coeff(it, Builder::Background);
+        }
+    }
+
+    /// Solve every value row between the lowest and highest one lookups
+    /// have needed so far, on this thread beside the background thread
+    /// (this thread claims from the top, the background thread from the
+    /// bottom), and wait for the background thread's share. A failed row
+    /// keeps its error for the lookups that need it.
+    fn solve_demanded_span(&self) {
+        let (lo, hi) = (self.demand_lo.load(Relaxed), self.demand_hi.load(Relaxed));
+        if lo > hi {
+            return;
+        }
+        for it in (lo..=hi).rev() {
+            self.build_value(it, Builder::Demand);
+        }
+        for it in lo..=hi {
+            let _ = self.ensure_value(it, Builder::Demand);
+        }
+    }
+
+    /// Write the cache file, once, from the thread that completed the table.
+    fn write_cache(&self) {
+        let path = self
+            .cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let (Some(path), Some(planes)) = (path, self.complete_slice()) {
+            let _ = write_table(&self.config, planes, &path); // a cache write failure is not fatal
+        }
     }
 
     /// Locate a density coordinate: one `log10` and the cell column, reused
     /// by every interpolation at that ρYₑ.
     #[inline]
-    pub(crate) fn locate_rho(&self, rho_ye: f64) -> RhoCell {
+    fn locate_rho(&self, rho_ye: f64) -> RhoCell {
         let x = rho_ye.log10();
         let fx = (x - self.config.log_rho_ye.0) / self.dx;
         let ir = (fx as usize).min(self.config.n_rho - 2);
@@ -339,7 +635,9 @@ impl HelmTable {
     }
 
     /// Domain check (ρYₑ first, then T) + cell/fraction location for a
-    /// located density and a temperature.
+    /// located density and a temperature, with the cell's two coefficient
+    /// rows READY: one `Acquire` load each when they are, the slow path
+    /// [`Self::demand`] when not.
     #[inline]
     fn locate(&self, rho: &RhoCell, temp: f64) -> Result<(usize, usize, f64, f64), EosError> {
         let (x0, x1) = self.config.log_rho_ye;
@@ -363,46 +661,10 @@ impl HelmTable {
         }
         let fy = (y - y0) / self.dy;
         let it = (fy as usize).min(self.config.n_temp - 2);
+        if !(self.coeff[it].load(Acquire) == READY && self.coeff[it + 1].load(Acquire) == READY) {
+            self.demand(it)?;
+        }
         Ok((rho.ir, it, rho.tx, fy - it as f64))
-    }
-
-    /// Interpolate the electron gas at (ρYₑ [g/cm³], T \[K\]).
-    pub fn interp(&self, rho_ye: f64, temp: f64) -> Result<ElecPoint, EosError> {
-        let (ir, it, tx, ty) = self.locate(&self.locate_rho(rho_ye), temp)?;
-        let mut out = ElecPoint::default();
-        self.interp_located(Quantities::ALL, ir, it, tx, ty, &mut out);
-        Ok(out)
-    }
-
-    /// Interpolate the quantities `sel` over a batch of (ρYₑ, T) lanes under
-    /// the given SIMD backend, writing only their fields of `out`: cells are
-    /// located per lane (scalar, data-dependent, in lane order), then the
-    /// Hermite basis and 16 coefficient gathers per quantity run as explicit
-    /// `W`-wide lane ops — the table path of the batched Helmholtz EOS.
-    /// Every backend is bit-identical to [`Self::interp`] on the fields it
-    /// writes (same op order, no contractions; each `10^x` runs per lane
-    /// through the identical scalar `powf`). The first out-of-domain lane
-    /// aborts the batch. Entropy is not a lane quantity.
-    pub(crate) fn interp_lanes(
-        &self,
-        simd: Resolved,
-        sel: Quantities,
-        rho: &[RhoCell],
-        temp: &[f64],
-        out: &mut [ElecPoint],
-    ) -> Result<(), EosError> {
-        debug_assert!(rho.len() == temp.len() && rho.len() == out.len());
-        debug_assert!(!sel.has(ENTR), "the batched EOS never reads entropy");
-        rflash_simd::dispatch(
-            simd,
-            InterpLanes {
-                table: self,
-                sel,
-                rho,
-                temp,
-                out,
-            },
-        )
     }
 
     /// The bicubic Hermite kernel at an already-located cell, for the
@@ -453,7 +715,8 @@ impl HelmTable {
 
     /// One quantity's bicubic sums over a cell from its 16 Hermite
     /// coefficients (v, vx, vy, vxy at 4 corners): the log10 value and, when
-    /// asked, the x- and y-slope sums (0 when not).
+    /// asked, the x- and y-slope sums (0 when not). `corners` are nodes of a
+    /// cell [`Self::locate`] returned.
     #[inline(always)]
     fn cell_sums(
         &self,
@@ -469,10 +732,14 @@ impl HelmTable {
         for (c, &node) in corners.iter().enumerate() {
             let cx = c % 2; // 0: left corner in x, 1: right
             let cy = c / 2;
-            let v = self.data[Self::index_of(self.config, q, 0, node)];
-            let vx = self.data[Self::index_of(self.config, q, 1, node)] * self.dx;
-            let vy = self.data[Self::index_of(self.config, q, 2, node)] * self.dy;
-            let vxy = self.data[Self::index_of(self.config, q, 3, node)] * self.dx * self.dy;
+            // SAFETY: `locate` saw the cell's two coefficient rows READY,
+            // and with them the value rows they were derived from: every
+            // plane at both corner rows is final.
+            let coeffs = unsafe { [0, 1, 2, 3].map(|d| self.load(self.index(q, d, node))) };
+            let [v, vx, vy, vxy] = coeffs;
+            let vx = vx * self.dx;
+            let vy = vy * self.dy;
+            let vxy = vxy * self.dx * self.dy;
             let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
             let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
             acc += v * bx_v * by_v + vx * bx_d * by_v + vy * bx_v * by_d + vxy * bx_d * by_d;
@@ -489,6 +756,162 @@ impl HelmTable {
         }
         [acc, acc_dx, acc_dy]
     }
+}
+
+impl HelmTable {
+    /// A table that computes its rows where they are read: a lookup solves
+    /// the temperature rows its cell needs the first time it lands there,
+    /// and one background thread, started here, solves the rest — first
+    /// the rows between the lowest and highest ones lookups have needed,
+    /// then outward. Dropping the table stops that thread after its
+    /// current row. Lookups return exactly what [`HelmTable::build`]'s
+    /// table returns; a lookup that needs a row whose solve failed returns
+    /// that row's error.
+    pub fn lazy(config: TableConfig, policy: Policy) -> Result<HelmTable, EosError> {
+        Ok(Self::start(Planes::empty(config, policy, None)?))
+    }
+
+    fn start(planes: Planes) -> HelmTable {
+        let planes = Arc::new(planes);
+        let worker = Arc::clone(&planes);
+        // Without the thread every row is still solved on demand.
+        let background = std::thread::Builder::new()
+            .name("helm-table".into())
+            .spawn(move || worker.fill_in_background())
+            .ok();
+        HelmTable { planes, background }
+    }
+
+    /// Build the table by solving the exact electron gas at every node,
+    /// temperature rows spread over the host's cores.
+    pub fn build(config: TableConfig, policy: Policy) -> Result<HelmTable, EosError> {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::build_on(config, policy, threads)
+    }
+
+    /// [`HelmTable::build`] on `threads` threads (capped at `n_temp`): an
+    /// empty lazy table whose rows these threads claim in turn. The result
+    /// does not depend on the thread count — every row is the same sweep
+    /// written to its own plane rows — and a failure is the lowest failing
+    /// row's.
+    pub fn build_on(
+        config: TableConfig,
+        policy: Policy,
+        threads: usize,
+    ) -> Result<HelmTable, EosError> {
+        let planes = Planes::empty(config, policy, None)?;
+        let nt = config.n_temp;
+        let next = AtomicUsize::new(0);
+        let solve_rows = || loop {
+            let it = next.fetch_add(1, Relaxed);
+            if it >= nt {
+                break;
+            }
+            planes.build_value(it, Builder::Demand);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads.clamp(1, nt) {
+                scope.spawn(solve_rows);
+            }
+            solve_rows();
+        });
+        for it in 0..nt {
+            planes.ensure_coeff(it, Builder::Demand)?;
+        }
+        Ok(HelmTable {
+            planes: Arc::new(planes),
+            background: None,
+        })
+    }
+
+    /// Publish every row still missing, solving on this thread whatever
+    /// nobody else is: a complete table, byte-equal to [`HelmTable::build`]'s.
+    /// Fails with the lowest failing row's error.
+    pub fn complete(&self) -> Result<(), EosError> {
+        (0..self.planes.config.n_temp)
+            .try_for_each(|it| self.planes.ensure_coeff(it, Builder::Demand))
+    }
+
+    /// Solve every temperature row between the lowest and highest one
+    /// lookups have needed so far, on the calling thread and the background
+    /// thread together. Set-up calls this last: a run's step loop reads the
+    /// temperatures its initial condition spans before any other.
+    pub fn solve_demanded_span(&self) {
+        self.planes.solve_demanded_span();
+    }
+
+    /// How many temperature rows were loaded, solved on demand and solved
+    /// in the background so far.
+    pub fn rows_built(&self) -> RowsBuilt {
+        self.planes.rows_built()
+    }
+
+    /// Table configuration.
+    pub fn config(&self) -> &TableConfig {
+        &self.planes.config
+    }
+
+    /// Base address of the underlying buffer (for TLB-model registration).
+    pub fn base_addr(&self) -> usize {
+        self.planes.data.base_addr()
+    }
+
+    /// Size of the underlying buffer in bytes.
+    pub fn bytes(&self) -> usize {
+        self.planes.data.len() * std::mem::size_of::<f64>()
+    }
+
+    /// How the kernel actually backs the table.
+    pub fn backing_report(&self) -> rflash_hugepages::BackingReport {
+        self.planes.data.backing_report()
+    }
+
+    /// Locate a density coordinate: one `log10` and the cell column, reused
+    /// by every interpolation at that ρYₑ.
+    #[inline]
+    pub fn locate_rho(&self, rho_ye: f64) -> RhoCell {
+        self.planes.locate_rho(rho_ye)
+    }
+
+    /// Interpolate the electron gas at (ρYₑ [g/cm³], T \[K\]).
+    pub fn interp(&self, rho_ye: f64, temp: f64) -> Result<ElecPoint, EosError> {
+        let p = &*self.planes;
+        let (ir, it, tx, ty) = p.locate(&p.locate_rho(rho_ye), temp)?;
+        let mut out = ElecPoint::default();
+        p.interp_located(Quantities::ALL, ir, it, tx, ty, &mut out);
+        Ok(out)
+    }
+
+    /// Interpolate the quantities `sel` over a batch of (ρYₑ, T) lanes under
+    /// the given SIMD backend, writing only their fields of `out`: cells are
+    /// located per lane (scalar, data-dependent, in lane order), then the
+    /// Hermite basis and 16 coefficient gathers per quantity run as explicit
+    /// `W`-wide lane ops — the table path of the batched Helmholtz EOS.
+    /// Every backend is bit-identical to [`Self::interp`] on the fields it
+    /// writes (same op order, no contractions; each `10^x` runs per lane
+    /// through the identical scalar `powf`). The first out-of-domain lane
+    /// aborts the batch. Entropy is not a lane quantity.
+    pub fn interp_lanes(
+        &self,
+        simd: Resolved,
+        sel: Quantities,
+        rho: &[RhoCell],
+        temp: &[f64],
+        out: &mut [ElecPoint],
+    ) -> Result<(), EosError> {
+        debug_assert!(rho.len() == temp.len() && rho.len() == out.len());
+        debug_assert!(!sel.has(ENTR), "the batched EOS never reads entropy");
+        rflash_simd::dispatch(
+            simd,
+            InterpLanes {
+                table: &self.planes,
+                sel,
+                rho,
+                temp,
+                out,
+            },
+        )
+    }
 
     /// Append the element indices (into the underlying buffer) that one
     /// interpolation of `sel` at (ρYₑ, T) gathers — 16 scattered loads over
@@ -501,21 +924,27 @@ impl HelmTable {
         sel: Quantities,
         out: &mut Vec<usize>,
     ) -> Result<(), EosError> {
-        let (ir, it, _, _) = self.locate(&self.locate_rho(rho_ye), temp)?;
-        let nr = self.config.n_rho;
+        let p = &*self.planes;
+        let (ir, it, _, _) = p.locate(&p.locate_rho(rho_ye), temp)?;
+        let nr = p.config.n_rho;
         for q in (0..N_QUANT).filter(|&q| sel.has(q)) {
             for d in 0..N_DERIV {
                 for (di, dj) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                    out.push(Self::index_of(
-                        self.config,
-                        q,
-                        d,
-                        (it + di) * nr + ir + dj,
-                    ));
+                    out.push(p.index(q, d, (it + di) * nr + ir + dj));
                 }
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for HelmTable {
+    fn drop(&mut self) {
+        self.planes.stop.store(true, Relaxed);
+        if let Some(worker) = self.background.take() {
+            // A panic on the worker has already handed its row back.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -525,7 +954,7 @@ const MAX_W: usize = 8;
 
 /// The lane-dispatch visitor behind [`HelmTable::interp_lanes`].
 struct InterpLanes<'a> {
-    table: &'a HelmTable,
+    table: &'a Planes,
     sel: Quantities,
     rho: &'a [RhoCell],
     temp: &'a [f64],
@@ -539,7 +968,6 @@ impl WithLanes for InterpLanes<'_> {
     fn with_lanes<L: Lane>(self) -> Result<(), EosError> {
         debug_assert!(L::W <= MAX_W);
         let t = self.table;
-        let data = t.data.as_slice();
         let n = self.rho.len();
         let (dx, dy) = (L::splat(t.dx), L::splat(t.dy));
         let mut i = 0;
@@ -568,7 +996,7 @@ impl WithLanes for InterpLanes<'_> {
             ];
             let out = &mut self.out[i..i + L::W];
             if self.sel.has(PRES) {
-                let [v, sx, sy] = cell_sums::<L>(t, data, PRES, &corner, &basis, true, true);
+                let [v, sx, sy] = cell_sums::<L>(t, PRES, &corner, &basis, true, true);
                 let (sx, sy) = (sx.div(dx), sy.div(dy));
                 for (k, o) in out.iter_mut().enumerate() {
                     o.pres = 10f64.powf(v.extract(k));
@@ -577,7 +1005,7 @@ impl WithLanes for InterpLanes<'_> {
                 }
             }
             if self.sel.has(ENER) {
-                let [v, _, sy] = cell_sums::<L>(t, data, ENER, &corner, &basis, false, true);
+                let [v, _, sy] = cell_sums::<L>(t, ENER, &corner, &basis, false, true);
                 let sy = sy.div(dy);
                 for (k, o) in out.iter_mut().enumerate() {
                     o.ener = 10f64.powf(v.extract(k));
@@ -598,14 +1026,13 @@ impl WithLanes for InterpLanes<'_> {
 }
 
 /// One quantity's bicubic cell sums, `W` points at once: a lane-for-lane
-/// replica of [`HelmTable::cell_sums`]'s arithmetic (same order, no
+/// replica of [`Planes::cell_sums`]'s arithmetic (same order, no
 /// contractions) with the 16 scattered coefficient loads expressed as
 /// per-plane gathers. Returns the (value, x-slope, y-slope) sums, still in
 /// log10 space; a slope not asked for is 0.
 #[inline(always)]
 fn cell_sums<L: Lane>(
-    t: &HelmTable,
-    data: &[f64],
+    t: &Planes,
     q: usize,
     corner: &[[usize; MAX_W]; 4],
     [hx, hy, dhx, dhy]: &[[L; 4]; 4],
@@ -620,10 +1047,10 @@ fn cell_sums<L: Lane>(
     for (c, nodes) in corner.iter().enumerate() {
         let cx = c % 2;
         let cy = c / 2;
-        let v = gather_plane::<L>(t, data, q, 0, nodes);
-        let vx = gather_plane::<L>(t, data, q, 1, nodes).mul(dx);
-        let vy = gather_plane::<L>(t, data, q, 2, nodes).mul(dy);
-        let vxy = gather_plane::<L>(t, data, q, 3, nodes).mul(dx).mul(dy);
+        let v = gather_plane::<L>(t, q, 0, nodes);
+        let vx = gather_plane::<L>(t, q, 1, nodes).mul(dx);
+        let vy = gather_plane::<L>(t, q, 2, nodes).mul(dy);
+        let vxy = gather_plane::<L>(t, q, 3, nodes).mul(dx).mul(dy);
         let (bx_v, bx_d) = (hx[cx * 2], hx[cx * 2 + 1]);
         let (by_v, by_d) = (hy[cy * 2], hy[cy * 2 + 1]);
         acc = acc.add(
@@ -657,11 +1084,14 @@ fn cell_sums<L: Lane>(
     [acc, acc_dx, acc_dy]
 }
 
-/// Gather one coefficient plane's value at each lane's corner node.
+/// Gather one coefficient plane's value at each lane's corner node (nodes
+/// of cells [`Planes::locate`] returned).
 #[inline(always)]
-fn gather_plane<L: Lane>(t: &HelmTable, data: &[f64], q: usize, d: usize, nodes: &[usize; MAX_W]) -> L {
-    let base = (q * N_DERIV + d) * t.config.n_temp * t.config.n_rho;
-    L::from_fn(|k| data[base + nodes[k]])
+fn gather_plane<L: Lane>(t: &Planes, q: usize, d: usize, nodes: &[usize; MAX_W]) -> L {
+    let base = t.index(q, d, 0);
+    // SAFETY: every lane's cell was located, so its two coefficient rows
+    // (and the value rows behind them) were seen READY: the node is final.
+    L::from_fn(|k| unsafe { t.load(base + nodes[k]) })
 }
 
 /// Lane twin of [`hermite_basis`], term order preserved.
@@ -670,7 +1100,10 @@ fn hermite_basis_lanes<L: Lane>(t: L) -> [L; 4] {
     let t2 = t.mul(t);
     let t3 = t2.mul(t);
     [
-        L::splat(2.0).mul(t3).sub(L::splat(3.0).mul(t2)).add(L::splat(1.0)),
+        L::splat(2.0)
+            .mul(t3)
+            .sub(L::splat(3.0).mul(t2))
+            .add(L::splat(1.0)),
         t3.sub(L::splat(2.0).mul(t2)).add(t),
         L::splat(-2.0).mul(t3).add(L::splat(3.0).mul(t2)),
         t3.sub(t2),
@@ -683,7 +1116,10 @@ fn hermite_basis_deriv_lanes<L: Lane>(t: L) -> [L; 4] {
     let t2 = t.mul(t);
     [
         L::splat(6.0).mul(t2).sub(L::splat(6.0).mul(t)),
-        L::splat(3.0).mul(t2).sub(L::splat(4.0).mul(t)).add(L::splat(1.0)),
+        L::splat(3.0)
+            .mul(t2)
+            .sub(L::splat(4.0).mul(t))
+            .add(L::splat(1.0)),
         L::splat(-6.0).mul(t2).add(L::splat(6.0).mul(t)),
         L::splat(3.0).mul(t2).sub(L::splat(2.0).mul(t)),
     ]
@@ -768,8 +1204,8 @@ mod tests {
         let cfg = *table.config();
         let (x0, _) = cfg.log_rho_ye;
         let (y0, _) = cfg.log_temp;
-        let rho_ye = 10f64.powf(x0 + 5.0 * table.dx);
-        let temp = 10f64.powf(y0 + 7.0 * table.dy);
+        let rho_ye = 10f64.powf(x0 + 5.0 * table.planes.dx);
+        let temp = 10f64.powf(y0 + 7.0 * table.planes.dy);
         let exact = electron_state(rho_ye, temp).unwrap();
         let got = table.interp(rho_ye, temp).unwrap();
         assert!((got.pres - exact.pres).abs() / exact.pres < 1e-9);
@@ -806,7 +1242,7 @@ mod tests {
     #[test]
     fn gather_indices_shape() {
         let table = test_table();
-        let plane_size = table.config.n_rho * table.config.n_temp;
+        let plane_size = table.config().n_rho * table.config().n_temp;
         // 4 corners × 4 planes per selected quantity.
         for (sel, planes) in [
             (Quantities::ALL, vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]),
@@ -819,7 +1255,7 @@ mod tests {
             let mut idx = Vec::new();
             table.gather_indices(1e5, 1e8, sel, &mut idx).unwrap();
             assert_eq!(idx.len(), 4 * planes.len(), "{sel:?}");
-            assert!(idx.iter().all(|&i| i < table.data.len()));
+            assert!(idx.iter().all(|&i| i < table.planes.data.len()));
             let mut seen: Vec<usize> = idx.iter().map(|&i| i / plane_size).collect();
             seen.dedup();
             assert_eq!(seen, planes, "{sel:?}");
@@ -841,8 +1277,8 @@ mod tests {
     fn interp_lanes_is_bit_exact_vs_scalar_on_every_backend() {
         let table = test_table();
         let n = 37;
-        let (x0, x1) = table.config.log_rho_ye;
-        let (y0, y1) = table.config.log_temp;
+        let (x0, x1) = table.config().log_rho_ye;
+        let (y0, y1) = table.config().log_temp;
         // Seeded quasi-random lattice across the whole domain (including
         // both edges via the first/last lanes). n = 37 is prime, so every
         // backend width exercises a non-empty tail.
@@ -895,6 +1331,44 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_row_keeps_its_error_for_every_lookup_that_needs_it() {
+        // Above ~1e16 K the η solve gives up, so the top rows fail.
+        let cfg = TableConfig {
+            n_rho: 6,
+            n_temp: 8,
+            log_rho_ye: (-4.0, 10.0),
+            log_temp: (6.0, 20.0),
+        };
+        let probe = Planes::empty(cfg, Policy::None, None).unwrap();
+        let rows: Vec<_> = (0..cfg.n_temp)
+            .map(|it| probe.ensure_value(it, Builder::Demand))
+            .collect();
+        let first_failure = rows
+            .iter()
+            .find_map(|r| r.clone().err())
+            .expect("a row fails");
+        assert!(
+            rows[..3].iter().all(Result::is_ok),
+            "the bottom cell solves"
+        );
+        assert_eq!(
+            HelmTable::build_on(cfg, Policy::None, 2).err(),
+            Some(first_failure.clone()),
+            "the eager build fails with the lowest failing row"
+        );
+        let table = HelmTable::lazy(cfg, Policy::None).unwrap();
+        assert_eq!(table.complete().err(), Some(first_failure));
+        for it in 0..cfg.n_temp - 1 {
+            let want = (it.saturating_sub(1)..=(it + 2).min(cfg.n_temp - 1))
+                .find_map(|r| rows[r].clone().err());
+            let temp = 10f64.powf(cfg.log_temp.0 + (it as f64 + 0.5) * table.planes.dy);
+            for _ in 0..2 {
+                assert_eq!(table.interp(1e3, temp).err(), want, "cell {it}");
+            }
+        }
+    }
+
+    #[test]
     fn domain_edges_are_inclusive() {
         let table = test_table();
         let cfg = *table.config();
@@ -921,50 +1395,59 @@ struct TableFileHeader {
     config: TableConfig,
 }
 
+/// Write a complete table's planes to `path`: a length-prefixed JSON header
+/// (format + config), the raw little-endian f64 planes, and a CRC-32 of the
+/// planes. The file is written to a per-writer sibling temp and renamed
+/// into place, so concurrent writers of one cache path (fleet workers,
+/// parallel tests) each publish a whole file and a reader never sees a
+/// half-written one.
+fn write_table(config: &TableConfig, planes: &[f64], path: &Path) -> std::io::Result<()> {
+    use std::io::Write;
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Relaxed);
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(format!(".{}.{n}.tmp", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+
+    let header = serde_json::to_string(&TableFileHeader {
+        format: TABLE_FORMAT.into(),
+        config: *config,
+    })
+    .map_err(std::io::Error::other)?;
+    let written = (|| {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(&(header.len() as u64).to_le_bytes())?;
+        file.write_all(header.as_bytes())?;
+        let crc = with_le_bytes(planes, |planes| {
+            file.write_all(planes).map(|()| crc32(planes))
+        })?;
+        file.write_all(&crc.to_le_bytes())?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 impl HelmTable {
-    /// Write the table to disk: a length-prefixed JSON header (format +
-    /// config), the raw little-endian f64 planes, and a CRC-32 of the
-    /// planes. FLASH ships its Helmholtz table as a data file
+    /// Complete the table ([`HelmTable::complete`]) and write it to disk in
+    /// the cache format. FLASH ships its Helmholtz table as a data file
     /// (`helm_table.dat`) for exactly this reason — rebuilding from the
     /// Fermi–Dirac integrals at every startup is wasteful.
-    ///
-    /// The file is written to a per-writer sibling temp and renamed into
-    /// place, so concurrent writers of one cache path (fleet workers,
-    /// parallel tests) each publish a whole file and a reader never sees a
-    /// half-written one.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        use std::io::Write;
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(format!(".{}.{n}.tmp", std::process::id()));
-        let tmp = std::path::PathBuf::from(tmp);
-
-        let header = serde_json::to_string(&TableFileHeader {
-            format: TABLE_FORMAT.into(),
-            config: self.config,
-        })
-        .map_err(std::io::Error::other)?;
-        let written = (|| {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(&(header.len() as u64).to_le_bytes())?;
-            file.write_all(header.as_bytes())?;
-            let crc = with_le_bytes(&self.data, |planes| {
-                file.write_all(planes).map(|()| crc32(planes))
-            })?;
-            file.write_all(&crc.to_le_bytes())?;
-            std::fs::rename(&tmp, path)
-        })();
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        written
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        self.complete().map_err(std::io::Error::other)?;
+        let planes = self
+            .planes
+            .complete_slice()
+            .ok_or_else(|| std::io::Error::other("helm table incomplete"))?;
+        write_table(&self.planes.config, planes, path)
     }
 
     /// Load a table previously written by [`HelmTable::save`], reading the
     /// planes straight into a buffer backed by `policy`. Any file that is
     /// not a whole, checksum-clean table of the current format is an error.
-    pub fn load(path: &std::path::Path, policy: Policy) -> std::io::Result<HelmTable> {
+    pub fn load(path: &Path, policy: Policy) -> std::io::Result<HelmTable> {
         use std::io::Read;
         let mut file = std::fs::File::open(path)?;
         let mut len_bytes = [0u8; 8];
@@ -993,8 +1476,8 @@ impl HelmTable {
             .and_then(|plane| plane.checked_mul(N_QUANT * N_DERIV))
             .filter(|&n| config.n_rho >= 4 && config.n_temp >= 4 && n as u64 <= file_doubles)
             .ok_or_else(|| std::io::Error::other("table geometry does not fit the file"))?;
-        let mut data =
-            PageBuffer::<f64>::zeroed(n, policy).map_err(|e| std::io::Error::other(e.to_string()))?;
+        let mut data = PageBuffer::<f64>::zeroed(n, policy)
+            .map_err(|e| std::io::Error::other(e.to_string()))?;
         let mut computed = 0;
         fill_from_le(&mut data, |planes| {
             file.read_exact(planes).map(|()| computed = crc32(planes))
@@ -1007,37 +1490,31 @@ impl HelmTable {
                 "table CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
             )));
         }
-        let (x0, x1) = config.log_rho_ye;
-        let (y0, y1) = config.log_temp;
         Ok(HelmTable {
-            config,
-            data,
-            dx: (x1 - x0) / (config.n_rho - 1) as f64,
-            dy: (y1 - y0) / (config.n_temp - 1) as f64,
+            planes: Arc::new(Planes::new(config, data, true, None)),
+            background: None,
         })
     }
 
-    /// Load a matching cached table from `path`, or build one and cache it.
-    /// A stale (different geometry/domain), old-format, truncated or
-    /// corrupt cache is rebuilt and overwritten.
+    /// Load a matching cached table from `path` as a complete table, or
+    /// return a [`HelmTable::lazy`] one that writes `path` once, from the
+    /// thread that publishes its last row. A stale (different
+    /// geometry/domain), old-format, truncated or corrupt cache is
+    /// overwritten then; a table dropped before it is complete writes
+    /// nothing.
     pub fn build_or_load(
         config: TableConfig,
         policy: Policy,
-        path: &std::path::Path,
+        path: &Path,
     ) -> Result<HelmTable, EosError> {
-        if let Ok(table) = Self::load(path, policy) {
-            let c = table.config;
-            let same = c.n_rho == config.n_rho
-                && c.n_temp == config.n_temp
-                && c.log_rho_ye == config.log_rho_ye
-                && c.log_temp == config.log_temp;
-            if same {
-                return Ok(table);
-            }
+        match Self::load(path, policy) {
+            Ok(table) if table.planes.config.same_table(&config) => Ok(table),
+            _ => Ok(Self::start(Planes::empty(
+                config,
+                policy,
+                Some(path.to_path_buf()),
+            )?)),
         }
-        let table = Self::build(config, policy)?;
-        let _ = table.save(path); // cache write failure is not fatal
-        Ok(table)
     }
 }
 
@@ -1045,6 +1522,12 @@ impl HelmTable {
 mod persistence_tests {
     use super::*;
     use rflash_hugepages::as_bytes;
+
+    /// The planes of a table, completed first.
+    fn planes(table: &HelmTable) -> &[f64] {
+        table.complete().unwrap();
+        table.planes.complete_slice().unwrap()
+    }
 
     fn scratch(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("rflash-helm-{}-{name}.dat", std::process::id()))
@@ -1064,8 +1547,8 @@ mod persistence_tests {
         let path = scratch("roundtrip");
         table.save(&path).unwrap();
         let loaded = HelmTable::load(&path, Policy::None).unwrap();
-        assert_eq!(table.data.as_slice(), loaded.data.as_slice());
-        assert_eq!(table.dx, loaded.dx);
+        assert_eq!(planes(&table), planes(&loaded));
+        assert_eq!(table.planes.dx, loaded.planes.dx);
         // Interpolation agrees exactly.
         let a = table.interp(1e5, 1e8).unwrap();
         let b = loaded.interp(1e5, 1e8).unwrap();
@@ -1083,9 +1566,14 @@ mod persistence_tests {
         let path = scratch("cache");
         let _ = std::fs::remove_file(&path);
         let t1 = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
+        let built = planes(&t1).to_vec();
+        // Complete and joined: whichever thread published the last row has
+        // written the cache.
+        drop(t1);
         assert!(path.exists(), "cache written");
         let t2 = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
-        assert_eq!(t1.data.as_slice(), t2.data.as_slice());
+        assert_eq!(t2.rows_built().loaded, cfg.n_temp, "cache loaded");
+        assert_eq!(built, planes(&t2));
         // A different geometry invalidates the cache.
         let other = TableConfig {
             n_rho: 14,
@@ -1093,7 +1581,7 @@ mod persistence_tests {
             ..TableConfig::coarse()
         };
         let t3 = HelmTable::build_or_load(other, Policy::None, &path).unwrap();
-        assert_eq!(t3.config.n_rho, 14);
+        assert_eq!(t3.config().n_rho, 14);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1105,12 +1593,12 @@ mod persistence_tests {
         for threads in [2, 5, cfg.n_temp + 3] {
             let parallel = HelmTable::build_on(cfg, Policy::None, threads).unwrap();
             assert!(
-                as_bytes(serial.data.as_slice()) == as_bytes(parallel.data.as_slice()),
+                as_bytes(planes(&serial)) == as_bytes(planes(&parallel)),
                 "{threads} threads"
             );
         }
         let default = HelmTable::build(cfg, Policy::None).unwrap();
-        assert!(as_bytes(serial.data.as_slice()) == as_bytes(default.data.as_slice()));
+        assert!(as_bytes(planes(&serial)) == as_bytes(planes(&default)));
     }
 
     #[test]
@@ -1159,7 +1647,8 @@ mod persistence_tests {
                 "{what} must not load"
             );
             let rebuilt = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
-            assert_eq!(rebuilt.data.as_slice(), fresh.data.as_slice(), "{what}");
+            assert_eq!(planes(&rebuilt), planes(&fresh), "{what}");
+            drop(rebuilt);
             assert!(
                 std::fs::read(&path).unwrap() == good,
                 "{what} cache must be overwritten"
@@ -1190,7 +1679,7 @@ mod persistence_tests {
                             continue;
                         }
                         match HelmTable::load(path, Policy::None) {
-                            Ok(seen) => assert_eq!(seen.data.as_slice(), table.data.as_slice()),
+                            Ok(seen) => assert_eq!(planes(&seen), planes(table)),
                             // Not there yet is fine; half-written is not.
                             Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
                         }

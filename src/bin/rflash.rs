@@ -30,6 +30,7 @@ use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
 use rflash::core::{
     run_fleet, worker_main, CheckpointSeries, FleetConfig, Simulation, StepScheduler, WorkerArgs,
 };
+use rflash::eos::RowsBuilt;
 use rflash::hugepages::{MemInfoWatch, Policy, POLICY_ENV_VAR};
 use rflash::hydro::SweepEngine;
 use rflash::mesh::GuardFillStats;
@@ -229,6 +230,7 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     println!("  built: {} at t=0", backing_summary(&sim));
     println!("  {}", setup_line(&sim, build_s));
     let setup_fills = sim.domain.guard_fill_stats();
+    let setup_rows = helm_rows(&sim);
 
     match checkpoint_dir {
         Some(dir) if checkpoint_every > 0 => {
@@ -251,6 +253,9 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     }
     println!("  t = {:e} after {} steps", sim.time, sim.step);
     println!("  {}", phases_line(&sim, setup_fills));
+    if let (Some((setup, _)), Some((exit, n_temp))) = (setup_rows, helm_rows(&sim)) {
+        println!("  {}", table_line(setup, exit, n_temp));
+    }
     println!("  digest {digest}");
     if !full {
         println!("  compare: golden/{name}.ron");
@@ -269,6 +274,26 @@ fn setup_line(sim: &Simulation, build_s: f64) -> String {
         })
         .collect();
     format!("setup: {} of a {build_s:.3} s build", stages.join(", "))
+}
+
+/// The Helmholtz table's row counts and size, when the run has one.
+fn helm_rows(sim: &Simulation) -> Option<(RowsBuilt, usize)> {
+    let table = sim.eos.helmholtz()?.table();
+    Some((table.rows_built(), table.config().n_temp))
+}
+
+/// Who computed the Helmholtz table's temperature rows: lookups during
+/// set-up, lookups in the step loop, or the background thread.
+fn table_line(setup: RowsBuilt, exit: RowsBuilt, n_temp: usize) -> String {
+    if exit.loaded > 0 {
+        return format!("table: {} of {n_temp} rows loaded from the cache", exit.loaded);
+    }
+    format!(
+        "table: {} of {n_temp} rows at set-up, {} on demand in the loop, {} by the background thread",
+        setup.on_demand,
+        exit.on_demand - setup.on_demand,
+        exit.background,
+    )
 }
 
 /// Where the step loop's time went (seconds and share of the loop per

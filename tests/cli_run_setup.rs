@@ -153,3 +153,34 @@ fn setup_line_splits_the_build_by_stage() {
     let sum: f64 = stages.iter().sum();
     assert!(sum <= build + 0.002, "stages sum to {sum} s of a {build} s build: {line}");
 }
+
+#[test]
+fn table_line_counts_who_computed_the_helmholtz_rows() {
+    // A private temp dir: no cached table to load, so the rows are
+    // computed during this run.
+    let tmp = std::env::temp_dir().join(format!("rflash-cli-table-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_rflash"))
+        .args(["run-setup", "supernova"])
+        .env(POLICY_ENV_VAR, "none")
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("rflash binary runs");
+    std::fs::remove_dir_all(&tmp).unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let line = stdout
+        .lines()
+        .map(str::trim_start)
+        .find(|l| l.starts_with("table:"))
+        .unwrap_or_else(|| panic!("no `table:` line in:\n{stdout}"));
+    let at_setup = number_before(line, " of ");
+    let n_temp = number_before(line, " rows at set-up");
+    let in_loop = number_before(line, " on demand in the loop");
+    let background = number_before(line, " by the background thread");
+    assert!(n_temp > 0.0, "{line}");
+    assert!(
+        at_setup + in_loop + background <= n_temp,
+        "more rows computed than the table has: {line}"
+    );
+}
