@@ -62,7 +62,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/mesh/src/executor.rs",
     "crates/mesh/src/guardcell.rs",
     // The guardian's whole point is to turn bad states into typed errors;
-    // a panic on the validate/rollback path would be self-defeating.
+    // a panic anywhere in its retry ladder (snapshot, attempt dispatch,
+    // validation, rollback, emergency checkpoint) would be self-defeating.
     "crates/core/src/guardian.rs",
     "crates/mesh/src/shadow.rs",
     // The task-graph scheduler and the per-block step bodies run on pool

@@ -1,4 +1,5 @@
-//! The step guardian: physicality validation and typed step errors.
+//! The step guardian: physicality validation, typed step errors, and the
+//! one guarded-step state machine.
 //!
 //! FLASH aborts a run the moment a zone goes unphysical (negative density
 //! out of the Riemann solver, a NaN flux, a zero time step) — the long
@@ -8,33 +9,40 @@
 //! the evolved state before committing it, rolls back to a shadow snapshot
 //! ([`rflash_mesh::ShadowSnapshot`]) on violation, retries under a bounded
 //! budget (first at the same `dt` — a transient fault recovers bit-exactly
-//! — then at halved `dt`, optionally degrading the sweep engine
-//! `Pencil → Scalar` on the final attempt), and on exhaustion writes an
-//! emergency checkpoint and returns a typed [`StepError`]. Every
-//! intervention lands in [`rflash_perfmon::GuardianStats`].
+//! — then at halved `dt`), and on exhaustion writes an emergency
+//! checkpoint and returns a typed [`StepError`]. Every intervention lands
+//! in [`rflash_perfmon::GuardianStats`].
 //!
-//! This module holds the pieces that are policy, not driver plumbing: the
-//! [`GuardianConfig`] knobs, the [`StepError`] type, and the parallel
-//! validation scan.
+//! The retry ladder exists once, here, for both step schedulers: an
+//! attempt is either the barrier body (dt scan → physics → validation
+//! scan) or one task-graph dispatch, and the ladder sees only the
+//! attempt's outcome, so both schedulers record the same interventions.
+//! With the guardian off the same loop runs a single unvalidated attempt.
 
 use std::path::PathBuf;
 
+use rflash_gravity::GravityField;
+use rflash_hydro::compute_dt_parallel_raw;
 use rflash_mesh::{vars, Domain, MortonKey};
+use rflash_perfmon::GuardianEvent;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{CheckpointError, CheckpointSeries};
+use crate::sim::Simulation;
+use crate::stepgraph::GraphAttemptOutcome;
 
 /// Retry/validation policy for the step guardian. Lives in
 /// [`crate::RuntimeParams`] (serde-defaulted, so pre-guardian checkpoints
-/// and parameter files still load).
+/// and parameter files still load; keys this version no longer has, such
+/// as `degrade_engine`, are ignored).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct GuardianConfig {
-    /// Master switch. Off restores the PR-4 unguarded step verbatim.
+    /// Master switch. Off runs each step once: no snapshot, no
+    /// validation, no retry.
     pub enabled: bool,
-    /// Retry budget per step (0 = validate but never retry).
+    /// Retry budget per step (0 = validate but never retry). Retry 1 runs
+    /// at the computed dt, retry `a ≥ 2` at `dt·½^(a−1)`.
     pub max_retries: u32,
-    /// Degrade `SweepEngine::Pencil → Scalar` on the final retry.
-    pub degrade_engine: bool,
     /// Exclusive floor for density: `dens > dens_min` must hold.
     pub dens_min: f64,
     /// Exclusive floor for pressure.
@@ -48,7 +56,6 @@ impl Default for GuardianConfig {
         GuardianConfig {
             enabled: true,
             max_retries: 2,
-            degrade_engine: true,
             dens_min: 0.0,
             pres_min: 0.0,
             ener_min: 0.0,
@@ -136,6 +143,196 @@ impl std::error::Error for StepError {
 impl From<CheckpointError> for StepError {
     fn from(e: CheckpointError) -> StepError {
         StepError::Checkpoint(e)
+    }
+}
+
+/// The dt of attempt `attempt` of a step whose CFL time step is `raw`.
+/// Attempt 0 and the first retry run at `raw` — the restored state
+/// reproduces the same dt, so a transient fault recovers bit-exactly —
+/// and from the second retry on the dt halves: `raw·½^(attempt−1)`, for
+/// persistent CFL-type trouble where a smaller step is the actual fix.
+/// Both attempt kinds take their dt from here.
+pub(crate) fn retry_dt(raw: f64, attempt: u32) -> f64 {
+    if attempt >= 2 {
+        raw * 0.5f64.powi(attempt as i32 - 1)
+    } else {
+        raw
+    }
+}
+
+impl Simulation {
+    /// The guarded step (DESIGN.md §12): capture the shadow → attempt →
+    /// validate → roll back → retry (same dt, then halved) → emergency
+    /// checkpoint → typed abort, under the "step" timer.
+    pub(crate) fn guarded_step(
+        &mut self,
+        series: Option<&CheckpointSeries>,
+    ) -> Result<f64, StepError> {
+        self.timers.start("step");
+        let result = self.retry_ladder(series);
+        self.timers.stop("step");
+        result
+    }
+
+    fn retry_ladder(&mut self, series: Option<&CheckpointSeries>) -> Result<f64, StepError> {
+        let g = self.params.guardian;
+        let step = self.step;
+        // Snapshot the committed state. A capture failure (allocation
+        // exhausted on every degradation rung) leaves the step running
+        // unprotected rather than killing a healthy run.
+        let shadow_ok = g.enabled && {
+            self.timers.start("guardian");
+            let ok = self.shadow.capture(&self.domain);
+            self.timers.stop("guardian");
+            ok
+        };
+
+        let mut attempt: u32 = 0;
+        loop {
+            let out = self.attempt(attempt, g.enabled);
+            if out.poisoned && !g.enabled {
+                return Err(StepError::BadDt {
+                    step,
+                    dt: out.raw,
+                    attempts: 1,
+                    emergency_checkpoint: None,
+                });
+            }
+            // Why this attempt cannot commit, and whether the state is the
+            // committed one again (so a retry, or a checkpoint, may start
+            // from it).
+            let (detail, state_good) = if out.poisoned {
+                self.guardian_stats.record(GuardianEvent::BadDt {
+                    step,
+                    attempt,
+                    dt: out.raw,
+                });
+                // A bad dt touched no state: no rollback is needed, only
+                // another attempt (the fault may be transient).
+                (format!("unusable time step {:e}", out.raw), true)
+            } else {
+                if out.dt < out.raw {
+                    self.guardian_stats.dt_halvings += 1;
+                }
+                if g.enabled {
+                    self.guardian_stats.count_validation();
+                }
+                let Some(detail) = out.verdict else {
+                    self.commit_step(out.dt);
+                    return Ok(out.dt);
+                };
+                self.guardian_stats.record(GuardianEvent::Violation {
+                    step,
+                    attempt,
+                    detail: detail.clone(),
+                });
+                let rolled_back = shadow_ok && self.shadow.restore(&mut self.domain);
+                if rolled_back {
+                    self.guardian_stats
+                        .record(GuardianEvent::Rollback { step, attempt });
+                }
+                (detail, rolled_back)
+            };
+            if attempt < g.max_retries && state_good {
+                attempt += 1;
+                self.guardian_stats.record(GuardianEvent::Retry {
+                    step,
+                    attempt,
+                    dt: out.raw,
+                });
+                continue;
+            }
+
+            // Budget exhausted (or no snapshot to retry from). Only a
+            // known-good state is worth checkpointing.
+            let emergency_checkpoint = self.emergency(series, state_good);
+            self.guardian_stats.record(GuardianEvent::Abort {
+                step,
+                detail: detail.clone(),
+            });
+            let attempts = attempt + 1;
+            return Err(if out.poisoned {
+                StepError::BadDt {
+                    step,
+                    dt: out.raw,
+                    attempts,
+                    emergency_checkpoint,
+                }
+            } else {
+                StepError::Unphysical {
+                    step,
+                    attempts,
+                    detail,
+                    emergency_checkpoint,
+                }
+            });
+        }
+    }
+
+    /// One attempt at the step at [`retry_dt`]: a single task-graph
+    /// dispatch when [`use_taskgraph`](Self::use_taskgraph) holds, else the
+    /// barrier body (dt scan → [`advance_physics`](Self::advance_physics)).
+    /// With `validate`, the verdict is the first violation in Morton order:
+    /// folded into the graph's tail when no flame or gravity runs after
+    /// the graph, else one [`validate_domain`] scan here. A poisoned
+    /// attempt (unusable dt) has touched no leaf interior.
+    fn attempt(&mut self, attempt: u32, validate: bool) -> GraphAttemptOutcome {
+        let graph = self.use_taskgraph();
+        let fused = graph
+            && validate
+            && self.flame.is_none()
+            && matches!(self.gravity.field, GravityField::None)
+            && self.gravity.monopole.is_none();
+        let mut out = if graph {
+            self.graph_attempt(attempt, fused)
+        } else {
+            self.timers.start("dt");
+            let raw =
+                compute_dt_parallel_raw(&mut self.domain, self.params.cfl, self.params.nranks);
+            self.timers.stop("dt");
+            GraphAttemptOutcome {
+                raw,
+                dt: retry_dt(raw, attempt),
+                poisoned: !(raw.is_finite() && raw > 0.0),
+                verdict: None,
+            }
+        };
+        if out.poisoned {
+            return out;
+        }
+        if graph {
+            // Flame and gravity (none when fused).
+            self.post_sweep_tail(out.dt);
+        } else {
+            self.advance_physics(out.dt);
+        }
+        if validate && !fused {
+            self.timers.start("guardian");
+            out.verdict =
+                validate_domain(&mut self.domain, &self.params.guardian, self.params.nranks);
+            self.timers.stop("guardian");
+        }
+        out
+    }
+
+    /// Write an emergency checkpoint of the current (rolled-back) state,
+    /// best-effort: an abort must surface the step error, not a nested
+    /// checkpoint failure.
+    fn emergency(
+        &mut self,
+        series: Option<&CheckpointSeries>,
+        state_good: bool,
+    ) -> Option<PathBuf> {
+        if !state_good {
+            return None;
+        }
+        let path = series?.write(self).ok()?;
+        self.guardian_stats
+            .record(GuardianEvent::EmergencyCheckpoint {
+                step: self.step,
+                path: path.display().to_string(),
+            });
+        Some(path)
     }
 }
 
@@ -329,7 +526,7 @@ mod tests {
         assert!(!g.enabled);
         assert_eq!(g.max_retries, 7);
         let d = GuardianConfig::default();
-        assert!(d.enabled && d.degrade_engine);
+        assert!(d.enabled);
         assert_eq!(d.max_retries, 2);
     }
 }

@@ -64,8 +64,8 @@ pub struct RuntimeParams {
     /// overrides this for testing. Every backend is bit-identical.
     #[serde(default)]
     pub simd_backend: rflash_simd::Backend,
-    /// Step-guardian policy (validation floors, retry budget, engine
-    /// degradation). Defaulted so pre-guardian checkpoints still load.
+    /// Step-guardian policy (validation floors, retry budget). Defaulted
+    /// so pre-guardian checkpoints still load.
     #[serde(default)]
     pub guardian: crate::guardian::GuardianConfig,
     /// In-step work scheduler. Defaulted so pre-task-graph checkpoints and

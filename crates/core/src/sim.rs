@@ -1,23 +1,17 @@
 //! The simulation driver (FLASH's `Driver_evolveFlash`).
 
-use std::path::PathBuf;
-
 use rflash_flame::AdrFlame;
 use rflash_gravity::{apply_gravity, GravityField, MonopoleSolver};
 use rflash_hugepages::faults::{self, FaultSite};
-use rflash_hydro::{
-    compute_dt_parallel_raw, sweep_direction_prefilled, SweepConfig, SweepEngine, SweepEos, NFLUX,
-};
+use rflash_hydro::{sweep_direction_prefilled, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::FluxRegister;
 use rflash_mesh::refine::{lohner_marks, LohnerConfig};
 use rflash_mesh::{vars, Domain, GuardNeed, ShadowSnapshot};
-use rflash_perfmon::{
-    GuardianEvent, GuardianStats, Measures, PerfSession, RankLoad, SessionConfig, Timers,
-};
+use rflash_perfmon::{GuardianStats, Measures, PerfSession, RankLoad, SessionConfig, Timers};
 
 use crate::checkpoint::CheckpointSeries;
 use crate::eos_choice::{Composition, EosChoice};
-use crate::guardian::{validate_domain, StepError};
+use crate::guardian::StepError;
 use crate::instrument::{eos_pass, register_buffers};
 use crate::params::RuntimeParams;
 
@@ -58,7 +52,7 @@ pub struct Simulation {
     /// Variables fed to the refinement estimator.
     pub refine_vars: Vec<usize>,
     pub lohner: LohnerConfig,
-    /// Every guardian intervention (rollbacks, retries, degradations).
+    /// Every guardian intervention (rollbacks, retries, dt halvings).
     pub guardian_stats: GuardianStats,
     /// Where [`try_step`](Self::try_step) writes emergency checkpoints on
     /// abort. [`evolve_checkpointed`](Self::evolve_checkpointed) uses its
@@ -163,17 +157,8 @@ impl Simulation {
         self.guarded_step(series.as_ref())
     }
 
-    /// The raw CFL time step under the "dt" timer, unvalidated — the
-    /// guardian (or the legacy assert) judges the value.
-    fn compute_dt_timed(&mut self) -> f64 {
-        self.timers.start("dt");
-        let dt = compute_dt_parallel_raw(&mut self.domain, self.params.cfl, self.params.nranks);
-        self.timers.stop("dt");
-        dt
-    }
-
     /// The sweep configuration this run's parameters resolve to.
-    fn sweep_config(&self) -> SweepConfig {
+    pub(crate) fn sweep_config(&self) -> SweepConfig {
         SweepConfig {
             nranks: self.params.nranks,
             dens_floor: self.params.dens_floor,
@@ -190,7 +175,7 @@ impl Simulation {
     /// by the instrumented EOS pass), flame, gravity. Does *not* advance
     /// `step`/`time` or regrid — [`commit_step`](Self::commit_step) does,
     /// so the guardian can validate (and roll back) in between.
-    fn advance_physics(&mut self, dt: f64) {
+    pub(crate) fn advance_physics(&mut self, dt: f64) {
         let ndim = self.domain.tree.config().ndim;
         let sweep_cfg = self.sweep_config();
         // The sweep defers thermodynamics to the instrumented EOS pass.
@@ -309,184 +294,6 @@ impl Simulation {
             );
             self.domain.tree.adapt(&mut self.domain.unk, &marks);
             self.timers.stop("regrid");
-        }
-    }
-
-    /// The guarded step state machine: validate → rollback → retry
-    /// (same dt first, then halved) → degrade engine → emergency
-    /// checkpoint → typed abort. See DESIGN.md §12.
-    pub(crate) fn guarded_step(
-        &mut self,
-        series: Option<&CheckpointSeries>,
-    ) -> Result<f64, StepError> {
-        if self.use_taskgraph() {
-            return self.guarded_step_graph(series);
-        }
-        self.timers.start("step");
-        let g = self.params.guardian;
-
-        if !g.enabled {
-            // The pre-guardian step, verbatim (plus the dt usability check
-            // the old assert provided).
-            let dt = self.compute_dt_timed();
-            if !(dt.is_finite() && dt > 0.0) {
-                self.timers.stop("step");
-                return Err(StepError::BadDt {
-                    step: self.step,
-                    dt,
-                    attempts: 1,
-                    emergency_checkpoint: None,
-                });
-            }
-            self.advance_physics(dt);
-            self.commit_step(dt);
-            self.timers.stop("step");
-            return Ok(dt);
-        }
-
-        // Snapshot the committed state. A capture failure (allocation
-        // exhausted on every degradation rung) leaves the step running
-        // unprotected rather than killing a healthy run.
-        self.timers.start("guardian");
-        let shadow_ok = self.shadow.capture(&self.domain);
-        self.timers.stop("guardian");
-
-        let saved_engine = self.params.sweep_engine;
-        let step = self.step;
-        let mut attempt: u32 = 0;
-        loop {
-            let raw = self.compute_dt_timed();
-            if !(raw.is_finite() && raw > 0.0) {
-                self.guardian_stats.record(GuardianEvent::BadDt {
-                    step,
-                    attempt,
-                    dt: raw,
-                });
-                if attempt < g.max_retries {
-                    // The state was not touched — a bad dt needs no
-                    // rollback, only another attempt (the fault may be
-                    // transient).
-                    attempt += 1;
-                    self.guardian_stats.record(GuardianEvent::Retry {
-                        step,
-                        attempt,
-                        dt: raw,
-                    });
-                    continue;
-                }
-                let ckpt = self.emergency(series, true);
-                self.guardian_stats.record(GuardianEvent::Abort {
-                    step,
-                    detail: format!("unusable time step {raw:e}"),
-                });
-                self.timers.stop("step");
-                return Err(StepError::BadDt {
-                    step,
-                    dt: raw,
-                    attempts: attempt + 1,
-                    emergency_checkpoint: ckpt,
-                });
-            }
-
-            // Retry ladder: attempt 0 and the first retry run at the
-            // computed dt — a transient fault then recovers bit-exactly,
-            // since the restored state reproduces the same dt. From the
-            // second retry on, halve: 0.5, 0.25, … of the computed value.
-            let dt = if attempt >= 2 {
-                let scaled = raw * 0.5f64.powi(attempt as i32 - 1);
-                self.guardian_stats.dt_halvings += 1;
-                scaled
-            } else {
-                raw
-            };
-
-            // Final attempt: optionally degrade the pencil engine to the
-            // scalar reference path, in case the SoA fast path itself is
-            // what keeps producing the bad state.
-            if attempt == g.max_retries
-                && attempt > 0
-                && g.degrade_engine
-                && saved_engine == SweepEngine::Pencil
-            {
-                self.params.sweep_engine = SweepEngine::Scalar;
-                self.guardian_stats
-                    .record(GuardianEvent::EngineDegrade { step, attempt });
-            }
-
-            self.advance_physics(dt);
-
-            self.timers.start("guardian");
-            let verdict = validate_domain(&mut self.domain, &g, self.params.nranks);
-            self.timers.stop("guardian");
-            self.guardian_stats.count_validation();
-
-            let Some(detail) = verdict else {
-                self.params.sweep_engine = saved_engine;
-                self.commit_step(dt);
-                self.timers.stop("step");
-                return Ok(dt);
-            };
-            self.guardian_stats.record(GuardianEvent::Violation {
-                step,
-                attempt,
-                detail: detail.clone(),
-            });
-
-            let rolled_back = shadow_ok && self.shadow.restore(&mut self.domain);
-            if rolled_back {
-                self.guardian_stats
-                    .record(GuardianEvent::Rollback { step, attempt });
-            }
-            if attempt < g.max_retries && rolled_back {
-                attempt += 1;
-                self.guardian_stats.record(GuardianEvent::Retry {
-                    step,
-                    attempt,
-                    dt: raw,
-                });
-                continue;
-            }
-
-            // Budget exhausted (or no snapshot to retry from). Only a
-            // rolled-back — known-good — state is worth checkpointing.
-            self.params.sweep_engine = saved_engine;
-            let ckpt = self.emergency(series, rolled_back);
-            self.guardian_stats.record(GuardianEvent::Abort {
-                step,
-                detail: detail.clone(),
-            });
-            self.timers.stop("step");
-            return Err(StepError::Unphysical {
-                step,
-                attempts: attempt + 1,
-                detail,
-                emergency_checkpoint: ckpt,
-            });
-        }
-    }
-
-    /// Write an emergency checkpoint of the current (rolled-back) state,
-    /// best-effort: an abort must surface the step error, not a nested
-    /// checkpoint failure.
-    pub(crate) fn emergency(
-        &mut self,
-        series: Option<&CheckpointSeries>,
-        state_good: bool,
-    ) -> Option<PathBuf> {
-        if !state_good {
-            return None;
-        }
-        let series = series?;
-        match series.write(self) {
-            Ok(path) => {
-                self.guardian_stats
-                    .record(GuardianEvent::EmergencyCheckpoint {
-                        step: self.step,
-                        path: path.display().to_string(),
-                    });
-                Some(path)
-            }
-            Err(_) => None,
         }
     }
 

@@ -30,11 +30,9 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use rflash_gravity::GravityField;
 use rflash_hugepages::faults::{self, FaultSite};
 use rflash_hydro::{
-    apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, SweepConfig, SweepEngine,
-    SweepEos, NFLUX,
+    apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, SweepEos, NFLUX,
 };
 use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
@@ -44,11 +42,10 @@ use rflash_mesh::taskgraph::{GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskC
 use rflash_mesh::tree::Neighbor;
 use rflash_mesh::unk::Region;
 use rflash_mesh::{vars, BlockId, BlockState, GuardNeed, Tree};
-use rflash_perfmon::{GuardianEvent, Probe};
+use rflash_perfmon::Probe;
 use serde::Serialize;
 
-use crate::checkpoint::CheckpointSeries;
-use crate::guardian::{check_block, validate_domain, StepError};
+use crate::guardian::{check_block, retry_dt};
 use crate::instrument::eos_block;
 use crate::params::StepScheduler;
 use crate::sim::Simulation;
@@ -118,15 +115,16 @@ pub(crate) struct StepGraphPlan {
     leaves: Vec<BlockId>,
 }
 
-/// Result of one graph attempt.
+/// Result of one step attempt, a graph dispatch or the barrier body.
 pub(crate) struct GraphAttemptOutcome {
     /// `cfl · min(wavetime)`, bit-identical to `compute_dt_parallel_raw`.
     pub raw: f64,
-    /// The dt the sweeps actually used (retry-ladder scaled).
+    /// The dt the sweeps actually used ([`retry_dt`] of `raw`).
     pub dt: f64,
     /// The dt was unusable: every state-mutating task no-opped.
     pub poisoned: bool,
-    /// First guardian violation in Morton order (fused plans only).
+    /// First guardian violation in Morton order (`None` when the attempt
+    /// was not validated).
     pub verdict: Option<String>,
 }
 
@@ -526,7 +524,7 @@ impl Simulation {
     /// before the dispatch: `dt-zero` first (skipping the graph entirely,
     /// like the barrier path's bad-dt attempt touches no state), then the
     /// state-corruption sites whose flags drive the in-graph Inject task.
-    fn graph_attempt(&mut self, attempt: u32, degrade: bool, fused: bool) -> GraphAttemptOutcome {
+    pub(crate) fn graph_attempt(&mut self, attempt: u32, fused: bool) -> GraphAttemptOutcome {
         let cfl = self.params.cfl;
         assert!(cfl > 0.0 && cfl < 1.0, "CFL must be in (0, 1)");
         if faults::fires(FaultSite::DtZero) {
@@ -555,20 +553,7 @@ impl Simulation {
         };
         let slot = self.ensure_graph_plan(key);
 
-        let engine = if degrade {
-            SweepEngine::Scalar
-        } else {
-            self.params.sweep_engine
-        };
-        let sweep_cfg = SweepConfig {
-            nranks,
-            dens_floor: self.params.dens_floor,
-            eint_floor: self.params.eint_floor,
-            pattern_every: self.params.pattern_every,
-            engine,
-            simd: rflash_simd::resolve(self.params.simd_backend),
-            scratch_policy: self.params.policy,
-        };
+        let sweep_cfg = self.sweep_config();
         let geom = self.domain.unk.geom();
         let cfg = *self.domain.tree.config();
         let gcfg = self.params.guardian;
@@ -640,15 +625,8 @@ impl Simulation {
                     if !(raw.is_finite() && raw > 0.0) {
                         poisoned.store(true, Ordering::Release);
                     }
-                    // The retry ladder: the first retry reruns the computed
-                    // dt (bit-exact transient recovery), later ones halve.
-                    let dt = if attempt >= 2 {
-                        raw * 0.5f64.powi(attempt as i32 - 1)
-                    } else {
-                        raw
-                    };
                     // SAFETY: sole writer; sweeps read through dt_res edges.
-                    unsafe { *dt_slot.write_slot(0) = (raw, dt) };
+                    unsafe { *dt_slot.write_slot(0) = (raw, retry_dt(raw, attempt)) };
                 }
                 K_RESTRICT => {
                     // SAFETY: child interiors are ordered shared reads and
@@ -815,150 +793,6 @@ impl Simulation {
             dt: if was_poisoned { raw } else { dt },
             poisoned: was_poisoned,
             verdict,
-        }
-    }
-
-    /// The guarded step driven by graph attempts — the same state machine
-    /// as the barrier `guarded_step` (validate → rollback → retry →
-    /// degrade → abort), with `advance_physics` + `validate_domain`
-    /// replaced by one graph dispatch per attempt.
-    pub(crate) fn guarded_step_graph(
-        &mut self,
-        series: Option<&CheckpointSeries>,
-    ) -> Result<f64, StepError> {
-        self.timers.start("step");
-        let g = self.params.guardian;
-        let fused = g.enabled
-            && self.flame.is_none()
-            && matches!(self.gravity.field, GravityField::None)
-            && self.gravity.monopole.is_none();
-
-        if !g.enabled {
-            // The unguarded step: one attempt, typed error on a bad dt
-            // (the poisoned graph left the state untouched).
-            let out = self.graph_attempt(0, false, fused);
-            if out.poisoned {
-                self.timers.stop("step");
-                return Err(StepError::BadDt {
-                    step: self.step,
-                    dt: out.raw,
-                    attempts: 1,
-                    emergency_checkpoint: None,
-                });
-            }
-            self.post_sweep_tail(out.dt);
-            self.commit_step(out.dt);
-            self.timers.stop("step");
-            return Ok(out.dt);
-        }
-
-        self.timers.start("guardian");
-        let shadow_ok = self.shadow.capture(&self.domain);
-        self.timers.stop("guardian");
-
-        let saved_engine = self.params.sweep_engine;
-        let step = self.step;
-        let mut attempt: u32 = 0;
-        loop {
-            // Final attempt: optionally fall back to the scalar reference
-            // engine. The flag is applied to the attempt's sweep config up
-            // front (the graph needs it before dispatch) but recorded only
-            // when the attempt actually advances state — a bad-dt attempt
-            // never sweeps, matching the barrier ordering.
-            let degrade = attempt == g.max_retries
-                && attempt > 0
-                && g.degrade_engine
-                && saved_engine == SweepEngine::Pencil;
-
-            let out = self.graph_attempt(attempt, degrade, fused);
-            if out.poisoned {
-                self.guardian_stats.record(GuardianEvent::BadDt {
-                    step,
-                    attempt,
-                    dt: out.raw,
-                });
-                if attempt < g.max_retries {
-                    // Leaf interiors were not touched (poisoned sweeps
-                    // no-op) — no rollback, only another attempt.
-                    attempt += 1;
-                    self.guardian_stats.record(GuardianEvent::Retry {
-                        step,
-                        attempt,
-                        dt: out.raw,
-                    });
-                    continue;
-                }
-                let ckpt = self.emergency(series, true);
-                self.guardian_stats.record(GuardianEvent::Abort {
-                    step,
-                    detail: format!("unusable time step {:e}", out.raw),
-                });
-                self.timers.stop("step");
-                return Err(StepError::BadDt {
-                    step,
-                    dt: out.raw,
-                    attempts: attempt + 1,
-                    emergency_checkpoint: ckpt,
-                });
-            }
-            let (raw, dt) = (out.raw, out.dt);
-            if degrade {
-                self.params.sweep_engine = SweepEngine::Scalar;
-                self.guardian_stats
-                    .record(GuardianEvent::EngineDegrade { step, attempt });
-            }
-
-            let verdict = if fused {
-                out.verdict
-            } else {
-                self.post_sweep_tail(dt);
-                self.timers.start("guardian");
-                let v = validate_domain(&mut self.domain, &g, self.params.nranks);
-                self.timers.stop("guardian");
-                v
-            };
-            self.guardian_stats.count_validation();
-
-            let Some(detail) = verdict else {
-                self.params.sweep_engine = saved_engine;
-                self.commit_step(dt);
-                self.timers.stop("step");
-                return Ok(dt);
-            };
-            self.guardian_stats.record(GuardianEvent::Violation {
-                step,
-                attempt,
-                detail: detail.clone(),
-            });
-
-            let rolled_back = shadow_ok && self.shadow.restore(&mut self.domain);
-            if rolled_back {
-                self.guardian_stats
-                    .record(GuardianEvent::Rollback { step, attempt });
-            }
-            if attempt < g.max_retries && rolled_back {
-                attempt += 1;
-                self.guardian_stats.record(GuardianEvent::Retry {
-                    step,
-                    attempt,
-                    dt: raw,
-                });
-                continue;
-            }
-
-            self.params.sweep_engine = saved_engine;
-            let ckpt = self.emergency(series, rolled_back);
-            self.guardian_stats.record(GuardianEvent::Abort {
-                step,
-                detail: detail.clone(),
-            });
-            self.timers.stop("step");
-            return Err(StepError::Unphysical {
-                step,
-                attempts: attempt + 1,
-                detail,
-                emergency_checkpoint: ckpt,
-            });
         }
     }
 }

@@ -57,8 +57,9 @@ pub enum SweepEos<'a> {
 #[serde(rename_all = "snake_case")]
 pub enum SweepEngine {
     /// The original per-zone path: `Vec`-backed work arrays indexed through
-    /// `UnkGeom::slab_idx` per cell. Kept as the parity reference and as the
-    /// fallback when pencil scratch cannot be mapped.
+    /// `UnkGeom::slab_idx` per cell. Kept as the parity oracle for the
+    /// pencil engine and as its per-block fallback when pencil scratch
+    /// cannot be mapped; no step retry switches to it.
     Scalar,
     /// Pencil-batched SoA engine: gather each pencil into contiguous arena
     /// lanes once, run the kernels as lane loops, scatter back in one pass.

@@ -1,9 +1,9 @@
-//! Step-guardian telemetry: every rollback, retry, and degradation the
+//! Step-guardian telemetry: every rollback, retry, and dt halving the
 //! guardian performs, folded into the same reporting surface as the
 //! allocation chain ([`crate::AllocSummary`]). A run that silently halved
-//! its time step or fell back to the scalar sweep engine would corrupt any
-//! performance comparison; these counters make recovery as explicit as PR
-//! 3 made allocation degradation.
+//! its time step would corrupt any performance comparison; these counters
+//! make recovery as explicit as the allocation chain makes page-backing
+//! degradation.
 
 use std::fmt;
 
@@ -27,8 +27,6 @@ pub enum GuardianEvent {
     Rollback { step: u64, attempt: u32 },
     /// A retry was launched with this (possibly halved) time step.
     Retry { step: u64, attempt: u32, dt: f64 },
-    /// The sweep engine was degraded `Pencil → Scalar` for a final attempt.
-    EngineDegrade { step: u64, attempt: u32 },
     /// An emergency checkpoint of the last good state was written.
     EmergencyCheckpoint { step: u64, path: String },
     /// The retry budget ran out; the step returned a typed error.
@@ -50,8 +48,6 @@ pub struct GuardianStats {
     pub retries: u64,
     /// Retries that ran at a halved (or further halved) time step.
     pub dt_halvings: u64,
-    /// `Pencil → Scalar` engine degradations.
-    pub engine_degrades: u64,
     /// Emergency checkpoints written on abort paths.
     pub emergency_checkpoints: u64,
     /// Steps abandoned with a typed error.
@@ -70,7 +66,6 @@ impl GuardianStats {
             GuardianEvent::BadDt { .. } => self.bad_dts += 1,
             GuardianEvent::Rollback { .. } => self.rollbacks += 1,
             GuardianEvent::Retry { .. } => self.retries += 1,
-            GuardianEvent::EngineDegrade { .. } => self.engine_degrades += 1,
             GuardianEvent::EmergencyCheckpoint { .. } => self.emergency_checkpoints += 1,
             GuardianEvent::Abort { .. } => self.aborts += 1,
         }
@@ -100,11 +95,6 @@ impl fmt::Display for GuardianStats {
         writeln!(
             f,
             "| {:<28} | {:>13} |",
-            "engine degradations", self.engine_degrades
-        )?;
-        writeln!(
-            f,
-            "| {:<28} | {:>13} |",
             "emergency checkpoints", self.emergency_checkpoints
         )?;
         writeln!(f, "| {:<28} | {:>13} |", "aborts", self.aborts)?;
@@ -124,10 +114,6 @@ impl fmt::Display for GuardianStats {
                 GuardianEvent::Retry { step, attempt, dt } => {
                     writeln!(f, "  step {step} attempt {attempt}: retry at dt {dt:e}")?
                 }
-                GuardianEvent::EngineDegrade { step, attempt } => writeln!(
-                    f,
-                    "  step {step} attempt {attempt}: engine degraded pencil -> scalar"
-                )?,
                 GuardianEvent::EmergencyCheckpoint { step, path } => {
                     writeln!(f, "  step {step}: emergency checkpoint {path}")?
                 }
@@ -179,17 +165,14 @@ mod tests {
         let mut g = GuardianStats::default();
         assert!(g.clean());
         assert!(!g.to_string().contains("NOTE"));
-        g.record(GuardianEvent::EngineDegrade { step: 7, attempt: 2 });
         g.record(GuardianEvent::Abort {
             step: 7,
             detail: "retry budget exhausted".into(),
         });
         let text = g.to_string();
         assert!(text.contains("STEP GUARDIAN"), "{text}");
-        assert!(text.contains("pencil -> scalar"), "{text}");
         assert!(text.contains("ABORT"), "{text}");
         assert!(text.contains("NOTE"), "{text}");
-        assert_eq!(g.engine_degrades, 1);
         assert_eq!(g.aborts, 1);
     }
 

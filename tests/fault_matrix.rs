@@ -3,15 +3,18 @@
 //! The contract under test: whatever the fault plan does to the kernel
 //! interfaces, `PageBuffer::zeroed` either returns *usable* memory with an
 //! honest degradation trail in its backing report, or a typed error —
-//! never a panic, never a silent downgrade. Each test activates a
+//! never a panic, never a silent downgrade. A step whose pencil scratch
+//! cannot be mapped falls back to the scalar sweep and keeps its bits. Each test activates a
 //! deterministic thread-local [`FaultPlan`], so the suite is green both on
 //! hosts with no hugetlb pool at all and under CI's process-wide
 //! `RFLASH_FAULTS` injection (a thread-local plan shadows the env plan).
 
+use rflash::core::{registry, Simulation, StepScheduler};
 use rflash::hugepages::{
-    alloc_stats, AllocStage, Error, FaultKind, FaultPlan, FaultSite, PageBuffer, PageSize, Policy,
-    FAULTS_ENV_VAR,
+    alloc_stats, AllocStage, Error, FaultKind, FaultPlan, FaultSite, HugeArena, PageBuffer,
+    PageSize, Policy, FAULTS_ENV_VAR,
 };
+use rflash::hydro::SweepEngine;
 
 const ALL_POLICIES: [Policy; 3] = [
     Policy::None,
@@ -190,4 +193,64 @@ fn env_injection_when_present_is_visible_and_survivable() {
             );
         }
     }
+}
+
+/// Smoke-scale 3-d Sedov on one rank: every sweep runs on the calling
+/// thread, so a thread-local fault plan covers its scratch mapping.
+fn smoke_sedov() -> Simulation {
+    let spec = registry::load("sedov").unwrap().at_smoke_scale();
+    let params = registry::smoke_params(&spec, 1, SweepEngine::Pencil, StepScheduler::default());
+    spec.build(params).unwrap()
+}
+
+/// Bit pattern of every interior zone of every variable, leaves in Morton
+/// order, prefixed by the step counter and the time bits.
+fn state_bits(sim: &Simulation) -> Vec<u64> {
+    let mut bits = vec![sim.step, sim.time.to_bits()];
+    for id in sim.domain.tree.leaves() {
+        for v in 0..sim.domain.unk.nvar() {
+            for k in sim.domain.unk.interior_k() {
+                for j in sim.domain.unk.interior() {
+                    for i in sim.domain.unk.interior() {
+                        bits.push(sim.domain.unk.get(v, i, j, k, id.idx()).to_bits());
+                    }
+                }
+            }
+        }
+    }
+    bits
+}
+
+#[test]
+fn unmappable_pencil_scratch_falls_back_to_the_scalar_sweep() {
+    // The faulted run goes first: the per-rank scratch arena is created
+    // on a thread's first pencil sweep and then reused, so a clean run on
+    // this thread beforehand would leave nothing to fail.
+    let faulted = {
+        let mut sim = {
+            let _quiet = FaultPlan::new(0).activate();
+            smoke_sedov()
+        };
+        let _g = FaultPlan::new(0)
+            .with(FaultSite::AnonMmap, FaultKind::Always { errno: ENOMEM })
+            .with(FaultSite::HugeTlbMmap, FaultKind::Always { errno: ENOMEM })
+            .activate();
+        assert!(
+            HugeArena::new(1 << 16, Policy::None).is_err(),
+            "the plan must leave no way to map scratch"
+        );
+        for n in 0..3 {
+            sim.try_step()
+                .unwrap_or_else(|e| panic!("step {n} must run on the scalar loop: {e}"));
+        }
+        sim
+    };
+    let _quiet = FaultPlan::new(0).activate();
+    let mut clean = smoke_sedov();
+    clean.evolve(3);
+    assert_eq!(
+        state_bits(&faulted),
+        state_bits(&clean),
+        "the scalar fallback must reproduce the pencil engine's bits"
+    );
 }

@@ -304,3 +304,37 @@ fn poisoned_dt_under_taskgraph_matches_barrier_recovery() {
     assert_eq!(state_bits(&graph), state_bits(&barrier));
     assert_eq!(graph.guardian_stats, barrier.guardian_stats);
 }
+
+/// A fault that outlives the same-dt retry pushes the ladder down to a
+/// halved dt. Both schedulers run the one retry ladder, so they reach the
+/// same bits *and* record the same interventions, `dt_halvings` included.
+#[test]
+fn halved_retry_is_scheduler_invariant() {
+    let run = |scheduler: StepScheduler| {
+        let _g = FaultPlan::new(0)
+            .with(FaultSite::StepNan, FaultKind::FirstN { n: 2, errno: 22 })
+            .activate();
+        let mut sim = sedov3d(scheduler, 3, SweepEngine::default());
+        sim.params.guardian = GuardianConfig {
+            max_retries: 3,
+            ..GuardianConfig::default()
+        };
+        for n in 0..3 {
+            sim.try_step()
+                .unwrap_or_else(|e| panic!("step {n} must recover: {e}"));
+        }
+        sim
+    };
+    let graph = run(StepScheduler::TaskGraph);
+    let barrier = run(StepScheduler::Barrier);
+    assert!(
+        graph.graph_report.executions > 3,
+        "the retries re-dispatched the graph"
+    );
+    assert_eq!(state_bits(&graph), state_bits(&barrier));
+    assert_eq!(graph.guardian_stats, barrier.guardian_stats);
+    assert_eq!(
+        barrier.guardian_stats.dt_halvings, 1,
+        "attempts 0 and 1 fail at the computed dt, attempt 2 runs at half"
+    );
+}
