@@ -113,6 +113,13 @@ pub fn reconstruct_into(
 /// CW84-style shock flattening coefficient per zone, from the pressure and
 /// velocity pencils: detect strong compressive pressure jumps and flatten
 /// the reconstruction there.
+///
+/// Pass 2 takes each zone's neighbour-min over the detector values of
+/// zones `i - 1..=i + 1`, so pass 1 runs one zone wider than the output
+/// range, over `lo - 1..=hi`. Without that margin the two edge zones of a
+/// block read an uncomputed neighbour χ of 1, while the block across the
+/// face computes the same zone as interior; the two blocks then disagree
+/// on the shared face's flux and the update stops being conservative.
 pub fn flattening(pres: &[f64], velx: &[f64], lo: usize, hi: usize, out: &mut [f64]) {
     let mut snap = vec![0.0; out.len()];
     flattening_into(pres, velx, lo, hi, out, &mut snap);
@@ -137,7 +144,7 @@ pub fn flattening_into(
     const OMEGA1: f64 = 0.75;
     const OMEGA2: f64 = 10.0;
     const EPSILON: f64 = 0.33;
-    for i in lo..hi {
+    for i in lo.saturating_sub(1)..=hi {
         if i < 2 || i + 2 >= pres.len() {
             continue;
         }
@@ -363,10 +370,11 @@ fn flatten_pass2_at<L: Lane>(snap: &[f64], out: &mut [f64], i: usize, s: usize) 
 }
 
 /// Lane-generic twin of [`flattening_into`] over positions `lo..hi` of `s`
-/// interleaved pencils. The scalar loop's per-zone guards
-/// (`i < 2 || i + 2 >= len` ⇒ untouched, `i >= 1 && i + 1 < len`, in
-/// positions) become subrange clamps — zones outside keep the pass's
-/// incoming value exactly as the scalar `continue` leaves them.
+/// interleaved pencils (pass 1 over `lo - 1..=hi`, as there). The scalar
+/// loop's per-zone guards (`i < 2 || i + 2 >= len` ⇒ untouched,
+/// `i >= 1 && i + 1 < len`, in positions) become subrange clamps — zones
+/// outside keep the pass's incoming value exactly as the scalar `continue`
+/// leaves them.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 pub fn flattening_lanes<L: Lane>(
@@ -383,7 +391,7 @@ pub fn flattening_lanes<L: Lane>(
     assert_eq!(snap.len(), pres.len());
     let n = pres.len() / s;
     out.fill(1.0);
-    let (mut i, end) = (lo.max(2) * s, hi.min(n.saturating_sub(2)) * s);
+    let (mut i, end) = (lo.saturating_sub(1).max(2) * s, (hi + 1).min(n.saturating_sub(2)) * s);
     while i + L::W <= end {
         flatten_pass1_at::<L>(pres, velx, out, i, s);
         i += L::W;

@@ -105,26 +105,58 @@ fn amr_follows_the_shock_front() {
     );
 }
 
-#[test]
-fn total_energy_is_approximately_conserved() {
-    let sim = evolve(&sedov_2d(), 80);
-    let mut e_total = 0.0;
+/// Total mass and total energy over the leaf interiors.
+fn totals(sim: &Simulation) -> (f64, f64) {
+    let ndim = sim.domain.tree.config().ndim;
+    let ks = if ndim == 3 { sim.domain.unk.interior() } else { 0..1 };
+    let (mut mass, mut energy) = (0.0, 0.0);
     for id in sim.domain.tree.leaves() {
-        let dx = sim.domain.tree.cell_size(id);
-        for j in sim.domain.unk.interior() {
-            for i in sim.domain.unk.interior() {
-                let dens = sim.domain.unk.get(vars::DENS, i, j, 0, id.idx());
-                let ener = sim.domain.unk.get(vars::ENER, i, j, 0, id.idx());
-                e_total += dens * ener * dx[0] * dx[1];
+        let vol: f64 = sim.domain.tree.cell_size(id)[..ndim].iter().product();
+        for k in ks.clone() {
+            for j in sim.domain.unk.interior() {
+                for i in sim.domain.unk.interior() {
+                    let dens = sim.domain.unk.get(vars::DENS, i, j, k, id.idx());
+                    let ener = sim.domain.unk.get(vars::ENER, i, j, k, id.idx());
+                    mass += dens * vol;
+                    energy += dens * ener * vol;
+                }
             }
         }
     }
-    // Outflow boundaries have not been reached; energy should hold to a few
-    // per mill (AMR prolongation/restriction and floors cause tiny drift).
-    assert!(
-        (e_total - E0).abs() / E0 < 0.02,
-        "energy drifted: {e_total} vs {E0}"
-    );
+    (mass, energy)
+}
+
+/// Evolve `spec` for `steps` and assert that total mass and energy hold to
+/// round-off: split finite volumes with a unique flux per face, conservative
+/// restriction/prolongation and fine–coarse flux correction leave nothing
+/// else to drift while the blast stays inside the box.
+fn assert_conserved(spec: &SetupSpec, steps: u64) {
+    let params = registry::smoke_params(spec, 1, SweepEngine::default(), StepScheduler::default());
+    let mut sim = spec.build(params).unwrap();
+    let (m0, e0) = totals(&sim);
+    sim.evolve(steps);
+    let (m1, e1) = totals(&sim);
+    let (dm, de) = ((m1 - m0) / m0, (e1 - e0) / e0);
+    assert!(dm.abs() < 1e-12, "mass drifted over {steps} steps: {m0} -> {m1} ({dm:e})");
+    assert!(de.abs() < 1e-12, "energy drifted over {steps} steps: {e0} -> {e1} ({de:e})");
+}
+
+#[test]
+fn total_energy_is_approximately_conserved() {
+    // 2-d, three levels with regrids; outflow boundaries not yet reached.
+    assert_conserved(&sedov_2d(), 80);
+}
+
+#[test]
+fn periodic_single_level_3d_sedov_conserves_to_round_off() {
+    // 64 leaves on one level: every face is a block face, none is a
+    // refinement jump, and nothing leaves the periodic box.
+    let mut spec = registry::load("sedov").unwrap();
+    spec.mesh.min_refine = 2;
+    spec.mesh.max_refine = 2;
+    spec.mesh.max_blocks = 128;
+    spec.mesh.bc_default = BcSpec::Periodic;
+    assert_conserved(&spec, 30);
 }
 
 #[test]
