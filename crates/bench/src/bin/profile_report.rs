@@ -198,13 +198,12 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
-    // Guardian interventions: a run that rolled back, halved dt, or fell
-    // back to the scalar engine is not comparable to a clean run, and the
-    // table says so explicitly.
+    // Guardian interventions: a run that rolled back or halved dt is not
+    // comparable to a clean run, and the table says so explicitly.
     println!("\n{}", sim.guardian_stats);
 
     // Fallback/retry counters from the allocation degradation chain: a run
-    // whose huge pages silently failed to engage shows up here, not just in
-    // the DTLB numbers it skews.
+    // whose huge pages failed to engage, or whose sweep scratch fell back to
+    // the heap, shows up here, not just in the DTLB numbers it skews.
     println!("\n{}", rflash_perfmon::AllocSummary::since(&alloc_baseline));
 }

@@ -1,9 +1,8 @@
 //! Run every registered scenario across the full determinism matrix and
 //! reconcile the digests against the committed golden corpus.
 //!
-//! Each scenario runs at smoke scale in all eight cells of
-//! `SweepEngine::{Scalar, Pencil}` × `StepScheduler::{Barrier, TaskGraph}`
-//! × `nranks ∈ {1, 4}`. The repo's determinism invariants say every cell
+//! Each scenario runs at smoke scale in all four cells of
+//! `StepScheduler::{Barrier, TaskGraph}` × `nranks ∈ {1, 4}`. The repo's determinism invariants say every cell
 //! must produce one digest; this bin checks that first, then compares the
 //! digest against `golden/<scenario>.ron`.
 //!
@@ -15,7 +14,7 @@
 //! cargo run --release -p rflash-bench --bin scenario_matrix -- --golden-dir path/to/corpus
 //! ```
 //!
-//! `--bless` only rewrites a record after the internal eight-cell
+//! `--bless` only rewrites a record after the internal four-cell
 //! consistency check passes — a matrix that disagrees with itself is a bug,
 //! never a new golden.
 
@@ -54,28 +53,24 @@ fn main() {
         let mut reference: Option<StateDigest> = None;
         let mut consistent = true;
 
-        for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-            for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
-                for nranks in [1usize, 4] {
-                    let start = Instant::now();
-                    let sim = registry::run_smoke(&spec, nranks, engine, scheduler)
-                        .unwrap_or_else(|e| panic!("{name}: smoke run failed: {e}"));
-                    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                    let digest = StateDigest::of(&sim);
-                    println!(
-                        "   {engine:?}/{scheduler:?} nranks={nranks}: {digest} ({wall_ms:.0} ms)"
-                    );
-                    match reference {
-                        None => reference = Some(digest),
-                        Some(r) if digest != r => {
-                            consistent = false;
-                            eprintln!(
-                                "   !! matrix cell diverged from its siblings: \
-                                 {engine:?}/{scheduler:?} nranks={nranks}"
-                            );
-                        }
-                        Some(_) => {}
+        for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
+            for nranks in [1usize, 4] {
+                let start = Instant::now();
+                let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, scheduler)
+                    .unwrap_or_else(|e| panic!("{name}: smoke run failed: {e}"));
+                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+                let digest = StateDigest::of(&sim);
+                println!("   {scheduler:?} nranks={nranks}: {digest} ({wall_ms:.0} ms)");
+                match reference {
+                    None => reference = Some(digest),
+                    Some(r) if digest != r => {
+                        consistent = false;
+                        eprintln!(
+                            "   !! matrix cell diverged from its siblings: \
+                             {scheduler:?} nranks={nranks}"
+                        );
                     }
+                    Some(_) => {}
                 }
             }
         }

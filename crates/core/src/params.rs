@@ -53,8 +53,8 @@ pub struct RuntimeParams {
     /// [`crate::Simulation::evolve_checkpointed`] (0 disables).
     #[serde(default)]
     pub checkpoint_every: u64,
-    /// Sweep inner-loop engine (pencil-batched SoA by default; `scalar`
-    /// keeps the per-zone reference path).
+    /// Sweep inner-loop engine; only the slab-batched `pencil` engine
+    /// exists (the field stays so parameter files that name it load).
     #[serde(default)]
     pub sweep_engine: SweepEngine,
     /// SIMD backend request for the explicit lane kernels (pencil sweep,

@@ -78,7 +78,7 @@ impl fmt::Display for StateDigest {
 }
 
 /// One committed golden record: a scenario's digest after its smoke-scale
-/// run, identical across both sweep engines, both step schedulers, and
+/// run, identical across both step schedulers, every SIMD backend and
 /// every rank count (the repo's determinism invariants).
 #[derive(Clone, Debug, PartialEq)]
 pub struct GoldenRecord {

@@ -85,7 +85,8 @@ pub fn load(name: &str) -> Result<SetupSpec, SpecError> {
 
 /// Deterministic runtime parameters for a golden-corpus cell: hardware
 /// counters and pattern recording off, mesh/budgets from the spec, the
-/// matrix axes (ranks, engine, scheduler) from the caller.
+/// matrix axes (ranks, scheduler) from the caller. `engine` has one value,
+/// `SweepEngine::Pencil`; the argument stays so existing callers build.
 pub fn smoke_params(
     spec: &SetupSpec,
     nranks: usize,

@@ -9,7 +9,6 @@
 
 use std::fmt;
 
-use rflash_hydro::SweepEngine;
 use rflash_mesh::{vars, BoundaryCondition, Geometry, Layout, MeshConfig};
 
 use super::parse::{self, ParseError, Value};
@@ -1746,15 +1745,6 @@ fn side_value(s: &SideState) -> Value {
         ("vel".into(), Value::Num(s.vel)),
         ("pres".into(), Value::Num(s.pres)),
     ])
-}
-
-/// Which sweep engine a CLI/golden cell requests (string form).
-pub fn parse_engine(s: &str) -> Option<SweepEngine> {
-    match s {
-        "scalar" => Some(SweepEngine::Scalar),
-        "pencil" => Some(SweepEngine::Pencil),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

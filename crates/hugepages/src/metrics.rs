@@ -17,6 +17,7 @@ static THP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static BASE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static MADVISE_DENIALS: AtomicU64 = AtomicU64::new(0);
 static INJECTED_FAULTS: AtomicU64 = AtomicU64::new(0);
+static HEAP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the allocation-chain counters since process start (or the
 /// last [`reset_alloc_stats`]).
@@ -36,6 +37,10 @@ pub struct AllocStats {
     pub madvise_denials: u64,
     /// Faults fired by an active [`crate::faults::FaultPlan`].
     pub injected_faults: u64,
+    /// Scratch requests no policy could map, served from the heap instead
+    /// (the pencil sweep counts one per block swept that way).
+    #[serde(default)]
+    pub heap_fallbacks: u64,
 }
 
 impl AllocStats {
@@ -45,6 +50,7 @@ impl AllocStats {
             || self.base_fallbacks > 0
             || self.transient_retries > 0
             || self.madvise_denials > 0
+            || self.heap_fallbacks > 0
     }
 }
 
@@ -53,7 +59,7 @@ impl std::fmt::Display for AllocStats {
         write!(
             f,
             "hugetlb {}/{} granted, {} transient retries, fallbacks: {} to THP / {} to base, \
-             {} madvise denials, {} injected faults",
+             {} madvise denials, {} injected faults, {} heap fallbacks",
             self.hugetlb_grants,
             self.hugetlb_attempts,
             self.transient_retries,
@@ -61,6 +67,7 @@ impl std::fmt::Display for AllocStats {
             self.base_fallbacks,
             self.madvise_denials,
             self.injected_faults,
+            self.heap_fallbacks,
         )
     }
 }
@@ -75,6 +82,7 @@ pub fn alloc_stats() -> AllocStats {
         base_fallbacks: BASE_FALLBACKS.load(Ordering::Relaxed),
         madvise_denials: MADVISE_DENIALS.load(Ordering::Relaxed),
         injected_faults: INJECTED_FAULTS.load(Ordering::Relaxed),
+        heap_fallbacks: HEAP_FALLBACKS.load(Ordering::Relaxed),
     }
 }
 
@@ -88,6 +96,7 @@ pub fn reset_alloc_stats() {
         &BASE_FALLBACKS,
         &MADVISE_DENIALS,
         &INJECTED_FAULTS,
+        &HEAP_FALLBACKS,
     ] {
         c.store(0, Ordering::Relaxed);
     }
@@ -113,6 +122,11 @@ pub(crate) fn count_madvise_denial() {
 }
 pub(crate) fn count_injected() {
     INJECTED_FAULTS.fetch_add(1, Ordering::Relaxed);
+}
+/// Count one scratch request served from the heap because no policy could
+/// map it — for callers whose fallback lives outside the allocation chain.
+pub fn count_heap_fallback() {
+    HEAP_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]

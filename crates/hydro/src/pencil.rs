@@ -1,10 +1,9 @@
-//! Slab-batched SoA sweep engine, vectorized through `rflash-simd`.
+//! Slab-batched SoA sweep engine, vectorized through `rflash-simd` — the
+//! one sweep body behind [`crate::sweep::sweep_leaf_block`].
 //!
-//! The scalar engine in [`crate::sweep`] walks zones through
-//! `UnkGeom::slab_idx` per cell: every read is a strided index computation
-//! plus a bounds check, and every kernel sees AoS-shaped `[f64; 8]` rows.
-//! This module is the batched alternative. It sweeps a block one *slab* at
-//! a time: the `nxb` adjacent interior pencils at one transverse index
+//! Walking zones through `UnkGeom::slab_idx` per cell would make every
+//! read a strided index computation plus a bounds check. Instead the engine
+//! sweeps a block one *slab* at a time: the `nxb` adjacent interior pencils at one transverse index
 //! `t2`, gathered **once** into contiguous f64 lanes (one lane per
 //! variable, guard cells included) laid out position-major and
 //! pencil-minor — `lane[p * B + b]` is pencil `b` at position `p`, with
@@ -22,19 +21,21 @@
 //! block — the backend (`SweepConfig::simd`) is a single branch out here,
 //! not a branch per loop iteration, and the AVX2 instantiation inlines
 //! into the `#[target_feature]` wrapper. Lane arithmetic keeps exactly the
-//! scalar engine's operation order per zone (branches become bitwise
-//! masked selects; see the per-kernel notes in
-//! `ppm.rs`/`riemann.rs`/`state.rs`) and lanes never mix, so every backend
-//! produces bit-identical `unk` contents and the scalar path remains the
-//! parity reference and the fallback when scratch cannot be mapped.
+//! operation order of the scalar kernels per zone (`ppm::reconstruct_into`,
+//! `ppm::flattening_into`, `riemann::hllc`, `state::cons_to_vel_ener`,
+//! `sweep::write_zone`; branches become bitwise masked selects, see the
+//! per-kernel notes in `ppm.rs`/`riemann.rs`/`state.rs`) and lanes never
+//! mix, so every backend produces bit-identical `unk` contents, and the
+//! scalar kernels are the oracles the lane twins are tested against.
 //!
 //! Scratch comes from a per-rank [`HugeArena`] created on first use (the
 //! rank pool's threads persist across epochs, so a `thread_local` is
 //! per-rank persistent storage), sized for the largest slab seen, and
 //! `recycle()`d per block — steady state performs no allocations and the
 //! lanes sit in one huge-page-backed VMA under the same policy/degradation
-//! chain as `unk` itself. Only the lanes the [`SweepEos`] mode uses are
-//! carved (see [`mode_lane_lens`]).
+//! chain as `unk` itself. When no policy can map the arena, the block runs
+//! on a heap `Vec` of the same length, counted in `AllocStats`. Only the
+//! lanes the [`SweepEos`] mode uses are carved (see [`mode_lane_lens`]).
 //!
 //! This module is under the `pencil_confinement` static-analysis rule: no
 //! per-cell `unk` access (`slab_idx`/`get`/`set`) may appear here — all
@@ -141,8 +142,8 @@ fn floor_lane<L: Lane>(lane: &mut [f64], floor: f64) {
 }
 
 /// Primitive face states of `W` zones starting at `z` from one side's face
-/// lanes — the lane twin of the scalar engine's `mk` closure, same
-/// operations in the same order.
+/// lanes: the floored face values and the gamma-law energy of the zone's
+/// `game`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn face_prim_lanes<L: Lane>(
@@ -175,10 +176,9 @@ fn face_prim_lanes<L: Lane>(
     }
 }
 
-/// Predictor-state recovery (twin of the scalar engine's `to_prim`
-/// closure): unphysical lanes (`eint <= 0` or `dens <= 0`, NaN included —
-/// the comparisons are false on NaN in both forms) fall back to the
-/// unpredicted face state via masked select.
+/// Predictor-state recovery: unphysical lanes (`eint <= 0` or
+/// `dens <= 0`, NaN included — the comparisons are false on NaN) fall back
+/// to the unpredicted face state via masked select.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn to_prim_lanes<L: Lane>(u: &[L; NFLUX], fallback: &PrimL<L>, game: L, dens_floor: f64) -> [L; 5] {
@@ -200,9 +200,10 @@ fn to_prim_lanes<L: Lane>(u: &[L; NFLUX], fallback: &PrimL<L>, game: L, dens_flo
     ]
 }
 
-/// MUSCL–Hancock predictor on `W` zones starting at `z` (twin of the
-/// scalar engine's predictor loop body; see `sweep.rs` for the scheme
-/// commentary).
+/// MUSCL–Hancock predictor on `W` zones starting at `z`: evolve each
+/// zone's pair of face states by a half step using the flux difference of
+/// its own faces — second order in time without characteristic tracing (a
+/// documented simplification of full PPM).
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn muscl_at<L: Lane>(
@@ -273,10 +274,10 @@ fn hllc_at<L: Lane>(
 }
 
 /// Conservative update + eint floor on `W` zones starting at lane `p`,
-/// writing the out lanes (twin of the scalar engine's update +
-/// `write_zone` conversion; the energy is re-derived from the floored eint
-/// only on floored lanes, exactly like the scalar branch). A zone's high
-/// face is one position up, lane `p + s`.
+/// writing the out lanes (twin of the `PerZone` update below +
+/// `write_zone`'s conversion; the energy is re-derived from the floored
+/// eint only on floored lanes, exactly like the scalar branch). A zone's
+/// high face is one position up, lane `p + s`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn update_at<L: Lane>(
@@ -469,7 +470,7 @@ fn run_slab<L: Lane>(
 
     for t2 in t2_range {
         // Gather all read variables into SoA lanes in one row walk, then
-        // apply the same floors the scalar engine's `load_prim` applies.
+        // apply the density, pressure and gamma floors.
         geom.gather_slab(
             slab,
             read_vars,
@@ -502,8 +503,7 @@ fn run_slab<L: Lane>(
             reconstruct_lanes::<L>(lane, lo, hi, s, flat, snap, fm[v], fp[v]);
         }
 
-        // MUSCL–Hancock predictor, identical math to the scalar engine
-        // (see `sweep.rs` for the scheme commentary).
+        // MUSCL–Hancock predictor (see `muscl_at`).
         let half_dtdx = 0.5 * dtdx;
         let mut z = wide_lo;
         while z + L::W <= wide_hi {
@@ -531,9 +531,9 @@ fn run_slab<L: Lane>(
         // Conservative update on interior zones.
         if per_zone {
             // Per-zone callbacks are inherently cell-at-a-time; route
-            // through the shared write-back helper, pencil by pencil in the
-            // scalar engine's zone order, so the callback semantics (and
-            // probe accounting) match it exactly.
+            // through the shared write-back helper, pencil by pencil, so
+            // the callback sees zones in pencil order (and the flux
+            // corrections' re-derive shares its semantics and accounting).
             for b in 0..s {
                 for p in interior.clone() {
                     let z = p * s + b;
@@ -633,8 +633,8 @@ fn run_slab<L: Lane>(
                     // analyze::allow(panic): an EOS failure leaves the
                     // slab half-updated with no recovery path; the rank
                     // pool converts the unwind into a clean
-                    // whole-simulation abort (same contract as the scalar
-                    // engine's per-zone arm).
+                    // whole-simulation abort (same contract as
+                    // `write_zone`'s per-zone arm).
                     panic!("EOS failure in slab dir={dir} t2={t2}: {e}")
                 }
             };
@@ -716,45 +716,31 @@ fn run_slab<L: Lane>(
     }
 }
 
-/// Sweep one block with the slab engine. Returns `false` when scratch
-/// could not be mapped (the caller then runs the scalar path — no hot-path
-/// panic on allocation failure). The lane backend (`SweepConfig::simd`) is
-/// dispatched exactly once here, covering the whole block body.
+/// Sweep one block with the slab engine. Scratch comes from the rank's
+/// arena; when no policy can map one, this block runs on a heap `Vec` of the
+/// same length instead, counted in `AllocStats::heap_fallbacks` — a
+/// degradation, never a failure, and never a silent one. The lane backend
+/// (`SweepConfig::simd`) is dispatched exactly once here, covering the
+/// whole block body.
 pub(crate) fn sweep_block(
     ctx: &BlockCtx<'_>,
     slab: &mut [f64],
     fluxes_out: &mut BlockFluxes,
     probe: &mut Probe,
-) -> bool {
+) {
     // Every carved lane holds one slab: `pencil_len × nxb` doubles.
     let total = scratch_len(ctx.eos, ctx.geom.pencil_len(ctx.dir) * ctx.nxb);
-
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();
-        let need = total * std::mem::size_of::<f64>();
-        let rebuild = match slot.as_ref() {
-            Some(s) => s.arena.capacity() < need || s.requested != ctx.cfg.scratch_policy,
-            None => true,
-        };
-        if rebuild {
-            match HugeArena::new(need, ctx.cfg.scratch_policy) {
-                Ok(arena) => {
-                    *slot = Some(Scratch {
-                        arena,
-                        requested: ctx.cfg.scratch_policy,
-                    })
-                }
-                Err(_) => return false,
+        let mut heap = Vec::new();
+        let all = match arena_scratch(&mut slot, total, ctx.cfg.scratch_policy) {
+            Some(all) => all,
+            None => {
+                rflash_hugepages::count_heap_fallback();
+                heap.resize(total, 0.0);
+                &mut heap[..]
             }
-        }
-        let Some(scratch) = slot.as_mut() else {
-            return false;
         };
-        scratch.arena.recycle();
-        let Ok(all) = scratch.arena.alloc_slice::<f64>(total) else {
-            return false;
-        };
-
         rflash_simd::dispatch(
             ctx.cfg.simd,
             SlabBody {
@@ -764,7 +750,26 @@ pub(crate) fn sweep_block(
                 probe,
                 all,
             },
-        );
-        true
+        )
     })
+}
+
+/// The rank's arena scratch, `total` doubles long, rebuilt when it is too
+/// small or was requested under another policy. `None` when no policy can
+/// map it (the old arena, if any, is kept).
+fn arena_scratch(slot: &mut Option<Scratch>, total: usize, policy: Policy) -> Option<&mut [f64]> {
+    let need = total * std::mem::size_of::<f64>();
+    let fits = slot
+        .as_ref()
+        .is_some_and(|s| s.arena.capacity() >= need && s.requested == policy);
+    if !fits {
+        let arena = HugeArena::new(need, policy).ok()?;
+        *slot = Some(Scratch {
+            arena,
+            requested: policy,
+        });
+    }
+    let scratch = slot.as_mut()?;
+    scratch.arena.recycle();
+    scratch.arena.alloc_slice::<f64>(total).ok()
 }

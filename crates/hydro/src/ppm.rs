@@ -4,25 +4,16 @@
 //! Operates on 1-d pencils of zone averages and produces limited left/right
 //! interface states per zone.
 //!
-//! Two forms of each kernel exist: the scalar reference
-//! ([`reconstruct_into`], [`flattening_into`]) used by the scalar sweep
-//! engine and as the parity oracle, and lane-generic twins
-//! ([`reconstruct_lanes`], [`flattening_lanes`]) over [`rflash_simd::Lane`]
-//! used by the pencil engine under runtime dispatch. The twins replicate
-//! the scalar operation order exactly (branches become masked selects on
+//! Two forms of each kernel exist: lane-generic kernels
+//! ([`reconstruct_lanes`], [`flattening_lanes`]) over [`rflash_simd::Lane`],
+//! which the pencil sweep engine runs under runtime dispatch, and their
+//! scalar references ([`reconstruct_into`], [`flattening_into`]), the
+//! oracles the lane kernels are tested against. The twins replicate the
+//! scalar operation order exactly (branches become masked selects on
 //! speculatively computed values; see the bit-identity notes on each) so
 //! every backend produces bit-identical faces.
 
 use rflash_simd::{Lane, LaneMask, ScalarLane};
-
-/// Left/right face values of one zone's parabola.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FacePair {
-    /// Value at the zone's low (left) face.
-    pub minus: f64,
-    /// Value at the zone's high (right) face.
-    pub plus: f64,
-}
 
 /// Fourth-order interface value between zones `i` and `i+1`
 /// (CW84 eq. 1.6 on a uniform grid), using limited slopes.
@@ -46,53 +37,10 @@ fn limited_slope(a: &[f64], i: usize) -> f64 {
     }
 }
 
-/// One zone's limited parabola face values — the per-zone kernel shared by
-/// [`reconstruct`] and [`reconstruct_into`] so both are bit-identical.
-#[cfg_attr(debug_assertions, inline)]
-#[cfg_attr(not(debug_assertions), inline(always))]
-fn reconstruct_zone(a: &[f64], i: usize, f: f64) -> (f64, f64) {
-    let mut am = interface_value(a, i - 1);
-    let mut ap = interface_value(a, i);
-
-    // Blend toward the cell average where the flattening detector fired.
-    am = f * am + (1.0 - f) * a[i];
-    ap = f * ap + (1.0 - f) * a[i];
-
-    // CW84 monotonization (eq. 1.10).
-    if (ap - a[i]) * (a[i] - am) <= 0.0 {
-        am = a[i];
-        ap = a[i];
-    } else {
-        let d = ap - am;
-        let six = 6.0 * (a[i] - 0.5 * (am + ap));
-        if d * six > d * d {
-            am = 3.0 * a[i] - 2.0 * ap;
-        } else if -d * d > d * six {
-            ap = 3.0 * a[i] - 2.0 * am;
-        }
-    }
-    (am, ap)
-}
-
-/// Reconstruct limited parabola face values for zones
-/// `lo..hi` of the pencil `a` (needs 2 ghost zones each side of that
-/// range). `flat[i]` ∈ \[0,1\] blends toward first order at shocks (1 = keep
-/// the parabola, 0 = flat).
-pub fn reconstruct(a: &[f64], lo: usize, hi: usize, flat: &[f64], out: &mut [FacePair]) {
-    assert!(lo >= 2 && hi + 2 <= a.len());
-    assert_eq!(out.len(), a.len());
-    for i in lo..hi {
-        let (am, ap) = reconstruct_zone(a, i, flat[i]);
-        out[i] = FacePair {
-            minus: am,
-            plus: ap,
-        };
-    }
-}
-
-/// [`reconstruct`] writing into separate minus/plus lanes — the SoA form
-/// used by the pencil sweep engine (face lanes live in arena scratch, not a
-/// `Vec<FacePair>`). Values are bit-identical to [`reconstruct`].
+/// Reconstruct limited parabola face values for zones `lo..hi` of the
+/// pencil `a` (needs 2 ghost zones each side of that range) into separate
+/// minus (low face) and plus (high face) lanes. `flat[i]` ∈ \[0,1\] blends
+/// toward first order at shocks (1 = keep the parabola, 0 = flat).
 pub fn reconstruct_into(
     a: &[f64],
     lo: usize,
@@ -104,7 +52,27 @@ pub fn reconstruct_into(
     assert!(lo >= 2 && hi + 2 <= a.len());
     assert!(minus.len() == a.len() && plus.len() == a.len());
     for i in lo..hi {
-        let (am, ap) = reconstruct_zone(a, i, flat[i]);
+        let f = flat[i];
+        let mut am = interface_value(a, i - 1);
+        let mut ap = interface_value(a, i);
+
+        // Blend toward the cell average where the flattening detector fired.
+        am = f * am + (1.0 - f) * a[i];
+        ap = f * ap + (1.0 - f) * a[i];
+
+        // CW84 monotonization (eq. 1.10).
+        if (ap - a[i]) * (a[i] - am) <= 0.0 {
+            am = a[i];
+            ap = a[i];
+        } else {
+            let d = ap - am;
+            let six = 6.0 * (a[i] - 0.5 * (am + ap));
+            if d * six > d * d {
+                am = 3.0 * a[i] - 2.0 * ap;
+            } else if -d * d > d * six {
+                ap = 3.0 * a[i] - 2.0 * am;
+            }
+        }
         minus[i] = am;
         plus[i] = ap;
     }
@@ -112,7 +80,9 @@ pub fn reconstruct_into(
 
 /// CW84-style shock flattening coefficient per zone, from the pressure and
 /// velocity pencils: detect strong compressive pressure jumps and flatten
-/// the reconstruction there.
+/// the reconstruction there, writing the coefficient of zones `lo..hi`
+/// into `out` (positions outside `lo - 1..=hi` stay 1); `snap` is the
+/// neighbour-min pass's snapshot scratch.
 ///
 /// Pass 2 takes each zone's neighbour-min over the detector values of
 /// zones `i - 1..=i + 1`, so pass 1 runs one zone wider than the output
@@ -120,15 +90,6 @@ pub fn reconstruct_into(
 /// block read an uncomputed neighbour χ of 1, while the block across the
 /// face computes the same zone as interior; the two blocks then disagree
 /// on the shared face's flux and the update stops being conservative.
-pub fn flattening(pres: &[f64], velx: &[f64], lo: usize, hi: usize, out: &mut [f64]) {
-    let mut snap = vec![0.0; out.len()];
-    flattening_into(pres, velx, lo, hi, out, &mut snap);
-}
-
-/// [`flattening`] with a caller-provided neighbor-min snapshot buffer —
-/// the allocation-free form the pencil sweep engine calls with arena
-/// scratch. Values are bit-identical to [`flattening`] (which delegates
-/// here).
 pub fn flattening_into(
     pres: &[f64],
     velx: &[f64],
@@ -214,7 +175,7 @@ fn interface_at<L: Lane>(a: &[f64], slope: &[f64], iface: &mut [f64], j: usize, 
         .store(&mut iface[j..]);
 }
 
-/// [`reconstruct_zone`] on `W` consecutive lanes starting at `i`, from the
+/// One zone of [`reconstruct_into`] on `W` consecutive lanes starting at `i`, from the
 /// precomputed interface values (`iface[i - s]` is the zone's low face,
 /// `iface[i]` its high face), writing `minus[i..i+W]`/`plus[i..i+W]`.
 ///
@@ -416,20 +377,27 @@ pub fn flattening_lanes<L: Lane>(
 mod tests {
     use super::*;
 
-    fn reconstruct_simple(a: &[f64]) -> Vec<FacePair> {
+    /// `(minus, plus)` face values of zones `2..len-2`, unflattened.
+    fn reconstruct_simple(a: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let flat = vec![1.0; a.len()];
-        let mut out = vec![FacePair::default(); a.len()];
-        reconstruct(a, 2, a.len() - 2, &flat, &mut out);
-        out
+        let (mut minus, mut plus) = (vec![0.0; a.len()], vec![0.0; a.len()]);
+        reconstruct_into(a, 2, a.len() - 2, &flat, &mut minus, &mut plus);
+        (minus, plus)
+    }
+
+    fn flattening(pres: &[f64], velx: &[f64], lo: usize, hi: usize) -> Vec<f64> {
+        let (mut flat, mut snap) = (vec![0.0; pres.len()], vec![0.0; pres.len()]);
+        flattening_into(pres, velx, lo, hi, &mut flat, &mut snap);
+        flat
     }
 
     #[test]
     fn linear_data_reconstructs_exactly() {
         let a: Vec<f64> = (0..12).map(|i| 3.0 + 2.0 * i as f64).collect();
-        let out = reconstruct_simple(&a);
+        let (minus, plus) = reconstruct_simple(&a);
         for i in 2..10 {
-            assert!((out[i].minus - (a[i] - 1.0)).abs() < 1e-13, "zone {i}");
-            assert!((out[i].plus - (a[i] + 1.0)).abs() < 1e-13);
+            assert!((minus[i] - (a[i] - 1.0)).abs() < 1e-13, "zone {i}");
+            assert!((plus[i] - (a[i] + 1.0)).abs() < 1e-13);
         }
     }
 
@@ -439,32 +407,32 @@ mod tests {
         // mean = (minus + plus)/2 + (a − (minus+plus)/2) = a by
         // construction; verify face values bracket sanely on smooth data.
         let a: Vec<f64> = (0..16).map(|i| (i as f64 * 0.4).sin() + 2.0).collect();
-        let out = reconstruct_simple(&a);
+        let (minus, plus) = reconstruct_simple(&a);
         for i in 2..14 {
             let lo = a[i - 1].min(a[i]).min(a[i + 1]);
             let hi = a[i - 1].max(a[i]).max(a[i + 1]);
-            assert!(out[i].minus >= lo - 1e-12 && out[i].minus <= hi + 1e-12);
-            assert!(out[i].plus >= lo - 1e-12 && out[i].plus <= hi + 1e-12);
+            assert!(minus[i] >= lo - 1e-12 && minus[i] <= hi + 1e-12);
+            assert!(plus[i] >= lo - 1e-12 && plus[i] <= hi + 1e-12);
         }
     }
 
     #[test]
     fn local_extremum_flattens_to_constant() {
         let a = [1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0, 1.0];
-        let out = reconstruct_simple(&a);
+        let (minus, plus) = reconstruct_simple(&a);
         // Zone 3 is a local max: parabola must collapse (monotonization).
-        assert_eq!(out[3].minus, 5.0);
-        assert_eq!(out[3].plus, 5.0);
+        assert_eq!(minus[3], 5.0);
+        assert_eq!(plus[3], 5.0);
     }
 
     #[test]
     fn step_is_monotone() {
         let a = [1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 10.0, 10.0];
-        let out = reconstruct_simple(&a);
-        for f in out.iter().take(6).skip(2) {
-            assert!(f.minus >= 1.0 - 1e-12 && f.minus <= 10.0 + 1e-12);
-            assert!(f.plus >= 1.0 - 1e-12 && f.plus <= 10.0 + 1e-12);
-            assert!(f.minus <= f.plus + 1e-12, "monotone within zone");
+        let (minus, plus) = reconstruct_simple(&a);
+        for i in 2..6 {
+            assert!(minus[i] >= 1.0 - 1e-12 && minus[i] <= 10.0 + 1e-12);
+            assert!(plus[i] >= 1.0 - 1e-12 && plus[i] <= 10.0 + 1e-12);
+            assert!(minus[i] <= plus[i] + 1e-12, "monotone within zone");
         }
     }
 
@@ -474,34 +442,61 @@ mod tests {
         // Strong pressure jump with converging velocity — a shock.
         let pres: Vec<f64> = (0..n).map(|i| if i < 6 { 100.0 } else { 1.0 }).collect();
         let velx: Vec<f64> = (0..n).map(|i| if i < 6 { 1.0 } else { -1.0 }).collect();
-        let mut flat = vec![1.0; n];
-        flattening(&pres, &velx, 2, n - 2, &mut flat);
+        let flat = flattening(&pres, &velx, 2, n - 2);
         assert!(flat[5] < 0.5 || flat[6] < 0.5, "flattening at the jump: {flat:?}");
         // Smooth region untouched.
         assert_eq!(flat[2], 1.0);
     }
 
+    /// A zone's coefficient must not depend on the range it is computed
+    /// in: a block computes its edge zones over a range ending there, the
+    /// neighbouring block over a range that runs through them, and a face
+    /// flux is unique only if both get the same bits.
     #[test]
-    fn soa_variants_match_aos_bit_exactly() {
-        let a: Vec<f64> = (0..16)
-            .map(|i| ((i as f64 * 0.9).sin() * 3.0).exp())
+    fn flattening_of_a_zone_does_not_depend_on_the_range_on_every_backend() {
+        let n = 24;
+        let pres: Vec<f64> = (0..n)
+            .map(|i| ((i as f64 * 0.9).sin() * 2.0).exp() + if (7..15).contains(&i) { 50.0 } else { 0.0 })
             .collect();
-        let velx: Vec<f64> = (0..16).map(|i| (8.0 - i as f64) * 0.3).collect();
-        let mut flat = vec![1.0; 16];
-        flattening(&a, &velx, 2, 14, &mut flat);
-        let mut flat2 = vec![0.0; 16];
-        let mut snap = vec![0.0; 16];
-        flattening_into(&a, &velx, 2, 14, &mut flat2, &mut snap);
-        assert_eq!(flat, flat2);
+        let velx: Vec<f64> = (0..n).map(|i| (12.0 - i as f64) * 0.3).collect();
+        let whole = flattening(&pres, &velx, 2, n - 2);
+        assert!(whole.iter().any(|&f| f < 1.0), "the detector must fire: {whole:?}");
+        for (lo, hi) in [(3, n - 3), (5, 9), (6, 16), (8, 14), (13, 17)] {
+            let part = flattening(&pres, &velx, lo, hi);
+            for &backend in rflash_simd::Resolved::all() {
+                let (mut flat, mut snap) = (vec![0.0; n], vec![0.0; n]);
+                rflash_simd::dispatch(
+                    backend,
+                    FlattenLanes {
+                        pres: &pres,
+                        velx: &velx,
+                        lo,
+                        hi,
+                        flat: &mut flat,
+                        snap: &mut snap,
+                    },
+                );
+                for i in lo..hi {
+                    assert_eq!(part[i].to_bits(), whole[i].to_bits(), "scalar {lo}..{hi} zone {i}");
+                    assert_eq!(flat[i].to_bits(), whole[i].to_bits(), "{backend} {lo}..{hi} zone {i}");
+                }
+            }
+        }
+    }
 
-        let mut faces = vec![FacePair::default(); 16];
-        reconstruct(&a, 2, 14, &flat, &mut faces);
-        let mut minus = vec![0.0; 16];
-        let mut plus = vec![0.0; 16];
-        reconstruct_into(&a, 2, 14, &flat, &mut minus, &mut plus);
-        for i in 2..14 {
-            assert_eq!(faces[i].minus, minus[i], "zone {i}");
-            assert_eq!(faces[i].plus, plus[i], "zone {i}");
+    struct FlattenLanes<'a> {
+        pres: &'a [f64],
+        velx: &'a [f64],
+        lo: usize,
+        hi: usize,
+        flat: &'a mut [f64],
+        snap: &'a mut [f64],
+    }
+
+    impl rflash_simd::WithLanes for FlattenLanes<'_> {
+        type Output = ();
+        fn with_lanes<L: Lane>(self) {
+            flattening_lanes::<L>(self.pres, self.velx, self.lo, self.hi, 1, self.flat, self.snap);
         }
     }
 
@@ -645,8 +640,7 @@ mod tests {
         let pres: Vec<f64> = (0..n).map(|i| if i < 6 { 100.0 } else { 1.0 }).collect();
         // Diverging velocity: rarefaction, no flattening.
         let velx: Vec<f64> = (0..n).map(|i| if i < 6 { -1.0 } else { 1.0 }).collect();
-        let mut flat = vec![1.0; n];
-        flattening(&pres, &velx, 2, n - 2, &mut flat);
+        let flat = flattening(&pres, &velx, 2, n - 2);
         assert!(flat.iter().all(|&f| f == 1.0), "{flat:?}");
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! Three surfaces are exercised: full pencil-engine sweeps over randomized
 //! smooth domains (PPM + HLLC + conservative update + batched gamma EOS);
-//! the slab engine on every backend against the scalar engine, the oracle,
-//! on randomized discontinuities (every interior and every stored boundary
+//! the slab engine on every backend against the slab engine on the scalar
+//! lane, the oracle, on randomized discontinuities (every interior and every stored boundary
 //! flux, 2-d / r–z / 3-d, all three `SweepEos` modes, block sizes that do
 //! and do not divide the lane widths); and the batched Helmholtz DensEi
 //! inversion (bicubic table evaluation + masked-re-iteration Newton) on
@@ -19,9 +19,7 @@ use std::sync::{Mutex, OnceLock};
 use proptest::prelude::*;
 use rflash_eos::{Eos, EosBatch, EosError, EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_hugepages::Policy;
-use rflash_hydro::{
-    compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX,
-};
+use rflash_hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::{Face, FluxRegister};
 use rflash_mesh::tree::MeshConfig;
 use rflash_mesh::{vars, BoundaryCondition, Domain, Geometry};
@@ -105,7 +103,6 @@ fn run_backend(p: &InitParams, simd: Resolved) -> Domain {
         zbar: 1.0,
     };
     let cfg = SweepConfig {
-        engine: SweepEngine::Pencil,
         simd,
         ..SweepConfig::default()
     };
@@ -280,14 +277,13 @@ fn register_bits(d: &Domain, reg: &FluxRegister, dir: usize) -> Vec<u64> {
     out
 }
 
-/// Two steps of split sweeps on `engine`/`simd`: the final domain and the
+/// Two steps of split sweeps on `simd`: the final domain and the
 /// boundary-flux bits of every sweep.
 fn run_engine(
     shape: Shape,
     nxb: usize,
     disc: &Discontinuity,
     kind: EosKind,
-    engine: SweepEngine,
     simd: Resolved,
 ) -> (Domain, Vec<Vec<u64>>) {
     let mut d = discontinuous_domain(shape, nxb, disc);
@@ -307,7 +303,6 @@ fn run_engine(
         EosKind::PerZone => SweepEos::PerZone(&zone),
     };
     let cfg = SweepConfig {
-        engine,
         simd,
         eint_floor: disc.eint_floor,
         ..SweepConfig::default()
@@ -325,19 +320,18 @@ fn run_engine(
     (d, fluxes)
 }
 
-/// The slab engine on every backend against the scalar engine: every
-/// interior variable and every stored boundary flux, bit for bit. Returns
-/// the oracle domain.
+/// The slab engine on every backend against the slab engine on the scalar
+/// lane: every interior variable and every stored boundary flux, bit for
+/// bit. Returns the oracle domain.
 fn check_against_oracle(
     shape: Shape,
     nxb: usize,
     disc: &Discontinuity,
     kind: EosKind,
 ) -> Result<Domain, TestCaseError> {
-    let (oracle, oracle_fluxes) =
-        run_engine(shape, nxb, disc, kind, SweepEngine::Scalar, Resolved::Scalar);
+    let (oracle, oracle_fluxes) = run_engine(shape, nxb, disc, kind, Resolved::Scalar);
     for &simd in Resolved::all() {
-        let (d, fluxes) = run_engine(shape, nxb, disc, kind, SweepEngine::Pencil, simd);
+        let (d, fluxes) = run_engine(shape, nxb, disc, kind, simd);
         let what = format!("{shape:?} nxb {nxb} {kind:?} on {simd}");
         assert_unk_identical(&oracle, &d, &what)?;
         for (sweep, (got, want)) in fluxes.iter().zip(&oracle_fluxes).enumerate() {

@@ -1,7 +1,7 @@
 //! Property-based tests of the Riemann solver and reconstruction.
 
 use proptest::prelude::*;
-use rflash_hydro::ppm::{reconstruct, FacePair};
+use rflash_hydro::ppm::reconstruct_into;
 use rflash_hydro::riemann::hllc;
 use rflash_hydro::state::Prim;
 use rflash_hydro::NFLUX;
@@ -67,16 +67,17 @@ proptest! {
     /// neighborhood's range (no new extrema).
     #[test]
     fn ppm_no_new_extrema(cells in proptest::collection::vec(0.1f64..10.0, 12..32)) {
-        let flat = vec![1.0; cells.len()];
-        let mut out = vec![FacePair::default(); cells.len()];
-        reconstruct(&cells, 2, cells.len() - 2, &flat, &mut out);
-        for i in 2..cells.len() - 2 {
+        let n = cells.len();
+        let flat = vec![1.0; n];
+        let (mut minus, mut plus) = (vec![0.0; n], vec![0.0; n]);
+        reconstruct_into(&cells, 2, n - 2, &flat, &mut minus, &mut plus);
+        for i in 2..n - 2 {
             let lo = cells[i - 1].min(cells[i]).min(cells[i + 1]) - 1e-12;
             let hi = cells[i - 1].max(cells[i]).max(cells[i + 1]) + 1e-12;
-            prop_assert!(out[i].minus >= lo && out[i].minus <= hi,
-                "zone {i}: minus={} outside [{lo},{hi}]", out[i].minus);
-            prop_assert!(out[i].plus >= lo && out[i].plus <= hi,
-                "zone {i}: plus={} outside [{lo},{hi}]", out[i].plus);
+            prop_assert!(minus[i] >= lo && minus[i] <= hi,
+                "zone {i}: minus={} outside [{lo},{hi}]", minus[i]);
+            prop_assert!(plus[i] >= lo && plus[i] <= hi,
+                "zone {i}: plus={} outside [{lo},{hi}]", plus[i]);
         }
     }
 
@@ -85,11 +86,11 @@ proptest! {
     fn ppm_preserves_constants(v in 0.1f64..1e6, n in 10usize..24) {
         let cells = vec![v; n];
         let flat = vec![1.0; n];
-        let mut out = vec![FacePair::default(); n];
-        reconstruct(&cells, 2, n - 2, &flat, &mut out);
-        for f in out.iter().take(n - 2).skip(2) {
-            prop_assert_eq!(f.minus, v);
-            prop_assert_eq!(f.plus, v);
+        let (mut minus, mut plus) = (vec![0.0; n], vec![0.0; n]);
+        reconstruct_into(&cells, 2, n - 2, &flat, &mut minus, &mut plus);
+        for i in 2..n - 2 {
+            prop_assert_eq!(minus[i], v);
+            prop_assert_eq!(plus[i], v);
         }
     }
 }

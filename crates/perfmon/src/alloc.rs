@@ -40,6 +40,7 @@ impl AllocSummary {
                 base_fallbacks: now.base_fallbacks - b.base_fallbacks,
                 madvise_denials: now.madvise_denials - b.madvise_denials,
                 injected_faults: now.injected_faults - b.injected_faults,
+                heap_fallbacks: now.heap_fallbacks - b.heap_fallbacks,
             },
         }
     }
@@ -87,6 +88,11 @@ impl fmt::Display for AllocSummary {
             f,
             "| {:<28} | {:>13} |",
             "injected faults", self.stats.injected_faults
+        )?;
+        writeln!(
+            f,
+            "| {:<28} | {:>13} |",
+            "heap scratch fallbacks", self.stats.heap_fallbacks
         )?;
         if self.degraded() {
             writeln!(

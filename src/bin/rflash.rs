@@ -7,7 +7,6 @@
 //! rflash list-setups
 //! rflash describe <name> [--ron]
 //! rflash run-setup <name> [--full] [--steps N] [--nranks N]
-//!                         [--engine scalar|pencil]
 //!                         [--scheduler barrier|task_graph]
 //!                         [--checkpoint-dir DIR] [--checkpoint-every N]
 //! ```
@@ -26,7 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use rflash::core::registry::{self, spec::parse_engine, SetupSpec, StateDigest};
+use rflash::core::registry::{self, SetupSpec, StateDigest};
 use rflash::core::{
     run_fleet, worker_main, CheckpointSeries, FleetConfig, Simulation, StepScheduler, WorkerArgs,
 };
@@ -39,7 +38,6 @@ const USAGE: &str = "usage:
   rflash list-setups
   rflash describe <name> [--ron]
   rflash run-setup <name> [--full] [--steps N] [--nranks N]
-                          [--engine scalar|pencil]
                           [--scheduler barrier|task_graph]
                           [--checkpoint-dir DIR] [--checkpoint-every N]
   rflash run-fleet <name> [--steps N] [--series-dir DIR]
@@ -152,7 +150,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let mut full = false;
     let mut steps: Option<u64> = None;
     let mut nranks = 1usize;
-    let mut engine = SweepEngine::Pencil;
     let mut scheduler = StepScheduler::TaskGraph;
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut checkpoint_every = 0u64;
@@ -177,11 +174,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
                 nranks = value("--nranks")?
                     .parse()
                     .map_err(|e| format!("--nranks: {e}"))?
-            }
-            "--engine" => {
-                let s = value("--engine")?;
-                engine = parse_engine(&s)
-                    .ok_or_else(|| format!("--engine: expected scalar|pencil, got `{s}`"))?;
             }
             "--scheduler" => {
                 scheduler = match value("--scheduler")?.as_str() {
@@ -211,12 +203,12 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let steps = steps.unwrap_or(spec.smoke.steps);
 
     let policy = Policy::from_env().map_err(|e| format!("{POLICY_ENV_VAR}: {e}"))?;
-    let mut params = registry::smoke_params(&spec, nranks, engine, scheduler);
+    let mut params = registry::smoke_params(&spec, nranks, SweepEngine::Pencil, scheduler);
     params.policy = policy;
     params.checkpoint_every = checkpoint_every;
 
     println!(
-        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {engine:?}/{scheduler:?}, hpage={policy})",
+        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {scheduler:?}, hpage={policy})",
         spec.name,
         spec.title,
         if full { "paper" } else { "smoke" },

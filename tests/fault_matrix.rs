@@ -4,7 +4,8 @@
 //! interfaces, `PageBuffer::zeroed` either returns *usable* memory with an
 //! honest degradation trail in its backing report, or a typed error —
 //! never a panic, never a silent downgrade. A step whose pencil scratch
-//! cannot be mapped falls back to the scalar sweep and keeps its bits. Each test activates a
+//! cannot be mapped sweeps on heap scratch, keeps its bits, and is counted
+//! in `AllocStats::heap_fallbacks`. Each test activates a
 //! deterministic thread-local [`FaultPlan`], so the suite is green both on
 //! hosts with no hugetlb pool at all and under CI's process-wide
 //! `RFLASH_FAULTS` injection (a thread-local plan shadows the env plan).
@@ -222,10 +223,11 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 }
 
 #[test]
-fn unmappable_pencil_scratch_falls_back_to_the_scalar_sweep() {
+fn unmappable_pencil_scratch_falls_back_to_heap_scratch() {
     // The faulted run goes first: the per-rank scratch arena is created
     // on a thread's first pencil sweep and then reused, so a clean run on
     // this thread beforehand would leave nothing to fail.
+    let before = alloc_stats().heap_fallbacks;
     let faulted = {
         let mut sim = {
             let _quiet = FaultPlan::new(0).activate();
@@ -241,16 +243,26 @@ fn unmappable_pencil_scratch_falls_back_to_the_scalar_sweep() {
         );
         for n in 0..3 {
             sim.try_step()
-                .unwrap_or_else(|e| panic!("step {n} must run on the scalar loop: {e}"));
+                .unwrap_or_else(|e| panic!("step {n} must run on heap scratch: {e}"));
         }
         sim
     };
+    let after_faulted = alloc_stats().heap_fallbacks;
+    assert!(
+        after_faulted > before,
+        "every faulted block sweep must be counted: {before} -> {after_faulted}"
+    );
     let _quiet = FaultPlan::new(0).activate();
     let mut clean = smoke_sedov();
     clean.evolve(3);
     assert_eq!(
+        alloc_stats().heap_fallbacks,
+        after_faulted,
+        "a clean run maps its arena and never falls back"
+    );
+    assert_eq!(
         state_bits(&faulted),
         state_bits(&clean),
-        "the scalar fallback must reproduce the pencil engine's bits"
+        "heap scratch must reproduce the arena run's bits"
     );
 }

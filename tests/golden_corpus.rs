@@ -1,8 +1,8 @@
 //! The golden-result regression corpus (ISSUE 8, DESIGN.md §15).
 //!
 //! Every registered scenario runs at smoke scale across the full
-//! determinism matrix — `nranks ∈ {1, 4}` × `SweepEngine::{Scalar,
-//! Pencil}` × `StepScheduler::{Barrier, TaskGraph}` — and every cell must
+//! determinism matrix — `nranks ∈ {1, 4}` × `StepScheduler::{Barrier,
+//! TaskGraph}` — and every cell must
 //! produce the *same* CRC-backed state digest, equal to the record
 //! committed under `golden/`. A digest change means the numerics drifted:
 //! either a bug, or an intentional change that must be re-blessed with
@@ -44,29 +44,27 @@ fn assert_matrix_matches_golden(name: &str) {
     assert_eq!(golden.steps, spec.smoke.steps, "golden is stale: steps drifted");
 
     let mut reference: Option<StateDigest> = None;
-    for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-        for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
-            for nranks in [1usize, 4] {
-                let sim = registry::run_smoke(&spec, nranks, engine, scheduler)
-                    .expect("smoke run");
-                let digest = StateDigest::of(&sim);
-                let cell = format!("{name} @ nranks={nranks}, {engine:?}, {scheduler:?}");
-                match reference {
-                    None => reference = Some(digest),
-                    Some(r) => assert_eq!(
-                        digest, r,
-                        "matrix cell diverged from its siblings: {cell}"
-                    ),
-                }
-                assert_eq!(
-                    digest, golden.digest,
-                    "digest drifted from the committed golden: {cell}\n  \
-                     got      {digest}\n  expected {}\n  \
-                     if the numerics change is intentional, re-bless with \
-                     `cargo run --release -p rflash-bench --bin scenario_matrix -- --bless`",
-                    golden.digest
-                );
+    for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
+        for nranks in [1usize, 4] {
+            let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, scheduler)
+                .expect("smoke run");
+            let digest = StateDigest::of(&sim);
+            let cell = format!("{name} @ nranks={nranks}, {scheduler:?}");
+            match reference {
+                None => reference = Some(digest),
+                Some(r) => assert_eq!(
+                    digest, r,
+                    "matrix cell diverged from its siblings: {cell}"
+                ),
             }
+            assert_eq!(
+                digest, golden.digest,
+                "digest drifted from the committed golden: {cell}\n  \
+                 got      {digest}\n  expected {}\n  \
+                 if the numerics change is intentional, re-bless with \
+                 `cargo run --release -p rflash-bench --bin scenario_matrix -- --bless`",
+                golden.digest
+            );
         }
     }
 }

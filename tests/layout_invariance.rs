@@ -3,10 +3,7 @@
 //! SoA order (`VarLast`) are different *addresses* for the same arithmetic,
 //! so a run under each must agree bit-for-bit. This pins down that every
 //! kernel goes through the layout-aware indexing and none bakes in a
-//! stride. The same contract holds one level down: the pencil-batched SoA
-//! sweep engine is a different *schedule* for the same arithmetic as the
-//! scalar per-zone engine, so full runs under each must also agree
-//! bit-for-bit.
+//! stride.
 
 use rflash::core::registry::spec::LayoutSpec;
 use rflash::core::registry::{self, SetupSpec};
@@ -55,8 +52,8 @@ fn sedov(ndim: usize) -> SetupSpec {
     spec
 }
 
-fn run(spec: &SetupSpec, engine: SweepEngine, steps: u64) -> rflash::core::Simulation {
-    let params = registry::smoke_params(spec, 1, engine, StepScheduler::default());
+fn run(spec: &SetupSpec, steps: u64) -> rflash::core::Simulation {
+    let params = registry::smoke_params(spec, 1, SweepEngine::default(), StepScheduler::default());
     let mut sim = spec.build(params).unwrap();
     sim.evolve(steps);
     sim
@@ -65,20 +62,8 @@ fn run(spec: &SetupSpec, engine: SweepEngine, steps: u64) -> rflash::core::Simul
 #[test]
 fn physics_is_bit_identical_across_unk_layouts() {
     let mut spec = sedov(2);
-    let a = run(&spec, SweepEngine::default(), 20);
+    let a = run(&spec, 20);
     spec.mesh.layout = LayoutSpec::VarLast;
-    let b = run(&spec, SweepEngine::default(), 20);
+    let b = run(&spec, 20);
     assert_runs_identical(&a, &b, "layout");
-}
-
-/// The pencil-batched SoA engine replicates the scalar engine's exact
-/// floating-point operation order, so a full 3-d Sedov run — sweeps,
-/// flux corrections, regrids, instrumented EOS passes — must agree
-/// bit-for-bit between the two.
-#[test]
-fn pencil_engine_is_bit_identical_to_scalar_on_sedov_3d() {
-    let spec = sedov(3);
-    let scalar = run(&spec, SweepEngine::Scalar, 8);
-    let pencil = run(&spec, SweepEngine::Pencil, 8);
-    assert_runs_identical(&scalar, &pencil, "sweep engine");
 }

@@ -4,9 +4,6 @@
 use rflash_bench::{
     default_policies, figure1_text, run_eos_experiment, run_hydro_experiment, RunScale,
 };
-use rflash_core::{registry, StepScheduler};
-use rflash_hydro::SweepEngine;
-use rflash_mesh::vars;
 
 #[test]
 fn table1_and_table2_smoke_produce_coherent_reports() {
@@ -68,40 +65,6 @@ fn dtlb_ratio_shrinks_when_huge_pages_verify() {
         "verified huge pages must reduce modeled DTLB misses: ratio {}",
         report.dtlb_ratio()
     );
-}
-
-/// The paper's EOS-dominated case with the two sweep engines: a 2-d
-/// supernova (Helmholtz, coarse table) evolved under the scalar and the
-/// pencil-batched SoA engines must agree bit-for-bit — the batched
-/// Helmholtz path included, since every driver EOS pass runs through
-/// `eos_batch`.
-#[test]
-fn pencil_engine_is_bit_identical_to_scalar_on_supernova_2d() {
-    let run_engine = |engine: SweepEngine| {
-        // The spec's smoke scale: max_refine 1, 256 blocks, coarse table.
-        let spec = registry::load("supernova").unwrap().at_smoke_scale();
-        let params = registry::smoke_params(&spec, 1, engine, StepScheduler::default());
-        let mut sim = spec.build(params).unwrap();
-        sim.evolve(4);
-        sim
-    };
-    let a = run_engine(SweepEngine::Scalar);
-    let b = run_engine(SweepEngine::Pencil);
-    assert_eq!(a.time, b.time, "time steps must agree exactly");
-    let leaves_a = a.domain.tree.leaves();
-    let leaves_b = b.domain.tree.leaves();
-    assert_eq!(leaves_a.len(), leaves_b.len(), "same AMR evolution");
-    for (ia, ib) in leaves_a.iter().zip(&leaves_b) {
-        for var in [vars::DENS, vars::VELX, vars::PRES, vars::TEMP, vars::ENER] {
-            for j in a.domain.unk.interior() {
-                for i in a.domain.unk.interior() {
-                    let va = a.domain.unk.get(var, i, j, 0, ia.idx());
-                    let vb = b.domain.unk.get(var, i, j, 0, ib.idx());
-                    assert_eq!(va, vb, "engine changed physics: var {var} at ({i},{j})");
-                }
-            }
-        }
-    }
 }
 
 #[test]

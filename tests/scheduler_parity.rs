@@ -1,7 +1,7 @@
 //! Scheduler parity battery: the per-block task-graph step path must be
 //! bit-identical to the pool-wide-barrier path — same leaves, same time
 //! series, same interior bits — on both paper problems, across rank
-//! counts and both sweep engines, and straight through guardian-driven
+//! counts, and straight through guardian-driven
 //! mid-step rollbacks and dt-retry ladders.
 //!
 //! The graph schedules per-block work the moment its dependencies clear,
@@ -45,51 +45,48 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 /// A registered scenario at its smoke scale — for `sedov`, 3-d at
 /// `max_refine` 2 on a 512-block pool; for `supernova`, 2-d at
 /// `max_refine` 1 on 256 blocks with the coarse Helmholtz table.
-fn smoke(name: &str, scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
+fn smoke(name: &str, scheduler: StepScheduler, nranks: usize) -> Simulation {
     let spec = registry::load(name).unwrap().at_smoke_scale();
-    let params = registry::smoke_params(&spec, nranks, engine, scheduler);
+    let params = registry::smoke_params(&spec, nranks, SweepEngine::Pencil, scheduler);
     spec.build(params).unwrap()
 }
 
-fn sedov3d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
-    smoke("sedov", scheduler, nranks, engine)
+fn sedov3d(scheduler: StepScheduler, nranks: usize) -> Simulation {
+    smoke("sedov", scheduler, nranks)
 }
 
-fn supernova2d(scheduler: StepScheduler, nranks: usize, engine: SweepEngine) -> Simulation {
-    smoke("supernova", scheduler, nranks, engine)
+fn supernova2d(scheduler: StepScheduler, nranks: usize) -> Simulation {
+    smoke("supernova", scheduler, nranks)
 }
 
-/// 3-d Sedov: task-graph vs barrier, every rank count and both sweep
-/// engines. The nranks = 1 column also pins the documented fallback (a
-/// single rank has nothing to overlap, so the graph path defers to the
-/// barrier loop).
+/// 3-d Sedov: task-graph vs barrier at every rank count. The nranks = 1
+/// column also pins the documented fallback (a single rank has nothing to
+/// overlap, so the graph path defers to the barrier loop).
 #[test]
-fn sedov_3d_taskgraph_matches_barrier_all_ranks_and_engines() {
+fn sedov_3d_taskgraph_matches_barrier_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-        for nranks in [1usize, 3, 4] {
-            let mut barrier = sedov3d(StepScheduler::Barrier, nranks, engine);
-            barrier.evolve(3);
-            let mut graph = sedov3d(StepScheduler::TaskGraph, nranks, engine);
-            graph.evolve(3);
-            assert_eq!(
-                state_bits(&barrier),
-                state_bits(&graph),
-                "divergence at nranks={nranks}, engine={engine:?}"
+    for nranks in [1usize, 3, 4] {
+        let mut barrier = sedov3d(StepScheduler::Barrier, nranks);
+        barrier.evolve(3);
+        let mut graph = sedov3d(StepScheduler::TaskGraph, nranks);
+        graph.evolve(3);
+        assert_eq!(
+            state_bits(&barrier),
+            state_bits(&graph),
+            "divergence at nranks={nranks}"
+        );
+        if nranks > 1 {
+            assert!(
+                graph.graph_report.executions >= 3,
+                "the graph path must actually have run at nranks={nranks}"
             );
-            if nranks > 1 {
-                assert!(
-                    graph.graph_report.executions >= 3,
-                    "the graph path must actually have run at nranks={nranks}"
-                );
-                let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
-                assert!(tasks > 0, "ranks executed tasks");
-            } else {
-                assert_eq!(
-                    graph.graph_report.executions, 0,
-                    "one rank falls back to the barrier loop"
-                );
-            }
+            let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
+            assert!(tasks > 0, "ranks executed tasks");
+        } else {
+            assert_eq!(
+                graph.graph_report.executions, 0,
+                "one rank falls back to the barrier loop"
+            );
         }
     }
 }
@@ -172,22 +169,20 @@ fn step_graph_is_built_once_per_parity_per_tree_epoch() {
 }
 
 /// 2-d Helmholtz supernova (flame + gravity live, so the graph runs its
-/// unfused tail): task-graph vs barrier across rank counts and engines.
+/// unfused tail): task-graph vs barrier across rank counts.
 #[test]
-fn supernova_2d_taskgraph_matches_barrier_all_ranks_and_engines() {
+fn supernova_2d_taskgraph_matches_barrier_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for engine in [SweepEngine::Scalar, SweepEngine::Pencil] {
-        for nranks in [1usize, 3, 4] {
-            let mut barrier = supernova2d(StepScheduler::Barrier, nranks, engine);
-            barrier.evolve(3);
-            let mut graph = supernova2d(StepScheduler::TaskGraph, nranks, engine);
-            graph.evolve(3);
-            assert_eq!(
-                state_bits(&barrier),
-                state_bits(&graph),
-                "divergence at nranks={nranks}, engine={engine:?}"
-            );
-        }
+    for nranks in [1usize, 3, 4] {
+        let mut barrier = supernova2d(StepScheduler::Barrier, nranks);
+        barrier.evolve(3);
+        let mut graph = supernova2d(StepScheduler::TaskGraph, nranks);
+        graph.evolve(3);
+        assert_eq!(
+            state_bits(&barrier),
+            state_bits(&graph),
+            "divergence at nranks={nranks}"
+        );
     }
 }
 
@@ -202,7 +197,7 @@ fn checkpoints_agree_across_schedulers() {
         let dir = scratch(tag);
         let _ = std::fs::remove_dir_all(&dir);
         let series = CheckpointSeries::new(&dir, "chk");
-        let mut sim = sedov3d(scheduler, 4, SweepEngine::Pencil);
+        let mut sim = sedov3d(scheduler, 4);
         sim.params.checkpoint_every = 2;
         sim.evolve_checkpointed(4, &series).expect("clean run");
         let (step, path) = series.scan().unwrap().pop().expect("a checkpoint landed");
@@ -240,7 +235,7 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(StepScheduler::TaskGraph, 4, SweepEngine::Pencil);
+        let mut sim = sedov3d(StepScheduler::TaskGraph, 4);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
@@ -259,7 +254,7 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
     );
 
     let _quiet = FaultPlan::new(0).activate();
-    let mut clean = sedov3d(StepScheduler::Barrier, 4, SweepEngine::Pencil);
+    let mut clean = sedov3d(StepScheduler::Barrier, 4);
     clean.params.guardian = GuardianConfig {
         max_retries: 2,
         ..GuardianConfig::default()
@@ -284,7 +279,7 @@ fn poisoned_dt_under_taskgraph_matches_barrier_recovery() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::DtZero, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(scheduler, 3, SweepEngine::Scalar);
+        let mut sim = sedov3d(scheduler, 3);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
@@ -314,7 +309,7 @@ fn halved_retry_is_scheduler_invariant() {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 2, errno: 22 })
             .activate();
-        let mut sim = sedov3d(scheduler, 3, SweepEngine::default());
+        let mut sim = sedov3d(scheduler, 3);
         sim.params.guardian = GuardianConfig {
             max_retries: 3,
             ..GuardianConfig::default()
