@@ -352,7 +352,10 @@ pub fn flattening_lanes<L: Lane>(
     assert_eq!(snap.len(), pres.len());
     let n = pres.len() / s;
     out.fill(1.0);
-    let (mut i, end) = (lo.saturating_sub(1).max(2) * s, (hi + 1).min(n.saturating_sub(2)) * s);
+    let (mut i, end) = (
+        lo.saturating_sub(1).max(2) * s,
+        (hi + 1).min(n.saturating_sub(2)) * s,
+    );
     while i + L::W <= end {
         flatten_pass1_at::<L>(pres, velx, out, i, s);
         i += L::W;
@@ -443,7 +446,10 @@ mod tests {
         let pres: Vec<f64> = (0..n).map(|i| if i < 6 { 100.0 } else { 1.0 }).collect();
         let velx: Vec<f64> = (0..n).map(|i| if i < 6 { 1.0 } else { -1.0 }).collect();
         let flat = flattening(&pres, &velx, 2, n - 2);
-        assert!(flat[5] < 0.5 || flat[6] < 0.5, "flattening at the jump: {flat:?}");
+        assert!(
+            flat[5] < 0.5 || flat[6] < 0.5,
+            "flattening at the jump: {flat:?}"
+        );
         // Smooth region untouched.
         assert_eq!(flat[2], 1.0);
     }
@@ -456,11 +462,16 @@ mod tests {
     fn flattening_of_a_zone_does_not_depend_on_the_range_on_every_backend() {
         let n = 24;
         let pres: Vec<f64> = (0..n)
-            .map(|i| ((i as f64 * 0.9).sin() * 2.0).exp() + if (7..15).contains(&i) { 50.0 } else { 0.0 })
+            .map(|i| {
+                ((i as f64 * 0.9).sin() * 2.0).exp() + if (7..15).contains(&i) { 50.0 } else { 0.0 }
+            })
             .collect();
         let velx: Vec<f64> = (0..n).map(|i| (12.0 - i as f64) * 0.3).collect();
         let whole = flattening(&pres, &velx, 2, n - 2);
-        assert!(whole.iter().any(|&f| f < 1.0), "the detector must fire: {whole:?}");
+        assert!(
+            whole.iter().any(|&f| f < 1.0),
+            "the detector must fire: {whole:?}"
+        );
         for (lo, hi) in [(3, n - 3), (5, 9), (6, 16), (8, 14), (13, 17)] {
             let part = flattening(&pres, &velx, lo, hi);
             for &backend in rflash_simd::Resolved::all() {
@@ -477,8 +488,16 @@ mod tests {
                     },
                 );
                 for i in lo..hi {
-                    assert_eq!(part[i].to_bits(), whole[i].to_bits(), "scalar {lo}..{hi} zone {i}");
-                    assert_eq!(flat[i].to_bits(), whole[i].to_bits(), "{backend} {lo}..{hi} zone {i}");
+                    assert_eq!(
+                        part[i].to_bits(),
+                        whole[i].to_bits(),
+                        "scalar {lo}..{hi} zone {i}"
+                    );
+                    assert_eq!(
+                        flat[i].to_bits(),
+                        whole[i].to_bits(),
+                        "{backend} {lo}..{hi} zone {i}"
+                    );
                 }
             }
         }
@@ -496,7 +515,9 @@ mod tests {
     impl rflash_simd::WithLanes for FlattenLanes<'_> {
         type Output = ();
         fn with_lanes<L: Lane>(self) {
-            flattening_lanes::<L>(self.pres, self.velx, self.lo, self.hi, 1, self.flat, self.snap);
+            flattening_lanes::<L>(
+                self.pres, self.velx, self.lo, self.hi, 1, self.flat, self.snap,
+            );
         }
     }
 

@@ -695,7 +695,14 @@ mod tests {
         let before = perturbed_domain();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
         // The y-sweep: the perturbed pressure varies along y.
-        sweep_direction(&mut d, &SweepEos::Defer, 1, 1e-4, &mut reg, &SweepConfig::default());
+        sweep_direction(
+            &mut d,
+            &SweepEos::Defer,
+            1,
+            1e-4,
+            &mut reg,
+            &SweepConfig::default(),
+        );
         let id0 = d.tree.leaves()[0].idx();
         let mut moved = false;
         for j in d.unk.interior() {
@@ -706,7 +713,8 @@ mod tests {
                     before.unk.get(vars::PRES, i, j, 0, id0),
                     "Defer must not touch PRES"
                 );
-                moved |= d.unk.get(vars::DENS, i, j, 0, id0) != before.unk.get(vars::DENS, i, j, 0, id0);
+                moved |=
+                    d.unk.get(vars::DENS, i, j, 0, id0) != before.unk.get(vars::DENS, i, j, 0, id0);
             }
         }
         assert!(moved, "the sweep ran: density moved");

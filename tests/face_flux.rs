@@ -52,7 +52,11 @@ fn fill_states(d: &mut Domain, dir: usize, jump: usize, rng: &mut Rng) {
     let leaves = d.tree.leaves();
     for id in leaves {
         // Global zone offset of this block along `dir` (0 or nxb).
-        let offset = if d.tree.bounds(id).0[dir] > 0.5 { nxb } else { 0 };
+        let offset = if d.tree.bounds(id).0[dir] > 0.5 {
+            nxb
+        } else {
+            0
+        };
         let kr = if ndim == 3 { ng..ng + nxb } else { 0..1 };
         for k in kr {
             for j in ng..ng + nxb {
@@ -60,7 +64,11 @@ fn fill_states(d: &mut Domain, dir: usize, jump: usize, rng: &mut Rng) {
                     let g = [i, j, k][dir] - ng + offset;
                     let hot = g < jump;
                     let dens = 0.5 + rng.unit();
-                    let pres = if hot { 20.0 + 10.0 * rng.unit() } else { 0.1 + 0.1 * rng.unit() };
+                    let pres = if hot {
+                        20.0 + 10.0 * rng.unit()
+                    } else {
+                        0.1 + 0.1 * rng.unit()
+                    };
                     let mut vel = [0.2 * (rng.unit() - 0.5), 0.2 * (rng.unit() - 0.5), 0.0];
                     if ndim == 3 {
                         vel[2] = 0.2 * (rng.unit() - 0.5);
@@ -85,9 +93,9 @@ fn fill_states(d: &mut Domain, dir: usize, jump: usize, rng: &mut Rng) {
     }
 }
 
-/// Sweep both blocks along `dir` and return the number of face cells
-/// compared; panics on the first channel whose two fluxes differ.
-fn check_shared_face(ndim: usize, dir: usize, jump: usize, seed: u64) -> usize {
+/// Sweep both blocks along `dir`; panics on the first channel whose two
+/// fluxes through the shared face differ.
+fn check_shared_face(ndim: usize, dir: usize, jump: usize, seed: u64) {
     let mut d = two_block_domain(ndim, dir);
     let mut rng = Rng(seed);
     fill_states(&mut d, dir, jump, &mut rng);
@@ -96,14 +104,27 @@ fn check_shared_face(ndim: usize, dir: usize, jump: usize, seed: u64) -> usize {
     let geom = d.unk.geom();
     let cfg = SweepConfig::default();
     let (_, fluxes) = d.par_leaf_map(1, |tree, id, slab, probe| {
-        sweep_leaf_block(tree, &geom, id, slab, &SweepEos::Defer, dir, 1e-3, &cfg, probe)
+        sweep_leaf_block(
+            tree,
+            &geom,
+            id,
+            slab,
+            &SweepEos::Defer,
+            dir,
+            1e-3,
+            &cfg,
+            probe,
+        )
     });
     assert_eq!(fluxes.len(), 2, "two leaves");
     let lower = |i: usize| d.tree.bounds(fluxes[i].0).0[dir] < 0.5;
-    let (lo, hi) = if lower(0) { (&fluxes[0].1, &fluxes[1].1) } else { (&fluxes[1].1, &fluxes[0].1) };
+    let (lo, hi) = if lower(0) {
+        (&fluxes[0].1, &fluxes[1].1)
+    } else {
+        (&fluxes[1].1, &fluxes[0].1)
+    };
 
     let nxb = d.tree.config().nxb;
-    let mut cells = 0;
     for t1 in 0..nxb {
         for t2 in 0..lo.t2_cells() {
             for ch in 0..NFLUX {
@@ -115,10 +136,8 @@ fn check_shared_face(ndim: usize, dir: usize, jump: usize, seed: u64) -> usize {
                      face cell ({t1},{t2}) channel {ch}: lower block {a:e} != upper block {b:e}"
                 );
             }
-            cells += 1;
         }
     }
-    cells
 }
 
 fn check_all(ndim: usize) {
@@ -127,7 +146,7 @@ fn check_all(ndim: usize) {
         for k in 0..=3usize {
             for jump in [nxb - k, nxb + k] {
                 let seed = 0x9e37_79b9_7f4a_7c15 ^ ((ndim * 100 + dir * 10 + jump) as u64);
-                assert!(check_shared_face(ndim, dir, jump, seed) > 0);
+                check_shared_face(ndim, dir, jump, seed);
             }
         }
     }

@@ -52,10 +52,7 @@ fn assert_matrix_matches_golden(name: &str) {
             let cell = format!("{name} @ nranks={nranks}, {scheduler:?}");
             match reference {
                 None => reference = Some(digest),
-                Some(r) => assert_eq!(
-                    digest, r,
-                    "matrix cell diverged from its siblings: {cell}"
-                ),
+                Some(r) => assert_eq!(digest, r, "matrix cell diverged from its siblings: {cell}"),
             }
             assert_eq!(
                 digest, golden.digest,

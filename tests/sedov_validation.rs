@@ -108,7 +108,11 @@ fn amr_follows_the_shock_front() {
 /// Total mass and total energy over the leaf interiors.
 fn totals(sim: &Simulation) -> (f64, f64) {
     let ndim = sim.domain.tree.config().ndim;
-    let ks = if ndim == 3 { sim.domain.unk.interior() } else { 0..1 };
+    let ks = if ndim == 3 {
+        sim.domain.unk.interior()
+    } else {
+        0..1
+    };
     let (mut mass, mut energy) = (0.0, 0.0);
     for id in sim.domain.tree.leaves() {
         let vol: f64 = sim.domain.tree.cell_size(id)[..ndim].iter().product();
@@ -137,8 +141,14 @@ fn assert_conserved(spec: &SetupSpec, steps: u64) {
     sim.evolve(steps);
     let (m1, e1) = totals(&sim);
     let (dm, de) = ((m1 - m0) / m0, (e1 - e0) / e0);
-    assert!(dm.abs() < 1e-12, "mass drifted over {steps} steps: {m0} -> {m1} ({dm:e})");
-    assert!(de.abs() < 1e-12, "energy drifted over {steps} steps: {e0} -> {e1} ({de:e})");
+    assert!(
+        dm.abs() < 1e-12,
+        "mass drifted over {steps} steps: {m0} -> {m1} ({dm:e})"
+    );
+    assert!(
+        de.abs() < 1e-12,
+        "energy drifted over {steps} steps: {e0} -> {e1} ({de:e})"
+    );
 }
 
 #[test]
