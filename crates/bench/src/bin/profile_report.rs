@@ -119,7 +119,7 @@ fn breakdown(name: &str, sim: &rflash_core::Simulation) {
 fn graph_report(sim: &rflash_core::Simulation) {
     let g = &sim.graph_report;
     if g.executions == 0 {
-        println!("  (task graph never engaged: barrier scheduler or serial run)");
+        println!("  (task graph never engaged: one rank runs the serial step loop)");
         return;
     }
     println!(

@@ -1,10 +1,11 @@
 //! Run every registered scenario across the full determinism matrix and
 //! reconcile the digests against the committed golden corpus.
 //!
-//! Each scenario runs at smoke scale in all four cells of
-//! `StepScheduler::{Barrier, TaskGraph}` × `nranks ∈ {1, 4}`. The repo's determinism invariants say every cell
-//! must produce one digest; this bin checks that first, then compares the
-//! digest against `golden/<scenario>.ron`.
+//! Each scenario runs at smoke scale in both cells of `nranks ∈ {1, 4}`:
+//! the serial step loop (the oracle) and the task graph over the rank
+//! pool. The repo's determinism invariants say both cells must produce one
+//! digest; this bin checks that first, then compares the digest against
+//! `golden/<scenario>.ron`.
 //!
 //! Usage:
 //!
@@ -14,7 +15,7 @@
 //! cargo run --release -p rflash-bench --bin scenario_matrix -- --golden-dir path/to/corpus
 //! ```
 //!
-//! `--bless` only rewrites a record after the internal four-cell
+//! `--bless` only rewrites a record after the internal two-cell
 //! consistency check passes — a matrix that disagrees with itself is a bug,
 //! never a new golden.
 
@@ -53,25 +54,21 @@ fn main() {
         let mut reference: Option<StateDigest> = None;
         let mut consistent = true;
 
-        for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
-            for nranks in [1usize, 4] {
-                let start = Instant::now();
-                let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, scheduler)
+        for nranks in [1usize, 4] {
+            let start = Instant::now();
+            let sim =
+                registry::run_smoke(&spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph)
                     .unwrap_or_else(|e| panic!("{name}: smoke run failed: {e}"));
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                let digest = StateDigest::of(&sim);
-                println!("   {scheduler:?} nranks={nranks}: {digest} ({wall_ms:.0} ms)");
-                match reference {
-                    None => reference = Some(digest),
-                    Some(r) if digest != r => {
-                        consistent = false;
-                        eprintln!(
-                            "   !! matrix cell diverged from its siblings: \
-                             {scheduler:?} nranks={nranks}"
-                        );
-                    }
-                    Some(_) => {}
+            let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let digest = StateDigest::of(&sim);
+            println!("   nranks={nranks}: {digest} ({wall_ms:.0} ms)");
+            match reference {
+                None => reference = Some(digest),
+                Some(r) if digest != r => {
+                    consistent = false;
+                    eprintln!("   !! matrix cell diverged from its sibling: nranks={nranks}");
                 }
+                Some(_) => {}
             }
         }
 

@@ -78,15 +78,6 @@ impl EosChoice {
         }
     }
 
-    /// Borrow the underlying EOS as a trait object (the sweep's
-    /// [`rflash_hydro::SweepEos::Batch`] mode wants one).
-    pub fn as_dyn(&self) -> &dyn Eos {
-        match self {
-            EosChoice::Gamma(g) => g,
-            EosChoice::Helmholtz(h) => h.as_ref(),
-        }
-    }
-
     /// Access the Helmholtz table when present (gather-pattern recording,
     /// backing audits).
     pub fn helmholtz(&self) -> Option<&Helmholtz> {

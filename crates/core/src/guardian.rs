@@ -13,10 +13,10 @@
 //! checkpoint and returns a typed [`StepError`]. Every intervention lands
 //! in [`rflash_perfmon::GuardianStats`].
 //!
-//! The retry ladder exists once, here, for both step schedulers: an
-//! attempt is either the barrier body (dt scan → physics → validation
-//! scan) or one task-graph dispatch, and the ladder sees only the
-//! attempt's outcome, so both schedulers record the same interventions.
+//! The retry ladder exists once, here, for both step paths: an attempt is
+//! either the serial body at one rank (dt scan → physics → validation
+//! scan) or one task-graph dispatch at more, and the ladder sees only the
+//! attempt's outcome, so both paths record the same interventions.
 //! With the guardian off the same loop runs a single unvalidated attempt.
 
 use std::path::PathBuf;
@@ -271,7 +271,7 @@ impl Simulation {
 
     /// One attempt at the step at [`retry_dt`]: a single task-graph
     /// dispatch when [`use_taskgraph`](Self::use_taskgraph) holds, else the
-    /// barrier body (dt scan → [`advance_physics`](Self::advance_physics)).
+    /// serial body (dt scan → [`advance_physics`](Self::advance_physics)).
     /// With `validate`, the verdict is the first violation in Morton order:
     /// folded into the graph's tail when no flame or gravity runs after
     /// the graph, else one [`validate_domain`] scan here. A poisoned

@@ -5,19 +5,18 @@ use rflash_hydro::SweepEngine;
 use rflash_mesh::MeshConfig;
 use serde::{Deserialize, Serialize};
 
-/// How the driver schedules the work inside one time step.
+/// How the driver schedules the work inside one time step. There is one
+/// pooled scheduler; the rank count decides the path (the serial loop at
+/// one rank, the task graph at more). The type remains so that callers and
+/// parameter files that name it keep working.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum StepScheduler {
-    /// Bulk-synchronous phases: one pool-wide barrier per guard fill,
-    /// sweep, EOS pass, and reduction — the pre-task-graph loop, kept
-    /// selectable for parity testing and fallback.
-    Barrier,
     /// Per-block dependency graph over the rank pool with work stealing:
     /// a block sweeps the moment its own guard cells are ready, interior
     /// compute overlaps other blocks' exchanges, and the only global sync
-    /// left is the end-of-step dt reduction. Bit-identical to `Barrier`
-    /// by construction (DESIGN.md §13).
+    /// left is the end-of-step dt reduction. Bit-identical to the serial
+    /// loop by construction (DESIGN.md §13).
     #[default]
     TaskGraph,
 }
@@ -68,8 +67,8 @@ pub struct RuntimeParams {
     /// so pre-guardian checkpoints still load.
     #[serde(default)]
     pub guardian: crate::guardian::GuardianConfig,
-    /// In-step work scheduler. Defaulted so pre-task-graph checkpoints and
-    /// parameter files still load.
+    /// In-step work scheduler (one value). Defaulted so pre-task-graph
+    /// checkpoints and parameter files still load.
     #[serde(default)]
     pub step_scheduler: StepScheduler,
     /// When set, every graph attempt executes single-threaded in a seeded

@@ -807,7 +807,7 @@ mod tests {
     /// Build `spec`'s initial mesh and check every padded zone of every
     /// leaf against a direct IC + EOS evaluation at its center.
     fn assert_initial_mesh_is_the_ic(spec: &SetupSpec, nranks: usize) -> Domain {
-        let params = smoke_params(spec, nranks, SweepEngine::Pencil, StepScheduler::Barrier);
+        let params = smoke_params(spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph);
         let comp = spec.composition.to_composition();
         let eos = spec.make_eos(params.policy);
         let resolved = spec.resolve(&eos, comp);

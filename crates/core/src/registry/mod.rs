@@ -85,8 +85,9 @@ pub fn load(name: &str) -> Result<SetupSpec, SpecError> {
 
 /// Deterministic runtime parameters for a golden-corpus cell: hardware
 /// counters and pattern recording off, mesh/budgets from the spec, the
-/// matrix axes (ranks, scheduler) from the caller. `engine` has one value,
-/// `SweepEngine::Pencil`; the argument stays so existing callers build.
+/// rank count from the caller. `engine` and `scheduler` have one value
+/// each (`SweepEngine::Pencil`, `StepScheduler::TaskGraph`); the arguments
+/// stay so existing callers build.
 pub fn smoke_params(
     spec: &SetupSpec,
     nranks: usize,

@@ -65,7 +65,7 @@ pub struct Simulation {
     /// validation fusion: alternating steps reuse their own plan, so a
     /// graph is built twice per tree epoch, not once per step.
     pub(crate) graph_plans: [Option<crate::stepgraph::StepGraphPlan>; 2],
-    /// Cumulative task-graph statistics (empty under the barrier path).
+    /// Cumulative task-graph statistics (empty on the serial loop).
     pub graph_report: crate::stepgraph::GraphExecReport,
 }
 
@@ -178,8 +178,6 @@ impl Simulation {
     pub(crate) fn advance_physics(&mut self, dt: f64) {
         let ndim = self.domain.tree.config().ndim;
         let sweep_cfg = self.sweep_config();
-        // The sweep defers thermodynamics to the instrumented EOS pass.
-        let defer_eos = SweepEos::Defer;
 
         // Reverse the sweep order on odd steps (Strang-like alternation).
         let dirs: Vec<usize> = if self.step.is_multiple_of(2) {
@@ -189,7 +187,7 @@ impl Simulation {
         };
         for dir in dirs {
             // The guard exchange gets its own timer so the per-phase
-            // breakdown exposes what the task-graph scheduler overlaps.
+            // breakdown exposes what the task graph overlaps.
             self.timers.start("guardcell");
             self.domain
                 .fill_guardcells_for(self.params.nranks, GuardNeed::Axis(dir));
@@ -199,7 +197,8 @@ impl Simulation {
             self.hydro_session.start_region();
             let probes = sweep_direction_prefilled(
                 &mut self.domain,
-                &defer_eos,
+                // The sweep leaves thermodynamics to the EOS pass below.
+                &SweepEos::Defer,
                 dir,
                 dt,
                 &mut self.reg,
@@ -243,7 +242,7 @@ impl Simulation {
     }
 
     /// The step physics after the split sweeps: flame and gravity. Shared
-    /// by the barrier path ([`advance_physics`](Self::advance_physics))
+    /// by the serial loop ([`advance_physics`](Self::advance_physics))
     /// and the task-graph path, whose graph covers everything before this.
     pub(crate) fn post_sweep_tail(&mut self, dt: f64) {
         if let Some(flame) = &self.flame {
@@ -323,7 +322,7 @@ impl Simulation {
     }
 
     /// Where the step loop's time went, by unit, in seconds — FLASH's
-    /// per-unit timer rows. On the barrier path these are the unit timers.
+    /// per-unit timer rows. On the serial loop these are the unit timers.
     /// The task graph interleaves guard fills, sweeps, EOS, dt scans and
     /// fused validation freely, so those timers never tick there; their
     /// rows come from the per-task busy ledger instead, as the mean over

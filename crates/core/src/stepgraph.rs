@@ -1,18 +1,19 @@
 //! The task-graph step scheduler: one pool dispatch per attempt.
 //!
-//! The barrier step loop runs as pool-wide phases — guard fill, sweep,
-//! EOS, dt scan, validation — and every phase boundary is a full barrier,
-//! so the fastest rank idles until the slowest finishes *each phase*. This
+//! Run on a pool as phases — guard fill, sweep, EOS, dt scan, validation
+//! — a step loop puts a full barrier at every phase boundary, so the
+//! fastest rank idles until the slowest finishes *each phase*. This
 //! module assembles the whole step into one per-block dependency graph
 //! (see [`rflash_mesh::taskgraph`]) and executes it in a single dispatch
 //! of the rank pool: a block's sweep runs the moment its own guard cells
 //! are filled, interior compute overlaps other blocks' exchanges, and the
 //! only remaining global synchronization is the end-of-step dt reduction.
 //!
-//! Determinism (bit-identity with the barrier path) is by construction —
+//! Determinism (bit-identity with the serial step loop, which runs at one
+//! rank and is the graph's oracle) is by construction —
 //! DESIGN.md §13:
 //! * Task accesses are declared to the [`GraphBuilder`] in the canonical
-//!   serial barrier order, so resource versioning reproduces the serial
+//!   serial order, so resource versioning reproduces the serial
 //!   data flow exactly; any edge-consistent schedule computes the same
 //!   values.
 //! * Each block's slab is split into an *interior* and a *guards* resource:
@@ -24,16 +25,14 @@
 //!   serial scan).
 //! * An unusable dt poisons the graph: every state-mutating task after the
 //!   reduction no-ops, leaving leaf interiors untouched exactly like the
-//!   barrier path's bad-dt retry (guard cells are rewritten from the same
+//!   serial loop's bad-dt retry (guard cells are rewritten from the same
 //!   interiors on the next attempt, so they cannot diverge either).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use rflash_hugepages::faults::{self, FaultSite};
-use rflash_hydro::{
-    apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, SweepEos, NFLUX,
-};
+use rflash_hydro::{apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, NFLUX};
 use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
 use rflash_mesh::flux::{Correction, Face};
@@ -47,7 +46,6 @@ use serde::Serialize;
 
 use crate::guardian::{check_block, retry_dt};
 use crate::instrument::eos_block;
-use crate::params::StepScheduler;
 use crate::sim::Simulation;
 
 pub mod mutation;
@@ -115,7 +113,7 @@ pub(crate) struct StepGraphPlan {
     leaves: Vec<BlockId>,
 }
 
-/// Result of one step attempt, a graph dispatch or the barrier body.
+/// Result of one step attempt, a graph dispatch or the serial body.
 pub(crate) struct GraphAttemptOutcome {
     /// `cfl · min(wavetime)`, bit-identical to `compute_dt_parallel_raw`.
     pub raw: f64,
@@ -142,8 +140,8 @@ pub struct GraphRankReport {
 }
 
 /// Cumulative task-graph statistics of a run — the task-graph analog of
-/// the barrier path's per-phase timers, plus the overlap and stealing
-/// ledgers the barrier path structurally cannot have.
+/// the serial loop's per-phase timers, plus the overlap and stealing
+/// ledgers a phase-by-phase loop structurally cannot have.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct GraphExecReport {
     /// Graph executions (one per step attempt).
@@ -217,7 +215,7 @@ impl GraphExecReport {
 }
 
 /// Build the step graph for `key`, declaring every task's resource
-/// accesses in the canonical serial barrier order (DESIGN.md §13).
+/// accesses in the canonical serial order (DESIGN.md §13).
 ///
 /// Resource layout ([`ResourceMap`], `3·max_blocks + 1` resources):
 /// `interior(b) = b`, `guards(b) = max_blocks + b`,
@@ -485,13 +483,11 @@ fn build_plan(
 }
 
 impl Simulation {
-    /// Whether this step should run through the task graph: the scheduler
-    /// is selected, there is a real pool, and there is work. Everything
-    /// else falls back to the (identical-result) barrier path.
+    /// Whether this step runs through the task graph: there is a real pool
+    /// and there is work. Otherwise the (identical-result) serial loop
+    /// runs.
     pub(crate) fn use_taskgraph(&self) -> bool {
-        self.params.step_scheduler == StepScheduler::TaskGraph
-            && self.params.nranks > 1
-            && !self.domain.tree.leaves().is_empty()
+        self.params.nranks > 1 && !self.domain.tree.leaves().is_empty()
     }
 
     /// Make the cached plan of `key`'s parity current for `key`, charging
@@ -522,7 +518,7 @@ impl Simulation {
     ///
     /// Fault sites live in main-thread TLS, so they are consulted *here*,
     /// before the dispatch: `dt-zero` first (skipping the graph entirely,
-    /// like the barrier path's bad-dt attempt touches no state), then the
+    /// like the serial loop's bad-dt attempt touches no state), then the
     /// state-corruption sites whose flags drive the in-graph Inject task.
     pub(crate) fn graph_attempt(&mut self, attempt: u32, fused: bool) -> GraphAttemptOutcome {
         let cfl = self.params.cfl;
@@ -593,7 +589,6 @@ impl Simulation {
             0..1
         };
         let (i0, k0) = (interior.start, interior_k.start);
-        let defer = SweepEos::Defer;
 
         self.hydro_session.start_region();
         self.eos_session.start_region();
@@ -653,8 +648,7 @@ impl Simulation {
                     };
                     // SAFETY: rank-local probe pair.
                     let pr = unsafe { probes.slot(rank) };
-                    let bf =
-                        sweep_leaf_block(tree, &geom, m.block, slab, &defer, dir, dt, &sweep_cfg, &mut pr.0);
+                    let bf = sweep_leaf_block(tree, &geom, m.block, slab, dir, dt, &sweep_cfg, &mut pr.0);
                     for side in 0..2 {
                         let face = Face { axis: dir, side };
                         for t1 in 0..geom.nxb {
@@ -692,11 +686,7 @@ impl Simulation {
                     // SAFETY: exclusive interior access via the edges.
                     let slab = unsafe { cells.write_slab(m.block.idx(), Region::Interior, None) };
                     let refs: Vec<&Correction> = corrs.iter().collect();
-                    // The barrier path discards correction probes too.
-                    let mut probe = Probe::new();
-                    apply_block_corrections(
-                        tree, &geom, m.block, slab, &refs, &defer, dir, dt, &sweep_cfg, &mut probe,
-                    );
+                    apply_block_corrections(tree, &geom, m.block, slab, &refs, dir, dt, &sweep_cfg);
                 }
                 K_EOS => {
                     if poisoned.load(Ordering::Acquire) {

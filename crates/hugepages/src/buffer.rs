@@ -124,11 +124,6 @@ impl<T: Pod> PageBuffer<T> {
         })
     }
 
-    /// Allocate under the environment policy ([`Policy::from_env`]).
-    pub fn zeroed_from_env(len: usize) -> Result<Self> {
-        Self::zeroed(len, Policy::from_env()?)
-    }
-
     /// Number of `T` elements.
     #[inline]
     pub fn len(&self) -> usize {

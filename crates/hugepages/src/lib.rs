@@ -47,7 +47,6 @@ pub mod policy;
 pub mod probe;
 pub mod region;
 pub mod smaps;
-pub mod vec;
 pub mod watcher;
 mod sys;
 
@@ -64,7 +63,6 @@ pub use policy::{Policy, POLICY_ENV_VAR};
 pub use probe::{probe_system, SystemReport, ThpMode};
 pub use region::{AllocStage, DegradationStep, EffectiveBacking, MmapRegion};
 pub use smaps::SmapsRegion;
-pub use vec::PageVec;
 pub use watcher::{MemInfoWatch, WatchSummary};
 
 /// Round `len` up to a multiple of `align` (which must be a power of two).

@@ -58,20 +58,11 @@ pub fn compute_dt(domain: &Domain, cfl: f64) -> f64 {
 /// [`compute_dt`] as a reduction over the persistent rank pool: each rank
 /// scans its Morton segment and the minima are folded in rank order. `min`
 /// is exact (associative and commutative), so the result is bit-identical
-/// to the serial scan for any `nranks`.
-pub fn compute_dt_parallel(domain: &mut Domain, cfl: f64, nranks: usize) -> f64 {
-    let dt = compute_dt_parallel_raw(domain, cfl, nranks);
-    assert!(
-        dt.is_finite() && dt > 0.0,
-        "no usable time step: mesh uninitialized or all-zero state"
-    );
-    dt
-}
-
-/// [`compute_dt_parallel`] without the usability assertion: the raw
-/// `cfl · min(wavetime)` reduction, which is `inf` on an uninitialized
-/// mesh and may be corrupted by the `dt-zero` fault site. Callers that
-/// cannot panic (the step guardian) inspect the value themselves.
+/// to the serial scan for any `nranks`. Unlike [`compute_dt`] it does not
+/// assert usability: the raw `cfl · min(wavetime)` is `inf` on an
+/// uninitialized mesh and may be corrupted by the `dt-zero` fault site, so
+/// callers that cannot panic (the step guardian) inspect the value
+/// themselves.
 pub fn compute_dt_parallel_raw(domain: &mut Domain, cfl: f64, nranks: usize) -> f64 {
     assert!(cfl > 0.0 && cfl < 1.0, "CFL must be in (0, 1)");
     if rflash_hugepages::faults::fires(rflash_hugepages::faults::FaultSite::DtZero) {
@@ -136,7 +127,7 @@ mod tests {
         d.tree.refine_block(children[0], &mut d.unk);
         let serial = compute_dt(&d, 0.7);
         for nranks in [1, 2, 4, 7] {
-            let par = compute_dt_parallel(&mut d, 0.7, nranks);
+            let par = compute_dt_parallel_raw(&mut d, 0.7, nranks);
             assert_eq!(par.to_bits(), serial.to_bits(), "nranks={nranks}");
         }
     }
@@ -152,6 +143,6 @@ mod tests {
     #[should_panic(expected = "CFL must be in")]
     fn parallel_cfl_validated() {
         let mut d = domain_with(1.0, 1.0, 1.6, 0.0);
-        let _ = compute_dt_parallel(&mut d, 1.5, 2);
+        let _ = compute_dt_parallel_raw(&mut d, 1.5, 2);
     }
 }

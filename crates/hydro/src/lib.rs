@@ -11,8 +11,9 @@
 //! * [`riemann`] — an HLLC approximate Riemann solver;
 //! * [`sweep`] — the per-direction pencil update over all AMR blocks,
 //!   including boundary-flux recording for [`rflash_mesh::flux`]
-//!   conservation fix-ups and the per-sweep EOS update (the call pattern
-//!   whose cost dominates the paper's supernova runs);
+//!   conservation fix-ups; the EOS update after each sweep (the call
+//!   pattern whose cost dominates the paper's supernova runs) is the
+//!   driver's own pass;
 //! * [`dt`] — the CFL time-step computation;
 //! * [`sedov`] — the analytic Sedov–Taylor self-similar solution, used to
 //!   validate the solver end-to-end;
@@ -28,7 +29,7 @@ pub mod sedov;
 pub mod state;
 pub mod sweep;
 
-pub use dt::{block_min_wavetime_slab, compute_dt, compute_dt_parallel, compute_dt_parallel_raw};
+pub use dt::{block_min_wavetime_slab, compute_dt, compute_dt_parallel_raw};
 pub use exact_riemann::{ExactRiemann, GasState};
 pub use sedov::SedovSolution;
 pub use sweep::{

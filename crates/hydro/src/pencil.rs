@@ -34,8 +34,7 @@
 //! `recycle()`d per block — steady state performs no allocations and the
 //! lanes sit in one huge-page-backed VMA under the same policy/degradation
 //! chain as `unk` itself. When no policy can map the arena, the block runs
-//! on a heap `Vec` of the same length, counted in `AllocStats`. Only the
-//! lanes the [`SweepEos`] mode uses are carved (see [`mode_lane_lens`]).
+//! on a heap `Vec` of the same length, counted in `AllocStats`.
 //!
 //! This module is under the `pencil_confinement` static-analysis rule: no
 //! per-cell `unk` access (`slab_idx`/`get`/`set`) may appear here — all
@@ -44,7 +43,6 @@
 
 use std::cell::RefCell;
 
-use rflash_eos::{EosBatch, EosMode};
 use rflash_hugepages::{HugeArena, Policy};
 use rflash_mesh::unk::UnkGeom;
 use rflash_mesh::vars;
@@ -53,15 +51,14 @@ use rflash_simd::{chunk_split, Lane, LaneMask, ScalarLane, WithLanes};
 
 use crate::ppm::{flattening_lanes, reconstruct_lanes};
 use crate::riemann::hllc_lanes;
-use crate::state::{cons_to_vel_ener_lanes, Prim, PrimL};
-use crate::sweep::{write_zone, BlockFluxes, SweepConfig, SweepEos};
+use crate::state::{cons_to_vel_ener_lanes, PrimL};
+use crate::sweep::{BlockFluxes, SweepConfig};
 use crate::NFLUX;
 
 /// Everything about the block being swept that the engine needs and that is
 /// constant across the block's slabs.
 pub(crate) struct BlockCtx<'a> {
     pub geom: &'a UnkGeom,
-    pub eos: &'a SweepEos<'a>,
     pub dir: usize,
     pub dt: f64,
     pub dx: f64,
@@ -95,29 +92,14 @@ fn carve<'s>(rest: &mut &'s mut [f64], len: usize) -> &'s mut [f64] {
     head
 }
 
-/// Lanes every mode carves: 8 gathered, flat/snap, 5×2 faces, 5 interface.
+/// Work lanes: 8 gathered, flat/snap, 5×2 faces, 5 interface.
 const CORE_LANES: usize = 25;
 /// Update-output lanes: dens, the 3 velocities, ener, eint.
 const OUT_LANES: usize = 6;
-/// Batched-EOS lanes: pres/gamc/game outputs, temp, abar, zbar.
-const EOS_LANES: usize = 6;
 
-/// Per-lane lengths `(out_len, eos_len)` of the update-output and EOS lane
-/// groups for slab lanes `len` long under `eos`: `PerZone` writes zones
-/// directly and needs neither, only `Batch` needs the EOS group. A group a
-/// mode does not use is carved zero-length.
-fn mode_lane_lens(eos: &SweepEos<'_>, len: usize) -> (usize, usize) {
-    match eos {
-        SweepEos::Defer => (len, 0),
-        SweepEos::Batch { .. } => (len, len),
-        SweepEos::PerZone(_) => (0, 0),
-    }
-}
-
-/// Doubles the slab body carves for slab lanes `len` long under `eos`.
-fn scratch_len(eos: &SweepEos<'_>, len: usize) -> usize {
-    let (out_len, eos_len) = mode_lane_lens(eos, len);
-    CORE_LANES * len + OUT_LANES * out_len + EOS_LANES * eos_len
+/// Doubles the slab body carves for slab lanes `len` long.
+fn scratch_len(len: usize) -> usize {
+    (CORE_LANES + OUT_LANES) * len
 }
 
 /// Floor `lane` in place: `x = max(x, floor)` with the same bits as the
@@ -274,10 +256,10 @@ fn hllc_at<L: Lane>(
 }
 
 /// Conservative update + eint floor on `W` zones starting at lane `p`,
-/// writing the out lanes (twin of the `PerZone` update below +
-/// `write_zone`'s conversion; the energy is re-derived from the floored
-/// eint only on floored lanes, exactly like the scalar branch). A zone's
-/// high face is one position up, lane `p + s`.
+/// writing the out lanes (twin of `sweep::write_zone`'s conversion; the
+/// energy is re-derived from the floored eint only on floored lanes,
+/// exactly like the scalar write-back). A zone's high face is one position
+/// up, lane `p + s`.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn update_at<L: Lane>(
@@ -385,8 +367,7 @@ impl WithLanes for SlabBody<'_, '_> {
 }
 
 /// Sweep every slab of one block: gather, flatten and reconstruct,
-/// predict, solve, update, batch the EOS (under `Batch`), scatter, and
-/// store the boundary fluxes.
+/// predict, solve, update, scatter, and store the boundary fluxes.
 #[cfg_attr(debug_assertions, inline)]
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn run_slab<L: Lane>(
@@ -403,8 +384,6 @@ fn run_slab<L: Lane>(
     let len = n * s;
     let dtdx = ctx.dt / ctx.dx;
     let dens_floor = ctx.cfg.dens_floor;
-    let per_zone = matches!(ctx.eos, SweepEos::PerZone(_));
-    let (out_len, eos_len) = mode_lane_lens(ctx.eos, len);
 
     let mut rest = all;
     let w_dens = carve(&mut rest, len);
@@ -421,12 +400,10 @@ fn run_slab<L: Lane>(
     let mut fp: [&mut [f64]; 5] = std::array::from_fn(|_| carve(&mut rest, len));
     let mut ifl: [&mut [f64]; NFLUX] = std::array::from_fn(|_| carve(&mut rest, len));
     let [out_dens, out_u, out_v, out_w, out_ener, out_eint]: [&mut [f64]; OUT_LANES] =
-        std::array::from_fn(|_| carve(&mut rest, out_len));
-    let [eos_pres, eos_gamc, eos_game, temp_lane, abar_lane, zbar_lane]: [&mut [f64]; EOS_LANES] =
-        std::array::from_fn(|_| carve(&mut rest, eos_len));
+        std::array::from_fn(|_| carve(&mut rest, len));
     debug_assert!(rest.is_empty(), "scratch_len and the carve disagree");
 
-    // Each variable set is spelled once: the gather, the scatters and the
+    // Each variable set is spelled once: the gather, the scatter and the
     // access-pattern recording all read these.
     let read_vars = [
         vars::DENS,
@@ -438,25 +415,16 @@ fn run_slab<L: Lane>(
         vars::GAMC,
         vars::ENER,
     ];
-    // The update's six, then the EOS outputs `Batch` and `PerZone` also
-    // write; `Defer` writes the first `OUT_LANES`.
-    let write_vars = [
+    // The update's six conserved-state outputs; the thermodynamic cache
+    // is the driver's EOS pass's to write.
+    let write_vars: [usize; OUT_LANES] = [
         vars::DENS,
         ctx.vm[0],
         ctx.vm[1],
         ctx.vm[2],
         vars::ENER,
         vars::EINT,
-        vars::PRES,
-        vars::TEMP,
-        vars::GAMC,
-        vars::GAME,
     ];
-    let defer_vars: [usize; OUT_LANES] = std::array::from_fn(|v| write_vars[v]);
-    let written: &[usize] = match ctx.eos {
-        SweepEos::Defer => &defer_vars,
-        _ => &write_vars,
-    };
 
     // Kernel spans in lanes: zones ng-1..ng+nxb+1 are reconstructed and
     // predicted, faces ng..=ng+nxb solved, zones ng..ng+nxb updated.
@@ -529,162 +497,54 @@ fn run_slab<L: Lane>(
         probe.stats.add_vec(240 * (face_hi - face_lo) as u64);
 
         // Conservative update on interior zones.
-        if per_zone {
-            // Per-zone callbacks are inherently cell-at-a-time; route
-            // through the shared write-back helper, pencil by pencil, so
-            // the callback sees zones in pencil order (and the flux
-            // corrections' re-derive shares its semantics and accounting).
-            for b in 0..s {
-                for p in interior.clone() {
-                    let z = p * s + b;
-                    let mut u5 = Prim {
-                        dens: w_dens[z],
-                        vel: [w_u[z], w_v[z], w_w[z]],
-                        pres: w_pres[z],
-                        ener: w_ener[z],
-                        gamc: w_gamc[z],
-                    }
-                    .to_cons();
-                    if ctx.cylindrical_r {
-                        let r_m = ctx.r_lo + (p - ng) as f64 * ctx.dx;
-                        let r_p = r_m + ctx.dx;
-                        let r_c = r_m + 0.5 * ctx.dx;
-                        for (ch, lane) in ifl.iter().enumerate() {
-                            u5[ch] -= ctx.dt / (r_c * ctx.dx) * (r_p * lane[z + s] - r_m * lane[z]);
-                        }
-                        u5[1] += ctx.dt * w_pres[z] / r_c;
-                    } else {
-                        for (ch, lane) in ifl.iter().enumerate() {
-                            u5[ch] -= dtdx * (lane[z + s] - lane[z]);
-                        }
-                    }
-                    write_zone(
-                        slab, geom, dir, p, ng + b, t2, ctx.vm, &u5, ctx.cfg, ctx.eos, probe,
-                    );
-                    probe.stats.zones += 1;
-                    probe.stats.add_fp(40);
-                }
-            }
-        } else {
-            let lanes = SlabLanes {
-                w_dens: &*w_dens,
-                w_u: &*w_u,
-                w_v: &*w_v,
-                w_w: &*w_w,
-                w_pres: &*w_pres,
-                w_ener: &*w_ener,
-                w_gamc: &*w_gamc,
-            };
-            let mut out = OutLanes {
-                dens: &mut *out_dens,
-                u: &mut *out_u,
-                v: &mut *out_v,
-                w: &mut *out_w,
-                ener: &mut *out_ener,
-                eint: &mut *out_eint,
-            };
-            let mut p = zone_lo;
-            while p + L::W <= zone_hi {
-                update_at::<L>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
-                p += L::W;
-            }
-            while p < zone_hi {
-                update_at::<ScalarLane>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
-                p += 1;
-            }
-            probe.stats.zones += (zone_hi - zone_lo) as u64;
-            probe.stats.add_fp(40 * (zone_hi - zone_lo) as u64);
+        let lanes = SlabLanes {
+            w_dens: &*w_dens,
+            w_u: &*w_u,
+            w_v: &*w_v,
+            w_w: &*w_w,
+            w_pres: &*w_pres,
+            w_ener: &*w_ener,
+            w_gamc: &*w_gamc,
+        };
+        let mut out = OutLanes {
+            dens: &mut *out_dens,
+            u: &mut *out_u,
+            v: &mut *out_v,
+            w: &mut *out_w,
+            ener: &mut *out_ener,
+            eint: &mut *out_eint,
+        };
+        let mut p = zone_lo;
+        while p + L::W <= zone_hi {
+            update_at::<L>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
+            p += L::W;
         }
+        while p < zone_hi {
+            update_at::<ScalarLane>(ctx, &lanes, &ifl, &mut out, p, s, dtdx);
+            p += 1;
+        }
+        probe.stats.zones += (zone_hi - zone_lo) as u64;
+        probe.stats.add_fp(40 * (zone_hi - zone_lo) as u64);
 
         // SIMD occupancy accounting over the lane-kernel spans of this
         // slab: flattening + 5 reconstructions + MUSCL over the wide span,
-        // HLLC over the faces, the update (lane path only) over the zones.
+        // HLLC over the faces, the update over the zones.
         let (c_wide, t_wide) = chunk_split(wide_hi - wide_lo, L::W);
         let (c_face, t_face) = chunk_split(face_hi - face_lo, L::W);
-        let mut chunk = 7 * c_wide + c_face;
-        let mut tail = 7 * t_wide + t_face;
-        if !per_zone {
-            let (c_upd, t_upd) = chunk_split(zone_hi - zone_lo, L::W);
-            chunk += c_upd;
-            tail += t_upd;
-        }
-        probe.stats.simd_chunk_lanes += chunk as u64;
-        probe.stats.simd_tail_lanes += tail as u64;
-
-        // One batched EOS over the slab's nxb × nxb interior lanes.
-        if let SweepEos::Batch { eos, abar, zbar } = ctx.eos {
-            geom.gather_slab(slab, [vars::TEMP], dir, t2, interior.clone(), [&mut *temp_lane]);
-            probe.stats.gather_cells += (zone_hi - zone_lo) as u64;
-            abar_lane[zone_lo..zone_hi].fill(*abar);
-            zbar_lane[zone_lo..zone_hi].fill(*zbar);
-            let mut batch = EosBatch {
-                dens: &out_dens[zone_lo..zone_hi],
-                eint: &mut out_eint[zone_lo..zone_hi],
-                temp: &mut temp_lane[zone_lo..zone_hi],
-                abar: &abar_lane[zone_lo..zone_hi],
-                zbar: &zbar_lane[zone_lo..zone_hi],
-                pres: &mut eos_pres[zone_lo..zone_hi],
-                gamc: &mut eos_gamc[zone_lo..zone_hi],
-                game: &mut eos_game[zone_lo..zone_hi],
-            };
-            let report = match eos.eos_batch(EosMode::DensEi, &mut batch) {
-                Ok(r) => r,
-                Err(e) => {
-                    // analyze::allow(panic): an EOS failure leaves the
-                    // slab half-updated with no recovery path; the rank
-                    // pool converts the unwind into a clean
-                    // whole-simulation abort (same contract as
-                    // `write_zone`'s per-zone arm).
-                    panic!("EOS failure in slab dir={dir} t2={t2}: {e}")
-                }
-            };
-            probe.stats.batch_lanes += report.lanes;
-            probe.stats.batch_vector_lanes += report.vector_lanes;
-            probe.stats.batch_plateau_lanes += report.plateau_lanes;
-            for (bin, count) in report.iter_hist.iter().enumerate() {
-                probe.stats.newton_iter_hist[bin] += count;
-            }
-            probe.stats.eos_calls += (zone_hi - zone_lo) as u64;
-        }
+        let (c_upd, t_upd) = chunk_split(zone_hi - zone_lo, L::W);
+        probe.stats.simd_chunk_lanes += (7 * c_wide + c_face + c_upd) as u64;
+        probe.stats.simd_tail_lanes += (7 * t_wide + t_face + t_upd) as u64;
 
         // Scatter the write set back in one row walk.
-        let zones = (zone_hi - zone_lo) as u64;
-        match ctx.eos {
-            SweepEos::PerZone(_) => {} // write_zone already stored the zones
-            SweepEos::Defer => {
-                geom.scatter_slab(
-                    slab,
-                    defer_vars,
-                    dir,
-                    t2,
-                    interior.clone(),
-                    [&*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint],
-                );
-                probe.stats.scatter_cells += written.len() as u64 * zones;
-            }
-            SweepEos::Batch { .. } => {
-                geom.scatter_slab(
-                    slab,
-                    write_vars,
-                    dir,
-                    t2,
-                    interior.clone(),
-                    [
-                        &*out_dens,
-                        &*out_u,
-                        &*out_v,
-                        &*out_w,
-                        &*out_ener,
-                        &*out_eint,
-                        &*eos_pres,
-                        &*temp_lane,
-                        &*eos_gamc,
-                        &*eos_game,
-                    ],
-                );
-                probe.stats.scatter_cells += written.len() as u64 * zones;
-            }
-        }
+        geom.scatter_slab(
+            slab,
+            write_vars,
+            dir,
+            t2,
+            interior.clone(),
+            [&*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint],
+        );
+        probe.stats.scatter_cells += (OUT_LANES * (zone_hi - zone_lo)) as u64;
 
         // Boundary fluxes for the conservation fix-up: pencil `b`'s low
         // face is lane `face_lo + b`, its high face `zone_hi + b`.
@@ -706,7 +566,7 @@ fn run_slab<L: Lane>(
                 }
                 pattern_counter += 1;
             }
-            for pat in geom.slab_patterns(written, dir, t2, interior.clone(), ctx.block_idx) {
+            for pat in geom.slab_patterns(&write_vars, dir, t2, interior.clone(), ctx.block_idx) {
                 if pattern_counter.is_multiple_of(every) {
                     probe.record_write(pat);
                 }
@@ -729,7 +589,7 @@ pub(crate) fn sweep_block(
     probe: &mut Probe,
 ) {
     // Every carved lane holds one slab: `pencil_len × nxb` doubles.
-    let total = scratch_len(ctx.eos, ctx.geom.pencil_len(ctx.dir) * ctx.nxb);
+    let total = scratch_len(ctx.geom.pencil_len(ctx.dir) * ctx.nxb);
     SCRATCH.with(|cell| {
         let mut slot = cell.borrow_mut();
         let mut heap = Vec::new();

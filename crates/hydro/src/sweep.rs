@@ -1,13 +1,14 @@
 //! Directional sweeps over the AMR mesh — FLASH's `hy_ppm_sweep`.
 //!
 //! Each sweep fills guard cells, updates every leaf block along one
-//! direction (PPM reconstruction → HLLC fluxes → conservative update →
-//! per-zone EOS), records boundary fluxes, and applies the fine–coarse flux
-//! corrections. The per-zone EOS call after every sweep is FLASH's
-//! `Eos_wrapped(MODE_DENS_EI)` — the call pattern the paper's "EOS"
-//! experiment instruments.
+//! direction (PPM reconstruction → HLLC fluxes → conservative update),
+//! records boundary fluxes, and applies the fine–coarse flux corrections.
+//! The sweep advances conserved state only: the thermodynamic cache
+//! variables (PRES/TEMP/GAMC/GAME) are left for the driver's instrumented
+//! EOS pass that follows every sweep — FLASH's `hy_ppm_sweep` then
+//! `Eos_wrapped(MODE_DENS_EI)`, the split the paper's "EOS" experiment
+//! instruments.
 
-use rflash_eos::{Eos, EosBatch, EosError, EosMode, EosState};
 use rflash_hugepages::Policy;
 use rflash_mesh::flux::{Correction, Face, FluxRegister};
 use rflash_mesh::unk::UnkGeom;
@@ -18,36 +19,15 @@ use serde::{Deserialize, Serialize};
 use crate::state::{cons_to_vel_ener, Prim};
 use crate::NFLUX;
 
-/// A per-zone EOS callback: given a state with (dens, eint) set (and temp as
-/// a guess), fill pres/temp/gamc/game and return `Ok(true)`. Returning
-/// `Ok(false)` means "EOS deferred": the sweep leaves the thermodynamic
-/// cache variables stale and the driver runs its own instrumented EOS pass
-/// afterwards — FLASH's actual structure (`hy_ppm_sweep` then
-/// `Eos_wrapped(MODE_DENS_EI)`), and the split the paper's "EOS" experiment
-/// relies on. The probe lets the callback account table gathers and EOS work.
-pub type ZoneEos<'a> = dyn Fn(&mut EosState, &mut Probe) -> Result<bool, EosError> + Sync + 'a;
-
-/// How the sweep services the per-zone EOS after the conservative update.
-pub enum SweepEos<'a> {
+/// How the sweep services thermodynamics after the conservative update.
+/// There is one way: the type remains so that callers that name it keep
+/// working.
+pub enum SweepEos {
     /// Leave the thermodynamic cache variables (PRES/TEMP/GAMC/GAME) stale;
     /// the driver runs its own instrumented `Eos_wrapped(MODE_DENS_EI)` pass
     /// after the sweep — FLASH's actual structure and the split the paper's
     /// "EOS" experiment relies on.
     Defer,
-    /// Route interior zones through [`Eos::eos_batch`] with a fixed
-    /// composition — a whole slab at a time in the sweep, one lane at a
-    /// time in the flux-correction re-derive (bit-identical either way:
-    /// lanes are independent).
-    Batch {
-        /// The equation of state to batch through.
-        eos: &'a dyn Eos,
-        /// Mean atomic mass applied to every zone.
-        abar: f64,
-        /// Mean nuclear charge applied to every zone.
-        zbar: f64,
-    },
-    /// Per-zone callback (tests, exotic compositions).
-    PerZone(&'a ZoneEos<'a>),
 }
 
 /// The inner-loop implementation `sweep_direction` runs per block. There
@@ -173,7 +153,6 @@ pub fn sweep_leaf_block(
     geom: &UnkGeom,
     id: BlockId,
     slab: &mut [f64],
-    eos: &SweepEos<'_>,
     dir: usize,
     dt: f64,
     cfg: &SweepConfig,
@@ -184,7 +163,6 @@ pub fn sweep_leaf_block(
     crate::pencil::sweep_block(
         &crate::pencil::BlockCtx {
             geom,
-            eos,
             dir,
             dt,
             dx: tree.cell_size(id)[dir],
@@ -212,10 +190,10 @@ pub fn sweep_leaf_block(
 /// One directional sweep over the whole domain, after filling the guard
 /// cells it reads: the two face regions along `dir`
 /// ([`GuardNeed::Axis`]`(dir)`) and nothing else. Returns the rank probes
-/// for the driver to absorb.
+/// for the driver to absorb; the driver's EOS pass comes next.
 pub fn sweep_direction(
     domain: &mut Domain,
-    eos: &SweepEos<'_>,
+    eos: &SweepEos,
     dir: usize,
     dt: f64,
     reg: &mut FluxRegister,
@@ -228,11 +206,11 @@ pub fn sweep_direction(
 }
 
 /// [`sweep_direction`] minus the guard-cell fill — for drivers that fill (and
-/// time) the exchange themselves, e.g. the barrier stepper's per-phase
+/// time) the exchange themselves, e.g. the serial stepper's per-phase
 /// wall-time breakdown. The face guards along `dir` must be current.
 pub fn sweep_direction_prefilled(
     domain: &mut Domain,
-    eos: &SweepEos<'_>,
+    _eos: &SweepEos,
     dir: usize,
     dt: f64,
     reg: &mut FluxRegister,
@@ -246,7 +224,7 @@ pub fn sweep_direction_prefilled(
 
     let geom = domain.unk.geom();
     let (probes, block_fluxes) = domain.par_leaf_map(cfg.nranks, |tree, id, slab, probe| {
-        sweep_leaf_block(tree, &geom, id, slab, eos, dir, dt, cfg, probe)
+        sweep_leaf_block(tree, &geom, id, slab, dir, dt, cfg, probe)
     });
 
     // Record boundary fluxes and apply the fine–coarse corrections.
@@ -263,14 +241,15 @@ pub fn sweep_direction_prefilled(
             }
         }
     }
-    apply_flux_corrections(domain, eos, dir, dt, reg, cfg);
+    apply_flux_corrections(domain, dir, dt, reg, cfg);
 
     probes
 }
 
-/// Conservative write-back of one zone plus the per-zone EOS call.
+/// Conservative write-back of one zone: the scalar twin of the slab
+/// engine's update output (`pencil::update_at`), with the same eint floor.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn write_zone(
+fn write_zone(
     slab: &mut [f64],
     geom: &UnkGeom,
     dir: usize,
@@ -280,8 +259,6 @@ pub(crate) fn write_zone(
     vm: &[usize; 3],
     u5: &[f64; NFLUX],
     cfg: &SweepConfig,
-    eos: &SweepEos<'_>,
-    probe: &mut Probe,
 ) {
     let (i, j, k) = pencil_cell(dir, p, t1, t2);
     let (dens, vel, mut ener) = cons_to_vel_ener(u5, cfg.dens_floor);
@@ -291,70 +268,6 @@ pub(crate) fn write_zone(
         eint = cfg.eint_floor;
         ener = eint + ekin;
     }
-    let mut state = EosState {
-        dens,
-        temp: slab[geom.slab_idx(vars::TEMP, i, j, k)],
-        abar: 1.0, // overwritten per SweepEos mode below
-        zbar: 1.0,
-        pres: 0.0,
-        eint,
-        entr: 0.0,
-        gamc: 0.0,
-        game: 0.0,
-        cs: 0.0,
-        cv: 0.0,
-    };
-    let eos_done = match eos {
-        SweepEos::Defer => false,
-        SweepEos::PerZone(zone) => zone(&mut state, probe).unwrap_or_else(|e| {
-            // analyze::allow(panic): an EOS failure here leaves the zone
-            // half-updated with no recovery path; the rank pool catches the
-            // unwind and converts it into a clean whole-simulation abort with
-            // the zone coordinates and thermodynamic state in the message.
-            panic!("EOS failure at zone ({i},{j},{k}): dens={dens:e} eint={eint:e}: {e}")
-        }),
-        SweepEos::Batch {
-            eos: batch_eos,
-            abar,
-            zbar,
-        } => {
-            // A one-lane batch: lanes of the batched interface are
-            // independent, so this produces bit-identical values to the
-            // pencil engine's whole-pencil batches.
-            let dens_l = [dens];
-            let mut eint_l = [eint];
-            let mut temp_l = [state.temp];
-            let abar_l = [*abar];
-            let zbar_l = [*zbar];
-            let mut pres_l = [0.0];
-            let mut gamc_l = [0.0];
-            let mut game_l = [0.0];
-            let mut b = EosBatch {
-                dens: &dens_l,
-                eint: &mut eint_l,
-                temp: &mut temp_l,
-                abar: &abar_l,
-                zbar: &zbar_l,
-                pres: &mut pres_l,
-                gamc: &mut gamc_l,
-                game: &mut game_l,
-            };
-            let report = batch_eos.eos_batch(EosMode::DensEi, &mut b).unwrap_or_else(|e| {
-                // analyze::allow(panic): same abort contract as the PerZone
-                // arm — the rank pool converts the unwind into a clean
-                // whole-simulation abort carrying the zone state.
-                panic!("EOS failure at zone ({i},{j},{k}): dens={dens:e} eint={eint:e}: {e}")
-            });
-            probe.stats.batch_lanes += report.lanes;
-            probe.stats.batch_vector_lanes += report.vector_lanes;
-            state.temp = temp_l[0];
-            state.pres = pres_l[0];
-            state.gamc = gamc_l[0];
-            state.game = game_l[0];
-            true
-        }
-    };
-
     let mut put = |var: usize, v: f64| slab[geom.slab_idx(var, i, j, k)] = v;
     put(vars::DENS, dens);
     put(vm[0], vel[0]);
@@ -362,20 +275,12 @@ pub(crate) fn write_zone(
     put(vm[2], vel[2]);
     put(vars::ENER, ener);
     put(vars::EINT, eint);
-    if eos_done {
-        probe.stats.eos_calls += 1;
-        put(vars::PRES, state.pres);
-        put(vars::TEMP, state.temp);
-        put(vars::GAMC, state.gamc);
-        put(vars::GAME, state.game);
-    }
 }
 
 /// Apply ⟨F_fine⟩ − F_coarse corrections to coarse zones at refinement
-/// jumps, then re-run the EOS on the corrected zones.
+/// jumps.
 fn apply_flux_corrections(
     domain: &mut Domain,
-    eos: &SweepEos<'_>,
     dir: usize,
     dt: f64,
     reg: &FluxRegister,
@@ -386,7 +291,6 @@ fn apply_flux_corrections(
         return;
     }
     let geom = domain.unk.geom();
-    let mut probe = Probe::new();
 
     // Group by block so we can fetch slabs one at a time.
     let mut by_block: std::collections::HashMap<BlockId, Vec<&Correction>> =
@@ -399,26 +303,15 @@ fn apply_flux_corrections(
 
     for (id, corrs) in by_block {
         let slab = domain.unk.block_slab_mut(id.idx());
-        apply_block_corrections(
-            &domain.tree,
-            &geom,
-            id,
-            slab,
-            &corrs,
-            eos,
-            dir,
-            dt,
-            cfg,
-            &mut probe,
-        );
+        apply_block_corrections(&domain.tree, &geom, id, slab, &corrs, dir, dt, cfg);
     }
 }
 
-/// Apply one block's flux corrections to its slab and re-run the EOS on the
-/// corrected zones: the per-block body of the fix-up pass, shared verbatim
-/// with the task-graph scheduler's correction tasks. `corrs` must all target
-/// block `id` along `dir`, in the order the register emitted them (the
-/// per-zone accumulation order is part of the bit-identical contract).
+/// Apply one block's flux corrections to its slab: the per-block body of
+/// the fix-up pass, shared verbatim with the task-graph scheduler's
+/// correction tasks. `corrs` must all target block `id` along `dir`, in
+/// the order the register emitted them (the per-zone accumulation order is
+/// part of the bit-identical contract).
 #[allow(clippy::too_many_arguments)]
 pub fn apply_block_corrections(
     tree: &Tree,
@@ -426,11 +319,9 @@ pub fn apply_block_corrections(
     id: BlockId,
     slab: &mut [f64],
     corrs: &[&Correction],
-    eos: &SweepEos<'_>,
     dir: usize,
     dt: f64,
     cfg: &SweepConfig,
-    probe: &mut Probe,
 ) {
     let ng = tree.config().nguard;
     let nxb = tree.config().nxb;
@@ -471,24 +362,47 @@ pub fn apply_block_corrections(
             1 => (j, i, k),
             _ => (k, i, j),
         };
-        write_zone(slab, geom, dir, p, t1, t2, &vm, &u5, cfg, eos, probe);
+        write_zone(slab, geom, dir, p, t1, t2, &vm, &u5, cfg);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rflash_eos::{Eos, EosMode, GammaLaw};
+    use rflash_eos::{Eos, EosMode, EosState, GammaLaw};
     use rflash_hugepages::Policy;
     use rflash_mesh::tree::MeshConfig;
     use rflash_mesh::Geometry;
 
-    fn gamma_zone_eos() -> impl Fn(&mut EosState, &mut Probe) -> Result<bool, EosError> + Sync {
+    /// The driver's EOS pass in miniature: a gamma-law `DensEi` call on
+    /// every interior zone, run after each sweep (the sweep itself leaves
+    /// PRES/TEMP/GAMC/GAME stale).
+    fn gamma_eos_pass(d: &mut Domain) {
         let eos = GammaLaw::new(1.4);
-        move |s: &mut EosState, _p: &mut Probe| {
-            s.abar = 1.0;
-            s.zbar = 1.0;
-            eos.call(EosMode::DensEi, s).map(|_| true)
+        for id in d.tree.leaves() {
+            for j in d.unk.interior() {
+                for i in d.unk.interior() {
+                    let b = id.idx();
+                    let mut s = EosState::co_wd(d.unk.get(vars::DENS, i, j, 0, b), 0.0);
+                    s.temp = d.unk.get(vars::TEMP, i, j, 0, b);
+                    s.eint = d.unk.get(vars::EINT, i, j, 0, b);
+                    s.abar = 1.0;
+                    s.zbar = 1.0;
+                    eos.call(EosMode::DensEi, &mut s).unwrap();
+                    d.unk.set(vars::PRES, i, j, 0, b, s.pres);
+                    d.unk.set(vars::TEMP, i, j, 0, b, s.temp);
+                    d.unk.set(vars::GAMC, i, j, 0, b, s.gamc);
+                    d.unk.set(vars::GAME, i, j, 0, b, s.game);
+                }
+            }
+        }
+    }
+
+    /// One split 2-d step: each direction's sweep followed by the EOS pass.
+    fn sweep_then_eos(d: &mut Domain, dt: f64, reg: &mut FluxRegister) {
+        for dir in 0..2 {
+            sweep_direction(d, &SweepEos::Defer, dir, dt, reg, &SweepConfig::default());
+            gamma_eos_pass(d);
         }
     }
 
@@ -522,12 +436,8 @@ mod tests {
     #[test]
     fn uniform_state_is_a_fixed_point() {
         let mut d = uniform_domain(rflash_mesh::BoundaryCondition::Periodic);
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        let cfg = SweepConfig::default();
-        for dir in 0..2 {
-            sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), dir, 1e-3, &mut reg, &cfg);
-        }
+        sweep_then_eos(&mut d, 1e-3, &mut reg);
         for id in d.tree.leaves() {
             for j in d.unk.interior() {
                 for i in d.unk.interior() {
@@ -576,14 +486,10 @@ mod tests {
             m
         };
         let m0 = total_mass(&d);
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        let cfg = SweepConfig::default();
         for _step in 0..5 {
             let dt = crate::dt::compute_dt(&d, 0.3);
-            for dir in 0..2 {
-                sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), dir, dt, &mut reg, &cfg);
-            }
+            sweep_then_eos(&mut d, dt, &mut reg);
         }
         let m1 = total_mass(&d);
         assert!(
@@ -595,40 +501,19 @@ mod tests {
     #[test]
     fn probes_account_work_and_patterns() {
         let mut d = uniform_domain(rflash_mesh::BoundaryCondition::Periodic);
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
         let cfg = SweepConfig {
             pattern_every: 1, // off by default; the accounting test opts in
             ..SweepConfig::default()
         };
-        let probes = sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), 0, 1e-4, &mut reg, &cfg);
+        let probes = sweep_direction(&mut d, &SweepEos::Defer, 0, 1e-4, &mut reg, &cfg);
         let stats = &probes[0].stats;
         assert_eq!(stats.zones, 64, "one 8×8 block");
-        assert_eq!(stats.eos_calls, 64);
         assert!(stats.vec_ops > 0);
         assert!(probes[0].pattern_count() > 0);
         assert!(stats.bytes_read > 0 && stats.bytes_written > 0);
         // The slab gather is accounted.
         assert!(stats.gather_cells > 0);
-    }
-
-    /// Bit-compare every solution variable over the interiors of two domains.
-    fn assert_unk_identical(a: &Domain, b: &Domain, what: &str) {
-        for id in a.tree.leaves() {
-            for var in 0..vars::NVAR {
-                for j in a.unk.interior() {
-                    for i in a.unk.interior() {
-                        let va = a.unk.get(var, i, j, 0, id.idx());
-                        let vb = b.unk.get(var, i, j, 0, id.idx());
-                        assert!(
-                            va.to_bits() == vb.to_bits(),
-                            "{what}: var {var} at ({i},{j}) block {}: {va:e} != {vb:e}",
-                            id.idx()
-                        );
-                    }
-                }
-            }
-        }
     }
 
     fn perturbed_domain() -> Domain {
@@ -658,35 +543,6 @@ mod tests {
             }
         }
         d
-    }
-
-    fn run_steps(d: &mut Domain, eos: &SweepEos<'_>, steps: usize) {
-        let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        let cfg = SweepConfig::default();
-        for _ in 0..steps {
-            let dt = crate::dt::compute_dt(d, 0.3);
-            for dir in 0..2 {
-                sweep_direction(d, eos, dir, dt, &mut reg, &cfg);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_mode_matches_per_zone_gamma() {
-        // The batched gamma-law EOS reproduces the per-zone closure's
-        // outputs bit-for-bit, so the whole sweep must too.
-        let eos = GammaLaw::new(1.4);
-        let eos_zone = gamma_zone_eos();
-        let batch = SweepEos::Batch {
-            eos: &eos,
-            abar: 1.0,
-            zbar: 1.0,
-        };
-        let mut a = perturbed_domain();
-        let mut b = perturbed_domain();
-        run_steps(&mut a, &SweepEos::PerZone(&eos_zone), 2);
-        run_steps(&mut b, &batch, 2);
-        assert_unk_identical(&a, &b, "PerZone vs Batch");
     }
 
     #[test]
@@ -738,9 +594,8 @@ mod tests {
     #[should_panic(expected = "sweep direction outside dimensionality")]
     fn z_sweep_rejected_in_2d() {
         let mut d = uniform_domain(rflash_mesh::BoundaryCondition::Periodic);
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), 2, 1e-4, &mut reg, &SweepConfig::default());
+        sweep_direction(&mut d, &SweepEos::Defer, 2, 1e-4, &mut reg, &SweepConfig::default());
     }
 
     #[test]
@@ -770,13 +625,9 @@ mod tests {
                 }
             }
         }
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        let cfg_sweep = SweepConfig::default();
         for _step in 0..4 {
-            for dir in 0..2 {
-                sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), dir, 1e-3, &mut reg, &cfg_sweep);
-            }
+            sweep_then_eos(&mut d, 1e-3, &mut reg);
         }
         for id in d.tree.leaves() {
             for j in d.unk.interior() {
@@ -830,14 +681,10 @@ mod tests {
             m
         };
         let m0 = total_mass(&d);
-        let eos_zone = gamma_zone_eos();
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        let cfg = SweepConfig::default();
         for _ in 0..3 {
             let dt = crate::dt::compute_dt(&d, 0.3);
-            for dir in 0..2 {
-                sweep_direction(&mut d, &SweepEos::PerZone(&eos_zone), dir, dt, &mut reg, &cfg);
-            }
+            sweep_then_eos(&mut d, dt, &mut reg);
         }
         let m1 = total_mass(&d);
         assert!(

@@ -6,24 +6,24 @@
 //! through one generic kernel).
 //!
 //! Three surfaces are exercised: full pencil-engine sweeps over randomized
-//! smooth domains (PPM + HLLC + conservative update + batched gamma EOS);
-//! the slab engine on every backend against the slab engine on the scalar
-//! lane, the oracle, on randomized discontinuities (every interior and every stored boundary
-//! flux, 2-d / r–z / 3-d, all three `SweepEos` modes, block sizes that do
-//! and do not divide the lane widths); and the batched Helmholtz DensEi
-//! inversion (bicubic table evaluation + masked-re-iteration Newton) on
-//! randomized thermodynamic states.
+//! smooth domains (PPM + HLLC + conservative update, then a batched gamma
+//! EOS pass after each sweep, as the driver runs it); the slab engine on
+//! every backend against the slab engine on the scalar lane, the oracle,
+//! on randomized discontinuities (every interior and every stored boundary
+//! flux, 2-d / r–z / 3-d, block sizes that do and do not divide the lane
+//! widths); and the batched Helmholtz DensEi inversion (bicubic table
+//! evaluation + masked-re-iteration Newton) on randomized thermodynamic
+//! states.
 
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
-use rflash_eos::{Eos, EosBatch, EosError, EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
+use rflash_eos::{Eos, EosBatch, EosMode, EosState, GammaLaw, Helmholtz, TableConfig};
 use rflash_hugepages::Policy;
-use rflash_hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEos, NFLUX};
+use rflash_hydro::{compute_dt_parallel_raw, sweep_direction, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::{Face, FluxRegister};
 use rflash_mesh::tree::MeshConfig;
 use rflash_mesh::{vars, BoundaryCondition, Domain, Geometry};
-use rflash_perfmon::Probe;
 use rflash_simd::Resolved;
 
 /// Randomized smooth initial condition: sinusoidal density/pressure/velocity
@@ -92,25 +92,64 @@ fn build_domain(p: &InitParams) -> Domain {
     d
 }
 
-/// Run two steps of full (x, y) sweeps with the batched gamma EOS on one
-/// backend.
+/// The driver's EOS pass in miniature: one batched gamma-law `DensEi`
+/// call per leaf over its interior zones, refreshing the thermodynamic
+/// cache the sweep leaves stale.
+fn gamma_eos_pass(d: &mut Domain, eos: &GammaLaw) {
+    for id in d.tree.leaves() {
+        let b = id.idx();
+        let mut zones = Vec::new();
+        for k in d.unk.interior_k() {
+            for j in d.unk.interior() {
+                zones.extend(d.unk.interior().map(|i| (i, j, k)));
+            }
+        }
+        let at = |var: usize| -> Vec<f64> {
+            zones
+                .iter()
+                .map(|&(i, j, k)| d.unk.get(var, i, j, k, b))
+                .collect()
+        };
+        let dens = at(vars::DENS);
+        let mut eint = at(vars::EINT);
+        let mut temp = at(vars::TEMP);
+        let ones = vec![1.0; zones.len()];
+        let (mut pres, mut gamc, mut game) = (ones.clone(), ones.clone(), ones.clone());
+        let mut batch = EosBatch {
+            dens: &dens,
+            eint: &mut eint,
+            temp: &mut temp,
+            abar: &ones,
+            zbar: &ones,
+            pres: &mut pres,
+            gamc: &mut gamc,
+            game: &mut game,
+        };
+        eos.eos_batch(EosMode::DensEi, &mut batch).expect("gamma-law DensEi");
+        for (z, &(i, j, k)) in zones.iter().enumerate() {
+            d.unk.set(vars::PRES, i, j, k, b, pres[z]);
+            d.unk.set(vars::TEMP, i, j, k, b, temp[z]);
+            d.unk.set(vars::GAMC, i, j, k, b, gamc[z]);
+            d.unk.set(vars::GAME, i, j, k, b, game[z]);
+        }
+    }
+}
+
+/// Run two steps of full (x, y) sweeps, each followed by the batched gamma
+/// EOS pass, on one backend.
 fn run_backend(p: &InitParams, simd: Resolved) -> Domain {
     let mut d = build_domain(p);
     let eos = GammaLaw::new(1.4);
-    let batch = SweepEos::Batch {
-        eos: &eos,
-        abar: 1.0,
-        zbar: 1.0,
-    };
     let cfg = SweepConfig {
         simd,
         ..SweepConfig::default()
     };
     let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
     for _ in 0..2 {
-        let dt = compute_dt_parallel(&mut d, 0.3, 1);
+        let dt = compute_dt_parallel_raw(&mut d, 0.3, 1);
         for dir in 0..2 {
-            sweep_direction(&mut d, &batch, dir, dt, &mut reg, &cfg);
+            sweep_direction(&mut d, &SweepEos::Defer, dir, dt, &mut reg, &cfg);
+            gamma_eos_pass(&mut d, &eos);
         }
     }
     d
@@ -149,16 +188,6 @@ enum Shape {
 }
 
 const SHAPES: [Shape; 3] = [Shape::Cartesian2d, Shape::CylindricalRz, Shape::Cartesian3d];
-
-/// Which [`SweepEos`] mode the sweeps run under.
-#[derive(Clone, Copy, Debug)]
-enum EosKind {
-    Defer,
-    Batch,
-    PerZone,
-}
-
-const EOS_KINDS: [EosKind; 3] = [EosKind::Defer, EosKind::Batch, EosKind::PerZone];
 
 /// `nxb = 8` divides every lane width; `nxb = 6` does not divide 4, so
 /// 4-wide chunks straddle two pencil positions and the HLLC span
@@ -283,25 +312,9 @@ fn run_engine(
     shape: Shape,
     nxb: usize,
     disc: &Discontinuity,
-    kind: EosKind,
     simd: Resolved,
 ) -> (Domain, Vec<Vec<u64>>) {
     let mut d = discontinuous_domain(shape, nxb, disc);
-    let gamma = GammaLaw::new(1.4);
-    let zone = |s: &mut EosState, _: &mut Probe| -> Result<bool, EosError> {
-        s.abar = 1.0;
-        s.zbar = 1.0;
-        gamma.call(EosMode::DensEi, s).map(|_| true)
-    };
-    let eos = match kind {
-        EosKind::Defer => SweepEos::Defer,
-        EosKind::Batch => SweepEos::Batch {
-            eos: &gamma,
-            abar: 1.0,
-            zbar: 1.0,
-        },
-        EosKind::PerZone => SweepEos::PerZone(&zone),
-    };
     let cfg = SweepConfig {
         simd,
         eint_floor: disc.eint_floor,
@@ -311,9 +324,9 @@ fn run_engine(
     let mut reg = FluxRegister::new(ndim, nxb, NFLUX, d.tree.config().max_blocks);
     let mut fluxes = Vec::new();
     for _ in 0..2 {
-        let dt = compute_dt_parallel(&mut d, 0.3, 1);
+        let dt = compute_dt_parallel_raw(&mut d, 0.3, 1);
         for dir in 0..ndim {
-            sweep_direction(&mut d, &eos, dir, dt, &mut reg, &cfg);
+            sweep_direction(&mut d, &SweepEos::Defer, dir, dt, &mut reg, &cfg);
             fluxes.push(register_bits(&d, &reg, dir));
         }
     }
@@ -327,12 +340,11 @@ fn check_against_oracle(
     shape: Shape,
     nxb: usize,
     disc: &Discontinuity,
-    kind: EosKind,
 ) -> Result<Domain, TestCaseError> {
-    let (oracle, oracle_fluxes) = run_engine(shape, nxb, disc, kind, Resolved::Scalar);
+    let (oracle, oracle_fluxes) = run_engine(shape, nxb, disc, Resolved::Scalar);
     for &simd in Resolved::all() {
-        let (d, fluxes) = run_engine(shape, nxb, disc, kind, simd);
-        let what = format!("{shape:?} nxb {nxb} {kind:?} on {simd}");
+        let (d, fluxes) = run_engine(shape, nxb, disc, simd);
+        let what = format!("{shape:?} nxb {nxb} on {simd}");
         assert_unk_identical(&oracle, &d, &what)?;
         for (sweep, (got, want)) in fluxes.iter().zip(&oracle_fluxes).enumerate() {
             prop_assert!(got == want, "{what}: boundary fluxes of sweep {sweep} differ");
@@ -341,11 +353,11 @@ fn check_against_oracle(
     Ok(oracle)
 }
 
-/// Every shape × block size × EOS mode once, on a fixed colliding shock
-/// into a cold medium; the eint floor must fire on it (a weaker jump would
-/// leave that branch untested).
+/// Every shape × block size once, on a fixed colliding shock into a cold
+/// medium; the eint floor must fire on it (a weaker jump would leave that
+/// branch untested).
 #[test]
-fn slab_engine_matches_the_scalar_oracle_on_every_shape_mode_and_block_size() {
+fn slab_engine_matches_the_scalar_oracle_on_every_shape_and_block_size() {
     let disc = Discontinuity {
         normal: [1.0, 0.6, 0.3],
         at: 0.02,
@@ -355,15 +367,13 @@ fn slab_engine_matches_the_scalar_oracle_on_every_shape_mode_and_block_size() {
     let mut floored = 0;
     for shape in SHAPES {
         for nxb in NXBS {
-            for kind in EOS_KINDS {
-                let oracle = check_against_oracle(shape, nxb, &disc, kind).unwrap();
-                for id in oracle.tree.leaves() {
-                    for k in oracle.unk.interior_k() {
-                        for j in oracle.unk.interior() {
-                            for i in oracle.unk.interior() {
-                                let eint = oracle.unk.get(vars::EINT, i, j, k, id.idx());
-                                floored += usize::from(eint == disc.eint_floor);
-                            }
+            let oracle = check_against_oracle(shape, nxb, &disc).unwrap();
+            for id in oracle.tree.leaves() {
+                for k in oracle.unk.interior_k() {
+                    for j in oracle.unk.interior() {
+                        for i in oracle.unk.interior() {
+                            let eint = oracle.unk.get(vars::EINT, i, j, k, id.idx());
+                            floored += usize::from(eint == disc.eint_floor);
                         }
                     }
                 }
@@ -434,9 +444,8 @@ proptest! {
         disc in arb_discontinuity(),
         shape in 0..SHAPES.len(),
         nxb in 0..NXBS.len(),
-        kind in 0..EOS_KINDS.len(),
     ) {
-        check_against_oracle(SHAPES[shape], NXBS[nxb], &disc, EOS_KINDS[kind])?;
+        check_against_oracle(SHAPES[shape], NXBS[nxb], &disc)?;
     }
 }
 

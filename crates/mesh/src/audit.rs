@@ -1,7 +1,7 @@
 //! Dynamic access ledger for task-graph race auditing.
 //!
-//! The task-graph scheduler (DESIGN.md §13) is bit-identical to the barrier
-//! path *only if* the hand-written `note_read`/`note_write` declarations in
+//! The task-graph scheduler (DESIGN.md §13) is bit-identical to the serial
+//! step loop *only if* the hand-written `note_read`/`note_write` declarations in
 //! the plan builder exactly cover what each task body actually touches —
 //! one omitted declaration is a silent, schedule-dependent data race that a
 //! parity test can miss on any given interleaving. This module turns that

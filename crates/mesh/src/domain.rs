@@ -194,15 +194,10 @@ impl Domain {
         }
     }
 
-    /// Split the leaves into `nranks` contiguous Morton-curve segments with
-    /// cost-balanced zone counts (PARAMESH's work distribution).
-    pub fn rank_partition(&self, nranks: usize) -> Vec<Vec<BlockId>> {
-        assert!(nranks > 0);
-        partition_by_cost(&self.tree, nranks)
-    }
-
-    /// The cached cost-weighted partition (building it if stale) — the
-    /// block-ownership map task-graph builders seed their deques from.
+    /// The leaves split into `nranks` contiguous Morton-curve segments with
+    /// cost-balanced zone counts (PARAMESH's work distribution), cached and
+    /// rebuilt when stale — the block-ownership map task-graph builders
+    /// seed their deques from.
     pub fn leaf_partition(&mut self, nranks: usize) -> Vec<Vec<BlockId>> {
         assert!(nranks > 0);
         let Domain { tree, unk: _, exec } = self;
@@ -476,8 +471,8 @@ mod tests {
 
     #[test]
     fn partition_covers_all_leaves_contiguously() {
-        let d = refined_domain();
-        let parts = d.rank_partition(3);
+        let mut d = refined_domain();
+        let parts = d.leaf_partition(3);
         let total: usize = parts.iter().map(Vec::len).sum();
         assert_eq!(total, d.tree.leaves().len());
         // Counts are balanced within 1 (uniform costs today).
@@ -506,8 +501,8 @@ mod tests {
 
     #[test]
     fn more_ranks_than_leaves_is_fine() {
-        let d = Domain::new(MeshConfig::test_2d(), Policy::None);
-        let parts = d.rank_partition(4);
+        let mut d = Domain::new(MeshConfig::test_2d(), Policy::None);
+        let parts = d.leaf_partition(4);
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 1);
     }
 

@@ -150,7 +150,7 @@ impl FluxRegister {
 /// One leaf's share of [`FluxRegister::corrections`], with the identical
 /// loop structure — the serial output restricted to `id` (and optionally to
 /// one `axis`) is exactly what this emits, in the same order, which is what
-/// makes per-block graph corrections bit-identical to the barrier path.
+/// makes per-block graph corrections bit-identical to the serial path.
 #[allow(clippy::too_many_arguments)]
 fn corrections_for_leaf(
     tree: &Tree,

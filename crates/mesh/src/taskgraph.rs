@@ -1,6 +1,6 @@
 //! Per-block dependency-graph execution with work stealing.
 //!
-//! The bulk-synchronous step loop dispatches the rank pool once per phase —
+//! A bulk-synchronous step loop dispatches the rank pool once per phase —
 //! guard fill, sweep, EOS, dt scan — and every dispatch is a full barrier:
 //! the fastest rank waits for the slowest, per phase, so load imbalance
 //! converts directly into idle time. The HPX/Kokkos stellar-merger codes
@@ -18,7 +18,7 @@
 //! guards, a flux row) tracks its last writer and the readers since; a new
 //! reader depends on the last writer, and a new writer depends on the last
 //! writer *and* every reader since (the classic RAW/WAR/WAW rule). Declaring
-//! task accesses in the serial barrier-path order therefore reproduces the
+//! task accesses in the serial step-loop order therefore reproduces the
 //! serial data flow exactly, and any schedule the runner picks computes
 //! bit-identical results. Order-sensitive reductions (the CFL minimum, the
 //! guardian verdict) are folded by dedicated tasks in Morton order over
@@ -56,7 +56,7 @@ pub type TaskId = u32;
 /// covers guard-cell fill and restriction (the "communication"
 /// phases), `Compute` covers the sweeps. The overlap ratio — compute time
 /// spent while at least one exchange task was in flight — is the direct
-/// measure of what the barrier loop structurally could not do.
+/// measure of what a phase-by-phase loop structurally cannot do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TaskClass {
     Exchange,
@@ -96,7 +96,7 @@ impl GraphBuilder {
     }
 
     /// Add a task; returns its id. Tasks must be declared in the canonical
-    /// (serial barrier-path) order for resource edges to be meaningful.
+    /// (serial step-loop) order for resource edges to be meaningful.
     pub fn add_task(&mut self, kind: u8, owner: usize) -> TaskId {
         let id = self.kinds.len() as TaskId;
         self.kinds.push(kind);
@@ -415,7 +415,7 @@ impl TaskGraph {
     /// placement); a rank with an empty deque steals from the back of its
     /// neighbors' deques. Time spent failing to find work is measured per
     /// rank and reclassified from the pool's busy ledger to its idle ledger,
-    /// so `idle_fraction` stays comparable with the barrier path.
+    /// so `idle_fraction` stays comparable with plain pool dispatches.
     pub fn execute(
         &self,
         pool: &mut RankPool,

@@ -7,14 +7,15 @@
 //! rflash list-setups
 //! rflash describe <name> [--ron]
 //! rflash run-setup <name> [--full] [--steps N] [--nranks N]
-//!                         [--scheduler barrier|task_graph]
 //!                         [--checkpoint-dir DIR] [--checkpoint-every N]
 //! ```
 //!
 //! `run-setup` defaults to smoke scale — the exact configuration the golden
 //! corpus fingerprints — and prints the state digest so a run can be checked
 //! against `golden/<name>.ron` by eye. `--full` launches the paper-scale
-//! problem instead. `unk` is backed under `RFLASH_HPAGE_TYPE`
+//! problem instead. The rank count picks the step path: the serial loop at
+//! one rank, the task graph over the rank pool at more; the header names
+//! the one that runs. `unk` is backed under `RFLASH_HPAGE_TYPE`
 //! (`none|thp|hugetlbfs[:SIZE]`, `thp` when unset); the `built:` and `exit:`
 //! lines report what `unk` reserves against what the kernel has actually
 //! backed (smaps `Rss`, huge-backed bytes), and under a huge-page policy a
@@ -38,7 +39,6 @@ const USAGE: &str = "usage:
   rflash list-setups
   rflash describe <name> [--ron]
   rflash run-setup <name> [--full] [--steps N] [--nranks N]
-                          [--scheduler barrier|task_graph]
                           [--checkpoint-dir DIR] [--checkpoint-every N]
   rflash run-fleet <name> [--steps N] [--series-dir DIR]
                           [--checkpoint-every N] [--keep-last N]
@@ -48,6 +48,8 @@ const USAGE: &str = "usage:
 
 run-setup backs unk under RFLASH_HPAGE_TYPE (none|thp|hugetlbfs[:SIZE];
 thp when unset) and reports reserved vs. resident vs. huge-backed MiB.
+It steps on the serial loop at --nranks 1 (the default) and on the task
+graph over the rank pool at more ranks.
 run-fleet runs the smoke-scale scenario in one supervised worker process
 and restarts it from its newest verified checkpoint when it is lost;
 --fault injects RFLASH_FAULTS into the first worker only. Without
@@ -150,7 +152,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let mut full = false;
     let mut steps: Option<u64> = None;
     let mut nranks = 1usize;
-    let mut scheduler = StepScheduler::TaskGraph;
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut checkpoint_every = 0u64;
 
@@ -175,17 +176,6 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|e| format!("--nranks: {e}"))?
             }
-            "--scheduler" => {
-                scheduler = match value("--scheduler")?.as_str() {
-                    "barrier" => StepScheduler::Barrier,
-                    "task_graph" => StepScheduler::TaskGraph,
-                    s => {
-                        return Err(format!(
-                            "--scheduler: expected barrier|task_graph, got `{s}`"
-                        ))
-                    }
-                }
-            }
             "--checkpoint-dir" => checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?)),
             "--checkpoint-every" => {
                 checkpoint_every = value("--checkpoint-every")?
@@ -203,12 +193,15 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
     let steps = steps.unwrap_or(spec.smoke.steps);
 
     let policy = Policy::from_env().map_err(|e| format!("{POLICY_ENV_VAR}: {e}"))?;
-    let mut params = registry::smoke_params(&spec, nranks, SweepEngine::Pencil, scheduler);
+    let mut params =
+        registry::smoke_params(&spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph);
     params.policy = policy;
     params.checkpoint_every = checkpoint_every;
 
+    // The path `Simulation::use_taskgraph` takes: every scenario has leaves.
+    let path = if nranks > 1 { "task graph" } else { "serial" };
     println!(
-        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {scheduler:?}, hpage={policy})",
+        "{}: {} ({} scale, {steps} steps, nranks={nranks}, {path}, hpage={policy})",
         spec.name,
         spec.title,
         if full { "paper" } else { "smoke" },

@@ -1,4 +1,5 @@
-//! `rflash run-setup` honours `RFLASH_HPAGE_TYPE`.
+//! `rflash run-setup` honours `RFLASH_HPAGE_TYPE` and names the step path
+//! it runs.
 //!
 //! The CLI used to hard-wire `Policy::None`, so the paper's with/without-HP
 //! pair could not be run from the command line. These tests drive the real
@@ -113,6 +114,25 @@ fn policy_comes_from_the_environment_and_never_moves_the_digest() {
             );
             assert!(min <= max, "{line}");
         }
+    }
+}
+
+#[test]
+fn header_names_the_step_path_the_rank_count_picks() {
+    // One rank runs the serial loop, more run the task graph; both reach
+    // the golden digest.
+    let want = golden_digest_line();
+    for (nranks, path) in [("1", "nranks=1, serial,"), ("2", "nranks=2, task graph,")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rflash"))
+            .args(["run-setup", "sedov", "--nranks", nranks])
+            .env(POLICY_ENV_VAR, "none")
+            .output()
+            .expect("rflash binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let header = stdout.lines().next().unwrap_or_default();
+        assert!(header.contains(path), "--nranks {nranks}: `{path}` not in `{header}`");
+        assert!(stdout.contains(&want), "--nranks {nranks}:\n{stdout}");
     }
 }
 

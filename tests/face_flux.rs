@@ -11,7 +11,7 @@
 //! [`sweep_leaf_block`]. Both sides of the shared face are then compared.
 
 use rflash::hugepages::Policy;
-use rflash::hydro::{sweep_leaf_block, SweepConfig, SweepEos, NFLUX};
+use rflash::hydro::{sweep_leaf_block, SweepConfig, NFLUX};
 use rflash::mesh::tree::MeshConfig;
 use rflash::mesh::{vars, BoundaryCondition, Domain};
 
@@ -104,17 +104,7 @@ fn check_shared_face(ndim: usize, dir: usize, jump: usize, seed: u64) {
     let geom = d.unk.geom();
     let cfg = SweepConfig::default();
     let (_, fluxes) = d.par_leaf_map(1, |tree, id, slab, probe| {
-        sweep_leaf_block(
-            tree,
-            &geom,
-            id,
-            slab,
-            &SweepEos::Defer,
-            dir,
-            1e-3,
-            &cfg,
-            probe,
-        )
+        sweep_leaf_block(tree, &geom, id, slab, dir, 1e-3, &cfg, probe)
     });
     assert_eq!(fluxes.len(), 2, "two leaves");
     let lower = |i: usize| d.tree.bounds(fluxes[i].0).0[dir] < 0.5;

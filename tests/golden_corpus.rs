@@ -1,10 +1,9 @@
 //! The golden-result regression corpus (ISSUE 8, DESIGN.md §15).
 //!
-//! Every registered scenario runs at smoke scale across the full
-//! determinism matrix — `nranks ∈ {1, 4}` × `StepScheduler::{Barrier,
-//! TaskGraph}` — and every cell must
-//! produce the *same* CRC-backed state digest, equal to the record
-//! committed under `golden/`. A digest change means the numerics drifted:
+//! Every registered scenario runs at smoke scale across the determinism
+//! matrix — `nranks ∈ {1, 4}`, the serial step loop and the task graph —
+//! and both cells must produce the *same* CRC-backed state digest, equal
+//! to the record committed under `golden/`. A digest change means the numerics drifted:
 //! either a bug, or an intentional change that must be re-blessed with
 //!
 //! ```text
@@ -30,8 +29,9 @@ fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-golden-it-{}-{name}", std::process::id()))
 }
 
-/// The full determinism matrix for one scenario: every cell must digest
-/// identically, and match the committed golden record.
+/// The determinism matrix for one scenario: the serial loop at one rank
+/// and the task graph at four must digest identically, and match the
+/// committed golden record.
 fn assert_matrix_matches_golden(name: &str) {
     let spec = registry::load(name).expect("registered scenario");
     let golden = load_golden(&golden_dir(), name).unwrap_or_else(|e| {
@@ -44,25 +44,23 @@ fn assert_matrix_matches_golden(name: &str) {
     assert_eq!(golden.steps, spec.smoke.steps, "golden is stale: steps drifted");
 
     let mut reference: Option<StateDigest> = None;
-    for scheduler in [StepScheduler::Barrier, StepScheduler::TaskGraph] {
-        for nranks in [1usize, 4] {
-            let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, scheduler)
-                .expect("smoke run");
-            let digest = StateDigest::of(&sim);
-            let cell = format!("{name} @ nranks={nranks}, {scheduler:?}");
-            match reference {
-                None => reference = Some(digest),
-                Some(r) => assert_eq!(digest, r, "matrix cell diverged from its siblings: {cell}"),
-            }
-            assert_eq!(
-                digest, golden.digest,
-                "digest drifted from the committed golden: {cell}\n  \
-                 got      {digest}\n  expected {}\n  \
-                 if the numerics change is intentional, re-bless with \
-                 `cargo run --release -p rflash-bench --bin scenario_matrix -- --bless`",
-                golden.digest
-            );
+    for nranks in [1usize, 4] {
+        let sim = registry::run_smoke(&spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph)
+            .expect("smoke run");
+        let digest = StateDigest::of(&sim);
+        let cell = format!("{name} @ nranks={nranks}");
+        match reference {
+            None => reference = Some(digest),
+            Some(r) => assert_eq!(digest, r, "matrix cell diverged from its sibling: {cell}"),
         }
+        assert_eq!(
+            digest, golden.digest,
+            "digest drifted from the committed golden: {cell}\n  \
+             got      {digest}\n  expected {}\n  \
+             if the numerics change is intentional, re-bless with \
+             `cargo run --release -p rflash-bench --bin scenario_matrix -- --bless`",
+            golden.digest
+        );
     }
 }
 

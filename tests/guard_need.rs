@@ -123,8 +123,8 @@ fn assert_poisoned_smoke_matches_golden(name: &str, nranks: usize) {
 
 /// 3-d Sedov at the committed spec's three levels (the paper's Table II
 /// mesh: outflow walls, a fine cube inside a coarser shell, so every
-/// fine–coarse face prolongs from a coarse leaf), on the one-rank barrier
-/// path. The step-4 regrid runs the estimator but the blast has not
+/// fine–coarse face prolongs from a coarse leaf), on the one-rank serial
+/// loop. The step-4 regrid runs the estimator but the blast has not
 /// reached a block edge yet, so the tree holds still here.
 #[test]
 fn sedov_3d_with_jumps_never_reads_an_unfilled_guard() {

@@ -11,7 +11,9 @@
 
 use rflash::core::{registry, StepScheduler};
 use rflash::hugepages::{PageSize, Policy};
-use rflash::hydro::{compute_dt_parallel, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX};
+use rflash::hydro::{
+    compute_dt_parallel_raw, sweep_direction, SweepConfig, SweepEngine, SweepEos, NFLUX,
+};
 use rflash::mesh::flux::FluxRegister;
 use rflash::perfmon::AllocSummary;
 
@@ -42,7 +44,7 @@ fn steady_state_sweeps_allocate_nothing_after_first_epoch() {
 
     // First epoch: arenas are built (counters may move — that's the cost
     // we amortize, not the one we forbid).
-    let dt = compute_dt_parallel(&mut sim.domain, 0.3, 1);
+    let dt = compute_dt_parallel_raw(&mut sim.domain, 0.3, 1);
     let mut zones_first = 0u64;
     for dir in 0..ndim {
         for p in sweep_direction(&mut sim.domain, &SweepEos::Defer, dir, dt, &mut reg, &cfg) {
@@ -54,7 +56,7 @@ fn steady_state_sweeps_allocate_nothing_after_first_epoch() {
     // Steady state: several more epochs must not touch the allocator.
     let baseline = AllocSummary::capture();
     for _ in 0..4 {
-        let dt = compute_dt_parallel(&mut sim.domain, 0.3, 1);
+        let dt = compute_dt_parallel_raw(&mut sim.domain, 0.3, 1);
         for dir in 0..ndim {
             for p in sweep_direction(&mut sim.domain, &SweepEos::Defer, dir, dt, &mut reg, &cfg) {
                 let _ = p;

@@ -1,7 +1,7 @@
-//! Scheduler parity battery: the per-block task-graph step path must be
-//! bit-identical to the pool-wide-barrier path — same leaves, same time
-//! series, same interior bits — on both paper problems, across rank
-//! counts, and straight through guardian-driven
+//! Scheduler parity battery: the per-block task-graph step path at k ranks
+//! must be bit-identical to the serial step loop at one rank, its oracle —
+//! same leaves, same time series, same interior bits — on both paper
+//! problems, across rank counts, and straight through guardian-driven
 //! mid-step rollbacks and dt-retry ladders.
 //!
 //! The graph schedules per-block work the moment its dependencies clear,
@@ -44,60 +44,59 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 
 /// A registered scenario at its smoke scale — for `sedov`, 3-d at
 /// `max_refine` 2 on a 512-block pool; for `supernova`, 2-d at
-/// `max_refine` 1 on 256 blocks with the coarse Helmholtz table.
-fn smoke(name: &str, scheduler: StepScheduler, nranks: usize) -> Simulation {
+/// `max_refine` 1 on 256 blocks with the coarse Helmholtz table. One rank
+/// runs the serial step loop, more run the task graph.
+fn smoke(name: &str, nranks: usize) -> Simulation {
     let spec = registry::load(name).unwrap().at_smoke_scale();
-    let params = registry::smoke_params(&spec, nranks, SweepEngine::Pencil, scheduler);
+    let params =
+        registry::smoke_params(&spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph);
     spec.build(params).unwrap()
 }
 
-fn sedov3d(scheduler: StepScheduler, nranks: usize) -> Simulation {
-    smoke("sedov", scheduler, nranks)
+fn sedov3d(nranks: usize) -> Simulation {
+    smoke("sedov", nranks)
 }
 
-fn supernova2d(scheduler: StepScheduler, nranks: usize) -> Simulation {
-    smoke("supernova", scheduler, nranks)
+fn supernova2d(nranks: usize) -> Simulation {
+    smoke("supernova", nranks)
 }
 
-/// 3-d Sedov: task-graph vs barrier at every rank count. The nranks = 1
-/// column also pins the documented fallback (a single rank has nothing to
-/// overlap, so the graph path defers to the barrier loop).
+/// 3-d Sedov: the task graph at several rank counts against the serial
+/// loop. One rank has nothing to overlap, so it never engages the graph.
 #[test]
-fn sedov_3d_taskgraph_matches_barrier_all_ranks() {
+fn sedov_3d_taskgraph_matches_serial_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for nranks in [1usize, 3, 4] {
-        let mut barrier = sedov3d(StepScheduler::Barrier, nranks);
-        barrier.evolve(3);
-        let mut graph = sedov3d(StepScheduler::TaskGraph, nranks);
+    let mut serial = sedov3d(1);
+    serial.evolve(3);
+    assert_eq!(
+        serial.graph_report.executions, 0,
+        "one rank runs the serial loop"
+    );
+    for nranks in [2usize, 3, 4] {
+        let mut graph = sedov3d(nranks);
         graph.evolve(3);
         assert_eq!(
-            state_bits(&barrier),
+            state_bits(&serial),
             state_bits(&graph),
             "divergence at nranks={nranks}"
         );
-        if nranks > 1 {
-            assert!(
-                graph.graph_report.executions >= 3,
-                "the graph path must actually have run at nranks={nranks}"
-            );
-            let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
-            assert!(tasks > 0, "ranks executed tasks");
-        } else {
-            assert_eq!(
-                graph.graph_report.executions, 0,
-                "one rank falls back to the barrier loop"
-            );
-        }
+        assert!(
+            graph.graph_report.executions >= 3,
+            "the graph path must actually have run at nranks={nranks}"
+        );
+        let tasks: u64 = graph.graph_report.per_rank.iter().map(|r| r.tasks).sum();
+        assert!(tasks > 0, "ranks executed tasks");
     }
 }
 
 /// The 2-d Kelvin–Helmholtz shear layer at its committed scale (64 leaves
-/// at level 2) on 2 ranks, without the periodic regrid: the tests below
-/// change the tree themselves.
-fn kh2d(scheduler: StepScheduler) -> Simulation {
+/// at level 2) on `nranks` ranks, without the periodic regrid: the tests
+/// below change the tree themselves.
+fn kh2d(nranks: usize) -> Simulation {
     let mut spec = registry::load("kelvin_helmholtz").unwrap();
     spec.budgets.regrid_every = 0;
-    let params = registry::smoke_params(&spec, 2, SweepEngine::Pencil, scheduler);
+    let params =
+        registry::smoke_params(&spec, nranks, SweepEngine::Pencil, StepScheduler::TaskGraph);
     spec.build(params).unwrap()
 }
 
@@ -105,8 +104,8 @@ fn kh2d(scheduler: StepScheduler) -> Simulation {
 /// only on the first leaf below `max_refine`, which leaves refinement
 /// jumps), three times over — one epoch per stretch, each with steps of
 /// both sweep parities.
-fn kh2d_with_regrids(scheduler: StepScheduler) -> (Simulation, Vec<(u64, u64, u64)>) {
-    let mut sim = kh2d(scheduler);
+fn kh2d_with_regrids(nranks: usize) -> (Simulation, Vec<(u64, u64, u64)>) {
+    let mut sim = kh2d(nranks);
     let mut per_epoch = Vec::new(); // (epoch, steps, plan builds)
     for mark in [Some(Mark::Derefine), Some(Mark::Refine), None] {
         let (epoch, builds) = (sim.domain.tree.epoch(), sim.graph_report.plan_builds);
@@ -135,12 +134,12 @@ fn kh2d_with_regrids(scheduler: StepScheduler) -> (Simulation, Vec<(u64, u64, u6
 /// The step graph depends only on the tree and the sweep parity, so it is
 /// built once per parity per tree epoch: twice in a run with no regrid,
 /// and at most twice more for each regrid that changes the epoch. The
-/// cached plans must not change a bit against the barrier loop.
+/// cached plans must not change a bit against the serial loop.
 #[test]
 fn step_graph_is_built_once_per_parity_per_tree_epoch() {
     let _quiet = FaultPlan::new(0).activate();
 
-    let mut graph = kh2d(StepScheduler::TaskGraph);
+    let mut graph = kh2d(2);
     let epoch = graph.domain.tree.epoch();
     graph.evolve(12);
     assert_eq!(
@@ -153,51 +152,52 @@ fn step_graph_is_built_once_per_parity_per_tree_epoch() {
         graph.graph_report.plan_builds, 2,
         "one plan per sweep parity"
     );
-    let mut barrier = kh2d(StepScheduler::Barrier);
-    barrier.evolve(12);
-    assert_eq!(state_bits(&barrier), state_bits(&graph));
+    let mut serial = kh2d(1);
+    serial.evolve(12);
+    assert_eq!(state_bits(&serial), state_bits(&graph));
 
-    let (graph, per_epoch) = kh2d_with_regrids(StepScheduler::TaskGraph);
+    let (graph, per_epoch) = kh2d_with_regrids(2);
     for &(epoch, steps, builds) in &per_epoch {
         assert_eq!(
             builds, 2,
             "epoch {epoch}: {steps} steps built {builds} plans"
         );
     }
-    let (barrier, _) = kh2d_with_regrids(StepScheduler::Barrier);
-    assert_eq!(state_bits(&barrier), state_bits(&graph));
+    let (serial, _) = kh2d_with_regrids(1);
+    assert_eq!(state_bits(&serial), state_bits(&graph));
 }
 
 /// 2-d Helmholtz supernova (flame + gravity live, so the graph runs its
-/// unfused tail): task-graph vs barrier across rank counts.
+/// unfused tail): the task graph across rank counts against the serial
+/// loop.
 #[test]
-fn supernova_2d_taskgraph_matches_barrier_all_ranks() {
+fn supernova_2d_taskgraph_matches_serial_all_ranks() {
     let _quiet = FaultPlan::new(0).activate();
-    for nranks in [1usize, 3, 4] {
-        let mut barrier = supernova2d(StepScheduler::Barrier, nranks);
-        barrier.evolve(3);
-        let mut graph = supernova2d(StepScheduler::TaskGraph, nranks);
+    let mut serial = supernova2d(1);
+    serial.evolve(3);
+    for nranks in [2usize, 3, 4] {
+        let mut graph = supernova2d(nranks);
         graph.evolve(3);
         assert_eq!(
-            state_bits(&barrier),
+            state_bits(&serial),
             state_bits(&graph),
             "divergence at nranks={nranks}"
         );
     }
 }
 
-/// Checkpoints written under the two schedulers hold identical physics:
-/// same step, same time, same domain bits. (The raw container bytes are
-/// allowed to differ — the serialized params header records which
-/// scheduler wrote it.)
+/// Checkpoints written by the serial loop and by the task graph hold
+/// identical physics: same step, same time, same domain bits. (The raw
+/// container bytes are allowed to differ — the serialized params header
+/// records the rank count that wrote it.)
 #[test]
 fn checkpoints_agree_across_schedulers() {
     let _quiet = FaultPlan::new(0).activate();
-    let run = |scheduler: StepScheduler, tag: &str| {
+    let run = |nranks: usize, tag: &str| {
         let dir = scratch(tag);
         let _ = std::fs::remove_dir_all(&dir);
         let series = CheckpointSeries::new(&dir, "chk");
-        let mut sim = sedov3d(scheduler, 4);
+        let mut sim = sedov3d(nranks);
         sim.params.checkpoint_every = 2;
         sim.evolve_checkpointed(4, &series).expect("clean run");
         let (step, path) = series.scan().unwrap().pop().expect("a checkpoint landed");
@@ -219,23 +219,23 @@ fn checkpoints_agree_across_schedulers() {
         bits
     };
     assert_eq!(
-        run(StepScheduler::Barrier, "barrier"),
-        run(StepScheduler::TaskGraph, "graph"),
-        "checkpointed physics must not depend on the scheduler"
+        run(1, "serial"),
+        run(4, "graph"),
+        "checkpointed physics must not depend on the step path"
     );
 }
 
 /// A state-corruption fault fired mid-run under the task-graph: the
 /// guardian's validation (folded into the graph as per-leaf tasks) must
 /// catch it, roll the whole step back across every in-flight block, and
-/// retry to bits identical to a fault-free barrier run.
+/// retry to bits identical to a fault-free serial run.
 #[test]
 fn guardian_rollback_mid_graph_recovers_bit_exactly() {
     let sim = {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(StepScheduler::TaskGraph, 4);
+        let mut sim = sedov3d(4);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
@@ -254,7 +254,7 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
     );
 
     let _quiet = FaultPlan::new(0).activate();
-    let mut clean = sedov3d(StepScheduler::Barrier, 4);
+    let mut clean = sedov3d(1);
     clean.params.guardian = GuardianConfig {
         max_retries: 2,
         ..GuardianConfig::default()
@@ -263,23 +263,24 @@ fn guardian_rollback_mid_graph_recovers_bit_exactly() {
     assert_eq!(
         state_bits(&sim),
         state_bits(&clean),
-        "mid-graph rollback + retry must reproduce the fault-free barrier run"
+        "mid-graph rollback + retry must reproduce the fault-free serial run"
     );
-    // The witness ignores scheduler-private state, so also pin the ledger.
+    // The witness ignores path-private state, so also pin the ledger.
     assert_eq!(sim.step, clean.step);
     assert_eq!(sim.time, clean.time);
 }
 
 /// A transient zero dt under the task-graph poisons the step (no block
-/// mutates state), retries down the dt ladder, and lands on the fault-free
-/// barrier bits — BadDt handling is scheduler-invariant.
+/// mutates state), retries down the dt ladder, and lands on the bits and
+/// the guardian ledger of the same fault on the serial loop — BadDt
+/// handling is path-invariant.
 #[test]
-fn poisoned_dt_under_taskgraph_matches_barrier_recovery() {
-    let run = |scheduler: StepScheduler| {
+fn poisoned_dt_under_taskgraph_matches_serial_recovery() {
+    let run = |nranks: usize| {
         let _g = FaultPlan::new(0)
             .with(FaultSite::DtZero, FaultKind::FirstN { n: 1, errno: 22 })
             .activate();
-        let mut sim = sedov3d(scheduler, 3);
+        let mut sim = sedov3d(nranks);
         sim.params.guardian = GuardianConfig {
             max_retries: 2,
             ..GuardianConfig::default()
@@ -294,22 +295,24 @@ fn poisoned_dt_under_taskgraph_matches_barrier_recovery() {
         );
         sim
     };
-    let graph = run(StepScheduler::TaskGraph);
-    let barrier = run(StepScheduler::Barrier);
-    assert_eq!(state_bits(&graph), state_bits(&barrier));
-    assert_eq!(graph.guardian_stats, barrier.guardian_stats);
+    let graph = run(3);
+    let serial = run(1);
+    assert!(graph.graph_report.executions > 0 && serial.graph_report.executions == 0);
+    assert_eq!(state_bits(&graph), state_bits(&serial));
+    assert_eq!(graph.guardian_stats, serial.guardian_stats);
 }
 
 /// A fault that outlives the same-dt retry pushes the ladder down to a
-/// halved dt. Both schedulers run the one retry ladder, so they reach the
-/// same bits *and* record the same interventions, `dt_halvings` included.
+/// halved dt. The task graph and the serial loop run the one retry
+/// ladder, so they reach the same bits *and* record the same
+/// interventions, `dt_halvings` included.
 #[test]
 fn halved_retry_is_scheduler_invariant() {
-    let run = |scheduler: StepScheduler| {
+    let run = |nranks: usize| {
         let _g = FaultPlan::new(0)
             .with(FaultSite::StepNan, FaultKind::FirstN { n: 2, errno: 22 })
             .activate();
-        let mut sim = sedov3d(scheduler, 3);
+        let mut sim = sedov3d(nranks);
         sim.params.guardian = GuardianConfig {
             max_retries: 3,
             ..GuardianConfig::default()
@@ -320,16 +323,16 @@ fn halved_retry_is_scheduler_invariant() {
         }
         sim
     };
-    let graph = run(StepScheduler::TaskGraph);
-    let barrier = run(StepScheduler::Barrier);
+    let graph = run(3);
+    let serial = run(1);
     assert!(
         graph.graph_report.executions > 3,
         "the retries re-dispatched the graph"
     );
-    assert_eq!(state_bits(&graph), state_bits(&barrier));
-    assert_eq!(graph.guardian_stats, barrier.guardian_stats);
+    assert_eq!(state_bits(&graph), state_bits(&serial));
+    assert_eq!(graph.guardian_stats, serial.guardian_stats);
     assert_eq!(
-        barrier.guardian_stats.dt_halvings, 1,
+        serial.guardian_stats.dt_halvings, 1,
         "attempts 0 and 1 fail at the computed dt, attempt 2 runs at half"
     );
 }
