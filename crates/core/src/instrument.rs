@@ -50,17 +50,26 @@ pub fn register_buffers(session: &mut PerfSession, domain: &Domain, eos: &EosCho
 }
 
 /// The instrumented EOS pass: `Eos_wrapped(MODE_DENS_EI)` over every
-/// interior zone of every leaf — the routine set the paper's "EOS"
-/// experiment wraps with PAPI. Records unk row patterns and EOS-table
-/// gathers (sampled) into the session's TLB model.
+/// interior zone of every leaf, or of the leaves in `only` — the routine
+/// set the paper's "EOS" experiment wraps with PAPI. Records unk row
+/// patterns and EOS-table gathers (sampled) into the session's TLB model.
+///
+/// Skipping a leaf is exact when nothing wrote its `DENS`/`EINT` since its
+/// last pass: re-solving a zone from its own `TEMP` returns its own bits.
 pub fn eos_pass(
     domain: &mut Domain,
     eos: &EosChoice,
     comp: Composition,
     params: &RuntimeParams,
     session: &mut PerfSession,
+    only: Option<&[BlockId]>,
 ) {
     session.start_region();
+    let only = only.map(|ids| {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids
+    });
     let geom = domain.unk.geom();
     let gather_every = params.gather_every;
     let pattern_every = params.pattern_every;
@@ -72,6 +81,12 @@ pub fn eos_pass(
     let tolerate_bad_rows = params.guardian.enabled;
 
     let probes = domain.par_leaf_update(params.nranks, |_tree, id, slab, probe| {
+        if only
+            .as_ref()
+            .is_some_and(|ids| ids.binary_search(&id).is_err())
+        {
+            return;
+        }
         eos_block(
             &geom,
             eos,
@@ -276,7 +291,14 @@ mod tests {
             ..SessionConfig::default()
         });
         register_buffers(&mut session, &domain, &eos);
-        eos_pass(&mut domain, &eos, Composition::ideal(), &params, &mut session);
+        eos_pass(
+            &mut domain,
+            &eos,
+            Composition::ideal(),
+            &params,
+            &mut session,
+            None,
+        );
 
         let pres = domain.unk.get(vars::PRES, 5, 5, 0, id.idx());
         assert!((pres - 0.4 * 1e12).abs() / pres < 1e-12, "P=(γ−1)ρe");

@@ -123,7 +123,12 @@ impl Simulation {
         }
     }
 
-    /// Run the EOS everywhere (used at init and after regrids).
+    /// Run the EOS on every leaf: at set-up, after each split sweep of the
+    /// serial loop, and in the ledger's probes. The regrid in
+    /// [`commit_step`](Self::commit_step) runs none: its new children (and
+    /// the parents it restricts into) keep interpolated `PRES`/`TEMP`/
+    /// `GAMC`/`GAME`, not EOS-consistent ones, until the pass after the
+    /// next step's first sweep.
     pub fn eos_everywhere(&mut self) {
         eos_pass(
             &mut self.domain,
@@ -131,6 +136,7 @@ impl Simulation {
             self.comp,
             &self.params,
             &mut self.eos_session,
+            None,
         );
     }
 
@@ -172,7 +178,9 @@ impl Simulation {
     }
 
     /// The physics of one step at a fixed `dt`: split sweeps (each followed
-    /// by the instrumented EOS pass), flame, gravity. Does *not* advance
+    /// by the instrumented EOS pass over every leaf), then
+    /// [`post_sweep_tail`](Self::post_sweep_tail): flame (and its EOS pass
+    /// over the leaves it burned), gravity. Does *not* advance
     /// `step`/`time` or regrid — [`commit_step`](Self::commit_step) does,
     /// so the guardian can validate (and roll back) in between.
     pub(crate) fn advance_physics(&mut self, dt: f64) {
@@ -244,20 +252,30 @@ impl Simulation {
     /// The step physics after the split sweeps: flame and gravity. Shared
     /// by the serial loop ([`advance_physics`](Self::advance_physics))
     /// and the task-graph path, whose graph covers everything before this.
+    /// The flame's EOS pass re-solves only the leaves the flame deposited
+    /// energy in; every other leaf still holds the bits of the pass after
+    /// the last sweep, which a re-solve would return unchanged.
     pub(crate) fn post_sweep_tail(&mut self, dt: f64) {
         if let Some(flame) = &self.flame {
             self.timers.start("flame");
             // The ADR step's stencil is ±1 per axis.
             self.domain
                 .fill_guardcells_for(self.params.nranks, GuardNeed::Faces);
-            let (probes, released) = flame.advance(&mut self.domain, dt);
+            let (probes, released, burned) = flame.advance(&mut self.domain, dt);
             for probe in probes {
                 self.hydro_session.absorb(probe);
             }
             self.energy_released += released;
             self.timers.stop("flame");
             self.timers.start("eos");
-            self.eos_everywhere();
+            eos_pass(
+                &mut self.domain,
+                &self.eos,
+                self.comp,
+                &self.params,
+                &mut self.eos_session,
+                Some(&burned),
+            );
             self.timers.stop("eos");
         }
 

@@ -15,9 +15,10 @@
 //! value the scalar [`crate::Eos::call`] would have produced for that lane —
 //! batching is a layout optimization, never a physics change. Implementations
 //! with a vectorized fast path (Helmholtz) keep non-converged lanes in the
-//! compacted active set as a masked re-iteration; lanes that exhaust the
-//! iteration budget are accepted on the same residual-plateau criterion the
-//! scalar routine applies. The [`BatchReport`] says how many lanes converged
+//! compacted active set as a masked re-iteration; lanes that stop at the
+//! table's edge clamp past their goal, collapse their bracket or exhaust
+//! the iteration budget are accepted on the same residual-plateau
+//! criterion the scalar routine applies. The [`BatchReport`] says how many lanes converged
 //! cleanly (`vector_lanes`), how many were plateau-accepted
 //! (`plateau_lanes`), and how occupancy decayed per Newton iteration
 //! (`iter_hist`).
@@ -82,8 +83,9 @@ pub struct BatchReport {
     /// the Newton tolerance). The default per-zone implementation
     /// reports 0.
     pub vector_lanes: u64,
-    /// Lanes that exhausted the iteration budget and were accepted on the
-    /// residual-plateau criterion instead — counted separately so
+    /// Lanes that stopped without a clean exit (at the edge clamp past
+    /// their goal, on a collapsed bracket, or out of iterations) and were
+    /// accepted on the residual-plateau criterion — counted separately so
     /// `occupancy` stays an honest clean-convergence figure.
     pub plateau_lanes: u64,
     /// Active-lane count entering each Newton iteration (masked

@@ -180,12 +180,23 @@ impl Helmholtz {
     }
 
     /// Invert `target(T) = goal` by safeguarded Newton in ln T.
+    ///
+    /// Iterates start inside the edge clamp `[tmin·1.0001, tmax·0.9999]`.
+    /// A rejected Newton step bisects the bracket in log space, except
+    /// while the bracket's far end is still the table bound (`lo == tmin`
+    /// going down, `hi == tmax` going up): then it steps to the clamp. An
+    /// iterate at the clamp that is still on the far side of the goal ends
+    /// the loop, because the goal lies past what the table represents and
+    /// the plateau rule below accepts the clamp (edge-pinned). A zone
+    /// cooled or heated past the table thus settles in two evaluations,
+    /// and re-solving it from its own T returns the same bits.
     fn invert<F>(&self, s: &EosState, goal: f64, mode: &'static str, f: F) -> Result<(f64, Eval), EosError>
     where
         F: Fn(&Eval) -> (f64, f64), // (value, d(value)/dT)
     {
         let (tmin, tmax) = self.temp_bounds();
-        let mut t = s.temp.clamp(tmin * 1.0001, tmax * 0.9999);
+        let (t_floor, t_ceil) = (tmin * 1.0001, tmax * 0.9999);
+        let mut t = s.temp.clamp(t_floor, t_ceil);
         if !t.is_finite() || t <= 0.0 {
             t = (tmin * tmax).sqrt();
         }
@@ -207,6 +218,11 @@ impl Helmholtz {
             } else {
                 lo = lo.max(t);
             }
+            // At the clamp and still past the goal: the goal is outside the
+            // table.
+            if (t <= t_floor && value > goal) || (t >= t_ceil && value < goal) {
+                break;
+            }
             // The bicubic interpolant can be locally non-monotone (pair
             // region, patch boundaries); once the bracket has collapsed the
             // best point is as converged as the table permits.
@@ -214,14 +230,23 @@ impl Helmholtz {
                 break;
             }
             // Newton only while it actually improves; otherwise guarantee
-            // progress with log-space bisection (the bracket always
+            // progress: to the clamp while the bracket still reaches the
+            // table bound, else by log-space bisection (the bracket always
             // shrinks because t is strictly inside (lo, hi)).
             let newton = t - (value - goal) / dvdt;
             let newton_ok = newton.is_finite()
                 && newton > lo
                 && newton < hi
                 && (iter < 8 || resid.abs() < 0.5 * prev_resid);
-            t = if newton_ok { newton } else { (lo * hi).sqrt() };
+            t = if newton_ok {
+                newton
+            } else if value > goal && lo == tmin {
+                t_floor
+            } else if value < goal && hi == tmax {
+                t_ceil
+            } else {
+                (lo * hi).sqrt()
+            };
             prev_resid = resid.abs();
         }
         // Accept the bracket-collapse plateau: when the (bicubic) e(T) or
@@ -256,9 +281,9 @@ impl Helmholtz {
     /// included.
     ///
     /// Every lane follows *exactly* the scalar iteration (same clamp, same
-    /// bracket updates, same best-point tracking, same Newton-vs-bisection
-    /// decision), but the table interpolation — the hot part — runs batched
-    /// over the still-active lanes each round via
+    /// bracket updates, same edge rule, same best-point tracking, same
+    /// Newton-vs-bisection decision), but the table interpolation — the
+    /// hot part — runs batched over the still-active lanes each round via
     /// [`HelmTable::interp_lanes`], so non-converged lanes stay in the
     /// compacted active set as a masked re-iteration instead of dropping to
     /// a scalar re-solve.
@@ -268,13 +293,13 @@ impl Helmholtz {
     /// densities `sc.rho` located once per batch, so `f` sees the scalar
     /// solve's bits. A lane that hits the clean `|resid| < 1e-10` exit
     /// keeps that T ([`LANE_VECTOR`]); a lane that leaves any other way
-    /// (bracket collapse, 160 iterations) is resolved by the scalar path's
-    /// residual-plateau criterion on its bit-identical best point
-    /// ([`LANE_PLATEAU`] or the same `NoConvergence` error). Each lane's
-    /// accepted T then gets the rest of [`BATCH_OUTPUT`] interpolated once,
-    /// so `sc.ele_sol` holds the point the scalar solve returns, entropy
-    /// aside. Returns the active-lane histogram per iteration (occupancy
-    /// decay).
+    /// (at the clamp past its goal, bracket collapse, 160 iterations) is
+    /// resolved by the scalar path's residual-plateau criterion on its
+    /// bit-identical best point ([`LANE_PLATEAU`] or the same
+    /// `NoConvergence` error). Each lane's accepted T then gets the rest of
+    /// [`BATCH_OUTPUT`] interpolated once, so `sc.ele_sol` holds the point
+    /// the scalar solve returns, entropy aside. Returns the active-lane
+    /// histogram per iteration (occupancy decay).
     #[allow(clippy::too_many_arguments)] // one borrowed SoA lane per input
     fn invert_lanes<F>(
         &self,
@@ -292,6 +317,7 @@ impl Helmholtz {
     {
         let n = dens.len();
         let (tmin, tmax) = self.temp_bounds();
+        let (t_floor, t_ceil) = (tmin * 1.0001, tmax * 0.9999);
         sc.t.resize(n, 0.0);
         sc.lo.resize(n, 0.0);
         sc.hi.resize(n, 0.0);
@@ -304,7 +330,7 @@ impl Helmholtz {
         sc.best_ele.resize(n, ElecPoint::default());
         sc.best_set.resize(n, false);
         for (l, &guess) in temp_guess.iter().enumerate() {
-            let mut t = guess.clamp(tmin * 1.0001, tmax * 0.9999);
+            let mut t = guess.clamp(t_floor, t_ceil);
             if !t.is_finite() || t <= 0.0 {
                 t = (tmin * tmax).sqrt();
             }
@@ -360,23 +386,31 @@ impl Helmholtz {
                     sc.ele_sol[l] = sc.c_ele[i];
                     continue;
                 }
+                let t = sc.t[l];
                 if value > goal {
-                    sc.hi[l] = sc.hi[l].min(sc.t[l]);
+                    sc.hi[l] = sc.hi[l].min(t);
                 } else {
-                    sc.lo[l] = sc.lo[l].max(sc.t[l]);
+                    sc.lo[l] = sc.lo[l].max(t);
                 }
-                if sc.hi[l] / sc.lo[l] < 1.0 + 1e-14 {
-                    // Bracket collapse: leave the masked set, plateau-check
-                    // below.
+                // At the clamp past the goal, or bracket collapse: leave the
+                // masked set, plateau-check below.
+                if (t <= t_floor && value > goal) || (t >= t_ceil && value < goal) {
                     continue;
                 }
-                let newton = sc.t[l] - (value - goal) / dvdt;
+                if sc.hi[l] / sc.lo[l] < 1.0 + 1e-14 {
+                    continue;
+                }
+                let newton = t - (value - goal) / dvdt;
                 let newton_ok = newton.is_finite()
                     && newton > sc.lo[l]
                     && newton < sc.hi[l]
                     && (iter < 8 || resid.abs() < 0.5 * sc.prev[l]);
                 sc.t[l] = if newton_ok {
                     newton
+                } else if value > goal && sc.lo[l] == tmin {
+                    t_floor
+                } else if value < goal && sc.hi[l] == tmax {
+                    t_ceil
                 } else {
                     (sc.lo[l] * sc.hi[l]).sqrt()
                 };
@@ -429,8 +463,9 @@ impl Helmholtz {
 const LANE_ACTIVE: u8 = 0;
 /// Clean `|resid| < 1e-10` exit — the vector path's solution is used as-is.
 const LANE_VECTOR: u8 = 1;
-/// Bracket collapse or iteration exhaustion, accepted on the scalar path's
-/// residual-plateau criterion at the lane's best-tracked point.
+/// At the clamp past the goal, bracket collapse or iteration exhaustion,
+/// accepted on the scalar path's residual-plateau criterion at the lane's
+/// best-tracked point.
 const LANE_PLATEAU: u8 = 2;
 
 /// Reusable per-thread scratch for the batched solve: grown once to the
@@ -1162,6 +1197,68 @@ mod tests {
                         "{physics} {mode:?} {backend}: {err}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Goals just past the table's temperature range — a degenerate zone
+    /// a rarefaction cooled below e(T_floor), a zone heated past e(T_ceil)
+    /// — settle at the edge clamp within three rounds of a far guess, on
+    /// every backend, batched and scalar alike.
+    #[test]
+    fn goals_past_the_table_settle_at_the_clamp_in_three_rounds() {
+        let mut h = Helmholtz::build(TableConfig::coarse(), Policy::None).unwrap();
+        let (lo, hi) = h.table().config().log_temp;
+        let (t_floor, t_ceil) = (10f64.powf(lo) * 1.0001, 10f64.powf(hi) * 0.9999);
+        // (density, clamp, goal ÷ its value at the clamp). Below the floor
+        // only from 1e6 g/cm³ up: in thinner matter a 3e7 K guess is
+        // radiation-dominated and Newton walks e ∝ T⁴ down by accepted
+        // steps before the edge rule can apply.
+        let mut pinned = Vec::new();
+        for dens in [1e-2, 1e2, 1e5, 1e6, 1e7, 4e7, 1e8, 1e9, 2e9] {
+            if dens >= 1e6 {
+                pinned.extend([(dens, t_floor, 0.9985), (dens, t_floor, 0.8)]);
+            }
+            pinned.extend([(dens, t_ceil, 1.0015), (dens, t_ceil, 1.25)]);
+        }
+        for mode in [EosMode::DensEi, EosMode::DensPres] {
+            let mut lanes = Lanes {
+                dens: Vec::new(),
+                temp: Vec::new(),
+                abar: Vec::new(),
+                zbar: Vec::new(),
+                goal: Vec::new(),
+            };
+            for &(dens, edge, past) in &pinned {
+                let mut s = EosState::co_wd(dens, edge);
+                h.call(EosMode::DensTemp, &mut s).unwrap();
+                let goal = goal_of(mode, &s) * past;
+                let solved = scalar_lane(&h, mode, dens, 3e7, s.abar, s.zbar, goal).unwrap();
+                assert_eq!(
+                    solved.temp.to_bits(),
+                    edge.to_bits(),
+                    "{mode:?} ρ={dens:e} goal×{past}: T={:e}",
+                    solved.temp
+                );
+                lanes.dens.push(dens);
+                lanes.temp.push(3e7);
+                lanes.abar.push(s.abar);
+                lanes.zbar.push(s.zbar);
+                lanes.goal.push(goal);
+            }
+            let n = pinned.len() as u64;
+            for &backend in Resolved::all() {
+                h.set_simd(backend);
+                let what = format!("{mode:?} {backend}");
+                let report = batch_vs_scalar(&h, mode, &lanes)
+                    .unwrap_or_else(|e| panic!("{what}: pinned lanes were rejected: {e}"));
+                assert_eq!(report.plateau_lanes, n, "{what}");
+                assert_eq!(report.iter_hist[0], n, "{what}");
+                assert!(
+                    report.iter_hist[3..].iter().all(|&active| active == 0),
+                    "{what}: a lane took more than three rounds: {:?}",
+                    report.iter_hist
+                );
             }
         }
     }

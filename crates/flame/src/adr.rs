@@ -12,7 +12,7 @@
 //! same calibration so the front is always a few zones wide regardless of
 //! resolution.
 
-use rflash_mesh::{vars, Domain};
+use rflash_mesh::{vars, BlockId, Domain};
 use rflash_perfmon::Probe;
 
 use crate::speed::{turbulent_enhancement, SpeedTable};
@@ -87,8 +87,10 @@ impl AdrFlame {
     /// subcycling keeps the diffusion number ≤ 0.25.
     ///
     /// Returns (probes, total energy released in erg·cm^ndim per unit
-    /// transverse extent — i.e. Σ ρ·Δq·dV with unit z-extent in 2-d).
-    pub fn advance(&self, domain: &mut Domain, dt: f64) -> (Vec<Probe>, f64) {
+    /// transverse extent — i.e. Σ ρ·Δq·dV with unit z-extent in 2-d, the
+    /// leaves it deposited energy in, in Morton order). Only those leaves'
+    /// thermodynamics went stale.
+    pub fn advance(&self, domain: &mut Domain, dt: f64) -> (Vec<Probe>, f64, Vec<BlockId>) {
         let ndim = domain.tree.config().ndim;
         let geom = domain.unk.geom();
         let ng = domain.tree.config().nguard;
@@ -117,7 +119,7 @@ impl AdrFlame {
                 }
             }
             if s_max == 0.0 {
-                return 0.0; // nothing can burn in this block
+                return (0.0, false); // nothing can burn in this block
             }
             let kappa_max = s_max * delta / (1.0 - 2.0 * p.eps);
             let dt_stable = 0.25 / ndim as f64 * dx * dx / kappa_max;
@@ -127,6 +129,7 @@ impl AdrFlame {
             let mut phi_new = vec![0.0f64; geom.ni * geom.nj * geom.nk];
             let cell = |i: usize, j: usize, k: usize| i + geom.ni * (j + geom.nj * k);
             let mut e_released = 0.0;
+            let mut deposited = false;
 
             for _sub in 0..nsub {
                 for k in kr.clone() {
@@ -180,6 +183,7 @@ impl AdrFlame {
                             let dphi = phi_new[cell(i, j, k)] - slab[idx_phi];
                             slab[idx_phi] = phi_new[cell(i, j, k)];
                             if dphi > 0.0 {
+                                deposited = true;
                                 let dq = Q_BURN * p.x_c * dphi;
                                 let ei = geom.slab_idx(vars::EINT, i, j, k);
                                 let en = geom.slab_idx(vars::ENER, i, j, k);
@@ -210,10 +214,15 @@ impl AdrFlame {
                     }
                 }
             }
-            e_released
+            (e_released, deposited)
         });
-        let total: f64 = released.iter().map(|(_, e)| e).sum();
-        (probes, total)
+        let total: f64 = released.iter().map(|(_, (e, _))| e).sum();
+        let burned = released
+            .iter()
+            .filter(|(_, (_, deposited))| *deposited)
+            .map(|&(id, _)| id)
+            .collect();
+        (probes, total, burned)
     }
 }
 
@@ -264,6 +273,15 @@ mod tests {
         integral / (rows / 4.0) // 4 blocks across x, rows counts each row 4×
     }
 
+    /// One leaf's interior internal energies, row by row.
+    fn interior_eint(d: &Domain, id: BlockId) -> Vec<f64> {
+        let rows = d.unk.interior();
+        rows.clone()
+            .flat_map(|j| rows.clone().map(move |i| (i, j)))
+            .map(|(i, j)| d.unk.get(vars::EINT, i, j, 0, id.idx()))
+            .collect()
+    }
+
     #[test]
     fn front_propagates_at_prescribed_speed() {
         let mut d = front_domain(1.0e7, 2e9);
@@ -304,8 +322,9 @@ mod tests {
         });
         fill_guardcells(&d.tree, &mut d.unk);
         let before = front_position(&d);
-        let (_, released) = flame.advance(&mut d, 1.0);
+        let (_, released, burned) = flame.advance(&mut d, 1.0);
         assert_eq!(released, 0.0);
+        assert!(burned.is_empty());
         let after = front_position(&d);
         assert!((after - before).abs() < 1e-9);
     }
@@ -321,8 +340,17 @@ mod tests {
         let mut total = 0.0;
         for _ in 0..20 {
             fill_guardcells(&d.tree, &mut d.unk);
-            let (_, e) = flame.advance(&mut d, 1e-2);
+            let leaves = d.tree.leaves();
+            let before: Vec<Vec<f64>> = leaves.iter().map(|&id| interior_eint(&d, id)).collect();
+            let (_, e, burned) = flame.advance(&mut d, 1e-2);
             total += e;
+            // Every leaf whose energy moved is reported burned (a deposit
+            // below EINT's last bit may add a leaf that did not move).
+            for (&id, old) in leaves.iter().zip(&before) {
+                if interior_eint(&d, id) != *old {
+                    assert!(burned.contains(&id), "{id:?} heated but not reported");
+                }
+            }
         }
         assert!(total > 0.0, "energy must be released");
         // Some zone near the initial front has gained internal energy.

@@ -12,10 +12,10 @@ use rflash::core::registry::{self, EosSpec, IcPrimitive, SetupSpec};
 use rflash::core::wd::build_wd;
 use rflash::core::{Simulation, StepScheduler};
 use rflash::eos::consts::M_SUN;
-use rflash::eos::{Helmholtz, TableConfig};
+use rflash::eos::{Eos, EosMode, EosState, Helmholtz, TableConfig};
 use rflash::hugepages::Policy;
 use rflash::hydro::{ExactRiemann, GasState, SweepEngine};
-use rflash::mesh::vars;
+use rflash::mesh::{vars, BlockId};
 
 fn build(spec: &SetupSpec) -> Simulation {
     let params = registry::smoke_params(spec, 1, SweepEngine::default(), StepScheduler::default());
@@ -356,4 +356,62 @@ fn ignited_star_burns_and_heats() {
     // EOS region must have been exercised heavily.
     assert!(sim.eos_measures().time_s > 0.0);
     assert!(sim.eos_session.tlb_stats().accesses == 0, "sampling off");
+}
+
+/// After every step of a burning star, the EOS state is a fixed point and
+/// consistent: another full pass changes no bit of `unk`, and every
+/// interior zone either inverts to |e(TEMP) − EINT| < 1e-10·EINT or is
+/// pinned at the table's edge clamp with e(TEMP) still past EINT. This is
+/// what lets the flame's pass skip the leaves it did not burn, and what
+/// ties the edge rule to the zones that reach it (4 from step 9 here).
+#[test]
+fn supernova_eos_state_is_a_consistent_fixed_point() {
+    let mut sim = build(&supernova(Some(4.0e7), false));
+    let helm = sim.eos.helmholtz().expect("supernova runs Helmholtz");
+    let (lo, hi) = helm.table().config().log_temp;
+    let (t_floor, t_ceil) = (10f64.powf(lo) * 1.0001, 10f64.powf(hi) * 0.9999);
+    let comp = sim.comp;
+    let mut pinned_zones = 0usize;
+    for step in 1..=12 {
+        sim.step();
+        let leaves = sim.domain.tree.leaves();
+        let slab = |sim: &Simulation, id: BlockId| sim.domain.unk.block_slab(id.idx()).to_vec();
+        let before: Vec<Vec<f64>> = leaves.iter().map(|&id| slab(&sim, id)).collect();
+        sim.eos_everywhere();
+        for (&id, old) in leaves.iter().zip(&before) {
+            let new = slab(&sim, id);
+            let same = old
+                .iter()
+                .zip(&new)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "step {step}: a second EOS pass moved bits of {id:?}");
+        }
+        let eos = sim.eos.helmholtz().unwrap();
+        for &id in &leaves {
+            for j in sim.domain.unk.interior() {
+                for i in sim.domain.unk.interior() {
+                    let at = |v: usize| sim.domain.unk.get(v, i, j, 0, id.idx());
+                    let (temp, eint) = (at(vars::TEMP), at(vars::EINT));
+                    let mut s = EosState {
+                        abar: comp.abar,
+                        zbar: comp.zbar,
+                        ..EosState::co_wd(at(vars::DENS), temp)
+                    };
+                    eos.call(EosMode::DensTemp, &mut s).unwrap();
+                    let floor_pinned = temp == t_floor && s.eint > eint;
+                    let ceil_pinned = temp == t_ceil && s.eint < eint;
+                    if floor_pinned || ceil_pinned {
+                        pinned_zones += 1;
+                        continue;
+                    }
+                    let resid = (s.eint - eint).abs() / eint;
+                    assert!(
+                        resid < 1e-10,
+                        "step {step} {id:?} ({i}, {j}): |e(T) − EINT|/EINT = {resid:e} at T = {temp:e}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(pinned_zones > 0, "no zone reached the edge clamp");
 }
