@@ -148,7 +148,7 @@ fn main() {
     let alloc_baseline = rflash_perfmon::AllocSummary::capture();
 
     // Name the vector backend up front — every number below was produced
-    // with it, and an RFLASH_SIMD override should be visible in the log.
+    // with it.
     println!(
         "{}",
         rflash_simd::dispatch_report(rflash_simd::Backend::default())

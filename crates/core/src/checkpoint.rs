@@ -334,7 +334,8 @@ fn check_slab_crc(index: usize, stored: u32, bytes: &[u8]) -> Result<(), Checkpo
 }
 
 /// Read + validate the container header: length bound, CRC, format magic,
-/// internal consistency, and — *before* anything downstream trusts the
+/// internal consistency, a slab order this build reads (not the retired
+/// SoA `unk` layout), and — *before* anything downstream trusts the
 /// declared sizes — that the payload the header promises actually fits in
 /// `file_size` bytes. Shared by [`read_checkpoint`] and
 /// [`verify_checkpoint`].
@@ -357,8 +358,17 @@ fn read_validated_header(
     if stored != computed {
         return Err(CheckpointError::HeaderCrc { stored, computed });
     }
-    let header: CheckpointHeader = serde_json::from_slice(&header_json)
+    let value: serde_json::Value = serde_json::from_slice(&header_json)
         .map_err(|e| CheckpointError::Format(e.to_string()))?;
+    // Older writers recorded `unk`'s index order; the SoA order is gone,
+    // and reading its slabs as FLASH order would silently scramble them.
+    if value["params"]["mesh"]["layout"].as_str() == Some("VarLast") {
+        return Err(CheckpointError::Format(
+            "slabs stored in the retired SoA `unk` layout (VarLast)".into(),
+        ));
+    }
+    let header =
+        CheckpointHeader::from_value(&value).map_err(|e| CheckpointError::Format(e.to_string()))?;
     if header.format != CHECKPOINT_FORMAT {
         return Err(CheckpointError::UnsupportedFormat {
             found: header.format,

@@ -59,8 +59,8 @@ pub struct RuntimeParams {
     /// SIMD backend request for the explicit lane kernels (pencil sweep,
     /// batched Helmholtz). `native` (the default) picks the widest
     /// instruction set the CPU supports at startup; `scalar` forces the
-    /// reference lane. The `RFLASH_SIMD` environment variable
-    /// overrides this for testing. Every backend is bit-identical.
+    /// reference lane. This is the only backend knob. Every backend is
+    /// bit-identical.
     #[serde(default)]
     pub simd_backend: rflash_simd::Backend,
     /// Step-guardian policy (validation floors, retry budget). Defaulted

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use rflash_mesh::{vars, BoundaryCondition, Geometry, Layout, MeshConfig};
+use rflash_mesh::{vars, BoundaryCondition, Geometry, MeshConfig};
 
 use super::parse::{self, ParseError, Value};
 
@@ -123,7 +123,6 @@ pub struct MeshSpec {
     /// Per-face overrides, `[axis][side]`, side 0 = low.
     pub bc_faces: [[Option<BcSpec>; 2]; 3],
     pub geometry: GeometrySpec,
-    pub layout: LayoutSpec,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,12 +157,6 @@ impl GeometrySpec {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LayoutSpec {
-    VarFirst,
-    VarLast,
-}
-
 impl MeshSpec {
     /// The concrete mesh configuration this spec describes.
     pub fn to_mesh_config(&self) -> MeshConfig {
@@ -184,10 +177,6 @@ impl MeshSpec {
             bc: self.bc_default.to_mesh(),
             bc_faces,
             geometry: self.geometry.to_mesh(),
-            layout: match self.layout {
-                LayoutSpec::VarFirst => Layout::VarFirst,
-                LayoutSpec::VarLast => Layout::VarLast,
-            },
         }
     }
 }
@@ -846,26 +835,25 @@ fn mesh_spec(v: Value) -> Result<MeshSpec, SpecError> {
         }
         None => GeometrySpec::Cartesian,
     };
-    let layout = match f.take("layout") {
-        Some(Value::Unit(s)) => match s.as_str() {
-            "var_first" => LayoutSpec::VarFirst,
-            "var_last" => LayoutSpec::VarLast,
-            _ => {
-                return Err(SpecError::Range {
-                    at: "mesh.layout".into(),
-                    detail: format!("unknown layout `{s}`"),
-                })
-            }
-        },
+    // `unk` has one index order, FLASH's. Specs written before the SoA
+    // ablation layout was retired may still name the FLASH order.
+    match f.take("layout") {
+        Some(Value::Unit(s)) if s == "var_first" => {}
+        Some(Value::Unit(s)) => {
+            return Err(SpecError::Range {
+                at: "mesh.layout".into(),
+                detail: format!("layout `{s}` is not supported: `unk` has one order, `var_first`"),
+            })
+        }
         Some(other) => {
             return Err(SpecError::Type {
                 at: "mesh.layout".into(),
-                expected: "var_first | var_last",
+                expected: "var_first",
                 found: other.kind(),
             })
         }
-        None => LayoutSpec::VarFirst,
-    };
+        None => {}
+    }
     let bc_default = match f.take("bc") {
         Some(v) => bc_spec("mesh.bc", v)?,
         None => BcSpec::Outflow,
@@ -956,7 +944,6 @@ fn mesh_spec(v: Value) -> Result<MeshSpec, SpecError> {
         bc_default,
         bc_faces,
         geometry,
-        layout,
     })
 }
 
@@ -1544,16 +1531,6 @@ impl SetupSpec {
                     .into(),
                 ),
             ),
-            (
-                "layout".into(),
-                Value::Unit(
-                    match m.layout {
-                        LayoutSpec::VarFirst => "var_first",
-                        LayoutSpec::VarLast => "var_last",
-                    }
-                    .into(),
-                ),
-            ),
             ("bc".into(), bc_value(m.bc_default)),
         ];
         let mut faces: Vec<(String, Value)> = Vec::new();
@@ -1791,6 +1768,24 @@ mod tests {
         match SetupSpec::from_source(src) {
             Err(SpecError::Range { at, .. }) => assert_eq!(at, "mesh.ndim"),
             other => panic!("expected Range, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mesh_layout_accepts_only_the_flash_order() {
+        let spec = |layout: &str| {
+            SetupSpec::from_source(&format!(
+                r#"Setup(name: "x", mesh: (ndim: 2, nxb: 8, max_blocks: 8,
+                domain_lo: [0,0,0], domain_hi: [1,1,1], max_refine: 0, layout: {layout}),
+                eos: gamma(gamma: 1.4), initial: [])"#
+            ))
+        };
+        // Specs saved by an older `describe --ron` name the FLASH order.
+        let old = spec("var_first").unwrap();
+        assert!(!old.to_value().to_ron(0).contains("layout"));
+        match spec("var_last") {
+            Err(SpecError::Range { at, .. }) => assert_eq!(at, "mesh.layout"),
+            other => panic!("expected Range at mesh.layout, got {other:?}"),
         }
     }
 

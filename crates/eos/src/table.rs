@@ -7,7 +7,7 @@
 //! table from the exact [`crate::electron`] physics and store it in a
 //! [`PageBuffer`] so its memory backing follows the huge-page policy.
 //!
-//! Layout mirrors FLASH's `helm_table.dat` structure: separate planes per
+//! The table mirrors FLASH's `helm_table.dat` structure: separate planes per
 //! quantity and derivative (value, ∂/∂x, ∂/∂y, ∂²/∂x∂y for each of log P,
 //! log E, log S), so one full interpolation gathers 48 doubles scattered
 //! over 12 planes. The batched EOS asks for fewer (`Quantities`): 16 per

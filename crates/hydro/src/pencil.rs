@@ -560,13 +560,13 @@ fn run_slab<L: Lane>(
         // and the scatter writes, one dense run each.
         if ctx.cfg.pattern_every > 0 {
             let every = ctx.cfg.pattern_every;
-            for pat in geom.slab_patterns(&read_vars, dir, t2, 0..n, ctx.block_idx) {
+            for pat in geom.slab_patterns(dir, t2, 0..n, ctx.block_idx) {
                 if pattern_counter.is_multiple_of(every) {
                     probe.record(pat);
                 }
                 pattern_counter += 1;
             }
-            for pat in geom.slab_patterns(&write_vars, dir, t2, interior.clone(), ctx.block_idx) {
+            for pat in geom.slab_patterns(dir, t2, interior.clone(), ctx.block_idx) {
                 if pattern_counter.is_multiple_of(every) {
                     probe.record_write(pat);
                 }

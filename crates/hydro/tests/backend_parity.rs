@@ -1,6 +1,6 @@
-//! Property-based backend parity: every explicit SIMD backend the build
-//! carries (portable 2/4-wide, SSE2, AVX2 where the CPU has them) must
-//! produce **bit-identical** results to the 1-wide scalar lane on
+//! Property-based backend parity: the explicit AVX2 backend (run on the
+//! scalar lane where the CPU lacks AVX2) must produce **bit-identical**
+//! results to the 1-wide scalar lane on
 //! randomized states — the contract DESIGN.md §16 pins (no FMA, scalar
 //! operation order, select-semantics min/max, W-chunks + scalar tail
 //! through one generic kernel).

@@ -13,9 +13,8 @@
 //! * [`restrict_child`] averages a child's interior into its octant of the
 //!   parent's interior;
 //! * [`copy_same`] moves a same-level neighbor's interior into a guard
-//!   region as contiguous row runs ([`UnkGeom::row_runs`] — one
-//!   `copy_from_slice` of `n × nvar` doubles per row under the FLASH
-//!   layout, so both layouts share the kernel);
+//!   region as contiguous row runs ([`UnkGeom::row_run`] — one
+//!   `copy_from_slice` of `n × nvar` doubles per row);
 //! * [`prolong_region`] walks the *coarse source* zones, computes the
 //!   limited slopes once per (zone, variable) and emits the 2^ndim fine
 //!   values;
@@ -135,7 +134,6 @@ fn restrict_child(geom: &UnkGeom, parent: &mut [f64], child: &[f64], c: usize) {
     let three_d = geom.ndim == 3;
     let (kcells, kk) = if three_d { (half, 2) } else { (1, 1) };
     let weight = 1.0 / (1 << geom.ndim) as f64;
-    let (per_var, per_zone) = geom.strides();
 
     let mut fine = [0usize; 8];
     for pk in 0..kcells {
@@ -148,20 +146,19 @@ fn restrict_child(geom: &UnkGeom, parent: &mut [f64], child: &[f64], c: usize) {
                     let ck = if three_d { ng + 2 * pk + dk } else { 0 };
                     for dj in 0..2 {
                         for di in 0..2 {
-                            fine[n] = geom.cell(ng + 2 * pi + di, ng + 2 * pj + dj, ck) * per_zone;
+                            fine[n] = geom.zone(ng + 2 * pi + di, ng + 2 * pj + dj, ck);
                             n += 1;
                         }
                     }
                 }
                 let zk = if three_d { ng + oz * half + pk } else { 0 };
-                let p = geom.cell(ng + ox * half + pi, ng + oy * half + pj, zk) * per_zone;
+                let p = geom.zone(ng + ox * half + pi, ng + oy * half + pj, zk);
                 for var in 0..geom.nvar {
-                    let v = var * per_var;
                     let mut sum = 0.0;
                     for &f in &fine[..n] {
-                        sum += child[f + v];
+                        sum += child[f + var];
                     }
-                    parent[p + v] = sum * weight;
+                    parent[p + var] = sum * weight;
                 }
             }
         }
@@ -181,7 +178,7 @@ fn guard_range(ng: usize, nxb: usize, da: i32, axis_is_k_in_2d: bool) -> std::op
     }
 }
 
-/// Visit the row runs of a same-level copy into the guard region in
+/// Visit the rows of a same-level copy into the guard region in
 /// direction `d`: `row(dst, src)` gets equal-length element ranges, `dst`
 /// in the destination slab's guards and `src` — the same zones shifted
 /// back by one block — in the source slab's interior.
@@ -199,11 +196,10 @@ fn same_level_rows(
         let sk = if geom.ndim == 3 { shift(k, d[2]) } else { 0 };
         for j in rj.clone() {
             let sj = shift(j, d[1]);
-            let dst = geom.row_runs(ri.start, j, k, ri.len());
-            let src = geom.row_runs(si, sj, sk, ri.len());
-            for (dr, sr) in dst.zip(src) {
-                row(dr, sr);
-            }
+            row(
+                geom.row_run(ri.start, j, k, ri.len()),
+                geom.row_run(si, sj, sk, ri.len()),
+            );
         }
     }
 }
@@ -285,8 +281,8 @@ fn prolong_region<const NDIM: usize>(
     let fine = |a: Axis, cp: i64| (2 * cp).max(a.lo)..(2 * cp + 2).min(a.hi);
     let quarter = |fp: i64| if fp.rem_euclid(2) == 0 { -0.25 } else { 0.25 };
 
-    let (per_var, per_zone) = geom.strides();
-    let step = [per_zone, per_zone * geom.ni, per_zone * geom.ni * geom.nj];
+    let nvar = geom.nvar;
+    let step = [nvar, nvar * geom.ni, nvar * geom.ni * geom.nj];
     let mut dst_zone = [0usize; 8];
     let mut offs = [[0.0f64; 3]; 8];
 
@@ -298,34 +294,34 @@ fn prolong_region<const NDIM: usize>(
                     (0..NDIM).all(|a| s[a] >= 1 && (s[a] as usize) < geom.pencil_len(a) - 1),
                     "coarse source out of range: {s:?}"
                 );
-                let sc = geom.cell(s[0] as usize, s[1] as usize, s[2] as usize) * per_zone;
+                let sc = geom.zone(s[0] as usize, s[1] as usize, s[2] as usize);
                 let mut n = 0;
                 for fk in fine(ax[2], ck) {
                     for fj in fine(ax[1], cj) {
                         for fi in fine(ax[0], ci) {
-                            dst_zone[n] = geom.cell(
+                            dst_zone[n] = geom.zone(
                                 (fi - ax[0].fp0) as usize,
                                 (fj - ax[1].fp0) as usize,
                                 (fk - ax[2].fp0) as usize,
-                            ) * per_zone;
+                            );
                             offs[n] = [quarter(fi), quarter(fj), quarter(fk)];
                             n += 1;
                         }
                     }
                 }
-                for var in 0..geom.nvar {
-                    let v = var * per_var;
-                    let v0 = src[sc + v];
+                for var in 0..nvar {
+                    let v0 = src[sc + var];
                     let mut slope = [0.0f64; 3];
                     for a in 0..NDIM {
-                        slope[a] = minmod(src[sc + step[a] + v] - v0, v0 - src[sc - step[a] + v]);
+                        slope[a] =
+                            minmod(src[sc + step[a] + var] - v0, v0 - src[sc - step[a] + var]);
                     }
                     for (zone, off) in dst_zone[..n].iter().zip(&offs[..n]) {
                         let mut val = v0;
                         for a in 0..NDIM {
                             val += slope[a] * off[a];
                         }
-                        dst[zone + v] = val;
+                        dst[zone + var] = val;
                     }
                 }
             }
@@ -400,21 +396,20 @@ fn fill_boundary_region(
     };
     let rules = [rule(0), rule(1), rule(2)];
 
-    let (per_var, per_zone) = geom.strides();
     for k in rk {
         let sk = rules[2].source(k);
         for j in rj.clone() {
             let sj = rules[1].source(j);
             for i in ri.clone() {
-                let s = geom.cell(rules[0].source(i), sj, sk) * per_zone;
-                let t = geom.cell(i, j, k) * per_zone;
+                let s = geom.zone(rules[0].source(i), sj, sk);
+                let t = geom.zone(i, j, k);
                 for var in 0..geom.nvar {
-                    slab[t + var * per_var] = slab[s + var * per_var];
+                    slab[t + var] = slab[s + var];
                 }
                 // Flip the normal velocity component on reflection.
                 for (rule, vel) in rules.iter().zip([VELX, VELY, VELZ]) {
                     if matches!(rule, AxisRule::Mirror { .. }) && vel < geom.nvar {
-                        slab[t + vel * per_var] *= -1.0;
+                        slab[t + vel] *= -1.0;
                     }
                 }
             }
@@ -1083,13 +1078,12 @@ mod tests {
     /// A singly-rooted periodic mesh: the root is its own neighbor in every
     /// direction, so the fill reads the interior and writes the guards of
     /// one slab. Every guard zone must equal the wrapped interior zone, for
-    /// every variable, in both layouts.
-    fn self_neighbor_wraps(ndim: usize, layout: crate::unk::Layout) {
+    /// every variable.
+    fn self_neighbor_wraps(ndim: usize) {
         let mut cfg = MeshConfig::test_2d();
         cfg.ndim = ndim;
         cfg.nroot = [1, 1, 1];
         cfg.bc = BoundaryCondition::Periodic;
-        cfg.layout = layout;
         cfg.max_blocks = 4;
         let tree = Tree::new(cfg);
         let root = tree.leaves()[0];
@@ -1129,7 +1123,7 @@ mod tests {
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
-                            "{ndim}-d {layout:?} var {var} zone ({i},{j},{k}): {got} vs {want}"
+                            "{ndim}-d var {var} zone ({i},{j},{k}): {got} vs {want}"
                         );
                     }
                 }
@@ -1139,14 +1133,12 @@ mod tests {
 
     #[test]
     fn periodic_single_root_is_its_own_neighbor_2d() {
-        self_neighbor_wraps(2, crate::unk::Layout::VarFirst);
-        self_neighbor_wraps(2, crate::unk::Layout::VarLast);
+        self_neighbor_wraps(2);
     }
 
     #[test]
     fn periodic_single_root_is_its_own_neighbor_3d() {
-        self_neighbor_wraps(3, crate::unk::Layout::VarFirst);
-        self_neighbor_wraps(3, crate::unk::Layout::VarLast);
+        self_neighbor_wraps(3);
     }
 
     /// The `sedov3d` tree: one root, its 8 children all refined, and the

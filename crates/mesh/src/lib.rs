@@ -9,8 +9,7 @@
 //! this crate reproduces that container byte-for-byte in spirit:
 //!
 //! * [`UnkStorage`] — one policy-backed allocation holding every block,
-//!   with the FLASH index order (`var` fastest, `block` slowest) plus
-//!   alternative layouts for the ablation benches;
+//!   with the FLASH index order (`var` fastest, `block` slowest);
 //! * [`Tree`] — the block tree: Morton-keyed blocks, refinement and
 //!   derefinement with 2:1 balance, neighbor lookup;
 //! * [`guardcell`] — guard-cell fill: same-level run copies, restriction,
@@ -50,5 +49,5 @@ pub use taskgraph::{
     GraphBuilder, GraphRankStats, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId,
 };
 pub use tree::{AdaptPlan, BoundaryCondition, MeshConfig, Tree, ZoneGrid};
-pub use unk::{Layout, Region, UnkCells, UnkStorage};
+pub use unk::{Region, UnkCells, UnkStorage};
 pub use vars::*;

@@ -28,34 +28,20 @@
 //!
 //! [`Tree::epoch`]: crate::Tree::epoch
 
-use crate::unk::{Layout, UnkGeom};
+use crate::unk::UnkGeom;
 use crate::{BlockId, Domain};
 use rflash_hugepages::{PageBuffer, Policy};
 
 /// Walk the contiguous interior runs of one block slab in a fixed order,
-/// yielding `(slab_offset, len)`. Both layouts keep an interior i-row
-/// contiguous: `VarFirst` interleaves all variables within the row (runs
-/// of `nvar · nxb`), `VarLast` keeps one variable per run (`nxb`).
+/// yielding `(slab_offset, len)`: each interior i-row is one run of
+/// `nvar · nxb` doubles holding every variable of its zones.
 fn for_each_interior_run(geom: &UnkGeom, mut f: impl FnMut(usize, usize)) {
     let ng = geom.nguard;
     let nxb = geom.nxb;
     let kr = if geom.ndim == 3 { ng..ng + nxb } else { 0..1 };
-    match geom.layout {
-        Layout::VarFirst => {
-            for k in kr {
-                for j in ng..ng + nxb {
-                    f(geom.slab_idx(0, ng, j, k), geom.nvar * nxb);
-                }
-            }
-        }
-        Layout::VarLast => {
-            for v in 0..geom.nvar {
-                for k in kr.clone() {
-                    for j in ng..ng + nxb {
-                        f(geom.slab_idx(v, ng, j, k), nxb);
-                    }
-                }
-            }
+    for k in kr {
+        for j in ng..ng + nxb {
+            f(geom.zone(ng, j, k), geom.nvar * nxb);
         }
     }
 }
@@ -261,30 +247,6 @@ mod tests {
         assert!(shadow.captured_blocks() > small);
         let before = interior_bits(&d);
         fill(&mut d, 9.0);
-        assert!(shadow.restore(&mut d));
-        assert_eq!(interior_bits(&d), before);
-    }
-
-    #[test]
-    fn soa_layout_round_trips_too() {
-        use crate::unk::{Layout, UnkStorage};
-        let cfg = MeshConfig::test_2d();
-        let mut d = domain();
-        // Swap in a VarLast container with the same geometry.
-        d.unk = UnkStorage::new(
-            2,
-            cfg.nxb,
-            cfg.nguard,
-            crate::vars::NVAR,
-            cfg.max_blocks,
-            Layout::VarLast,
-            Policy::None,
-        );
-        fill(&mut d, 0.5);
-        let before = interior_bits(&d);
-        let mut shadow = ShadowSnapshot::new(Policy::None);
-        assert!(shadow.capture(&d));
-        fill(&mut d, -3.0);
         assert!(shadow.restore(&mut d));
         assert_eq!(interior_bits(&d), before);
     }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, BlockMeta, BlockState, MortonKey};
 use crate::geometry::Geometry;
-use crate::unk::{Layout, UnkStorage};
+use crate::unk::UnkStorage;
 
 /// Physical boundary treatment at the domain edges (uniform on all faces;
 /// FLASH allows per-face choices, the paper's problems use uniform ones).
@@ -49,7 +49,6 @@ pub struct MeshConfig {
     /// outflow elsewhere.
     pub bc_faces: [[Option<BoundaryCondition>; 2]; 3],
     pub geometry: Geometry,
-    pub layout: Layout,
 }
 
 impl MeshConfig {
@@ -69,7 +68,6 @@ impl MeshConfig {
             bc: BoundaryCondition::Outflow,
             bc_faces: [[None; 2]; 3],
             geometry: Geometry::Cartesian,
-            layout: Layout::VarFirst,
         }
     }
 
@@ -235,7 +233,6 @@ impl Tree {
             self.config.nguard,
             self.config.nvar,
             self.config.max_blocks,
-            self.config.layout,
             policy,
         )
     }

@@ -9,9 +9,10 @@
 //! this stride structure out as the motivation for huge pages (§I.C).
 //!
 //! [`UnkStorage`] reproduces the container in one policy-backed allocation
-//! and exposes the same index order as [`Layout::VarFirst`] (the FLASH
-//! layout), plus [`Layout::VarLast`] (structure-of-arrays within a block)
-//! for the layout-ablation experiment E6.
+//! with the same index order: `var` fastest, then i, j, k; block slowest.
+//! One variable's zones are `nvar × 8` bytes apart, and all variables of a
+//! zone share its cache lines. (Experiment E6 models the structure-of-arrays
+//! alternative as a plain stride; it is not a storage mode.)
 //!
 //! Like FLASH's `ALLOCATE(unk(..., maxblocks))`, the allocation is a sparse
 //! *reservation*: the kernel backs a slab when a block first writes it, so
@@ -23,7 +24,6 @@
 use crate::audit::{self, ResourceMap};
 use rflash_hugepages::{BackingReport, PageBuffer, Policy};
 use rflash_tlbsim::AccessPattern;
-use serde::{Deserialize, Serialize};
 
 /// Which part of a block slab an instrumented [`UnkCells`] access claims.
 /// The claim is what lands in the race-audit ledger, so it must be honest:
@@ -40,20 +40,8 @@ pub enum Region {
     Full,
 }
 
-/// Index order within a block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Layout {
-    /// FLASH order: `var` fastest, then i, j, k; block slowest.
-    /// One variable's zones are `nvar × 8` bytes apart.
-    VarFirst,
-    /// SoA order: i fastest, then j, k, then var; block slowest.
-    /// One variable's zones are contiguous.
-    VarLast,
-}
-
 /// The solution container: `max_blocks` fixed-size blocks in one mapping.
 pub struct UnkStorage {
-    layout: Layout,
     nvar: usize,
     ndim: usize,
     nxb: usize,
@@ -75,7 +63,6 @@ impl UnkStorage {
         nguard: usize,
         nvar: usize,
         max_blocks: usize,
-        layout: Layout,
         policy: Policy,
     ) -> UnkStorage {
         assert!(ndim == 2 || ndim == 3, "FLASH runs 1–3D; we support 2D/3D");
@@ -88,7 +75,6 @@ impl UnkStorage {
         let buf = PageBuffer::<f64>::zeroed(per_block * max_blocks, policy)
             .expect("unk allocation failed");
         UnkStorage {
-            layout,
             nvar,
             ndim,
             nxb,
@@ -160,11 +146,6 @@ impl UnkStorage {
     pub fn per_block(&self) -> usize {
         self.per_block
     }
-    #[inline]
-    /// The storage order in use.
-    pub fn layout(&self) -> Layout {
-        self.layout
-    }
     /// Total container size in bytes — FLASH's "unk is big" number. This
     /// is what is *reserved*; only slabs blocks have written are resident.
     pub fn bytes(&self) -> usize {
@@ -186,21 +167,12 @@ impl UnkStorage {
     /// coordinates (guards included), `k` must be 0 in 2-d.
     #[inline]
     pub fn idx(&self, var: usize, i: usize, j: usize, k: usize, blk: usize) -> usize {
-        debug_assert!(var < self.nvar, "unk var {var} out of range (nvar {})", self.nvar);
-        debug_assert!(i < self.ni, "unk i {i} out of padded range (ni {})", self.ni);
-        debug_assert!(j < self.nj, "unk j {j} out of padded range (nj {})", self.nj);
-        debug_assert!(k < self.nk, "unk k {k} out of padded range (nk {})", self.nk);
         debug_assert!(
             blk < self.max_blocks,
             "unk block {blk} out of pool range (max_blocks {})",
             self.max_blocks
         );
-        let cell = i + self.ni * (j + self.nj * k);
-        blk * self.per_block
-            + match self.layout {
-                Layout::VarFirst => var + self.nvar * cell,
-                Layout::VarLast => cell + self.ni * self.nj * self.nk * var,
-            }
+        blk * self.per_block + self.slab_idx(var, i, j, k)
     }
 
     #[inline]
@@ -225,10 +197,7 @@ impl UnkStorage {
     /// Byte stride between consecutive zones of the same variable along i.
     #[inline]
     pub fn zone_stride(&self) -> usize {
-        match self.layout {
-            Layout::VarFirst => 8 * self.nvar,
-            Layout::VarLast => 8,
-        }
+        8 * self.nvar
     }
 
     // ---- slabs ----------------------------------------------------------
@@ -289,18 +258,13 @@ impl UnkStorage {
         debug_assert!(i < self.ni, "slab i {i} out of padded range (ni {})", self.ni);
         debug_assert!(j < self.nj, "slab j {j} out of padded range (nj {})", self.nj);
         debug_assert!(k < self.nk, "slab k {k} out of padded range (nk {})", self.nk);
-        let cell = i + self.ni * (j + self.nj * k);
-        match self.layout {
-            Layout::VarFirst => var + self.nvar * cell,
-            Layout::VarLast => cell + self.ni * self.nj * self.nk * var,
-        }
+        var + self.nvar * (i + self.ni * (j + self.nj * k))
     }
 
     /// Copyable geometry handle for pattern generation inside parallel
     /// closures (where `self` is mutably split into slabs).
     pub fn geom(&self) -> UnkGeom {
         UnkGeom {
-            layout: self.layout,
             nvar: self.nvar,
             ndim: self.ndim,
             nxb: self.nxb,
@@ -344,7 +308,6 @@ impl UnkStorage {
 /// pattern generation without borrowing the storage itself.
 #[derive(Clone, Copy, Debug)]
 pub struct UnkGeom {
-    pub layout: Layout,
     pub nvar: usize,
     pub ndim: usize,
     pub nxb: usize,
@@ -365,11 +328,7 @@ impl UnkGeom {
         debug_assert!(i < self.ni, "geom i {i} out of padded range (ni {})", self.ni);
         debug_assert!(j < self.nj, "geom j {j} out of padded range (nj {})", self.nj);
         debug_assert!(k < self.nk, "geom k {k} out of padded range (nk {})", self.nk);
-        let cell = i + self.ni * (j + self.nj * k);
-        match self.layout {
-            Layout::VarFirst => var + self.nvar * cell,
-            Layout::VarLast => cell + self.ni * self.nj * self.nk * var,
-        }
+        var + self.nvar * self.cell(i, j, k)
     }
 
     /// Byte address of `(var, i, j, k, blk)`.
@@ -388,39 +347,23 @@ impl UnkGeom {
         i + self.ni * (j + self.nj * k)
     }
 
-    /// Slab element strides `(per_var, per_zone)`: the element of `var` in
-    /// zone number `cell` is `var * per_var + cell * per_zone`. Kernels
-    /// that walk zones outermost and variables innermost use this once per
-    /// call so both layouts share one loop.
+    /// Slab element index of the first variable of padded zone `(i, j, k)`;
+    /// variable `var` of that zone is `zone(i, j, k) + var`. Kernels that
+    /// walk zones outermost and variables innermost index with this.
     #[inline]
-    pub fn strides(&self) -> (usize, usize) {
-        match self.layout {
-            Layout::VarFirst => (1, self.nvar),
-            Layout::VarLast => (self.ni * self.nj * self.nk, 1),
-        }
+    pub fn zone(&self, i: usize, j: usize, k: usize) -> usize {
+        self.nvar * self.cell(i, j, k)
     }
 
-    /// The contiguous element runs that hold *every* variable of the `n`
-    /// zones `(i0..i0 + n, j, k)`: one run of `n × nvar` doubles under
-    /// [`Layout::VarFirst`], `nvar` runs of `n` under [`Layout::VarLast`].
-    /// Two rows of equal length yield runs of equal length in the same
-    /// variable order, so a row-to-row copy is a zip of `copy_from_slice`s.
+    /// The contiguous element run that holds *every* variable of the `n`
+    /// zones `(i0..i0 + n, j, k)`: `n × nvar` doubles. Two rows of equal
+    /// length give runs of equal length, so a row-to-row copy is one
+    /// `copy_from_slice`.
     #[inline]
-    pub fn row_runs(
-        &self,
-        i0: usize,
-        j: usize,
-        k: usize,
-        n: usize,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+    pub fn row_run(&self, i0: usize, j: usize, k: usize, n: usize) -> std::ops::Range<usize> {
         debug_assert!(i0 + n <= self.ni, "row {i0}+{n} out of padded range (ni {})", self.ni);
-        let (per_var, per_zone) = self.strides();
-        let first = self.cell(i0, j, k) * per_zone;
-        let (runs, len) = match self.layout {
-            Layout::VarFirst => (1, n * self.nvar),
-            Layout::VarLast => (self.nvar, n),
-        };
-        (0..runs).map(move |r| first + r * per_var..first + r * per_var + len)
+        let first = self.zone(i0, j, k);
+        first..first + n * self.nvar
     }
 
     /// Element byte stride along direction `dir` for one variable.
@@ -432,10 +375,7 @@ impl UnkGeom {
             2 => self.ni * self.nj,
             _ => panic!("dir < 3"),
         };
-        8 * match self.layout {
-            Layout::VarFirst => self.nvar * cells,
-            Layout::VarLast => cells,
-        }
+        8 * self.nvar * cells
     }
 
     /// Number of cells in a full padded pencil along `dir`.
@@ -517,8 +457,8 @@ impl UnkGeom {
     /// are position-major and pencil-minor: `lane[p * nxb + b]` is pencil
     /// `b` at position `p`. Along `dir = 0` the pencils themselves are the
     /// unit-stride rows; along 1 and 2 each position is one row across all
-    /// `nxb` pencils. Either way every row is a [`row_runs`](Self::row_runs)
-    /// run, so a slab is read and written in whole rows.
+    /// `nxb` pencils. Either way every row is a [`row_run`](Self::row_run),
+    /// so a slab is read and written in whole rows.
     #[inline]
     fn slab_rows(
         &self,
@@ -555,12 +495,11 @@ impl UnkGeom {
     /// Copy variables `vars` of the slab at `t2` along `dir` (positions
     /// `positions` of all `nxb` pencils) into slab lanes,
     /// `lanes[v][p * nxb + b]` — the copy-in of the slab sweep. It walks
-    /// whole rows: under [`Layout::VarFirst`] a row is one contiguous run
-    /// holding every variable of its zones, read zone by zone with each
-    /// zone's variables transposed into the SoA lanes in one touch; under
-    /// [`Layout::VarLast`] each variable's part of the row is its own run.
-    /// Lanes are at least `pencil_len(dir) × nxb` long; lane entries
-    /// outside `positions` are left alone.
+    /// whole rows: a row is one contiguous run holding every variable of
+    /// its zones, read zone by zone with each zone's variables transposed
+    /// into the SoA lanes in one touch. Lanes are at least
+    /// `pencil_len(dir) × nxb` long; lane entries outside `positions` are
+    /// left alone.
     #[inline]
     pub fn gather_slab<const N: usize>(
         &self,
@@ -571,27 +510,13 @@ impl UnkGeom {
         positions: core::ops::Range<usize>,
         mut lanes: [&mut [f64]; N],
     ) {
-        let (per_var, per_zone) = self.strides();
         for row in self.slab_rows(dir, t2, positions) {
             let (i, j, k) = row.ijk;
-            let first = self.cell(i, j, k) * per_zone;
-            match self.layout {
-                Layout::VarFirst => {
-                    let run = &slab[first..first + row.len * self.nvar];
-                    for (q, zone) in run.chunks_exact(self.nvar).enumerate() {
-                        let at = row.lane + q * row.step;
-                        for (lane, var) in lanes.iter_mut().zip(vars) {
-                            lane[at] = zone[var];
-                        }
-                    }
-                }
-                Layout::VarLast => {
-                    for (lane, var) in lanes.iter_mut().zip(vars) {
-                        let run = &slab[first + var * per_var..][..row.len];
-                        for (q, &x) in run.iter().enumerate() {
-                            lane[row.lane + q * row.step] = x;
-                        }
-                    }
+            let run = &slab[self.row_run(i, j, k, row.len)];
+            for (q, zone) in run.chunks_exact(self.nvar).enumerate() {
+                let at = row.lane + q * row.step;
+                for (lane, var) in lanes.iter_mut().zip(vars) {
+                    lane[at] = zone[var];
                 }
             }
         }
@@ -611,54 +536,36 @@ impl UnkGeom {
         positions: core::ops::Range<usize>,
         lanes: [&[f64]; N],
     ) {
-        let (per_var, per_zone) = self.strides();
         for row in self.slab_rows(dir, t2, positions) {
             let (i, j, k) = row.ijk;
-            let first = self.cell(i, j, k) * per_zone;
-            match self.layout {
-                Layout::VarFirst => {
-                    let run = &mut slab[first..first + row.len * self.nvar];
-                    for (q, zone) in run.chunks_exact_mut(self.nvar).enumerate() {
-                        let at = row.lane + q * row.step;
-                        for (lane, var) in lanes.iter().zip(vars) {
-                            zone[var] = lane[at];
-                        }
-                    }
-                }
-                Layout::VarLast => {
-                    for (lane, var) in lanes.iter().zip(vars) {
-                        let run = &mut slab[first + var * per_var..][..row.len];
-                        for (q, x) in run.iter_mut().enumerate() {
-                            *x = lane[row.lane + q * row.step];
-                        }
-                    }
+            let run = &mut slab[self.row_run(i, j, k, row.len)];
+            for (q, zone) in run.chunks_exact_mut(self.nvar).enumerate() {
+                let at = row.lane + q * row.step;
+                for (lane, var) in lanes.iter().zip(vars) {
+                    zone[var] = lane[at];
                 }
             }
         }
     }
 
     /// The access patterns of [`gather_slab`](Self::gather_slab) /
-    /// [`scatter_slab`](Self::scatter_slab) touching `vars` at `positions`
-    /// of the slab at `t2` along `dir` in block `blk`: one dense range per
-    /// row under [`Layout::VarFirst`] (a zone's variables share its cache
-    /// lines), one per row and variable under [`Layout::VarLast`].
-    pub fn slab_patterns<'a>(
-        &'a self,
-        vars: &'a [usize],
+    /// [`scatter_slab`](Self::scatter_slab) at `positions` of the slab at
+    /// `t2` along `dir` in block `blk`: one dense range per row, whatever
+    /// the variables (a zone's variables share its cache lines).
+    pub fn slab_patterns(
+        &self,
         dir: usize,
         t2: usize,
         positions: core::ops::Range<usize>,
         blk: usize,
-    ) -> impl Iterator<Item = AccessPattern> + 'a {
-        self.slab_rows(dir, t2, positions).flat_map(move |row| {
+    ) -> impl Iterator<Item = AccessPattern> + '_ {
+        self.slab_rows(dir, t2, positions).map(move |row| {
             let (i, j, k) = row.ijk;
-            self.row_runs(i, j, k, row.len)
-                .enumerate()
-                .filter(move |(var, _)| self.layout == Layout::VarFirst || vars.contains(var))
-                .map(move |(_, run)| AccessPattern::Range {
-                    base: self.base_addr + 8 * (blk * self.per_block + run.start),
-                    len: 8 * run.len(),
-                })
+            let run = self.row_run(i, j, k, row.len);
+            AccessPattern::Range {
+                base: self.base_addr + 8 * (blk * self.per_block + run.start),
+                len: 8 * run.len(),
+            }
         })
     }
 
@@ -843,13 +750,13 @@ impl UnkCells {
 mod tests {
     use super::*;
 
-    fn mk(layout: Layout) -> UnkStorage {
-        UnkStorage::new(2, 8, 2, 4, 3, layout, Policy::None)
+    fn mk() -> UnkStorage {
+        UnkStorage::new(2, 8, 2, 4, 3, Policy::None)
     }
 
     #[test]
     fn sizes_2d() {
-        let u = mk(Layout::VarFirst);
+        let u = mk();
         assert_eq!(u.padded(), (12, 12, 1));
         assert_eq!(u.per_block(), 4 * 12 * 12);
         assert_eq!(u.bytes(), 4 * 12 * 12 * 3 * 8);
@@ -859,60 +766,58 @@ mod tests {
 
     #[test]
     fn sizes_3d() {
-        let u = UnkStorage::new(3, 16, 4, 11, 2, Layout::VarFirst, Policy::None);
+        let u = UnkStorage::new(3, 16, 4, 11, 2, Policy::None);
         assert_eq!(u.padded(), (24, 24, 24));
         assert_eq!(u.per_block(), 11 * 24 * 24 * 24);
         assert_eq!(u.interior_k(), 4..20);
     }
 
     #[test]
-    fn pencil_gather_scatter_round_trips_all_layouts_and_dirs() {
-        for layout in [Layout::VarFirst, Layout::VarLast] {
-            let mut u = UnkStorage::new(3, 4, 2, 3, 2, layout, Policy::None);
-            let g = u.geom();
-            let (ni, nj, nk) = u.padded();
-            // Seed every element with a unique value.
-            for var in 0..3 {
-                for k in 0..nk {
-                    for j in 0..nj {
-                        for i in 0..ni {
-                            let v = (var * 1000 + i * 100 + j * 10 + k) as f64;
-                            u.set(var, i, j, k, 1, v);
-                        }
+    fn pencil_gather_scatter_round_trips_in_every_dir() {
+        let mut u = UnkStorage::new(3, 4, 2, 3, 2, Policy::None);
+        let g = u.geom();
+        let (ni, nj, nk) = u.padded();
+        // Seed every element with a unique value.
+        for var in 0..3 {
+            for k in 0..nk {
+                for j in 0..nj {
+                    for i in 0..ni {
+                        let v = (var * 1000 + i * 100 + j * 10 + k) as f64;
+                        u.set(var, i, j, k, 1, v);
                     }
                 }
             }
-            for dir in 0..3 {
-                let n = g.pencil_len(dir);
-                let mut lane = vec![0.0; n];
-                let (t1, t2) = (3, 2);
-                g.gather_pencil(u.block_slab(1), 2, dir, t1, t2, &mut lane);
-                // Lane contents match per-cell reads.
-                for (p, &got) in lane.iter().enumerate() {
-                    let (i, j, k) = match dir {
-                        0 => (p, t1, t2),
-                        1 => (t1, p, t2),
-                        _ => (t1, t2, p),
-                    };
-                    assert_eq!(got, u.get(2, i, j, k, 1), "{layout:?} dir {dir} p {p}");
-                }
-                // Scatter a transformed interior back; guard cells untouched.
-                let ng = g.nguard;
-                let hi = ng + g.nxb;
-                let doubled: Vec<f64> = lane.iter().map(|&v| 2.0 * v).collect();
-                g.scatter_pencil(u.block_slab_mut(1), 2, dir, t1, t2, ng..hi, &doubled);
-                for (p, &orig) in lane.iter().enumerate() {
-                    let (i, j, k) = match dir {
-                        0 => (p, t1, t2),
-                        1 => (t1, p, t2),
-                        _ => (t1, t2, p),
-                    };
-                    let want = if (ng..hi).contains(&p) { 2.0 * orig } else { orig };
-                    assert_eq!(u.get(2, i, j, k, 1), want, "{layout:?} dir {dir} p {p}");
-                }
-                // Restore for the next direction.
-                g.scatter_pencil(u.block_slab_mut(1), 2, dir, t1, t2, 0..n, &lane);
+        }
+        for dir in 0..3 {
+            let n = g.pencil_len(dir);
+            let mut lane = vec![0.0; n];
+            let (t1, t2) = (3, 2);
+            g.gather_pencil(u.block_slab(1), 2, dir, t1, t2, &mut lane);
+            // Lane contents match per-cell reads.
+            for (p, &got) in lane.iter().enumerate() {
+                let (i, j, k) = match dir {
+                    0 => (p, t1, t2),
+                    1 => (t1, p, t2),
+                    _ => (t1, t2, p),
+                };
+                assert_eq!(got, u.get(2, i, j, k, 1), "dir {dir} p {p}");
             }
+            // Scatter a transformed interior back; guard cells untouched.
+            let ng = g.nguard;
+            let hi = ng + g.nxb;
+            let doubled: Vec<f64> = lane.iter().map(|&v| 2.0 * v).collect();
+            g.scatter_pencil(u.block_slab_mut(1), 2, dir, t1, t2, ng..hi, &doubled);
+            for (p, &orig) in lane.iter().enumerate() {
+                let (i, j, k) = match dir {
+                    0 => (p, t1, t2),
+                    1 => (t1, p, t2),
+                    _ => (t1, t2, p),
+                };
+                let want = if (ng..hi).contains(&p) { 2.0 * orig } else { orig };
+                assert_eq!(u.get(2, i, j, k, 1), want, "dir {dir} p {p}");
+            }
+            // Restore for the next direction.
+            g.scatter_pencil(u.block_slab_mut(1), 2, dir, t1, t2, 0..n, &lane);
         }
     }
 
@@ -928,33 +833,31 @@ mod tests {
     #[test]
     fn slab_gather_equals_nxb_pencil_gathers() {
         for ndim in [2, 3] {
-            for layout in [Layout::VarFirst, Layout::VarLast] {
-                let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, layout, Policy::None);
-                for (n, x) in u.block_slab_mut(1).iter_mut().enumerate() {
-                    *x = n as f64 + 0.5;
-                }
-                let g = u.geom();
-                let (ng, nb) = (g.nguard, g.nxb);
-                let vars = [3, 0, 4];
-                for dir in 0..ndim {
-                    let n = g.pencil_len(dir);
-                    let t2s = if ndim == 3 { ng..ng + nb } else { 0..1 };
-                    for t2 in t2s {
-                        let mut lanes = vec![vec![f64::NAN; n * nb]; vars.len()];
-                        let [l0, l1, l2] = &mut lanes[..] else { unreachable!() };
-                        g.gather_slab(u.block_slab(1), vars, dir, t2, 0..n, [l0, l1, l2]);
-                        let at = format!("{ndim}-d {layout:?} dir {dir} t2 {t2}");
-                        let mut pencil = vec![0.0; n];
-                        for (&var, lane) in vars.iter().zip(&lanes) {
-                            for b in 0..nb {
-                                g.gather_pencil(u.block_slab(1), var, dir, ng + b, t2, &mut pencil);
-                                for (p, want) in pencil.iter().enumerate() {
-                                    assert_eq!(
-                                        lane[p * nb + b].to_bits(),
-                                        want.to_bits(),
-                                        "{at} var {var} b {b} p {p}"
-                                    );
-                                }
+            let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, Policy::None);
+            for (n, x) in u.block_slab_mut(1).iter_mut().enumerate() {
+                *x = n as f64 + 0.5;
+            }
+            let g = u.geom();
+            let (ng, nb) = (g.nguard, g.nxb);
+            let vars = [3, 0, 4];
+            for dir in 0..ndim {
+                let n = g.pencil_len(dir);
+                let t2s = if ndim == 3 { ng..ng + nb } else { 0..1 };
+                for t2 in t2s {
+                    let mut lanes = vec![vec![f64::NAN; n * nb]; vars.len()];
+                    let [l0, l1, l2] = &mut lanes[..] else { unreachable!() };
+                    g.gather_slab(u.block_slab(1), vars, dir, t2, 0..n, [l0, l1, l2]);
+                    let at = format!("{ndim}-d dir {dir} t2 {t2}");
+                    let mut pencil = vec![0.0; n];
+                    for (&var, lane) in vars.iter().zip(&lanes) {
+                        for b in 0..nb {
+                            g.gather_pencil(u.block_slab(1), var, dir, ng + b, t2, &mut pencil);
+                            for (p, want) in pencil.iter().enumerate() {
+                                assert_eq!(
+                                    lane[p * nb + b].to_bits(),
+                                    want.to_bits(),
+                                    "{at} var {var} b {b} p {p}"
+                                );
                             }
                         }
                     }
@@ -966,50 +869,48 @@ mod tests {
     #[test]
     fn slab_scatter_writes_exactly_the_slab_interior_of_its_vars() {
         for ndim in [2, 3] {
-            for layout in [Layout::VarFirst, Layout::VarLast] {
-                let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, layout, Policy::None);
-                let g = u.geom();
-                let (ng, nb) = (g.nguard, g.nxb);
-                let interior = ng..ng + nb;
-                let t2 = if ndim == 3 { ng + 1 } else { 0 };
-                let vars = [4, 1];
-                for dir in 0..ndim {
-                    u.block_slab_mut(1).fill(f64::NAN);
-                    let n = g.pencil_len(dir);
-                    let lanes: Vec<Vec<f64>> = (0..vars.len())
-                        .map(|v| (0..n * nb).map(|x| (1000 * v + x) as f64).collect())
-                        .collect();
-                    g.scatter_slab(
-                        u.block_slab_mut(1),
-                        vars,
-                        dir,
-                        t2,
-                        interior.clone(),
-                        [&lanes[0], &lanes[1]],
-                    );
-                    let (ni, nj, nk) = u.padded();
-                    for var in 0..5 {
-                        for k in 0..nk {
-                            for j in 0..nj {
-                                for i in 0..ni {
-                                    let (p, t1, tt2) = sweep_frame(dir, i, j, k);
-                                    let got = u.get(var, i, j, k, 1);
-                                    let slot = vars.iter().position(|&v| v == var);
-                                    match slot {
-                                        Some(v)
-                                            if tt2 == t2
-                                                && interior.contains(&p)
-                                                && interior.contains(&t1) =>
-                                        {
-                                            let want = lanes[v][p * nb + t1 - ng];
-                                            assert_eq!(got, want, "{ndim}-d {layout:?} dir {dir}");
-                                        }
-                                        _ => assert!(
-                                            got.is_nan(),
-                                            "{ndim}-d {layout:?} dir {dir}: var {var} at \
-                                             ({i},{j},{k}) outside the slab was written"
-                                        ),
+            let mut u = UnkStorage::new(ndim, 4, 2, 5, 2, Policy::None);
+            let g = u.geom();
+            let (ng, nb) = (g.nguard, g.nxb);
+            let interior = ng..ng + nb;
+            let t2 = if ndim == 3 { ng + 1 } else { 0 };
+            let vars = [4, 1];
+            for dir in 0..ndim {
+                u.block_slab_mut(1).fill(f64::NAN);
+                let n = g.pencil_len(dir);
+                let lanes: Vec<Vec<f64>> = (0..vars.len())
+                    .map(|v| (0..n * nb).map(|x| (1000 * v + x) as f64).collect())
+                    .collect();
+                g.scatter_slab(
+                    u.block_slab_mut(1),
+                    vars,
+                    dir,
+                    t2,
+                    interior.clone(),
+                    [&lanes[0], &lanes[1]],
+                );
+                let (ni, nj, nk) = u.padded();
+                for var in 0..5 {
+                    for k in 0..nk {
+                        for j in 0..nj {
+                            for i in 0..ni {
+                                let (p, t1, tt2) = sweep_frame(dir, i, j, k);
+                                let got = u.get(var, i, j, k, 1);
+                                let slot = vars.iter().position(|&v| v == var);
+                                match slot {
+                                    Some(v)
+                                        if tt2 == t2
+                                            && interior.contains(&p)
+                                            && interior.contains(&t1) =>
+                                    {
+                                        let want = lanes[v][p * nb + t1 - ng];
+                                        assert_eq!(got, want, "{ndim}-d dir {dir}");
                                     }
+                                    _ => assert!(
+                                        got.is_nan(),
+                                        "{ndim}-d dir {dir}: var {var} at \
+                                         ({i},{j},{k}) outside the slab was written"
+                                    ),
                                 }
                             }
                         }
@@ -1021,11 +922,11 @@ mod tests {
 
     #[test]
     fn slab_patterns_are_the_rows_the_gather_walks() {
-        let u = UnkStorage::new(3, 4, 2, 5, 2, Layout::VarFirst, Policy::None);
+        let u = UnkStorage::new(3, 4, 2, 5, 2, Policy::None);
         let g = u.geom();
         let (ng, nb) = (g.nguard, g.nxb);
         // z-sweep: one dense run of nxb whole zones per pencil position.
-        let pats: Vec<_> = g.slab_patterns(&[0, 3], 2, ng, 0..g.nk, 1).collect();
+        let pats: Vec<_> = g.slab_patterns(2, ng, 0..g.nk, 1).collect();
         assert_eq!(pats.len(), g.nk);
         for (p, pat) in pats.iter().enumerate() {
             let want = AccessPattern::Range {
@@ -1035,15 +936,12 @@ mod tests {
             assert_eq!(*pat, want, "position {p}");
         }
         // x-sweep: one run per pencil, over the requested positions only.
-        assert_eq!(g.slab_patterns(&[0], 0, ng, ng..ng + nb, 1).count(), nb);
-        // Under VarLast each requested variable is its own run.
-        let v = UnkStorage::new(3, 4, 2, 5, 2, Layout::VarLast, Policy::None).geom();
-        assert_eq!(v.slab_patterns(&[0, 3], 1, ng, 0..v.nj, 0).count(), 2 * v.nj);
+        assert_eq!(g.slab_patterns(0, ng, ng..ng + nb, 1).count(), nb);
     }
 
     #[test]
     fn varfirst_strides_match_flash() {
-        let u = mk(Layout::VarFirst);
+        let u = mk();
         // Consecutive vars in the same zone are adjacent.
         assert_eq!(u.idx(1, 5, 5, 0, 0) - u.idx(0, 5, 5, 0, 0), 1);
         // Same var, consecutive i: stride nvar.
@@ -1054,30 +952,19 @@ mod tests {
     }
 
     #[test]
-    fn varlast_strides_are_contiguous() {
-        let u = mk(Layout::VarLast);
-        assert_eq!(u.idx(0, 6, 5, 0, 0) - u.idx(0, 5, 5, 0, 0), 1);
-        assert_eq!(u.zone_stride(), 8);
-        // Var plane stride within a block.
-        assert_eq!(u.idx(1, 5, 5, 0, 0) - u.idx(0, 5, 5, 0, 0), 12 * 12);
-    }
-
-    #[test]
-    fn get_set_round_trip_all_layouts() {
-        for layout in [Layout::VarFirst, Layout::VarLast] {
-            let mut u = mk(layout);
-            u.set(2, 3, 4, 0, 1, 7.5);
-            assert_eq!(u.get(2, 3, 4, 0, 1), 7.5);
-            assert_eq!(u.get(2, 3, 4, 0, 0), 0.0, "other blocks untouched");
-            // Via slab view.
-            let slab = u.block_slab(1);
-            assert_eq!(slab[u.slab_idx(2, 3, 4, 0)], 7.5);
-        }
+    fn get_set_round_trip() {
+        let mut u = mk();
+        u.set(2, 3, 4, 0, 1, 7.5);
+        assert_eq!(u.get(2, 3, 4, 0, 1), 7.5);
+        assert_eq!(u.get(2, 3, 4, 0, 0), 0.0, "other blocks untouched");
+        // Via slab view.
+        let slab = u.block_slab(1);
+        assert_eq!(slab[u.slab_idx(2, 3, 4, 0)], 7.5);
     }
 
     #[test]
     fn slabs_are_disjoint_and_cover() {
-        let mut u = mk(Layout::VarFirst);
+        let mut u = mk();
         let per = u.per_block();
         let mut count = 0;
         for (b, slab) in u.slabs_mut().enumerate() {
@@ -1093,7 +980,7 @@ mod tests {
 
     #[test]
     fn row_pattern_describes_the_flash_stride() {
-        let u = mk(Layout::VarFirst);
+        let u = mk();
         match u.row_pattern(1, 5, 0, 2) {
             AccessPattern::Strided {
                 base,
@@ -1112,7 +999,7 @@ mod tests {
 
     #[test]
     fn block_sweep_emits_rows_in_loop_order() {
-        let u = mk(Layout::VarFirst);
+        let u = mk();
         let mut pats = Vec::new();
         u.block_sweep_patterns(&[0, 3], 0, &mut pats);
         // 8 interior rows × 2 vars.
@@ -1121,24 +1008,24 @@ mod tests {
 
     #[test]
     fn addr_is_byte_scaled() {
-        let u = mk(Layout::VarFirst);
+        let u = mk();
         assert_eq!(u.addr(0, 3, 4, 0, 0) - u.base_addr(), 8 * u.idx(0, 3, 4, 0, 0));
     }
 
     #[test]
     fn geom_matches_storage() {
-        for layout in [Layout::VarFirst, Layout::VarLast] {
-            let u = mk(layout);
-            let g = u.geom();
-            assert_eq!(g.slab_idx(2, 3, 4, 0), u.slab_idx(2, 3, 4, 0));
-            assert_eq!(g.addr(1, 2, 3, 0, 2), u.addr(1, 2, 3, 0, 2));
-            assert_eq!(g.dir_stride(0), u.zone_stride());
-        }
+        let u = mk();
+        let g = u.geom();
+        assert_eq!(g.slab_idx(2, 3, 4, 0), u.slab_idx(2, 3, 4, 0));
+        assert_eq!(g.addr(1, 2, 3, 0, 2), u.addr(1, 2, 3, 0, 2));
+        assert_eq!(g.dir_stride(0), u.zone_stride());
+        assert_eq!(g.zone(3, 4, 0), g.slab_idx(0, 3, 4, 0));
+        assert_eq!(g.row_run(2, 4, 0, 5), g.zone(2, 4, 0)..g.zone(7, 4, 0));
     }
 
     #[test]
     fn pencil_patterns_by_direction() {
-        let u = UnkStorage::new(3, 4, 2, 5, 2, Layout::VarFirst, Policy::None);
+        let u = UnkStorage::new(3, 4, 2, 5, 2, Policy::None);
         let g = u.geom();
         // dir 1 (j) stride: nvar * ni doubles.
         match g.pencil_pattern(0, 1, 3, 2, 1) {
@@ -1161,7 +1048,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn ndim_1_unsupported() {
-        let _ = UnkStorage::new(1, 8, 2, 4, 1, Layout::VarFirst, Policy::None);
+        let _ = UnkStorage::new(1, 8, 2, 4, 1, Policy::None);
     }
 
     // Debug-build invariant checks: out-of-range indices must trip the
@@ -1174,35 +1061,35 @@ mod tests {
         #[test]
         #[should_panic(expected = "out of range")]
         fn idx_rejects_var_overflow() {
-            let u = mk(Layout::VarFirst);
+            let u = mk();
             let _ = u.idx(4, 0, 0, 0, 0);
         }
 
         #[test]
         #[should_panic(expected = "out of padded range")]
         fn idx_rejects_k_in_2d() {
-            let u = mk(Layout::VarFirst);
+            let u = mk();
             let _ = u.idx(0, 0, 0, 1, 0);
         }
 
         #[test]
         #[should_panic(expected = "out of pool range")]
         fn idx_rejects_block_overflow() {
-            let u = mk(Layout::VarFirst);
+            let u = mk();
             let _ = u.idx(0, 0, 0, 0, 3);
         }
 
         #[test]
         #[should_panic(expected = "beyond pool")]
         fn block_slab_rejects_overflow() {
-            let u = mk(Layout::VarFirst);
+            let u = mk();
             let _ = u.block_slab(3);
         }
 
         #[test]
         #[should_panic(expected = "out of padded range")]
         fn geom_slab_idx_rejects_i_overflow() {
-            let g = mk(Layout::VarLast).geom();
+            let g = mk().geom();
             let _ = g.slab_idx(0, 12, 0, 0);
         }
     }

@@ -2,8 +2,8 @@
 //!
 //! Random refined trees — 2-d and 3-d, every boundary flavor including
 //! mixed periodic×wall faces and singly-rooted periodic axes (a block that
-//! is its own neighbor), refinement jumps, both storage layouts — get
-//! random slab contents, guards and parent interiors included. The
+//! is its own neighbor), and refinement jumps — get random slab contents,
+//! guards and parent interiors included. The
 //! production fill (serial plan path and the pooled per-level exchange)
 //! must then reproduce the oracle's staged per-cell fill **bit for bit over
 //! every slab**, not just the leaf interiors.
@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use proptest::prelude::*;
 use rflash_hugepages::Policy;
 use rflash_mesh::tree::{Mark, MeshConfig, Neighbor, Tree};
-use rflash_mesh::{BlockId, BlockState, BoundaryCondition, Domain, GuardNeed, Layout};
+use rflash_mesh::{BlockId, BlockState, BoundaryCondition, Domain, GuardNeed};
 
 use BoundaryCondition::{Outflow, Periodic, Reflecting};
 
@@ -76,7 +76,6 @@ struct Case {
     seed: u64,
     three_d: bool,
     flavor: usize,
-    var_last: bool,
     wide_root: bool,
     small_block: bool,
 }
@@ -97,9 +96,6 @@ fn config(case: Case) -> MeshConfig {
     }
     if case.wide_root {
         cfg.nroot = [2, 1, 1];
-    }
-    if case.var_last {
-        cfg.layout = Layout::VarLast;
     }
     boundary(case.flavor, &mut cfg);
     cfg
@@ -345,11 +341,10 @@ proptest! {
         seed in any::<u64>(),
         three_d in any::<bool>(),
         flavor in 0usize..6,
-        var_last in any::<bool>(),
         wide_root in any::<bool>(),
         small_block in any::<bool>(),
     ) {
-        let case = Case { seed, three_d, flavor, var_last, wide_root, small_block };
+        let case = Case { seed, three_d, flavor, wide_root, small_block };
         let mut d = build(case);
         let (initial, want) = oracle_result(&mut d);
 
@@ -366,11 +361,10 @@ proptest! {
         seed in any::<u64>(),
         three_d in any::<bool>(),
         flavor in 0usize..6,
-        var_last in any::<bool>(),
         wide_root in any::<bool>(),
         small_block in any::<bool>(),
     ) {
-        let case = Case { seed, three_d, flavor, var_last, wide_root, small_block };
+        let case = Case { seed, three_d, flavor, wide_root, small_block };
         let mut d = build(case);
         let initial = snapshot(&mut d);
         d.fill_guardcells(1);
@@ -393,7 +387,6 @@ fn serial_free_function_matches_the_oracle_with_jumps_in_3d() {
         seed: 0x5EED,
         three_d: true,
         flavor: 3,
-        var_last: false,
         wide_root: true,
         small_block: true,
     };
@@ -413,7 +406,6 @@ fn exchange_plan_is_built_once_per_tree_epoch() {
         seed: 7,
         three_d: false,
         flavor: 2,
-        var_last: false,
         wide_root: false,
         small_block: false,
     };

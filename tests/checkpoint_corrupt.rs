@@ -273,6 +273,44 @@ fn stale_format_magic_is_unsupported() {
     }
 }
 
+/// A file written when `unk` could also be stored structure-of-arrays names
+/// that order in its mesh parameters. Its slabs must not be read as FLASH
+/// order: the header is refused, with a CRC that matches.
+#[test]
+fn retired_soa_layout_is_a_format_error() {
+    let set_layout = |layout: &'static str| {
+        with_doctored_header(move |fields| {
+            let (_, params) = fields.iter_mut().find(|(k, _)| k == "params").unwrap();
+            let serde_json::Value::Object(params) = params else {
+                panic!("params must be a JSON object");
+            };
+            let (_, mesh) = params.iter_mut().find(|(k, _)| k == "mesh").unwrap();
+            let serde_json::Value::Object(mesh) = mesh else {
+                panic!("params.mesh must be a JSON object");
+            };
+            mesh.push(("layout".into(), serde_json::Value::Str(layout.into())));
+        })
+    };
+    let soa = set_layout("VarLast");
+    match read_bytes("soa-layout", &soa) {
+        Err(CheckpointError::Format(m)) => assert!(m.contains("VarLast"), "{m}"),
+        Err(other) => panic!("expected Format, got {other}"),
+        Ok(()) => panic!("expected Format, got Ok"),
+    }
+    let path = scratch("soa-layout-verify");
+    std::fs::write(&path, &soa).unwrap();
+    let verified = verify_checkpoint(&path);
+    std::fs::remove_file(&path).unwrap();
+    assert!(
+        matches!(verified, Err(CheckpointError::Format(_))),
+        "{verified:?}"
+    );
+
+    // Files that name the FLASH order (every file written before the SoA
+    // layout was retired) still load.
+    read_bytes("flash-layout", &set_layout("VarFirst")).expect("the FLASH order must restore");
+}
+
 #[test]
 fn mismatched_slab_crc_count_is_a_format_error() {
     let bytes = with_doctored_header(|fields| {

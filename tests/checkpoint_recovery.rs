@@ -1,7 +1,7 @@
 //! Checkpoint round-trip property tests and crash-recovery scenarios.
 //!
 //! A hand-rolled seeded generator (SplitMix64 — no external PRNG crates)
-//! sweeps (ndim, layout, refinement pattern, nvar) and demands bit-exact
+//! sweeps (ndim, refinement pattern, nvar) and demands bit-exact
 //! write → restore for every case; a second battery injects write/rename
 //! faults through the deterministic fault plan and demands that a kill
 //! mid-checkpoint never damages the previous good checkpoint.
@@ -15,7 +15,7 @@ use rflash::core::registry::{self, SetupSpec};
 use rflash::core::{RuntimeParams, Simulation, StepScheduler};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite, Policy};
 use rflash::hydro::SweepEngine;
-use rflash::mesh::{vars, BlockId, Domain, Layout, MeshConfig};
+use rflash::mesh::{vars, BlockId, Domain, MeshConfig};
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-ckpt-it-{}-{name}", std::process::id()))
@@ -59,16 +59,11 @@ impl Rng {
     }
 }
 
-/// Generate a random domain: dimensionality, unk layout, extra variables,
-/// and an irregular refinement pattern all drawn from the seed.
+/// Generate a random domain: dimensionality, extra variables, and an
+/// irregular refinement pattern all drawn from the seed.
 fn random_domain(rng: &mut Rng) -> (Domain, MeshConfig) {
     let mut cfg = MeshConfig::test_2d();
     cfg.ndim = if rng.below(2) == 0 { 2 } else { 3 };
-    cfg.layout = if rng.below(2) == 0 {
-        Layout::VarFirst
-    } else {
-        Layout::VarLast
-    };
     cfg.nvar = vars::NVAR + rng.below(3) as usize;
     cfg.max_blocks = 1024;
     let mut domain = Domain::new(cfg, Policy::None);
