@@ -79,7 +79,11 @@ impl Inventory {
             }
             out.push_str(&format!("\n    {}: {}", json_str(c), n));
         }
-        out.push_str(if crates.is_empty() { "},\n" } else { "\n  },\n" });
+        out.push_str(if crates.is_empty() {
+            "},\n"
+        } else {
+            "\n  },\n"
+        });
 
         out.push_str("  \"sites\": [");
         for (i, e) in self.entries.iter().enumerate() {
@@ -98,7 +102,11 @@ impl Inventory {
             }
             out.push('}');
         }
-        out.push_str(if self.entries.is_empty() { "]\n" } else { "\n  ]\n" });
+        out.push_str(if self.entries.is_empty() {
+            "]\n"
+        } else {
+            "\n  ]\n"
+        });
         out.push_str("}\n");
         out
     }

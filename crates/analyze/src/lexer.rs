@@ -214,11 +214,7 @@ pub fn tokenize(src: &str) -> Vec<Token> {
                             j += 2;
                         }
                         j += 1;
-                    } else if d == '.'
-                        && !seen_dot
-                        && j + 1 < n
-                        && chars[j + 1].is_ascii_digit()
-                    {
+                    } else if d == '.' && !seen_dot && j + 1 < n && chars[j + 1].is_ascii_digit() {
                         seen_dot = true;
                         j += 1;
                     } else {
@@ -337,7 +333,9 @@ mod tests {
         "##;
         let ids = idents(src);
         assert!(ids.contains(&"real_ident".to_string()));
-        assert!(!ids.iter().any(|w| w == "mmap" || w == "madvise" || w == "munmap"));
+        assert!(!ids
+            .iter()
+            .any(|w| w == "mmap" || w == "madvise" || w == "munmap"));
     }
 
     #[test]
@@ -352,7 +350,10 @@ mod tests {
     #[test]
     fn char_literal_with_quote_escape() {
         let toks = tokenize(r"let c = '\''; let d = 'x'; after");
-        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::CharLit).count(), 2);
+        assert_eq!(
+            toks.iter().filter(|t| t.kind == TokenKind::CharLit).count(),
+            2
+        );
         assert!(toks.iter().any(|t| t.is_ident("after")));
     }
 
@@ -397,6 +398,9 @@ mod tests {
         let src = "let x = 1_000u64 + 0xff + 1e-3 + 2.5f64; done";
         let toks = tokenize(src);
         assert!(toks.iter().any(|t| t.is_ident("done")));
-        assert_eq!(toks.iter().filter(|t| t.kind == TokenKind::Number).count(), 4);
+        assert_eq!(
+            toks.iter().filter(|t| t.kind == TokenKind::Number).count(),
+            4
+        );
     }
 }

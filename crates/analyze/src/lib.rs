@@ -149,8 +149,7 @@ pub fn build_inventory(root: &Path) -> io::Result<Inventory> {
 /// so path-dependent fixtures must carry the directive).
 pub fn check_fixture(path: &Path) -> io::Result<Vec<Violation>> {
     let src = fs::read_to_string(path)?;
-    let rel = fixture_pretend_path(&src)
-        .unwrap_or_else(|| "crates/fixture/src/lib.rs".to_string());
+    let rel = fixture_pretend_path(&src).unwrap_or_else(|| "crates/fixture/src/lib.rs".to_string());
     Ok(check_source(&rel, &src))
 }
 
@@ -191,6 +190,8 @@ mod tests {
         let root = find_workspace_root(here).expect("workspace root");
         let files = workspace_files(&root).expect("walk");
         assert!(files.iter().all(|(_, rel)| !rel.contains("tests/fixtures")));
-        assert!(files.iter().any(|(_, rel)| rel == "crates/analyze/src/lib.rs"));
+        assert!(files
+            .iter()
+            .any(|(_, rel)| rel == "crates/analyze/src/lib.rs"));
     }
 }

@@ -44,7 +44,10 @@ fn resolve_root(explicit: Option<PathBuf>) -> Result<PathBuf, ExitCode> {
         ExitCode::from(2)
     })?;
     analyze::find_workspace_root(&cwd).ok_or_else(|| {
-        eprintln!("rflash-analyze: no [workspace] Cargo.toml above {}", cwd.display());
+        eprintln!(
+            "rflash-analyze: no [workspace] Cargo.toml above {}",
+            cwd.display()
+        );
         ExitCode::from(2)
     })
 }

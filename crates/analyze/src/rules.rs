@@ -117,7 +117,11 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.rel, self.line, self.rule, self.msg)
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.rel, self.line, self.rule, self.msg
+        )
     }
 }
 
@@ -194,7 +198,10 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
                 rel: rel.to_string(),
                 line: a.line,
                 rule: "allow_syntax",
-                msg: format!("allow({}) has no reason; write 'analyze::allow({}): <why>'", a.rule, a.rule),
+                msg: format!(
+                    "allow({}) has no reason; write 'analyze::allow({}): <why>'",
+                    a.rule, a.rule
+                ),
             });
             a.used.set(true);
         }
@@ -363,9 +370,17 @@ fn extract_safety(block: &[String], accept_doc: bool) -> Option<String> {
 fn rule_unsafe_audit(sf: &SourceFile, out: &mut Vec<Violation>) {
     for site in unsafe_sites(sf) {
         let (rule, what): (&'static str, String) = match site.kind {
-            UnsafeKind::ImplSend | UnsafeKind::ImplSync => {
-                ("send_sync", format!("`unsafe {}`", if site.kind == UnsafeKind::ImplSend { "impl Send" } else { "impl Sync" }))
-            }
+            UnsafeKind::ImplSend | UnsafeKind::ImplSync => (
+                "send_sync",
+                format!(
+                    "`unsafe {}`",
+                    if site.kind == UnsafeKind::ImplSend {
+                        "impl Send"
+                    } else {
+                        "impl Sync"
+                    }
+                ),
+            ),
             k => ("safety_comment", format!("unsafe {}", k.as_str())),
         };
         match &site.safety {
@@ -433,12 +448,12 @@ fn rule_alloc_confinement(sf: &SourceFile, out: &mut Vec<Violation>) {
 /// Whole file counts as test code for the panic rule when it lives in a
 /// `tests/`, `benches/`, or `examples/` directory.
 fn is_test_path(rel: &str) -> bool {
-    rel.split('/').any(|seg| matches!(seg, "tests" | "benches" | "examples"))
+    rel.split('/')
+        .any(|seg| matches!(seg, "tests" | "benches" | "examples"))
 }
 
 pub fn is_hot_path(rel: &str) -> bool {
-    HOT_PATH_FILES.contains(&rel)
-        || HOT_PATH_PREFIXES.iter().any(|p| rel.starts_with(p))
+    HOT_PATH_FILES.contains(&rel) || HOT_PATH_PREFIXES.iter().any(|p| rel.starts_with(p))
 }
 
 fn rule_panic_freedom(sf: &SourceFile, out: &mut Vec<Violation>) {
@@ -551,11 +566,7 @@ fn rule_simd_confinement(sf: &SourceFile, out: &mut Vec<Violation>) {
         // The `#[target_feature(...)]` attribute (prev token `[`
         // distinguishes it from a `#[cfg(target_feature = ...)]` probe,
         // where the word sits behind a `(`).
-        if word == "target_feature"
-            && sf.is_attr[i]
-            && i > 0
-            && toks[i - 1].is_punct('[')
-        {
+        if word == "target_feature" && sf.is_attr[i] && i > 0 && toks[i - 1].is_punct('[') {
             out.push(Violation {
                 rel: sf.rel.clone(),
                 line: tok.line,
@@ -595,7 +606,9 @@ fn collect_allows(sf: &SourceFile) -> Vec<Allow> {
         let crate::lexer::TokenKind::Comment(text) = &tok.kind else {
             continue;
         };
-        let Some(start) = text.find(NEEDLE) else { continue };
+        let Some(start) = text.find(NEEDLE) else {
+            continue;
+        };
         let rest = &text[start + NEEDLE.len()..];
         let (rule, reason) = match rest.find(')') {
             Some(close) => {
@@ -713,7 +726,10 @@ mod tests {
     fn confinement_allowlists_perfmon_hw_for_libc_but_not_mmap() {
         let ok = check("crates/perfmon/src/hw.rs", "fn f() { libc::close(fd); }\n");
         assert!(ok.is_empty(), "{ok:?}");
-        let bad = check("crates/perfmon/src/hw.rs", "fn f() { libc::mmap(p, n, 0, 0, -1, 0); }\n");
+        let bad = check(
+            "crates/perfmon/src/hw.rs",
+            "fn f() { libc::mmap(p, n, 0, 0, -1, 0); }\n",
+        );
         assert!(bad.iter().any(|v| v.rule == "alloc_confinement"));
     }
 
@@ -838,7 +854,10 @@ mod tests {
         assert_eq!(graph.len(), 3, "{v:?}");
         // The same code is fine anywhere else (modulo the panic/safety rules).
         let elsewhere = check("crates/mesh/src/domain.rs", src);
-        assert!(elsewhere.iter().all(|v| v.rule != "graph_confinement"), "{elsewhere:?}");
+        assert!(
+            elsewhere.iter().all(|v| v.rule != "graph_confinement"),
+            "{elsewhere:?}"
+        );
     }
 
     #[test]
@@ -870,7 +889,10 @@ mod tests {
         assert_eq!(simd.len(), 6, "{v:?}");
         // The same code is fine inside the simd crate (modulo safety_comment).
         let inside = check("crates/simd/src/x.rs", src);
-        assert!(inside.iter().all(|v| v.rule != "simd_confinement"), "{inside:?}");
+        assert!(
+            inside.iter().all(|v| v.rule != "simd_confinement"),
+            "{inside:?}"
+        );
     }
 
     #[test]

@@ -59,7 +59,10 @@ fn every_fail_fixture_trips_exactly_its_rules() {
             .copied()
             .collect();
         let violations = check_fixture(&path).expect("fixture readable");
-        assert!(!violations.is_empty(), "{name}: expected violations, got none");
+        assert!(
+            !violations.is_empty(),
+            "{name}: expected violations, got none"
+        );
         let got: BTreeSet<&str> = violations.iter().map(|v| v.rule).collect();
         assert_eq!(got, expected, "{name}: wrong rule set — {violations:?}");
     }
@@ -91,7 +94,10 @@ fn every_pass_fixture_is_clean() {
 fn real_workspace_passes_clean() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     let violations = check_workspace(&root).expect("workspace walk");
-    assert!(violations.is_empty(), "workspace is not clean: {violations:#?}");
+    assert!(
+        violations.is_empty(),
+        "workspace is not clean: {violations:#?}"
+    );
 }
 
 #[test]
@@ -126,7 +132,10 @@ fn run_cli_output(args: &[&str]) -> (i32, String) {
 #[test]
 fn cli_check_is_zero_on_workspace_and_pass_fixtures() {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    assert_eq!(run_cli(&["check", "--root", root.to_str().expect("utf-8 root")]), 0);
+    assert_eq!(
+        run_cli(&["check", "--root", root.to_str().expect("utf-8 root")]),
+        0
+    );
     for path in fixtures("pass") {
         let p = path.to_str().expect("utf-8 path");
         assert_eq!(run_cli(&["check", "--fixture", p]), 0, "{p}");
@@ -145,7 +154,12 @@ fn cli_check_is_nonzero_on_each_fail_fixture() {
 fn cli_check_json_keeps_exit_codes_and_emits_parseable_findings() {
     // Clean run: exit 0 and an empty JSON array.
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
-    let (code, stdout) = run_cli_output(&["check", "--json", "--root", root.to_str().expect("utf-8 root")]);
+    let (code, stdout) = run_cli_output(&[
+        "check",
+        "--json",
+        "--root",
+        root.to_str().expect("utf-8 root"),
+    ]);
     assert_eq!(code, 0);
     let parsed: serde_json::Value = serde_json::from_str(stdout.trim()).expect("valid JSON");
     assert_eq!(parsed.as_array().expect("array").len(), 0, "{stdout}");
@@ -162,7 +176,10 @@ fn cli_check_json_keeps_exit_codes_and_emits_parseable_findings() {
         assert!(!arr.is_empty(), "{p}: expected findings in {stdout}");
         for f in arr {
             for field in ["file", "line", "rule", "message"] {
-                assert!(f.get(field).is_some(), "{p}: finding missing '{field}': {f:?}");
+                assert!(
+                    f.get(field).is_some(),
+                    "{p}: finding missing '{field}': {f:?}"
+                );
             }
         }
     }

@@ -35,7 +35,10 @@ fn bench_sweep_real_time(c: &mut Criterion) {
     group.throughput(criterion::Throughput::Elements(
         (BLOCKS * NXB * NXB * NXB) as u64,
     ));
-    for policy in [Policy::None, Policy::HugeTlbFs(rflash_hugepages::PageSize::Huge2M)] {
+    for policy in [
+        Policy::None,
+        Policy::HugeTlbFs(rflash_hugepages::PageSize::Huge2M),
+    ] {
         let mut unk = UnkStorage::new(3, NXB, 4, 11, BLOCKS, policy);
         group.bench_function(BenchmarkId::new("dens_sweep", policy), |b| {
             b.iter(|| black_box(sweep_var_real(&mut unk, 0)))

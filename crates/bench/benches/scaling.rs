@@ -32,9 +32,10 @@ fn bench_step_scaling(c: &mut Criterion) {
             .expect("committed spec builds");
         // Warm the pool, the cached partition, and the shock profile.
         sim.evolve(2);
-        group.bench_function(BenchmarkId::from_parameter(format!("nranks_{nranks}")), |b| {
-            b.iter(|| sim.step())
-        });
+        group.bench_function(
+            BenchmarkId::from_parameter(format!("nranks_{nranks}")),
+            |b| b.iter(|| sim.step()),
+        );
     }
     group.finish();
 }

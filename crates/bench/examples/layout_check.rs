@@ -30,7 +30,10 @@ fn main() {
     let unk = UnkStorage::new(3, 16, 4, 11, 128, Policy::None);
     let geom = unk.geom();
     for (order, soa) in [("flash", false), ("soa", true)] {
-        for (name, sizing) in [("base", FrameSizing::Base), ("huge", FrameSizing::huge(2 << 20))] {
+        for (name, sizing) in [
+            ("base", FrameSizing::Base),
+            ("huge", FrameSizing::huge(2 << 20)),
+        ] {
             let mut tlb = Tlb::new(TlbConfig::a64fx_like());
             tlb.map_region(unk.base_addr(), unk.bytes(), sizing);
             for _rep in 0..2 {
@@ -42,7 +45,11 @@ fn main() {
                     }
                 }
             }
-            println!("{order}/{name}: walks={} accesses={}", tlb.stats().walks, tlb.stats().accesses);
+            println!(
+                "{order}/{name}: walks={} accesses={}",
+                tlb.stats().walks,
+                tlb.stats().accesses
+            );
         }
     }
 }

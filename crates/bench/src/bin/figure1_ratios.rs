@@ -4,7 +4,6 @@
 
 use rflash_bench::{figure1_text, run_eos_experiment, run_hydro_experiment, Experiment, RunScale};
 
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = RunScale::from_args(&args);

@@ -52,7 +52,10 @@ fn state_bits(sim: &Simulation) -> Vec<u64> {
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("rflash-guardian-drill-{}-{tag}", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "rflash-guardian-drill-{}-{tag}",
+        std::process::id()
+    ))
 }
 
 fn require_recovery(retries: u32, steps: u64) -> i32 {

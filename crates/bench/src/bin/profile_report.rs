@@ -98,7 +98,10 @@ fn breakdown(name: &str, sim: &rflash_core::Simulation) {
             continue;
         }
         let pct = s / total * 100.0;
-        println!("  {l:<9} {s:>8.2} s  {pct:>5.1}%  |{}", "#".repeat(pct.round() as usize / 2));
+        println!(
+            "  {l:<9} {s:>8.2} s  {pct:>5.1}%  |{}",
+            "#".repeat(pct.round() as usize / 2)
+        );
     }
     let fills = sim.domain.guard_fill_stats();
     println!(
@@ -158,10 +161,17 @@ fn main() {
     sim.evolve(steps);
     breakdown("2-d supernova (the paper's EOS-dominated case)", &sim);
     let rows = sim.phase_seconds();
-    let phase = |label: &str| rows.iter().find(|(l, _)| *l == label).map_or(0.0, |(_, s)| *s);
+    let phase = |label: &str| {
+        rows.iter()
+            .find(|(l, _)| *l == label)
+            .map_or(0.0, |(_, s)| *s)
+    };
     let (eos_s, hydro_s) = (phase("eos"), phase("hydro"));
     let eos_share = eos_s / (eos_s + hydro_s).max(1e-12);
-    println!("  -> EOS fraction of (hydro+eos): {:.0}%", eos_share * 100.0);
+    println!(
+        "  -> EOS fraction of (hydro+eos): {:.0}%",
+        eos_share * 100.0
+    );
     batch_report(&mut sim);
     rank_report(&sim.rank_loads());
     graph_report(&sim);

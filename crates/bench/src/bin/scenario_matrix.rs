@@ -34,9 +34,8 @@ fn main() {
         match arg.as_str() {
             "--bless" => bless = true,
             "--golden-dir" => {
-                golden_dir = PathBuf::from(
-                    args.next().expect("--golden-dir needs a path argument"),
-                );
+                golden_dir =
+                    PathBuf::from(args.next().expect("--golden-dir needs a path argument"));
             }
             other => {
                 eprintln!("unknown argument `{other}`");

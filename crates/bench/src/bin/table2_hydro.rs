@@ -31,7 +31,10 @@ fn main() {
             run.unk_bytes as f64 / (1 << 20) as f64,
             run.unk_backing
         );
-        println!("    {} (saw huge pages: {})", run.meminfo_watch, run.meminfo_saw_huge);
+        println!(
+            "    {} (saw huge pages: {})",
+            run.meminfo_watch, run.meminfo_saw_huge
+        );
     }
     if let Some(report) = exp.ratio_report() {
         println!("\n{report}");

@@ -263,7 +263,12 @@ pub fn figure1_text(eos: &RatioReport, hydro: &RatioReport) -> String {
         ));
         // ASCII bar chart, 1.0 == 40 columns.
         let bar = |v: f64| "#".repeat((v.clamp(0.0, 1.5) * 40.0).round() as usize);
-        out.push_str(&format!("|{}\n{:<52} |{}\n", bar(eos_r[i]), "", bar(hyd_r[i])));
+        out.push_str(&format!(
+            "|{}\n{:<52} |{}\n",
+            bar(eos_r[i]),
+            "",
+            bar(hyd_r[i])
+        ));
     }
     out
 }
@@ -350,8 +355,8 @@ mod report_selection_tests {
             scale: RunScale::smoke(),
             runs: vec![
                 run("none", false, 1000.0),
-                run("thp", false, 990.0),         // silently not huge
-                run("hugetlbfs:2M", true, 50.0),  // verified
+                run("thp", false, 990.0),        // silently not huge
+                run("hugetlbfs:2M", true, 50.0), // verified
             ],
         };
         let report = exp.ratio_report().unwrap();

@@ -128,10 +128,9 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "header declares {declared} bytes of payload but the file holds {actual}"
             ),
-            CheckpointError::NoUsableCheckpoint { scanned } => write!(
-                f,
-                "no usable checkpoint among {scanned} candidate file(s)"
-            ),
+            CheckpointError::NoUsableCheckpoint { scanned } => {
+                write!(f, "no usable checkpoint among {scanned} candidate file(s)")
+            }
         }
     }
 }
@@ -358,8 +357,8 @@ fn read_validated_header(
     if stored != computed {
         return Err(CheckpointError::HeaderCrc { stored, computed });
     }
-    let value: serde_json::Value = serde_json::from_slice(&header_json)
-        .map_err(|e| CheckpointError::Format(e.to_string()))?;
+    let value: serde_json::Value =
+        serde_json::from_slice(&header_json).map_err(|e| CheckpointError::Format(e.to_string()))?;
     // Older writers recorded `unk`'s index order; the SoA order is gone,
     // and reading its slabs as FLASH order would silently scramble them.
     if value["params"]["mesh"]["layout"].as_str() == Some("VarLast") {
@@ -810,9 +809,14 @@ mod tests {
         for (n, id) in domain.tree.leaves().into_iter().enumerate() {
             for j in domain.unk.interior() {
                 for i in domain.unk.interior() {
-                    domain
-                        .unk
-                        .set(vars::DENS, i, j, 0, id.idx(), (n * 1000 + i * 10 + j) as f64);
+                    domain.unk.set(
+                        vars::DENS,
+                        i,
+                        j,
+                        0,
+                        id.idx(),
+                        (n * 1000 + i * 10 + j) as f64,
+                    );
                 }
             }
         }
@@ -951,10 +955,8 @@ mod tests {
         sim.evolve(5);
 
         let restored = read_checkpoint(&path).unwrap();
-        let mut sim2 = restored.into_simulation(
-            EosChoice::Gamma(GammaLaw::new(1.4)),
-            Composition::ideal(),
-        );
+        let mut sim2 =
+            restored.into_simulation(EosChoice::Gamma(GammaLaw::new(1.4)), Composition::ideal());
         sim2.evolve(5);
 
         assert_eq!(sim.step, sim2.step);

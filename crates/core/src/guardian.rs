@@ -487,7 +487,8 @@ mod tests {
         // Two violations on different blocks: Morton order decides.
         d.unk
             .set(vars::DENS, i, i, 0, leaves[leaves.len() - 1].idx(), -5.0);
-        d.unk.set(vars::PRES, i + 1, i, 0, leaves[0].idx(), f64::NAN);
+        d.unk
+            .set(vars::PRES, i + 1, i, 0, leaves[0].idx(), f64::NAN);
         let cfg = GuardianConfig::default();
         let serial = validate_domain(&mut d, &cfg, 1).unwrap();
         for nranks in [2, 4, 7] {

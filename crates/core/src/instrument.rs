@@ -258,10 +258,7 @@ mod tests {
             huge_fraction: 1.0,
             ..base.clone()
         };
-        assert_eq!(
-            frame_sizing_from(&huge),
-            FrameSizing::huge(2 * 1024 * 1024)
-        );
+        assert_eq!(frame_sizing_from(&huge), FrameSizing::huge(2 * 1024 * 1024));
         let hugetlb = BackingReport {
             kernel_page_size: 512 * 1024 * 1024,
             huge_bytes: 1 << 29,

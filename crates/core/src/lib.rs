@@ -36,8 +36,7 @@ pub use checkpoint::{
     RestoredState, CHECKPOINT_FORMAT,
 };
 pub use dist::{
-    run_fleet, worker_main, FleetConfig, FleetError, FleetEvent, FleetReport, LossCause,
-    WorkerArgs,
+    run_fleet, worker_main, FleetConfig, FleetError, FleetEvent, FleetReport, LossCause, WorkerArgs,
 };
 pub use eos_choice::{Composition, EosChoice};
 pub use guardian::{GuardianConfig, StepError};

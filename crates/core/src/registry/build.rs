@@ -18,9 +18,7 @@ use crate::params::RuntimeParams;
 use crate::sim::{GravityConfig, Simulation};
 use crate::wd::{build_wd, WdProfile};
 
-use super::spec::{
-    EosSpec, FieldSet, GravitySpec, IcPrimitive, InitMode, SetupSpec, SpecError,
-};
+use super::spec::{EosSpec, FieldSet, GravitySpec, IcPrimitive, InitMode, SetupSpec, SpecError};
 
 /// Scenario data resolved once per build (not per cell): the hydrostatic
 /// star profile, when the spec carries one.
@@ -198,12 +196,7 @@ fn sampled_shell_fraction(
 }
 
 /// Evaluate every IC primitive at one cell center, in spec order.
-fn cell_state(
-    spec: &SetupSpec,
-    resolved: &Resolved,
-    x: [f64; 3],
-    dx: [f64; 3],
-) -> CellState {
+fn cell_state(spec: &SetupSpec, resolved: &Resolved, x: [f64; 3], dx: [f64; 3]) -> CellState {
     let mesh = &spec.mesh;
     let mut cell = CellState {
         dens: 0.0,
@@ -283,8 +276,7 @@ fn cell_state(
                     } else {
                         0.0
                     };
-                    factor *=
-                        (2.0 * std::f64::consts::PI * (mode[d] * frac + phase[d])).cos();
+                    factor *= (2.0 * std::f64::consts::PI * (mode[d] * frac + phase[d])).cos();
                 }
                 if let Some(env) = envelope {
                     let z = (x[env.axis] - env.center) / env.sigma;
@@ -332,8 +324,12 @@ fn cell_state(
 /// refinement (guard fills, Löhner marks and adapts), and the first EOS
 /// pass. A Helmholtz table row is computed inside whichever stage first
 /// reads it; the rows `build` solves last count under the EOS.
-pub const SETUP_STAGES: [&str; 4] =
-    ["setup.eos", "setup.ic_fill", "setup.refine", "setup.eos_pass"];
+pub const SETUP_STAGES: [&str; 4] = [
+    "setup.eos",
+    "setup.ic_fill",
+    "setup.refine",
+    "setup.eos_pass",
+];
 
 /// Is padded zone (i, j, k) in a face guard region — outside the interior
 /// along exactly one axis, what a [`GuardNeed::Faces`] fill writes?
@@ -409,9 +405,7 @@ fn init_leaves(
                         )
                     });
                     let ekin = 0.5
-                        * (cell.velx * cell.velx
-                            + cell.vely * cell.vely
-                            + cell.velz * cell.velz);
+                        * (cell.velx * cell.velx + cell.vely * cell.vely + cell.velz * cell.velz);
                     for (var, v) in [
                         (vars::DENS, s.dens),
                         (vars::VELX, cell.velx),
@@ -477,8 +471,7 @@ impl SetupSpec {
                     "rflash-helm-default.dat"
                 });
                 EosChoice::Helmholtz(Box::new(
-                    Helmholtz::build_cached(table, policy, &cache)
-                        .expect("Helmholtz table build"),
+                    Helmholtz::build_cached(table, policy, &cache).expect("Helmholtz table build"),
                 ))
             }
         }
@@ -532,7 +525,8 @@ impl SetupSpec {
         // The step loop first reads the temperatures between those the
         // set-up reached: solve them now, beside the table's own thread.
         if let Some(helm) = sim.eos.helmholtz() {
-            sim.timers.time(t_eos, || helm.table().solve_demanded_span());
+            sim.timers
+                .time(t_eos, || helm.table().solve_demanded_span());
         }
         Ok(sim)
     }
@@ -564,7 +558,15 @@ impl SetupSpec {
         let mut held = vec![None; params.mesh.max_blocks];
         for _pass in 0..self.mesh.max_refine {
             timers.time(t_fill, || {
-                init_leaves(self, resolved, eos, &mut domain, params.nranks, &mut held, false)
+                init_leaves(
+                    self,
+                    resolved,
+                    eos,
+                    &mut domain,
+                    params.nranks,
+                    &mut held,
+                    false,
+                )
             });
             timers.start(t_refine);
             // The Löhner estimator reads ±1 along each axis.
@@ -588,7 +590,15 @@ impl SetupSpec {
             }
         }
         timers.time(t_fill, || {
-            init_leaves(self, resolved, eos, &mut domain, params.nranks, &mut held, true)
+            init_leaves(
+                self,
+                resolved,
+                eos,
+                &mut domain,
+                params.nranks,
+                &mut held,
+                true,
+            )
         });
         domain
     }
@@ -667,12 +677,7 @@ impl SetupSpec {
                 // substitution for FLASH's per-regrid multipole solve).
                 sim.gravity = GravityConfig {
                     field: rflash_gravity::GravityField::Monopole(
-                        rflash_gravity::MonopoleField::from_profile(
-                            [0.0; 3],
-                            &wd.r,
-                            &wd.m,
-                            shells,
-                        ),
+                        rflash_gravity::MonopoleField::from_profile([0.0; 3], &wd.r, &wd.m, shells),
                     ),
                     monopole: None,
                 };
@@ -693,8 +698,8 @@ impl SetupSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{load, smoke_params};
     use crate::params::StepScheduler;
+    use crate::registry::{load, smoke_params};
     use proptest::test_runner::TestRng;
     use rflash_hydro::SweepEngine;
 
@@ -738,7 +743,11 @@ mod tests {
                 // Tangent: a zone face exactly on a shell radius along one
                 // axis, the zone centered on the shell's center in the others.
                 let a = rng.below(ndim as u64) as usize;
-                let r = if r_in > 0.0 && rng.below(2) == 0 { r_in } else { r_out };
+                let r = if r_in > 0.0 && rng.below(2) == 0 {
+                    r_in
+                } else {
+                    r_out
+                };
                 x = center;
                 let side = if rng.below(2) == 0 { 1.0 } else { -1.0 };
                 x[a] = center[a] + side * (r + 0.5 * dx[a]);
@@ -893,7 +902,10 @@ mod tests {
             // Every allocation and every release bumps the epoch, so
             // blocks were released iff it exceeds the live count.
             let tree = &domain.tree;
-            assert!(tree.epoch() > tree.active_blocks() as u64, "nothing derefined");
+            assert!(
+                tree.epoch() > tree.active_blocks() as u64,
+                "nothing derefined"
+            );
         }
     }
 }

@@ -198,8 +198,8 @@ pub fn golden_path(dir: &Path, scenario: &str) -> PathBuf {
 /// Load a scenario's committed golden record from `dir`.
 pub fn load_golden(dir: &Path, scenario: &str) -> Result<GoldenRecord, String> {
     let path = golden_path(dir, scenario);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     GoldenRecord::from_source(&text).map_err(|e| format!("parse {}: {e}", path.display()))
 }
 
@@ -207,8 +207,7 @@ pub fn load_golden(dir: &Path, scenario: &str) -> Result<GoldenRecord, String> {
 pub fn store_golden(dir: &Path, record: &GoldenRecord) -> Result<PathBuf, String> {
     std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
     let path = golden_path(dir, &record.scenario);
-    std::fs::write(&path, record.to_ron())
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
+    std::fs::write(&path, record.to_ron()).map_err(|e| format!("write {}: {e}", path.display()))?;
     Ok(path)
 }
 

@@ -25,8 +25,8 @@ pub use build::SETUP_STAGES;
 pub use digest::{golden_path, load_golden, store_golden, GoldenRecord, StateDigest};
 pub use parse::{ParseError, Value};
 pub use spec::{
-    BudgetSpec, CompositionSpec, EosSpec, FieldSet, GravitySpec, IcPrimitive, InitMode,
-    MeshSpec, PhysicsSpec, RefineSpec, SetupSpec, SmokeSpec, SpecError,
+    BudgetSpec, CompositionSpec, EosSpec, FieldSet, GravitySpec, IcPrimitive, InitMode, MeshSpec,
+    PhysicsSpec, RefineSpec, SetupSpec, SmokeSpec, SpecError,
 };
 
 use rflash_hugepages::Policy;

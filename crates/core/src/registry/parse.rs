@@ -249,10 +249,9 @@ impl<'a> Parser<'a> {
                 self.bump();
                 Ok(())
             }
-            Some(got) => Err(self.err(format!(
-                "expected {:?}, found {:?}",
-                c as char, got as char
-            ))),
+            Some(got) => {
+                Err(self.err(format!("expected {:?}, found {:?}", c as char, got as char)))
+            }
             None => Err(self.err(format!("expected {:?}, found end of input", c as char))),
         }
     }
@@ -307,12 +306,10 @@ impl<'a> Parser<'a> {
                 break;
             }
             let key_pos = self.here();
-            let key = self
-                .ident()
-                .map_err(|_| ParseError {
-                    pos: key_pos,
-                    message: "expected a field name".into(),
-                })?;
+            let key = self.ident().map_err(|_| ParseError {
+                pos: key_pos,
+                message: "expected a field name".into(),
+            })?;
             if fields.iter().any(|(k, _)| *k == key) {
                 return Err(ParseError {
                     pos: key_pos,
@@ -372,10 +369,9 @@ impl<'a> Parser<'a> {
                     Some(b'n') => out.push(b'\n'),
                     Some(b't') => out.push(b'\t'),
                     other => {
-                        return Err(self.err(format!(
-                            "unsupported escape {:?}",
-                            other.map(|c| c as char)
-                        )))
+                        return Err(
+                            self.err(format!("unsupported escape {:?}", other.map(|c| c as char)))
+                        )
                     }
                 },
                 Some(c) => out.push(c),
@@ -404,12 +400,10 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("number bytes");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| ParseError {
-                pos: start_pos,
-                message: format!("malformed number {text:?}"),
-            })
+        text.parse::<f64>().map(Value::Num).map_err(|_| ParseError {
+            pos: start_pos,
+            message: format!("malformed number {text:?}"),
+        })
     }
 }
 
@@ -463,7 +457,14 @@ mod tests {
 
     #[test]
     fn round_trips_exact_floats() {
-        for x in [0.1, 1.0 / 3.0, 2.2e9, 1e-30, f64::MIN_POSITIVE, 13.714285714285715] {
+        for x in [
+            0.1,
+            1.0 / 3.0,
+            2.2e9,
+            1e-30,
+            f64::MIN_POSITIVE,
+            13.714285714285715,
+        ] {
             let s = Value::Num(x).to_ron(0);
             assert_eq!(parse(&s).unwrap(), Value::Num(x), "{s}");
         }

@@ -1313,8 +1313,7 @@ impl SetupSpec {
                     .into(),
             });
         }
-        if matches!(self.init_mode, InitMode::DensTemp)
-            && matches!(self.eos, EosSpec::Gamma { .. })
+        if matches!(self.init_mode, InitMode::DensTemp) && matches!(self.eos, EosSpec::Gamma { .. })
         {
             return Err(SpecError::Conflict {
                 detail: "init_mode dens_temp requires the helmholtz EOS (the gamma law here is \
@@ -1342,13 +1341,12 @@ impl SetupSpec {
                 _ => None,
             };
             if let Some(axis) = axis {
-                if axis >= self.mesh.ndim.max(1) && !matches!(p, IcPrimitive::VelocityPerturbation { .. }) {
+                if axis >= self.mesh.ndim.max(1)
+                    && !matches!(p, IcPrimitive::VelocityPerturbation { .. })
+                {
                     return Err(SpecError::Range {
                         at: format!("initial[{i}]"),
-                        detail: format!(
-                            "axis {axis} out of range for a {}-d mesh",
-                            self.mesh.ndim
-                        ),
+                        detail: format!("axis {axis} out of range for a {}-d mesh", self.mesh.ndim),
                     });
                 }
             }
@@ -1390,9 +1388,7 @@ impl SetupSpec {
 
     /// Serialize the typed spec back to a [`Value`] tree.
     pub fn to_value(&self) -> Value {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("name".into(), Value::Str(self.name.clone())),
-        ];
+        let mut fields: Vec<(String, Value)> = vec![("name".into(), Value::Str(self.name.clone()))];
         if !self.title.is_empty() {
             fields.push(("title".into(), Value::Str(self.title.clone())));
         }
@@ -1460,7 +1456,10 @@ impl SetupSpec {
                 GravitySpec::None => Value::Unit("none".into()),
                 GravitySpec::Constant(g) => Value::tagged(
                     "constant",
-                    vec![("g".into(), Value::List(g.iter().map(|x| Value::Num(*x)).collect()))],
+                    vec![(
+                        "g".into(),
+                        Value::List(g.iter().map(|x| Value::Num(*x)).collect()),
+                    )],
                 ),
                 GravitySpec::StarMonopole { shells } => Value::tagged(
                     "star_monopole",

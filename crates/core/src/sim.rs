@@ -242,7 +242,9 @@ impl Simulation {
                 let i = self.domain.unk.interior().start;
                 let k = self.domain.unk.interior_k().start;
                 let v = self.domain.unk.get(vars::DENS, i, i, k, id.idx());
-                self.domain.unk.set(vars::DENS, i, i, k, id.idx(), -v.abs() - 1.0);
+                self.domain
+                    .unk
+                    .set(vars::DENS, i, i, k, id.idx(), -v.abs() - 1.0);
             }
         }
 
@@ -286,7 +288,12 @@ impl Simulation {
                     self.gravity.field = GravityField::Monopole(solver.solve(&self.domain));
                 }
             }
-            apply_gravity(&mut self.domain, &self.gravity.field, dt, self.params.nranks);
+            apply_gravity(
+                &mut self.domain,
+                &self.gravity.field,
+                dt,
+                self.params.nranks,
+            );
             self.timers.stop("gravity");
         }
     }
@@ -350,11 +357,19 @@ impl Simulation {
     pub fn phase_seconds(&self) -> Vec<(&'static str, f64)> {
         let g = &self.graph_report;
         let per_rank = |ns: u64| ns as f64 / 1e9 / self.params.nranks as f64;
-        let mut rows: Vec<(&'static str, f64)> =
-            ["guardcell", "hydro", "eos", "dt", "guardian", "flame", "gravity", "regrid"]
-                .into_iter()
-                .map(|label| (label, self.timers.seconds(label)))
-                .collect();
+        let mut rows: Vec<(&'static str, f64)> = [
+            "guardcell",
+            "hydro",
+            "eos",
+            "dt",
+            "guardian",
+            "flame",
+            "gravity",
+            "regrid",
+        ]
+        .into_iter()
+        .map(|label| (label, self.timers.seconds(label)))
+        .collect();
         let ledger = [g.guardcell_ns, g.sweep_ns, g.eos_ns, g.dt_ns, g.guardian_ns];
         for (row, ns) in rows.iter_mut().zip(ledger) {
             row.1 += per_rank(ns);

@@ -37,7 +37,9 @@ use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
 use rflash_mesh::flux::{Correction, Face};
 use rflash_mesh::guardcell::{fill_block_cells, restrict_parent_cells, ExchangePlan};
-use rflash_mesh::taskgraph::{GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId};
+use rflash_mesh::taskgraph::{
+    GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId,
+};
 use rflash_mesh::tree::Neighbor;
 use rflash_mesh::unk::Region;
 use rflash_mesh::{vars, BlockId, BlockState, GuardNeed, Tree};
@@ -460,7 +462,14 @@ fn build_plan(
     graph.set_audit_context(
         move |t| {
             const KIND_NAMES: [&str; NKINDS] = [
-                "dt", "dt-reduce", "restrict", "fill", "sweep", "correct", "eos", "inject",
+                "dt",
+                "dt-reduce",
+                "restrict",
+                "fill",
+                "sweep",
+                "correct",
+                "eos",
+                "inject",
                 "validate",
             ];
             let m = label_meta[t as usize];
@@ -578,7 +587,8 @@ impl Simulation {
         let contribs: SyncSlots<f64> = SyncSlots::new(nleaves, SlotRes::Unmapped, || f64::INFINITY);
         let dt_slot: SyncSlots<(f64, f64)> =
             SyncSlots::new(1, SlotRes::Fixed(rmap.dt()), || (f64::NAN, f64::NAN));
-        let verdicts: SyncSlots<Option<String>> = SyncSlots::new(nleaves, SlotRes::Unmapped, || None);
+        let verdicts: SyncSlots<Option<String>> =
+            SyncSlots::new(nleaves, SlotRes::Unmapped, || None);
         let poisoned = AtomicBool::new(false);
         let probes: PerRank<(Probe, Probe)> = PerRank::new(nranks, || (Probe::new(), Probe::new()));
 
@@ -648,7 +658,9 @@ impl Simulation {
                     };
                     // SAFETY: rank-local probe pair.
                     let pr = unsafe { probes.slot(rank) };
-                    let bf = sweep_leaf_block(tree, &geom, m.block, slab, dir, dt, &sweep_cfg, &mut pr.0);
+                    let bf = sweep_leaf_block(
+                        tree, &geom, m.block, slab, dir, dt, &sweep_cfg, &mut pr.0,
+                    );
                     for side in 0..2 {
                         let face = Face { axis: dir, side };
                         for t1 in 0..geom.nxb {

@@ -210,9 +210,7 @@ mod tests {
 
     fn model() -> &'static WdProfile {
         static WD: OnceLock<WdProfile> = OnceLock::new();
-        WD.get_or_init(|| {
-            build_wd(eos(), Composition::co_half(), 2.2e9, 5e7, 1e4, 2e5).unwrap()
-        })
+        WD.get_or_init(|| build_wd(eos(), Composition::co_half(), 2.2e9, 5e7, 1e4, 2e5).unwrap())
     }
 
     #[test]

@@ -22,7 +22,10 @@ fn builtin_at(index: usize) -> SetupSpec {
 }
 
 fn title_from(indices: &[usize]) -> String {
-    indices.iter().map(|&i| TITLE_POOL[i % TITLE_POOL.len()]).collect()
+    indices
+        .iter()
+        .map(|&i| TITLE_POOL[i % TITLE_POOL.len()])
+        .collect()
 }
 
 proptest! {

@@ -63,11 +63,7 @@ pub fn solve_eta(n_net: f64, temp: f64) -> Result<f64, EosError> {
 
 /// [`solve_eta`] with a warm-start guess — table builds sweep density
 /// monotonically and reuse the previous η to cut Newton iterations.
-pub fn solve_eta_with_guess(
-    n_net: f64,
-    temp: f64,
-    guess: Option<f64>,
-) -> Result<f64, EosError> {
+pub fn solve_eta_with_guess(n_net: f64, temp: f64, guess: Option<f64>) -> Result<f64, EosError> {
     if !(n_net.is_finite() && n_net > 0.0) {
         return Err(EosError::BadInput {
             what: "n_net",
@@ -89,7 +85,11 @@ pub fn solve_eta_with_guess(
     let eta_deg = (1.5 * n_net / scale).powf(2.0 / 3.0);
     let mut eta = guess
         .filter(|g| g.is_finite())
-        .unwrap_or(if eta_nondeg > 1.0 { eta_deg } else { eta_nondeg });
+        .unwrap_or(if eta_nondeg > 1.0 {
+            eta_deg
+        } else {
+            eta_nondeg
+        });
 
     // Bracket for the bisection safeguard.
     let (mut lo, mut hi): (f64, f64) = (-740.0, eta_deg.max(10.0) * 4.0 + 100.0);
@@ -238,7 +238,10 @@ mod tests {
         // Energy per particle between the non-relativistic (3/2)kT and the
         // ultra-relativistic 3kT bounds (β ≈ 0.08 here, slightly warm).
         let e_per = st.ener / (st.n_ele + st.n_pos);
-        assert!(e_per > 1.5 * K_B * temp && e_per < 3.0 * K_B * temp, "{e_per:e}");
+        assert!(
+            e_per > 1.5 * K_B * temp && e_per < 3.0 * K_B * temp,
+            "{e_per:e}"
+        );
     }
 
     #[test]

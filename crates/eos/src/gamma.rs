@@ -79,8 +79,7 @@ impl Eos for GammaLaw {
         s.pres = (self.gamma - 1.0) * s.dens * s.eint;
         s.cv = cv;
         s.gamc = self.gamma;
-        s.entr = cv * (s.temp.max(f64::MIN_POSITIVE).ln()
-            - (self.gamma - 1.0) * s.dens.ln());
+        s.entr = cv * (s.temp.max(f64::MIN_POSITIVE).ln() - (self.gamma - 1.0) * s.dens.ln());
         s.finish_derived();
         Ok(())
     }

@@ -190,7 +190,13 @@ impl Helmholtz {
     /// the plateau rule below accepts the clamp (edge-pinned). A zone
     /// cooled or heated past the table thus settles in two evaluations,
     /// and re-solving it from its own T returns the same bits.
-    fn invert<F>(&self, s: &EosState, goal: f64, mode: &'static str, f: F) -> Result<(f64, Eval), EosError>
+    fn invert<F>(
+        &self,
+        s: &EosState,
+        goal: f64,
+        mode: &'static str,
+        f: F,
+    ) -> Result<(f64, Eval), EosError>
     where
         F: Fn(&Eval) -> (f64, f64), // (value, d(value)/dT)
     {
@@ -702,8 +708,7 @@ impl Eos for Helmholtz {
                     let chi =
                         ev.dpdr + b.temp[l] * ev.dpdt * ev.dpdt / (b.dens[l] * b.dens[l] * ev.cv);
                     b.gamc[l] = (chi * b.dens[l] / ev.pres).max(1.01);
-                    b.game[l] =
-                        1.0 + ev.pres / (b.dens[l] * ev.eint).max(f64::MIN_POSITIVE);
+                    b.game[l] = 1.0 + ev.pres / (b.dens[l] * ev.eint).max(f64::MIN_POSITIVE);
                 }
                 return Ok(BatchReport {
                     lanes: lanes as u64,
@@ -769,14 +774,12 @@ impl Eos for Helmholtz {
                     EosMode::DensEi => {
                         b.pres[l] = ev.pres;
                         // eint stays the conserved goal.
-                        b.game[l] =
-                            1.0 + ev.pres / (b.dens[l] * sc.goal[l]).max(f64::MIN_POSITIVE);
+                        b.game[l] = 1.0 + ev.pres / (b.dens[l] * sc.goal[l]).max(f64::MIN_POSITIVE);
                     }
                     _ => {
                         b.eint[l] = ev.eint;
                         // pres stays the goal.
-                        b.game[l] =
-                            1.0 + sc.goal[l] / (b.dens[l] * ev.eint).max(f64::MIN_POSITIVE);
+                        b.game[l] = 1.0 + sc.goal[l] / (b.dens[l] * ev.eint).max(f64::MIN_POSITIVE);
                     }
                 }
             }

@@ -142,7 +142,10 @@ impl std::fmt::Display for EosError {
                 hi,
             } => write!(f, "{what}={value:e} outside [{lo:e}, {hi:e}]"),
             EosError::NoConvergence { mode, residual } => {
-                write!(f, "{mode} inversion failed to converge (residual {residual:e})")
+                write!(
+                    f,
+                    "{mode} inversion failed to converge (residual {residual:e})"
+                )
             }
             EosError::BadInput { what, value } => write!(f, "bad input {what}={value:e}"),
             EosError::Allocation { what, detail } => {

@@ -205,8 +205,7 @@ impl AdrFlame {
                                     x[1] + 0.5 * dxs[1],
                                     x[2] + 0.5 * dxs[2],
                                 ];
-                                let dv =
-                                    tree.config().geometry.cell_volume(lo, hi, ndim);
+                                let dv = tree.config().geometry.cell_volume(lo, hi, ndim);
                                 e_released += dens * dq * dv;
                             }
                             probe.stats.zones += 1;
@@ -247,8 +246,14 @@ mod tests {
                 for i in 0..d.unk.padded().0 {
                     let x = d.tree.cell_center(id, i, j, 0)[0];
                     d.unk.set(vars::DENS, i, j, 0, id.idx(), dens);
-                    d.unk
-                        .set(vars::FLAM, i, j, 0, id.idx(), if x < x0 { 1.0 } else { 0.0 });
+                    d.unk.set(
+                        vars::FLAM,
+                        i,
+                        j,
+                        0,
+                        id.idx(),
+                        if x < x0 { 1.0 } else { 0.0 },
+                    );
                     d.unk.set(vars::EINT, i, j, 0, id.idx(), 1e15);
                     d.unk.set(vars::ENER, i, j, 0, id.idx(), 1e15);
                 }

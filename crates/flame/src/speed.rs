@@ -78,8 +78,8 @@ impl SpeedTable {
     pub fn speed(&self, dens: f64, x_c: f64) -> f64 {
         let lr = dens.max(1.0).log10().clamp(self.log_rho.0, self.log_rho.1);
         let x = x_c.clamp(self.x_c.0, self.x_c.1);
-        let fr = (lr - self.log_rho.0) / (self.log_rho.1 - self.log_rho.0)
-            * (self.n_rho - 1) as f64;
+        let fr =
+            (lr - self.log_rho.0) / (self.log_rho.1 - self.log_rho.0) * (self.n_rho - 1) as f64;
         let fx = (x - self.x_c.0) / (self.x_c.1 - self.x_c.0) * (self.n_xc - 1) as f64;
         let ir = (fr as usize).min(self.n_rho - 2);
         let jx = (fx as usize).min(self.n_xc - 2);

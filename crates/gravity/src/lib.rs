@@ -77,9 +77,7 @@ impl MonopoleField {
             let f = (x - r[i - 1]) / (r[i] - r[i - 1]);
             m[i - 1] + f * (m[i] - m[i - 1])
         };
-        let m_enclosed = (1..=n_shells)
-            .map(|i| interp(i as f64 * dr))
-            .collect();
+        let m_enclosed = (1..=n_shells).map(|i| interp(i as f64 * dr)).collect();
         MonopoleField {
             center,
             dr,
@@ -146,16 +144,8 @@ impl MonopoleSolver {
                 for j in domain.unk.interior() {
                     for i in domain.unk.interior() {
                         let x = domain.tree.cell_center(id, i, j, k);
-                        let lo = [
-                            x[0] - 0.5 * dx[0],
-                            x[1] - 0.5 * dx[1],
-                            x[2] - 0.5 * dx[2],
-                        ];
-                        let hi = [
-                            x[0] + 0.5 * dx[0],
-                            x[1] + 0.5 * dx[1],
-                            x[2] + 0.5 * dx[2],
-                        ];
+                        let lo = [x[0] - 0.5 * dx[0], x[1] - 0.5 * dx[1], x[2] - 0.5 * dx[2]];
+                        let hi = [x[0] + 0.5 * dx[0], x[1] + 0.5 * dx[1], x[2] + 0.5 * dx[2]];
                         let dv = cfg.geometry.cell_volume(lo, hi, cfg.ndim);
                         let dens = domain.unk.get(vars::DENS, i, j, k, id.idx());
                         let d = [

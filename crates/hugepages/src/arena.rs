@@ -194,10 +194,7 @@ mod tests {
     #[test]
     fn zero_len_rejected() {
         let mut arena = HugeArena::new(4096, Policy::None).unwrap();
-        assert!(matches!(
-            arena.alloc_slice::<u8>(0),
-            Err(Error::ZeroLength)
-        ));
+        assert!(matches!(arena.alloc_slice::<u8>(0), Err(Error::ZeroLength)));
     }
 
     #[test]

@@ -400,8 +400,8 @@ mod tests {
     #[test]
     fn hugetlb_request_never_fails_construction() {
         // Even with an empty pool the buffer must come back usable (fallback).
-        let buf = PageBuffer::<u8>::zeroed(1 << 21, Policy::HugeTlbFs(crate::PageSize::Huge2M))
-            .unwrap();
+        let buf =
+            PageBuffer::<u8>::zeroed(1 << 21, Policy::HugeTlbFs(crate::PageSize::Huge2M)).unwrap();
         assert_eq!(buf[0], 0);
         let report = buf.backing_report();
         if report.fell_back.is_some() {

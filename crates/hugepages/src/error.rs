@@ -15,7 +15,10 @@ pub enum Error {
     /// Explicit `MAP_HUGETLB` mapping failed and fallback was disallowed.
     HugeTlbUnavailable { size: super::PageSize, errno: i32 },
     /// A `/proc` or `/sys` file could not be read.
-    ProcRead { path: String, source: std::io::Error },
+    ProcRead {
+        path: String,
+        source: std::io::Error,
+    },
     /// A `/proc` or `/sys` file had an unexpected format.
     ProcParse { path: String, detail: String },
     /// An environment variable held an unrecognized value.

@@ -371,7 +371,9 @@ fn parse_kind(site: FaultSite, s: &str) -> std::result::Result<FaultKind, String
             .map_err(|_| format!("'{head}' {what} argument is not a number"))
     };
     match head {
-        "always" => Ok(FaultKind::Always { errno: errno_arg(0)? }),
+        "always" => Ok(FaultKind::Always {
+            errno: errno_arg(0)?,
+        }),
         // `first` alone means `first:1` — one transient failure, the shape
         // every retry loop must survive.
         "first" if args.is_empty() => Ok(FaultKind::FirstN {
@@ -562,7 +564,9 @@ mod tests {
             plan.rules()[0],
             FaultRule {
                 site: FaultSite::HugeTlbMmap,
-                kind: FaultKind::Always { errno: libc::ENOMEM },
+                kind: FaultKind::Always {
+                    errno: libc::ENOMEM
+                },
             }
         );
         assert_eq!(
@@ -572,10 +576,7 @@ mod tests {
                 errno: libc::EINVAL, // madvise default
             }
         );
-        assert_eq!(
-            plan.rules()[3].kind,
-            FaultKind::ShortWrite { bytes: 4096 }
-        );
+        assert_eq!(plan.rules()[3].kind, FaultKind::ShortWrite { bytes: 4096 });
     }
 
     #[test]
@@ -637,7 +638,12 @@ mod tests {
         assert_eq!(check_errno(FaultSite::Madvise), None);
         {
             let _outer = FaultPlan::new(0)
-                .with(FaultSite::Madvise, FaultKind::Always { errno: libc::EINVAL })
+                .with(
+                    FaultSite::Madvise,
+                    FaultKind::Always {
+                        errno: libc::EINVAL,
+                    },
+                )
                 .activate();
             assert_eq!(check_errno(FaultSite::Madvise), Some(libc::EINVAL));
             {
@@ -695,8 +701,7 @@ mod tests {
 
     #[test]
     fn guardian_sites_parse_and_first_defaults_to_one() {
-        let plan =
-            FaultPlan::parse("step-nan=first; flux-corrupt=nth:5; dt-zero=always").unwrap();
+        let plan = FaultPlan::parse("step-nan=first; flux-corrupt=nth:5; dt-zero=always").unwrap();
         assert_eq!(
             plan.rules()[0],
             FaultRule {
@@ -749,7 +754,9 @@ mod tests {
         );
         assert_eq!(
             plan.rules()[3].kind,
-            FaultKind::Always { errno: libc::EAGAIN },
+            FaultKind::Always {
+                errno: libc::EAGAIN
+            },
         );
         // `short` stays confined to the two streaming I/O sites.
         assert!(FaultPlan::parse("spawn-fail=short:8").is_err());

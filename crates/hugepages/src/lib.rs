@@ -47,8 +47,8 @@ pub mod policy;
 pub mod probe;
 pub mod region;
 pub mod smaps;
-pub mod watcher;
 mod sys;
+pub mod watcher;
 
 pub use arena::HugeArena;
 pub use buffer::{

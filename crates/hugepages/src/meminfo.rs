@@ -36,11 +36,10 @@ pub struct MemInfo {
 impl MemInfo {
     /// Read and parse `/proc/meminfo`.
     pub fn read() -> Result<MemInfo> {
-        let text =
-            std::fs::read_to_string("/proc/meminfo").map_err(|source| Error::ProcRead {
-                path: "/proc/meminfo".into(),
-                source,
-            })?;
+        let text = std::fs::read_to_string("/proc/meminfo").map_err(|source| Error::ProcRead {
+            path: "/proc/meminfo".into(),
+            source,
+        })?;
         Self::parse(&text)
     }
 

@@ -184,10 +184,7 @@ pub fn set_pool_size(size: PageSize, pages: u64) -> Result<u64> {
         path: path.display().to_string(),
         source,
     })?;
-    let granted = read_to_string(path)?
-        .trim()
-        .parse::<u64>()
-        .unwrap_or(0);
+    let granted = read_to_string(path)?.trim().parse::<u64>().unwrap_or(0);
     Ok(granted)
 }
 

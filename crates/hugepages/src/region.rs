@@ -130,8 +130,7 @@ impl MmapRegion {
                     Err(_) => {
                         // The reservation is gone for good; degrade to THP.
                         metrics::count_thp_fallback();
-                        Self::try_thp_then_base(len, &mut steps)
-                            .map(|r| r.finish(policy, steps))
+                        Self::try_thp_then_base(len, &mut steps).map(|r| r.finish(policy, steps))
                     }
                 }
             }
@@ -150,11 +149,7 @@ impl MmapRegion {
 
     /// Rung 1: explicit `MAP_HUGETLB`, with bounded backoff on transient
     /// exhaustion. On success after retries, the recovery is recorded.
-    fn try_hugetlb(
-        len: usize,
-        size: PageSize,
-        steps: &mut Vec<DegradationStep>,
-    ) -> Result<Self> {
+    fn try_hugetlb(len: usize, size: PageSize, steps: &mut Vec<DegradationStep>) -> Result<Self> {
         let rounded = align_up(len, size.bytes());
         let mut retries = 0u32;
         loop {
@@ -521,7 +516,9 @@ mod tests {
             )
             .with(
                 FaultSite::AnonMmap,
-                FaultKind::Always { errno: libc::ENOMEM },
+                FaultKind::Always {
+                    errno: libc::ENOMEM,
+                },
             )
             .activate();
         match MmapRegion::new(2 << 20, Policy::HugeTlbFs(PageSize::Huge2M)) {

@@ -39,12 +39,11 @@ pub struct SmapsRegion {
 impl SmapsRegion {
     /// Find the mapping containing `addr` in this process.
     pub fn for_addr(addr: usize) -> Result<SmapsRegion> {
-        let text = std::fs::read_to_string("/proc/self/smaps").map_err(|source| {
-            Error::ProcRead {
+        let text =
+            std::fs::read_to_string("/proc/self/smaps").map_err(|source| Error::ProcRead {
                 path: "/proc/self/smaps".into(),
                 source,
-            }
-        })?;
+            })?;
         Self::parse_for_addr(&text, addr).ok_or_else(|| Error::ProcParse {
             path: "/proc/self/smaps".into(),
             detail: format!("no mapping contains address {addr:#x}"),

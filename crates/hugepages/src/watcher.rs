@@ -72,9 +72,8 @@ impl MemInfoWatch {
                     summary.samples += 1;
                     summary.min_anon_huge = summary.min_anon_huge.min(info.anon_huge_pages);
                     summary.max_anon_huge = summary.max_anon_huge.max(info.anon_huge_pages);
-                    summary.max_hugetlb_in_use = summary
-                        .max_hugetlb_in_use
-                        .max(info.huge_pages_in_use());
+                    summary.max_hugetlb_in_use =
+                        summary.max_hugetlb_in_use.max(info.huge_pages_in_use());
                 }
                 if stop2.load(Ordering::Relaxed) {
                     return summary;

@@ -317,7 +317,11 @@ mod tests {
         );
         for i in -100..=100 {
             let s = ex.sample(i as f64 * 0.05);
-            assert!(s.dens > 0.0 && s.pres > 0.0, "xi={}: {s:?}", i as f64 * 0.05);
+            assert!(
+                s.dens > 0.0 && s.pres > 0.0,
+                "xi={}: {s:?}",
+                i as f64 * 0.05
+            );
         }
     }
 

@@ -143,12 +143,14 @@ fn face_prim_lanes<L: Lane>(
         L::load(&face[3][z..]),
     ];
     let eint = pres.div(game.sub(L::splat(1.0)).mul(dens));
-    let ener = eint.add(L::splat(0.5).mul(
-        vel[0]
-            .mul(vel[0])
-            .add(vel[1].mul(vel[1]))
-            .add(vel[2].mul(vel[2])),
-    ));
+    let ener = eint.add(
+        L::splat(0.5).mul(
+            vel[0]
+                .mul(vel[0])
+                .add(vel[1].mul(vel[1]))
+                .add(vel[2].mul(vel[2])),
+        ),
+    );
     PrimL {
         dens,
         vel,
@@ -165,12 +167,14 @@ fn face_prim_lanes<L: Lane>(
 #[cfg_attr(not(debug_assertions), inline(always))]
 fn to_prim_lanes<L: Lane>(u: &[L; NFLUX], fallback: &PrimL<L>, game: L, dens_floor: f64) -> [L; 5] {
     let (dens, vel, ener) = cons_to_vel_ener_lanes(u, L::splat(dens_floor));
-    let eint = ener.sub(L::splat(0.5).mul(
-        vel[0]
-            .mul(vel[0])
-            .add(vel[1].mul(vel[1]))
-            .add(vel[2].mul(vel[2])),
-    ));
+    let eint = ener.sub(
+        L::splat(0.5).mul(
+            vel[0]
+                .mul(vel[0])
+                .add(vel[1].mul(vel[1]))
+                .add(vel[2].mul(vel[2])),
+        ),
+    );
     let ok = eint.gt(L::splat(0.0)).and(dens.gt(L::splat(0.0)));
     let pres = game.sub(L::splat(1.0)).mul(dens).mul(eint);
     [
@@ -467,7 +471,10 @@ fn run_slab<L: Lane>(
         // scratch.
         let (lo, hi) = (ng - 1, ng + nxb + 1);
         flattening_lanes::<L>(w_pres, w_u, lo, hi, s, flat, snap);
-        for (v, lane) in [&*w_dens, &*w_u, &*w_v, &*w_w, &*w_pres].into_iter().enumerate() {
+        for (v, lane) in [&*w_dens, &*w_u, &*w_v, &*w_w, &*w_pres]
+            .into_iter()
+            .enumerate()
+        {
             reconstruct_lanes::<L>(lane, lo, hi, s, flat, snap, fm[v], fp[v]);
         }
 
@@ -542,7 +549,9 @@ fn run_slab<L: Lane>(
             dir,
             t2,
             interior.clone(),
-            [&*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint],
+            [
+                &*out_dens, &*out_u, &*out_v, &*out_w, &*out_ener, &*out_eint,
+            ],
         );
         probe.stats.scatter_cells += (OUT_LANES * (zone_hi - zone_lo)) as u64;
 

@@ -540,7 +540,9 @@ mod tests {
         fn with_lanes<L: Lane>(self) {
             let (lo, hi, s) = (self.lo, self.hi, self.s);
             flattening_lanes::<L>(self.a, self.velx, lo, hi, s, self.flat, self.snap);
-            reconstruct_lanes::<L>(self.a, lo, hi, s, self.flat, self.snap, self.minus, self.plus);
+            reconstruct_lanes::<L>(
+                self.a, lo, hi, s, self.flat, self.snap, self.minus, self.plus,
+            );
         }
     }
 
@@ -643,8 +645,16 @@ mod tests {
             // scalar reference, including the ones it leaves alone.
             let (lo, hi) = (2, n - 2);
             for i in 0..n {
-                assert_eq!(flat[i].to_bits(), flat_ref[i].to_bits(), "{backend} flat {i}");
-                assert_eq!(plus[i].to_bits(), plus_ref[i].to_bits(), "{backend} plus {i}");
+                assert_eq!(
+                    flat[i].to_bits(),
+                    flat_ref[i].to_bits(),
+                    "{backend} flat {i}"
+                );
+                assert_eq!(
+                    plus[i].to_bits(),
+                    plus_ref[i].to_bits(),
+                    "{backend} plus {i}"
+                );
                 let want = if i == lo - 1 || i == hi {
                     limited_slope(&a, i)
                 } else {

@@ -37,8 +37,7 @@ pub fn hllc(l: &Prim, r: &Prim) -> [f64; NFLUX] {
         let u = s.to_cons();
         let f = s.flux();
         let coef = s.dens * (s_k - s.vel[0]) / (s_k - s_star);
-        let e_star = s.ener
-            + (s_star - s.vel[0]) * (s_star + s.pres / (s.dens * (s_k - s.vel[0])));
+        let e_star = s.ener + (s_star - s.vel[0]) * (s_star + s.pres / (s.dens * (s_k - s.vel[0])));
         let u_star = [
             coef,
             coef * s_star,

@@ -101,8 +101,7 @@ impl BlockFluxes {
     }
     #[inline]
     fn slot(&self, side: usize, t1: usize, t2: usize, ch: usize) -> usize {
-        ((side * (self.data.len() / (2 * self.t2_cells * NFLUX)) + t1) * self.t2_cells + t2)
-            * NFLUX
+        ((side * (self.data.len() / (2 * self.t2_cells * NFLUX)) + t1) * self.t2_cells + t2) * NFLUX
             + ch
     }
     #[inline]
@@ -459,8 +458,7 @@ mod tests {
             for j in d.unk.interior() {
                 for i in d.unk.interior() {
                     let x = d.tree.cell_center(id, i, j, 0);
-                    let dens =
-                        1.0 + 0.3 * (2.0 * std::f64::consts::PI * x[0]).sin();
+                    let dens = 1.0 + 0.3 * (2.0 * std::f64::consts::PI * x[0]).sin();
                     let mut s = EosState::co_wd(dens, 0.0);
                     s.abar = 1.0;
                     s.zbar = 1.0;
@@ -492,10 +490,7 @@ mod tests {
             sweep_then_eos(&mut d, dt, &mut reg);
         }
         let m1 = total_mass(&d);
-        assert!(
-            ((m1 - m0) / m0).abs() < 1e-12,
-            "mass drift {m0} -> {m1}"
-        );
+        assert!(((m1 - m0) / m0).abs() < 1e-12, "mass drift {m0} -> {m1}");
     }
 
     #[test]
@@ -595,7 +590,14 @@ mod tests {
     fn z_sweep_rejected_in_2d() {
         let mut d = uniform_domain(rflash_mesh::BoundaryCondition::Periodic);
         let mut reg = FluxRegister::new(2, 8, NFLUX, d.tree.config().max_blocks);
-        sweep_direction(&mut d, &SweepEos::Defer, 2, 1e-4, &mut reg, &SweepConfig::default());
+        sweep_direction(
+            &mut d,
+            &SweepEos::Defer,
+            2,
+            1e-4,
+            &mut reg,
+            &SweepConfig::default(),
+        );
     }
 
     #[test]

@@ -82,8 +82,14 @@ fn build_domain(p: &InitParams) -> Domain {
                 d.unk.set(vars::PRES, i, j, 0, id.idx(), pres);
                 d.unk.set(vars::TEMP, i, j, 0, id.idx(), s.temp);
                 d.unk.set(vars::EINT, i, j, 0, id.idx(), s.eint);
-                d.unk
-                    .set(vars::ENER, i, j, 0, id.idx(), s.eint + 0.5 * (u * u + v * v));
+                d.unk.set(
+                    vars::ENER,
+                    i,
+                    j,
+                    0,
+                    id.idx(),
+                    s.eint + 0.5 * (u * u + v * v),
+                );
                 d.unk.set(vars::GAMC, i, j, 0, id.idx(), s.gamc);
                 d.unk.set(vars::GAME, i, j, 0, id.idx(), s.game);
             }
@@ -125,7 +131,8 @@ fn gamma_eos_pass(d: &mut Domain, eos: &GammaLaw) {
             gamc: &mut gamc,
             game: &mut game,
         };
-        eos.eos_batch(EosMode::DensEi, &mut batch).expect("gamma-law DensEi");
+        eos.eos_batch(EosMode::DensEi, &mut batch)
+            .expect("gamma-law DensEi");
         for (z, &(i, j, k)) in zones.iter().enumerate() {
             d.unk.set(vars::PRES, i, j, k, b, pres[z]);
             d.unk.set(vars::TEMP, i, j, k, b, temp[z]);
@@ -208,7 +215,13 @@ struct Discontinuity {
 }
 
 fn arb_state() -> impl Strategy<Value = [f64; 5]> {
-    (-1.0f64..1.0, -3.0f64..1.0, -1.5f64..1.5, -1.5f64..1.5, -1.5f64..1.5)
+    (
+        -1.0f64..1.0,
+        -3.0f64..1.0,
+        -1.5f64..1.5,
+        -1.5f64..1.5,
+        -1.5f64..1.5,
+    )
         .prop_map(|(ld, lp, u, v, w)| [10f64.powf(ld), 10f64.powf(lp), u, v, w])
 }
 
@@ -274,8 +287,14 @@ fn discontinuous_domain(shape: Shape, nxb: usize, disc: &Discontinuity) -> Domai
                     d.unk.set(vars::PRES, i, j, k, idx, pres);
                     d.unk.set(vars::TEMP, i, j, k, idx, s.temp);
                     d.unk.set(vars::EINT, i, j, k, idx, s.eint);
-                    d.unk
-                        .set(vars::ENER, i, j, k, idx, s.eint + 0.5 * (u * u + v * v + w * w));
+                    d.unk.set(
+                        vars::ENER,
+                        i,
+                        j,
+                        k,
+                        idx,
+                        s.eint + 0.5 * (u * u + v * v + w * w),
+                    );
                     d.unk.set(vars::GAMC, i, j, k, idx, s.gamc);
                     d.unk.set(vars::GAME, i, j, k, idx, s.game);
                 }
@@ -347,7 +366,10 @@ fn check_against_oracle(
         let what = format!("{shape:?} nxb {nxb} on {simd}");
         assert_unk_identical(&oracle, &d, &what)?;
         for (sweep, (got, want)) in fluxes.iter().zip(&oracle_fluxes).enumerate() {
-            prop_assert!(got == want, "{what}: boundary fluxes of sweep {sweep} differ");
+            prop_assert!(
+                got == want,
+                "{what}: boundary fluxes of sweep {sweep} differ"
+            );
         }
     }
     Ok(oracle)
@@ -455,8 +477,7 @@ fn helmholtz() -> &'static Mutex<Helmholtz> {
     static TABLE: OnceLock<Mutex<Helmholtz>> = OnceLock::new();
     TABLE.get_or_init(|| {
         Mutex::new(
-            Helmholtz::build(TableConfig::coarse(), Policy::None)
-                .expect("coarse Helmholtz table"),
+            Helmholtz::build(TableConfig::coarse(), Policy::None).expect("coarse Helmholtz table"),
         )
     })
 }

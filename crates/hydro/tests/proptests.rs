@@ -8,12 +8,12 @@ use rflash_hydro::NFLUX;
 
 fn arb_prim() -> impl Strategy<Value = Prim> {
     (
-        1e-3f64..1e3,         // dens
-        -1e2f64..1e2,         // u
-        -1e2f64..1e2,         // v
-        -1e2f64..1e2,         // w
-        1e-3f64..1e6,         // pres
-        1.1f64..1.9,          // gamc (= game here)
+        1e-3f64..1e3, // dens
+        -1e2f64..1e2, // u
+        -1e2f64..1e2, // v
+        -1e2f64..1e2, // w
+        1e-3f64..1e6, // pres
+        1.1f64..1.9,  // gamc (= game here)
     )
         .prop_map(|(dens, u, v, w, pres, gamma)| {
             let eint = pres / ((gamma - 1.0) * dens);

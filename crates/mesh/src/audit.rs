@@ -194,9 +194,18 @@ mod tests {
         assert_eq!(
             accs,
             vec![
-                Access { res: 3, mode: Mode::Read },
-                Access { res: 7, mode: Mode::Write },
-                Access { res: 5, mode: Mode::Write },
+                Access {
+                    res: 3,
+                    mode: Mode::Read
+                },
+                Access {
+                    res: 7,
+                    mode: Mode::Write
+                },
+                Access {
+                    res: 5,
+                    mode: Mode::Write
+                },
             ]
         );
         // Outside a task nothing records.

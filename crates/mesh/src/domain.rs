@@ -388,9 +388,7 @@ impl Domain {
                     // guards are exclusive; the interiors it reads are not
                     // written during the exchange and its coarser
                     // neighbors were finished by the previous dispatch.
-                    unsafe {
-                        guardcell::fill_block_cells(tree, &geom, &cells, exchange, need, id)
-                    };
+                    unsafe { guardcell::fill_block_cells(tree, &geom, &cells, exchange, need, id) };
                 }
             });
         }
@@ -490,11 +488,15 @@ mod tests {
     fn rank_chunks_partition_a_level_contiguously_and_evenly() {
         let list: Vec<BlockId> = (0..10).map(BlockId).collect();
         for nranks in [1usize, 3, 4, 10, 16] {
-            let chunks: Vec<&[BlockId]> = (0..nranks).map(|r| rank_chunk(&list, nranks, r)).collect();
+            let chunks: Vec<&[BlockId]> =
+                (0..nranks).map(|r| rank_chunk(&list, nranks, r)).collect();
             assert_eq!(chunks.concat(), list, "nranks={nranks}");
             let used: Vec<usize> = chunks.iter().map(|c| c.len()).filter(|&n| n > 0).collect();
             assert_eq!(used.len(), nranks.min(list.len()));
-            assert!(used.iter().max().unwrap() - used.iter().min().unwrap() <= 1, "{used:?}");
+            assert!(
+                used.iter().max().unwrap() - used.iter().min().unwrap() <= 1,
+                "{used:?}"
+            );
         }
         assert!(rank_chunk(&[], 4, 0).is_empty());
     }

@@ -385,7 +385,9 @@ mod tests {
         // But corrections are generated for the coarse faces that touch
         // finer blocks.
         assert!(!corr.is_empty());
-        assert!(corr.iter().all(|c| c.block == children[1] || c.block == children[2] || c.block == children[3]));
+        assert!(corr
+            .iter()
+            .all(|c| c.block == children[1] || c.block == children[2] || c.block == children[3]));
     }
 
     #[test]
@@ -416,7 +418,11 @@ mod tests {
             .collect();
         assert_eq!(ours.len(), nxb);
         for c in ours {
-            assert!((c.delta - 2.0).abs() < 1e-14, "mean(3) − 1 = 2, got {}", c.delta);
+            assert!(
+                (c.delta - 2.0).abs() < 1e-14,
+                "mean(3) − 1 = 2, got {}",
+                c.delta
+            );
         }
     }
 }

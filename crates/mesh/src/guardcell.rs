@@ -105,7 +105,11 @@ pub fn prolong_interior(
                     let p = [
                         ng + ox * half + fi / 2,
                         ng + oy * half + fj / 2,
-                        if cfg.ndim == 3 { ng + oz * half + fk / 2 } else { 0 },
+                        if cfg.ndim == 3 {
+                            ng + oz * half + fk / 2
+                        } else {
+                            0
+                        },
                     ];
                     let base = unk.get(var, p[0], p[1], p[2], pb);
                     let mut v = base;
@@ -259,7 +263,12 @@ fn prolong_region<const NDIM: usize>(
     let axis = |a: usize| -> Axis {
         if a >= NDIM {
             // The flat k axis of a 2-d block: zone 0 maps to zone 0.
-            return Axis { fp0: 0, lo: 0, hi: 1, src0: 0 };
+            return Axis {
+                fp0: 0,
+                lo: 0,
+                hi: 1,
+                src0: 0,
+            };
         }
         let fp0 = (coords[a] & 1) * nxb - ng;
         // The coarse source block's offset from the fine block's parent
@@ -387,7 +396,10 @@ fn fill_boundary_region(
             return AxisRule::Keep;
         }
         match cfg.bc_at(axis, if low { 0 } else { 1 }) {
-            BoundaryCondition::Outflow => AxisRule::Clamp { lo: ng, hi: ng + nxb - 1 },
+            BoundaryCondition::Outflow => AxisRule::Clamp {
+                lo: ng,
+                hi: ng + nxb - 1,
+            },
             BoundaryCondition::Reflecting => AxisRule::Mirror {
                 sum: if low { 2 * ng - 1 } else { 2 * (ng + nxb) - 1 },
             },
@@ -915,8 +927,7 @@ mod tests {
                             let coarse_dx = (cfg.domain_hi[a] - cfg.domain_lo[a])
                                 / (cfg.nroot[a] * cfg.nxb) as f64;
                             let margin = 3.0 * coarse_dx;
-                            x[a] > cfg.domain_lo[a] + margin
-                                && x[a] < cfg.domain_hi[a] - margin
+                            x[a] > cfg.domain_lo[a] + margin && x[a] < cfg.domain_hi[a] - margin
                         });
                         if !inside {
                             continue;
@@ -1037,7 +1048,10 @@ mod tests {
         fill_guardcells(&tree, &mut unk);
         // Left block's -x guards wrap to the right block.
         assert_eq!(unk.get(DENS, ng - 1, ng, 0, left.idx()), 2.0);
-        assert_eq!(unk.get(DENS, ng + tree.config().nxb, ng, 0, right.idx()), 1.0);
+        assert_eq!(
+            unk.get(DENS, ng + tree.config().nxb, ng, 0, right.idx()),
+            1.0
+        );
     }
 
     /// Mixed corners — periodic along x, walls along y — must compose: the
@@ -1265,11 +1279,15 @@ mod tests {
         let (ng, nxb) = (cfg.nguard, cfg.nxb);
         let blocks = tree.active_ids();
         let zones_of = |d: [i32; 3]| {
-            let (ri, rj) = (guard_range(ng, nxb, d[0], false), guard_range(ng, nxb, d[1], false));
+            let (ri, rj) = (
+                guard_range(ng, nxb, d[0], false),
+                guard_range(ng, nxb, d[1], false),
+            );
             let rk = guard_range(ng, nxb, d[2], cfg.ndim == 2);
             rk.flat_map(move |k| {
                 let ri = ri.clone();
-                rj.clone().flat_map(move |j| ri.clone().map(move |i| (i, j, k)))
+                rj.clone()
+                    .flat_map(move |j| ri.clone().map(move |i| (i, j, k)))
             })
         };
         let guards_of = |unk: &UnkStorage, id: BlockId, d: [i32; 3]| -> Vec<u64> {
@@ -1295,7 +1313,12 @@ mod tests {
         fill_guardcells_planned(tree, plan, GuardNeed::All, unk);
         let want: Vec<Vec<Vec<u64>>> = blocks
             .iter()
-            .map(|&id| cfg.neighbor_dirs().iter().map(|&d| guards_of(unk, id, d)).collect())
+            .map(|&id| {
+                cfg.neighbor_dirs()
+                    .iter()
+                    .map(|&d| guards_of(unk, id, d))
+                    .collect()
+            })
             .collect();
         poison_guards(unk);
         fill_guardcells_planned(tree, plan, need, unk);
@@ -1305,7 +1328,9 @@ mod tests {
                 let got = guards_of(unk, id, d);
                 if masked.contains(&d) {
                     if got != want[b][n] {
-                        return Err(format!("{need:?}: {id:?} region {d:?} differs from the All fill"));
+                        return Err(format!(
+                            "{need:?}: {id:?} region {d:?} differs from the All fill"
+                        ));
                     }
                 } else if got.iter().any(|&bits| bits != poison.to_bits()) {
                     return Err(format!("{need:?}: {id:?} region {d:?} was written"));
@@ -1333,7 +1358,12 @@ mod tests {
             }
         }
         let mut plan = ExchangePlan::build(&tree);
-        for need in [GuardNeed::Axis(0), GuardNeed::Axis(1), GuardNeed::Axis(2), GuardNeed::Faces] {
+        for need in [
+            GuardNeed::Axis(0),
+            GuardNeed::Axis(1),
+            GuardNeed::Axis(2),
+            GuardNeed::Faces,
+        ] {
             check_need_against_all(&tree, &plan, need, &mut unk).expect("closed masks");
         }
 
@@ -1345,7 +1375,10 @@ mod tests {
                 struck += 1;
             }
         }
-        assert_eq!(struck, 8, "the eight sources of the x-faces of the fine cube");
+        assert_eq!(
+            struck, 8,
+            "the eight sources of the x-faces of the fine cube"
+        );
         let err = check_need_against_all(&tree, &plan, GuardNeed::Axis(0), &mut unk)
             .expect_err("an unclosed mask must not reproduce the All fill");
         assert!(err.contains("differs from the All fill"), "{err}");
@@ -1362,7 +1395,14 @@ mod tests {
         for (n, id) in children[..4].iter().enumerate() {
             for j in unk.interior() {
                 for i in unk.interior() {
-                    unk.set(DENS, i, j, 0, id.idx(), (n + 1) as f64 + (i * j) as f64 * 0.01);
+                    unk.set(
+                        DENS,
+                        i,
+                        j,
+                        0,
+                        id.idx(),
+                        (n + 1) as f64 + (i * j) as f64 * 0.01,
+                    );
                 }
             }
         }
@@ -1404,7 +1444,11 @@ mod tests {
         let root = tree.leaves()[0];
         for j in unk.interior() {
             for i in unk.interior() {
-                let v = if i < unk.interior().start + 4 { 1.0 } else { 10.0 };
+                let v = if i < unk.interior().start + 4 {
+                    1.0
+                } else {
+                    10.0
+                };
                 unk.set(DENS, i, j, 0, root.idx(), v);
             }
         }

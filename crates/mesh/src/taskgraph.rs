@@ -347,9 +347,7 @@ impl TaskGraph {
             for a in accs {
                 let covered = match a.mode {
                     Mode::Read => decl.iter().any(|d| d.res == a.res),
-                    Mode::Write => decl
-                        .iter()
-                        .any(|d| d.res == a.res && d.mode == Mode::Write),
+                    Mode::Write => decl.iter().any(|d| d.res == a.res && d.mode == Mode::Write),
                 };
                 if !covered {
                     violations.push(format!(
@@ -523,8 +521,8 @@ impl TaskGraph {
                 if class == TaskClass::Exchange {
                     exchange_inflight.fetch_add(1, Ordering::AcqRel);
                 }
-                let overlapped_at_start = class == TaskClass::Compute
-                    && exchange_inflight.load(Ordering::Acquire) > 0;
+                let overlapped_at_start =
+                    class == TaskClass::Compute && exchange_inflight.load(Ordering::Acquire) > 0;
                 let t0 = Instant::now();
                 if audit_on {
                     audit::task_begin();
@@ -978,9 +976,7 @@ mod tests {
             );
         }
         // The whole 20 ms chain ran on exactly one rank.
-        let total_busy: u64 = (0..2)
-            .map(|r| after[r].busy_ns - before[r].busy_ns)
-            .sum();
+        let total_busy: u64 = (0..2).map(|r| after[r].busy_ns - before[r].busy_ns).sum();
         assert!(total_busy >= 18_000_000, "{after:?}");
     }
 
@@ -1125,7 +1121,10 @@ mod tests {
         }
         // Different seeds explore different orders (13 tasks, 6 free pairs:
         // collision odds are negligible).
-        assert!(orders[0] != orders[1] || orders[1] != orders[2], "{orders:?}");
+        assert!(
+            orders[0] != orders[1] || orders[1] != orders[2],
+            "{orders:?}"
+        );
     }
 
     #[test]
@@ -1146,7 +1145,10 @@ mod tests {
         let accs = audit::task_end();
         assert_eq!(
             accs,
-            vec![Access { res: 7, mode: Mode::Write }],
+            vec![Access {
+                res: 7,
+                mode: Mode::Write
+            }],
             "both fixed slots alias one resource; the unmapped slot records nothing"
         );
         assert_eq!(fixed.into_inner(), vec![0.0, 2.5]);

@@ -193,9 +193,8 @@ impl Tree {
     /// Create the tree with its root blocks as leaves.
     pub fn new(config: MeshConfig) -> Tree {
         assert!(config.ndim == 2 || config.ndim == 3);
-        let nroot_total = config.nroot[0]
-            * config.nroot[1]
-            * if config.ndim == 3 { config.nroot[2] } else { 1 };
+        let nroot_total =
+            config.nroot[0] * config.nroot[1] * if config.ndim == 3 { config.nroot[2] } else { 1 };
         assert!(nroot_total <= config.max_blocks, "maxblocks too small");
         assert!(config.max_refine >= config.min_refine);
         let mut tree = Tree {
@@ -281,10 +280,12 @@ impl Tree {
     }
 
     fn alloc(&mut self, key: MortonKey, parent: Option<BlockId>) -> BlockId {
-        let id = self
-            .free
-            .pop()
-            .unwrap_or_else(|| panic!("block pool exhausted (maxblocks = {})", self.config.max_blocks));
+        let id = self.free.pop().unwrap_or_else(|| {
+            panic!(
+                "block pool exhausted (maxblocks = {})",
+                self.config.max_blocks
+            )
+        });
         let meta = &mut self.metas[id.idx()];
         meta.key = key;
         meta.state = BlockState::Leaf;
@@ -469,10 +470,7 @@ impl Tree {
         let children = meta.children.expect("parent has children");
         let nchild = meta.n_children as usize;
         for &cid in children.iter().take(nchild) {
-            assert!(
-                self.block(cid).is_leaf(),
-                "derefine requires leaf children"
-            );
+            assert!(self.block(cid).is_leaf(), "derefine requires leaf children");
         }
         crate::guardcell::restrict_into_parent(self, unk, parent);
         for &cid in children.iter().take(nchild) {
@@ -620,7 +618,11 @@ impl Tree {
                                 .enumerate()
                                 .take(self.block(nid).n_children as usize)
                             {
-                                let off = [(ci & 1) as i32, ((ci >> 1) & 1) as i32, ((ci >> 2) & 1) as i32];
+                                let off = [
+                                    (ci & 1) as i32,
+                                    ((ci >> 1) & 1) as i32,
+                                    ((ci >> 2) & 1) as i32,
+                                ];
                                 let touches = (0..self.config.ndim).all(|a| match d[a] {
                                     1 => off[a] == 0,
                                     -1 => off[a] == 1,

@@ -254,10 +254,26 @@ impl UnkStorage {
     /// slab from [`UnkStorage::slabs_mut`] use this.
     #[inline]
     pub fn slab_idx(&self, var: usize, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(var < self.nvar, "slab var {var} out of range (nvar {})", self.nvar);
-        debug_assert!(i < self.ni, "slab i {i} out of padded range (ni {})", self.ni);
-        debug_assert!(j < self.nj, "slab j {j} out of padded range (nj {})", self.nj);
-        debug_assert!(k < self.nk, "slab k {k} out of padded range (nk {})", self.nk);
+        debug_assert!(
+            var < self.nvar,
+            "slab var {var} out of range (nvar {})",
+            self.nvar
+        );
+        debug_assert!(
+            i < self.ni,
+            "slab i {i} out of padded range (ni {})",
+            self.ni
+        );
+        debug_assert!(
+            j < self.nj,
+            "slab j {j} out of padded range (nj {})",
+            self.nj
+        );
+        debug_assert!(
+            k < self.nk,
+            "slab k {k} out of padded range (nk {})",
+            self.nk
+        );
         var + self.nvar * (i + self.ni * (j + self.nj * k))
     }
 
@@ -324,10 +340,26 @@ impl UnkGeom {
     /// [`UnkStorage::slab_idx`]).
     #[inline]
     pub fn slab_idx(&self, var: usize, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(var < self.nvar, "geom var {var} out of range (nvar {})", self.nvar);
-        debug_assert!(i < self.ni, "geom i {i} out of padded range (ni {})", self.ni);
-        debug_assert!(j < self.nj, "geom j {j} out of padded range (nj {})", self.nj);
-        debug_assert!(k < self.nk, "geom k {k} out of padded range (nk {})", self.nk);
+        debug_assert!(
+            var < self.nvar,
+            "geom var {var} out of range (nvar {})",
+            self.nvar
+        );
+        debug_assert!(
+            i < self.ni,
+            "geom i {i} out of padded range (ni {})",
+            self.ni
+        );
+        debug_assert!(
+            j < self.nj,
+            "geom j {j} out of padded range (nj {})",
+            self.nj
+        );
+        debug_assert!(
+            k < self.nk,
+            "geom k {k} out of padded range (nk {})",
+            self.nk
+        );
         var + self.nvar * self.cell(i, j, k)
     }
 
@@ -361,7 +393,11 @@ impl UnkGeom {
     /// `copy_from_slice`.
     #[inline]
     pub fn row_run(&self, i0: usize, j: usize, k: usize, n: usize) -> std::ops::Range<usize> {
-        debug_assert!(i0 + n <= self.ni, "row {i0}+{n} out of padded range (ni {})", self.ni);
+        debug_assert!(
+            i0 + n <= self.ni,
+            "row {i0}+{n} out of padded range (ni {})",
+            self.ni
+        );
         let first = self.zone(i0, j, k);
         first..first + n * self.nvar
     }
@@ -417,7 +453,11 @@ impl UnkGeom {
         t2: usize,
         lane: &mut [f64],
     ) {
-        debug_assert_eq!(lane.len(), self.pencil_len(dir), "lane sized to the padded pencil");
+        debug_assert_eq!(
+            lane.len(),
+            self.pencil_len(dir),
+            "lane sized to the padded pencil"
+        );
         let (base, stride) = self.pencil_base_stride(var, dir, t1, t2);
         for (p, v) in lane.iter_mut().enumerate() {
             *v = slab[base + p * stride];
@@ -706,7 +746,12 @@ impl UnkCells {
     /// every later one.
     #[allow(clippy::mut_from_ref)]
     #[inline]
-    pub unsafe fn write_slab(&self, blk: usize, writes: Region, reads: Option<Region>) -> &mut [f64] {
+    pub unsafe fn write_slab(
+        &self,
+        blk: usize,
+        writes: Region,
+        reads: Option<Region>,
+    ) -> &mut [f64] {
         self.rec(blk, writes, true);
         if let Some(r) = reads {
             self.rec(blk, r, false);
@@ -732,8 +777,7 @@ impl UnkCells {
         f: impl FnOnce(f64) -> f64,
     ) {
         let ir = geom.nguard..geom.nguard + geom.nxb;
-        let interior =
-            ir.contains(&i) && ir.contains(&j) && (geom.ndim < 3 || ir.contains(&k));
+        let interior = ir.contains(&i) && ir.contains(&j) && (geom.ndim < 3 || ir.contains(&k));
         let region = if interior {
             Region::Interior
         } else {
@@ -813,7 +857,11 @@ mod tests {
                     1 => (t1, p, t2),
                     _ => (t1, t2, p),
                 };
-                let want = if (ng..hi).contains(&p) { 2.0 * orig } else { orig };
+                let want = if (ng..hi).contains(&p) {
+                    2.0 * orig
+                } else {
+                    orig
+                };
                 assert_eq!(u.get(2, i, j, k, 1), want, "dir {dir} p {p}");
             }
             // Restore for the next direction.
@@ -845,7 +893,9 @@ mod tests {
                 let t2s = if ndim == 3 { ng..ng + nb } else { 0..1 };
                 for t2 in t2s {
                     let mut lanes = vec![vec![f64::NAN; n * nb]; vars.len()];
-                    let [l0, l1, l2] = &mut lanes[..] else { unreachable!() };
+                    let [l0, l1, l2] = &mut lanes[..] else {
+                        unreachable!()
+                    };
                     g.gather_slab(u.block_slab(1), vars, dir, t2, 0..n, [l0, l1, l2]);
                     let at = format!("{ndim}-d dir {dir} t2 {t2}");
                     let mut pencil = vec![0.0; n];
@@ -1009,7 +1059,10 @@ mod tests {
     #[test]
     fn addr_is_byte_scaled() {
         let u = mk();
-        assert_eq!(u.addr(0, 3, 4, 0, 0) - u.base_addr(), 8 * u.idx(0, 3, 4, 0, 0));
+        assert_eq!(
+            u.addr(0, 3, 4, 0, 0) - u.base_addr(),
+            8 * u.idx(0, 3, 4, 0, 0)
+        );
     }
 
     #[test]
@@ -1029,7 +1082,12 @@ mod tests {
         let g = u.geom();
         // dir 1 (j) stride: nvar * ni doubles.
         match g.pencil_pattern(0, 1, 3, 2, 1) {
-            rflash_tlbsim::AccessPattern::Strided { stride, count, base, .. } => {
+            rflash_tlbsim::AccessPattern::Strided {
+                stride,
+                count,
+                base,
+                ..
+            } => {
                 assert_eq!(stride, 8 * 5 * 8);
                 assert_eq!(count, 8);
                 assert_eq!(base, u.addr(0, 3, 0, 2, 1));

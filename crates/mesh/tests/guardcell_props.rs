@@ -209,7 +209,11 @@ fn declared_regions(tree: &Tree, need: GuardNeed) -> HashSet<(BlockId, Dir)> {
             })
             .collect();
         let before = set.len();
-        set.extend(sources.into_iter().flat_map(|src| faces.iter().map(move |&d| (src, d))));
+        set.extend(
+            sources
+                .into_iter()
+                .flat_map(|src| faces.iter().map(move |&d| (src, d))),
+        );
         if set.len() == before {
             return set;
         }
@@ -232,7 +236,12 @@ fn live_parents(tree: &Tree, regions: &HashSet<(BlockId, Dir)>) -> HashSet<Block
         if live.insert(pid) {
             let meta = tree.block(pid);
             let children = meta.children.expect("a parent has children");
-            stack.extend(children[..meta.n_children as usize].iter().copied().filter(|&c| is_parent(c)));
+            stack.extend(
+                children[..meta.n_children as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&c| is_parent(c)),
+            );
         }
     }
     live
@@ -286,7 +295,13 @@ fn poison_guards(d: &mut Domain) {
 /// live-parent interior equals the `All` fill's (`all`, same start), every
 /// other guard zone is still poison, every dead parent's interior is still
 /// the start state's.
-fn check_need(d: &mut Domain, initial: &[f64], all: &[f64], need: GuardNeed, nranks: usize) -> Result<(), String> {
+fn check_need(
+    d: &mut Domain,
+    initial: &[f64],
+    all: &[f64],
+    need: GuardNeed,
+    nranks: usize,
+) -> Result<(), String> {
     let declared = declared_regions(&d.tree, need);
     let live = live_parents(&d.tree, &declared);
     let dirs = d.tree.config().neighbor_dirs();
@@ -314,7 +329,9 @@ fn check_need(d: &mut Domain, initial: &[f64], all: &[f64], need: GuardNeed, nra
             let got = region_bits(d, id, dir);
             if declared.contains(&(id, dir)) {
                 if got != want[b][n] {
-                    return Err(format!("{id:?} region {dir:?}: declared, but differs from the All fill"));
+                    return Err(format!(
+                        "{id:?} region {dir:?}: declared, but differs from the All fill"
+                    ));
                 }
             } else if got.iter().any(|&bits| bits != POISON) {
                 return Err(format!("{id:?} region {dir:?}: undeclared, but written"));
@@ -322,9 +339,15 @@ fn check_need(d: &mut Domain, initial: &[f64], all: &[f64], need: GuardNeed, nra
         }
         let got = region_bits(d, id, interior);
         let (want, what) = if live.contains(&id) {
-            (&want[b][dirs.len()], "live parent's interior differs from the All fill")
+            (
+                &want[b][dirs.len()],
+                "live parent's interior differs from the All fill",
+            )
         } else {
-            (&start_interior[b][0], "interior of a leaf or dead parent was written")
+            (
+                &start_interior[b][0],
+                "interior of a leaf or dead parent was written",
+            )
         };
         if &got != want {
             return Err(format!("{id:?}: {what}"));

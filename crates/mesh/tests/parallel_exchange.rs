@@ -126,7 +126,10 @@ fn run_stencil(nranks: usize) -> Domain {
                     let e = slab[geom.slab_idx(vars::DENS, i + 1, j, 0)];
                     let s = slab[geom.slab_idx(vars::DENS, i, j - 1, 0)];
                     let n = slab[geom.slab_idx(vars::DENS, i, j + 1, 0)];
-                    next.push((geom.slab_idx(vars::DENS, i, j, 0), 0.5 * c + 0.125 * (w + e + s + n)));
+                    next.push((
+                        geom.slab_idx(vars::DENS, i, j, 0),
+                        0.5 * c + 0.125 * (w + e + s + n),
+                    ));
                 }
             }
             for (idx, v) in next {

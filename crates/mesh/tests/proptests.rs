@@ -353,7 +353,13 @@ mod three_d {
         // face; the four fine +x-half children of children[0] report 5.0.
         for c1 in 0..nxb {
             for c2 in 0..nxb {
-                reg.save(children[1].idx(), Face { axis: 0, side: 0 }, [c1, c2], 0, 1.0);
+                reg.save(
+                    children[1].idx(),
+                    Face { axis: 0, side: 0 },
+                    [c1, c2],
+                    0,
+                    1.0,
+                );
             }
         }
         for g in [grand[1], grand[3], grand[5], grand[7]] {
@@ -370,7 +376,11 @@ mod three_d {
             .collect();
         assert_eq!(ours.len(), nxb * nxb, "one correction per coarse face cell");
         for c in ours {
-            assert!((c.delta - 4.0).abs() < 1e-13, "mean(5)−1 = 4, got {}", c.delta);
+            assert!(
+                (c.delta - 4.0).abs() < 1e-13,
+                "mean(5)−1 = 4, got {}",
+                c.delta
+            );
         }
     }
 

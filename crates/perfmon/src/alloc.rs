@@ -113,8 +113,7 @@ mod tests {
     #[test]
     fn delta_sees_a_hugetlb_attempt() {
         let before = AllocSummary::capture();
-        let _buf =
-            PageBuffer::<u8>::zeroed(1 << 21, Policy::HugeTlbFs(PageSize::Huge2M)).unwrap();
+        let _buf = PageBuffer::<u8>::zeroed(1 << 21, Policy::HugeTlbFs(PageSize::Huge2M)).unwrap();
         let delta = AllocSummary::since(&before);
         assert!(delta.stats.hugetlb_attempts >= 1);
         // Either the pool granted it or the chain recorded the degradation.

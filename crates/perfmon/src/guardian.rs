@@ -86,7 +86,11 @@ impl GuardianStats {
 impl fmt::Display for GuardianStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "STEP GUARDIAN")?;
-        writeln!(f, "| {:<28} | {:>13} |", "validation scans", self.validations)?;
+        writeln!(
+            f,
+            "| {:<28} | {:>13} |",
+            "validation scans", self.validations
+        )?;
         writeln!(f, "| {:<28} | {:>13} |", "violations", self.violations)?;
         writeln!(f, "| {:<28} | {:>13} |", "bad time steps", self.bad_dts)?;
         writeln!(f, "| {:<28} | {:>13} |", "rollbacks", self.rollbacks)?;
@@ -146,7 +150,10 @@ mod tests {
             attempt: 0,
             detail: "dens < floor".into(),
         });
-        g.record(GuardianEvent::Rollback { step: 3, attempt: 0 });
+        g.record(GuardianEvent::Rollback {
+            step: 3,
+            attempt: 0,
+        });
         g.record(GuardianEvent::Retry {
             step: 3,
             attempt: 1,

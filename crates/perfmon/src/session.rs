@@ -186,7 +186,9 @@ impl PerfSession {
         } else {
             self.total_patterns as f64 / self.sampled_in as f64
         };
-        self.tlb.stats().scaled(factor * self.config.coverage_scale.max(1.0))
+        self.tlb
+            .stats()
+            .scaled(factor * self.config.coverage_scale.max(1.0))
     }
 
     /// Accumulated instrumented-region seconds.
@@ -219,9 +221,10 @@ impl PerfSession {
             total_time_s,
             dtlb_misses: tlb.walks,
             hw_backend: self.hw.is_some(),
-            hw_dtlb_miss_per_s: self.hw.as_ref().and_then(|_| {
-                (time_s > 0.0).then_some(self.hw_dtlb as f64 / time_s)
-            }),
+            hw_dtlb_miss_per_s: self
+                .hw
+                .as_ref()
+                .and_then(|_| (time_s > 0.0).then_some(self.hw_dtlb as f64 / time_s)),
             stall_fraction: if cycles > 0.0 {
                 (stall_cycles / cycles).min(1.0)
             } else {

@@ -458,9 +458,7 @@ pub(crate) mod x86 {
             // SAFETY: see `Avx2Lane::splat`. vcmppd masks are
             // all-ones/all-zeros, so and/andnot/or is an exact bitwise
             // blend.
-            Avx2Lane(unsafe {
-                _mm256_or_pd(_mm256_and_pd(m.0, t.0), _mm256_andnot_pd(m.0, f.0))
-            })
+            Avx2Lane(unsafe { _mm256_or_pd(_mm256_and_pd(m.0, t.0), _mm256_andnot_pd(m.0, f.0)) })
         }
     }
 }
@@ -721,11 +719,7 @@ mod tests {
             7 => x.copysign(y),
             8 => x.neg(),
             9 => L::select(x.lt(y), x.mul(y), x.sub(y)),
-            10 => L::select(
-                x.gt(y).and(x.abs().ge(y.abs()).not().or(x.le(y))),
-                y,
-                x,
-            ),
+            10 => L::select(x.gt(y).and(x.abs().ge(y.abs()).not().or(x.le(y))), y, x),
             _ => unreachable!("test op"),
         }
     }

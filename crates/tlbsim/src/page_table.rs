@@ -86,8 +86,7 @@ impl PageTable {
                 if let FrameSizing::Huge { size } = region.sizing {
                     let page_start = addr & !(size - 1);
                     // The huge frame must lie entirely within the region.
-                    if page_start >= region.base && page_start + size <= region.base + region.len
-                    {
+                    if page_start >= region.base && page_start + size <= region.base + region.len {
                         return PageId {
                             vpn: page_start / size,
                             size,

@@ -31,20 +31,34 @@ fn main() {
         sim.domain.unk.bytes() as f64 / (1 << 20) as f64,
         sim.domain.tree.leaves().len()
     );
-    println!("kernel-verified backing: {}", sim.domain.unk.backing_report());
+    println!(
+        "kernel-verified backing: {}",
+        sim.domain.unk.backing_report()
+    );
 
     sim.evolve(50);
 
-    println!("\nafter 50 steps: t = {:.4e}, {} leaves", sim.time, sim.domain.tree.leaves().len());
+    println!(
+        "\nafter 50 steps: t = {:.4e}, {} leaves",
+        sim.time,
+        sim.domain.tree.leaves().len()
+    );
     println!("\ntimers:\n{}", sim.timers);
     let m = sim.hydro_measures();
     println!("instrumented hydro region:");
     println!("  time                {:>12.4} s", m.time_s);
     println!("  cycles              {:>12.3e}", m.cycles);
     println!("  memory bandwidth    {:>12.3} GB/s", m.mem_gb_per_s);
-    println!("  modeled DTLB misses {:>12} ({:.3e}/s)", m.dtlb_misses, m.dtlb_miss_per_s);
+    println!(
+        "  modeled DTLB misses {:>12} ({:.3e}/s)",
+        m.dtlb_misses, m.dtlb_miss_per_s
+    );
     println!(
         "  backend             {:>12}",
-        if m.hw_backend { "hardware+model" } else { "model" }
+        if m.hw_backend {
+            "hardware+model"
+        } else {
+            "model"
+        }
     );
 }

@@ -19,8 +19,16 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(20);
 
-    println!("host CPUs: {}", std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-    println!("{:>6} {:>10} {:>12} {:>10}", "ranks", "leaves", "time [s]", "speedup");
+    println!(
+        "host CPUs: {}",
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    );
+    println!(
+        "{:>6} {:>10} {:>12} {:>10}",
+        "ranks", "leaves", "time [s]", "speedup"
+    );
 
     let mut spec = registry::load("sedov").expect("built-in scenario");
     spec.mesh.ndim = 2;

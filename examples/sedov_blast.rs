@@ -51,7 +51,10 @@ fn main() {
 
     let analytic = SedovSolution::new(GAMMA, ndim, E0, RHO0, P_AMBIENT);
     let r_shock = analytic.shock_radius(sim.time);
-    println!("analytic shock radius: {r_shock:.4} (xi0 = {:.4})", analytic.xi0());
+    println!(
+        "analytic shock radius: {r_shock:.4} (xi0 = {:.4})",
+        analytic.xi0()
+    );
 
     let center = if three_d { [0.5; 3] } else { [0.5, 0.5, 0.0] };
     let profile = RadialProfile::extract(&sim.domain, center, 0.5, 48);
@@ -62,7 +65,10 @@ fn main() {
         );
     }
 
-    println!("\n{:>8} {:>12} {:>12} {:>12} {:>12}", "r", "dens", "dens_exact", "velr", "velr_exact");
+    println!(
+        "\n{:>8} {:>12} {:>12} {:>12} {:>12}",
+        "r", "dens", "dens_exact", "velr", "velr_exact"
+    );
     for b in (0..profile.r.len()).step_by(3) {
         if profile.count[b] == 0 {
             continue;

@@ -28,12 +28,18 @@ fn main() {
     let mut sim = spec.build(params).expect("sod spec builds");
     sim.evolve(steps);
     let t = sim.time;
-    println!("Sod tube at t = {t:.4} ({steps} steps, {} leaves)", sim.domain.tree.leaves().len());
+    println!(
+        "Sod tube at t = {t:.4} ({steps} steps, {} leaves)",
+        sim.domain.tree.leaves().len()
+    );
 
     let EosSpec::Gamma { gamma } = spec.eos else {
         unreachable!("sod.ron is a gamma-law problem")
     };
-    let Some(IcPrimitive::PlanarDiscontinuity { at, left, right, .. }) = spec.initial.first() else {
+    let Some(IcPrimitive::PlanarDiscontinuity {
+        at, left, right, ..
+    }) = spec.initial.first()
+    else {
         unreachable!("sod.ron opens with its discontinuity")
     };
     let gas = |s: &registry::spec::SideState| GasState {

@@ -51,7 +51,10 @@ fn report(label: &str, addr: usize, secs: f64, acc: f64) {
 }
 
 fn main() {
-    println!("array size: {} MiB; three summation passes each\n", N * 8 / (1 << 20));
+    println!(
+        "array size: {} MiB; three summation passes each\n",
+        N * 8 / (1 << 20)
+    );
 
     // 1. Static allocation (the paper's program that could NOT use THP).
     {

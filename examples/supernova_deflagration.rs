@@ -91,7 +91,10 @@ fn main() {
 
     let profile = RadialProfile::extract(&sim.domain, [0.0; 3], half_width, 32);
     println!("\nfinal radial structure (t = {last_t:.3e} s):");
-    println!("{:>12} {:>12} {:>12} {:>10}", "r [cm]", "dens", "T-proxy pres", "velr");
+    println!(
+        "{:>12} {:>12} {:>12} {:>10}",
+        "r [cm]", "dens", "T-proxy pres", "velr"
+    );
     for b in (0..profile.r.len()).step_by(4) {
         println!(
             "{:>12.3e} {:>12.3e} {:>12.3e} {:>10.3e}",

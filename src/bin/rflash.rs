@@ -223,7 +223,11 @@ fn run_setup(rest: &[String]) -> Result<(), String> {
             let written = sim
                 .evolve_checkpointed(steps, &series)
                 .map_err(|e| format!("step failed: {e:?}"))?;
-            println!("  wrote {} checkpoints under {}", written.len(), dir.display());
+            println!(
+                "  wrote {} checkpoints under {}",
+                written.len(),
+                dir.display()
+            );
         }
         Some(_) => {
             return Err("--checkpoint-dir needs --checkpoint-every N (N >= 1)".into());
@@ -271,7 +275,10 @@ fn helm_rows(sim: &Simulation) -> Option<(RowsBuilt, usize)> {
 /// set-up, lookups in the step loop, or the background thread.
 fn table_line(setup: RowsBuilt, exit: RowsBuilt, n_temp: usize) -> String {
     if exit.loaded > 0 {
-        return format!("table: {} of {n_temp} rows loaded from the cache", exit.loaded);
+        return format!(
+            "table: {} of {n_temp} rows loaded from the cache",
+            exit.loaded
+        );
     }
     format!(
         "table: {} of {n_temp} rows at set-up, {} on demand in the loop, {} by the background thread",

@@ -213,8 +213,7 @@ fn header_declaring_phantom_slabs_is_payload_beyond_eof() {
 /// remains.
 fn with_doctored_header(doctor: impl Fn(&mut Vec<(String, serde_json::Value)>)) -> Vec<u8> {
     let (bytes, header_len) = golden();
-    let mut header: serde_json::Value =
-        serde_json::from_slice(&bytes[8..8 + header_len]).unwrap();
+    let mut header: serde_json::Value = serde_json::from_slice(&bytes[8..8 + header_len]).unwrap();
     let serde_json::Value::Object(ref mut fields) = header else {
         panic!("header must be a JSON object");
     };
@@ -421,6 +420,10 @@ fn concurrent_writers_of_one_path_each_publish_a_whole_file() {
         .unwrap()
         .map(|e| e.unwrap().file_name())
         .collect();
-    assert_eq!(left, vec![std::ffi::OsString::from("shared.ckpt")], "temp files left behind");
+    assert_eq!(
+        left,
+        vec![std::ffi::OsString::from("shared.ckpt")],
+        "temp files left behind"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -33,7 +33,11 @@ fn tmp_orphan(path: &std::path::Path) -> PathBuf {
             name.starts_with(&stem) && name.ends_with(".tmp")
         })
         .collect();
-    assert_eq!(found.len(), 1, "expected exactly one temp orphan of {path:?}: {found:?}");
+    assert_eq!(
+        found.len(),
+        1,
+        "expected exactly one temp orphan of {path:?}: {found:?}"
+    );
     found.remove(0)
 }
 
@@ -110,8 +114,8 @@ fn round_trip_is_bit_exact_across_generated_cases() {
         let path = scratch(&format!("prop-{case}"));
         write_checkpoint(&path, &domain, &params, time, step, 0.0)
             .unwrap_or_else(|e| panic!("case {case}: write failed: {e}"));
-        let restored = read_checkpoint(&path)
-            .unwrap_or_else(|e| panic!("case {case}: restore failed: {e}"));
+        let restored =
+            read_checkpoint(&path).unwrap_or_else(|e| panic!("case {case}: restore failed: {e}"));
         assert_eq!(restored.time, time);
         assert_eq!(restored.step, step);
         let leaves = domain.tree.leaves();

@@ -129,9 +129,16 @@ fn header_names_the_step_path_the_rank_count_picks() {
             .output()
             .expect("rflash binary runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         let header = stdout.lines().next().unwrap_or_default();
-        assert!(header.contains(path), "--nranks {nranks}: `{path}` not in `{header}`");
+        assert!(
+            header.contains(path),
+            "--nranks {nranks}: `{path}` not in `{header}`"
+        );
         assert!(stdout.contains(&want), "--nranks {nranks}:\n{stdout}");
     }
 }
@@ -149,7 +156,11 @@ fn bad_policy_value_is_a_cli_error_naming_the_variable() {
 fn setup_line_splits_the_build_by_stage() {
     let out = run_setup(Some("none"));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let line = stdout
         .lines()
         .map(str::trim_start)
@@ -171,7 +182,10 @@ fn setup_line_splits_the_build_by_stage() {
     // millisecond, so their sum may round past the build by 2 ms.
     assert!(stages[1] > 0.0, "{line}");
     let sum: f64 = stages.iter().sum();
-    assert!(sum <= build + 0.002, "stages sum to {sum} s of a {build} s build: {line}");
+    assert!(
+        sum <= build + 0.002,
+        "stages sum to {sum} s of a {build} s build: {line}"
+    );
 }
 
 #[test]
@@ -188,7 +202,11 @@ fn table_line_counts_who_computed_the_helmholtz_rows() {
         .expect("rflash binary runs");
     std::fs::remove_dir_all(&tmp).unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let line = stdout
         .lines()
         .map(str::trim_start)

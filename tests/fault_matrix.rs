@@ -69,7 +69,13 @@ fn hugetlb_denial_leaves_every_policy_usable_with_a_trail() {
 #[test]
 fn transient_exhaustion_is_retried_with_the_retries_on_record() {
     let _g = FaultPlan::new(2)
-        .with(FaultSite::HugeTlbMmap, FaultKind::FirstN { n: 2, errno: EAGAIN })
+        .with(
+            FaultSite::HugeTlbMmap,
+            FaultKind::FirstN {
+                n: 2,
+                errno: EAGAIN,
+            },
+        )
         .activate();
     let report = alloc_and_exercise(Policy::HugeTlbFs(PageSize::Huge2M));
     // Two injected transient failures burn two retries; the third attempt
@@ -91,7 +97,13 @@ fn denied_thp_advice_degrades_to_base_pages_not_to_failure() {
     // Fail only the first madvise (the MADV_HUGEPAGE request); the
     // follow-on base-stage advice stays live.
     let _g = FaultPlan::new(3)
-        .with(FaultSite::Madvise, FaultKind::Nth { n: 1, errno: EINVAL })
+        .with(
+            FaultSite::Madvise,
+            FaultKind::Nth {
+                n: 1,
+                errno: EINVAL,
+            },
+        )
         .activate();
     let report = alloc_and_exercise(Policy::Thp);
     let step = report

@@ -41,7 +41,10 @@ fn assert_matrix_matches_golden(name: &str) {
         )
     });
     assert_eq!(golden.scenario, name);
-    assert_eq!(golden.steps, spec.smoke.steps, "golden is stale: steps drifted");
+    assert_eq!(
+        golden.steps, spec.smoke.steps,
+        "golden is stale: steps drifted"
+    );
 
     let mut reference: Option<StateDigest> = None;
     for nranks in [1usize, 4] {
@@ -112,10 +115,7 @@ fn assert_backend_axis_matches_golden(name: &str) {
     let spec = registry::load(name).expect("registered scenario");
     let golden = load_golden(&golden_dir(), name).expect("committed golden record");
     let smoke = spec.at_smoke_scale();
-    for backend in [
-        rflash::simd::Backend::Scalar,
-        rflash::simd::Backend::Native,
-    ] {
+    for backend in [rflash::simd::Backend::Scalar, rflash::simd::Backend::Native] {
         let mut params =
             registry::smoke_params(&smoke, 1, SweepEngine::Pencil, StepScheduler::TaskGraph);
         params.simd_backend = backend;
@@ -168,12 +168,8 @@ fn assert_spec_recovery_resumes_to_golden(name: &str) {
     let series = CheckpointSeries::new(&dir, "chk");
 
     // Run half way, checkpointing every step, then "crash".
-    let mut params = registry::smoke_params(
-        &smoke,
-        1,
-        SweepEngine::Pencil,
-        StepScheduler::TaskGraph,
-    );
+    let mut params =
+        registry::smoke_params(&smoke, 1, SweepEngine::Pencil, StepScheduler::TaskGraph);
     params.checkpoint_every = 1;
     let mut first = smoke.build(params).unwrap();
     let written = first.evolve_checkpointed(mid, &series).unwrap();

@@ -33,10 +33,7 @@ fn table1_and_table2_smoke_produce_coherent_reports() {
     }
 
     // Figure 1 text renders with both experiments.
-    let fig = figure1_text(
-        &eos.ratio_report().unwrap(),
-        &hydro.ratio_report().unwrap(),
-    );
+    let fig = figure1_text(&eos.ratio_report().unwrap(), &hydro.ratio_report().unwrap());
     assert!(fig.contains("DTLB"));
     assert!(fig.contains("EOS"));
 }

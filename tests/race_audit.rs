@@ -61,8 +61,12 @@ fn sedov(nranks: usize, adversary_seed: Option<u64>) -> Simulation {
     let mut spec = registry::load("sedov").unwrap();
     spec.mesh.ndim = 2;
     spec.mesh.max_blocks = 256;
-    let mut params =
-        registry::smoke_params(&spec, nranks, SweepEngine::default(), StepScheduler::TaskGraph);
+    let mut params = registry::smoke_params(
+        &spec,
+        nranks,
+        SweepEngine::default(),
+        StepScheduler::TaskGraph,
+    );
     params.adversary_seed = adversary_seed;
     spec.build(params).unwrap()
 }

@@ -205,7 +205,10 @@ fn sedov_initial_refinement_reaches_max_refine() {
 /// Every active block as (slot, key), slot-ascending.
 fn slots(sim: &Simulation) -> Vec<(u32, rflash::mesh::MortonKey)> {
     let tree = &sim.domain.tree;
-    tree.active_ids().into_iter().map(|id| (id.0, tree.block(id).key)).collect()
+    tree.active_ids()
+        .into_iter()
+        .map(|id| (id.0, tree.block(id).key))
+        .collect()
 }
 
 #[test]

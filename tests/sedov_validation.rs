@@ -88,10 +88,7 @@ fn amr_follows_the_shock_front() {
             continue;
         }
         let (lo, hi) = sim.domain.tree.bounds(id);
-        let c = [
-            0.5 * (lo[0] + hi[0]) - 0.5,
-            0.5 * (lo[1] + hi[1]) - 0.5,
-        ];
+        let c = [0.5 * (lo[0] + hi[0]) - 0.5, 0.5 * (lo[1] + hi[1]) - 0.5];
         let r = (c[0] * c[0] + c[1] * c[1]).sqrt();
         if (r - r_shock).abs() < 0.15 {
             fine_near += 1;

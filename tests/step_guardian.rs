@@ -99,7 +99,10 @@ fn bad_dt_is_a_typed_error_even_without_the_guardian() {
 fn transient_flux_corruption_recovers_bit_exactly_and_deterministically() {
     let run = || {
         let _g = FaultPlan::new(0)
-            .with(FaultSite::FluxCorrupt, FaultKind::FirstN { n: 1, errno: 22 })
+            .with(
+                FaultSite::FluxCorrupt,
+                FaultKind::FirstN { n: 1, errno: 22 },
+            )
             .activate();
         let mut sim = sedov_sim(2, 0);
         for n in 0..5 {
@@ -292,7 +295,10 @@ fn resume_after_guardian_abort_matches_the_in_place_recovery() {
     let spec = sedov_spec();
     let (mut resumed, skipped) = Simulation::recover(&series, &spec).unwrap();
     assert!(skipped.is_empty());
-    assert_eq!(resumed.step, 3, "recovery starts at the emergency checkpoint");
+    assert_eq!(
+        resumed.step, 3,
+        "recovery starts at the emergency checkpoint"
+    );
     for _ in 0..3 {
         resumed.try_step().expect("resume is fault-free");
     }
