@@ -31,6 +31,9 @@
 //!    `#[target_feature]` wrappers stay inside `crates/simd`; kernel code
 //!    vectorizes through the portable `Lane` abstraction, keeping the
 //!    bit-identity contract and the unsafe surface in one reviewed place.
+//! 8. **no caller** (`no_caller`) — a workspace rule: a `pub` item whose
+//!    name appears nowhere but at its definition and in its own file's
+//!    tests is API nothing takes; delete it or document why it stays.
 //!
 //! Per-site escape hatch: an `analyze::allow` comment — the rule id in
 //! parentheses, then a colon and a mandatory reason — on or directly above
@@ -47,6 +50,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use inventory::Inventory;
+use rules::check_files;
 pub use rules::{check_source, Violation};
 use source::SourceFile;
 
@@ -57,6 +61,11 @@ pub const INVENTORY_FILE: &str = "unsafe_inventory.json";
 /// sources. `vendor/` is deliberately absent: vendored stubs are not ours
 /// to lint.
 const SCAN_ROOTS: &[&str] = &["src", "tests", "examples", "benches", "crates"];
+
+/// Directories searched for callers by the `no_caller` rule but not checked:
+/// the benchmark harness is a package of its own that calls the product's
+/// public API, and the analyzer has no say over its code.
+const CALLER_ONLY_ROOTS: &[&str] = &["benchmark/src"];
 
 /// Subtrees skipped during the walk: analyzer fixtures contain deliberate
 /// violations, and build output is not source.
@@ -82,8 +91,12 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// All first-party `.rs` files under `root`, as (absolute, workspace-relative)
 /// pairs, sorted by relative path for deterministic reports.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
+    files_under(root, SCAN_ROOTS)
+}
+
+fn files_under(root: &Path, tops: &[&str]) -> io::Result<Vec<(PathBuf, String)>> {
     let mut files = Vec::new();
-    for top in SCAN_ROOTS {
+    for top in tops {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, root, &mut files)?;
@@ -123,13 +136,18 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<(PathBuf, String)>) -> io::Result
 
 /// Run every rule over the workspace. Violations sort by (file, line).
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut violations = Vec::new();
-    for (path, rel) in workspace_files(root)? {
-        let src = fs::read_to_string(&path)?;
-        violations.extend(check_source(&rel, &src));
-    }
+    let files = parse_files(workspace_files(root)?)?;
+    let readers = parse_files(files_under(root, CALLER_ONLY_ROOTS)?)?;
+    let mut violations = check_files(&files, &readers);
     violations.sort_by(|a, b| (&a.rel, a.line, a.rule).cmp(&(&b.rel, b.line, b.rule)));
     Ok(violations)
+}
+
+fn parse_files(paths: Vec<(PathBuf, String)>) -> io::Result<Vec<SourceFile>> {
+    paths
+        .into_iter()
+        .map(|(path, rel)| Ok(SourceFile::parse(&rel, &fs::read_to_string(&path)?)))
+        .collect()
 }
 
 /// Build the unsafe inventory for the workspace.
@@ -193,5 +211,38 @@ mod tests {
         assert!(files
             .iter()
             .any(|(_, rel)| rel == "crates/analyze/src/lib.rs"));
+    }
+
+    /// `no_caller` findings on a throwaway workspace where
+    /// `crates/a/src/lib.rs` defines `pub fn probe` and `other` is one more file.
+    fn no_caller_beside(tag: &str, other: (&str, &str)) -> usize {
+        let root = std::env::temp_dir().join(format!("rflash-nc-{tag}-{}", std::process::id()));
+        let def = ("crates/a/src/lib.rs", "pub fn probe() {}\n");
+        for (rel, src) in [("Cargo.toml", "[workspace]\n"), def, other] {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
+            fs::write(&path, src).expect("write");
+        }
+        let found = check_workspace(&root).expect("walk");
+        fs::remove_dir_all(&root).expect("cleanup");
+        found.iter().filter(|v| v.rule == "no_caller").count()
+    }
+
+    #[test]
+    fn no_caller_counts_another_crates_tests() {
+        let test = ("crates/b/tests/t.rs", "#[test]\nfn t() { a::probe(); }\n");
+        assert_eq!(no_caller_beside("tests", test), 0);
+    }
+
+    #[test]
+    fn no_caller_counts_the_benchmark_harness() {
+        let bench = ("benchmark/src/main.rs", "fn main() { a::probe(); }\n");
+        assert_eq!(no_caller_beside("bench", bench), 0);
+    }
+
+    #[test]
+    fn no_caller_ignores_doc_comment_mentions_elsewhere() {
+        let doc = ("crates/b/src/lib.rs", "/// See [`a::probe`].\nfn f() {}\n");
+        assert_eq!(no_caller_beside("doc", doc), 1);
     }
 }

@@ -9,6 +9,7 @@
 //! | `pencil_confinement`| no per-cell unk accessors in pencil/batched-EOS modules |
 //! | `graph_confinement`| no raw slab/slot accessors in step-graph task bodies  |
 //! | `simd_confinement` | arch intrinsics / `#[target_feature]` only in `crates/simd` |
+//! | `no_caller`        | every `pub` item is named outside its own file's tests |
 //! | `allow_syntax`     | malformed escape-hatch annotations                    |
 //! | `unused_allow`     | escape hatches that suppress nothing                  |
 //!
@@ -18,6 +19,9 @@
 //! site. The reason is mandatory — an allow is a reviewed, documented
 //! decision, not an off switch.
 
+use std::collections::HashMap;
+
+use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// Rules that may be named in an allow annotation.
@@ -29,6 +33,7 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     "pencil_confinement",
     "graph_confinement",
     "simd_confinement",
+    "no_caller",
 ];
 
 /// Page-level syscall identifiers confined to `crates/hugepages` (rule 2).
@@ -106,6 +111,12 @@ const GRAPH_FORBIDDEN: &[&str] = &["get", "set", "addr", "slab_idx", "slab", "sl
 /// and reopens an unsafe surface the simd crate exists to confine.
 const SIMD_CONFINED_PREFIX: &str = "crates/simd/";
 
+/// Item kinds whose `pub` definitions the `no_caller` rule tracks, and the
+/// words that may sit between `pub` and the item's name (`pub(crate) const
+/// unsafe fn`, `pub static mut`).
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "const", "static", "type", "trait"];
+const ITEM_QUALIFIERS: &[&str] = &["crate", "super", "unsafe", "async", "extern", "mut"];
+
 /// One finding. `line` is 1-based.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
@@ -172,10 +183,26 @@ struct Allow {
 }
 
 /// Analyze one file. `rel` must be the workspace-relative path with `/`
-/// separators — the confinement and hot-path rules key off it.
+/// separators — the confinement and hot-path rules key off it. For
+/// `no_caller` the file is its own workspace.
 pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
-    let sf = SourceFile::parse(rel, src);
-    let allows = collect_allows(&sf);
+    check_files(&[SourceFile::parse(rel, src)], &[])
+}
+
+/// Analyze `files` as one workspace; `readers` are only searched for callers.
+pub(crate) fn check_files(files: &[SourceFile], readers: &[SourceFile]) -> Vec<Violation> {
+    let uncalled = rule_no_caller(files, readers);
+    files
+        .iter()
+        .flat_map(|sf| check_file(sf, &uncalled))
+        .collect()
+}
+
+/// The per-file rules plus `sf`'s share of the workspace findings
+/// `uncalled`, under `sf`'s allow annotations.
+fn check_file(sf: &SourceFile, uncalled: &[Violation]) -> Vec<Violation> {
+    let rel = sf.rel.as_str();
+    let allows = collect_allows(sf);
     let mut violations = Vec::new();
 
     // Malformed annotations are themselves violations (rule allow_syntax);
@@ -208,12 +235,13 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
     }
 
     let mut candidate = Vec::new();
-    rule_unsafe_audit(&sf, &mut candidate);
-    rule_alloc_confinement(&sf, &mut candidate);
-    rule_panic_freedom(&sf, &mut candidate);
-    rule_pencil_confinement(&sf, &mut candidate);
-    rule_graph_confinement(&sf, &mut candidate);
-    rule_simd_confinement(&sf, &mut candidate);
+    candidate.extend(uncalled.iter().filter(|v| v.rel == sf.rel).cloned());
+    rule_unsafe_audit(sf, &mut candidate);
+    rule_alloc_confinement(sf, &mut candidate);
+    rule_panic_freedom(sf, &mut candidate);
+    rule_pencil_confinement(sf, &mut candidate);
+    rule_graph_confinement(sf, &mut candidate);
+    rule_simd_confinement(sf, &mut candidate);
 
     for v in candidate {
         if let Some(a) = allows.iter().find(|a| {
@@ -599,6 +627,71 @@ fn rule_simd_confinement(sf: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+/// The `pub` items of `sf` outside test regions, as (name, keyword, line).
+/// `macro_rules!` bodies (`pub fn $name`) and `_` consts name nothing.
+fn pub_items(sf: &SourceFile) -> Vec<(&str, &'static str, usize)> {
+    let mut items = Vec::new();
+    for (i, tok) in sf.tokens.iter().enumerate() {
+        if !tok.is_ident("pub") || sf.is_attr[i] || sf.in_test[i] {
+            continue;
+        }
+        let mut keyword = None;
+        for t in &sf.tokens[i + 1..] {
+            match &t.kind {
+                TokenKind::Ident(w) if ITEM_QUALIFIERS.contains(&w.as_str()) => {}
+                TokenKind::Ident(w) => match ITEM_KEYWORDS.iter().find(|k| *k == w) {
+                    Some(k) => keyword = Some(*k),
+                    None => {
+                        if let Some(k) = keyword.filter(|_| w != "_") {
+                            items.push((w.as_str(), k, t.line));
+                        }
+                        break;
+                    }
+                },
+                TokenKind::Comment(_) | TokenKind::StrLit | TokenKind::Punct('(' | ')') => {}
+                _ => break,
+            }
+        }
+    }
+    items
+}
+
+/// Rule `no_caller`: a `pub` item of `files` whose name appears as an
+/// identifier nowhere but at its own definition and in its own file's test
+/// regions. Comments and strings are not identifiers. The match is by name,
+/// not resolved: any other token of the same name counts as a caller.
+fn rule_no_caller(files: &[SourceFile], readers: &[SourceFile]) -> Vec<Violation> {
+    let items: Vec<_> = files.iter().map(pub_items).collect();
+    // Every identifier token of a defined name, as (file index, in a test region).
+    let mut uses: HashMap<&str, Vec<(usize, bool)>> = HashMap::new();
+    for &(name, ..) in items.iter().flatten() {
+        uses.insert(name, Vec::new());
+    }
+    for (f, sf) in files.iter().chain(readers).enumerate() {
+        for (t, &test) in sf.tokens.iter().zip(&sf.in_test) {
+            if let Some(u) = t.ident().and_then(|w| uses.get_mut(w)) {
+                u.push((f, test));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for (f, (sf, items)) in files.iter().zip(&items).enumerate() {
+        for &(name, keyword, line) in items {
+            // Uses outside this file's tests; the definition itself is one.
+            let outside = uses[name].iter().filter(|&&(g, test)| !(g == f && test));
+            if outside.count() == 1 {
+                out.push(Violation {
+                    rel: sf.rel.clone(),
+                    line,
+                    rule: "no_caller",
+                    msg: format!("`pub {keyword} {name}` has no caller outside this file's tests"),
+                });
+            }
+        }
+    }
+    out
+}
+
 fn collect_allows(sf: &SourceFile) -> Vec<Allow> {
     const NEEDLE: &str = "analyze::allow(";
     let mut allows = Vec::new();
@@ -677,7 +770,7 @@ mod tests {
     fn unsafe_fn_doc_safety_section_passes() {
         let v = check(
             "crates/mesh/src/x.rs",
-            "/// Does things.\n///\n/// # Safety\n/// Caller must own `p`.\npub unsafe fn f(p: *mut u8) {}\n",
+            "/// Does things.\n///\n/// # Safety\n/// Caller must own `p`.\nunsafe fn f(p: *mut u8) {}\n",
         );
         assert!(v.is_empty(), "{v:?}");
     }
@@ -912,5 +1005,17 @@ mod tests {
             "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n",
         );
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn no_caller_finds_every_item_kind_behind_qualifiers() {
+        let src = "pub const fn a() {}\npub unsafe extern \"C\" fn b() {}\npub static mut C: u8 = 0;\n\
+                   pub(crate) type D = u8;\npub unsafe trait E {}\npub enum F {}\npub const G: u8 = 0;\n\
+                   pub const _: () = ();\npub mod h {}\npub use std::fmt;\npub struct S { pub field: u8 }\n\
+                   #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let mut v = check("crates/tlbsim/src/x.rs", src);
+        v.retain(|v| v.rule == "no_caller");
+        let lines: Vec<_> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [1, 2, 3, 4, 5, 6, 7, 11], "{v:?}");
     }
 }

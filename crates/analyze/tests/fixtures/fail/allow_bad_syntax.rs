@@ -3,7 +3,7 @@
 // Expected: allow_syntax (unknown rule; missing reason), plus the panic
 // violation the reasonless allow fails to suppress.
 
-pub fn f(x: Option<u8>) -> u8 {
+fn f(x: Option<u8>) -> u8 {
     // analyze::allow(everything): not a known rule id.
     // analyze::allow(panic)
     x.unwrap()

@@ -2,6 +2,6 @@
 // Expected: unused_allow.
 
 // analyze::allow(panic): left behind after the unwrap was refactored away.
-pub fn f(x: Option<u8>) -> u8 {
+fn f(x: Option<u8>) -> u8 {
     x.unwrap_or(0)
 }

@@ -4,7 +4,7 @@
 // inside it defeats the typed-StepError contract.
 // Expected: panic (three sites: unwrap, expect, panic!).
 
-pub fn rollback(snapshot: Option<&[f64]>, state: &mut [f64]) {
+fn rollback(snapshot: Option<&[f64]>, state: &mut [f64]) {
     let shadow = snapshot.unwrap();
     if shadow.len() != state.len() {
         panic!("snapshot shape drifted");
@@ -12,6 +12,6 @@ pub fn rollback(snapshot: Option<&[f64]>, state: &mut [f64]) {
     state.copy_from_slice(shadow);
 }
 
-pub fn halve_dt(dt: Option<f64>) -> f64 {
+fn halve_dt(dt: Option<f64>) -> f64 {
     dt.expect("a dt was computed") * 0.5
 }

@@ -2,7 +2,7 @@
 // Fixture: unfinished-code macros in a hot-path crate.
 // Expected: panic (todo! and unimplemented!).
 
-pub fn call(mode: u8) -> f64 {
+fn call(mode: u8) -> f64 {
     match mode {
         0 => 1.0,
         1 => todo!(),

@@ -2,7 +2,7 @@
 // Fixture: panic-capable calls in a hot-path crate, outside test code.
 // Expected: panic (three sites: unwrap, expect, panic!).
 
-pub fn riemann(left: Option<f64>, right: Option<f64>) -> f64 {
+fn riemann(left: Option<f64>, right: Option<f64>) -> f64 {
     let l = left.unwrap();
     let r = right.expect("right state");
     if l < 0.0 {

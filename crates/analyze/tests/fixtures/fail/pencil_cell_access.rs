@@ -4,7 +4,7 @@
 // `get`/`set`/`addr`/`slab_idx` reintroduces the per-cell index arithmetic.
 // Expected: pencil_confinement (four sites).
 
-pub fn leak_per_cell(u: &mut Unk, v: usize, i: usize, j: usize, k: usize, b: usize) -> f64 {
+fn leak_per_cell(u: &mut Unk, v: usize, i: usize, j: usize, k: usize, b: usize) -> f64 {
     let x = u.get(v, i, j, k, b);
     u.set(v, i, j, k, b, x * 2.0);
     let base = u.geom().addr(v, i, j, k, b);

@@ -14,6 +14,6 @@ use core::arch::x86_64::{__m256d, _mm256_add_pd};
 /// # Safety
 /// Caller must have verified AVX2 support.
 #[target_feature(enable = "avx2")]
-pub unsafe fn leak_avx2(a: __m256d, b: __m256d) -> __m256d {
+unsafe fn leak_avx2(a: __m256d, b: __m256d) -> __m256d {
     _mm256_add_pd(a, b)
 }

@@ -6,7 +6,7 @@
 // access the declared-vs-actual audit cannot see.
 // Expected: graph_confinement (three sites).
 
-pub fn leak_raw_access(cells: &UnkCells, stage: &Slots, blk: usize) -> f64 {
+fn leak_raw_access(cells: &UnkCells, stage: &Slots, blk: usize) -> f64 {
     // SAFETY: fixture stand-in; the real contract lives in the graph edges.
     let src = unsafe { cells.slab(blk) };
     // SAFETY: as above.

@@ -3,7 +3,7 @@
 // placements (line above, same line).
 // Expected: clean.
 
-pub fn dispatch(dir: usize, x: Option<f64>) -> f64 {
+fn dispatch(dir: usize, x: Option<f64>) -> f64 {
     let v = match dir {
         0 | 1 | 2 => 1.0,
         // analyze::allow(panic): dir is bounded by the three-sweep driver.

@@ -10,7 +10,7 @@ pub struct Violation {
 }
 
 /// First unphysical zone, or `None` when the state is clean.
-pub fn first_violation(dens: &[f64], floor: f64) -> Option<Violation> {
+fn first_violation(dens: &[f64], floor: f64) -> Option<Violation> {
     for (block, &x) in dens.iter().enumerate() {
         if !x.is_finite() {
             return Some(Violation {
@@ -30,7 +30,7 @@ pub fn first_violation(dens: &[f64], floor: f64) -> Option<Violation> {
 
 /// Roll back refuses — with a value, not an abort — when the snapshot is
 /// stale.
-pub fn restore(epoch: u64, captured: Option<u64>) -> bool {
+fn restore(epoch: u64, captured: Option<u64>) -> bool {
     match captured {
         Some(e) if e == epoch => true,
         _ => false,

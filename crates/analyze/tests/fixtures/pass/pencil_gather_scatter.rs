@@ -5,7 +5,7 @@
 // settle, getter-free `at`) must not trip the token matcher.
 // Expected: clean.
 
-pub fn advance_slab(geom: &UnkGeom, slab: &mut [f64], dens: &mut [f64], lo: usize, hi: usize) {
+fn advance_slab(geom: &UnkGeom, slab: &mut [f64], dens: &mut [f64], lo: usize, hi: usize) {
     let n = geom.pencil_len(0);
     geom.gather_slab(slab, [0], 0, 0, 0..n, [&mut *dens]);
     for x in dens[lo * geom.nxb..hi * geom.nxb].iter_mut() {
@@ -14,7 +14,7 @@ pub fn advance_slab(geom: &UnkGeom, slab: &mut [f64], dens: &mut [f64], lo: usiz
     geom.scatter_slab(slab, [0], 0, 0, lo..hi, [&*dens]);
 }
 
-pub fn table_span(t: &Table) -> usize {
+fn table_span(t: &Table) -> usize {
     // base_addr contains "addr" as a substring but is its own identifier.
     t.base_addr() + t.bytes()
 }

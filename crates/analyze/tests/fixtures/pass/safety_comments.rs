@@ -15,7 +15,7 @@ fn trailing(p: *const u64) -> u64 {
 ///
 /// # Safety
 /// `p` must point to a live, aligned `u64`.
-pub unsafe fn read_raw(p: *const u64) -> u64 {
+unsafe fn read_raw(p: *const u64) -> u64 {
     // SAFETY: forwarded verbatim from this fn's own contract.
     unsafe { *p }
 }

@@ -10,13 +10,13 @@
 
 /// Build-time report of what the compile target already guarantees.
 #[cfg(target_feature = "sse2")]
-pub const BASELINE_SSE2: bool = true;
+const BASELINE_SSE2: bool = true;
 
-pub fn wave_speed<L: Lane>(dens: L, pres: L, gamc: L) -> L {
+fn wave_speed<L: Lane>(dens: L, pres: L, gamc: L) -> L {
     gamc.mul(pres).div(dens).sqrt()
 }
 
-pub fn sum_lanes<L: Lane>(a: &[f64], b: &[f64], out: &mut [f64]) {
+fn sum_lanes<L: Lane>(a: &[f64], b: &[f64], out: &mut [f64]) {
     let mut i = 0;
     while i + L::W <= out.len() {
         L::load(&a[i..]).add(L::load(&b[i..])).store(&mut out[i..]);

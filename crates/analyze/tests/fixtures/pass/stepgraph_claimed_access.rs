@@ -4,7 +4,7 @@
 // to be named `slab` (an identifier, not a call) and prose mentioning the
 // raw names. Expected: clean.
 
-pub fn claimed_access(cells: &UnkCells, stage: &Slots, blk: usize) -> f64 {
+fn claimed_access(cells: &UnkCells, stage: &Slots, blk: usize) -> f64 {
     // the old body called cells.slab(blk) and stage.get(blk) directly
     // SAFETY: shared interior access per the declared graph edges.
     let slab = unsafe { cells.read_slab(blk, Region::Interior) };

@@ -3,7 +3,7 @@
 // inside hot-path crates — tests are supposed to assert loudly.
 // Expected: clean.
 
-pub fn invert(x: f64) -> Result<f64, &'static str> {
+fn invert(x: f64) -> Result<f64, &'static str> {
     if x == 0.0 {
         return Err("zero");
     }

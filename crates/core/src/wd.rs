@@ -46,11 +46,6 @@ impl WdProfile {
     pub fn rho_at(&self, r: f64) -> f64 {
         interp(&self.r, &self.rho, r)
     }
-
-    /// Linear interpolation of pressure at radius r.
-    pub fn pres_at(&self, r: f64) -> f64 {
-        interp(&self.r, &self.pres, r)
-    }
 }
 
 fn interp(xs: &[f64], ys: &[f64], x: f64) -> f64 {

@@ -86,35 +86,12 @@ pub struct BatchReport {
     /// Lanes that stopped without a clean exit (at the edge clamp past
     /// their goal, on a collapsed bracket, or out of iterations) and were
     /// accepted on the residual-plateau criterion — counted separately so
-    /// `occupancy` stays an honest clean-convergence figure.
+    /// `vector_lanes` stays an honest clean-convergence figure.
     pub plateau_lanes: u64,
     /// Active-lane count entering each Newton iteration (masked
     /// re-iteration occupancy decay). All zeros for non-iterating EOS
     /// implementations.
     pub iter_hist: [u64; NEWTON_HIST_BINS],
-}
-
-impl BatchReport {
-    /// Fraction of lanes the vector path converged cleanly (the
-    /// paper-report "batch occupancy"); 0 for an empty batch. Plateau
-    /// acceptances are excluded.
-    pub fn occupancy(&self) -> f64 {
-        if self.lanes == 0 {
-            0.0
-        } else {
-            self.vector_lanes as f64 / self.lanes as f64
-        }
-    }
-
-    /// Merge another report into this one.
-    pub fn merge(&mut self, other: BatchReport) {
-        self.lanes += other.lanes;
-        self.vector_lanes += other.vector_lanes;
-        self.plateau_lanes += other.plateau_lanes;
-        for (bin, count) in other.iter_hist.iter().enumerate() {
-            self.iter_hist[bin] += count;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -167,32 +144,6 @@ mod tests {
         let eos = GammaLaw::new(1.4);
         let (_, _, report) = run_batch(&eos, EosMode::DensEi, 0);
         assert_eq!(report.lanes, 0);
-        assert_eq!(report.occupancy(), 0.0);
-    }
-
-    #[test]
-    fn occupancy_and_merge() {
-        let mut a = BatchReport {
-            lanes: 8,
-            vector_lanes: 6,
-            plateau_lanes: 1,
-            ..Default::default()
-        };
-        a.iter_hist[0] = 8;
-        a.iter_hist[3] = 2;
-        assert!((a.occupancy() - 0.75).abs() < 1e-15);
-        let mut b = BatchReport {
-            lanes: 2,
-            vector_lanes: 2,
-            ..Default::default()
-        };
-        b.iter_hist[0] = 2;
-        a.merge(b);
-        assert_eq!(a.lanes, 10);
-        assert_eq!(a.vector_lanes, 8);
-        assert_eq!(a.plateau_lanes, 1);
-        assert_eq!(a.iter_hist[0], 10);
-        assert_eq!(a.iter_hist[3], 2);
     }
 
     #[test]

@@ -54,15 +54,11 @@ fn species_e(set: &FdSet, beta: f64) -> f64 {
 }
 
 /// Solve charge neutrality for η given the net electron density
-/// `n_net = ρ Nₐ Yₑ` (cm⁻³) and temperature (K).
+/// `n_net = ρ Nₐ Yₑ` (cm⁻³) and temperature (K), from an optional warm-start
+/// guess — table builds sweep density monotonically and reuse the previous
+/// η to cut Newton iterations.
 ///
 /// Newton iteration with a bisection safeguard; n(η) is strictly monotone.
-pub fn solve_eta(n_net: f64, temp: f64) -> Result<f64, EosError> {
-    solve_eta_with_guess(n_net, temp, None)
-}
-
-/// [`solve_eta`] with a warm-start guess — table builds sweep density
-/// monotonically and reuse the previous η to cut Newton iterations.
 pub fn solve_eta_with_guess(n_net: f64, temp: f64, guess: Option<f64>) -> Result<f64, EosError> {
     if !(n_net.is_finite() && n_net > 0.0) {
         return Err(EosError::BadInput {
@@ -211,7 +207,7 @@ mod tests {
         for rho_ye in [1e-2, 1.0, 1e3, 1e6, 1e9] {
             for temp in [1e5, 1e7, 1e9] {
                 let n_net = rho_ye * N_A;
-                let eta = solve_eta(n_net, temp).unwrap();
+                let eta = solve_eta_with_guess(n_net, temp, None).unwrap();
                 let beta = beta_of(temp);
                 let ele = fd_set(eta, beta);
                 let pos = fd_set(-eta - 2.0 / beta, beta);
@@ -308,11 +304,11 @@ mod tests {
     #[test]
     fn bad_inputs_are_typed_errors() {
         assert!(matches!(
-            solve_eta(-1.0, 1e7),
+            solve_eta_with_guess(-1.0, 1e7, None),
             Err(EosError::BadInput { .. })
         ));
         assert!(matches!(
-            solve_eta(1e24, f64::NAN),
+            solve_eta_with_guess(1e24, f64::NAN, None),
             Err(EosError::BadInput { .. })
         ));
         assert!(electron_state(0.0, 1e7).is_err());

@@ -16,7 +16,7 @@ use crate::region::MmapRegion;
 /// Bump allocator over a single [`MmapRegion`].
 ///
 /// Allocations are aligned to the element type and never freed individually;
-/// [`HugeArena::reset`] recycles the whole arena (only safe because handles
+/// [`HugeArena::recycle`] rewinds the whole arena (only safe because handles
 /// borrow the arena, so the borrow checker prevents stale views).
 pub struct HugeArena {
     region: MmapRegion,
@@ -81,7 +81,7 @@ impl HugeArena {
         }
         self.offset.set(end);
         // SAFETY: [start, end) is in-bounds, aligned for T, initialized
-        // (fresh anonymous pages are zeroed and reset() re-zeroes; after
+        // (fresh anonymous pages are zeroed; after
         // recycle() bytes may be stale but any bit pattern is a valid Pod
         // value), and disjoint from every previously returned slice because
         // the bump pointer only advances. The &mut self receiver ties the
@@ -91,20 +91,12 @@ impl HugeArena {
         Ok(unsafe { std::slice::from_raw_parts_mut(ptr, len) })
     }
 
-    /// Recycle the arena: forget all allocations and zero the used prefix.
-    pub fn reset(&mut self) {
-        let used = self.offset.get();
-        self.region.as_mut_slice()[..used].fill(0);
-        self.offset.set(0);
-    }
-
     /// Recycle the arena *without* zeroing — the steady-state reuse path for
     /// per-rank scratch that is fully overwritten before being read (the
-    /// sweep pencil buffers). Unlike [`HugeArena::reset`], slices handed out
+    /// sweep pencil buffers). Unlike a fresh arena's, slices handed out
     /// after a `recycle` may contain stale bytes from the previous cycle;
     /// for the `Pod` element types the arena serves every bit pattern is a
     /// valid value, so this is purely a contract (not a safety) difference.
-    /// Use [`HugeArena::reset`] when zeroed memory matters.
     pub fn recycle(&mut self) {
         self.offset.set(0);
     }
@@ -161,17 +153,6 @@ mod tests {
             }
             other => panic!("expected exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn reset_rezeros() {
-        let mut arena = HugeArena::new(1 << 16, Policy::None).unwrap();
-        arena.alloc_slice::<u64>(16).unwrap().fill(u64::MAX);
-        assert!(arena.used() >= 128);
-        arena.reset();
-        assert_eq!(arena.used(), 0);
-        let again = arena.alloc_slice::<u64>(16).unwrap();
-        assert!(again.iter().all(|&x| x == 0));
     }
 
     #[test]

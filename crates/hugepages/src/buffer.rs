@@ -154,13 +154,6 @@ impl<T: Pod> PageBuffer<T> {
         self.region.as_ptr() as usize
     }
 
-    /// Byte address of element `i` (for access-trace generation).
-    #[inline]
-    pub fn addr_of(&self, i: usize) -> usize {
-        debug_assert!(i < self.len);
-        self.base_addr() + i * std::mem::size_of::<T>()
-    }
-
     /// Reset every element to zero.
     pub fn clear(&mut self) {
         self.as_mut_slice().fill_with(|| {
@@ -329,13 +322,6 @@ mod tests {
             PageBuffer::<u64>::zeroed(usize::MAX, Policy::None),
             Err(Error::CapacityOverflow)
         ));
-    }
-
-    #[test]
-    fn addr_of_is_linear() {
-        let buf = PageBuffer::<f64>::zeroed(16, Policy::None).unwrap();
-        assert_eq!(buf.addr_of(0), buf.base_addr());
-        assert_eq!(buf.addr_of(3) - buf.addr_of(1), 16);
     }
 
     #[test]

@@ -512,12 +512,6 @@ fn current() -> Option<Arc<ActivePlan>> {
     local.or_else(global_plan)
 }
 
-/// `true` when any plan (thread-local or env-global) is active. Lets
-/// callers annotate reports with "faults were injected here".
-pub fn injection_active() -> bool {
-    current().is_some()
-}
-
 /// Consult the active plan at an allocation/madvise site. Returns the errno
 /// to fail with, or `None` to proceed with the real call.
 pub(crate) fn check_errno(site: FaultSite) -> Option<i32> {

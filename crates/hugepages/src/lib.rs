@@ -57,7 +57,7 @@ pub use buffer::{
 pub use error::{Error, Result};
 pub use faults::{FaultGuard, FaultKind, FaultPlan, FaultRule, FaultSite, IoFault, FAULTS_ENV_VAR};
 pub use meminfo::MemInfo;
-pub use metrics::{alloc_stats, count_heap_fallback, reset_alloc_stats, AllocStats};
+pub use metrics::{alloc_stats, count_heap_fallback, AllocStats};
 pub use page::PageSize;
 pub use policy::{Policy, POLICY_ENV_VAR};
 pub use probe::{probe_system, SystemReport, ThpMode};

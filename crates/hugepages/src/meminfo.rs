@@ -70,12 +70,6 @@ impl MemInfo {
         Ok(info)
     }
 
-    /// Difference of THP-relevant counters between two snapshots; used by the
-    /// harness to show "our run raised AnonHugePages by N bytes".
-    pub fn anon_huge_delta(&self, before: &MemInfo) -> i64 {
-        self.anon_huge_pages as i64 - before.anon_huge_pages as i64
-    }
-
     /// Pages of the default size currently in use out of the pool.
     pub fn huge_pages_in_use(&self) -> u64 {
         self.huge_pages_total.saturating_sub(self.huge_pages_free)
@@ -137,15 +131,6 @@ Hugetlb:         1048576 kB
         assert_eq!(info.hugepagesize, 2048 * 1024);
         assert_eq!(info.hugetlb, 1048576 * 1024);
         assert_eq!(info.huge_pages_in_use(), 128);
-    }
-
-    #[test]
-    fn delta_between_snapshots() {
-        let before = MemInfo::parse(FIXTURE).unwrap();
-        let mut after = before;
-        after.anon_huge_pages += 64 * 1024 * 1024;
-        assert_eq!(after.anon_huge_delta(&before), 64 * 1024 * 1024);
-        assert_eq!(before.anon_huge_delta(&after), -(64 * 1024 * 1024_i64));
     }
 
     #[test]

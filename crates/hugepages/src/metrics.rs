@@ -19,8 +19,7 @@ static MADVISE_DENIALS: AtomicU64 = AtomicU64::new(0);
 static INJECTED_FAULTS: AtomicU64 = AtomicU64::new(0);
 static HEAP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the allocation-chain counters since process start (or the
-/// last [`reset_alloc_stats`]).
+/// Snapshot of the allocation-chain counters since process start.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocStats {
     /// Regions that asked for an explicit `MAP_HUGETLB` reservation.
@@ -83,22 +82,6 @@ pub fn alloc_stats() -> AllocStats {
         madvise_denials: MADVISE_DENIALS.load(Ordering::Relaxed),
         injected_faults: INJECTED_FAULTS.load(Ordering::Relaxed),
         heap_fallbacks: HEAP_FALLBACKS.load(Ordering::Relaxed),
-    }
-}
-
-/// Zero every counter (test isolation; harnesses snapshot-and-diff instead).
-pub fn reset_alloc_stats() {
-    for c in [
-        &HUGETLB_ATTEMPTS,
-        &HUGETLB_GRANTS,
-        &TRANSIENT_RETRIES,
-        &THP_FALLBACKS,
-        &BASE_FALLBACKS,
-        &MADVISE_DENIALS,
-        &INJECTED_FAULTS,
-        &HEAP_FALLBACKS,
-    ] {
-        c.store(0, Ordering::Relaxed);
     }
 }
 

@@ -42,10 +42,6 @@ impl PageSize {
         self.bytes().trailing_zeros()
     }
 
-    /// All huge sizes this crate knows how to request.
-    pub const HUGE_CANDIDATES: [PageSize; 3] =
-        [PageSize::Huge2M, PageSize::Huge512M, PageSize::Huge1G];
-
     /// Parse a human size like `2M`, `512M`, `1G`, `2048kB`.
     pub fn parse(s: &str) -> Option<PageSize> {
         let t = s.trim();
@@ -72,20 +68,14 @@ impl PageSize {
         }
     }
 
-    /// Huge sizes for which the kernel exposes a pool under
-    /// `/sys/kernel/mm/hugepages/` (regardless of whether the pool is
-    /// non-empty).
-    pub fn supported_huge_sizes() -> Vec<PageSize> {
-        supported_huge_sizes_in(Path::new("/sys/kernel/mm/hugepages"))
-    }
-
     pub(crate) fn sysfs_dir_name(self) -> String {
         format!("hugepages-{}kB", self.bytes() / 1024)
     }
 }
 
-/// Huge sizes advertised under an arbitrary sysfs-like directory
-/// (separated out so tests can point at a fixture tree).
+/// Huge sizes for which `dir` (the kernel's `/sys/kernel/mm/hugepages/`, or
+/// a fixture tree in tests) holds a pool, whether or not the pool is
+/// non-empty.
 pub fn supported_huge_sizes_in(dir: &Path) -> Vec<PageSize> {
     let mut out = Vec::new();
     let entries = match std::fs::read_dir(dir) {

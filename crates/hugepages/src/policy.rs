@@ -49,32 +49,6 @@ impl Policy {
             }),
         }
     }
-
-    /// Whether this policy asks the kernel for huge frames at all.
-    #[inline]
-    pub fn wants_huge(self) -> bool {
-        !matches!(self, Policy::None)
-    }
-
-    /// The page size frames are *expected* to have under this policy
-    /// (assuming the kernel cooperates). THP supplies the architecture's
-    /// PMD-level size, 2 MiB here.
-    #[inline]
-    pub fn expected_page_size(self) -> PageSize {
-        match self {
-            Policy::None => PageSize::Base,
-            Policy::Thp => PageSize::Huge2M,
-            Policy::HugeTlbFs(sz) => sz,
-        }
-    }
-
-    /// The three backends of the paper's evaluation matrix, in the order the
-    /// harness sweeps them.
-    pub const MATRIX: [Policy; 3] = [
-        Policy::None,
-        Policy::Thp,
-        Policy::HugeTlbFs(PageSize::Huge2M),
-    ];
 }
 
 impl FromStr for Policy {
@@ -153,17 +127,5 @@ mod tests {
         ] {
             assert_eq!(p.to_string().parse::<Policy>().unwrap(), p);
         }
-    }
-
-    #[test]
-    fn expected_sizes() {
-        assert_eq!(Policy::None.expected_page_size(), PageSize::Base);
-        assert_eq!(Policy::Thp.expected_page_size(), PageSize::Huge2M);
-        assert_eq!(
-            Policy::HugeTlbFs(PageSize::Huge512M).expected_page_size(),
-            PageSize::Huge512M
-        );
-        assert!(!Policy::None.wants_huge());
-        assert!(Policy::Thp.wants_huge());
     }
 }

@@ -100,14 +100,6 @@ impl SmapsRegion {
         self.end == self.start
     }
 
-    /// Does the kernel report any huge-page backing for this mapping?
-    /// (THP bytes, a huge kernel page size, or hugetlb reservation.)
-    pub fn has_huge_backing(&self) -> bool {
-        self.anon_huge_pages > 0
-            || self.hugetlb > 0
-            || self.kernel_page_size > crate::page::base_page_bytes() as u64
-    }
-
     /// Fraction of RSS that is huge-page backed, in [0, 1].
     pub fn huge_fraction(&self) -> f64 {
         let huge = (self.anon_huge_pages + self.hugetlb) as f64;
@@ -204,7 +196,6 @@ VmFlags: rd wr mr mw me nh
     fn thp_region_detected() {
         let r = SmapsRegion::parse_for_addr(FIXTURE, 0x7f1200000000 + 4096).unwrap();
         assert_eq!(r.anon_huge_pages, 524288 * 1024);
-        assert!(r.has_huge_backing());
         assert_eq!(r.thp_eligible, Some(true));
         assert!(r.vm_flags.iter().any(|f| f == "hg"));
         assert!((r.huge_fraction() - 1.0).abs() < 1e-12);
@@ -215,7 +206,6 @@ VmFlags: rd wr mr mw me nh
         let r = SmapsRegion::parse_for_addr(FIXTURE, 0x7f1300000000).unwrap();
         assert_eq!(r.hugetlb, 2048 * 1024);
         assert_eq!(r.kernel_page_size, 2048 * 1024);
-        assert!(r.has_huge_backing());
         assert_eq!(r.huge_fraction(), 1.0);
         assert!(r.vm_flags.iter().any(|f| f == "ht"));
     }
@@ -223,7 +213,6 @@ VmFlags: rd wr mr mw me nh
     #[test]
     fn base_region_has_no_huge_backing() {
         let r = SmapsRegion::parse_for_addr(FIXTURE, 0x7f1400000000).unwrap();
-        assert!(!r.has_huge_backing());
         assert_eq!(r.thp_eligible, Some(false));
         assert_eq!(r.huge_fraction(), 0.0);
         assert_eq!(r.len(), 16 * 1024);

@@ -7,8 +7,8 @@
 //! Two forms of each kernel exist: lane-generic kernels
 //! ([`reconstruct_lanes`], [`flattening_lanes`]) over [`rflash_simd::Lane`],
 //! which the pencil sweep engine runs under runtime dispatch, and their
-//! scalar references ([`reconstruct_into`], [`flattening_into`]), the
-//! oracles the lane kernels are tested against. The twins replicate the
+//! scalar references ([`reconstruct_into`], the test-only `flattening_into`),
+//! the oracles the lane kernels are tested against. The twins replicate the
 //! scalar operation order exactly (branches become masked selects on
 //! speculatively computed values; see the bit-identity notes on each) so
 //! every backend produces bit-identical faces.
@@ -90,7 +90,8 @@ pub fn reconstruct_into(
 /// block read an uncomputed neighbour χ of 1, while the block across the
 /// face computes the same zone as interior; the two blocks then disagree
 /// on the shared face's flux and the update stops being conservative.
-pub fn flattening_into(
+#[cfg(test)]
+fn flattening_into(
     pres: &[f64],
     velx: &[f64],
     lo: usize,
@@ -330,7 +331,7 @@ fn flatten_pass2_at<L: Lane>(snap: &[f64], out: &mut [f64], i: usize, s: usize) 
         .store(&mut out[i..]);
 }
 
-/// Lane-generic twin of [`flattening_into`] over positions `lo..hi` of `s`
+/// Lane-generic twin of `flattening_into` over positions `lo..hi` of `s`
 /// interleaved pencils (pass 1 over `lo - 1..=hi`, as there). The scalar
 /// loop's per-zone guards (`i < 2 || i + 2 >= len` ⇒ untouched,
 /// `i >= 1 && i + 1 < len`, in positions) become subrange clamps — zones

@@ -190,12 +190,6 @@ impl SedovSolution {
         let p = rho * c2 / self.gamma;
         (rho, u, p.max(self.p_ambient))
     }
-
-    /// Post-shock (immediately inside the shock) density — the strong-shock
-    /// limit (γ+1)/(γ−1)·ρ₀.
-    pub fn post_shock_density(&self) -> f64 {
-        self.rho0 * (self.gamma + 1.0) / (self.gamma - 1.0)
-    }
 }
 
 #[cfg(test)]

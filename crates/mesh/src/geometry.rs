@@ -34,32 +34,6 @@ impl Geometry {
             }
         }
     }
-
-    /// Face area of the `dir`-normal face at coordinate `at` spanning the
-    /// transverse extents of the cell.
-    pub fn face_area(self, dir: usize, at: f64, lo: [f64; 3], hi: [f64; 3], ndim: usize) -> f64 {
-        match self {
-            Geometry::Cartesian => {
-                let mut a = 1.0;
-                for d in 0..ndim {
-                    if d != dir {
-                        a *= hi[d] - lo[d];
-                    }
-                }
-                a
-            }
-            Geometry::CylindricalRZ => {
-                assert_eq!(ndim, 2);
-                match dir {
-                    // r-face: cylinder shell of radius `at`, height Δz.
-                    0 => 2.0 * std::f64::consts::PI * at * (hi[1] - lo[1]),
-                    // z-face: annulus.
-                    1 => std::f64::consts::PI * (hi[0] * hi[0] - lo[0] * lo[0]),
-                    _ => panic!("cylindrical r-z has two directions"),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +47,6 @@ mod tests {
         assert_eq!(v2, 6.0);
         let v3 = g.cell_volume([0.0; 3], [2.0, 3.0, 4.0], 3);
         assert_eq!(v3, 24.0);
-        assert_eq!(g.face_area(0, 0.0, [0.0; 3], [2.0, 3.0, 4.0], 3), 12.0);
     }
 
     #[test]
@@ -82,12 +55,6 @@ mod tests {
         // Full cylinder of radius 2, height 3: π·4·3.
         let v = g.cell_volume([0.0, 0.0, 0.0], [2.0, 3.0, 0.0], 2);
         assert!((v - std::f64::consts::PI * 12.0).abs() < 1e-12);
-        // Shell area at r=2, Δz=3: 2π·2·3.
-        let a = g.face_area(0, 2.0, [1.0, 0.0, 0.0], [2.0, 3.0, 0.0], 2);
-        assert!((a - 12.0 * std::f64::consts::PI).abs() < 1e-12);
-        // Annulus between r=1 and 2.
-        let a = g.face_area(1, 0.0, [1.0, 0.0, 0.0], [2.0, 3.0, 0.0], 2);
-        assert!((a - 3.0 * std::f64::consts::PI).abs() < 1e-12);
     }
 
     #[test]

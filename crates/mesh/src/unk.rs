@@ -194,12 +194,6 @@ impl UnkStorage {
         self.base_addr() + 8 * self.idx(var, i, j, k, blk)
     }
 
-    /// Byte stride between consecutive zones of the same variable along i.
-    #[inline]
-    pub fn zone_stride(&self) -> usize {
-        8 * self.nvar
-    }
-
     // ---- slabs ----------------------------------------------------------
 
     /// One block's contiguous slab.
@@ -290,32 +284,6 @@ impl UnkStorage {
             nk: self.nk,
             per_block: self.per_block,
             base_addr: self.base_addr(),
-        }
-    }
-
-    // ---- access-pattern generation ---------------------------------------
-
-    /// The access pattern of sweeping one variable along an interior i-row
-    /// `(j, k)` of block `blk` — the paper's motivating stride.
-    pub fn row_pattern(&self, var: usize, j: usize, k: usize, blk: usize) -> AccessPattern {
-        AccessPattern::Strided {
-            base: self.addr(var, self.nguard, j, k, blk),
-            stride: self.zone_stride(),
-            count: self.nxb,
-            elem: 8,
-        }
-    }
-
-    /// All row patterns for sweeping a set of variables over the interior
-    /// of a block, in loop order (k outer, j middle, var inner — the order
-    /// a FLASH kernel touches them).
-    pub fn block_sweep_patterns(&self, vars: &[usize], blk: usize, out: &mut Vec<AccessPattern>) {
-        for k in self.interior_k() {
-            for j in self.interior() {
-                for &var in vars {
-                    out.push(self.row_pattern(var, j, k, blk));
-                }
-            }
         }
     }
 }
@@ -996,7 +964,6 @@ mod tests {
         assert_eq!(u.idx(1, 5, 5, 0, 0) - u.idx(0, 5, 5, 0, 0), 1);
         // Same var, consecutive i: stride nvar.
         assert_eq!(u.idx(0, 6, 5, 0, 0) - u.idx(0, 5, 5, 0, 0), 4);
-        assert_eq!(u.zone_stride(), 32);
         // Block stride is the full slab.
         assert_eq!(u.idx(0, 0, 0, 0, 1) - u.idx(0, 0, 0, 0, 0), u.per_block());
     }
@@ -1029,34 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn row_pattern_describes_the_flash_stride() {
-        let u = mk();
-        match u.row_pattern(1, 5, 0, 2) {
-            AccessPattern::Strided {
-                base,
-                stride,
-                count,
-                elem,
-            } => {
-                assert_eq!(base, u.addr(1, 2, 5, 0, 2));
-                assert_eq!(stride, 32);
-                assert_eq!(count, 8);
-                assert_eq!(elem, 8);
-            }
-            other => panic!("unexpected pattern {other:?}"),
-        }
-    }
-
-    #[test]
-    fn block_sweep_emits_rows_in_loop_order() {
-        let u = mk();
-        let mut pats = Vec::new();
-        u.block_sweep_patterns(&[0, 3], 0, &mut pats);
-        // 8 interior rows × 2 vars.
-        assert_eq!(pats.len(), 16);
-    }
-
-    #[test]
     fn addr_is_byte_scaled() {
         let u = mk();
         assert_eq!(
@@ -1071,7 +1010,7 @@ mod tests {
         let g = u.geom();
         assert_eq!(g.slab_idx(2, 3, 4, 0), u.slab_idx(2, 3, 4, 0));
         assert_eq!(g.addr(1, 2, 3, 0, 2), u.addr(1, 2, 3, 0, 2));
-        assert_eq!(g.dir_stride(0), u.zone_stride());
+        assert_eq!(g.dir_stride(0), 8 * g.nvar);
         assert_eq!(g.zone(3, 4, 0), g.slab_idx(0, 3, 4, 0));
         assert_eq!(g.row_run(2, 4, 0, 5), g.zone(2, 4, 0)..g.zone(7, 4, 0));
     }

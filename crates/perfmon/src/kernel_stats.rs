@@ -92,12 +92,6 @@ impl KernelStats {
     }
 
     #[inline]
-    /// Account `bytes` of logical writes.
-    pub fn add_write(&mut self, bytes: u64) {
-        self.bytes_written += bytes;
-    }
-
-    #[inline]
     /// Account scalar floating-point operations.
     pub fn add_fp(&mut self, ops: u64) {
         self.fp_ops += ops;
@@ -174,7 +168,7 @@ mod tests {
     fn accumulation_and_rates() {
         let mut s = KernelStats::default();
         s.add_read(3_000_000_000);
-        s.add_write(1_000_000_000);
+        s.bytes_written = 1_000_000_000;
         s.add_fp(100);
         s.add_vec(2_000);
         s.zones = 10;

@@ -118,11 +118,6 @@ impl PerfSession {
         }
     }
 
-    /// Did the hardware-counter backend open successfully?
-    pub fn hw_active(&self) -> bool {
-        self.hw.is_some()
-    }
-
     /// Register a buffer with the TLB model's page table.
     pub fn map_region(&mut self, base: usize, len: usize, sizing: FrameSizing) {
         self.tlb.map_region(base, len, sizing);
@@ -174,11 +169,6 @@ impl PerfSession {
         &mut self.stats
     }
 
-    /// Raw (unscaled) TLB model counters.
-    pub fn tlb_stats_raw(&self) -> TlbStats {
-        self.tlb.stats()
-    }
-
     /// TLB counters scaled back up by the sampling and coverage factors.
     pub fn tlb_stats(&self) -> TlbStats {
         let factor = if self.sampled_in == 0 {
@@ -189,16 +179,6 @@ impl PerfSession {
         self.tlb
             .stats()
             .scaled(factor * self.config.coverage_scale.max(1.0))
-    }
-
-    /// Accumulated instrumented-region seconds.
-    pub fn region_seconds(&self) -> f64 {
-        self.region_secs
-    }
-
-    /// Hardware DTLB misses, if the backend is live.
-    pub fn hw_dtlb_misses(&self) -> Option<u64> {
-        self.hw.as_ref().map(|_| self.hw_dtlb)
     }
 
     /// Build the paper-style measure rows. `total_time_s` is the "FLASH
@@ -253,7 +233,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
             s.stop_region();
         }
-        assert!(s.region_seconds() >= 0.004);
+        assert!(s.measures(0.0).time_s >= 0.004);
     }
 
     #[test]
@@ -304,7 +284,7 @@ mod tests {
             ..quiet_config()
         });
         sampled.absorb(mk_probe());
-        assert_eq!(sampled.tlb_stats_raw().accesses, 25);
+        assert_eq!(sampled.tlb.stats().accesses, 25);
         let scaled = sampled.tlb_stats();
         assert_eq!(scaled.accesses, 100);
         assert_eq!(exact.tlb_stats().accesses, 100);
@@ -334,7 +314,7 @@ mod tests {
         s.start_region();
         s.stop_region();
         let m = s.measures(0.1);
-        assert_eq!(m.hw_backend, s.hw_active());
+        assert_eq!(m.hw_backend, s.hw.is_some());
     }
 
     #[test]
@@ -395,13 +375,13 @@ mod guard_tests {
             std::thread::sleep(std::time::Duration::from_millis(3));
             g.session().stats_mut().add_vec(7);
         }
-        assert!(s.region_seconds() >= 0.003);
+        assert!(s.measures(0.0).time_s >= 0.003);
         assert_eq!(s.stats_mut().vec_ops, 7);
         // Reusable after close.
         {
             let _g = s.region();
         }
-        assert!(s.region_seconds() >= 0.003);
+        assert!(s.measures(0.0).time_s >= 0.003);
     }
 
     #[test]

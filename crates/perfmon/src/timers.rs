@@ -85,11 +85,6 @@ impl Timers {
         });
         v
     }
-
-    /// Are any timers currently running?
-    pub fn running(&self) -> bool {
-        !self.stack.is_empty()
-    }
 }
 
 impl fmt::Display for Timers {
@@ -122,7 +117,7 @@ mod tests {
         }
         assert_eq!(t.calls("evolve"), 3);
         assert!(t.seconds("evolve") >= 0.006);
-        assert!(!t.running());
+        assert!(t.stack.is_empty());
     }
 
     #[test]
@@ -175,46 +170,5 @@ mod tests {
         let t = Timers::new();
         assert_eq!(t.seconds("nope"), 0.0);
         assert_eq!(t.calls("nope"), 0);
-    }
-}
-
-/// RAII scope for a named timer (see [`crate::session::RegionGuard`] for
-/// why guards rather than explicit stop calls).
-pub struct TimerScope<'a> {
-    timers: &'a mut Timers,
-    label: String,
-}
-
-impl Timers {
-    /// Start `label`, stopping it when the returned scope drops.
-    pub fn scoped(&mut self, label: &str) -> TimerScope<'_> {
-        self.start(label);
-        TimerScope {
-            timers: self,
-            label: label.to_owned(),
-        }
-    }
-}
-
-impl Drop for TimerScope<'_> {
-    fn drop(&mut self) {
-        self.timers.stop(&self.label);
-    }
-}
-
-#[cfg(test)]
-mod scope_tests {
-    use super::*;
-
-    #[test]
-    fn scope_accumulates_on_drop() {
-        let mut t = Timers::new();
-        {
-            let _scope = t.scoped("work");
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(t.calls("work"), 1);
-        assert!(t.seconds("work") >= 0.002);
-        assert!(!t.running());
     }
 }

@@ -54,18 +54,6 @@ impl TlbConfig {
         }
     }
 
-    /// A generic contemporary x86-64 server core (for sensitivity studies):
-    /// larger L1, 2048-entry 8-way STLB.
-    pub fn x86_server_like() -> TlbConfig {
-        TlbConfig {
-            l1_entries: 64,
-            l2_entries: 2048,
-            l2_assoc: 8,
-            base_page: 4096,
-            cost: CostModel::default(),
-        }
-    }
-
     /// Number of sets in the L2.
     pub fn l2_sets(&self) -> usize {
         self.l2_entries / self.l2_assoc
@@ -105,9 +93,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_validate() {
+    fn preset_validates() {
         TlbConfig::a64fx_like().validate().unwrap();
-        TlbConfig::x86_server_like().validate().unwrap();
     }
 
     #[test]

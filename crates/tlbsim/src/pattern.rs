@@ -31,19 +31,6 @@ pub enum AccessPattern {
 }
 
 impl AccessPattern {
-    /// Number of logical element accesses the pattern represents.
-    pub fn access_count(&self) -> u64 {
-        match self {
-            AccessPattern::Strided { count, .. } => *count as u64,
-            AccessPattern::Range { len, .. } => {
-                // Count cache-line-ish granules; a dense range is consumed
-                // 64 B at a time by any real kernel.
-                (*len as u64).div_ceil(64)
-            }
-            AccessPattern::Gather { indices, .. } => indices.len() as u64,
-        }
-    }
-
     /// Total bytes moved by the pattern.
     pub fn bytes(&self) -> u64 {
         match self {
@@ -171,24 +158,21 @@ mod tests {
     }
 
     #[test]
-    fn counts_and_bytes() {
+    fn bytes_per_pattern() {
         let s = AccessPattern::Strided {
             base: 0,
             stride: 96,
             count: 100,
             elem: 8,
         };
-        assert_eq!(s.access_count(), 100);
         assert_eq!(s.bytes(), 800);
         let r = AccessPattern::Range { base: 0, len: 130 };
-        assert_eq!(r.access_count(), 3);
         assert_eq!(r.bytes(), 130);
         let g = AccessPattern::Gather {
             base: 0,
             elem: 16,
             indices: vec![1, 2],
         };
-        assert_eq!(g.access_count(), 2);
         assert_eq!(g.bytes(), 32);
     }
 

@@ -23,15 +23,6 @@ pub struct TlbStats {
 }
 
 impl TlbStats {
-    /// DTLB misses per access, in [0, 1].
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.walks as f64 / self.accesses as f64
-        }
-    }
-
     /// Modeled translation-stall cycles under a cost model.
     pub fn stall_cycles(&self, cost: &CostModel) -> u64 {
         self.l2_hits * cost.l2_hit_cycles + self.walks * cost.walk_cycles
@@ -85,7 +76,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn miss_rate_and_stalls() {
+    fn stalls_and_miss_throughput() {
         let s = TlbStats {
             accesses: 1000,
             l1_hits: 800,
@@ -93,7 +84,6 @@ mod tests {
             walks: 50,
             huge_walks: 10,
         };
-        assert!((s.miss_rate() - 0.05).abs() < 1e-12);
         let cost = CostModel {
             l2_hit_cycles: 10,
             walk_cycles: 100,
@@ -105,7 +95,6 @@ mod tests {
     #[test]
     fn empty_stats_are_safe() {
         let s = TlbStats::default();
-        assert_eq!(s.miss_rate(), 0.0);
         assert_eq!(s.misses_per_second(0.0), 0.0);
     }
 

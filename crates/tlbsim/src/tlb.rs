@@ -88,11 +88,6 @@ impl Tlb {
         self.stats
     }
 
-    /// Zero the counters (keep the mappings and TLB contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Invalidate all cached translations (e.g. between benchmark phases).
     pub fn flush(&mut self) {
         self.l1.fill(Entry::INVALID);
@@ -138,21 +133,6 @@ impl Tlb {
         self.install_l2(set, page, now);
         self.install_l1(page, now);
         AccessOutcome::Walk
-    }
-
-    /// Translate every `stride`-th byte in `[base, base+len)`; convenience
-    /// for strided kernels. Returns the number of touches performed.
-    pub fn touch_strided(&mut self, base: usize, len: usize, stride: usize) -> u64 {
-        assert!(stride > 0);
-        let mut n = 0;
-        let mut addr = base;
-        let end = base + len;
-        while addr < end {
-            self.touch(addr);
-            n += 1;
-            addr += stride;
-        }
-        n
     }
 
     #[inline]
@@ -291,18 +271,8 @@ mod tests {
         tlb.map_region(0, 1 << 21, FrameSizing::huge(1 << 21));
         tlb.touch(0x100);
         tlb.flush();
-        tlb.reset_stats();
         assert_eq!(tlb.touch(0x100), AccessOutcome::Walk);
-        assert_eq!(tlb.stats().huge_walks, 1, "mapping survives flush");
-    }
-
-    #[test]
-    fn touch_strided_counts() {
-        let mut tlb = Tlb::new(tiny_config());
-        let n = tlb.touch_strided(0, 8192, 1024);
-        assert_eq!(n, 8);
-        assert_eq!(tlb.stats().accesses, 8);
-        assert_eq!(tlb.stats().walks, 2);
+        assert_eq!(tlb.stats().huge_walks, 2, "mapping survives flush");
     }
 
     #[test]
