@@ -23,7 +23,7 @@
 //!    the `UnkGeom` gather/scatter helpers (`gather_slab`/`scatter_slab`,
 //!    `gather_pencil`/`scatter_pencil`).
 //! 6. **graph confinement** (`graph_confinement`) — step-graph task bodies
-//!    (`core/src/stepgraph.rs`) reach slabs and slots only through the
+//!    (`core/src/stepgraph.rs`) reach slabs only through the
 //!    race-audit claiming accessors, so every access lands in the
 //!    declared-vs-actual ledger.
 //! 7. **SIMD confinement** (`simd_confinement`) — architecture intrinsics

@@ -92,10 +92,9 @@ const PENCIL_CONFINED: &[&str] = &["crates/hydro/src/pencil.rs", "crates/eos/src
 /// them, nor do longer names like `base_addr` or `offset`).
 const PENCIL_FORBIDDEN: &[&str] = &["get", "set", "addr", "slab_idx"];
 
-/// Step-graph task-body modules (rule `graph_confinement`): every slab and
-/// slot access must flow through the race-audit claiming accessors
-/// (`read_slab`/`write_slab`/`update_cell`, `read_slot`/`write_slot`) so it
-/// lands in the declared-vs-actual ledger — a raw accessor is an access the
+/// Step-graph task-body modules (rule `graph_confinement`): every slab
+/// access must flow through the race-audit claiming accessors
+/// (`read_slab`/`write_slab`) so it lands in the declared-vs-actual ledger — a raw accessor is an access the
 /// audit cannot see (DESIGN.md §14).
 const GRAPH_CONFINED: &[&str] = &["crates/core/src/stepgraph.rs"];
 
@@ -562,8 +561,8 @@ fn rule_graph_confinement(sf: &SourceFile, out: &mut Vec<Violation>) {
                 rule: "graph_confinement",
                 msg: format!(
                     "raw accessor `.{word}()` in a step-graph module — task bodies must \
-                     use the claiming accessors (read_slab/write_slab/update_cell, \
-                     read_slot/write_slot) so the race-audit ledger sees the access"
+                     use the claiming accessors (read_slab/write_slab) so the \
+                     race-audit ledger sees the access"
                 ),
             });
         }

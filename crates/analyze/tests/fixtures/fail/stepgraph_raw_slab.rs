@@ -1,7 +1,7 @@
 //@ path: crates/core/src/stepgraph.rs
 // Fixture: raw slab/slot accessors inside a step-graph task body. Every
 // access in a graph task must flow through the claiming accessors
-// (read_slab/write_slab/update_cell, read_slot/write_slot) so it lands in
+// (read_slab/write_slab) so it lands in
 // the race-audit ledger — a raw `.slab()`/`.slab_mut()`/`.get()` is an
 // access the declared-vs-actual audit cannot see.
 // Expected: graph_confinement (three sites).

@@ -29,9 +29,10 @@ use super::wire::{self, FrameError, WireMsg};
 use crate::checkpoint::{verify_checkpoint, CheckpointSeries};
 use crate::registry::StateDigest;
 
-/// Everything a fleet run needs. `new` fills the failure-detector
-/// tunables from the `RFLASH_HEARTBEAT_MS` / `RFLASH_HEARTBEAT_TIMEOUT_MS`
-/// / `RFLASH_PROBE_RETRIES` environment knobs.
+/// Everything a fleet run needs. `new` sets the failure-detector
+/// tunables to their defaults: a 25 ms heartbeat, a 1 000 ms silence
+/// budget and 3 probes (`run-fleet --heartbeat-ms` and
+/// `--heartbeat-timeout-ms` override the first two).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Binary to exec for the worker (normally the current executable; the
@@ -76,12 +77,6 @@ impl FleetConfig {
         steps: u64,
         series_dir: impl Into<PathBuf>,
     ) -> FleetConfig {
-        fn env_u64(key: &str, default: u64) -> u64 {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
         FleetConfig {
             worker_bin: worker_bin.into(),
             setup: setup.into(),
@@ -90,9 +85,9 @@ impl FleetConfig {
             keep_last: 0,
             series_dir: series_dir.into(),
             series_prefix: "fleet".into(),
-            heartbeat_ms: env_u64("RFLASH_HEARTBEAT_MS", 25),
-            heartbeat_timeout_ms: env_u64("RFLASH_HEARTBEAT_TIMEOUT_MS", 1000),
-            probe_retries: env_u64("RFLASH_PROBE_RETRIES", 3) as u32,
+            heartbeat_ms: 25,
+            heartbeat_timeout_ms: 1000,
+            probe_retries: 3,
             probe_backoff_ms: 40,
             max_respawns: 2,
             max_wall_ms: 120_000,

@@ -13,15 +13,17 @@
 //! checkpoint and returns a typed [`StepError`]. Every intervention lands
 //! in [`rflash_perfmon::GuardianStats`].
 //!
-//! The retry ladder exists once, here, for both step paths: an attempt is
-//! either the serial body at one rank (dt scan → physics → validation
-//! scan) or one task-graph dispatch at more, and the ladder sees only the
-//! attempt's outcome, so both paths record the same interventions.
+//! The retry ladder and the attempt exist once, here, for both step
+//! paths. An attempt runs the `dt-zero` hook, the pooled dt scan, the
+//! split sweeps — the serial loop at one rank, one task-graph dispatch at
+//! more — the `step-nan`/`flux-corrupt` hooks, the flame/gravity tail and
+//! the validation scan, one copy of each, so both paths consult the same
+//! fault sites at the same points and record the same interventions.
 //! With the guardian off the same loop runs a single unvalidated attempt.
 
 use std::path::PathBuf;
 
-use rflash_gravity::GravityField;
+use rflash_hugepages::faults::{self, FaultSite};
 use rflash_hydro::compute_dt_parallel_raw;
 use rflash_mesh::{vars, Domain, MortonKey};
 use rflash_perfmon::GuardianEvent;
@@ -29,7 +31,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{CheckpointError, CheckpointSeries};
 use crate::sim::Simulation;
-use crate::stepgraph::GraphAttemptOutcome;
 
 /// Retry/validation policy for the step guardian. Lives in
 /// [`crate::RuntimeParams`] (serde-defaulted, so pre-guardian checkpoints
@@ -151,13 +152,25 @@ impl From<CheckpointError> for StepError {
 /// reproduces the same dt, so a transient fault recovers bit-exactly —
 /// and from the second retry on the dt halves: `raw·½^(attempt−1)`, for
 /// persistent CFL-type trouble where a smaller step is the actual fix.
-/// Both attempt kinds take their dt from here.
-pub(crate) fn retry_dt(raw: f64, attempt: u32) -> f64 {
+fn retry_dt(raw: f64, attempt: u32) -> f64 {
     if attempt >= 2 {
         raw * 0.5f64.powi(attempt as i32 - 1)
     } else {
         raw
     }
+}
+
+/// What one attempt produced, for the retry ladder.
+struct AttemptOutcome {
+    /// `cfl · min(wavetime)`, or 0 when `dt-zero` fired.
+    raw: f64,
+    /// The dt the sweeps used ([`retry_dt`] of `raw`).
+    dt: f64,
+    /// The dt was unusable: the attempt touched no state.
+    poisoned: bool,
+    /// First guardian violation in Morton order (`None` when the attempt
+    /// was not validated).
+    verdict: Option<String>,
 }
 
 impl Simulation {
@@ -269,50 +282,78 @@ impl Simulation {
         }
     }
 
-    /// One attempt at the step at [`retry_dt`]: a single task-graph
-    /// dispatch when [`use_taskgraph`](Self::use_taskgraph) holds, else the
-    /// serial body (dt scan → [`advance_physics`](Self::advance_physics)).
-    /// With `validate`, the verdict is the first violation in Morton order:
-    /// folded into the graph's tail when no flame or gravity runs after
-    /// the graph, else one [`validate_domain`] scan here. A poisoned
-    /// attempt (unusable dt) has touched no leaf interior.
-    fn attempt(&mut self, attempt: u32, validate: bool) -> GraphAttemptOutcome {
-        let graph = self.use_taskgraph();
-        let fused = graph
-            && validate
-            && self.flame.is_none()
-            && matches!(self.gravity.field, GravityField::None)
-            && self.gravity.monopole.is_none();
-        let mut out = if graph {
-            self.graph_attempt(attempt, fused)
+    /// One attempt at the step, the same for both step paths: the
+    /// `dt-zero` hook, the CFL scan (pooled over the rank pool when
+    /// `nranks > 1`), the split sweeps at [`retry_dt`] — one task-graph
+    /// dispatch when [`use_taskgraph`](Self::use_taskgraph) holds, else
+    /// the serial loop — the corruption hooks, the flame/gravity tail and,
+    /// with `validate`, the validation scan. An unusable dt returns before
+    /// anything touches state or consults another fault site.
+    fn attempt(&mut self, attempt: u32, validate: bool) -> AttemptOutcome {
+        let raw = if faults::fires(FaultSite::DtZero) {
+            0.0
         } else {
             self.timers.start("dt");
             let raw =
                 compute_dt_parallel_raw(&mut self.domain, self.params.cfl, self.params.nranks);
             self.timers.stop("dt");
-            GraphAttemptOutcome {
-                raw,
-                dt: retry_dt(raw, attempt),
-                poisoned: !(raw.is_finite() && raw > 0.0),
-                verdict: None,
-            }
+            raw
         };
-        if out.poisoned {
-            return out;
+        if !(raw.is_finite() && raw > 0.0) {
+            return AttemptOutcome {
+                raw,
+                dt: raw,
+                poisoned: true,
+                verdict: None,
+            };
         }
-        if graph {
-            // Flame and gravity (none when fused).
-            self.post_sweep_tail(out.dt);
+        let dt = retry_dt(raw, attempt);
+        if self.use_taskgraph() {
+            self.graph_sweeps(attempt, dt);
         } else {
-            self.advance_physics(out.dt);
+            self.serial_sweeps(dt);
         }
-        if validate && !fused {
+        self.inject_step_faults();
+        self.post_sweep_tail(dt);
+        let verdict = if validate {
             self.timers.start("guardian");
-            out.verdict =
-                validate_domain(&mut self.domain, &self.params.guardian, self.params.nranks);
+            let v = validate_domain(&mut self.domain, &self.params.guardian, self.params.nranks);
             self.timers.stop("guardian");
+            v
+        } else {
+            None
+        };
+        AttemptOutcome {
+            raw,
+            dt,
+            poisoned: false,
+            verdict,
         }
-        out
+    }
+
+    /// The deterministic corruption hooks, consulted once per attempt
+    /// each, after the sweeps so nothing downstream floors the damage away
+    /// before the validation scan runs:
+    /// * `step-nan` — poison one interior energy of the first leaf with a
+    ///   NaN, as if a kernel had emitted one (exercises the finite check);
+    /// * `flux-corrupt` — flip the same zone's density negative, the shape
+    ///   of a Riemann-solver blow-up (exercises the floor check).
+    fn inject_step_faults(&mut self) {
+        let nan = faults::fires(FaultSite::StepNan);
+        let negative = faults::fires(FaultSite::FluxCorrupt);
+        let Some(&id) = self.domain.tree.leaves().first() else {
+            return;
+        };
+        let unk = &mut self.domain.unk;
+        let i = unk.interior().start;
+        let k = unk.interior_k().start;
+        if nan {
+            unk.set(vars::ENER, i, i, k, id.idx(), f64::NAN);
+        }
+        if negative {
+            let v = unk.get(vars::DENS, i, i, k, id.idx());
+            unk.set(vars::DENS, i, i, k, id.idx(), -v.abs() - 1.0);
+        }
     }
 
     /// Write an emergency checkpoint of the current (rolled-back) state,
@@ -357,10 +398,8 @@ pub fn validate_domain(domain: &mut Domain, cfg: &GuardianConfig, nranks: usize)
 
 /// The per-block piece of [`validate_domain`]: first violation in this
 /// block's interior, scanning zones in (k, j, i) order and variables in
-/// index order so the report is deterministic. Also the body of the task
-/// graph's fused per-leaf Validate tasks (interior-only, so a shared read
-/// of the block slab suffices).
-pub(crate) fn check_block(
+/// index order so the report is deterministic.
+fn check_block(
     key: MortonKey,
     slab: &[f64],
     geom: &rflash_mesh::unk::UnkGeom,

@@ -14,9 +14,10 @@ use serde::{Deserialize, Serialize};
 pub enum StepScheduler {
     /// Per-block dependency graph over the rank pool with work stealing:
     /// a block sweeps the moment its own guard cells are ready, interior
-    /// compute overlaps other blocks' exchanges, and the only global sync
-    /// left is the end-of-step dt reduction. Bit-identical to the serial
-    /// loop by construction (DESIGN.md §13).
+    /// compute overlaps other blocks' exchanges. The graph runs the split
+    /// sweeps of a step; its dt scan and validation are pooled scans
+    /// around the dispatch. Bit-identical to the serial loop by
+    /// construction (DESIGN.md §13).
     #[default]
     TaskGraph,
 }

@@ -2,7 +2,6 @@
 
 use rflash_flame::AdrFlame;
 use rflash_gravity::{apply_gravity, GravityField, MonopoleSolver};
-use rflash_hugepages::faults::{self, FaultSite};
 use rflash_hydro::{sweep_direction_prefilled, SweepConfig, SweepEos, NFLUX};
 use rflash_mesh::flux::FluxRegister;
 use rflash_mesh::refine::{lohner_marks, LohnerConfig};
@@ -61,9 +60,9 @@ pub struct Simulation {
     /// Pre-step leaf-state snapshot for guardian rollback.
     pub(crate) shadow: ShadowSnapshot,
     /// Cached step graphs (task-graph scheduler), one per sweep parity
-    /// (index 1 = reversed), each keyed on tree epoch, rank count and
-    /// validation fusion: alternating steps reuse their own plan, so a
-    /// graph is built twice per tree epoch, not once per step.
+    /// (index 1 = reversed), each keyed on tree epoch and rank count:
+    /// alternating steps reuse their own plan, so a graph is built twice
+    /// per tree epoch, not once per step.
     pub(crate) graph_plans: [Option<crate::stepgraph::StepGraphPlan>; 2],
     /// Cumulative task-graph statistics (empty on the serial loop).
     pub graph_report: crate::stepgraph::GraphExecReport,
@@ -177,13 +176,12 @@ impl Simulation {
         }
     }
 
-    /// The physics of one step at a fixed `dt`: split sweeps (each followed
-    /// by the instrumented EOS pass over every leaf), then
-    /// [`post_sweep_tail`](Self::post_sweep_tail): flame (and its EOS pass
-    /// over the leaves it burned), gravity. Does *not* advance
-    /// `step`/`time` or regrid — [`commit_step`](Self::commit_step) does,
-    /// so the guardian can validate (and roll back) in between.
-    pub(crate) fn advance_physics(&mut self, dt: f64) {
+    /// The split sweeps of one step at a fixed `dt` on the serial loop,
+    /// each followed by the instrumented EOS pass over every leaf — the
+    /// oracle of the task graph's [`graph_sweeps`](Self::graph_sweeps).
+    /// The rest of the attempt (fault hooks, flame, gravity, validation)
+    /// is the guardian's, the same for both paths.
+    pub(crate) fn serial_sweeps(&mut self, dt: f64) {
         let ndim = self.domain.tree.config().ndim;
         let sweep_cfg = self.sweep_config();
 
@@ -222,41 +220,13 @@ impl Simulation {
             self.eos_everywhere();
             self.timers.stop("eos");
         }
-
-        // Deterministic corruption hooks, consulted once per step each,
-        // after the sweeps so nothing downstream floors the damage away
-        // before the guardian's validation scan runs:
-        // * `step-nan` — poison one interior energy with a NaN, as if a
-        //   kernel had emitted one (exercises the finite check);
-        // * `flux-corrupt` — flip one interior density negative, the shape
-        //   of a Riemann-solver blow-up (exercises the floor check).
-        if faults::fires(FaultSite::StepNan) {
-            if let Some(&id) = self.domain.tree.leaves().first() {
-                let i = self.domain.unk.interior().start;
-                let k = self.domain.unk.interior_k().start;
-                self.domain.unk.set(vars::ENER, i, i, k, id.idx(), f64::NAN);
-            }
-        }
-        if faults::fires(FaultSite::FluxCorrupt) {
-            if let Some(&id) = self.domain.tree.leaves().first() {
-                let i = self.domain.unk.interior().start;
-                let k = self.domain.unk.interior_k().start;
-                let v = self.domain.unk.get(vars::DENS, i, i, k, id.idx());
-                self.domain
-                    .unk
-                    .set(vars::DENS, i, i, k, id.idx(), -v.abs() - 1.0);
-            }
-        }
-
-        self.post_sweep_tail(dt);
     }
 
-    /// The step physics after the split sweeps: flame and gravity. Shared
-    /// by the serial loop ([`advance_physics`](Self::advance_physics))
-    /// and the task-graph path, whose graph covers everything before this.
-    /// The flame's EOS pass re-solves only the leaves the flame deposited
-    /// energy in; every other leaf still holds the bits of the pass after
-    /// the last sweep, which a re-solve would return unchanged.
+    /// The step physics after the split sweeps and the fault hooks: flame
+    /// and gravity, the same on both step paths. The flame's EOS pass
+    /// re-solves only the leaves the flame deposited energy in; every
+    /// other leaf still holds the bits of the pass after the last sweep,
+    /// which a re-solve would return unchanged.
     pub(crate) fn post_sweep_tail(&mut self, dt: f64) {
         if let Some(flame) = &self.flame {
             self.timers.start("flame");
@@ -348,12 +318,13 @@ impl Simulation {
 
     /// Where the step loop's time went, by unit, in seconds — FLASH's
     /// per-unit timer rows. On the serial loop these are the unit timers.
-    /// The task graph interleaves guard fills, sweeps, EOS, dt scans and
-    /// fused validation freely, so those timers never tick there; their
-    /// rows come from the per-task busy ledger instead, as the mean over
-    /// ranks, so every row stays comparable to the wall time inside
-    /// [`try_step`](Self::try_step), `timers.seconds("step")`. Flame,
-    /// gravity and regrid run on the driver thread either way.
+    /// The task graph interleaves guard fills, sweeps and EOS freely, so
+    /// those three timers never tick there; their rows come from the
+    /// per-task busy ledger instead, as the mean over ranks, so every row
+    /// stays comparable to the wall time inside
+    /// [`try_step`](Self::try_step), `timers.seconds("step")`. The dt,
+    /// guardian, flame, gravity and regrid rows are driver timers on both
+    /// paths.
     pub fn phase_seconds(&self) -> Vec<(&'static str, f64)> {
         let g = &self.graph_report;
         let per_rank = |ns: u64| ns as f64 / 1e9 / self.params.nranks as f64;
@@ -370,7 +341,7 @@ impl Simulation {
         .into_iter()
         .map(|label| (label, self.timers.seconds(label)))
         .collect();
-        let ledger = [g.guardcell_ns, g.sweep_ns, g.eos_ns, g.dt_ns, g.guardian_ns];
+        let ledger = [g.guardcell_ns, g.sweep_ns, g.eos_ns];
         for (row, ns) in rows.iter_mut().zip(ledger) {
             row.1 += per_rank(ns);
         }

@@ -1,13 +1,17 @@
-//! The task-graph step scheduler: one pool dispatch per attempt.
+//! The task-graph step scheduler: the split sweeps in one pool dispatch
+//! per attempt.
 //!
-//! Run on a pool as phases — guard fill, sweep, EOS, dt scan, validation
-//! — a step loop puts a full barrier at every phase boundary, so the
-//! fastest rank idles until the slowest finishes *each phase*. This
-//! module assembles the whole step into one per-block dependency graph
-//! (see [`rflash_mesh::taskgraph`]) and executes it in a single dispatch
-//! of the rank pool: a block's sweep runs the moment its own guard cells
-//! are filled, interior compute overlaps other blocks' exchanges, and the
-//! only remaining global synchronization is the end-of-step dt reduction.
+//! Run on a pool as phases — guard fill, sweep, EOS — a step loop puts a
+//! full barrier at every phase boundary, so the fastest rank idles until
+//! the slowest finishes *each phase*. This module assembles the sweeps of
+//! one step into one per-block dependency graph (see
+//! [`rflash_mesh::taskgraph`]) and executes it in a single dispatch of the
+//! rank pool: a block's sweep runs the moment its own guard cells are
+//! filled, and interior compute overlaps other blocks' exchanges. The graph
+//! does what the serial sweep loop does — per direction, restrict → fill →
+//! sweep → correct → EOS — at the `dt` it is handed; the dt scan, the fault
+//! hooks and the guardian's validation run once, outside it, for both step
+//! paths ([`crate::guardian`]).
 //!
 //! Determinism (bit-identity with the serial step loop, which runs at one
 //! rank and is the graph's oracle) is by construction —
@@ -19,62 +23,41 @@
 //! * Each block's slab is split into an *interior* and a *guards* resource:
 //!   same-level guard copies read only the source interior, so two
 //!   neighbors' fills don't falsely serialize on each other.
-//! * Order-sensitive reductions — the CFL minimum, the guardian verdict —
-//!   are folded over per-leaf slots in Morton order, never in completion
-//!   order (`f64::min` is exact, so the fold is bit-identical to the
-//!   serial scan).
-//! * An unusable dt poisons the graph: every state-mutating task after the
-//!   reduction no-ops, leaving leaf interiors untouched exactly like the
-//!   serial loop's bad-dt retry (guard cells are rewritten from the same
-//!   interiors on the next attempt, so they cannot diverge either).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use rflash_hugepages::faults::{self, FaultSite};
-use rflash_hydro::{apply_block_corrections, block_min_wavetime_slab, sweep_leaf_block, NFLUX};
+use rflash_hydro::{apply_block_corrections, sweep_leaf_block, NFLUX};
 use rflash_mesh::audit::ResourceMap;
 use rflash_mesh::executor::PerRank;
 use rflash_mesh::flux::{Correction, Face};
 use rflash_mesh::guardcell::{fill_block_cells, restrict_parent_cells, ExchangePlan};
-use rflash_mesh::taskgraph::{
-    GraphBuilder, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId,
-};
+use rflash_mesh::taskgraph::{GraphBuilder, GraphStats, TaskClass, TaskGraph, TaskId};
 use rflash_mesh::tree::Neighbor;
 use rflash_mesh::unk::Region;
-use rflash_mesh::{vars, BlockId, BlockState, GuardNeed, Tree};
+use rflash_mesh::{BlockId, BlockState, GuardNeed, Tree};
 use rflash_perfmon::Probe;
 use serde::Serialize;
 
-use crate::guardian::{check_block, retry_dt};
 use crate::instrument::eos_block;
 use crate::sim::Simulation;
 
 pub mod mutation;
 
 // Task kinds, also the indices of the per-kind busy ledger.
-pub(crate) const K_DT: u8 = 0;
-pub(crate) const K_DTREDUCE: u8 = 1;
-pub(crate) const K_RESTRICT: u8 = 2;
-pub(crate) const K_FILL: u8 = 3;
-pub(crate) const K_SWEEP: u8 = 4;
-pub(crate) const K_CORRECT: u8 = 5;
-pub(crate) const K_EOS: u8 = 6;
-pub(crate) const K_INJECT: u8 = 7;
-pub(crate) const K_VALIDATE: u8 = 8;
-const NKINDS: usize = 9;
+const K_RESTRICT: u8 = 0;
+const K_FILL: u8 = 1;
+const K_SWEEP: u8 = 2;
+const K_CORRECT: u8 = 3;
+const K_EOS: u8 = 4;
+const NKINDS: usize = 5;
 
 /// Scheduling classes per kind, for the overlap ledger.
 const CLASSES: [TaskClass; NKINDS] = [
-    TaskClass::Other,    // Dt
-    TaskClass::Other,    // DtReduce
     TaskClass::Exchange, // Restrict
     TaskClass::Exchange, // Fill
     TaskClass::Compute,  // Sweep
     TaskClass::Compute,  // Correct
     TaskClass::Other,    // Eos
-    TaskClass::Other,    // Inject
-    TaskClass::Other,    // Validate
 ];
 
 /// What a cached plan was built for; any mismatch forces a rebuild. The
@@ -87,8 +70,6 @@ pub(crate) struct PlanKey {
     /// Odd steps sweep the directions in reverse (Strang alternation);
     /// selects the cache slot.
     pub reversed: bool,
-    /// Guardian validation folded into the graph tail (no flame/gravity).
-    pub fused: bool,
 }
 
 /// Everything the body closure needs to know about one task.
@@ -96,9 +77,7 @@ pub(crate) struct PlanKey {
 struct TaskMeta {
     kind: u8,
     block: BlockId,
-    /// Morton position of the leaf (dt-contribution / verdict slot index).
-    leaf_idx: u32,
-    /// Sweep axis for the per-direction kinds.
+    /// Sweep axis.
     dir: u8,
     /// What a fill task's body asks the exchange for. Always the need its
     /// declarations were generated from, `Axis(dir)`, except under the
@@ -111,21 +90,6 @@ pub(crate) struct StepGraphPlan {
     key: PlanKey,
     graph: TaskGraph,
     meta: Vec<TaskMeta>,
-    /// Leaves in Morton order — the slot index space.
-    leaves: Vec<BlockId>,
-}
-
-/// Result of one step attempt, a graph dispatch or the serial body.
-pub(crate) struct GraphAttemptOutcome {
-    /// `cfl · min(wavetime)`, bit-identical to `compute_dt_parallel_raw`.
-    pub raw: f64,
-    /// The dt the sweeps actually used ([`retry_dt`] of `raw`).
-    pub dt: f64,
-    /// The dt was unusable: every state-mutating task no-opped.
-    pub poisoned: bool,
-    /// First guardian violation in Morton order (`None` when the attempt
-    /// was not validated).
-    pub verdict: Option<String>,
 }
 
 /// Per-rank counters accumulated over every graph execution of a run.
@@ -157,10 +121,6 @@ pub struct GraphExecReport {
     pub sweep_ns: u64,
     /// Busy ns in EOS tasks.
     pub eos_ns: u64,
-    /// Busy ns in dt scan + reduction tasks.
-    pub dt_ns: u64,
-    /// Busy ns in guardian validation tasks (fused plans only).
-    pub guardian_ns: u64,
     /// Compute-class ns spent while ≥1 exchange task was in flight.
     pub overlap_ns: u64,
     /// Total compute-class ns (the overlap denominator).
@@ -184,8 +144,6 @@ impl GraphExecReport {
         self.guardcell_ns += kind(K_RESTRICT) + kind(K_FILL);
         self.sweep_ns += kind(K_SWEEP) + kind(K_CORRECT);
         self.eos_ns += kind(K_EOS);
-        self.dt_ns += kind(K_DT) + kind(K_DTREDUCE);
-        self.guardian_ns += kind(K_VALIDATE);
         self.overlap_ns += stats.overlap_ns;
         self.compute_ns += stats.compute_ns;
         if self.per_rank.len() < stats.per_rank.len() {
@@ -219,12 +177,12 @@ impl GraphExecReport {
 /// Build the step graph for `key`, declaring every task's resource
 /// accesses in the canonical serial order (DESIGN.md §13).
 ///
-/// Resource layout ([`ResourceMap`], `3·max_blocks + 1` resources):
-/// `interior(b) = b`, `guards(b) = max_blocks + b`,
-/// `flux rows(b) = 2·max_blocks + b`, and the dt cell at `3·max_blocks`.
+/// Resource layout ([`ResourceMap`], `3·max_blocks` resources):
+/// `interior(b) = b`, `guards(b) = max_blocks + b` and
+/// `flux rows(b) = 2·max_blocks + b`.
 ///
 /// Every declaration goes through [`mutation::keep`] with a stable site
-/// number (`S0`–`S20`, see [`mutation::NAMES`]) so the race-audit harness
+/// number (`S0`–`S14`, see [`mutation::NAMES`]) so the race-audit harness
 /// can drop any single one and require the audit to notice.
 fn build_plan(
     tree: &Tree,
@@ -238,7 +196,6 @@ fn build_plan(
     let interior = |b: BlockId| rmap.interior(b.idx());
     let guards = |b: BlockId| rmap.guards(b.idx());
     let fluxrow = |b: BlockId| rmap.fluxrow(b.idx());
-    let dt_res = rmap.dt();
 
     let leaves = tree.leaves();
 
@@ -265,39 +222,19 @@ fn build_plan(
 
     let mut b = GraphBuilder::new(rmap.count());
     let mut meta: Vec<TaskMeta> = Vec::new();
-    let mut add = |b: &mut GraphBuilder, kind: u8, block: BlockId, leaf_idx: u32, dir: u8| {
+    let mut add = |b: &mut GraphBuilder, kind: u8, block: BlockId, dir: u8| {
         let t = b.add_task(kind, owner[block.idx()] as usize);
         meta.push(TaskMeta {
             kind,
             block,
-            leaf_idx,
             dir,
             need: mutation::body_need(GuardNeed::Axis(dir as usize)),
         });
         t
     };
 
-    // 1. Per-leaf dt scans (Morton order), folded by one reduction task.
-    let mut dt_tasks: Vec<TaskId> = Vec::with_capacity(leaves.len());
-    for (li, &id) in leaves.iter().enumerate() {
-        let t = add(&mut b, K_DT, id, li as u32, 0);
-        if mutation::keep(0) {
-            b.note_read(interior(id), t); // S0
-        }
-        dt_tasks.push(t);
-    }
-    if let Some(&first) = leaves.first() {
-        let reduce = add(&mut b, K_DTREDUCE, first, 0, 0);
-        for &t in &dt_tasks {
-            b.add_edge(t, reduce);
-        }
-        if mutation::keep(1) {
-            b.note_write(dt_res, reduce); // S1
-        }
-    }
-
-    // 2. Per direction: restriction, guard exchange, sweeps, flux
-    //    corrections, EOS — each family declared in its serial order.
+    // Per direction: restriction, guard exchange, sweeps, flux
+    // corrections, EOS — each family declared in its serial order.
     let ndim = cfg.ndim;
     let dirs_order: Vec<usize> = if key.reversed {
         (0..ndim).rev().collect()
@@ -317,17 +254,17 @@ fn build_plan(
         // (restriction touches no guard cells), writes the parent's.
         for lvl in (0..exchange.levels()).rev() {
             for &pid in exchange.live_parents(need, lvl) {
-                let t = add(&mut b, K_RESTRICT, pid, 0, d8);
+                let t = add(&mut b, K_RESTRICT, pid, d8);
                 let m = tree.block(pid);
                 if let Some(children) = m.children {
                     for &cid in children.iter().take(m.n_children as usize) {
-                        if mutation::keep(2) {
-                            b.note_read(interior(cid), t); // S2
+                        if mutation::keep(0) {
+                            b.note_read(interior(cid), t); // S0
                         }
                     }
                 }
-                if mutation::keep(3) {
-                    b.note_write(interior(pid), t); // S3
+                if mutation::keep(1) {
+                    b.note_write(interior(pid), t); // S1
                 }
             }
         }
@@ -338,55 +275,52 @@ fn build_plan(
         // guards — so fills of one level never order against each other.
         for lvl in 0..exchange.levels() {
             for &id in exchange.fill_blocks(need, lvl) {
-                let t = add(&mut b, K_FILL, id, 0, d8);
+                let t = add(&mut b, K_FILL, id, d8);
                 // The same masked table the task body walks, so declaration
                 // and access cannot drift apart.
                 for (_, nbr) in exchange.reads(need, id) {
                     match nbr {
                         Neighbor::Same(nid) => {
-                            if mutation::keep(4) {
-                                b.note_read(interior(nid), t); // S4
+                            if mutation::keep(2) {
+                                b.note_read(interior(nid), t); // S2
                             }
                         }
                         Neighbor::Coarser(nid) => {
-                            if mutation::keep(5) {
-                                b.note_read(interior(nid), t); // S5
+                            if mutation::keep(3) {
+                                b.note_read(interior(nid), t); // S3
                             }
-                            if mutation::keep(6) {
-                                b.note_read(guards(nid), t); // S6
+                            if mutation::keep(4) {
+                                b.note_read(guards(nid), t); // S4
                             }
                         }
                         Neighbor::Boundary => {}
                     }
                 }
-                if mutation::keep(7) {
-                    b.note_read(interior(id), t); // S7
+                if mutation::keep(5) {
+                    b.note_read(interior(id), t); // S5
                 }
-                if mutation::keep(8) {
-                    b.note_write(guards(id), t); // S8
+                if mutation::keep(6) {
+                    b.note_write(guards(id), t); // S6
                 }
             }
         }
         // Sweeps per leaf, Morton order.
-        for (li, &id) in leaves.iter().enumerate() {
-            let t = add(&mut b, K_SWEEP, id, li as u32, d8);
+        for &id in &leaves {
+            let t = add(&mut b, K_SWEEP, id, d8);
+            if mutation::keep(7) {
+                b.note_read(guards(id), t); // S7
+            }
+            if mutation::keep(8) {
+                b.note_write(interior(id), t); // S8
+            }
             if mutation::keep(9) {
-                b.note_read(dt_res, t); // S9
-            }
-            if mutation::keep(10) {
-                b.note_read(guards(id), t); // S10
-            }
-            if mutation::keep(11) {
-                b.note_write(interior(id), t); // S11
-            }
-            if mutation::keep(12) {
-                b.note_write(fluxrow(id), t); // S12
+                b.note_write(fluxrow(id), t); // S9
             }
         }
         // Flux corrections: only coarse leaves with a refined same-level
         // neighbor along this axis receive any. The fine fluxes live in
         // the rows of the parent neighbor's children.
-        for (li, &id) in leaves.iter().enumerate() {
+        for &id in &leaves {
             let mut fine_neighbors: Vec<BlockId> = Vec::new();
             for side in 0..2 {
                 let mut dv = [0i32; 3];
@@ -400,59 +334,34 @@ fn build_plan(
             if fine_neighbors.is_empty() {
                 continue;
             }
-            let t = add(&mut b, K_CORRECT, id, li as u32, d8);
-            if mutation::keep(13) {
-                b.note_read(fluxrow(id), t); // S13
+            let t = add(&mut b, K_CORRECT, id, d8);
+            if mutation::keep(10) {
+                b.note_read(fluxrow(id), t); // S10
             }
             for nid in fine_neighbors {
                 let m = tree.block(nid);
                 if let Some(children) = m.children {
                     for &cid in children.iter().take(m.n_children as usize) {
-                        if mutation::keep(14) {
-                            b.note_read(fluxrow(cid), t); // S14
+                        if mutation::keep(11) {
+                            b.note_read(fluxrow(cid), t); // S11
                         }
                     }
                 }
             }
-            // The correction rescales with the step's dt, read from the
-            // reduction's slot (ordered transitively through the flux rows,
-            // but the read itself must still be declared).
-            if mutation::keep(15) {
-                b.note_read(dt_res, t); // S15
-            }
-            if mutation::keep(16) {
-                b.note_write(interior(id), t); // S16
+            if mutation::keep(12) {
+                b.note_write(interior(id), t); // S12
             }
         }
         // EOS per leaf, Morton order. The row gather reads the whole
         // pencil — guards included — so the read must be declared even
         // though only interior lanes feed the solve.
-        for (li, &id) in leaves.iter().enumerate() {
-            let t = add(&mut b, K_EOS, id, li as u32, d8);
-            if mutation::keep(17) {
-                b.note_read(guards(id), t); // S17
+        for &id in &leaves {
+            let t = add(&mut b, K_EOS, id, d8);
+            if mutation::keep(13) {
+                b.note_read(guards(id), t); // S13
             }
-            if mutation::keep(18) {
-                b.note_write(interior(id), t); // S18
-            }
-        }
-    }
-
-    // 3. Fault injection on the first leaf — always present, driven by
-    //    per-attempt flags (the graph is cached across attempts and steps).
-    if let Some(&first) = leaves.first() {
-        let t = add(&mut b, K_INJECT, first, 0, 0);
-        if mutation::keep(19) {
-            b.note_write(interior(first), t); // S19
-        }
-    }
-
-    // 4. Guardian validation per leaf when fused into the graph.
-    if key.fused {
-        for (li, &id) in leaves.iter().enumerate() {
-            let t = add(&mut b, K_VALIDATE, id, li as u32, 0);
-            if mutation::keep(20) {
-                b.note_read(interior(id), t); // S20
+            if mutation::keep(14) {
+                b.note_write(interior(id), t); // S14
             }
         }
     }
@@ -461,17 +370,7 @@ fn build_plan(
     let label_meta = meta.clone();
     graph.set_audit_context(
         move |t| {
-            const KIND_NAMES: [&str; NKINDS] = [
-                "dt",
-                "dt-reduce",
-                "restrict",
-                "fill",
-                "sweep",
-                "correct",
-                "eos",
-                "inject",
-                "validate",
-            ];
+            const KIND_NAMES: [&str; NKINDS] = ["restrict", "fill", "sweep", "correct", "eos"];
             let m = label_meta[t as usize];
             format!(
                 "{}(block {}, dir {})",
@@ -483,12 +382,7 @@ fn build_plan(
         move |r| rmap.describe(r),
     );
 
-    StepGraphPlan {
-        key,
-        graph,
-        meta,
-        leaves,
-    }
+    StepGraphPlan { key, graph, meta }
 }
 
 impl Simulation {
@@ -520,29 +414,11 @@ impl Simulation {
         slot
     }
 
-    /// One step attempt through the task graph: dt scan + reduction, the
-    /// split sweeps with per-block guard exchange, flux corrections, the
-    /// EOS passes, fault injection, and (fused plans) guardian validation —
-    /// all in a single pool dispatch.
-    ///
-    /// Fault sites live in main-thread TLS, so they are consulted *here*,
-    /// before the dispatch: `dt-zero` first (skipping the graph entirely,
-    /// like the serial loop's bad-dt attempt touches no state), then the
-    /// state-corruption sites whose flags drive the in-graph Inject task.
-    pub(crate) fn graph_attempt(&mut self, attempt: u32, fused: bool) -> GraphAttemptOutcome {
-        let cfl = self.params.cfl;
-        assert!(cfl > 0.0 && cfl < 1.0, "CFL must be in (0, 1)");
-        if faults::fires(FaultSite::DtZero) {
-            return GraphAttemptOutcome {
-                raw: 0.0,
-                dt: 0.0,
-                poisoned: true,
-                verdict: None,
-            };
-        }
-        let inject_nan = faults::fires(FaultSite::StepNan);
-        let inject_neg = faults::fires(FaultSite::FluxCorrupt);
-
+    /// The split sweeps of one step attempt at `dt` through the task
+    /// graph, in a single pool dispatch: per direction, restriction, guard
+    /// exchange, sweeps, flux corrections and EOS passes — what the serial
+    /// sweep loop ([`serial_sweeps`](Self::serial_sweeps)) does.
+    pub(crate) fn graph_sweeps(&mut self, attempt: u32, dt: f64) {
         let nranks = self.params.nranks;
         // Adversarial mode: mix the step and attempt into the seed so every
         // dispatch explores a different (but reproducible) topological order.
@@ -554,15 +430,13 @@ impl Simulation {
             epoch: self.domain.tree.epoch(),
             nranks,
             reversed: !self.step.is_multiple_of(2),
-            fused,
         };
         let slot = self.ensure_graph_plan(key);
 
         let sweep_cfg = self.sweep_config();
         let geom = self.domain.unk.geom();
-        let cfg = *self.domain.tree.config();
-        let gcfg = self.params.guardian;
-        let tolerate_bad_rows = gcfg.enabled;
+        let ndim = self.domain.tree.config().ndim;
+        let tolerate_bad_rows = self.params.guardian.enabled;
         let gather_every = self.params.gather_every;
         let pattern_every = self.params.pattern_every;
         let comp = self.comp;
@@ -573,32 +447,8 @@ impl Simulation {
 
         // analyze::allow(panic): `ensure_graph_plan` ran just above.
         let plan = self.graph_plans[slot].as_ref().expect("plan ensured");
-        let nleaves = plan.leaves.len();
-        let first_leaf = plan.leaves.first().copied();
         let meta = &plan.meta;
-
-        // Slot arrays mapped onto the plan's resource ids so their accesses
-        // land in the race-audit ledger: the dt pair is the single dt cell,
-        // and the reduction / verdict inputs are ordered by explicit edges
-        // only.
-        let rmap = ResourceMap {
-            max_blocks: cfg.max_blocks,
-        };
-        let contribs: SyncSlots<f64> = SyncSlots::new(nleaves, SlotRes::Unmapped, || f64::INFINITY);
-        let dt_slot: SyncSlots<(f64, f64)> =
-            SyncSlots::new(1, SlotRes::Fixed(rmap.dt()), || (f64::NAN, f64::NAN));
-        let verdicts: SyncSlots<Option<String>> =
-            SyncSlots::new(nleaves, SlotRes::Unmapped, || None);
-        let poisoned = AtomicBool::new(false);
         let probes: PerRank<(Probe, Probe)> = PerRank::new(nranks, || (Probe::new(), Probe::new()));
-
-        let interior = geom.nguard..geom.nguard + geom.nxb;
-        let interior_k = if geom.ndim == 3 {
-            interior.clone()
-        } else {
-            0..1
-        };
-        let (i0, k0) = (interior.start, interior_k.start);
 
         self.hydro_session.start_region();
         self.eos_session.start_region();
@@ -609,30 +459,6 @@ impl Simulation {
         let body = |rank: usize, t: TaskId| {
             let m = meta[t as usize];
             match m.kind {
-                K_DT => {
-                    // SAFETY: shared interior access and sole ownership of
-                    // this leaf's contribution slot, per the graph edges.
-                    let slab = unsafe { cells.read_slab(m.block.idx(), Region::Interior) };
-                    let w = block_min_wavetime_slab(tree, &geom, slab, m.block);
-                    // SAFETY: sole writer of this leaf's slot.
-                    unsafe { *contribs.write_slot(m.leaf_idx as usize) = w };
-                }
-                K_DTREDUCE => {
-                    // Morton-order fold: `min` is exact, so this matches
-                    // the serial scan bit for bit.
-                    let mut min = f64::INFINITY;
-                    for li in 0..nleaves {
-                        // SAFETY: explicit edges order this after every
-                        // per-leaf scan; the slots are quiescent.
-                        min = min.min(unsafe { *contribs.read_slot(li) });
-                    }
-                    let raw = cfl * min;
-                    if !(raw.is_finite() && raw > 0.0) {
-                        poisoned.store(true, Ordering::Release);
-                    }
-                    // SAFETY: sole writer; sweeps read through dt_res edges.
-                    unsafe { *dt_slot.write_slot(0) = (raw, retry_dt(raw, attempt)) };
-                }
                 K_RESTRICT => {
                     // SAFETY: child interiors are ordered shared reads and
                     // the parent interior is exclusive, per the edges.
@@ -645,11 +471,6 @@ impl Simulation {
                     unsafe { fill_block_cells(tree, &geom, &cells, exchange, m.need, m.block) };
                 }
                 K_SWEEP => {
-                    if poisoned.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // SAFETY: ordered after the reduction via dt_res.
-                    let (_, dt) = unsafe { *dt_slot.read_slot(0) };
                     let dir = m.dir as usize;
                     // SAFETY: exclusive interior access with ordered shared
                     // guard reads, per the declared resources.
@@ -683,9 +504,6 @@ impl Simulation {
                     }
                 }
                 K_CORRECT => {
-                    if poisoned.load(Ordering::Acquire) {
-                        return;
-                    }
                     let dir = m.dir as usize;
                     let mut corrs: Vec<Correction> = Vec::new();
                     // SAFETY: ordered after every flux-row writer it reads.
@@ -693,17 +511,12 @@ impl Simulation {
                     if corrs.is_empty() {
                         return;
                     }
-                    // SAFETY: as for K_SWEEP.
-                    let (_, dt) = unsafe { *dt_slot.read_slot(0) };
                     // SAFETY: exclusive interior access via the edges.
                     let slab = unsafe { cells.write_slab(m.block.idx(), Region::Interior, None) };
                     let refs: Vec<&Correction> = corrs.iter().collect();
                     apply_block_corrections(tree, &geom, m.block, slab, &refs, dir, dt, &sweep_cfg);
                 }
                 K_EOS => {
-                    if poisoned.load(Ordering::Acquire) {
-                        return;
-                    }
                     // SAFETY: exclusive interior access with ordered shared
                     // guard reads (the pencil gather spans the guards).
                     let slab = unsafe {
@@ -723,48 +536,6 @@ impl Simulation {
                         &mut pr.1,
                     );
                 }
-                K_INJECT => {
-                    if poisoned.load(Ordering::Acquire) {
-                        return;
-                    }
-                    if !(inject_nan || inject_neg) {
-                        return;
-                    }
-                    let Some(first) = first_leaf else { return };
-                    // SAFETY: exclusive interior access via the edges; the
-                    // corrupted zone is the first interior cell, so the
-                    // recorded claim classifies as an interior write.
-                    unsafe {
-                        if inject_nan {
-                            cells.update_cell(&geom, first.idx(), vars::ENER, i0, i0, k0, |_| {
-                                f64::NAN
-                            });
-                        }
-                        if inject_neg {
-                            cells.update_cell(&geom, first.idx(), vars::DENS, i0, i0, k0, |v| {
-                                -v.abs() - 1.0
-                            });
-                        }
-                    }
-                }
-                K_VALIDATE => {
-                    if poisoned.load(Ordering::Acquire) {
-                        return;
-                    }
-                    // SAFETY: shared interior read; sole verdict-slot owner.
-                    let slab = unsafe { cells.read_slab(m.block.idx(), Region::Interior) };
-                    let key = tree.block(m.block).key;
-                    let v = check_block(
-                        key,
-                        slab,
-                        &geom,
-                        interior.clone(),
-                        interior_k.clone(),
-                        &gcfg,
-                    );
-                    // SAFETY: sole writer of this leaf's verdict slot.
-                    unsafe { *verdicts.write_slot(m.leaf_idx as usize) = v };
-                }
                 // The builder only emits the kinds matched above.
                 other => unreachable!("unknown task kind {other}"),
             }
@@ -774,12 +545,10 @@ impl Simulation {
             None => plan.graph.execute(pool, &CLASSES, &body),
         };
         self.timers.stop("graph");
-        for d in 0..cfg.ndim {
+        for d in 0..ndim {
             self.domain.record_guard_fill(GuardNeed::Axis(d));
         }
 
-        let (raw, dt) = dt_slot.into_inner()[0];
-        let was_poisoned = poisoned.load(Ordering::Acquire);
         for (hydro, eos) in probes.into_inner() {
             self.hydro_session.absorb(hydro);
             self.eos_session.absorb(eos);
@@ -787,14 +556,5 @@ impl Simulation {
         self.hydro_session.stop_region();
         self.eos_session.stop_region();
         self.graph_report.accumulate(&stats);
-        // Morton-order verdict fold: the slots are leaf-ordered, so the
-        // first `Some` is the same violation the serial scan reports.
-        let verdict = verdicts.into_inner().into_iter().find_map(|v| v);
-        GraphAttemptOutcome {
-            raw,
-            dt: if was_poisoned { raw } else { dt },
-            poisoned: was_poisoned,
-            verdict,
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Declaration-mutation hooks for the race-audit harness (DESIGN.md §14).
 //!
 //! `build_plan` funnels every `note_read`/`note_write` through [`keep`],
-//! each with a stable site number `S0`–`S20`. The harness drops one site
+//! each with a stable site number `S0`–`S14`. The harness drops one site
 //! at a time ([`drop_site`]), rebuilds the plan, and requires the audit to
 //! fail — i.e. 100% mutant detection: if the step could lose a declaration
 //! without the audit noticing, the audit would also miss a real missing
@@ -23,31 +23,25 @@ use rflash_mesh::GuardNeed;
 /// Number of declaration sites in `build_plan`. The mutation matrix in
 /// `tests/race_audit.rs` exercises all of them and fails if any site never
 /// fires in its scenario.
-pub const NSITES: u32 = 21;
+pub const NSITES: u32 = 15;
 
 /// What each site declares, for harness diagnostics.
 pub const NAMES: [&str; NSITES as usize] = [
-    "dt scan reads the leaf interior",           // S0
-    "dt reduce writes the dt cell",              // S1
-    "restrict reads the child interiors",        // S2
-    "restrict writes the parent interior",       // S3
-    "fill reads a same-level neighbor interior", // S4
-    "fill reads a coarser neighbor interior",    // S5
-    "fill reads a coarser neighbor's guards",    // S6
-    "fill reads its own interior",               // S7
-    "fill writes its own guards",                // S8
-    "sweep reads the dt cell",                   // S9
-    "sweep reads its own guards",                // S10
-    "sweep writes its own interior",             // S11
-    "sweep writes its own flux rows",            // S12
-    "correct reads its own flux rows",           // S13
-    "correct reads fine children's flux rows",   // S14
-    "correct reads the dt cell",                 // S15
-    "correct writes its own interior",           // S16
-    "eos reads its own guards",                  // S17
-    "eos writes its own interior",               // S18
-    "inject writes the first leaf interior",     // S19
-    "validate reads the leaf interior",          // S20
+    "restrict reads the child interiors",        // S0
+    "restrict writes the parent interior",       // S1
+    "fill reads a same-level neighbor interior", // S2
+    "fill reads a coarser neighbor interior",    // S3
+    "fill reads a coarser neighbor's guards",    // S4
+    "fill reads its own interior",               // S5
+    "fill writes its own guards",                // S6
+    "sweep reads its own guards",                // S7
+    "sweep writes its own interior",             // S8
+    "sweep writes its own flux rows",            // S9
+    "correct reads its own flux rows",           // S10
+    "correct reads fine children's flux rows",   // S11
+    "correct writes its own interior",           // S12
+    "eos reads its own guards",                  // S13
+    "eos writes its own interior",               // S14
 ];
 
 thread_local! {
@@ -108,7 +102,7 @@ mod tests {
 
     #[test]
     fn drop_site_masks_exactly_one_site_until_the_guard_drops() {
-        assert!(keep(0) && keep(20));
+        assert!(keep(0) && keep(14));
         {
             let _g = drop_site(5);
             assert!(!keep(5));

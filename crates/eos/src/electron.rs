@@ -188,7 +188,8 @@ pub fn electron_state_with_guess(
 
 /// Chandrasekhar's exact cold (T = 0) electron pressure for a given net
 /// electron density — the classical closed form used for validation.
-pub fn cold_pressure(n_ele: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn cold_pressure(n_ele: f64) -> f64 {
     use crate::consts::{C_LIGHT, H_PLANCK, M_E};
     // Fermi momentum parameter x = p_F/(mc):
     // n = (8π/3)(mc/h)³ x³.

@@ -101,8 +101,8 @@ impl EosState {
     }
 
     /// Electron fraction Yₑ = Z̄/Ā.
-    #[inline]
-    pub fn ye(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ye(&self) -> f64 {
         self.zbar / self.abar
     }
 

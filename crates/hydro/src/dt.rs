@@ -1,18 +1,12 @@
 //! CFL time-step control (FLASH's `Driver_computeDt` / `Hydro_computeDt`).
 
-use rflash_mesh::unk::UnkGeom;
 use rflash_mesh::{vars, BlockId, Domain, Tree, UnkStorage};
 
 /// Smallest `dx_d / (|u_d| + c_s)` over the interior zones of one leaf —
 /// the per-block piece shared by the serial scan and the pooled reduction.
 fn block_min_wavetime(tree: &Tree, unk: &UnkStorage, id: BlockId) -> f64 {
-    block_min_wavetime_slab(tree, &unk.geom(), unk.block_slab(id.idx()), id)
-}
-
-/// [`block_min_wavetime`] over one block's slab — the form the task-graph
-/// scheduler's per-block dt tasks call (same loop, same `min` fold order,
-/// hence bit-identical contributions).
-pub fn block_min_wavetime_slab(tree: &Tree, geom: &UnkGeom, slab: &[f64], id: BlockId) -> f64 {
+    let geom = unk.geom();
+    let slab = unk.block_slab(id.idx());
     let ndim = tree.config().ndim;
     let ng = geom.nguard;
     let nxb = geom.nxb;
@@ -60,14 +54,10 @@ pub fn compute_dt(domain: &Domain, cfl: f64) -> f64 {
 /// is exact (associative and commutative), so the result is bit-identical
 /// to the serial scan for any `nranks`. Unlike [`compute_dt`] it does not
 /// assert usability: the raw `cfl · min(wavetime)` is `inf` on an
-/// uninitialized mesh and may be corrupted by the `dt-zero` fault site, so
-/// callers that cannot panic (the step guardian) inspect the value
-/// themselves.
+/// uninitialized mesh, so callers that cannot panic (the step guardian)
+/// inspect the value themselves.
 pub fn compute_dt_parallel_raw(domain: &mut Domain, cfl: f64, nranks: usize) -> f64 {
     assert!(cfl > 0.0 && cfl < 1.0, "CFL must be in (0, 1)");
-    if rflash_hugepages::faults::fires(rflash_hugepages::faults::FaultSite::DtZero) {
-        return 0.0;
-    }
     cfl * domain.par_leaf_min(nranks, block_min_wavetime)
 }
 

@@ -29,7 +29,7 @@ pub mod sedov;
 pub mod state;
 pub mod sweep;
 
-pub use dt::{block_min_wavetime_slab, compute_dt, compute_dt_parallel_raw};
+pub use dt::{compute_dt, compute_dt_parallel_raw};
 pub use exact_riemann::{ExactRiemann, GasState};
 pub use sedov::SedovSolution;
 pub use sweep::{

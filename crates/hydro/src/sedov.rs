@@ -150,7 +150,8 @@ impl SedovSolution {
     }
 
     /// Shock speed at time t.
-    pub fn shock_speed(&self, t: f64) -> f64 {
+    #[cfg(test)]
+    fn shock_speed(&self, t: f64) -> f64 {
         2.0 / (self.nu as f64 + 2.0) * self.shock_radius(t) / t
     }
 

@@ -130,18 +130,6 @@ impl<L: Lane> PrimL<L> {
             m[4].add(self.pres).mul(u),
         ]
     }
-
-    /// Kinetic specific energy (twin of [`Prim::ekin`]).
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn ekin(&self) -> L {
-        L::splat(0.5).mul(
-            self.vel[0]
-                .mul(self.vel[0])
-                .add(self.vel[1].mul(self.vel[1]))
-                .add(self.vel[2].mul(self.vel[2])),
-        )
-    }
 }
 
 /// Twin of [`cons_to_vel_ener`]. The density floor's `max` sees a positive

@@ -6,9 +6,8 @@
 //! one omitted declaration is a silent, schedule-dependent data race that a
 //! parity test can miss on any given interleaving. This module turns that
 //! assumption into a machine-checked invariant (DESIGN.md §14): the
-//! instrumented accessors ([`crate::unk::UnkCells`], [`crate::flux::FluxCells`],
-//! [`crate::taskgraph::SyncSlots`]) record every (resource, read|write) a
-//! task body performs into a thread-local per-task ledger, and
+//! instrumented accessors ([`crate::unk::UnkCells`], [`crate::flux::FluxCells`])
+//! record every (resource, read|write) a task body performs into a thread-local per-task ledger, and
 //! [`crate::taskgraph::TaskGraph::execute`] cross-checks the recorded
 //! accesses against the declared happens-before relation after every run.
 //!
@@ -90,8 +89,8 @@ pub fn rec_write(res: usize) {
 
 /// Serializes tests that record accesses, so concurrent test threads do not
 /// interfere.
-#[doc(hidden)]
-pub fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
     M.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -120,9 +119,8 @@ fn record(res: usize, mode: Mode) {
 
 /// The step graph's resource-id layout, shared between the plan builder
 /// (which declares accesses against it) and the instrumented accessors
-/// (which record against it). `3·max_blocks + 1` resources: per-block
-/// interior, guard band, and flux-register rows, plus one cell for the
-/// reduced dt.
+/// (which record against it). `3·max_blocks` resources: per-block
+/// interior, guard band, and flux-register rows.
 #[derive(Clone, Copy, Debug)]
 pub struct ResourceMap {
     pub max_blocks: usize,
@@ -147,23 +145,14 @@ impl ResourceMap {
         2 * self.max_blocks + blk
     }
 
-    /// The reduced-dt cell.
-    #[inline]
-    pub fn dt(&self) -> usize {
-        3 * self.max_blocks
-    }
-
     /// Total number of resources.
     #[inline]
     pub fn count(&self) -> usize {
-        3 * self.max_blocks + 1
+        3 * self.max_blocks
     }
 
     /// Human-readable name of resource `res`, for audit failure messages.
     pub fn describe(&self, res: usize) -> String {
-        if res == self.dt() {
-            return "dt".to_string();
-        }
         let (family, blk) = match res / self.max_blocks {
             0 => ("interior", res),
             1 => ("guards", res - self.max_blocks),
@@ -220,11 +209,9 @@ mod tests {
         assert_eq!(m.interior(3), 3);
         assert_eq!(m.guards(3), 13);
         assert_eq!(m.fluxrow(3), 23);
-        assert_eq!(m.dt(), 30);
-        assert_eq!(m.count(), 31);
+        assert_eq!(m.count(), 30);
         assert_eq!(m.describe(3), "interior(block 3)");
         assert_eq!(m.describe(13), "guards(block 3)");
         assert_eq!(m.describe(23), "fluxrow(block 3)");
-        assert_eq!(m.describe(30), "dt");
     }
 }

@@ -140,41 +140,6 @@ fn build_plan(tree: &Tree, nranks: usize) -> RankPlan {
     }
 }
 
-/// Raw handout of `unk`'s per-block slabs for the worker ranks. Each block
-/// id appears in exactly one rank's work list (the partition invariant), so
-/// the slabs materialized through this are disjoint — the raw-pointer
-/// analog of [`UnkStorage::slabs_mut`], minus the per-call `Vec` handout
-/// the scoped-thread implementation rebuilt on every parallel section.
-#[derive(Clone, Copy)]
-struct RawSlabs {
-    ptr: *mut f64,
-    per_block: usize,
-}
-
-// SAFETY: the pointer spans a plain-f64 region; callers uphold the
-// one-rank-per-block discipline documented on `slab`.
-unsafe impl Send for RawSlabs {}
-unsafe impl Sync for RawSlabs {}
-
-impl RawSlabs {
-    fn of(unk: &mut UnkStorage) -> RawSlabs {
-        RawSlabs {
-            per_block: unk.per_block(),
-            ptr: unk.base_ptr_mut(),
-        }
-    }
-
-    /// Block `blk`'s slab.
-    ///
-    /// # Safety
-    /// During one pool dispatch, `blk` must be touched by exactly one rank,
-    /// and no `&UnkStorage` reads of the same storage may be live.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slab(&self, blk: usize) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.ptr.add(blk * self.per_block), self.per_block)
-    }
-}
-
 /// Tree + solution container, the pair every solver operates on.
 pub struct Domain {
     pub tree: Tree,
@@ -266,7 +231,7 @@ impl Domain {
         }
 
         let pool = exec.pool.as_mut().expect("pool ensured for nranks > 1");
-        let slabs = RawSlabs::of(unk);
+        let cells = unk.cells();
         let out: PerRank<(Probe, Vec<(BlockId, R)>)> =
             PerRank::new(nranks, || (Probe::new(), Vec::new()));
         let parts = &plan.parts;
@@ -277,8 +242,11 @@ impl Domain {
             let (probe, results) = unsafe { out.slot(rank) };
             results.reserve(parts[rank].len());
             for &id in &parts[rank] {
-                // SAFETY: `id` is in this rank's Morton segment only.
-                let slab = unsafe { slabs.slab(id.idx()) };
+                // SAFETY: `id` is in this rank's Morton segment only: each
+                // block id appears in exactly one rank's work list (the
+                // partition invariant), so no other rank touches this slab
+                // during the dispatch, and no `&UnkStorage` is live.
+                let slab = unsafe { cells.slab_mut(id.idx()) };
                 let r = f(tree_ref, id, slab, probe);
                 results.push((id, r));
             }

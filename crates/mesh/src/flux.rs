@@ -72,11 +72,6 @@ impl FluxRegister {
         }
     }
 
-    /// Number of flux channels per face cell.
-    pub fn nflux(&self) -> usize {
-        self.nflux
-    }
-
     /// Forget all recorded fluxes (start of a sweep).
     pub fn clear(&mut self) {
         self.written.fill(false);

@@ -45,9 +45,7 @@ pub use geometry::Geometry;
 pub use guardcell::{GuardFillStats, GuardNeed};
 pub use shadow::ShadowSnapshot;
 pub use stats::MeshStats;
-pub use taskgraph::{
-    GraphBuilder, GraphRankStats, GraphStats, SlotRes, SyncSlots, TaskClass, TaskGraph, TaskId,
-};
+pub use taskgraph::{GraphBuilder, GraphRankStats, GraphStats, TaskClass, TaskGraph, TaskId};
 pub use tree::{AdaptPlan, BoundaryCondition, MeshConfig, Tree, ZoneGrid};
 pub use unk::{Region, UnkCells, UnkStorage};
 pub use vars::*;

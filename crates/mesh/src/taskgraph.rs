@@ -20,9 +20,7 @@
 //! writer *and* every reader since (the classic RAW/WAR/WAW rule). Declaring
 //! task accesses in the serial step-loop order therefore reproduces the
 //! serial data flow exactly, and any schedule the runner picks computes
-//! bit-identical results. Order-sensitive reductions (the CFL minimum, the
-//! guardian verdict) are folded by dedicated tasks in Morton order over
-//! per-block slots, never in completion order.
+//! bit-identical results.
 
 //!
 //! Each execution is audited when the access ledger is compiled in (debug
@@ -39,7 +37,6 @@
 //! edge-consistent topological order, so undeclared dependencies surface as
 //! bit-level divergence even on a single-core host.
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -713,83 +710,6 @@ impl TaskGraph {
     }
 }
 
-/// Maps a [`SyncSlots`] index to the graph resource it materializes, so
-/// slot accesses land in the audit ledger: `Fixed` slots all alias one
-/// resource (e.g. the dt cell), and `Unmapped` slots are ordered by
-/// explicit edges only (per-leaf reduction inputs) and record nothing.
-#[derive(Clone, Copy, Debug)]
-pub enum SlotRes {
-    Unmapped,
-    Fixed(usize),
-}
-
-/// Fixed-size slot array written by graph tasks. Soundness is delegated to
-/// the graph's edges: a slot is only touched by the task(s) the plan
-/// assigns to it, with writers ordered around readers. Accesses through
-/// [`SyncSlots::read_slot`]/[`SyncSlots::write_slot`] are recorded in the
-/// audit ledger per the [`SlotRes`] mapping.
-pub struct SyncSlots<T> {
-    slots: Vec<UnsafeCell<T>>,
-    res: SlotRes,
-}
-
-// SAFETY: access discipline (one task at a time per slot, ordered by graph
-// edges) is documented on `read_slot`/`write_slot` and upheld by the plan
-// builder.
-unsafe impl<T: Send> Sync for SyncSlots<T> {}
-
-impl<T> SyncSlots<T> {
-    /// `n` slots initialized by `init`, audited under the `res` mapping.
-    pub fn new(n: usize, res: SlotRes, mut init: impl FnMut() -> T) -> SyncSlots<T> {
-        SyncSlots {
-            slots: (0..n).map(|_| UnsafeCell::new(init())).collect(),
-            res,
-        }
-    }
-
-    #[inline]
-    fn record(&self, write: bool) {
-        let r = match self.res {
-            SlotRes::Unmapped => return,
-            SlotRes::Fixed(r) => r,
-        };
-        if write {
-            audit::rec_write(r);
-        } else {
-            audit::rec_read(r);
-        }
-    }
-
-    /// Shared view of slot `i`.
-    ///
-    /// # Safety
-    /// No concurrently running task may write slot `i`: the caller's task
-    /// must be ordered (by graph edges) after every writer of the slot and
-    /// before the next one.
-    #[inline]
-    pub unsafe fn read_slot(&self, i: usize) -> &T {
-        self.record(false);
-        &*self.slots[i].get()
-    }
-
-    /// Exclusive view of slot `i`, aliasing `&mut`.
-    ///
-    /// # Safety
-    /// The caller must be the only task touching slot `i` right now —
-    /// i.e. graph edges order every other accessor before or after it.
-    #[allow(clippy::mut_from_ref)]
-    #[inline]
-    pub unsafe fn write_slot(&self, i: usize) -> &mut T {
-        self.record(true);
-        &mut *self.slots[i].get()
-    }
-
-    /// Unwrap into the slot values.
-    pub fn into_inner(self) -> Vec<T> {
-        self.slots.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1125,32 +1045,5 @@ mod tests {
             orders[0] != orders[1] || orders[1] != orders[2],
             "{orders:?}"
         );
-    }
-
-    #[test]
-    fn sync_slots_record_against_their_resource_mapping() {
-        if !audit::COMPILED {
-            return;
-        }
-        let _g = audit::test_guard();
-        let fixed: SyncSlots<f64> = SyncSlots::new(2, SlotRes::Fixed(7), || 0.0);
-        let unmapped: SyncSlots<u8> = SyncSlots::new(1, SlotRes::Unmapped, || 0);
-        audit::task_begin();
-        // SAFETY: single-threaded test, no concurrent slot access.
-        unsafe {
-            *fixed.write_slot(1) = 2.5;
-            let _ = *fixed.read_slot(0);
-            *unmapped.write_slot(0) = 1;
-        }
-        let accs = audit::task_end();
-        assert_eq!(
-            accs,
-            vec![Access {
-                res: 7,
-                mode: Mode::Write
-            }],
-            "both fixed slots alias one resource; the unmapped slot records nothing"
-        );
-        assert_eq!(fixed.into_inner(), vec![0.0, 2.5]);
     }
 }

@@ -223,23 +223,15 @@ impl UnkStorage {
         self.buf.as_mut_slice().chunks_mut(per)
     }
 
-    /// Raw base pointer of the whole container, for the executor's
-    /// per-rank slab handout. Callers must uphold the same disjointness
-    /// the safe [`UnkStorage::slabs_mut`] enforces: each block slab is
-    /// touched by at most one rank during a dispatch.
-    pub(crate) fn base_ptr_mut(&mut self) -> *mut f64 {
-        self.buf.as_mut_slice().as_mut_ptr()
-    }
-
-    /// Raw per-block slab handout for task-graph execution. The mutable
+    /// Raw per-block slab handout for parallel execution. The mutable
     /// borrow taken here ends when the view is dropped conceptually, but
-    /// the view itself is `Copy`; safety rests entirely on the graph's
-    /// read/write edges serializing all conflicting slab access.
+    /// the view itself is `Copy`; safety rests entirely on the caller
+    /// serializing all conflicting slab access.
     pub fn cells(&mut self) -> UnkCells {
         UnkCells {
             per_block: self.per_block,
             max_blocks: self.max_blocks,
-            ptr: self.base_ptr_mut(),
+            ptr: self.buf.as_mut_slice().as_mut_ptr(),
         }
     }
 
@@ -614,12 +606,13 @@ struct SlabRow {
     step: usize,
 }
 
-/// Raw, copyable view of every block slab, for kernels executed as graph
-/// tasks. Unlike the rank-partitioned handout in `Domain`, a task graph has
-/// no static block-to-thread assignment — any rank may touch any slab — so
-/// exclusivity cannot be expressed with `&mut` partitioning. Instead the
-/// graph builder's read/write edges serialize every pair of conflicting
-/// accesses, and the accessors below make the obligation explicit.
+/// Raw, copyable view of every block slab, for kernels run on the rank
+/// pool. Exclusivity cannot be expressed with `&mut` partitioning there,
+/// so the caller serializes every pair of conflicting accesses: a
+/// pooled leaf update hands each block to exactly one rank (the Morton
+/// partition), and a task graph orders them by its read/write edges. The
+/// accessors below make the obligation explicit; the claiming ones also
+/// record the access for the race audit.
 #[derive(Clone, Copy)]
 pub struct UnkCells {
     ptr: *mut f64,
@@ -650,9 +643,10 @@ impl UnkCells {
     /// Exclusive view of block `blk`'s slab.
     ///
     /// # Safety
-    /// The caller's task must be the only task touching `blk` while it
-    /// runs: graph edges must order it after every prior reader and writer
-    /// of `blk` and before every later one.
+    /// The caller must be the only one touching `blk` while the slice
+    /// lives: in a pooled leaf update the partition hands `blk` to one
+    /// rank; in a task graph, edges must order the caller's task after
+    /// every prior reader and writer of `blk` and before every later one.
     #[allow(clippy::mut_from_ref)]
     #[inline]
     pub unsafe fn slab_mut(&self, blk: usize) -> &mut [f64] {
@@ -725,36 +719,6 @@ impl UnkCells {
             self.rec(blk, r, false);
         }
         self.slab_mut(blk)
-    }
-
-    /// Read-modify-write one zone of block `blk`, classifying it as
-    /// interior or guard from `geom` so the recorded claim is exact (the
-    /// fault-injection task uses this to corrupt single cells).
-    ///
-    /// # Safety
-    /// As for [`UnkCells::slab_mut`], restricted to the one zone touched.
-    #[allow(clippy::too_many_arguments)] // one zone address is five indices
-    pub unsafe fn update_cell(
-        &self,
-        geom: &UnkGeom,
-        blk: usize,
-        var: usize,
-        i: usize,
-        j: usize,
-        k: usize,
-        f: impl FnOnce(f64) -> f64,
-    ) {
-        let ir = geom.nguard..geom.nguard + geom.nxb;
-        let interior = ir.contains(&i) && ir.contains(&j) && (geom.ndim < 3 || ir.contains(&k));
-        let region = if interior {
-            Region::Interior
-        } else {
-            Region::Guards
-        };
-        self.rec(blk, region, true);
-        let slab = self.slab_mut(blk);
-        let idx = geom.slab_idx(var, i, j, k);
-        slab[idx] = f(slab[idx]);
     }
 }
 

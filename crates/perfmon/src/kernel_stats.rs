@@ -85,9 +85,9 @@ impl KernelStats {
         }
     }
 
-    #[inline]
     /// Account `bytes` of logical reads.
-    pub fn add_read(&mut self, bytes: u64) {
+    #[cfg(test)]
+    pub(crate) fn add_read(&mut self, bytes: u64) {
         self.bytes_read += bytes;
     }
 

@@ -56,7 +56,7 @@ impl Probe {
 
     /// Record an access pattern: its bytes count toward bandwidth
     /// accounting, and it will be replayed into the TLB model on absorb.
-    /// (Do **not** also call `stats.add_read` for the same bytes.)
+    /// (Do **not** also add the same bytes to `stats.bytes_read`.)
     #[inline]
     pub fn record(&mut self, pattern: AccessPattern) {
         self.stats.bytes_read += pattern.bytes();
@@ -349,7 +349,8 @@ impl PerfSession {
 impl RegionGuard<'_> {
     /// Access the underlying session while the region is open (e.g. to
     /// absorb probes recorded inside it).
-    pub fn session(&mut self) -> &mut PerfSession {
+    #[cfg(test)]
+    fn session(&mut self) -> &mut PerfSession {
         self.session
     }
 }

@@ -73,11 +73,6 @@ impl Tlb {
         self.page_table.map_region(base, len, sizing);
     }
 
-    /// Read-only access to the page table.
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
-    }
-
     /// The configuration this TLB was built with.
     pub fn config(&self) -> &TlbConfig {
         &self.config

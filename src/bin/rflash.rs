@@ -54,8 +54,7 @@ run-fleet runs the smoke-scale scenario in one supervised worker process
 and restarts it from its newest verified checkpoint when it is lost;
 --fault injects RFLASH_FAULTS into the first worker only. Without
 --series-dir the series goes to a temporary directory, removed after a
-successful run. RFLASH_HEARTBEAT_MS / RFLASH_HEARTBEAT_TIMEOUT_MS /
-RFLASH_PROBE_RETRIES set the failure-detector defaults.";
+successful run.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -13,11 +13,13 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 
 use rflash::core::checkpoint::read_checkpoint;
-use rflash::core::{registry, CheckpointSeries, GuardianConfig, Simulation, StepScheduler};
+use rflash::core::{
+    registry, CheckpointSeries, GuardianConfig, Simulation, StepError, StepScheduler,
+};
 use rflash::hugepages::{FaultKind, FaultPlan, FaultSite};
 use rflash::hydro::SweepEngine;
 use rflash::mesh::tree::Mark;
-use rflash::mesh::BlockId;
+use rflash::mesh::{vars, BlockId};
 
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("rflash-schedpar-it-{}-{name}", std::process::id()))
@@ -300,6 +302,48 @@ fn poisoned_dt_under_taskgraph_matches_serial_recovery() {
     assert!(graph.graph_report.executions > 0 && serial.graph_report.executions == 0);
     assert_eq!(state_bits(&graph), state_bits(&serial));
     assert_eq!(graph.guardian_stats, serial.guardian_stats);
+}
+
+/// An attempt whose own CFL scan is unusable, with no fault involved,
+/// ends before the corruption hooks on both step paths, so it spends no
+/// `FirstN` fault: a state with no sound speed and no motion has raw dt
+/// +∞ and aborts in `BadDt`, and the one armed `step-nan` then hits the
+/// next simulation stepped under the same plan, whichever path runs.
+#[test]
+fn an_unusable_dt_spends_no_corruption_fault() {
+    let run = |nranks: usize| {
+        let _g = FaultPlan::new(0)
+            .with(FaultSite::StepNan, FaultKind::FirstN { n: 1, errno: 22 })
+            .activate();
+        let mut still = sedov3d(nranks);
+        let unk = &mut still.domain.unk;
+        let (nx, ny, nz) = unk.padded();
+        for id in still.domain.tree.leaves() {
+            for var in [vars::PRES, vars::VELX, vars::VELY, vars::VELZ] {
+                for k in 0..nz {
+                    for j in 0..ny {
+                        for i in 0..nx {
+                            unk.set(var, i, j, k, id.idx(), 0.0);
+                        }
+                    }
+                }
+            }
+        }
+        match still.try_step() {
+            Err(StepError::BadDt { dt, .. }) => assert_eq!(dt, f64::INFINITY),
+            other => panic!("a still state must end in BadDt, got {other:?}"),
+        }
+        let mut clean = sedov3d(nranks);
+        clean
+            .try_step()
+            .expect("the clean step recovers from step-nan");
+        clean.guardian_stats
+    };
+    let serial = run(1);
+    let graph = run(3);
+    assert_eq!(serial.violations, 1, "{serial:?}");
+    assert_eq!(serial.rollbacks, 1, "{serial:?}");
+    assert_eq!(graph, serial, "both paths keep the fault for the clean run");
 }
 
 /// A fault that outlives the same-dt retry pushes the ladder down to a

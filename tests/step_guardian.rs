@@ -3,10 +3,12 @@
 //! checkpoints, retention interleaving, and resume-after-abort.
 //!
 //! Faults are injected through thread-local `FaultPlan`s, never the
-//! environment, so every test owns its per-site call counters. The
-//! state-corruption sites are consulted once per `advance_physics` call
-//! (`step-nan`, `flux-corrupt`) and once per dt computation (`dt-zero`),
-//! so `Nth { n }` addresses "the n-th step attempt" exactly.
+//! environment, so every test owns its per-site call counters. Each
+//! attempt consults `dt-zero` once, before its dt scan, and the
+//! state-corruption sites (`step-nan`, `flux-corrupt`) once each after its
+//! sweeps — both at one place in `Simulation::attempt`, the same for both
+//! step paths, and the latter only when the dt was usable — so `Nth { n }`
+//! addresses "the n-th step attempt" exactly.
 
 use std::path::PathBuf;
 
