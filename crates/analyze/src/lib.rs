@@ -32,8 +32,9 @@
 //!    vectorizes through the portable `Lane` abstraction, keeping the
 //!    bit-identity contract and the unsafe surface in one reviewed place.
 //! 8. **no caller** (`no_caller`) — a workspace rule: a `pub` item whose
-//!    name appears nowhere but at its definition and in its own file's
-//!    tests is API nothing takes; delete it or document why it stays.
+//!    name appears nowhere but at its definition, in its own file's tests
+//!    and in `use` declarations is API nothing takes; delete it or
+//!    document why it stays.
 //!
 //! Per-site escape hatch: an `analyze::allow` comment — the rule id in
 //! parentheses, then a colon and a mandatory reason — on or directly above

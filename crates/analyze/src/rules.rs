@@ -657,8 +657,9 @@ fn pub_items(sf: &SourceFile) -> Vec<(&str, &'static str, usize)> {
 
 /// Rule `no_caller`: a `pub` item of `files` whose name appears as an
 /// identifier nowhere but at its own definition and in its own file's test
-/// regions. Comments and strings are not identifiers. The match is by name,
-/// not resolved: any other token of the same name counts as a caller.
+/// regions. Comments, strings and `use` declarations (re-exports included)
+/// name an item without calling it, so they do not count. The match is by
+/// name, not resolved: any other token of the same name counts as a caller.
 fn rule_no_caller(files: &[SourceFile], readers: &[SourceFile]) -> Vec<Violation> {
     let items: Vec<_> = files.iter().map(pub_items).collect();
     // Every identifier token of a defined name, as (file index, in a test region).
@@ -667,8 +668,11 @@ fn rule_no_caller(files: &[SourceFile], readers: &[SourceFile]) -> Vec<Violation
         uses.insert(name, Vec::new());
     }
     for (f, sf) in files.iter().chain(readers).enumerate() {
+        let mut in_use = false;
         for (t, &test) in sf.tokens.iter().zip(&sf.in_test) {
-            if let Some(u) = t.ident().and_then(|w| uses.get_mut(w)) {
+            if in_use || t.is_ident("use") {
+                in_use = !t.is_punct(';');
+            } else if let Some(u) = t.ident().and_then(|w| uses.get_mut(w)) {
                 u.push((f, test));
             }
         }

@@ -21,6 +21,7 @@ const EXPECTED: &[(&str, &[&str])] = &[
     ("hot_path_todo.rs", &["panic"]),
     ("hot_path_unwrap.rs", &["panic"]),
     ("no_caller_test_only.rs", &["no_caller"]),
+    ("no_caller_reexport_only.rs", &["no_caller"]),
     ("pencil_cell_access.rs", &["pencil_confinement"]),
     ("send_sync_unnamed.rs", &["send_sync"]),
     ("simd_intrinsic_leak.rs", &["simd_confinement"]),

@@ -1,19 +1,25 @@
 //@ path: crates/core/src/stepgraph.rs
-// Fixture: a step-graph task body staying inside the contract — slab and
-// slot traffic through the claiming accessors only, with locals that happen
-// to be named `slab` (an identifier, not a call) and prose mentioning the
-// raw names. Expected: clean.
+// Fixture: step-graph task bodies staying inside the contract — slab
+// traffic through the claiming accessors and flux rows through
+// `FluxCells::save` only, with locals that happen to be named `slab` (an
+// identifier, not a call) and prose mentioning the raw names. Mirrors the
+// sweep task and the restrict it is ordered after. Expected: clean.
 
-fn claimed_access(cells: &UnkCells, stage: &Slots, blk: usize) -> f64 {
-    // the old body called cells.slab(blk) and stage.get(blk) directly
-    // SAFETY: shared interior access per the declared graph edges.
-    let slab = unsafe { cells.read_slab(blk, Region::Interior) };
+fn restrict_task(cells: &UnkCells, child: usize, parent: usize) {
+    // the old body called cells.slab(child) and cells.slab_mut(parent)
+    // SAFETY: child interiors are ordered shared reads, per the edges.
+    let src = unsafe { cells.read_slab(child, Region::Interior) };
+    // SAFETY: the parent interior is exclusive, per the edges.
+    let dst = unsafe { cells.write_slab(parent, Region::Interior, None) };
+    dst[0] = src[0];
+}
+
+fn sweep_task(cells: &UnkCells, fcells: &FluxCells, blk: usize, face: Face) -> f64 {
+    // SAFETY: exclusive interior access with ordered shared guard reads,
+    // per the declared resources.
+    let slab = unsafe { cells.write_slab(blk, Region::Interior, Some(Region::Guards)) };
     let v = slab[0];
-    // SAFETY: exclusive stage-slot access via the stage-buffer resource.
-    let st = unsafe { stage.write_slot(blk) };
-    st.push(v);
-    // SAFETY: exclusive interior write with ordered shared guard reads.
-    let out = unsafe { cells.write_slab(blk, Region::Interior, Some(Region::Guards)) };
-    out[0] = v;
+    // SAFETY: exclusive flux-row access via the fluxrow resource.
+    unsafe { fcells.save(blk, face, [0, 0], 0, v) };
     v
 }

@@ -151,7 +151,6 @@ fn build(spec: &SetupSpec, policy: Policy) -> Simulation {
         // Sampled instrumentation keeps overhead similar across policies.
         pattern_every: 4,
         gather_every: 4,
-        tlb_sample_every: 2,
         ..RuntimeParams::with_mesh(spec.mesh.to_mesh_config())
     };
     spec.build(params).expect("committed spec builds")

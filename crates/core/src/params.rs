@@ -45,8 +45,6 @@ pub struct RuntimeParams {
     pub pattern_every: usize,
     /// Record one EOS-table gather per N zones (0 disables).
     pub gather_every: usize,
-    /// Replay one in N recorded patterns into the TLB model.
-    pub tlb_sample_every: u32,
     /// Try hardware counters alongside the model.
     pub use_hw: bool,
     /// Write a series checkpoint every N steps in
@@ -96,7 +94,6 @@ impl RuntimeParams {
             gravity_every: 2,
             pattern_every: 4,
             gather_every: 4,
-            tlb_sample_every: 1,
             use_hw: true,
             checkpoint_every: 0,
             sweep_engine: SweepEngine::default(),
@@ -128,6 +125,5 @@ mod tests {
         let p = RuntimeParams::with_mesh(MeshConfig::test_2d());
         assert!(p.cfl > 0.0 && p.cfl < 1.0);
         assert!(p.regrid_every >= 1);
-        assert!(p.tlb_sample_every >= 1);
     }
 }

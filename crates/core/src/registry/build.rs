@@ -460,18 +460,11 @@ impl SetupSpec {
                 } else {
                     TableConfig::default()
                 };
-                // FLASH reads its Helmholtz table from a data file. Ours
-                // loads a cache written by an earlier run when there is
-                // one; otherwise it is computed where it is read (rows on
-                // first use, the rest on a background thread) and cached
-                // once complete.
-                let cache = std::env::temp_dir().join(if coarse_table {
-                    "rflash-helm-coarse.dat"
-                } else {
-                    "rflash-helm-default.dat"
-                });
+                // FLASH reads its Helmholtz table from a data file. Ours is
+                // computed where it is read: a lookup solves the rows it
+                // lands on, a background thread the rest.
                 EosChoice::Helmholtz(Box::new(
-                    Helmholtz::build_cached(table, policy, &cache).expect("Helmholtz table build"),
+                    Helmholtz::lazy(table, policy).expect("Helmholtz table build"),
                 ))
             }
         }

@@ -82,7 +82,6 @@ impl Simulation {
         // it; the sweeps resolve the same request per step.
         eos.set_simd(rflash_simd::resolve(params.simd_backend));
         let session_config = SessionConfig {
-            sample_every: params.tlb_sample_every,
             // Kernels record one pattern per `pattern_every` pencils/rows;
             // scale the model's counters back to full coverage.
             coverage_scale: params.pattern_every.max(1) as f64,

@@ -22,8 +22,12 @@ pub const M_SUN: f64 = 1.98892e33;
 /// Compton prefactor 8π√2 (m_e c / h)³ — the number density scale of the
 /// relativistic electron gas, cm⁻³.
 pub fn electron_density_scale() -> f64 {
-    let lambda_inv = M_E * C_LIGHT / H_PLANCK; // 1/(Compton wavelength)
-    8.0 * std::f64::consts::PI * std::f64::consts::SQRT_2 * lambda_inv.powi(3)
+    // 1/(Compton wavelength), cubed by hand: an optimized build folds
+    // `powi` of a constant with the host's `pow`, a debug build multiplies,
+    // and the two differ in the last bit, which every Helmholtz table row
+    // then inherits.
+    let lambda_inv = M_E * C_LIGHT / H_PLANCK;
+    8.0 * std::f64::consts::PI * std::f64::consts::SQRT_2 * (lambda_inv * lambda_inv * lambda_inv)
 }
 
 #[cfg(test)]

@@ -50,33 +50,27 @@ struct Eval {
 const BATCH_OUTPUT: Quantities = Quantities::PRES.with(Quantities::ENER);
 
 impl Helmholtz {
-    /// Build with a freshly computed table under the given huge-page policy.
+    /// Over a table computed up front ([`HelmTable::build`]) under the
+    /// given huge-page policy: the test oracle and the benches' EOS.
     pub fn build(config: TableConfig, policy: Policy) -> Result<Helmholtz, EosError> {
-        Ok(Helmholtz {
-            table: HelmTable::build(config, policy)?,
-            simd: rflash_simd::resolve(rflash_simd::Backend::default()),
-            include_radiation: true,
-            include_ions: true,
-            include_coulomb: false,
-        })
+        Ok(Self::over(HelmTable::build(config, policy)?))
     }
 
-    /// Build with a disk-cached table (FLASH's `helm_table.dat` pattern):
-    /// loads `cache` when its geometry matches; else the table is computed
-    /// where it is read ([`HelmTable::lazy`]) and written to `cache` once
-    /// complete ([`HelmTable::build_or_load`]).
-    pub fn build_cached(
-        config: TableConfig,
-        policy: Policy,
-        cache: &std::path::Path,
-    ) -> Result<Helmholtz, EosError> {
-        Ok(Helmholtz {
-            table: HelmTable::build_or_load(config, policy, cache)?,
+    /// Over a table computed where it is read ([`HelmTable::lazy`]): rows on
+    /// first lookup, the rest on a background thread. Every lookup returns
+    /// the same bits as [`Helmholtz::build`]'s. The EOS every run uses.
+    pub fn lazy(config: TableConfig, policy: Policy) -> Result<Helmholtz, EosError> {
+        Ok(Self::over(HelmTable::lazy(config, policy)?))
+    }
+
+    fn over(table: HelmTable) -> Helmholtz {
+        Helmholtz {
+            table,
             simd: rflash_simd::resolve(rflash_simd::Backend::default()),
             include_radiation: true,
             include_ions: true,
             include_coulomb: false,
-        })
+        }
     }
 
     /// Access the underlying table (harness: TLB registration, backing audit).

@@ -20,16 +20,13 @@
 //! the rest ([`HelmTable::lazy`]). Every value a lookup returns is the same
 //! bits as from a table computed up front ([`HelmTable::build`]).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
-use rflash_hugepages::crc32::crc32;
-use rflash_hugepages::{fill_from_le, with_le_bytes, PageBuffer, Policy};
+use rflash_hugepages::{PageBuffer, Policy};
 use rflash_simd::{Lane, Resolved, WithLanes};
-use serde::{Deserialize, Serialize};
 
 use crate::electron::electron_state_with_guess;
 use crate::EosError;
@@ -50,7 +47,7 @@ const BUILDING: u8 = 1;
 const READY: u8 = 2;
 
 /// Table geometry and domain.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TableConfig {
     /// Grid points along log10(ρYₑ).
     pub n_rho: usize,
@@ -83,14 +80,6 @@ impl TableConfig {
             n_temp: 33,
             ..TableConfig::default()
         }
-    }
-
-    /// Same geometry and domain, so one table can stand in for the other.
-    fn same_table(&self, other: &TableConfig) -> bool {
-        self.n_rho == other.n_rho
-            && self.n_temp == other.n_temp
-            && self.log_rho_ye == other.log_rho_ye
-            && self.log_temp == other.log_temp
     }
 }
 
@@ -157,8 +146,6 @@ pub struct RhoCell {
 /// set-up, in its step loop, and off its critical path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RowsBuilt {
-    /// Rows read whole from a cache file.
-    pub loaded: usize,
     /// Rows solved by the thread whose lookup needed them (every row of a
     /// table from [`HelmTable::build`] counts here).
     pub on_demand: usize,
@@ -209,9 +196,6 @@ struct Planes {
     solved: Box<[OnceLock<Result<(), EosError>>]>,
     /// State of each coefficient row.
     coeff: Box<[AtomicU8]>,
-    /// Coefficient rows published so far, counted before each READY
-    /// store; `n_temp` means every element of the table is final.
-    coeff_ready: AtomicUsize,
     /// Held to check a row's state before waiting, and to publish.
     lock: Mutex<()>,
     /// Notified whenever a row leaves BUILDING.
@@ -222,10 +206,6 @@ struct Planes {
     /// Set by [`HelmTable`]'s drop: the background thread stops after its
     /// current row.
     stop: AtomicBool,
-    /// Where to write the table once it is complete; taken by the thread
-    /// that publishes the last row.
-    cache: Mutex<Option<PathBuf>>,
-    loaded: usize,
     on_demand: AtomicUsize,
     background: AtomicUsize,
 }
@@ -240,9 +220,10 @@ struct Planes {
 // row that needed it), or by the claimant itself. So no read overlaps a
 // write and every read happens after the write it sees. No reference to
 // the planes spans a row that is not READY: lookups read single elements
-// through `base`, and `Planes::complete_slice` exists only once every row
-// is READY. `base` points into the mapping `data` owns, so moving the owner
-// between threads moves neither the mapping nor this protocol.
+// through `base`, and the test-only `Planes::complete_slice` exists only
+// once every row is READY. `base` points into the mapping `data` owns, so
+// moving the owner between threads moves neither the mapping nor this
+// protocol.
 unsafe impl Sync for Planes {}
 unsafe impl Send for Planes {}
 
@@ -297,66 +278,36 @@ fn limited_slope(sec_lo: Option<f64>, sec_hi: Option<f64>) -> f64 {
 }
 
 impl Planes {
-    /// Table state over `data`: every row complete (a loaded file) or every
-    /// row EMPTY (`data` freshly zeroed).
-    fn new(
-        config: TableConfig,
-        mut data: PageBuffer<f64>,
-        complete: bool,
-        cache: Option<PathBuf>,
-    ) -> Planes {
+    /// An all-EMPTY table of `config` on a fresh `policy` buffer.
+    fn empty(config: TableConfig, policy: Policy) -> Result<Planes, EosError> {
+        assert!(config.n_rho >= 4 && config.n_temp >= 4, "table too small");
         let (x0, x1) = config.log_rho_ye;
         let (y0, y1) = config.log_temp;
+        assert!(x1 > x0 && y1 > y0, "degenerate table domain");
         let nt = config.n_temp;
-        let state = if complete { READY } else { EMPTY };
-        let rows = || (0..nt).map(|_| AtomicU8::new(state)).collect();
-        Planes {
+        let mut data = PageBuffer::<f64>::zeroed(config.n_rho * nt * N_QUANT * N_DERIV, policy)
+            .map_err(|e| EosError::Allocation {
+                what: "helm table",
+                detail: e.to_string(),
+            })?;
+        let rows = || (0..nt).map(|_| AtomicU8::new(EMPTY)).collect();
+        Ok(Planes {
             config,
             dx: (x1 - x0) / (config.n_rho - 1) as f64,
             dy: (y1 - y0) / (nt - 1) as f64,
             base: data.as_mut_slice().as_mut_ptr(),
             data,
             value: rows(),
-            solved: (0..nt)
-                .map(|_| {
-                    if complete {
-                        OnceLock::from(Ok(()))
-                    } else {
-                        OnceLock::new()
-                    }
-                })
-                .collect(),
+            solved: (0..nt).map(|_| OnceLock::new()).collect(),
             coeff: rows(),
-            coeff_ready: AtomicUsize::new(if complete { nt } else { 0 }),
             lock: Mutex::new(()),
             published: Condvar::new(),
             demand_lo: AtomicUsize::new(usize::MAX),
             demand_hi: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            cache: Mutex::new(cache),
-            loaded: if complete { nt } else { 0 },
             on_demand: AtomicUsize::new(0),
             background: AtomicUsize::new(0),
-        }
-    }
-
-    /// An all-EMPTY table of `config` on a fresh `policy` buffer.
-    fn empty(
-        config: TableConfig,
-        policy: Policy,
-        cache: Option<PathBuf>,
-    ) -> Result<Planes, EosError> {
-        assert!(config.n_rho >= 4 && config.n_temp >= 4, "table too small");
-        let (x0, x1) = config.log_rho_ye;
-        let (y0, y1) = config.log_temp;
-        assert!(x1 > x0 && y1 > y0, "degenerate table domain");
-        let data =
-            PageBuffer::<f64>::zeroed(config.n_rho * config.n_temp * N_QUANT * N_DERIV, policy)
-                .map_err(|e| EosError::Allocation {
-                    what: "helm table",
-                    detail: e.to_string(),
-                })?;
-        Ok(Planes::new(config, data, false, cache))
+        })
     }
 
     /// Buffer index of plane (q, d) at table node `node` (= it·n_rho + ir).
@@ -390,20 +341,21 @@ impl Planes {
     }
 
     /// The planes as one slice, once every row is READY.
+    #[cfg(test)]
     fn complete_slice(&self) -> Option<&[f64]> {
-        (self.coeff_ready.load(Acquire) == self.config.n_temp).then(|| {
-            // SAFETY: every coefficient row has been counted, and each
-            // counted after its elements and the value rows it read were
-            // final; the `Acquire` load synchronizes with every `AcqRel`
-            // count. A READY row is never written again, so nothing writes
-            // under this shared view while it lives.
+        let ready = self.coeff.iter().all(|row| row.load(Acquire) == READY);
+        ready.then(|| {
+            // SAFETY: every coefficient row was seen READY with an
+            // `Acquire` load, and each was published after its elements
+            // and the value rows it read were final. A READY row is never
+            // written again, so nothing writes under this shared view
+            // while it lives.
             unsafe { std::slice::from_raw_parts(self.base, self.data.len()) }
         })
     }
 
     fn rows_built(&self) -> RowsBuilt {
         RowsBuilt {
-            loaded: self.loaded,
             on_demand: self.on_demand.load(Relaxed),
             background: self.background.load(Relaxed),
         }
@@ -535,11 +487,7 @@ impl Planes {
                             }
                         }
                     }
-                    let last = self.coeff_ready.fetch_add(1, AcqRel) + 1 == nt;
                     claim.publish();
-                    if last {
-                        self.write_cache();
-                    }
                     return Ok(());
                 }
             }
@@ -605,18 +553,6 @@ impl Planes {
         }
         for it in lo..=hi {
             let _ = self.ensure_value(it, Builder::Demand);
-        }
-    }
-
-    /// Write the cache file, once, from the thread that completed the table.
-    fn write_cache(&self) {
-        let path = self
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
-        if let (Some(path), Some(planes)) = (path, self.complete_slice()) {
-            let _ = write_table(&self.config, planes, &path); // a cache write failure is not fatal
         }
     }
 
@@ -768,18 +704,14 @@ impl HelmTable {
     /// table returns; a lookup that needs a row whose solve failed returns
     /// that row's error.
     pub fn lazy(config: TableConfig, policy: Policy) -> Result<HelmTable, EosError> {
-        Ok(Self::start(Planes::empty(config, policy, None)?))
-    }
-
-    fn start(planes: Planes) -> HelmTable {
-        let planes = Arc::new(planes);
+        let planes = Arc::new(Planes::empty(config, policy)?);
         let worker = Arc::clone(&planes);
         // Without the thread every row is still solved on demand.
         let background = std::thread::Builder::new()
             .name("helm-table".into())
             .spawn(move || worker.fill_in_background())
             .ok();
-        HelmTable { planes, background }
+        Ok(HelmTable { planes, background })
     }
 
     /// Build the table by solving the exact electron gas at every node,
@@ -799,7 +731,7 @@ impl HelmTable {
         policy: Policy,
         threads: usize,
     ) -> Result<HelmTable, EosError> {
-        let planes = Planes::empty(config, policy, None)?;
+        let planes = Planes::empty(config, policy)?;
         let nt = config.n_temp;
         let next = AtomicUsize::new(0);
         let solve_rows = || loop {
@@ -827,7 +759,8 @@ impl HelmTable {
     /// Publish every row still missing, solving on this thread whatever
     /// nobody else is: a complete table, byte-equal to [`HelmTable::build`]'s.
     /// Fails with the lowest failing row's error.
-    pub fn complete(&self) -> Result<(), EosError> {
+    #[cfg(test)]
+    fn complete(&self) -> Result<(), EosError> {
         (0..self.planes.config.n_temp)
             .try_for_each(|it| self.planes.ensure_coeff(it, Builder::Demand))
     }
@@ -840,8 +773,8 @@ impl HelmTable {
         self.planes.solve_demanded_span();
     }
 
-    /// How many temperature rows were loaded, solved on demand and solved
-    /// in the background so far.
+    /// How many temperature rows were solved on demand and solved in the
+    /// background so far.
     pub fn rows_built(&self) -> RowsBuilt {
         self.planes.rows_built()
     }
@@ -1339,7 +1272,7 @@ mod tests {
             log_rho_ye: (-4.0, 10.0),
             log_temp: (6.0, 20.0),
         };
-        let probe = Planes::empty(cfg, Policy::None, None).unwrap();
+        let probe = Planes::empty(cfg, Policy::None).unwrap();
         let rows: Vec<_> = (0..cfg.n_temp)
             .map(|it| probe.ensure_value(it, Builder::Demand))
             .collect();
@@ -1381,329 +1314,83 @@ mod tests {
             .unwrap();
         assert!(hi.pres > lo.pres);
     }
-}
 
-// ---- disk persistence (FLASH's `helm_table.dat` analog) -----------------
-
-/// Format magic of the cache file. v1 had no checksum and was written in
-/// place; its files fail the magic check and are rebuilt.
-const TABLE_FORMAT: &str = "rflash-helm-table-v2";
-
-#[derive(Serialize, Deserialize)]
-struct TableFileHeader {
-    format: String,
-    config: TableConfig,
-}
-
-/// Write a complete table's planes to `path`: a length-prefixed JSON header
-/// (format + config), the raw little-endian f64 planes, and a CRC-32 of the
-/// planes. The file is written to a per-writer sibling temp and renamed
-/// into place, so concurrent writers of one cache path (fleet workers,
-/// parallel tests) each publish a whole file and a reader never sees a
-/// half-written one.
-fn write_table(config: &TableConfig, planes: &[f64], path: &Path) -> std::io::Result<()> {
-    use std::io::Write;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Relaxed);
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(".{}.{n}.tmp", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-
-    let header = serde_json::to_string(&TableFileHeader {
-        format: TABLE_FORMAT.into(),
-        config: *config,
-    })
-    .map_err(std::io::Error::other)?;
-    let written = (|| {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&(header.len() as u64).to_le_bytes())?;
-        file.write_all(header.as_bytes())?;
-        let crc = with_le_bytes(planes, |planes| {
-            file.write_all(planes).map(|()| crc32(planes))
-        })?;
-        file.write_all(&crc.to_le_bytes())?;
-        std::fs::rename(&tmp, path)
-    })();
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
-}
-
-impl HelmTable {
-    /// Complete the table ([`HelmTable::complete`]) and write it to disk in
-    /// the cache format. FLASH ships its Helmholtz table as a data file
-    /// (`helm_table.dat`) for exactly this reason — rebuilding from the
-    /// Fermi–Dirac integrals at every startup is wasteful.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.complete().map_err(std::io::Error::other)?;
-        let planes = self
-            .planes
-            .complete_slice()
-            .ok_or_else(|| std::io::Error::other("helm table incomplete"))?;
-        write_table(&self.planes.config, planes, path)
-    }
-
-    /// Load a table previously written by [`HelmTable::save`], reading the
-    /// planes straight into a buffer backed by `policy`. Any file that is
-    /// not a whole, checksum-clean table of the current format is an error.
-    pub fn load(path: &Path, policy: Policy) -> std::io::Result<HelmTable> {
-        use std::io::Read;
-        let mut file = std::fs::File::open(path)?;
-        let mut len_bytes = [0u8; 8];
-        file.read_exact(&mut len_bytes)?;
-        let header_len = u64::from_le_bytes(len_bytes) as usize;
-        if header_len > 1 << 20 {
-            return Err(std::io::Error::other("unreasonable header length"));
-        }
-        let mut header_json = vec![0u8; header_len];
-        file.read_exact(&mut header_json)?;
-        let header: TableFileHeader =
-            serde_json::from_slice(&header_json).map_err(std::io::Error::other)?;
-        if header.format != TABLE_FORMAT {
-            return Err(std::io::Error::other(format!(
-                "unknown table format {:?}",
-                header.format
-            )));
-        }
-        let config = header.config;
-        // The config is outside input: hold it to `build`'s own minimum
-        // and to what the file can actually hold before reserving for it.
-        let file_doubles = file.metadata()?.len() / 8;
-        let n = config
-            .n_rho
-            .checked_mul(config.n_temp)
-            .and_then(|plane| plane.checked_mul(N_QUANT * N_DERIV))
-            .filter(|&n| config.n_rho >= 4 && config.n_temp >= 4 && n as u64 <= file_doubles)
-            .ok_or_else(|| std::io::Error::other("table geometry does not fit the file"))?;
-        let mut data = PageBuffer::<f64>::zeroed(n, policy)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let mut computed = 0;
-        fill_from_le(&mut data, |planes| {
-            file.read_exact(planes).map(|()| computed = crc32(planes))
-        })?;
-        let mut crc_bytes = [0u8; 4];
-        file.read_exact(&mut crc_bytes)?;
-        let stored = u32::from_le_bytes(crc_bytes);
-        if stored != computed {
-            return Err(std::io::Error::other(format!(
-                "table CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            )));
-        }
-        Ok(HelmTable {
-            planes: Arc::new(Planes::new(config, data, true, None)),
-            background: None,
-        })
-    }
-
-    /// Load a matching cached table from `path` as a complete table, or
-    /// return a [`HelmTable::lazy`] one that writes `path` once, from the
-    /// thread that publishes its last row. A stale (different
-    /// geometry/domain), old-format, truncated or corrupt cache is
-    /// overwritten then; a table dropped before it is complete writes
-    /// nothing.
-    pub fn build_or_load(
-        config: TableConfig,
-        policy: Policy,
-        path: &Path,
-    ) -> Result<HelmTable, EosError> {
-        match Self::load(path, policy) {
-            Ok(table) if table.planes.config.same_table(&config) => Ok(table),
-            _ => Ok(Self::start(Planes::empty(
-                config,
-                policy,
-                Some(path.to_path_buf()),
-            )?)),
-        }
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use rflash_hugepages::as_bytes;
-
-    /// The planes of a table, completed first.
-    fn planes(table: &HelmTable) -> &[f64] {
+    /// Every plane element's bits, the table completed first.
+    fn plane_bits(table: &HelmTable) -> Vec<u64> {
         table.complete().unwrap();
-        table.planes.complete_slice().unwrap()
-    }
-
-    fn scratch(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("rflash-helm-{}-{name}.dat", std::process::id()))
-    }
-
-    #[test]
-    fn save_load_round_trip_is_bit_exact() {
-        let table = HelmTable::build(
-            TableConfig {
-                n_rho: 12,
-                n_temp: 9,
-                ..TableConfig::coarse()
-            },
-            Policy::None,
-        )
-        .unwrap();
-        let path = scratch("roundtrip");
-        table.save(&path).unwrap();
-        let loaded = HelmTable::load(&path, Policy::None).unwrap();
-        assert_eq!(planes(&table), planes(&loaded));
-        assert_eq!(table.planes.dx, loaded.planes.dx);
-        // Interpolation agrees exactly.
-        let a = table.interp(1e5, 1e8).unwrap();
-        let b = loaded.interp(1e5, 1e8).unwrap();
-        assert_eq!(a.pres, b.pres);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn build_or_load_uses_and_refreshes_the_cache() {
-        let cfg = TableConfig {
-            n_rho: 10,
-            n_temp: 8,
-            ..TableConfig::coarse()
-        };
-        let path = scratch("cache");
-        let _ = std::fs::remove_file(&path);
-        let t1 = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
-        let built = planes(&t1).to_vec();
-        // Complete and joined: whichever thread published the last row has
-        // written the cache.
-        drop(t1);
-        assert!(path.exists(), "cache written");
-        let t2 = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
-        assert_eq!(t2.rows_built().loaded, cfg.n_temp, "cache loaded");
-        assert_eq!(built, planes(&t2));
-        // A different geometry invalidates the cache.
-        let other = TableConfig {
-            n_rho: 14,
-            n_temp: 8,
-            ..TableConfig::coarse()
-        };
-        let t3 = HelmTable::build_or_load(other, Policy::None, &path).unwrap();
-        assert_eq!(t3.config().n_rho, 14);
-        std::fs::remove_file(&path).unwrap();
+        let planes = table.planes.complete_slice().unwrap();
+        planes.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn parallel_build_is_bit_identical_to_single_threaded() {
         let cfg = TableConfig::coarse();
-        let serial = HelmTable::build_on(cfg, Policy::None, 1).unwrap();
+        let serial = plane_bits(&HelmTable::build_on(cfg, Policy::None, 1).unwrap());
         // More threads than this host has cores, and more than rows / 8.
         for threads in [2, 5, cfg.n_temp + 3] {
             let parallel = HelmTable::build_on(cfg, Policy::None, threads).unwrap();
-            assert!(
-                as_bytes(planes(&serial)) == as_bytes(planes(&parallel)),
-                "{threads} threads"
-            );
+            assert!(serial == plane_bits(&parallel), "{threads} threads");
         }
         let default = HelmTable::build(cfg, Policy::None).unwrap();
-        assert!(as_bytes(planes(&serial)) == as_bytes(planes(&default)));
+        assert!(serial == plane_bits(&default));
+    }
+
+    /// xorshift64*: seeded, so a failure names a reproducible lookup sequence.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            (self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
+        }
     }
 
     #[test]
-    fn damaged_or_old_caches_are_rebuilt_and_overwritten() {
-        let cfg = TableConfig {
-            n_rho: 11,
-            n_temp: 7,
-            ..TableConfig::coarse()
+    fn concurrent_lookups_match_the_eager_table_and_complete_to_its_planes() {
+        let cfg = TableConfig::coarse();
+        let (x0, x1) = cfg.log_rho_ye;
+        let (y0, y1) = cfg.log_temp;
+        let eager = HelmTable::build_on(cfg, Policy::None, 1).unwrap();
+        let eager_planes = plane_bits(&eager);
+        let bits = |p: ElecPoint| {
+            [
+                p.pres,
+                p.ener,
+                p.entr,
+                p.dlnp_dlnr,
+                p.dlnp_dlnt,
+                p.dlne_dlnt,
+            ]
+            .map(f64::to_bits)
         };
-        let path = scratch("damaged");
-        let fresh = HelmTable::build(cfg, Policy::None).unwrap();
-        fresh.save(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-        let header_len = u64::from_le_bytes(good[..8].try_into().unwrap()) as usize;
-
-        let truncated = good[..good.len() - 9].to_vec();
-        let mut flipped = good.clone();
-        flipped[8 + header_len + 100] ^= 0x10;
-        let mut bad_crc = good.clone();
-        *bad_crc.last_mut().unwrap() ^= 0xFF;
-        // A v1 file: same layout, old magic, no trailing CRC.
-        let v1_header = String::from_utf8(good[8..8 + header_len].to_vec())
-            .unwrap()
-            .replace(TABLE_FORMAT, "rflash-helm-table-v1");
-        let mut v1 = (v1_header.len() as u64).to_le_bytes().to_vec();
-        v1.extend_from_slice(v1_header.as_bytes());
-        v1.extend_from_slice(&good[8 + header_len..good.len() - 4]);
-        // A header promising far more planes than the file holds.
-        let huge_header = String::from_utf8(good[8..8 + header_len].to_vec())
-            .unwrap()
-            .replace("\"n_rho\":11", "\"n_rho\":1100000000");
-        let mut huge = (huge_header.len() as u64).to_le_bytes().to_vec();
-        huge.extend_from_slice(huge_header.as_bytes());
-        huge.extend_from_slice(&good[8 + header_len..]);
-
-        for (what, bytes) in [
-            ("truncated", truncated),
-            ("bit-flipped", flipped),
-            ("bad CRC", bad_crc),
-            ("v1", v1),
-            ("oversized geometry", huge),
-        ] {
-            std::fs::write(&path, &bytes).unwrap();
+        for threads in [1, 2, 4] {
+            let lazy = HelmTable::lazy(cfg, Policy::None).unwrap();
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (lazy, eager) = (&lazy, &eager);
+                    scope.spawn(move || {
+                        let mut rng = Rng(0x5eed_0000 + 97 * threads as u64 + t as u64);
+                        for i in 0..200 {
+                            // Anywhere in the domain, edges included.
+                            let rho_ye = 10f64.powf(x0 + (x1 - x0) * rng.unit());
+                            let temp = 10f64.powf(y0 + (y1 - y0) * rng.unit());
+                            let got = lazy.interp(rho_ye, temp).unwrap();
+                            let want = eager.interp(rho_ye, temp).unwrap();
+                            assert_eq!(
+                                bits(got),
+                                bits(want),
+                                "{threads} threads, thread {t}, lookup {i} at ({rho_ye:e}, {temp:e})"
+                            );
+                        }
+                    });
+                }
+            });
             assert!(
-                HelmTable::load(&path, Policy::None).is_err(),
-                "{what} must not load"
-            );
-            let rebuilt = HelmTable::build_or_load(cfg, Policy::None, &path).unwrap();
-            assert_eq!(planes(&rebuilt), planes(&fresh), "{what}");
-            drop(rebuilt);
-            assert!(
-                std::fs::read(&path).unwrap() == good,
-                "{what} cache must be overwritten"
+                plane_bits(&lazy) == eager_planes,
+                "{threads} threads: forced complete, the planes differ"
             );
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_and_readers_only_ever_see_whole_files() {
-        let cfg = TableConfig {
-            n_rho: 16,
-            n_temp: 12,
-            ..TableConfig::coarse()
-        };
-        let path = scratch("race");
-        let _ = std::fs::remove_file(&path);
-        let table = HelmTable::build(cfg, Policy::None).unwrap();
-        let start = std::sync::Barrier::new(8);
-        std::thread::scope(|scope| {
-            for who in 0..8 {
-                let (table, path, start) = (&table, &path, &start);
-                scope.spawn(move || {
-                    start.wait();
-                    for _ in 0..25 {
-                        if who % 2 == 0 {
-                            table.save(path).unwrap();
-                            continue;
-                        }
-                        match HelmTable::load(path, Policy::None) {
-                            Ok(seen) => assert_eq!(planes(&seen), planes(table)),
-                            // Not there yet is fine; half-written is not.
-                            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
-                        }
-                    }
-                });
-            }
-        });
-        let leftovers: Vec<_> = std::fs::read_dir(path.parent().unwrap())
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| {
-                name.starts_with(path.file_name().unwrap().to_str().unwrap())
-                    && name.ends_with(".tmp")
-            })
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        let path = scratch("garbage");
-        std::fs::write(&path, b"\x08\x00\x00\x00\x00\x00\x00\x00garbage!").unwrap();
-        assert!(HelmTable::load(&path, Policy::None).is_err());
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,12 +1,12 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-//! guarding checkpoint headers and slabs, fleet wire frames and the cached
-//! Helmholtz table.
+//! guarding checkpoint headers and slabs and fleet wire frames, and the
+//! golden state digest.
 //!
 //! Hand-rolled slice-by-8 implementation so the workspace stays free of
 //! new dependencies; the variant matches zlib's `crc32()` and Python's
 //! `zlib.crc32`, making checkpoint files verifiable with stock tooling.
-//! It lives in this crate because both of its users' crates (`eos`, `core`)
-//! already sit on it, next to the I/O fault sites the checksums guard.
+//! It lives in this crate, which `core` already sits on, next to the I/O
+//! fault sites the checksums guard.
 
 /// `TABLES[0]` is the classic one-byte table; `TABLES[k][b]` is the CRC of
 /// byte `b` followed by `k` zero bytes, which lets [`Crc32::update`] fold

@@ -86,6 +86,12 @@ fn transient_errno(errno: i32) -> bool {
     errno == libc::ENOMEM || errno == libc::EAGAIN
 }
 
+/// Map `len` bytes of anonymous memory between two `guard`-byte guards and
+/// return the start of the body.
+fn mmap_guarded(len: usize, guard: usize) -> Result<*mut u8> {
+    sys::mmap_anon(guard + len + guard, None).map(|base| base.wrapping_add(guard))
+}
+
 /// An anonymous private mapping whose lifetime owns the pages.
 ///
 /// The region is created with the requested [`Policy`]; requests the kernel
@@ -97,11 +103,13 @@ fn transient_errno(errno: i32) -> bool {
 pub struct MmapRegion {
     ptr: *mut u8,
     len: usize,
-    /// Never-touched tail mapped past `len` (zero for `MAP_HUGETLB`). It
-    /// keeps the kernel's default THP advice while the body carries the
-    /// policy's, so the body stays a VMA of its own — adjacent regions
-    /// under one policy would otherwise merge and [`MmapRegion::smaps`]
-    /// would audit the sum of them.
+    /// Length of the never-touched guard mapped on each side of the body
+    /// (zero for `MAP_HUGETLB`). The guards keep the kernel's default THP
+    /// advice while the body carries the policy's, so the body stays a VMA
+    /// of its own — a same-flags mapping placed directly above or below
+    /// (another region, or a thread stack, which the kernel marks
+    /// no-huge-page like a base-page body) would otherwise merge with it
+    /// and [`MmapRegion::smaps`] would audit the sum of them.
     guard: usize,
     policy: Policy,
     effective: EffectiveBacking,
@@ -212,7 +220,7 @@ impl MmapRegion {
         // A whole huge page of guard: the kernel only aligns anonymous
         // mappings to 2 MiB when their length is a multiple of it.
         let guard = PageSize::Huge2M.bytes();
-        match sys::mmap_anon(rounded + guard, None) {
+        match mmap_guarded(rounded, guard) {
             Ok(ptr) => {
                 // SAFETY: we own [ptr, ptr+rounded), freshly mapped above.
                 match unsafe { sys::madvise(ptr, rounded, sys::Advice::Huge) } {
@@ -266,7 +274,7 @@ impl MmapRegion {
     fn try_base(len: usize, steps: &mut Vec<DegradationStep>) -> Result<Self> {
         let rounded = align_up(len, PageSize::Base.bytes());
         let guard = PageSize::Base.bytes();
-        let ptr = sys::mmap_anon(rounded + guard, None)?;
+        let ptr = mmap_guarded(rounded, guard)?;
         // SAFETY: we own [ptr, ptr+rounded), freshly mapped above.
         if let Err(err) = unsafe { sys::madvise(ptr, rounded, sys::Advice::NoHuge) } {
             metrics::count_madvise_denial();
@@ -383,9 +391,9 @@ impl MmapRegion {
 
 impl Drop for MmapRegion {
     fn drop(&mut self) {
-        // SAFETY: ptr and len + guard are exactly the live mapping created
-        // in `new`.
-        unsafe { sys::munmap(self.ptr, self.len + self.guard) };
+        // SAFETY: the guard before ptr, the body and the guard after it
+        // are exactly the live mapping created in `new`.
+        unsafe { sys::munmap(self.ptr.wrapping_sub(self.guard), self.len + 2 * self.guard) };
     }
 }
 
@@ -578,6 +586,27 @@ mod tests {
                     s.rss,
                     if n == 1 { 4 << 20 } else { 0 },
                     "{policy} region {n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_thread_stack_mapped_beside_a_region_stays_out_of_its_vma() {
+        // The kernel places a new thread's stack directly below the newest
+        // mapping and marks it no-huge-page, like a base-page body.
+        for policy in [Policy::None, Policy::Thp] {
+            for _ in 0..20 {
+                let r = MmapRegion::new(4 << 20, policy).unwrap();
+                let (tx, rx) = std::sync::mpsc::channel::<()>();
+                let waiter = std::thread::spawn(move || rx.recv());
+                let s = r.smaps().unwrap();
+                tx.send(()).unwrap();
+                waiter.join().unwrap().unwrap();
+                assert_eq!(
+                    (s.start, s.len()),
+                    (r.as_ptr() as usize, r.len()),
+                    "{policy}"
                 );
             }
         }

@@ -54,13 +54,6 @@ impl Prim {
             (m[4] + self.pres) * u,
         ]
     }
-
-    /// Kinetic specific energy.
-    #[cfg_attr(debug_assertions, inline)]
-    #[cfg_attr(not(debug_assertions), inline(always))]
-    pub fn ekin(&self) -> f64 {
-        0.5 * (self.vel[0] * self.vel[0] + self.vel[1] * self.vel[1] + self.vel[2] * self.vel[2])
-    }
 }
 
 /// Recover velocity and specific total energy from a conserved vector;
@@ -194,11 +187,5 @@ mod tests {
         let u = [0.0, 0.0, 0.0, 0.0, 0.0];
         let (dens, _, _) = cons_to_vel_ener(&u, 1e-10);
         assert_eq!(dens, 1e-10);
-    }
-
-    #[test]
-    fn ekin() {
-        let p = prim();
-        assert!((p.ekin() - 0.5 * (9.0 + 1.0 + 0.25)).abs() < 1e-14);
     }
 }

@@ -273,12 +273,6 @@ fn helm_rows(sim: &Simulation) -> Option<(RowsBuilt, usize)> {
 /// Who computed the Helmholtz table's temperature rows: lookups during
 /// set-up, lookups in the step loop, or the background thread.
 fn table_line(setup: RowsBuilt, exit: RowsBuilt, n_temp: usize) -> String {
-    if exit.loaded > 0 {
-        return format!(
-            "table: {} of {n_temp} rows loaded from the cache",
-            exit.loaded
-        );
-    }
     format!(
         "table: {} of {n_temp} rows at set-up, {} on demand in the loop, {} by the background thread",
         setup.on_demand,

@@ -190,17 +190,11 @@ fn setup_line_splits_the_build_by_stage() {
 
 #[test]
 fn table_line_counts_who_computed_the_helmholtz_rows() {
-    // A private temp dir: no cached table to load, so the rows are
-    // computed during this run.
-    let tmp = std::env::temp_dir().join(format!("rflash-cli-table-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_rflash"))
         .args(["run-setup", "supernova"])
         .env(POLICY_ENV_VAR, "none")
-        .env("TMPDIR", &tmp)
         .output()
         .expect("rflash binary runs");
-    std::fs::remove_dir_all(&tmp).unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
